@@ -35,6 +35,7 @@ from .sampled import (
     average,
     integrate,
     parse_rational,
+    prefix_sum,
 )
 from .scan import (
     LevelScan,
@@ -43,7 +44,6 @@ from .scan import (
     cube_integrals,
     inside_window_mask,
     level_scan,
-    prefix_sum,
 )
 
 

@@ -17,16 +17,8 @@ import numpy as np
 
 from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from .orlicz import YoungFunction, luxemburg
-from .sampled import MeshError, SampledFunction, _log2_exact, integrate
-from .scan import (
-    cell_block,
-    cube_cell_sums,
-    inside_window_mask,
-    iter_scans,
-    level_scan,
-    map_to_cells,
-    prefix_sum,
-)
+from .sampled import MeshError, SampledFunction, _log2_exact, integrate, prefix_sum
+from .scan import cell_block, cube_cell_sums, inside_window_mask, sweep
 
 COARSE_MARGIN = 4
 
@@ -59,6 +51,13 @@ def _grids(f: SampledFunction, shifts, min_level, max_level) -> list:
     return [GridFamily(f.dim, tuple(sh), lo, hi, f.window) for sh in shifts]
 
 
+def _grid(f: SampledFunction, shift, min_level, max_level) -> GridFamily:
+    """The single grid of a one-shift operator; the classic grid by default."""
+    lo, hi = default_levels(f, min_level, max_level)
+    sh = (0,) * f.dim if shift is None else tuple(shift)
+    return GridFamily(f.dim, sh, lo, hi, f.window)
+
+
 def _wrap(f: SampledFunction, values: np.ndarray, **meta) -> SampledFunction:
     return SampledFunction(f.dim, f.lower, f.side, values, meta=meta)
 
@@ -84,12 +83,12 @@ def frac_maximal(
     out = np.zeros_like(f.values)
     pre = f.prefix
     cellvol = float(f.cell_volume)
+
+    def level_values(scan):
+        return cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+
     for grid in _grids(f, shifts, min_level, max_level):
-        for scan in iter_scans(f, grid):
-            k = scan.level
-            weight = 2.0 ** (k * (n - a)) * cellvol
-            per_cube = cube_cell_sums(scan, pre) * weight
-            np.maximum(out, map_to_cells(scan, per_cube), out=out)
+        np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
     return _wrap(f, out, operator="frac_maximal", alpha=a)
 
 
@@ -118,12 +117,13 @@ def bilinear_maximal(
     pf, pg = f.prefix, g.prefix
     cellvol = float(f.cell_volume)
     n = f.dim
+
+    def level_values(scan):
+        inv_vol = 2.0 ** (scan.level * n) * cellvol
+        return (cube_cell_sums(scan, pf) * inv_vol) * (cube_cell_sums(scan, pg) * inv_vol)
+
     for grid in _grids(f, shifts, min_level, max_level):
-        for scan in iter_scans(f, grid):
-            inv_vol = 2.0 ** (scan.level * n) * cellvol
-            avg_f = cube_cell_sums(scan, pf) * inv_vol
-            avg_g = cube_cell_sums(scan, pg) * inv_vol
-            np.maximum(out, map_to_cells(scan, avg_f * avg_g), out=out)
+        np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
     return _wrap(f, out, operator="bilinear_maximal")
 
 
@@ -145,21 +145,20 @@ def weighted_dyadic_maximal(
     n = f.dim
     if not 0 <= b < n:
         raise OperatorError(f"beta must lie in [0, n), got {beta}")
-    sh = (0,) * n if shift is None else tuple(shift)
-    out = np.zeros_like(f.values)
     pre_mu = mu.prefix
     pre_fmu = prefix_sum(f.values * mu.values)
     cellvol = float(f.cell_volume)
     expo = b / n - 1.0
-    lo, hi = default_levels(f, min_level, max_level)
-    grid = GridFamily(n, sh, lo, hi, f.window)
-    for scan in iter_scans(f, grid):
+
+    def level_values(scan):
         mu_q = cube_cell_sums(scan, pre_mu) * cellvol
         fmu_q = cube_cell_sums(scan, pre_fmu) * cellvol
         vals = np.zeros_like(mu_q)
         pos = mu_q > 0
         vals[pos] = mu_q[pos] ** expo * fmu_q[pos]
-        np.maximum(out, map_to_cells(scan, vals), out=out)
+        return vals
+
+    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
     return _wrap(f, out, operator="weighted_dyadic_maximal", beta=b)
 
 
@@ -176,25 +175,24 @@ def geometric_maximal(
     outside the window) sends the geometric average to zero.
     """
     n = f.dim
-    sh = (0,) * n if shift is None else tuple(shift)
     v = f.values
     zero_mask = (v == 0).astype(np.float64)
     logs = np.zeros_like(v)
     np.log(v, out=logs, where=v > 0)
     pre_zero = prefix_sum(zero_mask)
     pre_log = prefix_sum(logs)
-    out = np.zeros_like(v)
     cellvol = float(f.cell_volume)
-    lo, hi = default_levels(f, min_level, max_level)
-    grid = GridFamily(n, sh, lo, hi, f.window)
-    for scan in iter_scans(f, grid):
+
+    def level_values(scan):
         zeros_q = cube_cell_sums(scan, pre_zero)
         log_q = cube_cell_sums(scan, pre_log)
         clean = (np.rint(zeros_q) == 0) & inside_window_mask(scan)
         inv_vol = 2.0 ** (scan.level * n) * cellvol
         vals = np.zeros_like(log_q)
         vals[clean] = np.exp(log_q[clean] * inv_vol)
-        np.maximum(out, map_to_cells(scan, vals), out=out)
+        return vals
+
+    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
     return _wrap(f, out, operator="geometric_maximal")
 
 
@@ -215,15 +213,12 @@ def orlicz_maximal(
     b = float(beta)
     if not 0 <= b < n:
         raise OperatorError(f"beta must lie in [0, n), got {beta}")
-    sh = (0,) * n if shift is None else tuple(shift)
-    out = np.zeros_like(f.values)
     cellvol = float(f.cell_volume)
-    lo, hi = default_levels(f, min_level, max_level)
-    grid = GridFamily(n, sh, lo, hi, f.window)
     is_power = getattr(phi, "is_power", False)
     if is_power:
         pre_pow = prefix_sum(f.values ** phi.r)
-    for scan in iter_scans(f, grid):
+
+    def level_values(scan):
         vol_q = scan.cube_volume()
         side_weight = vol_q ** (b / n)
         if is_power:
@@ -231,16 +226,12 @@ def orlicz_maximal(
             vals = mean_pow ** (1.0 / phi.r) * side_weight
         else:
             vals = np.zeros(scan.shape)
-            if scan.dim == 1:
-                positions = ((j,) for j in range(scan.shape[0]))
-            else:
-                positions = (
-                    (i, j) for i in range(scan.shape[0]) for j in range(scan.shape[1])
-                )
-            for pos in positions:
+            for pos in np.ndindex(scan.shape):
                 block = cell_block(scan, f.values, pos)
                 vals[pos] = side_weight * luxemburg(block, cellvol, vol_q, phi)
-        np.maximum(out, map_to_cells(scan, vals), out=out)
+        return vals
+
+    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
     return _wrap(f, out, operator="orlicz_maximal", beta=b)
 
 
@@ -259,15 +250,13 @@ def dyadic_riesz(
     n = f.dim
     if not 0 < a < n:
         raise OperatorError(f"alpha must lie in (0, n), got {alpha}")
-    sh = (0,) * n if shift is None else tuple(shift)
-    out = np.zeros_like(f.values)
     pre = f.prefix
     cellvol = float(f.cell_volume)
-    lo, hi = default_levels(f, min_level, max_level)
-    grid = GridFamily(n, sh, lo, hi, f.window)
-    for scan in iter_scans(f, grid):
-        weight = 2.0 ** (scan.level * (n - a)) * cellvol
-        out += map_to_cells(scan, cube_cell_sums(scan, pre) * weight)
+
+    def level_values(scan):
+        return cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+
+    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.add)
     return _wrap(f, out, operator="dyadic_riesz", alpha=a)
 
 

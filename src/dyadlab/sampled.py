@@ -59,6 +59,19 @@ def _log2_exact(x: Fraction) -> int:
     raise MeshError(f"{x} is not a power of two")
 
 
+def prefix_sum(arr: np.ndarray) -> np.ndarray:
+    """Cumulative-sum table with a zero border; works on signed data."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise MeshError("prefix_sum supports 1-D and 2-D arrays")
+    p = np.zeros(tuple(n + 1 for n in arr.shape))
+    if arr.ndim == 1:
+        np.cumsum(arr, out=p[1:])
+    else:
+        p[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
+    return p
+
+
 class SampledFunction:
     """Nonnegative cell-constant function, zero outside its window."""
 
@@ -189,13 +202,7 @@ class SampledFunction:
         """(N+1)^dim cumulative sums of raw values; entry [i,(j)] sums cells
         below i (and j)."""
         if self._prefix is None:
-            v = self.values
-            if self.dim == 1:
-                p = np.zeros(self.ncells + 1)
-                np.cumsum(v, out=p[1:])
-            else:
-                p = np.zeros((self.ncells + 1, self.ncells + 1))
-                p[1:, 1:] = v.cumsum(axis=0).cumsum(axis=1)
+            p = prefix_sum(self.values)
             p.setflags(write=False)
             self._prefix = p
         return self._prefix

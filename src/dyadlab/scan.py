@@ -2,21 +2,35 @@
 
 For a sampled function with N = 3*2^L cells per axis on a window of side 2^s,
 every cube of level k <= L - s in any of the shifted grids has its boundary
-on cell edges.  A LevelScan precomputes, per axis, the integer cell index of
-every cube boundary at one (grid, level), plus the owner cube of every cell.
-Cube sums then reduce to prefix-sum differences and per-cube quantities map
-back to cells by fancy indexing.  All index arithmetic is exact int64.
+on cell edges.  Along one axis those edges form an arithmetic progression:
+cube m_lo + j spans raw cells [raw0 + j*step, raw0 + (j+1)*step) with
+step = 3*2^(L-s-k), and the window clips the first and last cube.  A
+LevelScan holds these clipped edges for one (grid, level).  The integers
+that fix them are memoised per mesh geometry, so repeated scans skip the
+rational index arithmetic; the edge arrays are rebuilt on every call and
+handed out read-only.
+
+Cube sums reduce to prefix-sum differences at the edges.  A per-cube array
+reaches the cells by repeating each cube's value over its width, and
+sweep() combines per-level values down the cube tree so that only the
+finest level is spread onto the cells.  All index arithmetic is exact int64.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from functools import lru_cache
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridError, GridFamily
-from .sampled import MeshError, SampledFunction, _log2_exact
+from .grid import DyadicCube, GridError, GridFamily, pow2
+from .sampled import MeshError, SampledFunction, _log2_exact, prefix_sum
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -29,95 +43,81 @@ class LevelScan:
     shape: Tuple[int, ...]
     edges: Tuple[np.ndarray, ...]    # per axis, len count+1, clipped to [0, N]
     raw_edges: Tuple[np.ndarray, ...]  # unclipped, for inside-window tests
-    owners: Tuple[np.ndarray, ...]   # per axis, len N, 0-based cube position
 
     @property
     def dim(self) -> int:
         return self.grid.dim
 
+    @property
+    def owners(self) -> Tuple[np.ndarray, ...]:
+        """Per axis, the 0-based position of the cube owning each cell."""
+        return tuple(_frozen(np.repeat(np.arange(len(E) - 1), np.diff(E))) for E in self.edges)
+
     def cube_at(self, pos: Tuple[int, ...]) -> DyadicCube:
         idx = tuple(self.m_lo[ax] + int(pos[ax]) for ax in range(self.dim))
         return DyadicCube(self.dim, self.level, idx, self.grid.shift)
 
-    def cube_side(self) -> Fraction:
-        return Fraction(1, 2 ** self.level) if self.level >= 0 else Fraction(2 ** (-self.level))
-
     def cube_volume(self) -> float:
-        return float(self.cube_side() ** self.dim)
+        return float(pow2(-self.level) ** self.dim)
 
 
 def check_alignment(f: SampledFunction, grid: GridFamily):
     if grid.dim != f.dim:
         raise MeshError("grid dimension does not match the sampled function")
-    if grid.window != f.window:
+    if (grid.window.lower, grid.window.side) != (f.lower, f.side):  # f.window builds a Box
         raise MeshError("grid window does not match the sampled function window")
-    if grid.max_level > f.max_aligned_level:
-        raise MeshError(
-            f"grid max_level {grid.max_level} exceeds the mesh alignment "
-            f"limit {f.max_aligned_level}"
-        )
+    limit = f.max_aligned_level
+    if grid.max_level > limit:
+        raise MeshError(f"grid max_level {grid.max_level} exceeds the mesh alignment limit {limit}")
+
+
+@lru_cache(maxsize=1 << 14)
+def _axis_plans(grid: GridFamily, level: int, lower, side: Fraction, n_cells: int):
+    """Per axis (m_lo, count, raw0, step): cube m_lo + j has unclipped cell
+    edges raw0 + j*step and raw0 + (j+1)*step.  Holds integers only."""
+    L = _log2_exact(Fraction(n_cells, 3))
+    s = _log2_exact(side)
+    shift_in_levels = L - s - level
+    if not (0 <= shift_in_levels <= 40):
+        raise MeshError("level too far from mesh resolution for int64 scans")
+    D = 1 << shift_in_levels
+    e = 1 if level % 2 == 0 else -1
+    plans = []
+    for ax in range(len(lower)):
+        a = int(lower[ax])
+        if abs(a) > 1 << 20:
+            raise MeshError("window corner too large for int64 scans")
+        lo, hi = grid.axis_index_range(level, ax)
+        count = hi - lo + 1
+        raw0 = (3 * lo + e * grid.shift[ax]) * D - 3 * a * (1 << (L - s))
+        step = 3 * D
+        last = raw0 + step * count
+        # clipped edges start at 0 and end at N ...
+        if count < 1 or raw0 > 0 or last < n_cells:
+            raise MeshError("enumerated cubes do not cover the window")
+        # ... and rise strictly: no cube lies wholly outside the window
+        if raw0 + step <= 0 or last - step >= n_cells:
+            raise MeshError("degenerate cube range in scan")
+        plans.append((lo, count, raw0, step))
+    return tuple(plans)
 
 
 def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
     check_alignment(f, grid)
     if level not in grid.levels:
         raise GridError(f"level {level} outside grid range")
-    L = f.level_L
-    s = _log2_exact(f.side)
-    n_cells = f.ncells
-    shift_in_levels = L - s - level
-    if not (0 <= shift_in_levels <= 40):
-        raise MeshError("level too far from mesh resolution for int64 scans")
-    D = np.int64(1) << np.int64(shift_in_levels)
-    e = 1 if level % 2 == 0 else -1
-    m_lo = []
-    shape = []
-    edges = []
-    raw_edges = []
-    owners = []
-    for ax in range(f.dim):
-        lo, hi = grid.axis_index_range(level, ax)
-        a = int(f.lower[ax])
-        if abs(a) > 1 << 20:
-            raise MeshError("window corner too large for int64 scans")
-        tau = grid.shift[ax]
-        count = hi - lo + 1
-        m = lo + np.arange(count + 1, dtype=np.int64)
-        raw = (3 * m + e * tau) * D - 3 * a * np.int64(1 << (L - s))
-        clipped = np.clip(raw, 0, n_cells)
-        if clipped[0] != 0 or clipped[-1] != n_cells:
-            raise MeshError("enumerated cubes do not cover the window")
-        if np.any(np.diff(clipped) <= 0):
-            raise MeshError("degenerate cube range in scan")
-        own = np.searchsorted(clipped, np.arange(n_cells, dtype=np.int64), side="right") - 1
-        m_lo.append(lo)
-        shape.append(count)
-        edges.append(clipped)
-        raw_edges.append(raw)
-        owners.append(own)
-    return LevelScan(
-        grid=grid,
-        level=level,
-        m_lo=tuple(m_lo),
-        shape=tuple(shape),
-        edges=tuple(edges),
-        raw_edges=tuple(raw_edges),
-        owners=tuple(owners),
-    )
-
-
-def prefix_sum(arr: np.ndarray) -> np.ndarray:
-    """Cumulative-sum table with a zero border; works on signed data."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        p = np.zeros(arr.shape[0] + 1)
-        np.cumsum(arr, out=p[1:])
-        return p
-    if arr.ndim == 2:
-        p = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1))
-        p[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-        return p
-    raise MeshError("prefix_sum supports 1-D and 2-D arrays")
+    plans = _axis_plans(grid, level, f.lower, f.side, f.ncells)
+    edges, raw_edges = [], []
+    for _, count, raw0, step in plans:
+        raw = raw0 + step * np.arange(count + 1, dtype=np.int64)
+        # the plan puts every inner edge in (0, N): clipping to [0, N]
+        # moves only the two outer ones
+        clipped = raw.copy()
+        clipped[0], clipped[-1] = 0, f.ncells
+        edges.append(_frozen(clipped))
+        raw_edges.append(_frozen(raw))
+    return LevelScan(grid, level, m_lo=tuple(p[0] for p in plans), shape=tuple(p[1] for p in plans),
+                     edges=tuple(edges), raw_edges=tuple(raw_edges))
 
 
 def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:
@@ -142,22 +142,18 @@ def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
 def inside_window_mask(scan: LevelScan) -> np.ndarray:
     """Boolean array over cubes: True when the cube lies fully inside the
     window (no zero-extension region intersects it)."""
-    per_axis = []
-    n_cells = len(scan.owners[0])
-    for ax in range(scan.dim):
-        raw = scan.raw_edges[ax]
-        per_axis.append((raw[:-1] >= 0) & (raw[1:] <= n_cells))
-    if scan.dim == 1:
-        return per_axis[0]
-    return np.logical_and.outer(per_axis[0], per_axis[1])
+    n_cells = scan.edges[0][-1]
+    per_axis = [(raw[:-1] >= 0) & (raw[1:] <= n_cells) for raw in scan.raw_edges]
+    return per_axis[0] if scan.dim == 1 else np.logical_and.outer(*per_axis)
 
 
 def map_to_cells(scan: LevelScan, per_cube: np.ndarray) -> np.ndarray:
-    """Spread a per-cube array onto the cell mesh via owner lookup."""
-    if scan.dim == 1:
-        return per_cube[scan.owners[0]]
-    o0, o1 = scan.owners
-    return per_cube[o0[:, None], o1[None, :]]
+    """Spread a per-cube array onto the cell mesh: along each axis, every
+    cube's value is repeated over the cells of its window part."""
+    out = per_cube
+    for ax, E in enumerate(scan.edges):
+        out = np.repeat(out, np.diff(E), axis=ax)
+    return out
 
 
 def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarray, ...]:
@@ -172,19 +168,40 @@ def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarra
         m = scan.m_lo[ax] + np.arange(scan.shape[ax], dtype=np.int64)
         parent_idx = np.floor_divide(m + e * tau, 2)
         pos = parent_idx - parent_scan.m_lo[ax]
-        if np.any(pos < 0) or np.any(pos >= parent_scan.shape[ax]):
+        # pos never decreases, so its ends bound it
+        if pos[0] < 0 or pos[-1] >= parent_scan.shape[ax]:
             raise GridError("parent cube not enumerated at coarser level")
         out.append(pos)
     return tuple(out)
 
 
+def at_parents(arr: np.ndarray, pmaps: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Values of a coarser-level per-cube array at each finer cube's parent,
+    with pmaps from parent_positions."""
+    return arr[pmaps[0]] if len(pmaps) == 1 else arr[np.ix_(*pmaps)]
+
+
+def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelScan], np.ndarray],
+          combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """One top-down pass over the cube tree of a grid.
+
+    Coarse to fine, acc = combine(acc at the parent, level_values(scan)),
+    starting from zeros above the coarsest level; the finest acc is then
+    spread onto the cells.  With combine np.maximum or np.add each cell
+    gets, bit for bit, what combining every level's spread values into a
+    zero array in level order gives.
+    """
+    acc = prev = None
+    for scan in iter_scans(f, grid):
+        above = np.zeros(scan.shape) if prev is None else at_parents(acc, parent_positions(scan, prev))
+        acc = combine(above, level_values(scan))
+        prev = scan
+    return map_to_cells(prev, acc)
+
+
 def cell_block(scan: LevelScan, values: np.ndarray, pos: Tuple[int, ...]) -> np.ndarray:
     """View of the cell values covered by one cube's window part."""
-    sl = tuple(
-        slice(int(scan.edges[ax][pos[ax]]), int(scan.edges[ax][pos[ax] + 1]))
-        for ax in range(scan.dim)
-    )
-    return values[sl]
+    return values[tuple(slice(int(E[i]), int(E[i + 1])) for E, i in zip(scan.edges, pos))]
 
 
 def iter_scans(f: SampledFunction, grid: GridFamily):

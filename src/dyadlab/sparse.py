@@ -27,14 +27,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFamily, cube_to_obj, realize
 from .sampled import MeshError, SampledFunction, integrate
-from .scan import (
-    LevelScan,
-    cube_cell_sums,
-    iter_scans,
-    level_scan,
-    map_to_cells,
-    parent_positions,
-)
+from .scan import at_parents, cube_cell_sums, level_scan, map_to_cells, parent_positions, sweep
 from .operators import default_levels
 
 
@@ -116,12 +109,6 @@ class SparseFamily:
         }
 
 
-def _map_parent(arr: np.ndarray, pmaps: Tuple[np.ndarray, ...]) -> np.ndarray:
-    if len(pmaps) == 1:
-        return arr[pmaps[0]]
-    return arr[pmaps[0][:, None], pmaps[1][None, :]]
-
-
 def build_sparse(
     f: SampledFunction,
     alpha=0,
@@ -162,8 +149,8 @@ def build_sparse(
             is_stop = u > 0
         else:
             pmaps = parent_positions(scan, scans[idx - 1])
-            inherited_u = _map_parent(deep_u, pmaps)
-            inherited_id = _map_parent(deep_id, pmaps)
+            inherited_u = at_parents(deep_u, pmaps)
+            inherited_id = at_parents(deep_id, pmaps)
             is_stop = u > r * inherited_u
         ids_here = np.full(u.shape, -1, dtype=np.int64)
         count = int(np.count_nonzero(is_stop))
@@ -235,14 +222,17 @@ def sparse_operator(
         return SampledFunction(f.dim, f.lower, f.side, out, meta={"operator": "sparse_disjoint"})
     if form != "chi":
         raise SparseError(f"unknown form {form!r}")
-    out = np.zeros_like(f.values)
-    for level, (positions, ids) in sorted(family._level_members.items()):
-        scan = level_scan(f, family.grid, level)
-        u = cube_cell_sums(scan, pre) * (2.0 ** (level * (n - a)) * cellvol)
-        vals = np.zeros_like(u)
-        sel = tuple(positions[:, ax] for ax in range(f.dim))
-        vals[sel] = u[sel]
-        out += map_to_cells(scan, vals)
+
+    def level_values(scan):
+        # a level with no stopping cubes contributes zeros
+        vals = np.zeros(scan.shape)
+        if scan.level in family._level_members:
+            u = cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+            sel = tuple(family._level_members[scan.level][0].T)
+            vals[sel] = u[sel]
+        return vals
+
+    out = sweep(f, family.grid, level_values, np.add)
     return SampledFunction(f.dim, f.lower, f.side, out, meta={"operator": "sparse_chi"})
 
 

@@ -266,6 +266,19 @@ class TestEquivalenceReport:
         with pytest.raises(NormError):
             equivalence_report(pair, ExponentTuple(1, 0, F(4, 3), 4))
 
+    def test_testing_chain_over_no_cube_does_not_hold(self):
+        # levels -4..-1 hold no cube inside the unit window, so the chain
+        # tested nothing and must not count as a pass
+        from dyadlab.pairs import classical_pair
+
+        pair = classical_pair(rand_weight(1, (0,), 1, 24, 5), E_SOB)
+        chain = potential_testing_chain(pair, E_SOB, min_level=-4, max_level=-1)
+        assert chain["cubes"] == 0
+        assert chain["holds"] is False
+        rep = equivalence_report(pair, E_SOB, family=LIGHT, min_level=-4, max_level=-1)
+        assert rep["testing_chain"]["cubes"] == 0
+        assert rep["testing_chain"]["holds"] is False
+
     def test_degenerate_sigma_flagged(self):
         pair = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
         rep = equivalence_report(pair, E_SOB)

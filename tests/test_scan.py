@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.grid import DyadicCube, GridFamily, parent, realize
+from dyadlab import operators as op
+from dyadlab.grid import DyadicCube, GridFamily, all_shifts, parent, realize
+from dyadlab.orlicz import power
 from dyadlab.sampled import MeshError, SampledFunction
 from dyadlab.scan import (
     cube_cell_sums,
@@ -15,7 +17,9 @@ from dyadlab.scan import (
     map_to_cells,
     parent_positions,
     prefix_sum,
+    sweep,
 )
+from dyadlab.sparse import build_sparse, sparse_operator
 
 
 def make_f(dim, lower, side, ncells, seed=0):
@@ -201,3 +205,202 @@ def test_window_guard():
     grid = GridFamily(1, (0,), 0, 1, Box((Fraction(0),), Fraction(2)))
     with pytest.raises(MeshError):
         level_scan(f, grid, 1)
+
+
+# === arithmetic scan geometry against exact oracles ===========================
+
+def oracle_edges(f, grid, level, ax):
+    """Clipped cell edges of every enumerated cube from exact rationals."""
+    lo, hi = grid.axis_index_range(level, ax)
+    out = []
+    for m in range(lo, hi + 2):
+        idx = tuple(m if a == ax else 0 for a in range(f.dim))
+        x = DyadicCube(f.dim, level, idx, grid.shift).lower()[ax]
+        c = (x - f.lower[ax]) / f.h
+        assert c.denominator == 1
+        out.append(min(max(int(c), 0), f.ncells))
+    return lo, np.array(out)
+
+
+def by_owners(scan, per_cube):
+    """Spreading by fancy indexing through the owner tables."""
+    o = scan.owners
+    return per_cube[o[0]] if scan.dim == 1 else per_cube[o[0][:, None], o[1][None, :]]
+
+
+GEOMETRIES = [
+    (1, (-3,), 1, 24),
+    (1, (-2,), 2, 48),
+    (1, (-5,), 4, 48),
+    (2, (-1, -2), 1, 12),
+    (2, (-3, 0), 2, 24),
+    (2, (0, -4), 4, 24),
+]
+
+
+@pytest.mark.parametrize("dim,lower,side,ncells", GEOMETRIES)
+def test_arithmetic_geometry_matches_oracles(dim, lower, side, ncells):
+    f = make_f(dim, lower, side, ncells)
+    for shift in all_shifts(dim):
+        grid = GridFamily(dim, shift, -4 - side.bit_length(), f.max_aligned_level, f.window)
+        for scan in iter_scans(f, grid):
+            for ax in range(dim):
+                m_lo, edges = oracle_edges(f, grid, scan.level, ax)
+                assert scan.m_lo[ax] == m_lo
+                assert np.array_equal(scan.edges[ax], edges)
+                cells = np.arange(f.ncells)
+                assert np.array_equal(scan.owners[ax], np.searchsorted(edges, cells, side="right") - 1)
+                for i in range(f.ncells):
+                    center = [f.lower[a] + (2 * i + 1) * f.h / 2 for a in range(dim)]
+                    m = grid.owner_index(scan.level, center)[ax]
+                    assert scan.owners[ax][i] == m - m_lo
+
+
+@pytest.mark.parametrize("dim,lower,side,ncells", GEOMETRIES)
+def test_map_to_cells_equals_owner_indexing(dim, lower, side, ncells):
+    f = make_f(dim, lower, side, ncells)
+    rng = np.random.default_rng(1)
+    grid = GridFamily(dim, (1,) * dim, -3, f.max_aligned_level, f.window)
+    for scan in iter_scans(f, grid):
+        for per_cube in (rng.normal(size=scan.shape), rng.integers(-5, 5, scan.shape)):
+            expect = by_owners(scan, per_cube)
+            got = map_to_cells(scan, per_cube)
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+
+
+def test_scan_arrays_read_only_and_not_shared():
+    f = make_f(2, (-1, 0), 2, 24)
+    grid = GridFamily(2, (1, 0), -3, f.max_aligned_level, f.window)
+    scan = level_scan(f, grid, 1)
+    snapshot = [a.copy() for a in scan.edges + scan.raw_edges + scan.owners]
+    for arr in scan.edges + scan.raw_edges + scan.owners:
+        with pytest.raises(ValueError):
+            arr[0] = 7
+        # forcing a write must not leak into later scans
+        arr.setflags(write=True)
+        arr[...] = -1
+    again = level_scan(f, grid, 1)
+    assert again.m_lo == scan.m_lo and again.shape == scan.shape
+    for a, b in zip(again.edges + again.raw_edges + again.owners, snapshot):
+        assert np.array_equal(a, b)
+
+
+# === the top-down sweep against per-level spreading ===========================
+
+def spread_oracle(f, grid, level_values, combine):
+    """The pre-sweep evaluation: spread every level onto the cells and
+    combine into a zero array in level order."""
+    out = np.zeros_like(f.values)
+    for scan in iter_scans(f, grid):
+        out = combine(out, by_owners(scan, level_values(scan)))
+    return out
+
+
+def single_grid(f, shift=None, min_level=None):
+    lo, hi = op.default_levels(f, min_level, None)
+    return GridFamily(f.dim, shift or (0,) * f.dim, lo, hi, f.window)
+
+
+SWEEP_MESHES = [((-2,), 4, 96), ((0,), 1, 3 * 2 ** 9), ((-1, 0), 2, 48), ((0, 0), 1, 96)]
+
+
+@pytest.mark.parametrize("lower,side,ncells", SWEEP_MESHES)
+@pytest.mark.parametrize("combine", [np.maximum, np.add])
+def test_sweep_matches_spreading_oracle(lower, side, ncells, combine):
+    f = make_f(len(lower), lower, side, ncells)
+
+    def level_values(scan):
+        rng = np.random.default_rng(scan.level + 100)
+        vals = rng.normal(size=scan.shape)
+        vals[vals > 1] = -0.0
+        return vals
+
+    for shift in all_shifts(f.dim):
+        grid = single_grid(f, shift)
+        assert np.array_equal(sweep(f, grid, level_values, combine),
+                              spread_oracle(f, grid, level_values, combine))
+
+
+def _sum_values(f, pre, weight_expo):
+    cellvol = float(f.cell_volume)
+    return lambda scan: cube_cell_sums(scan, pre) * (2.0 ** (scan.level * weight_expo) * cellvol)
+
+
+@pytest.mark.parametrize("lower,side,ncells", SWEEP_MESHES)
+def test_operators_bit_identical_to_spreading_oracle(lower, side, ncells):
+    f = make_f(len(lower), lower, side, ncells, seed=2)
+    f = f.with_values(np.where(f.values < 0.5, 0.0, f.values))
+    mu = make_f(f.dim, lower, side, ncells, seed=3)
+    n, a = f.dim, 0.5
+    cellvol = float(f.cell_volume)
+
+    expect = np.zeros_like(f.values)
+    for shift in all_shifts(n):
+        expect = np.maximum(expect, spread_oracle(f, single_grid(f, shift), _sum_values(f, f.prefix, n - a), np.maximum))
+    assert np.array_equal(op.frac_maximal(f, a).values, expect)
+
+    grid = single_grid(f, (1,) * n, min_level=-2)
+    expect = spread_oracle(f, grid, _sum_values(f, f.prefix, n - a), np.add)
+    assert np.array_equal(op.dyadic_riesz(f, a, shift=(1,) * n, min_level=-2).values, expect)
+
+    def bilinear(scan):
+        inv_vol = 2.0 ** (scan.level * n) * cellvol
+        return (cube_cell_sums(scan, f.prefix) * inv_vol) * (cube_cell_sums(scan, mu.prefix) * inv_vol)
+
+    expect = np.zeros_like(f.values)
+    for shift in all_shifts(n):
+        expect = np.maximum(expect, spread_oracle(f, single_grid(f, shift), bilinear, np.maximum))
+    assert np.array_equal(op.bilinear_maximal(f, mu).values, expect)
+
+    def weighted(scan):
+        mu_q = cube_cell_sums(scan, mu.prefix) * cellvol
+        fmu_q = cube_cell_sums(scan, prefix_sum(f.values * mu.values)) * cellvol
+        out = np.zeros_like(mu_q)
+        out[mu_q > 0] = mu_q[mu_q > 0] ** (a / n - 1.0) * fmu_q[mu_q > 0]
+        return out
+
+    expect = spread_oracle(f, single_grid(f), weighted, np.maximum)
+    assert np.array_equal(op.weighted_dyadic_maximal(f, mu, a).values, expect)
+
+    def geometric(scan):
+        zeros_q = cube_cell_sums(scan, prefix_sum((mu.values == 0).astype(float)))
+        log_q = cube_cell_sums(scan, prefix_sum(np.log(mu.values)))
+        clean = (np.rint(zeros_q) == 0) & inside_window_mask(scan)
+        out = np.zeros_like(log_q)
+        out[clean] = np.exp(log_q[clean] * (2.0 ** (scan.level * n) * cellvol))
+        return out
+
+    expect = spread_oracle(mu, single_grid(mu, min_level=-1), geometric, np.maximum)
+    assert np.array_equal(op.geometric_maximal(mu, min_level=-1).values, expect)
+
+    def power_avg(scan):
+        vol_q = scan.cube_volume()
+        mean_pow = cube_cell_sums(scan, prefix_sum(mu.values ** 3.0)) * (cellvol / vol_q)
+        return mean_pow ** (1.0 / 3.0) * vol_q ** (a / n)
+
+    expect = spread_oracle(mu, single_grid(mu), power_avg, np.maximum)
+    assert np.array_equal(op.orlicz_maximal(mu, power(3.0), beta=a).values, expect)
+
+
+@pytest.mark.parametrize("lower,side,ncells", SWEEP_MESHES)
+def test_sparse_operator_bit_identical_with_level_gaps(lower, side, ncells):
+    n = len(lower)
+    v = np.ones((ncells,) * n)
+    v[(ncells // 3,) * n] = 4.0 ** (6 * n)  # one spike: stops every other level or so
+    f = SampledFunction(n, lower, side, v)
+    g = make_f(n, lower, side, ncells, seed=4)
+    fam = build_sparse(f, 0.5 if n == 2 else 0.25)
+    members = fam._level_members
+    assert any(k not in members for k in range(min(members), max(members) + 1))
+    cellvol = float(f.cell_volume)
+    for src in (f, g):
+        expect = np.zeros_like(f.values)
+        for level, (positions, _) in sorted(members.items()):
+            scan = level_scan(f, fam.grid, level)
+            u = cube_cell_sums(scan, src.prefix) * (2.0 ** (level * (n - fam.alpha)) * cellvol)
+            vals = np.zeros_like(u)
+            sel = tuple(positions[:, ax] for ax in range(n))
+            vals[sel] = u[sel]
+            expect = expect + by_owners(scan, vals)
+        assert np.array_equal(sparse_operator(fam, src).values, expect)
