@@ -59,14 +59,12 @@ from .normest import (
     log_ainfty_check,
 )
 from .operators import (
+    OPERATORS,
     dyadic_frac_maximal,
     dyadic_riesz,
     frac_maximal,
     geometric_maximal,
-    orlicz_maximal,
     outer_riesz,
-    riesz_potential_1d,
-    weighted_dyadic_maximal,
 )
 from .orlicz import (
     YoungFunction,
@@ -86,7 +84,7 @@ from .pairs import (
     factored_pair,
     verify_E_maximal,
 )
-from .sampled import ExponentTuple, SampledFunction, integrate, lp_norm, parse_rational
+from .sampled import ExponentTuple, SampledFunction, integrate, lp_norm, make_exponents, parse_rational
 from .sparse import build_sparse, sparse_operator
 
 SUITES = (
@@ -158,7 +156,7 @@ def _parse_exponents(text: str) -> ExponentTuple:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 4:
         raise CLIError(f"exponents must be 'n,alpha,p,q', got {text!r}")
-    return ExponentTuple(int(parts[0]), *(parse_rational(t) for t in parts[1:]))
+    return make_exponents(*parts)
 
 
 def _parse_levels(text: Optional[str]):
@@ -229,10 +227,7 @@ def validate_config(cfg: dict) -> dict:
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
-    ex = cfg["exponents"]
-    e = ExponentTuple(
-        int(ex["n"]), parse_rational(ex["alpha"]), parse_rational(ex["p"]), parse_rational(ex["q"])
-    )
+    e = _config_exponents(cfg)
     mesh = cfg["mesh"]
     side = parse_rational(mesh["window"])
     if side < 1 or (side.numerator & (side.numerator - 1)) or side.denominator != 1:
@@ -240,6 +235,10 @@ def validate_config(cfg: dict) -> dict:
     ncells = int(mesh["cells_per_axis"])
     if ncells % 3 or (ncells // 3) & (ncells // 3 - 1):
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
+    # every suite picks its own level range, so a pinned one would be
+    # reported but never used
+    if any(v is not None for v in (cfg["grids"] or {}).values()):
+        raise CLIError("grids.min_level and grids.max_level are not supported; leave them null")
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
     cx = cfg["counterexample"]
@@ -257,9 +256,7 @@ def validate_config(cfg: dict) -> dict:
 
 def _config_exponents(cfg: dict) -> ExponentTuple:
     ex = cfg["exponents"]
-    return ExponentTuple(
-        int(ex["n"]), parse_rational(ex["alpha"]), parse_rational(ex["p"]), parse_rational(ex["q"])
-    )
+    return make_exponents(ex["n"], ex["alpha"], ex["p"], ex["q"])
 
 
 def _config_mesh(cfg: dict, dim: int):
@@ -761,30 +758,14 @@ def _cmd_ops(args) -> int:
     shift = _parse_shifts(args.shift, f.dim)
     alpha = float(parse_rational(args.alpha)) if args.alpha is not None else 0.0
     name = args.name
-    if name == "frac_maximal":
-        out = frac_maximal(f, alpha, shifts=shift, min_level=lo, max_level=hi)
-    elif name == "dyadic_frac_maximal":
-        out = dyadic_frac_maximal(f, alpha, shift=shift, min_level=lo, max_level=hi)
-    elif name == "dyadic_riesz":
-        out = dyadic_riesz(f, alpha, shift=shift, min_level=lo, max_level=hi)
-    elif name == "riesz_1d":
-        out = riesz_potential_1d(f, alpha)
-    elif name == "orlicz_maximal":
-        if not args.young:
-            raise CLIError("orlicz_maximal needs --young")
-        out = orlicz_maximal(f, young_from_spec(args.young), beta=alpha,
-                             shift=shift, min_level=lo, max_level=hi)
-    elif name == "weighted_dyadic_maximal":
-        if not args.mu:
-            raise CLIError("weighted_dyadic_maximal needs --mu")
-        out = weighted_dyadic_maximal(f, _load_function(args.mu), beta=alpha,
-                                      shift=shift, min_level=lo, max_level=hi)
-    elif name == "outer_riesz":
+    if name == "outer_riesz":
         if not args.cube:
             raise CLIError("outer_riesz needs --cube")
         out = outer_riesz(f, cube_from_obj(json.loads(args.cube)), alpha)
     else:
-        raise CLIError(f"unknown operator {name!r}")
+        mu = _load_function(args.mu) if args.mu else None
+        phi = young_from_spec(args.young) if args.young else None
+        out = OPERATORS[name](f, mu, alpha, phi, shift, lo, hi)
     obj = {
         "function": out.to_obj(),
         "metadata": {
@@ -965,7 +946,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("ops", help="apply one operator to a sampled function")
-    p.add_argument("name", choices=[o for o in OPERATOR_IDS if o != "identity"] + ["outer_riesz"])
+    p.add_argument("name", choices=[o for o in OPERATORS if o != "identity"] + ["outer_riesz"])
     p.add_argument("-i", "--input", required=True, help="SampledFunction JSON")
     p.add_argument("-o", "--out", help="output JSON path (default stdout)")
     p.add_argument("--csv", help="also write (index, value) rows")
@@ -973,7 +954,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", help="grid shift flags, e.g. 0,1")
     p.add_argument("--levels", help="level range lo..hi")
     p.add_argument("--young", help="young function family:key=val,...")
-    p.add_argument("--mu", help="measure JSON for weighted_dyadic_maximal")
+    p.add_argument("--mu", help="measure JSON: apply the operator to f dmu (weighted_dyadic_maximal needs it)")
     p.add_argument("--cube", help="cube JSON for outer_riesz")
     p.set_defaults(fn=_cmd_ops)
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .grid import Box, DyadicCube, GridFamily, cube_to_obj, realize
+from .grid import Box, DyadicCube, cube_to_obj, realize
 from .operators import (
     ancestor_chain,
-    default_levels,
     dyadic_frac_maximal,
     frac_maximal,
     _grids,
@@ -231,6 +230,15 @@ def apq_alpha(pair: WeightPair, e: ExponentTuple, cube: DyadicCube) -> float:
     return float(box.volume()) ** ex * ((mu ** au) * (ms ** asig))
 
 
+def _apq_values(scan: LevelScan, pair: WeightPair, exps: Tuple[float, float, float]) -> np.ndarray:
+    """apq_alpha over every cube of a scan, exps from _apq_exponents."""
+    au, asig, ex = exps
+    vol = scan.cube_volume()
+    mu = cube_integrals(scan, pair.u) / vol
+    ms = cube_integrals(scan, pair.sigma) / vol
+    return vol ** ex * ((mu ** au) * (ms ** asig))
+
+
 def apq_alpha_constant(
     pair: WeightPair,
     e: ExponentTuple,
@@ -238,19 +246,37 @@ def apq_alpha_constant(
     min_level: Optional[int] = None,
     max_level: Optional[int] = None,
 ) -> ConstantReport:
-    au, asig, ex = _apq_exponents(e)
+    exps = _apq_exponents(e)
 
     def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
-        vol = scan.cube_volume()
-        mu = cube_integrals(scan, pair.u) / vol
-        ms = cube_integrals(scan, pair.sigma) / vol
-        vals = vol ** ex * ((mu ** au) * (ms ** asig))
-        return vals, np.zeros(scan.shape, dtype=bool)
+        return _apq_values(scan, pair, exps), np.zeros(scan.shape, dtype=bool)
 
     return _sup_scan("apq_alpha", pair.u, shifts, min_level, max_level, fn)
 
 
 # === A_infty flavors =========================================================
+
+
+def _log_tables(w: SampledFunction) -> Tuple[np.ndarray, np.ndarray]:
+    """Prefix tables of log w (0 on zero cells) and of the zero-cell count."""
+    pos = w.values > 0
+    logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
+    return prefix_sum(logs), prefix_sum((~pos).astype(float))
+
+
+def _aexp_values(scan: LevelScan, w: SampledFunction, tables) -> Tuple[np.ndarray, np.ndarray]:
+    """(avg_Q w) exp(-avg_Q log w) over every cube of a scan, +inf where w
+    has a zero cell, and the mask of cubes without w mass; tables from
+    _log_tables(w)."""
+    lpre, zpre = tables
+    vol = scan.cube_volume()
+    cells = max(1, round(vol / float(w.cell_volume)))
+    mw = cube_integrals(scan, w) / vol
+    nzero = np.rint(cube_cell_sums(scan, zpre))
+    lsum = cube_cell_sums(scan, lpre)
+    with np.errstate(over="ignore"):
+        vals = mw * np.exp(-lsum / cells)
+    return np.where(nzero > 0, math.inf, vals), mw <= 0.0
 
 
 def ainfty_exp(
@@ -264,23 +290,10 @@ def ainfty_exp(
     Cubes where w has a zero cell but positive mass score +inf (the log
     average diverges); cubes with zero mass are skipped.
     """
-    pos = w.values > 0
-    logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
-    lpre = prefix_sum(logs)
-    zpre = prefix_sum((~pos).astype(float))
-    cellvol = float(w.cell_volume)
+    tables = _log_tables(w)
 
     def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
-        vol = scan.cube_volume()
-        cells = max(1, round(vol / cellvol))
-        mw = cube_integrals(scan, w) / vol
-        nzero = np.rint(cube_cell_sums(scan, zpre))
-        lsum = cube_cell_sums(scan, lpre)
-        skip = mw <= 0.0
-        with np.errstate(over="ignore"):
-            vals = mw * np.exp(-lsum / cells)
-        vals = np.where(nzero > 0, math.inf, vals)
-        return vals, skip
+        return _aexp_values(scan, w, tables)
 
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
@@ -367,27 +380,13 @@ def mixed_one_sup(
     the product of the separate suprema.
     """
     if flavor == "apq_exp":
-        au, asig, ex = _apq_exponents(e)
-        sigma = pair.sigma
-        pos = sigma.values > 0
-        logs = np.where(pos, np.log(np.where(pos, sigma.values, 1.0)), 0.0)
-        lpre = prefix_sum(logs)
-        zpre = prefix_sum((~pos).astype(float))
-        cellvol = float(sigma.cell_volume)
+        exps = _apq_exponents(e)
+        tables = _log_tables(pair.sigma)
         gq = float(1 / e.q)
 
         def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
-            vol = scan.cube_volume()
-            cells = max(1, round(vol / cellvol))
-            mu = cube_integrals(scan, pair.u) / vol
-            ms = cube_integrals(scan, sigma) / vol
-            apq = vol ** ex * ((mu ** au) * (ms ** asig))
-            nzero = np.rint(cube_cell_sums(scan, zpre))
-            lsum = cube_cell_sums(scan, lpre)
-            skip = ms <= 0.0
-            with np.errstate(over="ignore"):
-                aexp = ms * np.exp(-lsum / cells)
-            aexp = np.where(nzero > 0, math.inf, aexp)
+            apq = _apq_values(scan, pair, exps)
+            aexp, skip = _aexp_values(scan, pair.sigma, tables)
             with np.errstate(invalid="ignore"):
                 vals = apq * aexp ** gq
             return vals, skip

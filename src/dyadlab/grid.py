@@ -160,19 +160,6 @@ def parent(cube: DyadicCube) -> DyadicCube:
     return p
 
 
-def ancestors(cube: DyadicCube, up_to_level: int) -> list[DyadicCube]:
-    """Chain [cube, parent(cube), ...] ending at the ancestor of level
-    `up_to_level` (inclusive).  Requires up_to_level <= cube.level."""
-    if up_to_level > cube.level:
-        raise GridError(
-            f"up_to_level {up_to_level} is finer than cube level {cube.level}"
-        )
-    chain = [cube]
-    while chain[-1].level > up_to_level:
-        chain.append(parent(chain[-1]))
-    return chain
-
-
 @dataclass(frozen=True)
 class GridFamily:
     """All cubes of one shifted grid with levels in [min_level, max_level]

@@ -9,15 +9,13 @@ with the zero extension outside the window contributing nothing.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from .orlicz import YoungFunction, luxemburg
-from .sampled import MeshError, SampledFunction, _log2_exact, integrate, prefix_sum
+from .sampled import SampledFunction, _log2_exact, integrate, prefix_sum
 from .scan import cell_block, cube_cell_sums, inside_window_mask, sweep
 
 COARSE_MARGIN = 4
@@ -355,3 +353,42 @@ def outer_riesz(
         out[sl][fresh] = C * float(b.volume()) ** (a / n - 1.0) * mass
         assigned[sl] = True
     return _wrap(sigma, out, operator="outer_riesz", alpha=a)
+
+
+# === operator registry ========================================================
+
+class MissingInputError(OperatorError):
+    """An operator was called without the measure or Young function it needs."""
+
+
+def _needs(value, message: str):
+    if value is None:
+        raise MissingInputError(message)
+    return value
+
+
+def _times(f: SampledFunction, mu: Optional[SampledFunction]) -> SampledFunction:
+    return f if mu is None else f * mu
+
+
+# Each entry applies one operator to the measure f dmu (to f itself when mu
+# is None): OPERATORS[id](f, mu, alpha, phi, shift, min_level, max_level).
+# alpha is the order; the Orlicz and weighted maximal operators take it as
+# beta, and shift None means every shift for frac_maximal and the classic
+# grid for the single-grid operators.
+OPERATORS = {
+    "identity": lambda f, mu, a, phi, sh, lo, hi: _times(f, mu),
+    "frac_maximal": lambda f, mu, a, phi, sh, lo, hi: frac_maximal(
+        _times(f, mu), a, shifts=sh, min_level=lo, max_level=hi),
+    "dyadic_frac_maximal": lambda f, mu, a, phi, sh, lo, hi: dyadic_frac_maximal(
+        _times(f, mu), a, shift=sh, min_level=lo, max_level=hi),
+    "dyadic_riesz": lambda f, mu, a, phi, sh, lo, hi: dyadic_riesz(
+        _times(f, mu), a, shift=sh, min_level=lo, max_level=hi),
+    "riesz_1d": lambda f, mu, a, phi, sh, lo, hi: riesz_potential_1d(_times(f, mu), a),
+    "orlicz_maximal": lambda f, mu, a, phi, sh, lo, hi: orlicz_maximal(
+        _times(f, mu), _needs(phi, "orlicz_maximal needs a Young function phi"), beta=a,
+        shift=sh, min_level=lo, max_level=hi),
+    "weighted_dyadic_maximal": lambda f, mu, a, phi, sh, lo, hi: weighted_dyadic_maximal(
+        f, _needs(mu, "weighted_dyadic_maximal needs a measure mu"), beta=a,
+        shift=sh, min_level=lo, max_level=hi),
+}

@@ -340,11 +340,6 @@ def average(f: SampledFunction, region: Union[Box, DyadicCube]) -> float:
     return f.integrate_box(box) / vol
 
 
-def weighted_measure(w: SampledFunction, region: Union[Box, DyadicCube]) -> float:
-    """w(region) = integral of the weight over region∩window."""
-    return integrate(w, region)
-
-
 def lp_norm(f: SampledFunction, p, weight: Optional[SampledFunction] = None) -> float:
     """||f||_{L^p(w dx)} over the window; Lebesgue measure when weight None."""
     pf = float(p)

@@ -10,17 +10,21 @@ that fix them are memoised per mesh geometry, so repeated scans skip the
 rational index arithmetic; the edge arrays are rebuilt on every call and
 handed out read-only.
 
-Cube sums reduce to prefix-sum differences at the edges.  A per-cube array
-reaches the cells by repeating each cube's value over its width, and
-sweep() combines per-level values down the cube tree so that only the
-finest level is spread onto the cells.  All index arithmetic is exact int64.
+Cube sums reduce to prefix-sum differences at the edges.  walk() is the one
+pass over a grid's cube tree: coarse to fine, it yields each level's scan
+with the per-axis maps from its cubes to their parents (None at the
+coarsest level).  Top-down recursions such as sweep() and the stopping-time
+construction read the parent values through at_parents(); bottom-up sums
+walk the same pairs in reverse.  A per-cube array reaches the cells by
+repeating each cube's value over its width, and sweep() spreads only the
+finest level.  All index arithmetic is exact int64.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -175,10 +179,22 @@ def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarra
     return tuple(out)
 
 
-def at_parents(arr: np.ndarray, pmaps: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Values of a coarser-level per-cube array at each finer cube's parent,
-    with pmaps from parent_positions."""
+def at_parents(arr, pmaps: Optional[Tuple[np.ndarray, ...]], shape: Tuple[int, ...]) -> np.ndarray:
+    """Values of a coarser-level per-cube array at each cube's parent, with
+    pmaps from walk(); above the coarsest level (pmaps None) arr is a scalar
+    that fills the given shape."""
+    if pmaps is None:
+        return np.full(shape, arr)
     return arr[pmaps[0]] if len(pmaps) == 1 else arr[np.ix_(*pmaps)]
+
+
+def walk(f: SampledFunction, grid: GridFamily):
+    """Yield (scan, parent maps) per level, coarse to fine; the maps are
+    None at the coarsest level."""
+    prev = None
+    for scan in iter_scans(f, grid):
+        yield scan, None if prev is None else parent_positions(scan, prev)
+        prev = scan
 
 
 def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelScan], np.ndarray],
@@ -191,12 +207,10 @@ def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelSca
     gets, bit for bit, what combining every level's spread values into a
     zero array in level order gives.
     """
-    acc = prev = None
-    for scan in iter_scans(f, grid):
-        above = np.zeros(scan.shape) if prev is None else at_parents(acc, parent_positions(scan, prev))
-        acc = combine(above, level_values(scan))
-        prev = scan
-    return map_to_cells(prev, acc)
+    acc = 0.0
+    for scan, pmaps in walk(f, grid):
+        acc = combine(at_parents(acc, pmaps, scan.shape), level_values(scan))
+    return map_to_cells(scan, acc)
 
 
 def cell_block(scan: LevelScan, values: np.ndarray, pos: Tuple[int, ...]) -> np.ndarray:

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .grid import DyadicCube, GridFamily, cube_to_obj, realize
-from .sampled import MeshError, SampledFunction, integrate
-from .scan import at_parents, cube_cell_sums, level_scan, map_to_cells, parent_positions, sweep
+from .sampled import SampledFunction, integrate
+from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, sweep, walk
 from .operators import default_levels
 
 
@@ -123,12 +122,11 @@ def build_sparse(
     if not 0 <= a < n:
         raise SparseError(f"alpha must lie in [0, n), got {alpha}")
     r = float(2 ** (n + 1)) if ratio is None else float(ratio)
-    if r <= 1.0:
-        raise SparseError("threshold ratio must exceed 1")
+    if not 1.0 < r < math.inf:
+        raise SparseError("threshold ratio must be finite and exceed 1")
     sh = (0,) * n if shift is None else tuple(shift)
     lo, hi = default_levels(f, min_level, max_level)
     grid = GridFamily(n, sh, lo, hi, f.window)
-    scans = [level_scan(f, grid, level) for level in grid.levels]
     cellvol = float(f.cell_volume)
     pre = f.prefix
 
@@ -137,21 +135,15 @@ def build_sparse(
     parents: List[int] = []
     u_of: List[float] = []
     level_members: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    deep_u = None
-    deep_id = None
+    # above the coarsest level nothing has stopped, so roots are u > 0
+    deep_u, deep_id = 0.0, np.int64(-1)
     next_id = 0
-    for idx, scan in enumerate(scans):
+    for scan, pmaps in walk(f, grid):
         k = scan.level
         u = cube_cell_sums(scan, pre) * (2.0 ** (k * (n - a)) * cellvol)
-        if idx == 0:
-            inherited_u = np.zeros_like(u)
-            inherited_id = np.full(u.shape, -1, dtype=np.int64)
-            is_stop = u > 0
-        else:
-            pmaps = parent_positions(scan, scans[idx - 1])
-            inherited_u = at_parents(deep_u, pmaps)
-            inherited_id = at_parents(deep_id, pmaps)
-            is_stop = u > r * inherited_u
+        inherited_u = at_parents(deep_u, pmaps, u.shape)
+        inherited_id = at_parents(deep_id, pmaps, u.shape)
+        is_stop = u > r * inherited_u
         ids_here = np.full(u.shape, -1, dtype=np.int64)
         count = int(np.count_nonzero(is_stop))
         if count:
@@ -170,7 +162,7 @@ def build_sparse(
         deep_u = np.where(is_stop, u, inherited_u)
         deep_id = np.where(is_stop, ids_here, inherited_id)
 
-    owner = map_to_cells(scans[-1], deep_id) if scans else np.full(f.values.shape, -1, np.int64)
+    owner = map_to_cells(scan, deep_id)
 
     # E measures: full-volume by direct-children subtraction, cell counts by
     # ownership
@@ -245,47 +237,29 @@ class CarlesonSequence:
         self.mesh = mesh
         self.grid = grid
         vals = {}
-        for level in grid.levels:
-            scan = level_scan(mesh, grid, level)
-            arr = np.asarray(values[level], dtype=np.float64)
+        for scan in iter_scans(mesh, grid):
+            arr = np.asarray(values[scan.level], dtype=np.float64)
             if arr.shape != scan.shape:
-                raise SparseError(f"level {level} coefficient shape {arr.shape} != {scan.shape}")
+                raise SparseError(f"level {scan.level} coefficient shape {arr.shape} != {scan.shape}")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise SparseError("coefficients must be finite and nonnegative")
-            vals[level] = arr
+            vals[scan.level] = arr
         self.values = vals
 
     @classmethod
     def from_function(cls, mesh: SampledFunction, grid: GridFamily, fn) -> "CarlesonSequence":
         """fn(scan, level) -> per-cube array."""
-        vals = {}
-        for level in grid.levels:
-            scan = level_scan(mesh, grid, level)
-            vals[level] = np.asarray(fn(scan, level), dtype=np.float64)
+        vals = {scan.level: np.asarray(fn(scan, scan.level), dtype=np.float64) for scan in iter_scans(mesh, grid)}
         return cls(mesh, grid, vals)
-
-
-def _scatter_add(parent_arr: np.ndarray, pmaps, child_arr: np.ndarray):
-    if len(pmaps) == 1:
-        np.add.at(parent_arr, pmaps[0], child_arr)
-    else:
-        flat = parent_arr.ravel()
-        idx = (pmaps[0][:, None] * parent_arr.shape[1] + pmaps[1][None, :]).ravel()
-        np.add.at(flat, idx, child_arr.ravel())
-        parent_arr[...] = flat.reshape(parent_arr.shape)
 
 
 def subtree_sums(seq: CarlesonSequence) -> Dict[int, np.ndarray]:
     """For every cube, the sum of coefficients over its descendants within
     the level range (itself included), via a bottom-up sweep."""
-    grid = seq.grid
-    scans = {level: level_scan(seq.mesh, grid, level) for level in grid.levels}
-    totals = {level: seq.values[level].copy() for level in grid.levels}
-    for level in sorted(grid.levels, reverse=True):
-        if level == grid.min_level:
-            continue
-        pmaps = parent_positions(scans[level], scans[level - 1])
-        _scatter_add(totals[level - 1], pmaps, totals[level])
+    totals = {level: arr.copy() for level, arr in seq.values.items()}
+    for scan, pmaps in reversed(list(walk(seq.mesh, seq.grid))):
+        if pmaps is not None:
+            np.add.at(totals[scan.level - 1], np.ix_(*pmaps), totals[scan.level])
     return totals
 
 
@@ -296,10 +270,9 @@ def certify_carleson(seq: CarlesonSequence, mu: SampledFunction) -> dict:
     best = 0.0
     best_cube = None
     infinite = False
-    for level in seq.grid.levels:
-        scan = level_scan(seq.mesh, seq.grid, level)
+    for scan in iter_scans(seq.mesh, seq.grid):
         mu_q = cube_cell_sums(scan, mu.prefix) * float(mu.cell_volume)
-        tot = totals[level]
+        tot = totals[scan.level]
         pos = mu_q > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(pos, tot / np.where(pos, mu_q, 1.0), 0.0)
@@ -320,16 +293,18 @@ def carleson_embed_check(seq: CarlesonSequence, a_values: Dict[int, np.ndarray],
     with A the certified Carleson constant of the sequence."""
     seq.mesh.require_same_mesh(mu)
     lhs = 0.0
-    sup_cells = np.zeros_like(seq.mesh.values)
-    for level in seq.grid.levels:
-        scan = level_scan(seq.mesh, seq.grid, level)
-        a_arr = np.asarray(a_values[level], dtype=np.float64)
+
+    def level_values(scan):
+        nonlocal lhs
+        a_arr = np.asarray(a_values[scan.level], dtype=np.float64)
         if a_arr.shape != scan.shape:
             raise SparseError("a_Q shape mismatch")
         if np.any(a_arr < 0):
             raise SparseError("a_Q must be nonnegative")
-        lhs += float(np.sum(seq.values[level] * a_arr))
-        np.maximum(sup_cells, map_to_cells(scan, a_arr), out=sup_cells)
+        lhs += float(np.sum(seq.values[scan.level] * a_arr))
+        return a_arr
+
+    sup_cells = sweep(seq.mesh, seq.grid, level_values, np.maximum)
     rhs_integral = float(np.sum(sup_cells * mu.values)) * float(mu.cell_volume)
     constant = certify_carleson(seq, mu)["constant"]
     return {

@@ -11,6 +11,7 @@ import pytest
 from dyadlab.cli import (
     CLIError,
     DEFAULT_CONFIG,
+    _dumps,
     _merge_config,
     main,
     run_suite,
@@ -18,7 +19,16 @@ from dyadlab.cli import (
     young_from_spec,
 )
 from dyadlab.constants import WeightPair, apq_alpha_constant
-from dyadlab.operators import frac_maximal
+from dyadlab.normest import OPERATOR_IDS, NormError, estimate_norm
+from dyadlab.operators import (
+    OPERATORS,
+    dyadic_frac_maximal,
+    dyadic_riesz,
+    frac_maximal,
+    orlicz_maximal,
+    riesz_potential_1d,
+    weighted_dyadic_maximal,
+)
 from dyadlab.orlicz import log_bump
 from dyadlab.sampled import ExponentTuple, SampledFunction
 
@@ -78,6 +88,14 @@ class TestConfig:
         cfg = _merge_config(DEFAULT_CONFIG, {"counterexample": {"gamma": "1/2", "window": 100}})
         with pytest.raises(CLIError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("grids", [{"min_level": 0}, {"max_level": 3}, {"min_level": -2, "max_level": 2}])
+    def test_pinned_grid_levels_rejected(self, grids):
+        # no suite reads a level range from the config, so a pinned one
+        # would be echoed in report.json without being used
+        with pytest.raises(CLIError):
+            validate_config(_merge_config(DEFAULT_CONFIG, {"grids": grids}))
+        validate_config(_merge_config(DEFAULT_CONFIG, {"grids": {"min_level": None, "max_level": None}}))
 
 
 class TestYoungSpec:
@@ -247,6 +265,62 @@ class TestOpsCommand:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["metadata"]["operator"] == "outer_riesz"
+
+
+# id -> (extra ops arguments, the direct library call on f and mu)
+REGISTRY_CASES = {
+    "frac_maximal": (["--alpha", "1/2"], lambda f, mu: frac_maximal(f, 0.5)),
+    "dyadic_frac_maximal": (["--alpha", "1/3", "--shift", "1"],
+                            lambda f, mu: dyadic_frac_maximal(f, 1 / 3, shift=(1,))),
+    "dyadic_riesz": (["--alpha", "1/2", "--levels=-2..2"],
+                     lambda f, mu: dyadic_riesz(f, 0.5, min_level=-2, max_level=2)),
+    "riesz_1d": (["--alpha", "1/4"], lambda f, mu: riesz_potential_1d(f, 0.25)),
+    "orlicz_maximal": (["--young", "log-bump:p=2,delta=0.5", "--alpha", "1/4", "--shift", "1"],
+                       lambda f, mu: orlicz_maximal(f, log_bump(2.0, 0.5), beta=0.25, shift=(1,))),
+    "weighted_dyadic_maximal": (["--alpha", "1/4", "--shift", "1", "--levels=1..3", "--mu", "MU"],
+                                lambda f, mu: weighted_dyadic_maximal(f, mu, beta=0.25, shift=(1,),
+                                                                      min_level=1, max_level=3)),
+}
+
+
+class TestOperatorRegistry:
+    def test_cases_cover_the_registry(self):
+        assert set(REGISTRY_CASES) == set(OPERATORS) - {"identity"}
+        assert OPERATOR_IDS == tuple(OPERATORS)
+
+    @pytest.mark.parametrize("op", sorted(REGISTRY_CASES))
+    def test_ops_output_matches_library_call(self, op, tmp_path):
+        f = write_function(tmp_path / "f.json")
+        mu = write_function(tmp_path / "mu.json", seed=8, lo=0.0)
+        extra, direct = REGISTRY_CASES[op]
+        extra = [str(tmp_path / "mu.json") if a == "MU" else a for a in extra]
+        out = tmp_path / "out.json"
+        assert main(["ops", op, "-i", str(tmp_path / "f.json"), "-o", str(out)] + extra) == 0
+        obj = json.loads(out.read_text())
+        assert out.read_text() == _dumps({"function": direct(f, mu).to_obj(), "metadata": obj["metadata"]})
+
+    def test_ops_applies_operator_to_f_dmu(self, tmp_path):
+        f = write_function(tmp_path / "f.json")
+        mu = write_function(tmp_path / "mu.json", seed=8, lo=0.0)
+        out = tmp_path / "out.json"
+        rc = main(["ops", "frac_maximal", "-i", str(tmp_path / "f.json"), "--mu", str(tmp_path / "mu.json"),
+                   "-o", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["function"] == frac_maximal(f * mu).to_obj()
+
+    def test_weighted_maximal_needs_mu(self, tmp_path):
+        write_function(tmp_path / "f.json")
+        assert main(["ops", "weighted_dyadic_maximal", "-i", str(tmp_path / "f.json")]) == 2
+
+    @pytest.mark.parametrize("op", ["hilbert", "geometric_maximal", "bilinear_maximal", "Frac_Maximal", ""])
+    def test_unknown_ids_rejected_by_both_callers(self, op, tmp_path):
+        write_function(tmp_path / "f.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["ops", op, "-i", str(tmp_path / "f.json")])
+        assert exc.value.code == 2
+        pair = write_pair(tmp_path / "pair.json")
+        with pytest.raises(NormError):
+            estimate_norm(op, pair, ExponentTuple(1, Fraction(1, 2), Fraction(4, 3), 4))
 
 
 class TestSparseCommand:

@@ -8,9 +8,7 @@ from dyadlab.grid import (
     Box,
     DyadicCube,
     GridFamily,
-    GridError,
     all_shifts,
-    ancestors,
     box_from_obj,
     box_to_obj,
     cube_from_obj,
@@ -119,28 +117,6 @@ class TestParent:
         p = parent(c)
         assert realize(p).contains_box(realize(c))
         assert p == brute_force_parent(c)
-
-
-class TestAncestors:
-    def test_three_cube_chain(self):
-        c = DyadicCube(1, 2, (0,), (0,))
-        chain = ancestors(c, 0)
-        assert len(chain) == 3
-        assert [a.level for a in chain] == [2, 1, 0]
-        for child, par in zip(chain, chain[1:]):
-            assert realize(par).contains_box(realize(child))
-
-    def test_nested_all_the_way(self):
-        c = DyadicCube(2, 4, (7, -3), (1, 0))
-        chain = ancestors(c, -2)
-        assert [a.level for a in chain] == list(range(4, -3, -1))
-        for child, par in zip(chain, chain[1:]):
-            assert realize(par).contains_box(realize(child))
-
-    def test_rejects_finer_target(self):
-        c = DyadicCube(1, 1, (0,), (0,))
-        with pytest.raises(GridError):
-            ancestors(c, 2)
 
 
 class TestEnumerate:

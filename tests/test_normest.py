@@ -279,6 +279,19 @@ class TestEquivalenceReport:
         assert rep["testing_chain"]["cubes"] == 0
         assert rep["testing_chain"]["holds"] is False
 
+    def test_duality_chain_over_no_cube_does_not_hold(self):
+        # the zero-shift forward testing constant scores no cube at levels
+        # -4..-1 on the unit window, so the duality chain tested nothing
+        from dyadlab.pairs import classical_pair
+
+        pair = classical_pair(rand_weight(1, (0,), 1, 48, 5), E_SOB)
+        sawyer = sawyer_maximal_testing(pair, E_SOB, shifts=[(0,)], min_level=-4, max_level=-1,
+                                        which="forward", inner_shifts=[(0,)])
+        assert sawyer.n_scored == 0
+        rep = equivalence_report(pair, E_SOB, family=LIGHT, min_level=-4, max_level=-1)
+        assert rep["duality_chain"]["testing"] == 0.0
+        assert rep["duality_chain"]["holds"] is False
+
     def test_degenerate_sigma_flagged(self):
         pair = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
         rep = equivalence_report(pair, E_SOB)

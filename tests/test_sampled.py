@@ -19,7 +19,6 @@ from dyadlab.sampled import (
     make_exponents,
     parse_rational,
     weak_lq_norm,
-    weighted_measure,
 )
 
 
@@ -148,10 +147,6 @@ class TestIntegration:
     def test_disjoint_box(self):
         f = SampledFunction.constant(2.0, 1, (0,), 1, 3)
         assert integrate(f, Box((Fraction(5),), Fraction(1))) == 0.0
-
-    def test_weighted_measure(self):
-        w = SampledFunction(1, (0,), 1, np.array([1.0, 2.0, 3.0]))
-        assert weighted_measure(w, Box((Fraction(0),), Fraction(1))) == pytest.approx(2.0)
 
     def test_2d_prefix_against_brute(self):
         rng = np.random.default_rng(5)

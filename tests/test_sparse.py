@@ -261,6 +261,25 @@ class TestCarleson:
                 want = sum(v for c, v in coeff.items() if b0.contains_box(realize(c)))
                 assert totals[level][j] == pytest.approx(want, rel=1e-12)
 
+    def test_subtree_sums_2d_against_brute(self):
+        rng = np.random.default_rng(23)
+        mu = SampledFunction(2, (-1, 0), 2, rng.uniform(0.2, 2.0, (24, 24)))
+        for shift in ((0, 0), (1, 0), (1, 1)):
+            grid = GridFamily(2, shift, -1, 2, mu.window)
+            vals = {level: rng.uniform(0, 1, level_scan(mu, grid, level).shape) for level in grid.levels}
+            totals = subtree_sums(CarlesonSequence(mu, grid, vals))
+            coeff = {}
+            for level in grid.levels:
+                scan = level_scan(mu, grid, level)
+                for pos in np.ndindex(scan.shape):
+                    coeff[realize(scan.cube_at(pos))] = vals[level][pos]
+            for level in grid.levels:
+                scan = level_scan(mu, grid, level)
+                for pos in np.ndindex(scan.shape):
+                    b0 = realize(scan.cube_at(pos))
+                    want = sum(v for b, v in coeff.items() if b0.contains_box(b))
+                    assert totals[level][pos] == pytest.approx(want, rel=1e-12)
+
     def test_infinite_constant_on_null_cube(self):
         v = np.ones(12)
         v[:6] = 0.0  # mu vanishes on [0, 1/2)
