@@ -570,10 +570,10 @@ def _suite_equivalence(cfg: dict) -> dict:
             _check(f"duality_chain[{label}]", rep["duality_chain"]["holds"],
                    ratio=rep["duality_chain"]["ratio"])
         )
+        ratio = rep["ratios"]["dyadic_maximal_vs_strong"]  # null for a degenerate pair
         checks.append(
-            _check(f"dyadic_maximal_below_strong[{label}]",
-                   rep["ratios"]["dyadic_maximal_vs_strong"] <= 1 + 1e-9,
-                   ratio=rep["ratios"]["dyadic_maximal_vs_strong"])
+            _check(f"dyadic_maximal_below_strong[{label}]", ratio is not None and ratio <= 1 + 1e-9,
+                   ratio=ratio)
         )
         for key, est in rep["estimates"].items():
             rows.append([label, key, est["value"], est["source"], est["target"]])
@@ -771,7 +771,7 @@ def _cmd_ops(args) -> int:
         "metadata": {
             "operator": name,
             "alpha": str(parse_rational(args.alpha)) if args.alpha is not None else "0",
-            "shift": list(shift) if shift else "all",
+            "shift": list(shift) if shift is not None else None,
             "min_level": lo,
             "max_level": hi,
         },

@@ -6,9 +6,8 @@ between two levels.  That makes it an honest lower bound for the true
 supremum, and the realizing cube is recorded alongside the value.  Cubes
 on which a denominator measure vanishes are skipped and counted.
 
-The scan order is deterministic: levels ascend, the unshifted grid comes
-first, and within a level cubes run in row-major index order.  Ties keep
-the earliest cube, so the argmax is reproducible across runs.
+Cubes are visited in the one order of scan.inside_scans, and ties keep the
+earliest cube, so the argmax is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -36,14 +35,7 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import (
-    LevelScan,
-    cell_block,
-    cube_cell_sums,
-    cube_integrals,
-    inside_window_mask,
-    level_scan,
-)
+from .scan import LevelScan, cell_block, cube_cell_sums, cube_integrals, inside_scans, positive_cubes
 
 
 class ConstantError(ValueError):
@@ -103,9 +95,9 @@ class ConstantReport:
     """Maximum of a per-cube functional over an enumerated cube family.
 
     ``value`` is a lower bound for the supremum over all cubes; ``argmax``
-    is the first cube attaining it (lowest level, unshifted grid first,
-    then row-major index order).  ``n_skipped`` counts cubes dropped
-    because a denominator measure vanished.
+    is the first cube attaining it in the order of scan.inside_scans.
+    ``n_skipped`` counts cubes dropped because a denominator measure
+    vanished.
     """
 
     name: str
@@ -137,12 +129,13 @@ def _sup_scan(
     shifts,
     min_level: Optional[int],
     max_level: Optional[int],
-    level_values: Callable[[LevelScan], Tuple[np.ndarray, np.ndarray]],
+    level_values: Callable[[LevelScan, np.ndarray], Tuple[np.ndarray, np.ndarray]],
 ) -> ConstantReport:
     """Run a per-cube functional over every enumerated cube and take the max.
 
-    ``level_values(scan)`` returns (values, skip) arrays over scan.shape;
-    only cubes fully inside the window and not skipped are scored.
+    ``level_values(scan, inside)`` returns (values, skip) arrays over
+    scan.shape; only cubes fully inside the window and not skipped are
+    scored.
     """
     grids = _grids(mesh, shifts, min_level, max_level)
     lo, hi = grids[0].min_level, grids[0].max_level
@@ -150,27 +143,22 @@ def _sup_scan(
     best_cube: Optional[DyadicCube] = None
     scored = 0
     skipped = 0
-    for level in range(lo, hi + 1):
-        for grid in grids:
-            scan = level_scan(mesh, grid, level)
-            inside = inside_window_mask(scan)
-            if not bool(inside.any()):
-                continue
-            vals, skip = level_values(scan)
-            skip = skip | np.isnan(vals)
-            ok = inside & ~skip
-            skipped += int(np.count_nonzero(inside & skip))
-            n_ok = int(np.count_nonzero(ok))
-            scored += n_ok
-            if n_ok == 0:
-                continue
-            masked = np.where(ok, vals, -math.inf)
-            flat = int(np.argmax(masked))
-            v = float(masked.reshape(-1)[flat])
-            if v > best:
-                best = v
-                pos = np.unravel_index(flat, scan.shape)
-                best_cube = scan.cube_at(tuple(int(t) for t in pos))
+    for scan, inside in inside_scans(mesh, grids):
+        vals, skip = level_values(scan, inside)
+        skip = skip | np.isnan(vals)
+        ok = inside & ~skip
+        skipped += int(np.count_nonzero(inside & skip))
+        n_ok = int(np.count_nonzero(ok))
+        scored += n_ok
+        if n_ok == 0:
+            continue
+        masked = np.where(ok, vals, -math.inf)
+        flat = int(np.argmax(masked))
+        v = float(masked.reshape(-1)[flat])
+        if v > best:
+            best = v
+            pos = np.unravel_index(flat, scan.shape)
+            best_cube = scan.cube_at(tuple(int(t) for t in pos))
     return ConstantReport(
         name=name,
         value=best if best_cube is not None else 0.0,
@@ -183,22 +171,21 @@ def _sup_scan(
     )
 
 
-def _cube_loop(per_cube: Callable[[LevelScan, Tuple[int, ...]], Optional[float]]):
-    """Adapt a scalar per-cube functional (None = skip) to _sup_scan form."""
+def _cube_loop(dens: SampledFunction, score: Callable[[DyadicCube, Box, float], float]):
+    """Adapt a scalar per-cube functional to _sup_scan form.
 
-    def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+    ``score(cube, box, mass)`` runs on the inside cubes that pass
+    scan.positive_cubes, with mass = dens(Q); the other cubes are skipped.
+    """
+
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        masses, live = positive_cubes(scan, inside, dens)
         vals = np.zeros(scan.shape, dtype=float)
-        skip = np.zeros(scan.shape, dtype=bool)
-        inside = inside_window_mask(scan)
-        for pos in np.ndindex(scan.shape):
-            if not inside[pos]:
-                continue
-            out = per_cube(scan, pos)
-            if out is None:
-                skip[pos] = True
-            else:
-                vals[pos] = out
-        return vals, skip
+        for idx in np.argwhere(live):
+            pos = tuple(idx)
+            cube = scan.cube_at(pos)
+            vals[pos] = score(cube, realize(cube), float(masses[pos]))
+        return vals, ~live
 
     return fn
 
@@ -248,7 +235,7 @@ def apq_alpha_constant(
 ) -> ConstantReport:
     exps = _apq_exponents(e)
 
-    def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return _apq_values(scan, pair, exps), np.zeros(scan.shape, dtype=bool)
 
     return _sup_scan("apq_alpha", pair.u, shifts, min_level, max_level, fn)
@@ -292,24 +279,16 @@ def ainfty_exp(
     """
     tables = _log_tables(w)
 
-    def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return _aexp_values(scan, w, tables)
 
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
 
-def _fujii_value(
-    w: SampledFunction,
-    box: Box,
-    inner_shifts,
-    inner_min: Optional[int],
-    inner_max: Optional[int],
-) -> Optional[float]:
-    mass = integrate(w, box)
-    if mass <= 0.0:
-        return None
-    m = frac_maximal(w.restrict_to(box), 0.0, shifts=inner_shifts,
-                     min_level=inner_min, max_level=inner_max)
+def _fujii_value(w: SampledFunction, box: Box, mass: float,
+                 inner_min: Optional[int], inner_max: Optional[int]) -> float:
+    """w(Q)^{-1} int_Q M(w chi_Q) for mass = w(Q) > 0, M over every shift."""
+    m = frac_maximal(w.restrict_to(box), 0.0, min_level=inner_min, max_level=inner_max)
     return integrate(m, box) / mass
 
 
@@ -318,19 +297,17 @@ def ainfty_m(
     shifts=None,
     min_level: Optional[int] = None,
     max_level: Optional[int] = None,
-    inner_shifts=None,
 ) -> ConstantReport:
     """Maximal-function flavor: sup_Q w(Q)^{-1} int_Q M(w chi_Q).
 
     The inner M is the shifted-grid surrogate of the uncentered maximal
-    (every shift by default), evaluated on w cut off outside Q.
+    over every shift, evaluated on w cut off outside Q.
     """
 
-    def per_cube(scan: LevelScan, pos) -> Optional[float]:
-        box = realize(scan.cube_at(pos))
-        return _fujii_value(w, box, inner_shifts, min_level, max_level)
+    def score(cube: DyadicCube, box: Box, mass: float) -> float:
+        return _fujii_value(w, box, mass, min_level, max_level)
 
-    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, _cube_loop(per_cube))
+    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, _cube_loop(w, score))
 
 
 def ap_constant(
@@ -350,7 +327,7 @@ def ap_constant(
     dual_pow = w.power(float(1 - pprime))
     pm1 = float(pf - 1)
 
-    def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         vol = scan.cube_volume()
         mv = cube_integrals(scan, w) / vol
         ms = cube_integrals(scan, dual_pow) / vol
@@ -384,7 +361,7 @@ def mixed_one_sup(
         tables = _log_tables(pair.sigma)
         gq = float(1 / e.q)
 
-        def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+        def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             apq = _apq_values(scan, pair, exps)
             aexp, skip = _aexp_values(scan, pair.sigma, tables)
             with np.errstate(invalid="ignore"):
@@ -404,18 +381,14 @@ def mixed_one_sup(
         beta = float(1 / e.pprime)
         gamma = float(1 / e.q)
 
-        def per_cube(scan: LevelScan, pos) -> Optional[float]:
-            box = realize(scan.cube_at(pos))
+        def score(cube: DyadicCube, box: Box, mass: float) -> float:
             vol = float(box.volume())
-            mv = integrate(w, box) / vol
+            mv = mass / vol
             ms = integrate(dual_pow, box) / vol
-            fujii = _fujii_value(w, box, None, min_level, max_level)
-            if fujii is None:
-                return None
+            fujii = _fujii_value(w, box, mass, min_level, max_level)
             return (mv * ms ** rm1) ** beta * fujii ** gamma
 
-        return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level,
-                         _cube_loop(per_cube))
+        return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, _cube_loop(w, score))
 
     raise ConstantError(f"unknown mixed flavor {flavor!r}")
 
@@ -450,36 +423,36 @@ def apq_bump(
         raise ConstantError("side='both' needs a Young function for the u side")
     cellvol = float(pair.u.cell_volume)
 
-    def lux_column(scan: LevelScan, f: SampledFunction, root: float,
-                   fn_phi: YoungFunction) -> np.ndarray:
+    def lux_column(f: SampledFunction, root: float, fn_phi: YoungFunction):
+        """Per-scan Luxemburg averages || f^{1/root} ||_{fn_phi, Q}."""
         # power-family fast path: || f^{1/root} ||_{t^r, Q} is an L^r mean
         if getattr(fn_phi, "is_power", False):
             r = float(fn_phi.r)
-            if r == root:
-                g = f
-            else:
-                g = f.power(r / root)
-            vol = scan.cube_volume()
-            return (cube_integrals(scan, g) / vol) ** (1.0 / r)
-        fpow = f.power(1.0 / root)
-        vol = scan.cube_volume()
-        out = np.zeros(scan.shape, dtype=float)
-        inside = inside_window_mask(scan)
-        for pos in np.ndindex(scan.shape):
-            if not inside[pos]:
-                continue
-            block = cell_block(scan, fpow.values, pos)
-            out[pos] = luxemburg(block.ravel(), cellvol, vol, fn_phi)
-        return out
+            g = f if r == root else f.power(r / root)
+            return lambda scan, inside: (cube_integrals(scan, g) / scan.cube_volume()) ** (1.0 / r)
+        fpow = f.power(1.0 / root).values
 
-    def fn(scan: LevelScan) -> Tuple[np.ndarray, np.ndarray]:
+        def column(scan: LevelScan, inside: np.ndarray) -> np.ndarray:
+            vol = scan.cube_volume()
+            out = np.zeros(scan.shape, dtype=float)
+            for idx in np.argwhere(inside):
+                pos = tuple(idx)
+                out[pos] = luxemburg(cell_block(scan, fpow, pos).ravel(), cellvol, vol, fn_phi)
+            return out
+
+        return column
+
+    lux_s = lux_column(pair.sigma, float(e.pprime), phi)
+    lux_u = None if side == "second" else lux_column(pair.u, float(e.q), psi)
+
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         vol = scan.cube_volume()
-        lux_s = lux_column(scan, pair.sigma, float(e.pprime), phi)
-        if side == "second":
+        s_avg = lux_s(scan, inside)
+        if lux_u is None:
             mu = (cube_integrals(scan, pair.u) / vol) ** au
         else:
-            mu = lux_column(scan, pair.u, float(e.q), psi)
-        vals = vol ** ex * (mu * lux_s)
+            mu = lux_u(scan, inside)
+        vals = vol ** ex * (mu * s_avg)
         return vals, np.zeros(scan.shape, dtype=bool)
 
     name = "apq_bump_second" if side == "second" else "apq_bump_both"
@@ -516,11 +489,7 @@ def outer_testing_constant(
     inv_pprime = float(1 / e.pprime)
     window = pair.u.window
 
-    def per_cube(scan: LevelScan, pos) -> Optional[float]:
-        cube = scan.cube_at(pos)
-        mass = integrate(pair.sigma, realize(cube))
-        if mass <= 0.0:
-            return None
+    def score(cube: DyadicCube, box: Box, mass: float) -> float:
         total = 0.0
         prev = 0.0
         for anc in ancestor_chain(cube, window):
@@ -531,7 +500,7 @@ def outer_testing_constant(
         return coeff * mass ** inv_pprime * total ** inv_q
 
     return _sup_scan("outer_testing", pair.u, shifts, min_level, max_level,
-                     _cube_loop(per_cube))
+                     _cube_loop(pair.sigma, score))
 
 
 def sawyer_maximal_testing(
@@ -560,18 +529,14 @@ def sawyer_maximal_testing(
     else:
         raise ConstantError(f"unknown testing side {which!r}")
 
-    def per_cube(scan: LevelScan, pos) -> Optional[float]:
-        box = realize(scan.cube_at(pos))
-        mass = integrate(inner, box)
-        if mass <= 0.0:
-            return None
+    def score(cube: DyadicCube, box: Box, mass: float) -> float:
         m = frac_maximal(inner.restrict_to(box), alpha, shifts=inner_shifts,
                          min_level=min_level, max_level=max_level)
         num = integrate(m.power(p_in) * outer, box)
         return num ** (1.0 / p_in) * mass ** (-p_norm)
 
     name = f"sawyer_{which}"
-    return _sup_scan(name, pair.u, shifts, min_level, max_level, _cube_loop(per_cube))
+    return _sup_scan(name, pair.u, shifts, min_level, max_level, _cube_loop(inner, score))
 
 
 def md_sp_testing(
@@ -593,16 +558,11 @@ def md_sp_testing(
     s = float(e.s_p)
     inv_q = float(1 / e.q)
 
-    def per_cube(scan: LevelScan, pos) -> Optional[float]:
-        box = realize(scan.cube_at(pos))
-        mass = integrate(pair.sigma, box)
-        if mass <= 0.0:
-            return None
-        m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0,
-                                shift=scan.grid.shift,
+    def score(cube: DyadicCube, box: Box, mass: float) -> float:
+        m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0, shift=cube.shift,
                                 min_level=min_level, max_level=max_level)
         num = integrate(m.power(s) * pair.u, box)
         return num ** inv_q * mass ** (-inv_q)
 
     return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level,
-                     _cube_loop(per_cube))
+                     _cube_loop(pair.sigma, score))

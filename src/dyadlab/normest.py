@@ -35,7 +35,7 @@ from .sampled import (
     weak_lq_norm,
     parse_rational,
 )
-from .scan import cube_integrals, inside_window_mask, iter_scans
+from .scan import inside_scans, positive_cubes
 from .operators import OPERATORS, MissingInputError, frac_maximal, outer_riesz, _grids
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
@@ -54,6 +54,7 @@ class NormError(ValueError):
 
 
 OPERATOR_IDS = tuple(OPERATORS)
+_QUAD_OCTAVES = 14  # doubling windows in the tail quadrature of orlicz_norm_quadrature
 
 
 # --- test families ----------------------------------------------------------
@@ -120,19 +121,14 @@ def _blocks_for(ncells: int) -> int:
 
 
 def _inside_cubes(mesh: SampledFunction, dens: SampledFunction, shifts, min_level, max_level):
-    """Yield (label, cube, mass) over grid cubes fully inside the window
-    whose dens-mass is positive, labelled "s=shift,l=level,pos=position".
-    Deterministic order: shifts as listed (zero first), levels ascending,
-    positions row-major."""
-    for grid in _grids(mesh, shifts, min_level, max_level):
-        for scan in iter_scans(mesh, grid):
-            inside = inside_window_mask(scan)
-            if not np.any(inside):
-                continue
-            masses = cube_integrals(scan, dens)
-            for idx in np.argwhere(inside & (masses > 0)):
-                pos = tuple(int(i) for i in idx)
-                yield f"s={grid.shift},l={scan.level},pos={pos}", scan.cube_at(pos), float(masses[pos])
+    """Yield (label, cube, mass) over the grid cubes that pass
+    scan.positive_cubes for dens, labelled "s=shift,l=level,pos=position",
+    in the order of scan.inside_scans."""
+    for scan, inside in inside_scans(mesh, _grids(mesh, shifts, min_level, max_level)):
+        masses, live = positive_cubes(scan, inside, dens)
+        for idx in np.argwhere(live):
+            pos = tuple(int(i) for i in idx)
+            yield f"s={scan.grid.shift},l={scan.level},pos={pos}", scan.cube_at(pos), float(masses[pos])
 
 
 def _iter_family(
@@ -285,14 +281,13 @@ def orlicz_norm_quadrature(
     phibar: YoungFunction,
     p,
     q=None,
-    octaves: int = 14,
-    points_per_octave: int = 512,
 ) -> Tuple[float, BpReport]:
     """Tail-integral upper bound for the Orlicz maximal operator norm.
 
     Returns ( int_1^inf phibar(t)^{q/p} t^{-q} dt/t )^{1/q} together with
     the underlying quadrature report; q defaults to p (the classical
     same-exponent bound).  A divergent or undecided tail yields +inf.
+    The quadrature runs over _QUAD_OCTAVES doubling windows.
     """
     pf = float(p)
     qf = pf if q is None else float(q)
@@ -305,7 +300,7 @@ def orlicz_norm_quadrature(
         powered = PowerLog(phibar.r * s, phibar.a * s, label=f"{phibar.label}^{s:g}")
     else:
         powered = _PoweredIntegrand(phibar, s)
-    rep = bp_classify(powered, qf, octaves=octaves, points_per_octave=points_per_octave)
+    rep = bp_classify(powered, qf, octaves=_QUAD_OCTAVES)
     if rep.verdict == CONVERGENT and rep.constant_estimate is not None and rep.constant_estimate > 0:
         value = rep.constant_estimate ** (1.0 / qf)
     else:
@@ -324,8 +319,8 @@ def _associate(phi: YoungFunction) -> YoungFunction:
 # --- equivalence of weak Riesz and dual maximal bounds ----------------------
 
 
-def _zeroed_estimate(op: str, source: str, target: str) -> dict:
-    return NormEstimate(op, source, target, 0.0, None, 0).to_obj()
+def _zeroed_estimate(op: str, source: str, target: str) -> NormEstimate:
+    return NormEstimate(op, source, target, 0.0, None, 0)
 
 
 def equivalence_report(
@@ -341,7 +336,9 @@ def equivalence_report(
 
     Requires p < q: at p = q the equivalence between the weak Riesz
     bound and the dual maximal bound genuinely fails, so the report
-    refuses to run there.
+    refuses to run there.  A pair with a vanishing weight is reported as
+    degenerate: its estimates are zero, its ratios null, and neither
+    chain holds, since nothing was measured.
     """
     if not e.p < e.q:
         raise NormError("the weak-strong equivalence needs p < q; it fails at p = q")
@@ -357,34 +354,28 @@ def equivalence_report(
         "family": (family if family is not None else TestFamily()).describe(),
     }
 
-    if float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0:
-        zero = {
+    degenerate = float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0
+    if degenerate:
+        ests = {
             "weak_riesz": _zeroed_estimate("dyadic_riesz", f"L^{e.p}(sigma)", f"weak-L^{e.q}(u)"),
             "strong_riesz": _zeroed_estimate("dyadic_riesz", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
             "maximal_forward": _zeroed_estimate("frac_maximal", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
             "maximal_dual": _zeroed_estimate("frac_maximal", f"L^{e.qprime}(u)", f"L^{e.pprime}(sigma)"),
             "dyadic_maximal_forward": _zeroed_estimate("dyadic_frac_maximal", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
         }
-        return {
-            "degenerate": True,
-            "estimates": zero,
-            "ratios": {},
-            "testing_chain": {"cubes": 0, "max_ratio": None, "holds": True, "testing_constant": 0.0},
-            "duality_chain": {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": True},
-            "config": config,
+    else:
+        ests = {
+            "weak_riesz": estimate_norm("dyadic_riesz", pair, e, family, weak=True, min_level=min_level, max_level=max_level),
+            "strong_riesz": estimate_norm("dyadic_riesz", pair, e, family, min_level=min_level, max_level=max_level),
+            "maximal_forward": estimate_norm("frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
+            "maximal_dual": estimate_norm("frac_maximal", pair, e, family, side="dual", min_level=min_level, max_level=max_level),
+            "dyadic_maximal_forward": estimate_norm("dyadic_frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
         }
-
-    ests = {
-        "weak_riesz": estimate_norm("dyadic_riesz", pair, e, family, weak=True, min_level=min_level, max_level=max_level),
-        "strong_riesz": estimate_norm("dyadic_riesz", pair, e, family, min_level=min_level, max_level=max_level),
-        "maximal_forward": estimate_norm("frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
-        "maximal_dual": estimate_norm("frac_maximal", pair, e, family, side="dual", min_level=min_level, max_level=max_level),
-        "dyadic_maximal_forward": estimate_norm("dyadic_frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
-    }
 
     def _ratio(num: float, den: float) -> Optional[float]:
         return num / den if den > 0 else None
 
+    # zero estimates give zero denominators, so a degenerate pair's ratios are null
     ratios = {
         "weak_vs_dual_maximal": _ratio(ests["weak_riesz"].value, coeff * ests["maximal_dual"].value),
         "maximal_forward_vs_strong": _ratio(ests["maximal_forward"].value, ests["strong_riesz"].value),
@@ -392,26 +383,29 @@ def equivalence_report(
         "dyadic_maximal_vs_strong": _ratio(ests["dyadic_maximal_forward"].value, ests["strong_riesz"].value),
     }
 
-    testing = potential_testing_chain(pair, e, min_level=min_level, max_level=max_level)
-
-    # Duality chain: forward maximal testing on the zero-shift grid is
-    # controlled by q' times the weak Riesz estimate, provided the
-    # family contains the saturating functions (it does by default).
-    zero_shift = [(0,) * n]
-    sawyer = sawyer_maximal_testing(
-        pair, e, shifts=zero_shift, min_level=min_level, max_level=max_level,
-        which="forward", inner_shifts=zero_shift,
-    )
-    bound = float(e.qprime) * ests["weak_riesz"].value
-    duality = {
-        "testing": sawyer.value,
-        "bound": bound,
-        "ratio": _ratio(sawyer.value, bound),
-        "holds": sawyer.n_scored > 0 and sawyer.value <= bound * (1.0 + 1e-9),
-    }
+    if degenerate:
+        testing = {"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0}
+        duality = {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False}
+    else:
+        testing = potential_testing_chain(pair, e, min_level=min_level, max_level=max_level)
+        # Duality chain: forward maximal testing on the zero-shift grid is
+        # controlled by q' times the weak Riesz estimate, provided the
+        # family contains the saturating functions (it does by default).
+        zero_shift = [(0,) * n]
+        sawyer = sawyer_maximal_testing(
+            pair, e, shifts=zero_shift, min_level=min_level, max_level=max_level,
+            which="forward", inner_shifts=zero_shift,
+        )
+        bound = float(e.qprime) * ests["weak_riesz"].value
+        duality = {
+            "testing": sawyer.value,
+            "bound": bound,
+            "ratio": _ratio(sawyer.value, bound),
+            "holds": sawyer.n_scored > 0 and sawyer.value <= bound * (1.0 + 1e-9),
+        }
 
     return {
-        "degenerate": False,
+        "degenerate": degenerate,
         "estimates": {k: v.to_obj() for k, v in ests.items()},
         "ratios": ratios,
         "testing_chain": testing,
@@ -489,7 +483,6 @@ def bump_bound_check(
     family: Optional[TestFamily] = None,
     min_level: Optional[int] = None,
     max_level: Optional[int] = None,
-    octaves: int = 14,
 ) -> dict:
     """Each bumped upper bound next to the matching norm lower bound.
 
@@ -510,7 +503,7 @@ def bump_bound_check(
 
     def _entry(lhs: NormEstimate, bump_value: float, bar: YoungFunction,
                src, tgt, direct_e: ExponentTuple) -> dict:
-        quad_val, quad_rep = orlicz_norm_quadrature(bar, src, tgt, octaves=octaves)
+        quad_val, quad_rep = orlicz_norm_quadrature(bar, src, tgt)
         direct = estimate_norm(
             "orlicz_maximal", lebesgue, direct_e, fam,
             alpha=beta, phi=bar, min_level=min_level, max_level=max_level,
@@ -573,8 +566,8 @@ def bump_bound_check(
         bump2 = apq_bump(pair, e, phi, min_level=min_level, max_level=max_level, side="both", psi=psi)
         qp = float(e.qprime)
         pp = float(e.p)
-        quad_psi, rep_psi = orlicz_norm_quadrature(psibar, qp, octaves=octaves)
-        quad_phi, rep_phi = orlicz_norm_quadrature(phibar, pp, octaves=octaves)
+        quad_psi, rep_psi = orlicz_norm_quadrature(psibar, qp)
+        quad_phi, rep_phi = orlicz_norm_quadrature(phibar, pp)
         e_psi = ExponentTuple(e.n, 0, e.qprime, e.qprime)
         e_phi = ExponentTuple(e.n, 0, e.p, e.p)
         direct_psi = estimate_norm("orlicz_maximal", lebesgue, e_psi, fam, alpha=0, phi=psibar,

@@ -301,11 +301,12 @@ def _axis_locked(cube: DyadicCube, b: Box, window: Box, ax: int) -> bool:
     return False
 
 
-def ancestor_chain(cube0: DyadicCube, window: Box, cap: int = 500) -> list:
+def ancestor_chain(cube0: DyadicCube, window: Box) -> list:
     """Ancestors of cube0, finest first, walked until they cover the window
-    or are pinned at a grid-persistent edge so coverage can no longer grow."""
+    or are pinned at a grid-persistent edge so coverage can no longer grow;
+    more than 500 steps raise OperatorError."""
     chain = [cube0]
-    for _ in range(cap):
+    for _ in range(500):
         b = realize(chain[-1])
         if b.contains_box(window):
             break
@@ -321,7 +322,6 @@ def outer_riesz(
     sigma: SampledFunction,
     cube0: DyadicCube,
     alpha,
-    coeff: Optional[float] = None,
 ) -> SampledFunction:
     """Shell potential seeded by the mass of sigma on one cube.
 
@@ -330,8 +330,8 @@ def outer_riesz(
 
         coeff * |A_min(x)|^{alpha/n - 1} * sigma(Q0),
 
-    where A_min(x) is the minimal ancestor containing x and the default
-    coeff is 1 / (1 - 2^{alpha - n}).  Points below no ancestor (possible
+    where A_min(x) is the minimal ancestor containing x and
+    coeff = 1 / (1 - 2^{alpha - n}).  Points below no ancestor (possible
     for the unshifted grid, whose cubes never cross the origin) get zero.
     """
     n = sigma.dim
@@ -342,7 +342,7 @@ def outer_riesz(
         raise OperatorError("cube dimension mismatch")
     if cube0.level > sigma.max_aligned_level:
         raise OperatorError("cube finer than the mesh alignment limit")
-    C = 1.0 / (1.0 - 2.0 ** (a - n)) if coeff is None else float(coeff)
+    C = 1.0 / (1.0 - 2.0 ** (a - n))
     mass = integrate(sigma, cube0)
     out = np.zeros_like(sigma.values)
     assigned = np.zeros(sigma.values.shape, dtype=bool)

@@ -12,13 +12,17 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 _E = math.e
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 90        # golden-section steps per conjugate evaluation
+_LUX_REL_TOL = 1e-11      # relative width at which the Luxemburg bisection stops
+_LUX_MAX_ITER = 400       # cap on bracketing and bisection steps
+_POINTS_PER_OCTAVE = 512  # trapezoid panels per doubling window in bp_classify
 
 
 class OrliczError(ValueError):
@@ -45,9 +49,10 @@ class YoungFunction:
         """Conjugate sup_{s>=0}(st - Phi(s)); numeric unless a plain power."""
         return NumericConjugate(self)
 
-    def convexity_certificate(self, tmax: float = 1e6, npts: int = 400) -> bool:
-        """Midpoint-convexity, monotonicity, and Phi(0)=0 on a probe grid."""
-        t = np.concatenate([[0.0], np.geomspace(1e-8, tmax, npts)])
+    def convexity_certificate(self) -> bool:
+        """Midpoint-convexity, monotonicity, and Phi(0)=0 on a probe grid
+        of 400 points from 1e-8 to 1e6."""
+        t = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 400)])
         v = np.asarray(self.eval(t), dtype=float)
         if not np.all(np.isfinite(v)) or v[0] != 0.0 or np.any(v < 0):
             return False
@@ -156,9 +161,8 @@ class NumericConjugate(YoungFunction):
     stable wide-range quadrature instead.
     """
 
-    def __init__(self, base: YoungFunction, golden_iters: int = 90):
+    def __init__(self, base: YoungFunction):
         self.base = base
-        self.golden_iters = golden_iters
         self.label = f"conj({base.label})"
 
     def eval(self, t):
@@ -194,7 +198,7 @@ class NumericConjugate(YoungFunction):
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         gc, gd = g(c), g(d)
-        for _ in range(self.golden_iters):
+        for _ in range(_GOLDEN_ITERS):
             take_low = gc > gd
             hi = np.where(take_low, d, hi)
             lo = np.where(take_low, lo, c)
@@ -221,8 +225,6 @@ def luxemburg(
     masses,
     normalizer: float,
     phi: YoungFunction,
-    rel_tol: float = 1e-11,
-    max_iter: int = 400,
 ) -> float:
     """inf { lam > 0 : sum Phi(values/lam) * masses / normalizer <= 1 }.
 
@@ -253,7 +255,7 @@ def luxemburg(
     if mean_at(lam) <= 1.0:
         hi = lam
         lo = lam
-        for _ in range(max_iter):
+        for _ in range(_LUX_MAX_ITER):
             lo /= 2.0
             if mean_at(lo) > 1.0:
                 break
@@ -262,14 +264,14 @@ def luxemburg(
     else:
         lo = lam
         hi = lam
-        for _ in range(max_iter):
+        for _ in range(_LUX_MAX_ITER):
             hi *= 2.0
             if mean_at(hi) <= 1.0:
                 break
         else:
             raise OrliczError("Luxemburg bracketing failed to close upward")
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
+    for _ in range(_LUX_MAX_ITER):
+        if hi - lo <= _LUX_REL_TOL * hi:
             return hi  # smallest bracketed lam with mean <= 1
         mid = math.sqrt(lo * hi)
         if mean_at(mid) <= 1.0:
@@ -334,7 +336,7 @@ _RHO_CONVERGENT = -0.08
 _RHO_DIVERGENT = -0.02
 
 
-def bp_classify(phi: YoungFunction, p: float, octaves: int = 12, points_per_octave: int = 512) -> BpReport:
+def bp_classify(phi: YoungFunction, p: float, octaves: int = 12) -> BpReport:
     """Classify whether the tail integral of Phi(t)/t^p dt/t converges.
 
     In log coordinates t = e^x the integrand is exp(log Phi(e^x) - p x).
@@ -347,7 +349,7 @@ def bp_classify(phi: YoungFunction, p: float, octaves: int = 12, points_per_octa
     p = float(p)
 
     def window_integral(x0: float, x1: float) -> float:
-        x = np.linspace(x0, x1, points_per_octave + 1)
+        x = np.linspace(x0, x1, _POINTS_PER_OCTAVE + 1)
         with np.errstate(over="ignore"):
             y = np.exp(phi.log_eval(x) - p * x)
         return float(np.trapezoid(y, x))

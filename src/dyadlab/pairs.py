@@ -209,7 +209,7 @@ def build_E(gamma, side, cells_per_unit: Optional[int] = None) -> SampledFunctio
     return SampledFunction(1, (0,), side, arr, meta=meta)
 
 
-def verify_E_maximal(gamma, side, cells_per_unit: Optional[int] = None, shifts=None) -> dict:
+def verify_E_maximal(gamma, side) -> dict:
     """Check that the order-gamma maximal function of chi_E is pinched
     between window-independent constants.
 
@@ -222,15 +222,17 @@ def verify_E_maximal(gamma, side, cells_per_unit: Optional[int] = None, shifts=N
     2^{1-gamma}, and the tight chain value is recorded alongside for
     comparison.  The upper bound splits at unit scale: cubes of side at
     most one contribute at most |Q|^gamma <= 1 exactly, and the large-cube
-    supremum is recorded as the observed finite ceiling.
+    supremum is recorded as the observed finite ceiling.  The set is
+    sampled at build_E's automatic resolution and the maximal function
+    runs over every shifted grid.
     """
-    chi = build_E(gamma, side, cells_per_unit)
+    chi = build_E(gamma, side)
     g = float(parse_rational(gamma))
     X = int(parse_rational(side))
     cpu = chi.ncells // X
 
-    m_small = frac_maximal(chi, g, shifts=shifts, min_level=0)
-    m_large = frac_maximal(chi, g, shifts=shifts, max_level=0)
+    m_small = frac_maximal(chi, g, min_level=0)
+    m_large = frac_maximal(chi, g, max_level=0)
     m = np.maximum(m_small.values, m_large.values)
 
     counts = np.concatenate([[0.0], np.cumsum(chi.values)])
@@ -285,9 +287,6 @@ def factored_pair(
     w1: SampledFunction,
     w2: SampledFunction,
     e: ExponentTuple,
-    shifts=None,
-    min_level: Optional[int] = None,
-    max_level: Optional[int] = None,
 ) -> WeightPair:
     """u = w1 * (M_g w2)^{-q/p'}, sigma = w2 * (M_g w1)^{-p'/q}.
 
@@ -298,14 +297,15 @@ def factored_pair(
     and the exponent bookkeeping then forces the per-cube joint constant
     to be at most |Q|^0 = 1; the bound is exact on the mesh, not a limit
     statement, provided the joint-constant scan uses a cube family no
-    larger than the one passed here.
+    larger than the one used here: every shifted grid at the default
+    levels.
     """
     w1.require_same_mesh(w2)
     if not e.in_fractional_regime:
         raise ExampleError("factored pairs need the regime 1/p - 1/q <= alpha/n")
     g = e.gamma
-    m1 = frac_maximal(w1, float(g), shifts=shifts, min_level=min_level, max_level=max_level)
-    m2 = frac_maximal(w2, float(g), shifts=shifts, min_level=min_level, max_level=max_level)
+    m1 = frac_maximal(w1, float(g))
+    m2 = frac_maximal(w2, float(g))
     meta = {"construction": "factored", "gamma": str(g)}
     u = w1 * m2.power(-float(e.q / e.pprime))
     sigma = w2 * m1.power(-float(e.pprime / e.q))
@@ -324,7 +324,6 @@ def case2_divergence(
     gamma=None,
     max_exp: int = 20,
     minorant_terms: int = 10**4,
-    mesh_check_exp: int = 7,
 ) -> dict:
     """Window-free divergence diagnostic for the factored counterexample.
 
@@ -341,8 +340,8 @@ def case2_divergence(
 
     checked term by term up to minorant_terms.  S therefore dominates H at
     every cutoff and grows by about log 2 per doubling.  A small sampled
-    window cross-checks the closed form: the rounded-down set makes the
-    mesh value a strict lower bound.
+    window, [0, 128), cross-checks the closed form: the rounded-down set
+    makes the mesh value a strict lower bound.
     """
     if e.n != 1:
         raise ExampleError("the divergence diagnostic is one-dimensional")
@@ -384,7 +383,7 @@ def case2_divergence(
     }
     dominates = all(r["S"] >= r["H"] * (1 - 1e-12) for r in rows)
 
-    xc = 2**int(mesh_check_exp)
+    xc = 128
     chi = build_E(g, xc)
     cpu = chi.ncells // xc
     edges = np.arange(chi.ncells + 1, dtype=np.float64) / cpu

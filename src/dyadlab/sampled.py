@@ -9,13 +9,13 @@ differences.  Integrals of cell-constant data are exact up to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .grid import Box, DyadicCube, GridError, pow2, realize
+from .grid import Box, DyadicCube, realize
 
 
 class MeshError(ValueError):
@@ -75,7 +75,7 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
 class SampledFunction:
     """Nonnegative cell-constant function, zero outside its window."""
 
-    __slots__ = ("dim", "lower", "side", "ncells", "values", "meta", "_prefix")
+    __slots__ = ("dim", "lower", "side", "ncells", "values", "meta", "_prefix", "_support")
 
     def __init__(self, dim: int, lower, side, values, meta: Optional[dict] = None):
         if dim not in (1, 2):
@@ -107,6 +107,7 @@ class SampledFunction:
         self.values = arr
         self.meta = dict(meta) if meta else {}
         self._prefix = None
+        self._support = None
 
     # --- construction -------------------------------------------------------
 
@@ -206,6 +207,17 @@ class SampledFunction:
             p.setflags(write=False)
             self._prefix = p
         return self._prefix
+
+    @property
+    def support_prefix(self) -> np.ndarray:
+        """Prefix sums of the positive-cell indicator.  Its differences are
+        exact cell counts, while differences of ``prefix`` over a block of
+        zero cells can leave roundoff in 2-D."""
+        if self._support is None:
+            p = prefix_sum((self.values > 0).astype(np.float64))
+            p.setflags(write=False)
+            self._support = p
+        return self._support
 
     def _prefix_box(self, sl) -> float:
         p = self.prefix

@@ -15,9 +15,11 @@ pass over a grid's cube tree: coarse to fine, it yields each level's scan
 with the per-axis maps from its cubes to their parents (None at the
 coarsest level).  Top-down recursions such as sweep() and the stopping-time
 construction read the parent values through at_parents(); bottom-up sums
-walk the same pairs in reverse.  A per-cube array reaches the cells by
-repeating each cube's value over its width, and sweep() spreads only the
-finest level.  All index arithmetic is exact int64.
+walk the same pairs in reverse.  inside_scans() fixes the order in which
+per-cube constants and test families visit the cubes inside the window
+across several grids.  A per-cube array reaches the cells by repeating
+each cube's value over its width, and sweep() spreads only the finest
+level.  All index arithmetic is exact int64.
 """
 from __future__ import annotations
 
@@ -143,6 +145,17 @@ def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
     return cube_cell_sums(scan, f.prefix) * float(f.cell_volume)
 
 
+def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
+    """(masses, live) over a scan: masses = cube_integrals(scan, dens), and
+    live marks the inside cubes where dens has a positive cell and a
+    positive integral.  This is the one density-mass gate of the per-cube
+    scans; the exact cell count keeps out cubes of zero cells whose
+    prefix-sum difference is roundoff."""
+    masses = cube_integrals(scan, dens)
+    live = inside & (cube_cell_sums(scan, dens.support_prefix) > 0) & (masses > 0.0)
+    return masses, live
+
+
 def inside_window_mask(scan: LevelScan) -> np.ndarray:
     """Boolean array over cubes: True when the cube lies fully inside the
     window (no zero-extension region intersects it)."""
@@ -221,3 +234,18 @@ def cell_block(scan: LevelScan, values: np.ndarray, pos: Tuple[int, ...]) -> np.
 def iter_scans(f: SampledFunction, grid: GridFamily):
     for level in grid.levels:
         yield level_scan(f, grid, level)
+
+
+def inside_scans(f: SampledFunction, grids):
+    """Yield (scan, inside mask) for every scan with a cube fully inside
+    the window, over grids sharing one level range.
+
+    This is the one cube order of every per-cube scan: levels ascend,
+    within a level the grids come as listed (the zero shift first for
+    all_shifts), and within a scan cubes run in row-major position order.
+    """
+    for scans in zip(*(iter_scans(f, g) for g in grids)):
+        for scan in scans:
+            inside = inside_window_mask(scan)
+            if inside.any():
+                yield scan, inside

@@ -236,6 +236,9 @@ class CarlesonSequence:
     def __init__(self, mesh: SampledFunction, grid: GridFamily, values: Dict[int, np.ndarray]):
         self.mesh = mesh
         self.grid = grid
+        if set(values) != set(grid.levels):
+            raise SparseError(f"coefficient levels {sorted(values)} != grid levels "
+                              f"{grid.min_level}..{grid.max_level}")
         vals = {}
         for scan in iter_scans(mesh, grid):
             arr = np.asarray(values[scan.level], dtype=np.float64)

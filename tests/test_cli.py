@@ -152,6 +152,19 @@ class TestRunSuite:
         a = (tmp_path / "serial" / "report.json").read_bytes()
         assert a == (tmp_path / "parallel" / "report.json").read_bytes()
 
+    def test_degenerate_pair_fails_its_checks(self, tmp_path):
+        # a pair with sigma = 0 measures nothing: its three equivalence
+        # checks fail, and the run still writes its artifacts
+        src = tmp_path / "zero.json"
+        ones = SampledFunction.constant(1.0, 1, (0,), 1, 48)
+        src.write_text(json.dumps(WeightPair(ones, SampledFunction.zeros(1, (0,), 1, 48)).to_obj()))
+        cfg = {"suites": ["equivalence"],
+               "pairs": [{"kind": "classical-smooth"}, {"kind": "file", "params": {"path": str(src)}}]}
+        assert run_suite(cfg, tmp_path / "run") == 1
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        failed = [c["name"] for c in report["suites"]["equivalence"]["checks"] if not c["passed"]]
+        assert failed == ["testing_chain[file]", "duality_chain[file]", "dyadic_maximal_below_strong[file]"]
+
     def test_empty_suite_list_exits_zero(self, tmp_path):
         rc = run_suite({"suites": []}, tmp_path / "empty")
         assert rc == 0
@@ -265,6 +278,18 @@ class TestOpsCommand:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["metadata"]["operator"] == "outer_riesz"
+
+    @pytest.mark.parametrize("name", ["frac_maximal", "dyadic_riesz", "riesz_1d"])
+    def test_shift_metadata_echoes_the_flags(self, tmp_path, name):
+        # the operators differ in their default grid, so an omitted
+        # --shift is recorded as null rather than as "all"
+        src = tmp_path / "f.json"
+        write_function(src)
+        out = tmp_path / "o.json"
+        assert main(["ops", name, "-i", str(src), "--alpha", "1/2", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["shift"] is None
+        assert main(["ops", name, "-i", str(src), "--alpha", "1/2", "--shift", "1", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["shift"] == [1]
 
 
 # id -> (extra ops arguments, the direct library call on f and mu)

@@ -480,3 +480,41 @@ class TestReportSerialization:
         assert obj["argmax"]["level"] == rep.argmax.level
         assert obj["min_level"] == rep.min_level
         assert ["0"] in obj["shifts"] or ["0", "0"] in obj["shifts"]
+
+
+def brute_inside_counts(dens, min_level, max_level):
+    """(inside cubes, inside cubes where dens vanishes) over every shift."""
+    window = dens.window
+    inside = zero = 0
+    for grid in shifted_grids(dens.dim, window, min_level, max_level):
+        for level in range(min_level, max_level + 1):
+            for cube in grid.cubes_at_level(level):
+                box = realize(cube)
+                if window.contains_box(box):
+                    inside += 1
+                    zero += not dens.values[dens.cell_slices(box, require_aligned=True)].any()
+    return inside, zero
+
+
+class TestMassGate:
+    @pytest.mark.parametrize("dim,lower,ncells,e", [(1, (-1,), 48, E_SOB), (2, (-1, 0), 12, E_SOB2)])
+    def test_skipped_cubes_are_the_zero_mass_ones(self, dim, lower, ncells, e):
+        block = (slice(ncells // 4, ncells // 2),) * dim
+        u = rand_weight(dim, lower, 2, ncells, 31).values.copy()
+        sigma = rand_weight(dim, lower, 2, ncells, 32).values.copy()
+        u[block] = 0.0
+        sigma[block] = 0.0
+        pair = WeightPair(SampledFunction(dim, lower, 2, u), SampledFunction(dim, lower, 2, sigma))
+        lv = dict(min_level=-1, max_level=pair.u.max_aligned_level)
+        cases = [
+            (pair.u, sawyer_maximal_testing(pair, e, **lv)),
+            (pair.sigma, sawyer_maximal_testing(pair, e, which="dual", **lv)),
+            (pair.sigma, ainfty_m(pair.sigma, **lv)),
+            (pair.sigma, md_sp_testing(pair, e, **lv)),
+            (pair.sigma, outer_testing_constant(pair, e, **lv)),
+        ]
+        for dens, rep in cases:
+            inside, zero = brute_inside_counts(dens, **lv)
+            assert zero > 0, rep.name
+            assert rep.n_skipped == zero, rep.name
+            assert rep.n_scored == inside - zero, rep.name

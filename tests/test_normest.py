@@ -8,6 +8,7 @@ import pytest
 from pytest import approx
 
 from dyadlab.constants import WeightPair, sawyer_maximal_testing
+from dyadlab.grid import all_shifts
 from dyadlab.normest import (
     NormError,
     NormEstimate,
@@ -19,6 +20,7 @@ from dyadlab.normest import (
     orlicz_norm_quadrature,
     potential_testing_chain,
     unit_pair,
+    _inside_cubes,
 )
 from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, borderline, power
 from dyadlab.sampled import ExponentTuple, SampledFunction
@@ -297,7 +299,10 @@ class TestEquivalenceReport:
         rep = equivalence_report(pair, E_SOB)
         assert rep["degenerate"]
         assert all(est["value"] == 0.0 for est in rep["estimates"].values())
-        assert rep["testing_chain"]["holds"] and rep["duality_chain"]["holds"]
+        # nothing was measured, so neither chain holds and no ratio exists
+        assert not rep["testing_chain"]["holds"] and not rep["duality_chain"]["holds"]
+        assert rep["ratios"] == {"weak_vs_dual_maximal": None, "maximal_forward_vs_strong": None,
+                                 "maximal_dual_vs_strong": None, "dyadic_maximal_vs_strong": None}
 
 
 class TestDualityChain:
@@ -442,3 +447,16 @@ class TestHelpers:
         }
         with pytest.raises(NormError):
             TestFamily(random_steps=-1)
+
+    @pytest.mark.parametrize("dim,lower,ncells", [(1, (-1,), 48), (2, (0, -1), 12)])
+    def test_inside_cubes_level_major(self, dim, lower, ncells):
+        # with every shift, levels never decrease, and within a level the
+        # grids come in all_shifts order, the zero shift first
+        w = rand_weight(dim, lower, 2, ncells, 5)
+        order = all_shifts(dim)
+        keys = [(cube.level, order.index(cube.shift))
+                for _, cube, _ in _inside_cubes(w, w, None, None, None)]
+        assert keys == sorted(keys)
+        assert {k[1] for k in keys} == set(range(len(order)))
+        for level in {k[0] for k in keys}:
+            assert min(k[1] for k in keys if k[0] == level) == 0

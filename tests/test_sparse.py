@@ -318,3 +318,15 @@ class TestCarleson:
         grid = GridFamily(1, (0,), 0, 1, mu.window)
         with pytest.raises(SparseError):
             CarlesonSequence(mu, grid, {0: np.array([-1.0]), 1: np.zeros(2)})
+
+    def test_missing_level_rejected(self):
+        mu = self.make_mu(23)
+        grid = GridFamily(1, (0,), 0, 1, mu.window)
+        with pytest.raises(SparseError, match="levels"):
+            CarlesonSequence(mu, grid, {0: np.ones(1)})
+
+    def test_extra_level_rejected(self):
+        mu = self.make_mu(24)
+        grid = GridFamily(1, (0,), 0, 1, mu.window)
+        with pytest.raises(SparseError, match="levels"):
+            CarlesonSequence(mu, grid, {0: np.ones(1), 1: np.ones(2), 2: np.ones(4)})
