@@ -244,26 +244,26 @@ def apq_alpha_constant(
 # === A_infty flavors =========================================================
 
 
-def _log_tables(w: SampledFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """Prefix tables of log w (0 on zero cells) and of the zero-cell count."""
+def _log_prefix(w: SampledFunction) -> np.ndarray:
+    """Prefix table of log w, 0 on zero cells."""
     pos = w.values > 0
     logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
-    return prefix_sum(logs), prefix_sum((~pos).astype(float))
+    return prefix_sum(logs)
 
 
-def _aexp_values(scan: LevelScan, w: SampledFunction, tables) -> Tuple[np.ndarray, np.ndarray]:
+def _aexp_values(scan: LevelScan, inside: np.ndarray, w: SampledFunction, lpre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(avg_Q w) exp(-avg_Q log w) over every cube of a scan, +inf where w
-    has a zero cell, and the mask of cubes without w mass; tables from
-    _log_tables(w)."""
-    lpre, zpre = tables
+    has a zero cell, and the mask of cubes that scan.positive_cubes does not
+    pass; lpre from _log_prefix(w)."""
     vol = scan.cube_volume()
     cells = max(1, round(vol / float(w.cell_volume)))
-    mw = cube_integrals(scan, w) / vol
-    nzero = np.rint(cube_cell_sums(scan, zpre))
+    masses, live = positive_cubes(scan, inside, w)
     lsum = cube_cell_sums(scan, lpre)
     with np.errstate(over="ignore"):
-        vals = mw * np.exp(-lsum / cells)
-    return np.where(nzero > 0, math.inf, vals), mw <= 0.0
+        vals = masses / vol * np.exp(-lsum / cells)
+    if w.zero_prefix is not None:
+        vals = np.where(cube_cell_sums(scan, w.zero_prefix) > 0, math.inf, vals)
+    return vals, ~live
 
 
 def ainfty_exp(
@@ -275,12 +275,13 @@ def ainfty_exp(
     """Exponential-mean flavor: sup_Q (avg_Q w) exp(-avg_Q log w).
 
     Cubes where w has a zero cell but positive mass score +inf (the log
-    average diverges); cubes with zero mass are skipped.
+    average diverges); cubes that scan.positive_cubes does not pass are
+    skipped.
     """
-    tables = _log_tables(w)
+    lpre = _log_prefix(w)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _aexp_values(scan, w, tables)
+        return _aexp_values(scan, inside, w, lpre)
 
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
@@ -358,12 +359,12 @@ def mixed_one_sup(
     """
     if flavor == "apq_exp":
         exps = _apq_exponents(e)
-        tables = _log_tables(pair.sigma)
+        lpre = _log_prefix(pair.sigma)
         gq = float(1 / e.q)
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             apq = _apq_values(scan, pair, exps)
-            aexp, skip = _aexp_values(scan, pair.sigma, tables)
+            aexp, skip = _aexp_values(scan, inside, pair.sigma, lpre)
             with np.errstate(invalid="ignore"):
                 vals = apq * aexp ** gq
             return vals, skip
@@ -532,7 +533,8 @@ def sawyer_maximal_testing(
     def score(cube: DyadicCube, box: Box, mass: float) -> float:
         m = frac_maximal(inner.restrict_to(box), alpha, shifts=inner_shifts,
                          min_level=min_level, max_level=max_level)
-        num = integrate(m.power(p_in) * outer, box)
+        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
+        num = max(integrate(m.power(p_in) * outer, box), 0.0)
         return num ** (1.0 / p_in) * mass ** (-p_norm)
 
     name = f"sawyer_{which}"
@@ -561,7 +563,8 @@ def md_sp_testing(
     def score(cube: DyadicCube, box: Box, mass: float) -> float:
         m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0, shift=cube.shift,
                                 min_level=min_level, max_level=max_level)
-        num = integrate(m.power(s) * pair.u, box)
+        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
+        num = max(integrate(m.power(s) * pair.u, box), 0.0)
         return num ** inv_q * mass ** (-inv_q)
 
     return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level,

@@ -20,8 +20,8 @@ import numpy as np
 _E = math.e
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 90        # golden-section steps per conjugate evaluation
-_LUX_REL_TOL = 1e-11      # relative width at which the Luxemburg bisection stops
-_LUX_MAX_ITER = 400       # cap on bracketing and bisection steps
+_LUX_REL_TOL = 1e-11      # relative bracket width at which the Luxemburg solve stops
+_LUX_MAX_ITER = 400       # cap on bracketing and on Illinois steps
 _POINTS_PER_OCTAVE = 512  # trapezoid panels per doubling window in bp_classify
 
 
@@ -231,13 +231,27 @@ def luxemburg(
     `values` are the function's cell values on the part of the region it
     meets; the zero extension contributes nothing since Phi(0) = 0.  The
     normalizer is the measure of the full region.
+
+    Outside the power family, lam is bracketed by doubling or halving from
+    max(values) and then found by a bracketed secant (Illinois) iteration
+    on log(mean) against log(lam), falling back to the geometric midpoint
+    whenever the secant step is not finite or leaves the bracket, and never
+    stepping closer than 5e-12 in log(lam) to either end.  It stops once
+    hi - lo <= 1e-11 hi and returns the feasible end hi.  Non-finite
+    values, masses or normalizer raise OrliczError.
     """
     v = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise OrliczError("Luxemburg norm of non-finite data")
     if np.any(v < 0):
         raise OrliczError("Luxemburg norm of signed data")
+    if not math.isfinite(normalizer):
+        raise OrliczError("normalizer must be finite")
     if normalizer <= 0:
         raise OrliczError("normalizer must be positive")
     m = np.broadcast_to(np.asarray(masses, dtype=float).ravel(), v.shape) if np.ndim(masses) else np.full_like(v, float(masses))
+    if not np.all(np.isfinite(m)):
+        raise OrliczError("Luxemburg masses must be finite")
     keep = (v > 0) & (m > 0)
     if not np.any(keep):
         return 0.0
@@ -246,39 +260,67 @@ def luxemburg(
         r = phi.r
         return float((np.sum(v ** r * m) / normalizer) ** (1.0 / r))
 
-    def mean_at(lam: float) -> float:
+    def log_mean(lam: float) -> float:
+        """log of the mean of Phi(v/lam); -inf where it underflows to 0 and
+        +inf where it overflows, so lam is feasible exactly when this <= 0."""
         with np.errstate(over="ignore"):
             tot = float(np.sum(phi.eval(v / lam) * m))
-        return math.inf if math.isinf(tot) or math.isnan(tot) else tot / normalizer
+        if math.isinf(tot) or math.isnan(tot):
+            return math.inf
+        mean = tot / normalizer
+        return math.log(mean) if mean > 0.0 else -math.inf
 
-    lam = float(v.max())
-    if mean_at(lam) <= 1.0:
-        hi = lam
-        lo = lam
+    lo = hi = float(v.max())
+    g = log_mean(hi)
+    if g <= 0.0:
+        g_hi = g
         for _ in range(_LUX_MAX_ITER):
             lo /= 2.0
-            if mean_at(lo) > 1.0:
+            g_lo = log_mean(lo)
+            if g_lo > 0.0:
                 break
+            hi, g_hi = lo, g_lo
         else:
             return 0.0  # mean stays <= 1 for arbitrarily small lam: norm 0
     else:
-        lo = lam
-        hi = lam
+        g_lo = g
         for _ in range(_LUX_MAX_ITER):
             hi *= 2.0
-            if mean_at(hi) <= 1.0:
+            g_hi = log_mean(hi)
+            if g_hi <= 0.0:
                 break
+            lo, g_lo = hi, g_hi
         else:
             raise OrliczError("Luxemburg bracketing failed to close upward")
+    # Illinois: a secant step in x = log lam through (x_lo, g_lo > 0) and
+    # (x_hi, g_hi <= 0); when one end is kept twice in a row its g is halved
+    # so that both ends converge.  An infinite g makes the secant nan or an
+    # end point, and the geometric midpoint is taken instead.
+    # Every step keeps half the tolerance from either end, so a secant that
+    # lands on the root still closes the bracket from the far side.
+    step = 0.5 * _LUX_REL_TOL
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    kept = 0  # +1 after hi moved, -1 after lo moved
     for _ in range(_LUX_MAX_ITER):
         if hi - lo <= _LUX_REL_TOL * hi:
             return hi  # smallest bracketed lam with mean <= 1
-        mid = math.sqrt(lo * hi)
-        if mean_at(mid) <= 1.0:
-            hi = mid
+        x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
+        if not x_lo <= x <= x_hi:
+            x = 0.5 * (x_lo + x_hi)
+        x = min(max(x, x_lo + step), x_hi - step)
+        lam = math.exp(x)
+        g = log_mean(lam)
+        if g <= 0.0:
+            hi, x_hi, g_hi = lam, x, g
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
-    raise OrliczError("Luxemburg bisection did not converge")
+            lo, x_lo, g_lo = lam, x, g
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
+    raise OrliczError("Luxemburg iteration did not converge")
 
 
 def rescale_identity_check(phi: YoungFunction, r: float, values, masses, normalizer) -> dict:

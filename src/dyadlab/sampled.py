@@ -59,6 +59,9 @@ def _log2_exact(x: Fraction) -> int:
     raise MeshError(f"{x} is not a power of two")
 
 
+_UNSET = object()  # marks a lazily computed cache not yet filled
+
+
 def prefix_sum(arr: np.ndarray) -> np.ndarray:
     """Cumulative-sum table with a zero border; works on signed data."""
     arr = np.asarray(arr, dtype=np.float64)
@@ -75,7 +78,7 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
 class SampledFunction:
     """Nonnegative cell-constant function, zero outside its window."""
 
-    __slots__ = ("dim", "lower", "side", "ncells", "values", "meta", "_prefix", "_support")
+    __slots__ = ("dim", "lower", "side", "ncells", "values", "meta", "_prefix", "_zeros")
 
     def __init__(self, dim: int, lower, side, values, meta: Optional[dict] = None):
         if dim not in (1, 2):
@@ -107,7 +110,7 @@ class SampledFunction:
         self.values = arr
         self.meta = dict(meta) if meta else {}
         self._prefix = None
-        self._support = None
+        self._zeros = _UNSET
 
     # --- construction -------------------------------------------------------
 
@@ -209,15 +212,17 @@ class SampledFunction:
         return self._prefix
 
     @property
-    def support_prefix(self) -> np.ndarray:
-        """Prefix sums of the positive-cell indicator.  Its differences are
-        exact cell counts, while differences of ``prefix`` over a block of
-        zero cells can leave roundoff in 2-D."""
-        if self._support is None:
-            p = prefix_sum((self.values > 0).astype(np.float64))
-            p.setflags(write=False)
-            self._support = p
-        return self._support
+    def zero_prefix(self) -> Optional[np.ndarray]:
+        """Prefix sums of the zero-cell indicator, None when no cell is zero.
+        Its differences are exact cell counts, while differences of
+        ``prefix`` over a block of zero cells can leave roundoff in 2-D."""
+        if self._zeros is _UNSET:
+            zero = self.values == 0
+            p = prefix_sum(zero) if zero.any() else None
+            if p is not None:
+                p.setflags(write=False)
+            self._zeros = p
+        return self._zeros
 
     def _prefix_box(self, sl) -> float:
         p = self.prefix

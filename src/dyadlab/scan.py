@@ -149,10 +149,13 @@ def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
     """(masses, live) over a scan: masses = cube_integrals(scan, dens), and
     live marks the inside cubes where dens has a positive cell and a
     positive integral.  This is the one density-mass gate of the per-cube
-    scans; the exact cell count keeps out cubes of zero cells whose
+    scans; the exact zero-cell count keeps out cubes of zero cells whose
     prefix-sum difference is roundoff."""
     masses = cube_integrals(scan, dens)
-    live = inside & (cube_cell_sums(scan, dens.support_prefix) > 0) & (masses > 0.0)
+    live = inside & (masses > 0.0)
+    if dens.zero_prefix is not None:
+        cells = round(scan.cube_volume() / float(dens.cell_volume))
+        live &= cube_cell_sums(scan, dens.zero_prefix) < cells
     return masses, live
 
 

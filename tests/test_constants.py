@@ -518,3 +518,27 @@ class TestMassGate:
             assert zero > 0, rep.name
             assert rep.n_skipped == zero, rep.name
             assert rep.n_scored == inside - zero, rep.name
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_zero_block_roundoff_2d(self, seed):
+        # On [-1,1)x[0,2) with 12^2 cells the prefix-sum integral over a
+        # block of zero cells is roundoff of either sign: the testing
+        # integrals must not take a root of a negative number, and the
+        # vectorized A-infinity-exp scorers must skip the zero cube.
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.2, 3.0, (12, 12))
+        sigma = rng.uniform(0.2, 3.0, (12, 12))
+        u[3:6, 3:6] = 0.0
+        pair = WeightPair(SampledFunction(2, (-1, 0), 2, u), SampledFunction(2, (-1, 0), 2, sigma))
+        lv = dict(min_level=-1, max_level=1)
+        for rep in (
+            sawyer_maximal_testing(pair, E_SOB2, **lv),
+            sawyer_maximal_testing(pair, E_SOB2, which="dual", **lv),
+            md_sp_testing(pair, E_SOB2, **lv),
+        ):
+            assert math.isfinite(rep.value) and rep.n_scored > 0, rep.name
+        inside, zero = brute_inside_counts(pair.u, **lv)
+        assert zero > 0
+        for rep in (ainfty_exp(pair.u, **lv), mixed_one_sup(pair.swapped(), E_SOB2, **lv)):
+            assert rep.n_skipped == zero, rep.name
+            assert rep.n_scored == inside - zero, rep.name

@@ -12,6 +12,7 @@ from dyadlab.orlicz import (
     NumericConjugate,
     OrliczError,
     PowerScaled,
+    YoungFunction,
     bp_classify,
     borderline,
     log_bump,
@@ -141,6 +142,87 @@ class TestConjugate:
             conj.log_eval(np.array([600.0]))
 
 
+def bisection_luxemburg(v, m, normalizer, phi):
+    """Reference: geometric bisection of lam from the same doubling/halving
+    bracket around max(v), stopped at the same hi - lo <= 1e-11 hi."""
+    v = np.asarray(v, dtype=float)
+    m = np.broadcast_to(np.asarray(m, dtype=float), v.shape)
+    keep = (v > 0) & (m > 0)
+    if not np.any(keep):
+        return 0.0
+    v, m = v[keep], m[keep]
+
+    def feasible(lam):
+        with np.errstate(over="ignore"):
+            tot = float(np.sum(phi.eval(v / lam) * m))
+        return math.isfinite(tot) and tot / normalizer <= 1.0
+
+    lo = hi = float(v.max())
+    if feasible(hi):
+        for _ in range(400):
+            lo /= 2.0
+            if not feasible(lo):
+                break
+        else:
+            return 0.0
+    else:
+        for _ in range(400):
+            hi *= 2.0
+            if feasible(hi):
+                break
+        else:
+            raise OrliczError("bracket did not close")
+    while hi - lo > 1e-11 * hi:
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class Counting(YoungFunction):
+    """Counts the evaluations a solver asks of a Young function."""
+
+    def __init__(self, base):
+        self.base = base
+        self.evals = 0
+
+    def eval(self, t):
+        self.evals += 1
+        return self.base.eval(t)
+
+
+class Step(YoungFunction):
+    """2 on t > 0: the mean never falls to 1, whatever lam."""
+
+    def eval(self, t):
+        return np.where(np.asarray(t, dtype=float) > 0, 2.0, 0.0)
+
+
+# the non-power paths of luxemburg: a > 0, a < 0 (borderline), a rescaled
+# Young function and a numeric conjugate
+NON_POWER = [
+    log_bump(2.0, 0.5),
+    borderline(2.0, 4.0, 0.9),
+    PowerScaled(log_bump(1.5, 0.3), 0.7),
+    NumericConjugate(log_bump(2.0, 0.5)),
+]
+
+
+@st.composite
+def lux_cases(draw):
+    """(values, masses, normalizer): 1 to 12 cells, some of them zero, at a
+    scale from 1e-6 to 1e6, over a region of 1/2 to 4 times their mass."""
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    v = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+    m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    share = draw(st.floats(0.5, 4.0))
+    return v * scale, m, float(m.sum()) * share
+
+
 class TestLuxemburg:
     def test_power_family_closed_form(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -188,6 +270,65 @@ class TestLuxemburg:
     def test_signed_data_rejected(self):
         with pytest.raises(OrliczError):
             luxemburg(np.array([-1.0, 2.0]), 0.5, 1.0, power(2.0))
+
+    @given(phi=st.sampled_from(NON_POWER), case=lux_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bisection_oracle(self, phi, case):
+        v, m, normalizer = case
+        lam = luxemburg(v, m, normalizer, phi)
+        ref = bisection_luxemburg(v, m, normalizer, phi)
+        if ref == 0.0:
+            assert lam == 0.0
+            return
+        assert lam == pytest.approx(ref, rel=1e-10)
+        keep = v > 0
+
+        def mean(x):
+            return float(np.sum(phi.eval(v[keep] / x) * m[keep])) / normalizer
+
+        assert mean(lam) <= 1.0
+        assert mean(lam * (1.0 - 1e-9)) > 1.0
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_single_and_zero_cells(self, n):
+        v = np.zeros(n)
+        v[n // 2] = 3.0
+        m = np.full(n, 1.0 / n)
+        for phi in NON_POWER:
+            lam = luxemburg(v, m, 1.0, phi)
+            assert lam == pytest.approx(bisection_luxemburg(v, m, 1.0, phi), rel=1e-10)
+            # one cell of share 1/n: Phi(3/lam) / n = 1
+            assert float(phi.eval(3.0 / lam)) / n == pytest.approx(1.0, rel=1e-9)
+
+    def test_evaluations_per_norm(self):
+        rng = np.random.default_rng(7)
+        counts = []
+        for phi in NON_POWER:
+            for _ in range(6):
+                n = int(rng.integers(1, 30))
+                v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 6)
+                m = rng.uniform(0.1, 1.0, n)
+                counting = Counting(phi)
+                luxemburg(v, m, float(m.sum()) * rng.uniform(1.0, 3.0), counting)
+                counts.append(counting.evals)
+        assert float(np.median(counts)) <= 12
+
+    def test_bracket_that_never_closes_raises(self):
+        with pytest.raises(OrliczError):
+            luxemburg(np.array([1.0, 2.0]), 0.5, 1.0, Step())
+
+    @pytest.mark.parametrize("values,masses,normalizer", [
+        ([1.0, math.nan, 2.0], 0.5, 1.0),
+        ([1.0, math.inf, 2.0], 0.5, 1.0),
+        ([1.0, 2.0], [0.5, math.nan], 1.0),
+        ([1.0, 2.0], [0.5, math.inf], 1.0),
+        ([1.0, 2.0], 0.5, math.nan),
+        ([1.0, 2.0], 0.5, math.inf),
+    ], ids=["nan_cell", "inf_cell", "nan_mass", "inf_mass", "nan_normalizer", "inf_normalizer"])
+    def test_non_finite_input_rejected(self, values, masses, normalizer):
+        for phi in (log_bump(2.0, 0.5), power(2.0)):
+            with pytest.raises(OrliczError):
+                luxemburg(np.array(values), masses, normalizer, phi)
 
     def test_rescale_identity(self):
         rng = np.random.default_rng(3)
