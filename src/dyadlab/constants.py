@@ -22,6 +22,7 @@ import numpy as np
 from .grid import Box, DyadicCube, cube_to_obj, realize
 from .operators import (
     ancestor_chain,
+    cut_frac_maximal,
     dyadic_frac_maximal,
     frac_maximal,
     _grids,
@@ -35,7 +36,7 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import LevelScan, cell_block, cube_cell_sums, cube_integrals, inside_scans, positive_cubes
+from .scan import LevelScan, cell_block, cube_cell_sums, cube_integrals, inside_scans, iter_scans, positive_cubes
 
 
 class ConstantError(ValueError):
@@ -217,13 +218,17 @@ def apq_alpha(pair: WeightPair, e: ExponentTuple, cube: DyadicCube) -> float:
     return float(box.volume()) ** ex * ((mu ** au) * (ms ** asig))
 
 
-def _apq_values(scan: LevelScan, pair: WeightPair, exps: Tuple[float, float, float]) -> np.ndarray:
-    """apq_alpha over every cube of a scan, exps from _apq_exponents."""
+def _apq_values(scan: LevelScan, exps: Tuple[float, float, float], u_gate, sigma_gate) -> Tuple[np.ndarray, np.ndarray]:
+    """apq_alpha over the cubes of a scan that both gates pass (0 on the
+    others), and the mask of the others; exps from _apq_exponents and each
+    gate the (masses, live) of scan.positive_cubes for u and sigma."""
     au, asig, ex = exps
+    (mass_u, live_u), (mass_s, live_s) = u_gate, sigma_gate
+    live = live_u & live_s
     vol = scan.cube_volume()
-    mu = cube_integrals(scan, pair.u) / vol
-    ms = cube_integrals(scan, pair.sigma) / vol
-    return vol ** ex * ((mu ** au) * (ms ** asig))
+    vals = np.zeros(scan.shape, dtype=float)
+    vals[live] = vol ** ex * (((mass_u[live] / vol) ** au) * ((mass_s[live] / vol) ** asig))
+    return vals, ~live
 
 
 def apq_alpha_constant(
@@ -233,10 +238,13 @@ def apq_alpha_constant(
     min_level: Optional[int] = None,
     max_level: Optional[int] = None,
 ) -> ConstantReport:
+    """sup_Q apq_alpha(pair, e, Q); cubes where u or sigma fails
+    scan.positive_cubes are skipped."""
     exps = _apq_exponents(e)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _apq_values(scan, pair, exps), np.zeros(scan.shape, dtype=bool)
+        return _apq_values(scan, exps, positive_cubes(scan, inside, pair.u),
+                           positive_cubes(scan, inside, pair.sigma))
 
     return _sup_scan("apq_alpha", pair.u, shifts, min_level, max_level, fn)
 
@@ -251,13 +259,14 @@ def _log_prefix(w: SampledFunction) -> np.ndarray:
     return prefix_sum(logs)
 
 
-def _aexp_values(scan: LevelScan, inside: np.ndarray, w: SampledFunction, lpre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _aexp_values(scan: LevelScan, w: SampledFunction, gate, lpre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(avg_Q w) exp(-avg_Q log w) over every cube of a scan, +inf where w
-    has a zero cell, and the mask of cubes that scan.positive_cubes does not
-    pass; lpre from _log_prefix(w)."""
+    has a zero cell, and the mask of cubes that the gate, the (masses,
+    live) of scan.positive_cubes for w, does not pass; lpre from
+    _log_prefix(w)."""
     vol = scan.cube_volume()
     cells = max(1, round(vol / float(w.cell_volume)))
-    masses, live = positive_cubes(scan, inside, w)
+    masses, live = gate
     lsum = cube_cell_sums(scan, lpre)
     with np.errstate(over="ignore"):
         vals = masses / vol * np.exp(-lsum / cells)
@@ -281,16 +290,29 @@ def ainfty_exp(
     lpre = _log_prefix(w)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _aexp_values(scan, inside, w, lpre)
+        return _aexp_values(scan, w, positive_cubes(scan, inside, w), lpre)
 
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
 
-def _fujii_value(w: SampledFunction, box: Box, mass: float,
-                 inner_min: Optional[int], inner_max: Optional[int]) -> float:
-    """w(Q)^{-1} int_Q M(w chi_Q) for mass = w(Q) > 0, M over every shift."""
-    m = frac_maximal(w.restrict_to(box), 0.0, min_level=inner_min, max_level=inner_max)
-    return integrate(m, box) / mass
+def _inner_scans(w: SampledFunction, min_level: Optional[int], max_level: Optional[int]) -> list:
+    """Every scan of the inner maximal of the Fujii-Wilson constants: all
+    shifts over the same levels as the outer cubes."""
+    return [scan for grid in _grids(w, None, min_level, max_level) for scan in iter_scans(w, grid)]
+
+
+def _fujii_values(scan: LevelScan, w: SampledFunction, gate, inner) -> np.ndarray:
+    """w(Q)^{-1} int_Q M(w chi_Q) on the cubes of a scan that the gate, the
+    (masses, live) of scan.positive_cubes for w, passes, and 0 on the
+    others; M over the inner scans from _inner_scans, from one
+    cut_frac_maximal for the whole scan."""
+    masses, live = gate
+    vals = np.zeros(scan.shape, dtype=float)
+    if live.any():
+        m = cut_frac_maximal(w, scan, inner, 0.0)
+        num = cube_cell_sums(scan, prefix_sum(m)) * float(w.cell_volume)
+        vals[live] = num[live] / masses[live]
+    return vals
 
 
 def ainfty_m(
@@ -302,13 +324,19 @@ def ainfty_m(
     """Maximal-function flavor: sup_Q w(Q)^{-1} int_Q M(w chi_Q).
 
     The inner M is the shifted-grid surrogate of the uncentered maximal
-    over every shift, evaluated on w cut off outside Q.
+    over every shift and the same levels, evaluated on w cut off outside
+    Q.  The constant is scored level by level: one cut maximal per scan
+    (operators.cut_frac_maximal) gives M(w chi_Q) on every cube Q of the
+    scan at once.  Cubes that scan.positive_cubes does not pass are
+    skipped.
     """
+    inner = _inner_scans(w, min_level, max_level)
 
-    def score(cube: DyadicCube, box: Box, mass: float) -> float:
-        return _fujii_value(w, box, mass, min_level, max_level)
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        gate = positive_cubes(scan, inside, w)
+        return _fujii_values(scan, w, gate, inner), ~gate[1]
 
-    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, _cube_loop(w, score))
+    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, fn)
 
 
 def ap_constant(
@@ -355,7 +383,10 @@ def mixed_one_sup(
     flavor="ap_m":     sup_Q  A_{s(q')}(sigma, Q)^{1/p'} * Fujii(sigma, Q)^{1/q}
 
     Both put the whole product under one sup, which is never larger than
-    the product of the separate suprema.
+    the product of the separate suprema.  Both are scored level by level;
+    the Fujii factor of "ap_m" comes from one cut maximal per scan, as in
+    ainfty_m.  Cubes where a weight fails scan.positive_cubes are skipped
+    (sigma for "ap_m", u or sigma for "apq_exp").
     """
     if flavor == "apq_exp":
         exps = _apq_exponents(e)
@@ -363,8 +394,9 @@ def mixed_one_sup(
         gq = float(1 / e.q)
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            apq = _apq_values(scan, pair, exps)
-            aexp, skip = _aexp_values(scan, inside, pair.sigma, lpre)
+            sigma_gate = positive_cubes(scan, inside, pair.sigma)
+            apq, skip = _apq_values(scan, exps, positive_cubes(scan, inside, pair.u), sigma_gate)
+            aexp, _ = _aexp_values(scan, pair.sigma, sigma_gate, lpre)
             with np.errstate(invalid="ignore"):
                 vals = apq * aexp ** gq
             return vals, skip
@@ -381,15 +413,20 @@ def mixed_one_sup(
         rm1 = float(r - 1)
         beta = float(1 / e.pprime)
         gamma = float(1 / e.q)
+        inner = _inner_scans(w, min_level, max_level)
 
-        def score(cube: DyadicCube, box: Box, mass: float) -> float:
-            vol = float(box.volume())
-            mv = mass / vol
-            ms = integrate(dual_pow, box) / vol
-            fujii = _fujii_value(w, box, mass, min_level, max_level)
-            return (mv * ms ** rm1) ** beta * fujii ** gamma
+        def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            gate = positive_cubes(scan, inside, w)
+            masses, live = gate
+            fujii = _fujii_values(scan, w, gate, inner)
+            vol = scan.cube_volume()
+            mv = masses[live] / vol
+            ms = cube_integrals(scan, dual_pow)[live] / vol
+            vals = np.zeros(scan.shape, dtype=float)
+            vals[live] = (mv * ms ** rm1) ** beta * fujii[live] ** gamma
+            return vals, ~live
 
-        return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, _cube_loop(w, score))
+        return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, fn)
 
     raise ConstantError(f"unknown mixed flavor {flavor!r}")
 

@@ -16,7 +16,16 @@ import numpy as np
 from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from .orlicz import YoungFunction, luxemburg
 from .sampled import SampledFunction, _log2_exact, integrate, prefix_sum
-from .scan import cell_block, cube_cell_sums, inside_window_mask, sweep
+from .scan import (
+    LevelScan,
+    block_sums,
+    cell_block,
+    cube_cell_sums,
+    inside_window_mask,
+    merge_edges,
+    spread,
+    sweep,
+)
 
 COARSE_MARGIN = 4
 
@@ -88,6 +97,30 @@ def frac_maximal(
     for grid in _grids(f, shifts, min_level, max_level):
         np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
     return _wrap(f, out, operator="frac_maximal", alpha=a)
+
+
+def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
+    """M_alpha(f chi_Q)(x) at every cell x, where Q is the cube of the
+    outer scan whose window part holds x, maximised over the inner scans
+    (every level of the inner grids, as from iter_scans).
+
+    On Q's cells this is frac_maximal(f.restrict_to(Q), alpha) over the
+    inner grids, for every cube Q of the outer scan at once.  An inner
+    cube R meets Q in one block between consecutive merged edges of the
+    two scans, and its sum is a prefix-sum difference of f at those edges.
+    """
+    a = float(alpha)
+    n = f.dim
+    if not 0 <= a < n:
+        raise OperatorError(f"alpha must lie in [0, n), got {alpha}")
+    out = np.zeros_like(f.values)
+    pre = f.prefix
+    cellvol = float(f.cell_volume)
+    for scan in inner:
+        edges = tuple(merge_edges(Q, R) for Q, R in zip(outer.edges, scan.edges))
+        vals = block_sums(pre, edges) * (2.0 ** (scan.level * (n - a)) * cellvol)
+        np.maximum(out, spread(vals, edges), out=out)
+    return out
 
 
 def dyadic_frac_maximal(

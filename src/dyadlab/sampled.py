@@ -71,7 +71,10 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
     if arr.ndim == 1:
         np.cumsum(arr, out=p[1:])
     else:
-        p[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
+        # both cumsums in place: no full-size temporaries
+        inner = p[1:, 1:]
+        np.cumsum(arr, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
     return p
 
 

@@ -10,16 +10,18 @@ that fix them are memoised per mesh geometry, so repeated scans skip the
 rational index arithmetic; the edge arrays are rebuilt on every call and
 handed out read-only.
 
-Cube sums reduce to prefix-sum differences at the edges.  walk() is the one
-pass over a grid's cube tree: coarse to fine, it yields each level's scan
-with the per-axis maps from its cubes to their parents (None at the
-coarsest level).  Top-down recursions such as sweep() and the stopping-time
-construction read the parent values through at_parents(); bottom-up sums
-walk the same pairs in reverse.  inside_scans() fixes the order in which
-per-cube constants and test families visit the cubes inside the window
-across several grids.  A per-cube array reaches the cells by repeating
-each cube's value over its width, and sweep() spreads only the finest
-level.  All index arithmetic is exact int64.
+Cube sums reduce to prefix-sum differences at the edges (block_sums), and so
+do the sums over the intersections of the cubes of two scans, whose edges
+merge_edges() unites per axis.  walk() is the one pass over a grid's cube
+tree: coarse to fine, it yields each level's scan with the per-axis maps
+from its cubes to their parents (None at the coarsest level).  Top-down
+recursions such as sweep() and the stopping-time construction read the
+parent values through at_parents(); bottom-up sums walk the same pairs in
+reverse.  inside_scans() fixes the order in which per-cube constants and
+test families visit the cubes inside the window across several grids.  A
+per-cube array reaches the cells by repeating each cube's value over its
+width, and sweep() spreads only the finest level.  All index arithmetic is
+exact int64.
 """
 from __future__ import annotations
 
@@ -126,18 +128,24 @@ def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
                      edges=tuple(edges), raw_edges=tuple(raw_edges))
 
 
+def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Raw sums of cell values over the blocks between consecutive cell
+    edges, per axis; `prefix` is a table from prefix_sum."""
+    if len(edges) == 1:
+        E = edges[0]
+        return prefix[E[1:]] - prefix[E[:-1]]
+    E0, E1 = edges
+    S = prefix[E0[:, None], E1]
+    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+
+
 def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:
     """Raw sums of cell values over each cube's window part.
 
     `prefix` is a table from prefix_sum (or SampledFunction.prefix).  The
     result has scan.shape; multiply by the cell volume for integrals.
     """
-    if scan.dim == 1:
-        E = scan.edges[0]
-        return prefix[E[1:]] - prefix[E[:-1]]
-    E0, E1 = scan.edges
-    S = prefix[np.ix_(E0, E1)]
-    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+    return block_sums(prefix, scan.edges)
 
 
 def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
@@ -167,13 +175,30 @@ def inside_window_mask(scan: LevelScan) -> np.ndarray:
     return per_axis[0] if scan.dim == 1 else np.logical_and.outer(*per_axis)
 
 
-def map_to_cells(scan: LevelScan, per_cube: np.ndarray) -> np.ndarray:
-    """Spread a per-cube array onto the cell mesh: along each axis, every
-    cube's value is repeated over the cells of its window part."""
-    out = per_cube
-    for ax, E in enumerate(scan.edges):
-        out = np.repeat(out, np.diff(E), axis=ax)
+def spread(per_block: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Spread a per-block array onto the cell mesh: along each axis, every
+    block's value is repeated over the cells between its two edges."""
+    out = per_block
+    for ax, E in enumerate(edges):
+        out = np.repeat(out, E[1:] - E[:-1], axis=ax)
     return out
+
+
+def map_to_cells(scan: LevelScan, per_cube: np.ndarray) -> np.ndarray:
+    """Spread a per-cube array over the cells of each cube's window part."""
+    return spread(per_cube, scan.edges)
+
+
+def merge_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two cell-edge arrays, by sort and dedupe.  The
+    blocks between merged edges are the intersections of a block of a
+    with a block of b."""
+    m = np.concatenate((a, b))
+    m.sort()
+    keep = np.empty(len(m), dtype=bool)
+    keep[0] = True
+    np.not_equal(m[1:], m[:-1], out=keep[1:])
+    return m[keep]
 
 
 def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarray, ...]:

@@ -5,12 +5,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from dyadlab.constants import (
     ConstantError,
     ConstantReport,
     WeightPair,
+    _cube_loop,
+    _sup_scan,
     ainfty_exp,
     ainfty_m,
     ap_constant,
@@ -542,3 +546,117 @@ class TestMassGate:
         for rep in (ainfty_exp(pair.u, **lv), mixed_one_sup(pair.swapped(), E_SOB2, **lv)):
             assert rep.n_skipped == zero, rep.name
             assert rep.n_scored == inside - zero, rep.name
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_apq_zero_block_skipped_2d(seed):
+    # u and sigma vanish on one block: the joint constant skips exactly the
+    # inside cubes of zero cells, whatever the sign of the prefix-sum
+    # roundoff over them, and takes no power of a negative average
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.2, 3.0, (12, 12))
+    sigma = rng.uniform(0.2, 3.0, (12, 12))
+    u[3:6, 3:6] = 0.0
+    sigma[3:6, 3:6] = 0.0
+    pair = WeightPair(SampledFunction(2, (-1, 0), 2, u), SampledFunction(2, (-1, 0), 2, sigma))
+    lv = dict(min_level=-1, max_level=1)
+    inside, zero = brute_inside_counts(pair.u, **lv)
+    assert zero > 0
+    apq = apq_alpha_constant(pair, E_SOB2, **lv)
+    assert math.isfinite(apq.value)
+    for rep in (apq, mixed_one_sup(pair, E_SOB2, **lv)):
+        assert rep.n_skipped == zero, rep.name
+        assert rep.n_scored == inside - zero, rep.name
+
+
+def test_apq_skips_zero_mass_cubes_1d():
+    # a cube where one weight vanishes scored exactly 0: skipping it moves
+    # the counts, never the value or the argmax
+    v = rand_weight(1, (-1,), 2, 48, 41).values.copy()
+    v[12:24] = 0.0
+    pair = WeightPair(SampledFunction(1, (-1,), 2, v), rand_weight(1, (-1,), 2, 48, 42))
+    rep = apq_alpha_constant(pair, E_SOB)
+    inside, zero = brute_inside_counts(pair.u, rep.min_level, rep.max_level)
+    assert zero > 0
+    assert rep.n_skipped == zero and rep.n_scored == inside - zero
+    best, best_cube = brute_apq(pair, E_SOB, rep.min_level, rep.max_level)
+    assert rep.value == approx(best, rel=1e-12)
+    assert rep.argmax == best_cube
+
+
+# === the per-cube Fujii path, kept as an oracle =============================
+
+
+def fujii_oracle(w, box, mass, min_level, max_level):
+    """w(Q)^{-1} int_Q M(w chi_Q): one full-mesh frac_maximal per cube."""
+    m = frac_maximal(w.restrict_to(box), 0.0, min_level=min_level, max_level=max_level)
+    return integrate(m, box) / mass
+
+
+def ainfty_m_oracle(w, shifts=None, min_level=None, max_level=None):
+    def score(cube, box, mass):
+        return fujii_oracle(w, box, mass, min_level, max_level)
+
+    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, _cube_loop(w, score))
+
+
+def mixed_ap_m_oracle(pair, e, shifts=None, min_level=None, max_level=None):
+    w = pair.sigma
+    r = e.s_dual
+    dual_pow = w.power(float(1 - r / (r - 1)))
+    rm1, beta, gamma = float(r - 1), float(1 / e.pprime), float(1 / e.q)
+
+    def score(cube, box, mass):
+        vol = float(box.volume())
+        ms = integrate(dual_pow, box) / vol
+        fujii = fujii_oracle(w, box, mass, min_level, max_level)
+        return (mass / vol * ms ** rm1) ** beta * fujii ** gamma
+
+    return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, _cube_loop(w, score))
+
+
+def assert_matches_oracle(rep, want):
+    assert rep.name == want.name
+    assert rep.value == approx(want.value, rel=1e-12)
+    assert (rep.argmax, rep.n_scored, rep.n_skipped) == (want.argmax, want.n_scored, want.n_skipped)
+    assert (rep.min_level, rep.max_level, rep.shifts) == (want.min_level, want.max_level, want.shifts)
+
+
+FUJII_MESHES = [(1, (-1,), 24), (1, (-1,), 48), (2, (-1, 0), 12)]
+FUJII_LEVELS = [{}, dict(min_level=0), dict(min_level=-1, max_level=1)]
+
+
+class TestFujiiBatched:
+    """ainfty_m and mixed_one_sup(flavor="ap_m") score the Fujii-Wilson
+    constant from one cut maximal per scan; the per-cube path above is the
+    oracle."""
+
+    @given(
+        mesh=st.sampled_from(FUJII_MESHES),
+        levels=st.sampled_from(FUJII_LEVELS),
+        zero_shift_only=st.booleans(),
+        zero_block=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_cube_oracle(self, mesh, levels, zero_shift_only, zero_block, seed):
+        dim, lower, ncells = mesh
+        shifts = [(0,) * dim] if zero_shift_only else None
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.2, 3.0, (ncells,) * dim)
+        sigma = rng.uniform(0.2, 3.0, (ncells,) * dim)
+        pair = WeightPair(SampledFunction(dim, lower, 2, u), SampledFunction(dim, lower, 2, sigma))
+        e = E_SOB if dim == 1 else E_SOB2
+        if zero_block:
+            u[(slice(ncells // 4, ncells // 2),) * dim] = 0.0
+            w = SampledFunction(dim, lower, 2, u)
+            assert_matches_oracle(ainfty_m(w, shifts, **levels), ainfty_m_oracle(w, shifts, **levels))
+        else:
+            assert_matches_oracle(ainfty_m(pair.u, shifts, **levels),
+                                  ainfty_m_oracle(pair.u, shifts, **levels))
+            assert_matches_oracle(mixed_one_sup(pair, e, shifts, flavor="ap_m", **levels),
+                                  mixed_ap_m_oracle(pair, e, shifts, **levels))
+
+    def test_matches_per_cube_oracle_2d_24(self):
+        w = rand_weight(2, (-1, 0), 2, 24, 51)
+        assert_matches_oracle(ainfty_m(w), ainfty_m_oracle(w))

@@ -8,8 +8,10 @@ import pytest
 from dyadlab.grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab.operators import (
     OperatorError,
+    _grids,
     ancestor_chain,
     bilinear_maximal,
+    cut_frac_maximal,
     dyadic_frac_maximal,
     dyadic_riesz,
     frac_maximal,
@@ -21,7 +23,7 @@ from dyadlab.operators import (
 )
 from dyadlab.orlicz import PowerScaled, log_bump, power
 from dyadlab.sampled import SampledFunction, integrate, lp_norm
-from dyadlab.scan import iter_scans
+from dyadlab.scan import cell_block, iter_scans
 
 
 def rand_f(dim, lower, side, ncells, seed=0, zeros_at=()):
@@ -111,6 +113,37 @@ class TestFracMaximal:
         f = rand_f(1, (0,), 1, 12)
         with pytest.raises(OperatorError):
             frac_maximal(f, 0.5, max_level=f.max_aligned_level + 1)
+
+
+class TestCutFracMaximal:
+    @pytest.mark.parametrize("dim,lower,side,ncells,alpha,zeros_at", [
+        (1, (-1,), 2, 24, 0.0, ()),
+        (1, (0,), 1, 24, 0.5, (slice(6, 12),)),
+        (2, (-1, 0), 2, 12, 0.0, ((slice(3, 6), slice(3, 6)),)),
+        (2, (-1, 0), 2, 12, 1.25, ()),
+    ])
+    def test_equals_frac_maximal_of_each_cut(self, dim, lower, side, ncells, alpha, zeros_at):
+        # on every cube Q of every scan, the cut maximal is the full-mesh
+        # maximal of f chi_Q over the same grids, read on Q's cells
+        f = rand_f(dim, lower, side, ncells, seed=6, zeros_at=zeros_at)
+        kw = dict(min_level=-1, max_level=f.max_aligned_level)
+        grids = _grids(f, None, **kw)
+        inner = [scan for grid in grids for scan in iter_scans(f, grid)]
+        for outer_grid in (grids[0], grids[-1]):
+            for scan in iter_scans(f, outer_grid):
+                got = cut_frac_maximal(f, scan, inner, alpha)
+                for idx in np.ndindex(scan.shape):
+                    cube = scan.cube_at(idx)
+                    want = frac_maximal(f.restrict_to(cube), alpha, **kw)
+                    # a block of zero cells may sum to roundoff instead of 0
+                    np.testing.assert_allclose(cell_block(scan, got, idx), cell_block(scan, want.values, idx),
+                                               rtol=1e-13, atol=1e-15 * float(f.values.max()))
+
+    def test_alpha_range_validated(self):
+        f = rand_f(1, (0,), 1, 12)
+        scan = next(iter_scans(f, _grids(f, None, 0, 1)[0]))
+        with pytest.raises(OperatorError):
+            cut_frac_maximal(f, scan, [scan], 1.0)
 
 
 class TestBilinear:

@@ -191,6 +191,19 @@ def test_prefix_sum_signed():
     assert p2[1, 2] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("shape", [(48,), (12, 12), (7, 5)])
+def test_prefix_sum_bytes_match_two_temporary_form(shape):
+    # the in-place table is byte for byte the one that cumsum into
+    # temporaries gives, in the same axis order
+    arr = np.random.default_rng(7).normal(size=shape)
+    want = np.zeros(tuple(n + 1 for n in shape))
+    if len(shape) == 1:
+        want[1:] = np.cumsum(arr)
+    else:
+        want[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
+    assert prefix_sum(arr).tobytes() == want.tobytes()
+
+
 def test_alignment_guard():
     f = make_f(1, (0,), 1, 12)  # max aligned level 2
     grid = GridFamily(1, (0,), 0, 3, f.window)
