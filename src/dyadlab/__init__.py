@@ -10,6 +10,8 @@ The subpackages stay importable on their own; this module re-exports the
 working vocabulary so interactive use can start from ``import dyadlab``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constants import (
     ConstantReport,
     WeightPair,
@@ -49,7 +51,6 @@ from .normest import (
     unit_pair,
 )
 from .operators import (
-    bilinear_maximal,
     dyadic_frac_maximal,
     dyadic_riesz,
     frac_maximal,
@@ -100,90 +101,12 @@ from .sparse import (
     SparseFamily,
     StoppingCube,
     build_sparse,
-    carleson_embed_check,
     certify_carleson,
     sparse_operator,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "BpReport",
-    "CONVERGENT",
-    "CarlesonSequence",
-    "ConstantReport",
-    "DIVERGENT",
-    "DyadicCube",
-    "ExponentTuple",
-    "GridFamily",
-    "INCONCLUSIVE",
-    "NormEstimate",
-    "NumericConjugate",
-    "PowerLog",
-    "PowerScaled",
-    "SampledFunction",
-    "SparseFamily",
-    "StoppingCube",
-    "TestFamily",
-    "WeightPair",
-    "YoungFunction",
-    "ainfty_exp",
-    "ainfty_m",
-    "all_shifts",
-    "ap_constant",
-    "apq_alpha",
-    "apq_alpha_constant",
-    "apq_bump",
-    "average",
-    "bilinear_maximal",
-    "borderline",
-    "box_from_obj",
-    "box_to_obj",
-    "bp_classify",
-    "build_E",
-    "build_sparse",
-    "bump_bound_check",
-    "carleson_embed_check",
-    "case1_pair",
-    "case2_divergence",
-    "certify_carleson",
-    "classical_pair",
-    "cube_from_obj",
-    "cube_to_obj",
-    "dyadic_frac_maximal",
-    "dyadic_riesz",
-    "equivalence_report",
-    "estimate_norm",
-    "factored_pair",
-    "frac_maximal",
-    "geometric_maximal",
-    "integrate",
-    "log_ainfty_check",
-    "log_bump",
-    "lp_norm",
-    "luxemburg",
-    "make_exponents",
-    "md_sp_testing",
-    "mixed_one_sup",
-    "orlicz_holder_check",
-    "orlicz_maximal",
-    "orlicz_norm_quadrature",
-    "outer_riesz",
-    "outer_testing_constant",
-    "parent",
-    "parse_rational",
-    "potential_testing_chain",
-    "power",
-    "power_log",
-    "realize",
-    "rescale_identity_check",
-    "riesz_potential_1d",
-    "sawyer_maximal_testing",
-    "shifted_grids",
-    "sparse_operator",
-    "unit_pair",
-    "verify_E_maximal",
-    "weak_lq_norm",
-    "weighted_dyadic_maximal",
-]
+# every name imported above; the submodules bound by those imports stay out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

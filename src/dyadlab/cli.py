@@ -19,6 +19,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -87,32 +88,6 @@ from .pairs import (
 from .sampled import ExponentTuple, SampledFunction, integrate, lp_norm, make_exponents, parse_rational
 from .sparse import build_sparse, sparse_operator
 
-SUITES = (
-    "geometry",
-    "operators",
-    "sparse",
-    "orlicz",
-    "constants",
-    "equivalence",
-    "counterexample",
-)
-
-DEFAULT_CONFIG = {
-    "suites": list(SUITES),
-    "exponents": {"n": 1, "alpha": "1/2", "p": "4/3", "q": "4"},
-    "mesh": {"window": 1, "cells_per_axis": 48},
-    "grids": {"min_level": None, "max_level": None},
-    "seed": 715,
-    "young": [
-        {"family": "power", "params": {"r": 2.0}},
-        {"family": "log-bump", "params": {"p": 2.0, "delta": 0.5}},
-        {"family": "borderline", "params": {"p": 2.0, "q": 4.0, "eps": 0.5}},
-    ],
-    "pairs": [{"kind": "classical-smooth"}, {"kind": "random", "params": {"seed": 11}}],
-    "counterexample": {"gamma": "1/2", "window": 65536},
-}
-
-
 class CLIError(ValueError):
     pass
 
@@ -128,8 +103,9 @@ def _write_json(path: Path, obj):
     path.write_text(_dumps(obj))
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
+def _write_csv(path: Optional[Path], header, rows):
+    """CSV with floats written as repr; to stdout when path is None."""
+    with (path.open("w", newline="") if path else contextlib.nullcontext(sys.stdout)) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -188,7 +164,9 @@ _YOUNG_FAMILIES = {
 def young_from_spec(spec) -> YoungFunction:
     """Build a Young function from 'family:key=val,...' or a config dict."""
     if isinstance(spec, dict):
-        family, params = spec.get("family"), dict(spec.get("params", {}))
+        family, params = spec.get("family"), spec.get("params", {})
+        if not isinstance(params, dict):
+            raise CLIError(f"young params must be an object, got {params!r}")
     else:
         family, _, rest = str(spec).partition(":")
         params = {}
@@ -204,7 +182,11 @@ def young_from_spec(spec) -> YoungFunction:
     ctor, keys = _YOUNG_FAMILIES[family]
     if set(params) != set(keys):
         raise CLIError(f"family {family!r} takes parameters {keys}, got {sorted(params)}")
-    return ctor(*(float(params[k]) for k in keys))
+    try:
+        values = [float(params[k]) for k in keys]
+    except TypeError:
+        raise CLIError(f"family {family!r} parameters must be numbers, got {params!r}") from None
+    return ctor(*values)
 
 
 # === config ==================================================================
@@ -220,24 +202,41 @@ def _merge_config(base: dict, override: dict) -> dict:
     return out
 
 
+def _config_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CLIError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_config(cfg: dict) -> dict:
+    """Reject a malformed config before any suite runs or any output is
+    written."""
     unknown = set(cfg) - set(DEFAULT_CONFIG)
     if unknown:
         raise CLIError(f"unknown config fields: {sorted(unknown)}")
+    for key in ("suites", "young", "pairs"):
+        if not isinstance(cfg[key], list):
+            raise CLIError(f"{key} must be a list")
+    for key in ("exponents", "mesh", "counterexample"):
+        if not isinstance(cfg[key], dict):
+            raise CLIError(f"{key} must be an object")
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
+    _config_int(cfg["exponents"]["n"], "exponents.n")
     e = _config_exponents(cfg)
     mesh = cfg["mesh"]
     side = parse_rational(mesh["window"])
     if side < 1 or (side.numerator & (side.numerator - 1)) or side.denominator != 1:
         raise CLIError("mesh.window must be a positive power of two")
-    ncells = int(mesh["cells_per_axis"])
-    if ncells % 3 or (ncells // 3) & (ncells // 3 - 1):
+    ncells = _config_int(mesh["cells_per_axis"], "mesh.cells_per_axis")
+    if ncells < 3 or ncells % 3 or (ncells // 3) & (ncells // 3 - 1):
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
     # every suite picks its own level range, so a pinned one would be
     # reported but never used
-    if any(v is not None for v in (cfg["grids"] or {}).values()):
+    grids = cfg["grids"] or {}
+    if not isinstance(grids, dict) or any(v is not None for v in grids.values()):
         raise CLIError("grids.min_level and grids.max_level are not supported; leave them null")
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
@@ -245,12 +244,14 @@ def validate_config(cfg: dict) -> dict:
     g = parse_rational(cx["gamma"])
     if not 0 < g < 1:
         raise CLIError("counterexample.gamma must lie in (0, 1)")
-    w = int(cx["window"])
+    w = _config_int(cx["window"], "counterexample.window")
     if w < 8 or w & (w - 1):
         raise CLIError("counterexample.window must be a power of two, at least 8")
-    int(cfg["seed"])
+    _config_int(cfg["seed"], "seed")
     for y in cfg["young"]:
         young_from_spec(y)
+    for spec in cfg["pairs"]:
+        _pair_from_spec(cfg, spec, e)  # builds each pair once, so a bad spec fails here
     return cfg
 
 
@@ -281,18 +282,23 @@ def _smooth_weight(cfg: dict, dim: int) -> SampledFunction:
 
 
 def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple) -> WeightPair:
+    if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
+        raise CLIError(f"a pair is an object with an optional params object, got {spec!r}")
     kind = spec.get("kind")
+    params = spec.get("params", {})
     if kind == "classical-smooth":
         return classical_pair(_smooth_weight(cfg, e.n), e) if e.is_sobolev else WeightPair(
             _smooth_weight(cfg, e.n), _smooth_weight(cfg, e.n), provenance="smooth"
         )
     if kind == "random":
-        seed = int(spec.get("params", {}).get("seed", 0))
+        seed = _config_int(params.get("seed", 0), "pair params.seed")
         return WeightPair(
             _rand_weight(cfg, e.n, seed), _rand_weight(cfg, e.n, seed + 1000), provenance="random"
         )
     if kind == "file":
-        return _load_pair(spec["params"]["path"])
+        if not isinstance(params.get("path"), str):
+            raise CLIError("a file pair needs params.path")
+        return _load_pair(params["path"])
     raise CLIError(f"unknown pair kind {kind!r}")
 
 
@@ -673,6 +679,22 @@ _SUITE_FN = {
     "equivalence": _suite_equivalence,
     "counterexample": _suite_counterexample,
 }
+SUITES = tuple(_SUITE_FN)
+
+DEFAULT_CONFIG = {
+    "suites": list(SUITES),
+    "exponents": {"n": 1, "alpha": "1/2", "p": "4/3", "q": "4"},
+    "mesh": {"window": 1, "cells_per_axis": 48},
+    "grids": {"min_level": None, "max_level": None},
+    "seed": 715,
+    "young": [
+        {"family": "power", "params": {"r": 2.0}},
+        {"family": "log-bump", "params": {"p": 2.0, "delta": 0.5}},
+        {"family": "borderline", "params": {"p": 2.0, "q": 4.0, "eps": 0.5}},
+    ],
+    "pairs": [{"kind": "classical-smooth"}, {"kind": "random", "params": {"seed": 11}}],
+    "counterexample": {"gamma": "1/2", "window": 65536},
+}
 
 _TABLE_DOCS = {
     "geometry_domination": "dim, box side (rational), cube level used, 1 if some shifted cube of side in (2s,4s] contains the box",
@@ -797,10 +819,13 @@ def _cmd_sparse(args) -> int:
         rhs = sparse_operator(fam, form="chi")
         mask = rhs.values > 0
         dom = float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
-        ok = fam.thickness() >= 0.5 and dom <= fam.ratio + 1e-9
+        # a family of no cubes certifies nothing, so it is not a pass
+        vacuous = len(fam) == 0
+        ok = not vacuous and fam.thickness() >= 0.5 and dom <= fam.ratio + 1e-9
         _emit(
             {
                 "cubes": len(fam),
+                "vacuous": vacuous,
                 "thickness": fam.thickness(),
                 "guaranteed_thickness": fam.guaranteed_thickness,
                 "domination_ratio": dom,
@@ -835,13 +860,7 @@ def _cmd_constants(args) -> int:
             rep = reg[name]()
             arg = "" if rep.argmax is None else json.dumps(cube_to_obj(rep.argmax), sort_keys=True)
             rows.append([name, rep.value, arg])
-        if args.out:
-            _write_csv(Path(args.out), ["name", "value", "argmax"], rows)
-        else:
-            w = csv.writer(sys.stdout, lineterminator="\n")
-            w.writerow(["name", "value", "argmax"])
-            for row in rows:
-                w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        _write_csv(Path(args.out) if args.out else None, ["name", "value", "argmax"], rows)
         return 0
     if args.which not in reg:
         raise CLIError(f"unknown constant {args.which!r}; choose from {sorted(reg)} or 'all'")

@@ -33,6 +33,7 @@ from .sampled import (
     SampledFunction,
     average,
     integrate,
+    log_prefix,
     parse_rational,
     prefix_sum,
 )
@@ -252,18 +253,11 @@ def apq_alpha_constant(
 # === A_infty flavors =========================================================
 
 
-def _log_prefix(w: SampledFunction) -> np.ndarray:
-    """Prefix table of log w, 0 on zero cells."""
-    pos = w.values > 0
-    logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
-    return prefix_sum(logs)
-
-
 def _aexp_values(scan: LevelScan, w: SampledFunction, gate, lpre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(avg_Q w) exp(-avg_Q log w) over every cube of a scan, +inf where w
     has a zero cell, and the mask of cubes that the gate, the (masses,
     live) of scan.positive_cubes for w, does not pass; lpre from
-    _log_prefix(w)."""
+    log_prefix(w)."""
     vol = scan.cube_volume()
     cells = max(1, round(vol / float(w.cell_volume)))
     masses, live = gate
@@ -287,7 +281,7 @@ def ainfty_exp(
     average diverges); cubes that scan.positive_cubes does not pass are
     skipped.
     """
-    lpre = _log_prefix(w)
+    lpre = log_prefix(w)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return _aexp_values(scan, w, positive_cubes(scan, inside, w), lpre)
@@ -390,7 +384,7 @@ def mixed_one_sup(
     """
     if flavor == "apq_exp":
         exps = _apq_exponents(e)
-        lpre = _log_prefix(pair.sigma)
+        lpre = log_prefix(pair.sigma)
         gq = float(1 / e.q)
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

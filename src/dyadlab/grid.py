@@ -211,16 +211,6 @@ class GridFamily:
         for level in self.levels:
             yield from self.cubes_at_level(level)
 
-    def count(self) -> int:
-        n = 0
-        for level in self.levels:
-            c = 1
-            for ax in range(self.dim):
-                lo, hi = self.axis_index_range(level, ax)
-                c *= max(0, hi - lo + 1)
-            n += c
-        return n
-
     def owner_index(self, level: int, pt) -> tuple[int, ...]:
         """Index of the unique cube at `level` containing the point."""
         pt = tuple(_as_fraction(x) for x in pt)

@@ -188,6 +188,22 @@ def _iter_family(
 # --- norm estimation --------------------------------------------------------
 
 
+def _space_labels(e: ExponentTuple, side: str, weak: bool) -> Tuple[str, str]:
+    """Source and target space labels of a norm estimate."""
+    if side == "forward":
+        source, target = f"L^{e.p}(sigma)", f"L^{e.q}(u)"
+    elif side == "dual":
+        source, target = f"L^{e.qprime}(u)", f"L^{e.pprime}(sigma)"
+    else:
+        raise NormError(f"unknown side {side!r}")
+    return source, "weak-" + target if weak else target
+
+
+def _ratio(num: float, den: float) -> Optional[float]:
+    """num / den, or None when den is not positive."""
+    return num / den if den > 0 else None
+
+
 def estimate_norm(
     op: str,
     pair: WeightPair,
@@ -214,20 +230,13 @@ def estimate_norm(
         raise NormError("exponent dimension does not match the weights")
     fam = family if family is not None else TestFamily()
 
+    source, target = _space_labels(e, side, weak)
     if side == "forward":
         dens, src_w, src_p = pair.sigma, pair.sigma, float(e.p)
         tgt_w, tgt_q = pair.u, float(e.q)
-        source = f"L^{e.p}(sigma)"
-        target = f"L^{e.q}(u)"
-    elif side == "dual":
+    else:
         dens, src_w, src_p = pair.u, pair.u, float(e.qprime)
         tgt_w, tgt_q = pair.sigma, float(e.pprime)
-        source = f"L^{e.qprime}(u)"
-        target = f"L^{e.pprime}(sigma)"
-    else:
-        raise NormError(f"unknown side {side!r}")
-    if weak:
-        target = "weak-" + target
 
     a = float(e.alpha) if alpha is None else float(parse_rational(alpha))
 
@@ -319,8 +328,14 @@ def _associate(phi: YoungFunction) -> YoungFunction:
 # --- equivalence of weak Riesz and dual maximal bounds ----------------------
 
 
-def _zeroed_estimate(op: str, source: str, target: str) -> NormEstimate:
-    return NormEstimate(op, source, target, 0.0, None, 0)
+# (operator, side, weak) of each estimate the equivalence report compares
+_EQUIVALENCE_ESTIMATES = {
+    "weak_riesz": ("dyadic_riesz", "forward", True),
+    "strong_riesz": ("dyadic_riesz", "forward", False),
+    "maximal_forward": ("frac_maximal", "forward", False),
+    "maximal_dual": ("frac_maximal", "dual", False),
+    "dyadic_maximal_forward": ("dyadic_frac_maximal", "forward", False),
+}
 
 
 def equivalence_report(
@@ -355,25 +370,13 @@ def equivalence_report(
     }
 
     degenerate = float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0
-    if degenerate:
-        ests = {
-            "weak_riesz": _zeroed_estimate("dyadic_riesz", f"L^{e.p}(sigma)", f"weak-L^{e.q}(u)"),
-            "strong_riesz": _zeroed_estimate("dyadic_riesz", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
-            "maximal_forward": _zeroed_estimate("frac_maximal", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
-            "maximal_dual": _zeroed_estimate("frac_maximal", f"L^{e.qprime}(u)", f"L^{e.pprime}(sigma)"),
-            "dyadic_maximal_forward": _zeroed_estimate("dyadic_frac_maximal", f"L^{e.p}(sigma)", f"L^{e.q}(u)"),
-        }
-    else:
-        ests = {
-            "weak_riesz": estimate_norm("dyadic_riesz", pair, e, family, weak=True, min_level=min_level, max_level=max_level),
-            "strong_riesz": estimate_norm("dyadic_riesz", pair, e, family, min_level=min_level, max_level=max_level),
-            "maximal_forward": estimate_norm("frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
-            "maximal_dual": estimate_norm("frac_maximal", pair, e, family, side="dual", min_level=min_level, max_level=max_level),
-            "dyadic_maximal_forward": estimate_norm("dyadic_frac_maximal", pair, e, family, min_level=min_level, max_level=max_level),
-        }
 
-    def _ratio(num: float, den: float) -> Optional[float]:
-        return num / den if den > 0 else None
+    def _estimate(op: str, side: str, weak: bool) -> NormEstimate:
+        if degenerate:
+            return NormEstimate(op, *_space_labels(e, side, weak), 0.0, None, 0)
+        return estimate_norm(op, pair, e, family, side=side, weak=weak, min_level=min_level, max_level=max_level)
+
+    ests = {key: _estimate(*spec) for key, spec in _EQUIVALENCE_ESTIMATES.items()}
 
     # zero estimates give zero denominators, so a degenerate pair's ratios are null
     ratios = {
@@ -518,8 +521,8 @@ def bump_bound_check(
             "quadrature_report": quad_rep.to_obj(),
             "rhs_quadrature": rhs_quad,
             "rhs_direct": rhs_direct,
-            "constant_quadrature": lhs.value / rhs_quad if rhs_quad > 0 and math.isfinite(rhs_quad) else None,
-            "constant_direct": lhs.value / rhs_direct if rhs_direct > 0 else None,
+            "constant_quadrature": _ratio(lhs.value, rhs_quad) if math.isfinite(rhs_quad) else None,
+            "constant_direct": _ratio(lhs.value, rhs_direct),
         }
 
     report: dict = {
@@ -557,8 +560,8 @@ def bump_bound_check(
             "lhs": lhs_strong.to_obj(),
             "rhs_quadrature": rhs_quad,
             "rhs_direct": rhs_direct,
-            "constant_quadrature": lhs_strong.value / rhs_quad if rhs_quad > 0 and math.isfinite(rhs_quad) else None,
-            "constant_direct": lhs_strong.value / rhs_direct if rhs_direct > 0 else None,
+            "constant_quadrature": _ratio(lhs_strong.value, rhs_quad) if math.isfinite(rhs_quad) else None,
+            "constant_direct": _ratio(lhs_strong.value, rhs_direct),
         }
 
         # Classical double bump: both slots bumped, same-exponent
@@ -584,8 +587,8 @@ def bump_bound_check(
             "quadrature_reports": [rep_psi.to_obj(), rep_phi.to_obj()],
             "rhs_quadrature": rhs_quad2,
             "rhs_direct": rhs_direct2,
-            "constant_quadrature": lhs_strong.value / rhs_quad2 if rhs_quad2 > 0 and math.isfinite(rhs_quad2) else None,
-            "constant_direct": lhs_strong.value / rhs_direct2 if rhs_direct2 > 0 else None,
+            "constant_quadrature": _ratio(lhs_strong.value, rhs_quad2) if math.isfinite(rhs_quad2) else None,
+            "constant_direct": _ratio(lhs_strong.value, rhs_direct2),
         }
 
         # Strong norm split into the two weak-type norms.
@@ -597,7 +600,7 @@ def bump_bound_check(
             "weak_forward": lhs_weak.to_obj(),
             "weak_dual": weak_dual.to_obj(),
             "sum_of_weak": split,
-            "ratio": lhs_strong.value / split if split > 0 else None,
+            "ratio": _ratio(lhs_strong.value, split),
         }
     else:
         report["entries"]["riesz_skipped"] = "needs 0 < alpha < n and p < q"
@@ -659,7 +662,7 @@ def log_ainfty_check(
     md = md_sp_testing(pair, e, min_level=min_level, max_level=max_level)
 
     def _block(lhs: float, rhs: float) -> dict:
-        return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else None}
+        return {"lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
 
     return {
         "config": {

@@ -15,10 +15,9 @@ import numpy as np
 
 from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from .orlicz import YoungFunction, luxemburg
-from .sampled import SampledFunction, _log2_exact, integrate, prefix_sum
+from .sampled import SampledFunction, _log2_exact, block_sums, integrate, log_prefix, prefix_sum
 from .scan import (
     LevelScan,
-    block_sums,
     cell_block,
     cube_cell_sums,
     inside_window_mask,
@@ -135,29 +134,6 @@ def dyadic_frac_maximal(
     return frac_maximal(f, alpha, shifts=[sh], min_level=min_level, max_level=max_level)
 
 
-def bilinear_maximal(
-    f: SampledFunction,
-    g: SampledFunction,
-    shifts=None,
-    min_level: Optional[int] = None,
-    max_level: Optional[int] = None,
-) -> SampledFunction:
-    """sup over cubes of (average of f) times (average of g)."""
-    f.require_same_mesh(g)
-    out = np.zeros_like(f.values)
-    pf, pg = f.prefix, g.prefix
-    cellvol = float(f.cell_volume)
-    n = f.dim
-
-    def level_values(scan):
-        inv_vol = 2.0 ** (scan.level * n) * cellvol
-        return (cube_cell_sums(scan, pf) * inv_vol) * (cube_cell_sums(scan, pg) * inv_vol)
-
-    for grid in _grids(f, shifts, min_level, max_level):
-        np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
-    return _wrap(f, out, operator="bilinear_maximal")
-
-
 def weighted_dyadic_maximal(
     f: SampledFunction,
     mu: SampledFunction,
@@ -206,18 +182,15 @@ def geometric_maximal(
     outside the window) sends the geometric average to zero.
     """
     n = f.dim
-    v = f.values
-    zero_mask = (v == 0).astype(np.float64)
-    logs = np.zeros_like(v)
-    np.log(v, out=logs, where=v > 0)
-    pre_zero = prefix_sum(zero_mask)
-    pre_log = prefix_sum(logs)
+    pre_zero = f.zero_prefix  # None when f has no zero cell
+    pre_log = log_prefix(f)
     cellvol = float(f.cell_volume)
 
     def level_values(scan):
-        zeros_q = cube_cell_sums(scan, pre_zero)
         log_q = cube_cell_sums(scan, pre_log)
-        clean = (np.rint(zeros_q) == 0) & inside_window_mask(scan)
+        clean = inside_window_mask(scan)
+        if pre_zero is not None:
+            clean &= np.rint(cube_cell_sums(scan, pre_zero)) == 0
         inv_vol = 2.0 ** (scan.level * n) * cellvol
         vals = np.zeros_like(log_q)
         vals[clean] = np.exp(log_q[clean] * inv_vol)

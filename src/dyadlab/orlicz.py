@@ -49,18 +49,6 @@ class YoungFunction:
         """Conjugate sup_{s>=0}(st - Phi(s)); numeric unless a plain power."""
         return NumericConjugate(self)
 
-    def convexity_certificate(self) -> bool:
-        """Midpoint-convexity, monotonicity, and Phi(0)=0 on a probe grid
-        of 400 points from 1e-8 to 1e6."""
-        t = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 400)])
-        v = np.asarray(self.eval(t), dtype=float)
-        if not np.all(np.isfinite(v)) or v[0] != 0.0 or np.any(v < 0):
-            return False
-        if np.any(np.diff(v) < -1e-12 * np.maximum(v[:-1], 1e-300)):
-            return False
-        mid = self.eval((t[:-1] + t[1:]) / 2.0)
-        return bool(np.all(mid <= (v[:-1] + v[1:]) / 2.0 + 1e-9 * np.maximum(v[1:], 1e-300)))
-
 
 @dataclass(frozen=True)
 class PowerLog(YoungFunction):

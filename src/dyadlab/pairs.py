@@ -235,12 +235,7 @@ def verify_E_maximal(gamma, side) -> dict:
     m_large = frac_maximal(chi, g, max_level=0)
     m = np.maximum(m_small.values, m_large.values)
 
-    counts = np.concatenate([[0.0], np.cumsum(chi.values)])
     h = 1.0 / cpu
-
-    def mass_prefix(ncells_stop: int) -> float:
-        return counts[ncells_stop] * h
-
     per_min = m.reshape(X, cpu).min(axis=1)
 
     unit_bound = 3.0 * 2.0 ** (g - 2.0)
@@ -256,7 +251,7 @@ def verify_E_maximal(gamma, side) -> dict:
     for k in range(1, X):
         r = (k + 1 - 1).bit_length()  # ceil(log2(k+1)) for k+1 >= 2
         sidelen = float(2**r)
-        floor_k = sidelen ** (g - 1.0) * mass_prefix((2**r) * cpu)
+        floor_k = sidelen ** (g - 1.0) * (chi.prefix[(2**r) * cpu] * h)
         chain_k = (k + 1.0) ** (g - 1.0) * partial[k + 1]
         ok = bool(per_min[k] >= floor_k * (1 - 1e-10))
         floors_hold = floors_hold and ok

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +76,24 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
         np.cumsum(arr, axis=0, out=inner)
         np.cumsum(inner, axis=1, out=inner)
     return p
+
+
+def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Raw sums of cell values over the blocks between consecutive cell
+    edges, per axis; `prefix` is a table from prefix_sum."""
+    if len(edges) == 1:
+        E = edges[0]
+        return prefix[E[1:]] - prefix[E[:-1]]
+    E0, E1 = edges
+    S = prefix[E0[:, None], E1]
+    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+
+
+def log_prefix(w: SampledFunction) -> np.ndarray:
+    """Prefix table of log w, 0 on zero cells."""
+    pos = w.values > 0
+    logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
+    return prefix_sum(logs)
 
 
 class SampledFunction:
@@ -178,25 +196,28 @@ class SampledFunction:
         h = float(self.h)
         return a + h * (np.arange(self.ncells) + 0.5)
 
-    def cell_edges(self, axis: int = 0) -> np.ndarray:
-        a = float(self.lower[axis])
-        h = float(self.h)
-        return a + h * np.arange(self.ncells + 1)
+    def _cell_range(self, box: Box) -> list:
+        """Per axis, the exact fractional cell coordinates (c0, c1) that
+        box∩window spans, or None where that intersection is empty."""
+        if box.dim != self.dim:
+            raise MeshMismatchError("box dimension mismatch")
+        out = []
+        for ax in range(self.dim):
+            a = self.lower[ax]
+            lo = max(box.lower[ax], a)
+            hi = min(box.lower[ax] + box.side, a + self.side)
+            out.append(((lo - a) / self.h, (hi - a) / self.h) if hi > lo else None)
+        return out
 
     def cell_slices(self, box: Box, require_aligned: bool = False):
         """Per-axis slice of cells covered by box∩window.  With
         require_aligned the box must sit exactly on cell boundaries."""
-        if box.dim != self.dim:
-            raise MeshMismatchError("box dimension mismatch")
         sl = []
-        for ax in range(self.dim):
-            lo = max(box.lower[ax], self.lower[ax])
-            hi = min(box.lower[ax] + box.side, self.lower[ax] + self.side)
-            if hi <= lo:
+        for rng in self._cell_range(box):
+            if rng is None:
                 sl.append(slice(0, 0))
                 continue
-            c0 = (lo - self.lower[ax]) / self.h
-            c1 = (hi - self.lower[ax]) / self.h
+            c0, c1 = rng
             if require_aligned and (c0.denominator != 1 or c1.denominator != 1):
                 raise MeshError(f"box edge not on cell boundary: {box}")
             sl.append(slice(math.floor(c0), math.ceil(c1)))
@@ -227,39 +248,19 @@ class SampledFunction:
             self._zeros = p
         return self._zeros
 
-    def _prefix_box(self, sl) -> float:
-        p = self.prefix
-        if self.dim == 1:
-            return float(p[sl[0].stop] - p[sl[0].start])
-        a0, b0, a1, b1 = sl[0].start, sl[0].stop, sl[1].start, sl[1].stop
-        return float(p[b0, b1] - p[a0, b1] - p[b0, a1] + p[a0, a1])
-
     def integrate_box(self, box: Box) -> float:
         """Exact integral over box (cell-constant data, zero extension)."""
-        if box.dim != self.dim:
-            raise MeshMismatchError("box dimension mismatch")
-        if box.is_empty():
+        cells = self._cell_range(box)
+        if None in cells:
             return 0.0
-        weights = []
-        aligned = True
-        for ax in range(self.dim):
-            lo = max(box.lower[ax], self.lower[ax])
-            hi = min(box.lower[ax] + box.side, self.lower[ax] + self.side)
-            if hi <= lo:
-                return 0.0
-            c0 = (lo - self.lower[ax]) / self.h
-            c1 = (hi - self.lower[ax]) / self.h
-            if c0.denominator != 1 or c1.denominator != 1:
-                aligned = False
-            weights.append((c0, c1))
-        if aligned:
-            sl = tuple(slice(int(c0), int(c1)) for c0, c1 in weights)
-            return self._prefix_box(sl) * float(self.cell_volume)
+        if all(c0.denominator == 1 and c1.denominator == 1 for c0, c1 in cells):
+            edges = tuple(np.array([c0.numerator, c1.numerator]) for c0, c1 in cells)
+            return block_sums(self.prefix, edges).item() * float(self.cell_volume)
         # prorate boundary cells exactly
         h = float(self.h)
         axis_w = []
         axis_sl = []
-        for c0, c1 in weights:
+        for c0, c1 in cells:
             j0, j1 = math.floor(c0), math.ceil(c1)
             w = np.full(j1 - j0, h)
             w[0] = float((min(c1, Fraction(j0 + 1)) - c0) * self.h)
@@ -333,11 +334,6 @@ class SampledFunction:
         vals = np.asarray(obj["values"], dtype=np.float64).reshape((n,) * dim)
         w = obj["window"]
         return cls(dim, tuple(Fraction(s) for s in w["lower"]), Fraction(w["side"]), vals)
-
-    def to_csv_rows(self):
-        yield ("index", "value")
-        for i, v in enumerate(self.values.ravel()):
-            yield (i, repr(float(v)))
 
 
 # === integration / averages / norms ==========================================

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, GridError, GridFamily, pow2
-from .sampled import MeshError, SampledFunction, _log2_exact, prefix_sum
+from .sampled import MeshError, SampledFunction, _log2_exact, block_sums
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -126,17 +126,6 @@ def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
         raw_edges.append(_frozen(raw))
     return LevelScan(grid, level, m_lo=tuple(p[0] for p in plans), shape=tuple(p[1] for p in plans),
                      edges=tuple(edges), raw_edges=tuple(raw_edges))
-
-
-def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Raw sums of cell values over the blocks between consecutive cell
-    edges, per axis; `prefix` is a table from prefix_sum."""
-    if len(edges) == 1:
-        E = edges[0]
-        return prefix[E[1:]] - prefix[E[:-1]]
-    E0, E1 = edges
-    S = prefix[E0[:, None], E1]
-    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
 
 
 def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:

@@ -290,29 +290,3 @@ def certify_carleson(seq: CarlesonSequence, mu: SampledFunction) -> dict:
         "argmax_cube": cube_to_obj(best_cube) if best_cube is not None else None,
     }
 
-
-def carleson_embed_check(seq: CarlesonSequence, a_values: Dict[int, np.ndarray], mu: SampledFunction) -> dict:
-    """Test sum_Q c_Q a_Q <= A * integral of sup_{Q owning x} a_Q d mu,
-    with A the certified Carleson constant of the sequence."""
-    seq.mesh.require_same_mesh(mu)
-    lhs = 0.0
-
-    def level_values(scan):
-        nonlocal lhs
-        a_arr = np.asarray(a_values[scan.level], dtype=np.float64)
-        if a_arr.shape != scan.shape:
-            raise SparseError("a_Q shape mismatch")
-        if np.any(a_arr < 0):
-            raise SparseError("a_Q must be nonnegative")
-        lhs += float(np.sum(seq.values[scan.level] * a_arr))
-        return a_arr
-
-    sup_cells = sweep(seq.mesh, seq.grid, level_values, np.maximum)
-    rhs_integral = float(np.sum(sup_cells * mu.values)) * float(mu.cell_volume)
-    constant = certify_carleson(seq, mu)["constant"]
-    return {
-        "lhs": lhs,
-        "sup_integral": rhs_integral,
-        "constant": constant,
-        "rhs": constant * rhs_integral,
-    }

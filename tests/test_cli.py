@@ -221,12 +221,30 @@ class TestRunCommand:
         assert list(report["suites"]) == ["geometry"]
         assert report["config"]["seed"] == 3
 
-    def test_bad_config_exits_two(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"suites": ["nope"]}))
-        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert not (tmp_path / "run").exists()
+    def test_bad_config_exits_two(self, tmp_path, capsys):
+        # each is rejected before any suite runs: exit 2, an error line,
+        # and no output directory
+        bad = [
+            {"suites": ["nope"]},
+            {"seed": None},
+            {"exponents": None},
+            {"exponents": {"n": None}},
+            {"counterexample": {"window": None}},
+            {"pairs": [{"kind": "file"}]},
+            {"pairs": [{"kind": "file", "params": {"path": str(tmp_path / "none.json")}}]},
+            {"pairs": [{"kind": "bogus"}]},
+            {"pairs": None},
+            {"young": [{"family": "power", "params": None}]},
+            {"young": [{"family": "power", "params": {"r": None}}]},
+            {"mesh": {"cells_per_axis": 0}},
+        ]
+        for i, override in enumerate(bad):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(override))
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"run{i}")])
+            assert rc == 2, override
+            assert capsys.readouterr().err.startswith("error: "), override
+            assert not (tmp_path / f"run{i}").exists(), override
 
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "r")])
@@ -363,6 +381,7 @@ class TestSparseCommand:
                      "-o", str(ver_out)]) == 0
         ver = json.loads(ver_out.read_text())
         assert ver["passed"] is True
+        assert ver["vacuous"] is False
         assert ver["thickness"] >= 0.5
         assert ver["domination_ratio"] <= ver["C_a"] + 1e-9
 
@@ -370,6 +389,16 @@ class TestSparseCommand:
         assert main(["sparse", "apply", "-i", str(src), "--form", "disjoint",
                      "-o", str(ap_out)]) == 0
         assert json.loads(ap_out.read_text())["metadata"]["form"] == "disjoint"
+
+    def test_verify_of_zero_function_is_vacuous(self, tmp_path):
+        src = tmp_path / "zero.json"
+        src.write_text(json.dumps(SampledFunction.zeros(1, (0,), 1, 24).to_obj()))
+        out = tmp_path / "ver.json"
+        assert main(["sparse", "verify", "-i", str(src), "-o", str(out)]) == 1
+        ver = json.loads(out.read_text())
+        assert ver["cubes"] == 0
+        assert ver["vacuous"] is True
+        assert ver["passed"] is False
 
 
 class TestConstantsCommand:

@@ -10,7 +10,6 @@ from dyadlab.operators import (
     OperatorError,
     _grids,
     ancestor_chain,
-    bilinear_maximal,
     cut_frac_maximal,
     dyadic_frac_maximal,
     dyadic_riesz,
@@ -46,8 +45,6 @@ def brute_max(f, alpha, shifts, min_level, max_level, kind="frac", g=None, mu=No
             sl = f.cell_slices(b)
             if kind == "frac":
                 val = vol ** (alpha / f.dim - 1.0) * integrate(f, cube)
-            elif kind == "bilinear":
-                val = (integrate(f, cube) / vol) * (integrate(g, cube) / vol)
             elif kind == "weighted":
                 mu_q = integrate(mu, cube)
                 if mu_q == 0:
@@ -144,23 +141,6 @@ class TestCutFracMaximal:
         scan = next(iter_scans(f, _grids(f, None, 0, 1)[0]))
         with pytest.raises(OperatorError):
             cut_frac_maximal(f, scan, [scan], 1.0)
-
-
-class TestBilinear:
-    def test_matches_brute(self):
-        f = rand_f(1, (0,), 1, 12, seed=6)
-        g = rand_f(1, (0,), 1, 12, seed=7)
-        got = bilinear_maximal(f, g, min_level=-2)
-        want = brute_max(f, 0.0, all_shifts(1), -2, f.max_aligned_level, kind="bilinear", g=g)
-        np.testing.assert_allclose(got.values, want, rtol=1e-13)
-
-    def test_dominated_by_product_of_maximals(self):
-        f = rand_f(1, (0,), 1, 12, seed=8)
-        g = rand_f(1, (0,), 1, 12, seed=9)
-        bi = bilinear_maximal(f, g, min_level=-1)
-        mf = frac_maximal(f, 0, min_level=-1)
-        mg = frac_maximal(g, 0, min_level=-1)
-        assert np.all(bi.values <= mf.values * mg.values + 1e-12)
 
 
 class TestWeightedMaximal:

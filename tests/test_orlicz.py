@@ -60,12 +60,6 @@ class TestFamily:
         with pytest.raises(OrliczError):
             power(0.5)
 
-    def test_convexity_certificates(self):
-        assert power(2.0).convexity_certificate()
-        assert log_bump(2.0, 0.5).convexity_certificate()
-        assert borderline(2.0, 4.0, 0.5).convexity_certificate()
-        assert PowerScaled(power(2.0), 1.5).convexity_certificate()
-
 
 class TestConjugate:
     def test_square_conjugate_closed_form(self):

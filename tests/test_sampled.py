@@ -272,12 +272,6 @@ class TestSerialization:
         assert f.same_mesh(g)
         np.testing.assert_array_equal(f.values, g.values)
 
-    def test_csv_rows(self):
-        f = SampledFunction(1, (0,), 1, np.array([1.0, 0.5, 0.25]))
-        rows = list(f.to_csv_rows())
-        assert rows[0] == ("index", "value")
-        assert rows[2] == (1, repr(0.5))
-
 
 class TestExponents:
     def test_sobolev_example(self):

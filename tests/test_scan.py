@@ -7,7 +7,7 @@ import pytest
 from dyadlab import operators as op
 from dyadlab.grid import DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab.orlicz import power
-from dyadlab.sampled import MeshError, SampledFunction
+from dyadlab.sampled import MeshError, SampledFunction, prefix_sum
 from dyadlab.scan import (
     cube_cell_sums,
     cube_integrals,
@@ -16,7 +16,6 @@ from dyadlab.scan import (
     level_scan,
     map_to_cells,
     parent_positions,
-    prefix_sum,
     sweep,
 )
 from dyadlab.sparse import build_sparse, sparse_operator
@@ -356,15 +355,6 @@ def test_operators_bit_identical_to_spreading_oracle(lower, side, ncells):
     grid = single_grid(f, (1,) * n, min_level=-2)
     expect = spread_oracle(f, grid, _sum_values(f, f.prefix, n - a), np.add)
     assert np.array_equal(op.dyadic_riesz(f, a, shift=(1,) * n, min_level=-2).values, expect)
-
-    def bilinear(scan):
-        inv_vol = 2.0 ** (scan.level * n) * cellvol
-        return (cube_cell_sums(scan, f.prefix) * inv_vol) * (cube_cell_sums(scan, mu.prefix) * inv_vol)
-
-    expect = np.zeros_like(f.values)
-    for shift in all_shifts(n):
-        expect = np.maximum(expect, spread_oracle(f, single_grid(f, shift), bilinear, np.maximum))
-    assert np.array_equal(op.bilinear_maximal(f, mu).values, expect)
 
     def weighted(scan):
         mu_q = cube_cell_sums(scan, mu.prefix) * cellvol

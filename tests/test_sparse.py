@@ -14,7 +14,6 @@ from dyadlab.sparse import (
     CarlesonSequence,
     SparseError,
     build_sparse,
-    carleson_embed_check,
     certify_carleson,
     sparse_operator,
     subtree_sums,
@@ -288,30 +287,6 @@ class TestCarleson:
         vals = {0: np.array([0.0]), 1: np.array([1.0, 0.0])}  # mass on the null half
         seq = CarlesonSequence(mu, grid, vals)
         assert certify_carleson(seq, mu)["constant"] == math.inf
-
-    def test_embedding_inequality(self):
-        mu = self.make_mu(19)
-        grid = GridFamily(1, (0,), 0, 2, mu.window)
-        rng = np.random.default_rng(20)
-        cvals, avals = {}, {}
-        for level in grid.levels:
-            scan = level_scan(mu, grid, level)
-            cvals[level] = rng.uniform(0, 1, scan.shape)
-            avals[level] = rng.uniform(0, 3, scan.shape)
-        seq = CarlesonSequence(mu, grid, cvals)
-        out = carleson_embed_check(seq, avals, mu)
-        assert out["lhs"] <= out["rhs"] * (1 + 1e-12)
-
-    def test_embedding_single_cube_sharp(self):
-        mu = self.make_mu(21)
-        grid = GridFamily(1, (0,), 0, 1, mu.window)
-        cvals = {0: np.array([2.0]), 1: np.zeros(2)}
-        avals = {0: np.array([1.0]), 1: np.zeros(2)}
-        seq = CarlesonSequence(mu, grid, cvals)
-        out = carleson_embed_check(seq, avals, mu)
-        # lhs = 2, sup integral = mu([0,1)), constant = 2/mu([0,1))
-        assert out["lhs"] == pytest.approx(2.0)
-        assert out["rhs"] == pytest.approx(2.0, rel=1e-12)
 
     def test_negative_coefficients_rejected(self):
         mu = self.make_mu(22)
