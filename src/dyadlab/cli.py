@@ -85,7 +85,7 @@ from .pairs import (
     factored_pair,
     verify_E_maximal,
 )
-from .sampled import ExponentTuple, SampledFunction, integrate, lp_norm, make_exponents, parse_rational
+from .sampled import ExponentTuple, MeshError, SampledFunction, integrate, lp_norm, make_exponents, parse_rational
 from .sparse import build_sparse, sparse_operator
 
 class CLIError(ValueError):
@@ -120,12 +120,23 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_obj(path: str, from_obj):
+    """from_obj of the JSON in path; an input that from_obj rejects becomes
+    a CLIError naming the file (and the field, for a missing or malformed
+    one)."""
+    obj = _load_json(path)
+    try:
+        return from_obj(obj)
+    except MeshError as exc:
+        raise CLIError(f"{path}: {exc}") from None
+
+
 def _load_function(path: str) -> SampledFunction:
-    return SampledFunction.from_obj(_load_json(path))
+    return _load_obj(path, SampledFunction.from_obj)
 
 
 def _load_pair(path: str) -> WeightPair:
-    return WeightPair.from_obj(_load_json(path))
+    return _load_obj(path, WeightPair.from_obj)
 
 
 def _parse_exponents(text: str) -> ExponentTuple:

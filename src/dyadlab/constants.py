@@ -24,7 +24,6 @@ from .operators import (
     ancestor_chain,
     cut_frac_maximal,
     dyadic_frac_maximal,
-    frac_maximal,
     _grids,
 )
 from .orlicz import YoungFunction, luxemburg
@@ -34,6 +33,7 @@ from .sampled import (
     average,
     integrate,
     log_prefix,
+    obj_field,
     parse_rational,
     prefix_sum,
 )
@@ -82,9 +82,11 @@ class WeightPair:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WeightPair":
+        """Inverse of to_obj; a missing or malformed field raises MeshError
+        naming it."""
         return cls(
-            SampledFunction.from_obj(obj["u"]),
-            SampledFunction.from_obj(obj["sigma"]),
+            obj_field(obj, "u", SampledFunction.from_obj),
+            obj_field(obj, "sigma", SampledFunction.from_obj),
             provenance=obj.get("provenance", ""),
         )
 
@@ -289,24 +291,26 @@ def ainfty_exp(
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
 
-def _inner_scans(w: SampledFunction, min_level: Optional[int], max_level: Optional[int]) -> list:
-    """Every scan of the inner maximal of the Fujii-Wilson constants: all
-    shifts over the same levels as the outer cubes."""
-    return [scan for grid in _grids(w, None, min_level, max_level) for scan in iter_scans(w, grid)]
+def _inner_scans(w: SampledFunction, shifts, min_level: Optional[int], max_level: Optional[int]) -> list:
+    """Every scan of the inner maximal of a cut-maximal constant: the given
+    shifts (all of them for None) over the same levels as the outer cubes."""
+    return [scan for grid in _grids(w, shifts, min_level, max_level) for scan in iter_scans(w, grid)]
 
 
-def _fujii_values(scan: LevelScan, w: SampledFunction, gate, inner) -> np.ndarray:
-    """w(Q)^{-1} int_Q M(w chi_Q) on the cubes of a scan that the gate, the
-    (masses, live) of scan.positive_cubes for w, passes, and 0 on the
-    others; M over the inner scans from _inner_scans, from one
-    cut_frac_maximal for the whole scan."""
-    masses, live = gate
-    vals = np.zeros(scan.shape, dtype=float)
-    if live.any():
-        m = cut_frac_maximal(w, scan, inner, 0.0)
-        num = cube_cell_sums(scan, prefix_sum(m)) * float(w.cell_volume)
-        vals[live] = num[live] / masses[live]
-    return vals
+def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray, inner, alpha: float = 0.0,
+                           p: float = 1.0, weight: Optional[SampledFunction] = None) -> np.ndarray:
+    """int_Q M_alpha(w chi_Q)^p weight (weight 1 when None) on the cubes Q
+    of a scan where live is set, in row-major order, with M over the inner
+    scans from _inner_scans: one cut_frac_maximal for the whole scan, none
+    when no cube is live."""
+    if not live.any():
+        return np.zeros(0)
+    m = cut_frac_maximal(w, scan, inner, alpha) ** p
+    if weight is not None:
+        m *= weight.values
+    num = cube_cell_sums(scan, prefix_sum(m))[live] * float(w.cell_volume)
+    # the integrand is nonnegative: clamp prefix-sum roundoff at 0
+    return np.maximum(num, 0.0)
 
 
 def ainfty_m(
@@ -324,11 +328,13 @@ def ainfty_m(
     scan at once.  Cubes that scan.positive_cubes does not pass are
     skipped.
     """
-    inner = _inner_scans(w, min_level, max_level)
+    inner = _inner_scans(w, None, min_level, max_level)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        gate = positive_cubes(scan, inside, w)
-        return _fujii_values(scan, w, gate, inner), ~gate[1]
+        masses, live = positive_cubes(scan, inside, w)
+        vals = np.zeros(scan.shape, dtype=float)
+        vals[live] = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
+        return vals, ~live
 
     return _sup_scan("ainfty_m", w, shifts, min_level, max_level, fn)
 
@@ -407,17 +413,16 @@ def mixed_one_sup(
         rm1 = float(r - 1)
         beta = float(1 / e.pprime)
         gamma = float(1 / e.q)
-        inner = _inner_scans(w, min_level, max_level)
+        inner = _inner_scans(w, None, min_level, max_level)
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            gate = positive_cubes(scan, inside, w)
-            masses, live = gate
-            fujii = _fujii_values(scan, w, gate, inner)
+            masses, live = positive_cubes(scan, inside, w)
+            fujii = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
             vol = scan.cube_volume()
             mv = masses[live] / vol
             ms = cube_integrals(scan, dual_pow)[live] / vol
             vals = np.zeros(scan.shape, dtype=float)
-            vals[live] = (mv * ms ** rm1) ** beta * fujii[live] ** gamma
+            vals[live] = (mv * ms ** rm1) ** beta * fujii ** gamma
             return vals, ~live
 
         return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, fn)
@@ -548,6 +553,14 @@ def sawyer_maximal_testing(
 
     which="forward":  sup_Q ( int_Q M_alpha(u chi_Q)^{p'} sigma )^{1/p'} u(Q)^{-1/q'}
     which="dual":     sup_Q ( int_Q M_alpha(sigma chi_Q)^q u )^{1/q} sigma(Q)^{-1/p}
+
+    The inner M_alpha runs over the inner_shifts grids (every shift for
+    None) and the same levels as the outer cubes.  Both sides are scored
+    level by level: one cut maximal per scan (operators.cut_frac_maximal)
+    gives M_alpha(w chi_Q) on every cube Q of the scan at once, as in
+    ainfty_m.  md_sp_testing, outer_testing_constant and
+    normest.potential_testing_chain still run one operator per cube.
+    Cubes where the inner weight fails scan.positive_cubes are skipped.
     """
     alpha = float(e.alpha)
     if which == "forward":
@@ -561,15 +574,16 @@ def sawyer_maximal_testing(
     else:
         raise ConstantError(f"unknown testing side {which!r}")
 
-    def score(cube: DyadicCube, box: Box, mass: float) -> float:
-        m = frac_maximal(inner.restrict_to(box), alpha, shifts=inner_shifts,
-                         min_level=min_level, max_level=max_level)
-        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
-        num = max(integrate(m.power(p_in) * outer, box), 0.0)
-        return num ** (1.0 / p_in) * mass ** (-p_norm)
+    inner_scans = _inner_scans(inner, inner_shifts, min_level, max_level)
 
-    name = f"sawyer_{which}"
-    return _sup_scan(name, pair.u, shifts, min_level, max_level, _cube_loop(inner, score))
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        masses, live = positive_cubes(scan, inside, inner)
+        num = _cut_maximal_integrals(scan, inner, live, inner_scans, alpha, p_in, outer)
+        vals = np.zeros(scan.shape, dtype=float)
+        vals[live] = num ** (1.0 / p_in) * masses[live] ** (-p_norm)
+        return vals, ~live
+
+    return _sup_scan(f"sawyer_{which}", pair.u, shifts, min_level, max_level, fn)
 
 
 def md_sp_testing(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -329,11 +329,35 @@ class SampledFunction:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SampledFunction":
-        dim = int(obj["dim"])
-        n = int(obj["cells_per_axis"])
-        vals = np.asarray(obj["values"], dtype=np.float64).reshape((n,) * dim)
-        w = obj["window"]
-        return cls(dim, tuple(Fraction(s) for s in w["lower"]), Fraction(w["side"]), vals)
+        """Inverse of to_obj; a missing or malformed field raises MeshError
+        naming it."""
+        dim = obj_field(obj, "dim", _json_int)
+        n = obj_field(obj, "cells_per_axis", _json_int)
+        vals = obj_field(obj, "values", lambda v: np.asarray(v, dtype=np.float64).reshape((n,) * dim))
+        w = obj_field(obj, "window", lambda v: v)
+        lower = obj_field(w, "lower", lambda v: tuple(Fraction(s) for s in v), "window.")
+        return cls(dim, lower, obj_field(w, "side", Fraction, "window."), vals)
+
+
+def _json_int(v) -> int:
+    """A JSON integer; floats and booleans are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def obj_field(obj, key: str, parse: Callable, where: str = ""):
+    """parse(obj[key]) for a JSON object read from outside the program; a
+    missing field, or one that parse rejects, raises MeshError naming
+    where + key."""
+    if not isinstance(obj, dict):
+        raise MeshError(f"expected an object holding '{where}{key}', got {type(obj).__name__}")
+    if key not in obj:
+        raise MeshError(f"missing field '{where}{key}'")
+    try:
+        return parse(obj[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MeshError(f"malformed field '{where}{key}': {exc}") from None
 
 
 # === integration / averages / norms ==========================================

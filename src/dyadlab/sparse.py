@@ -75,7 +75,6 @@ class SparseFamily:
         """Worst realized |E_Q| / |Q| over the family (full measure)."""
         if not self.cubes:
             return 1.0
-        n = self.source.dim
         worst = 1.0
         for sc in self.cubes:
             vol = float(realize(sc.cube).volume())

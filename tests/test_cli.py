@@ -524,3 +524,58 @@ class TestExamplesCommand:
 
     def test_classical_needs_weight(self):
         assert main(["examples", "classical"]) == 2
+
+
+class TestMalformedInputFiles:
+    """An input file that lacks a field, or holds a malformed one, is
+    rejected with exit 2, an error line naming the field, and no output."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        """(function file, pair file, (function field, pair field)) for an
+        empty object and for objects whose values are missing."""
+        f = write_function(tmp_path / "f.json").to_obj()
+        pair = write_pair(tmp_path / "pair.json").to_obj()
+        del f["values"]
+        pair["u"] = dict(pair["u"])
+        del pair["u"]["values"]
+        out = []
+        for name, fobj, pobj, fields in [("empty", {}, {}, ("'dim'", "'u'")),
+                                         ("novalues", f, pair, ("'values'", "'values'"))]:
+            fpath, ppath = tmp_path / f"{name}_f.json", tmp_path / f"{name}_pair.json"
+            fpath.write_text(json.dumps(fobj))
+            ppath.write_text(json.dumps(pobj))
+            out.append((fpath, ppath, fields))
+        return out
+
+    def assert_rejected(self, argv, out: Path, field: str, capsys):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
+        assert not out.exists(), argv
+
+    def test_ops_constants_and_equiv(self, tmp_path, capsys):
+        for fpath, ppath, (ffield, pfield) in self.inputs(tmp_path):
+            out = tmp_path / "out.json"
+            self.assert_rejected(["ops", "frac_maximal", "-i", str(fpath), "-o", str(out)],
+                                 out, ffield, capsys)
+            self.assert_rejected(["constants", "compute", "--which", "all", "--pair", str(ppath),
+                                  "--exponents", "1,1/2,4/3,4", "-o", str(out)], out, pfield, capsys)
+            self.assert_rejected(["norms", "equiv", "--pair", str(ppath),
+                                  "--exponents", "1,1/2,4/3,4", "-o", str(out)], out, pfield, capsys)
+
+    def test_run_with_file_pair(self, tmp_path, capsys):
+        for i, (_, ppath, (_, pfield)) in enumerate(self.inputs(tmp_path)):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"pairs": [{"kind": "file", "params": {"path": str(ppath)}}]}))
+            out = tmp_path / f"run{i}"
+            self.assert_rejected(["run", "--config", str(cfg), "--out", str(out)], out, pfield, capsys)
+
+    def test_fractional_dim_refused(self, tmp_path, capsys):
+        # a non-integer dim or cell count is refused, not truncated
+        obj = write_function(tmp_path / "f.json").to_obj()
+        obj["dim"] = 1.5
+        src = tmp_path / "frac.json"
+        src.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        self.assert_rejected(["ops", "frac_maximal", "-i", str(src), "-o", str(out)], out, "'dim'", capsys)

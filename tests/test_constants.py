@@ -660,3 +660,65 @@ class TestFujiiBatched:
     def test_matches_per_cube_oracle_2d_24(self):
         w = rand_weight(2, (-1, 0), 2, 24, 51)
         assert_matches_oracle(ainfty_m(w), ainfty_m_oracle(w))
+
+
+# === the per-cube Sawyer path, kept as an oracle ============================
+
+
+def sawyer_oracle(pair, e, shifts=None, min_level=None, max_level=None, which="forward", inner_shifts=None):
+    """sawyer_maximal_testing with one full-mesh frac_maximal per cube."""
+    alpha = float(e.alpha)
+    if which == "forward":
+        inner, outer, p_in, p_norm = pair.u, pair.sigma, float(e.pprime), float(1 / e.qprime)
+    else:
+        inner, outer, p_in, p_norm = pair.sigma, pair.u, float(e.q), float(1 / e.p)
+
+    def score(cube, box, mass):
+        m = frac_maximal(inner.restrict_to(box), alpha, shifts=inner_shifts,
+                         min_level=min_level, max_level=max_level)
+        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
+        num = max(integrate(m.power(p_in) * outer, box), 0.0)
+        return num ** (1.0 / p_in) * mass ** (-p_norm)
+
+    return _sup_scan(f"sawyer_{which}", pair.u, shifts, min_level, max_level, _cube_loop(inner, score))
+
+
+class TestSawyerBatched:
+    """sawyer_maximal_testing scores both sides from one cut maximal per
+    scan; the per-cube path above is the oracle."""
+
+    @pytest.mark.parametrize("which", ["forward", "dual"])
+    @pytest.mark.parametrize("mesh", FUJII_MESHES)
+    @given(
+        levels=st.sampled_from(FUJII_LEVELS),
+        grids=st.sampled_from(["all", "zero", "zero_inner"]),
+        zero_block=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_per_cube_oracle(self, mesh, which, levels, grids, zero_block, seed):
+        dim, lower, ncells = mesh
+        zero = [(0,) * dim]
+        kw = dict(levels, which=which, shifts=None if grids == "all" else zero,
+                  inner_shifts=zero if grids == "zero_inner" else None)
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.2, 3.0, (ncells,) * dim)
+        sigma = rng.uniform(0.2, 3.0, (ncells,) * dim)
+        if zero_block:
+            u[(slice(ncells // 4, ncells // 2),) * dim] = 0.0
+            sigma[(slice(ncells // 2, 3 * ncells // 4),) * dim] = 0.0
+        pair = WeightPair(SampledFunction(dim, lower, 2, u), SampledFunction(dim, lower, 2, sigma))
+        e = E_SOB if dim == 1 else E_SOB2
+        assert_matches_oracle(sawyer_maximal_testing(pair, e, **kw), sawyer_oracle(pair, e, **kw))
+
+    @pytest.mark.parametrize("which", ["forward", "dual"])
+    def test_matches_per_cube_oracle_2d_24(self, which):
+        # each weight vanishes on a block where the other has mass, so the
+        # outer integral over some live cubes is 2-D prefix-sum roundoff
+        u = rand_weight(2, (-1, 0), 2, 24, 52).values.copy()
+        sigma = rand_weight(2, (-1, 0), 2, 24, 53).values.copy()
+        u[6:12, 6:12] = 0.0
+        sigma[12:18, 12:18] = 0.0
+        pair = WeightPair(SampledFunction(2, (-1, 0), 2, u), SampledFunction(2, (-1, 0), 2, sigma))
+        assert_matches_oracle(sawyer_maximal_testing(pair, E_SOB2, which=which),
+                              sawyer_oracle(pair, E_SOB2, which=which))
