@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -291,10 +291,17 @@ def ainfty_exp(
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
 
+class _InnerScan(NamedTuple):
+    level: int
+    edges: Tuple[np.ndarray, ...]
+
+
 def _inner_scans(w: SampledFunction, shifts, min_level: Optional[int], max_level: Optional[int]) -> list:
     """Every scan of the inner maximal of a cut-maximal constant: the given
-    shifts (all of them for None) over the same levels as the outer cubes."""
-    return [scan for grid in _grids(w, shifts, min_level, max_level) for scan in iter_scans(w, grid)]
+    shifts (all of them for None) over the same levels as the outer cubes,
+    each as its level and edges, built once for every outer scan to read."""
+    return [_InnerScan(scan.level, scan.edges)
+            for grid in _grids(w, shifts, min_level, max_level) for scan in iter_scans(w, grid)]
 
 
 def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray, inner, alpha: float = 0.0,

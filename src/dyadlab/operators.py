@@ -101,7 +101,7 @@ def frac_maximal(
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
     """M_alpha(f chi_Q)(x) at every cell x, where Q is the cube of the
     outer scan whose window part holds x, maximised over the inner scans
-    (every level of the inner grids, as from iter_scans).
+    (every level of the inner grids; only their level and edges are read).
 
     On Q's cells this is frac_maximal(f.restrict_to(Q), alpha) over the
     inner grids, for every cube Q of the outer scan at once.  An inner
@@ -115,10 +115,11 @@ def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np
     out = np.zeros_like(f.values)
     pre = f.prefix
     cellvol = float(f.cell_volume)
+    outer_edges = outer.edges
     for scan in inner:
-        edges = tuple(merge_edges(Q, R) for Q, R in zip(outer.edges, scan.edges))
+        edges = tuple(merge_edges(Q, R) for Q, R in zip(outer_edges, scan.edges))
         vals = block_sums(pre, edges) * (2.0 ** (scan.level * (n - a)) * cellvol)
-        np.maximum(out, spread(vals, edges), out=out)
+        np.maximum(out, spread(vals, [E[1:] - E[:-1] for E in edges]), out=out)
     return out
 
 

@@ -78,15 +78,21 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
     return p
 
 
+def block_differences(S: np.ndarray) -> np.ndarray:
+    """Raw block sums from a prefix table read at the block edges: S[i]
+    (S[i, j] in 2-D) is the prefix sum at the i-th edge (of each axis)."""
+    if S.ndim == 1:
+        return S[1:] - S[:-1]
+    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+
+
 def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
     """Raw sums of cell values over the blocks between consecutive cell
     edges, per axis; `prefix` is a table from prefix_sum."""
     if len(edges) == 1:
-        E = edges[0]
-        return prefix[E[1:]] - prefix[E[:-1]]
+        return block_differences(prefix[edges[0]])
     E0, E1 = edges
-    S = prefix[E0[:, None], E1]
-    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+    return block_differences(prefix[E0[:, None], E1])
 
 
 def log_prefix(w: SampledFunction) -> np.ndarray:
@@ -121,7 +127,7 @@ class SampledFunction:
         n = arr.shape[0]
         if any(s != n for s in arr.shape):
             raise MeshError("values must be square across axes")
-        if n % 3 != 0 or (n // 3) & ((n // 3) - 1):
+        if n == 0 or n % 3 != 0 or (n // 3) & ((n // 3) - 1):
             raise MeshError(f"cells per axis must be 3*2^L, got {n}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise MeshError("values must be finite and nonnegative")

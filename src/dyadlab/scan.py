@@ -4,24 +4,23 @@ For a sampled function with N = 3*2^L cells per axis on a window of side 2^s,
 every cube of level k <= L - s in any of the shifted grids has its boundary
 on cell edges.  Along one axis those edges form an arithmetic progression:
 cube m_lo + j spans raw cells [raw0 + j*step, raw0 + (j+1)*step) with
-step = 3*2^(L-s-k), and the window clips the first and last cube.  A
-LevelScan holds these clipped edges for one (grid, level).  The integers
-that fix them are memoised per mesh geometry, so repeated scans skip the
-rational index arithmetic; the edge arrays are rebuilt on every call and
-handed out read-only.
+step = 3*2^(L-s-k), and the window clips the first and last cube to 0 and
+N.  A LevelScan is one (grid, level) as integers only: per axis this plan
+(m_lo, count, raw0, step) and the start of its cubes among the parent
+positions repeated twice.  A grid's scans are memoised per mesh geometry,
+coarse to fine, with the alignment checked once; the memo holds no array.
+Edge and owner arrays are built on demand and handed out read-only.
 
-Cube sums reduce to prefix-sum differences at the edges (block_sums), and so
-do the sums over the intersections of the cubes of two scans, whose edges
-merge_edges() unites per axis.  walk() is the one pass over a grid's cube
-tree: coarse to fine, it yields each level's scan with the per-axis maps
-from its cubes to their parents (None at the coarsest level).  Top-down
-recursions such as sweep() and the stopping-time construction read the
-parent values through at_parents(); bottom-up sums walk the same pairs in
-reverse.  inside_scans() fixes the order in which per-cube constants and
-test families visit the cubes inside the window across several grids.  A
-per-cube array reaches the cells by repeating each cube's value over its
-width, and sweep() spreads only the finest level.  All index arithmetic is
-exact int64.
+Cube sums are prefix-sum differences read through strided slices, and a
+per-cube array reaches the cells by repeating each value over its cube's
+clipped width.  walk() yields a grid's scans coarse to fine with their
+parent start offsets (None at the coarsest level); sweep() and the
+stopping-time construction read parent values through at_parents() (repeat
+twice per axis, slice at the offset), bottom-up sums walk the same pairs in
+reverse.  Sums over the intersections of the cubes of two scans come from
+their edge arrays, united per axis by merge_edges().  inside_scans() fixes
+the order in which per-cube constants and test families visit the cubes
+inside the window across several grids.  All index arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, GridError, GridFamily, pow2
-from .sampled import MeshError, SampledFunction, _log2_exact, block_sums
+from .sampled import MeshError, SampledFunction, _log2_exact, block_differences
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -41,50 +40,66 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _widths(plan, n_cells: int) -> np.ndarray:
+    """Cells per cube along one axis, the two end cubes clipped to [0, N]."""
+    _, count, raw0, step = plan
+    w = np.full(count, step, dtype=np.int64)
+    w[0] += raw0
+    w[-1] -= raw0 + count * step - n_cells
+    return w
+
+
 @dataclass(frozen=True)
 class LevelScan:
-    """Cell-index geometry of one grid level over a sampled mesh."""
+    """Cell-index geometry of one grid level over a sampled mesh, as the
+    per-axis plans and parent start offsets of the module docstring."""
 
     grid: GridFamily
     level: int
-    m_lo: Tuple[int, ...]
-    shape: Tuple[int, ...]
-    edges: Tuple[np.ndarray, ...]    # per axis, len count+1, clipped to [0, N]
-    raw_edges: Tuple[np.ndarray, ...]  # unclipped, for inside-window tests
+    ncells: int
+    plans: Tuple[Tuple[int, int, int, int], ...]
+    parent_start: Optional[Tuple[int, ...]]
 
     @property
     def dim(self) -> int:
         return self.grid.dim
 
     @property
+    def m_lo(self) -> Tuple[int, ...]:
+        return tuple(p[0] for p in self.plans)
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(p[1] for p in self.plans)
+
+    @property
+    def raw_edges(self) -> Tuple[np.ndarray, ...]:
+        """Per axis, the unclipped cell edges (len count+1)."""
+        return tuple(_frozen(raw0 + step * np.arange(count + 1, dtype=np.int64))
+                     for _, count, raw0, step in self.plans)
+
+    @property
+    def edges(self) -> Tuple[np.ndarray, ...]:
+        """Per axis, the cell edges clipped to [0, N]; the plan checks put
+        every inner edge in (0, N), so only the two outer ones move."""
+        return tuple(_frozen(np.clip(raw, 0, self.ncells)) for raw in self.raw_edges)
+
+    @property
     def owners(self) -> Tuple[np.ndarray, ...]:
         """Per axis, the 0-based position of the cube owning each cell."""
-        return tuple(_frozen(np.repeat(np.arange(len(E) - 1), np.diff(E))) for E in self.edges)
+        return tuple(_frozen(np.repeat(np.arange(p[1]), _widths(p, self.ncells))) for p in self.plans)
 
     def cube_at(self, pos: Tuple[int, ...]) -> DyadicCube:
-        idx = tuple(self.m_lo[ax] + int(pos[ax]) for ax in range(self.dim))
+        idx = tuple(plan[0] + int(j) for plan, j in zip(self.plans, pos))
         return DyadicCube(self.dim, self.level, idx, self.grid.shift)
 
     def cube_volume(self) -> float:
         return float(pow2(-self.level) ** self.dim)
 
 
-def check_alignment(f: SampledFunction, grid: GridFamily):
-    if grid.dim != f.dim:
-        raise MeshError("grid dimension does not match the sampled function")
-    if (grid.window.lower, grid.window.side) != (f.lower, f.side):  # f.window builds a Box
-        raise MeshError("grid window does not match the sampled function window")
-    limit = f.max_aligned_level
-    if grid.max_level > limit:
-        raise MeshError(f"grid max_level {grid.max_level} exceeds the mesh alignment limit {limit}")
-
-
-@lru_cache(maxsize=1 << 14)
-def _axis_plans(grid: GridFamily, level: int, lower, side: Fraction, n_cells: int):
+def _axis_plans(grid: GridFamily, level: int, lower, L: int, s: int, n_cells: int) -> tuple:
     """Per axis (m_lo, count, raw0, step): cube m_lo + j has unclipped cell
-    edges raw0 + j*step and raw0 + (j+1)*step.  Holds integers only."""
-    L = _log2_exact(Fraction(n_cells, 3))
-    s = _log2_exact(side)
+    edges raw0 + j*step and raw0 + (j+1)*step."""
     shift_in_levels = L - s - level
     if not (0 <= shift_in_levels <= 40):
         raise MeshError("level too far from mesh resolution for int64 scans")
@@ -110,31 +125,58 @@ def _axis_plans(grid: GridFamily, level: int, lower, side: Fraction, n_cells: in
     return tuple(plans)
 
 
+def _parent_start(level: int, shift, plans, parent_plans) -> Tuple[int, ...]:
+    """Per axis, the start such that child j has its parent at position
+    (start + j) // 2, as the parent of cube m is floor((m + e*tau)/2)."""
+    e = 1 if level % 2 == 0 else -1
+    out = []
+    for tau, (m_lo, count, _, _), (p_lo, p_count, _, _) in zip(shift, plans, parent_plans):
+        start = m_lo + e * tau - 2 * p_lo
+        if start < 0 or start + count > 2 * p_count:
+            raise GridError("parent cube not enumerated at coarser level")
+        out.append(start)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 10)
+def _scans(grid: GridFamily, lower, side: Fraction, n_cells: int) -> Tuple[LevelScan, ...]:
+    """The scans of every level of a grid on a mesh, coarse to fine."""
+    if grid.dim != len(lower):
+        raise MeshError("grid dimension does not match the sampled function")
+    if (grid.window.lower, grid.window.side) != (lower, side):
+        raise MeshError("grid window does not match the sampled function window")
+    L, s = _log2_exact(Fraction(n_cells, 3)), _log2_exact(side)
+    if grid.max_level > L - s:
+        raise MeshError(f"grid max_level {grid.max_level} exceeds the mesh alignment limit {L - s}")
+    scans = []
+    for level in grid.levels:
+        plans = _axis_plans(grid, level, lower, L, s, n_cells)
+        start = _parent_start(level, grid.shift, plans, scans[-1].plans) if scans else None
+        scans.append(LevelScan(grid, level, n_cells, plans, start))
+    return tuple(scans)
+
+
+def iter_scans(f: SampledFunction, grid: GridFamily):
+    yield from _scans(grid, f.lower, f.side, f.ncells)
+
+
 def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
-    check_alignment(f, grid)
+    scans = _scans(grid, f.lower, f.side, f.ncells)
     if level not in grid.levels:
         raise GridError(f"level {level} outside grid range")
-    plans = _axis_plans(grid, level, f.lower, f.side, f.ncells)
-    edges, raw_edges = [], []
-    for _, count, raw0, step in plans:
-        raw = raw0 + step * np.arange(count + 1, dtype=np.int64)
-        # the plan puts every inner edge in (0, N): clipping to [0, N]
-        # moves only the two outer ones
-        clipped = raw.copy()
-        clipped[0], clipped[-1] = 0, f.ncells
-        edges.append(_frozen(clipped))
-        raw_edges.append(_frozen(raw))
-    return LevelScan(grid, level, m_lo=tuple(p[0] for p in plans), shape=tuple(p[1] for p in plans),
-                     edges=tuple(edges), raw_edges=tuple(raw_edges))
+    return scans[level - grid.min_level]
 
 
 def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:
-    """Raw sums of cell values over each cube's window part.
-
-    `prefix` is a table from prefix_sum (or SampledFunction.prefix).  The
-    result has scan.shape; multiply by the cell volume for integrals.
-    """
-    return block_sums(prefix, scan.edges)
+    """Raw sums of cell values over each cube's window part, from a table
+    of prefix_sum (or SampledFunction.prefix) read at the inner edges by a
+    strided slice and at the clipped end edges 0 and N apart.  The result
+    has scan.shape; multiply by the cell volume for integrals."""
+    n, table = scan.ncells, prefix
+    for ax, (_, count, raw0, step) in enumerate(scan.plans):
+        pieces = (slice(0, 1), slice(raw0 + step, raw0 + count * step, step), slice(n, n + 1))
+        table = np.concatenate([table[(slice(None),) * ax + (sl,)] for sl in pieces], axis=ax)
+    return block_differences(table)
 
 
 def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
@@ -158,24 +200,24 @@ def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
 
 def inside_window_mask(scan: LevelScan) -> np.ndarray:
     """Boolean array over cubes: True when the cube lies fully inside the
-    window (no zero-extension region intersects it)."""
-    n_cells = scan.edges[0][-1]
-    per_axis = [(raw[:-1] >= 0) & (raw[1:] <= n_cells) for raw in scan.raw_edges]
+    window (no zero-extension region intersects it), that is, when the
+    window does not clip its width."""
+    per_axis = [_widths(plan, scan.ncells) == plan[3] for plan in scan.plans]
     return per_axis[0] if scan.dim == 1 else np.logical_and.outer(*per_axis)
 
 
-def spread(per_block: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
+def spread(per_block: np.ndarray, widths) -> np.ndarray:
     """Spread a per-block array onto the cell mesh: along each axis, every
-    block's value is repeated over the cells between its two edges."""
+    block's value is repeated over its width in cells."""
     out = per_block
-    for ax, E in enumerate(edges):
-        out = np.repeat(out, E[1:] - E[:-1], axis=ax)
+    for ax, w in enumerate(widths):
+        out = np.repeat(out, w, axis=ax)
     return out
 
 
 def map_to_cells(scan: LevelScan, per_cube: np.ndarray) -> np.ndarray:
     """Spread a per-cube array over the cells of each cube's window part."""
-    return spread(per_cube, scan.edges)
+    return spread(per_cube, [_widths(plan, scan.ncells) for plan in scan.plans])
 
 
 def merge_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,36 +237,25 @@ def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarra
     parent cube at scan.level - 1."""
     if parent_scan.grid.shift != scan.grid.shift or parent_scan.level != scan.level - 1:
         raise GridError("parent scan must be one level coarser, same grid")
-    e = 1 if scan.level % 2 == 0 else -1
-    out = []
-    for ax in range(scan.dim):
-        tau = scan.grid.shift[ax]
-        m = scan.m_lo[ax] + np.arange(scan.shape[ax], dtype=np.int64)
-        parent_idx = np.floor_divide(m + e * tau, 2)
-        pos = parent_idx - parent_scan.m_lo[ax]
-        # pos never decreases, so its ends bound it
-        if pos[0] < 0 or pos[-1] >= parent_scan.shape[ax]:
-            raise GridError("parent cube not enumerated at coarser level")
-        out.append(pos)
-    return tuple(out)
+    starts = _parent_start(scan.level, scan.grid.shift, scan.plans, parent_scan.plans)
+    return tuple((start + np.arange(count, dtype=np.int64)) // 2 for start, count in zip(starts, scan.shape))
 
 
-def at_parents(arr, pmaps: Optional[Tuple[np.ndarray, ...]], shape: Tuple[int, ...]) -> np.ndarray:
+def at_parents(arr, starts: Optional[Tuple[int, ...]], shape: Tuple[int, ...]) -> np.ndarray:
     """Values of a coarser-level per-cube array at each cube's parent, with
-    pmaps from walk(); above the coarsest level (pmaps None) arr is a scalar
-    that fills the given shape."""
-    if pmaps is None:
+    the parent start offsets from walk(); above the coarsest level (starts
+    None) arr is a scalar that fills the given shape."""
+    if starts is None:
         return np.full(shape, arr)
-    return arr[pmaps[0]] if len(pmaps) == 1 else arr[np.ix_(*pmaps)]
+    for ax, (start, count) in enumerate(zip(starts, shape)):
+        arr = np.repeat(arr, 2, axis=ax)[(slice(None),) * ax + (slice(start, start + count),)]
+    return arr
 
 
 def walk(f: SampledFunction, grid: GridFamily):
-    """Yield (scan, parent maps) per level, coarse to fine; the maps are
-    None at the coarsest level."""
-    prev = None
+    """Yield (scan, parent start offsets, None at the top) coarse to fine."""
     for scan in iter_scans(f, grid):
-        yield scan, None if prev is None else parent_positions(scan, prev)
-        prev = scan
+        yield scan, scan.parent_start
 
 
 def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelScan], np.ndarray],
@@ -238,19 +269,16 @@ def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelSca
     zero array in level order gives.
     """
     acc = 0.0
-    for scan, pmaps in walk(f, grid):
-        acc = combine(at_parents(acc, pmaps, scan.shape), level_values(scan))
+    for scan, starts in walk(f, grid):
+        acc = combine(at_parents(acc, starts, scan.shape), level_values(scan))
     return map_to_cells(scan, acc)
 
 
 def cell_block(scan: LevelScan, values: np.ndarray, pos: Tuple[int, ...]) -> np.ndarray:
     """View of the cell values covered by one cube's window part."""
-    return values[tuple(slice(int(E[i]), int(E[i + 1])) for E, i in zip(scan.edges, pos))]
-
-
-def iter_scans(f: SampledFunction, grid: GridFamily):
-    for level in grid.levels:
-        yield level_scan(f, grid, level)
+    # a slice stops at the end of its axis by itself: only the start is clipped
+    return values[tuple(slice(max(raw0 + int(j) * step, 0), raw0 + (int(j) + 1) * step)
+                        for (_, _, raw0, step), j in zip(scan.plans, pos))]
 
 
 def inside_scans(f: SampledFunction, grids):

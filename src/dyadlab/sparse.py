@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridFamily, cube_to_obj, realize
+from .grid import DyadicCube, GridFamily, cube_to_obj
 from .sampled import SampledFunction, integrate
 from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, sweep, walk
 from .operators import default_levels
@@ -73,13 +73,8 @@ class SparseFamily:
 
     def thickness(self) -> float:
         """Worst realized |E_Q| / |Q| over the family (full measure)."""
-        if not self.cubes:
-            return 1.0
-        worst = 1.0
-        for sc in self.cubes:
-            vol = float(realize(sc.cube).volume())
-            worst = min(worst, sc.e_volume_full / vol)
-        return worst
+        n = self.source.dim
+        return min([1.0] + [sc.e_volume_full / 2.0 ** (-sc.cube.level * n) for sc in self.cubes])
 
     def to_obj(self) -> dict:
         runs = []
@@ -137,11 +132,11 @@ def build_sparse(
     # above the coarsest level nothing has stopped, so roots are u > 0
     deep_u, deep_id = 0.0, np.int64(-1)
     next_id = 0
-    for scan, pmaps in walk(f, grid):
+    for scan, starts in walk(f, grid):
         k = scan.level
         u = cube_cell_sums(scan, pre) * (2.0 ** (k * (n - a)) * cellvol)
-        inherited_u = at_parents(deep_u, pmaps, u.shape)
-        inherited_id = at_parents(deep_id, pmaps, u.shape)
+        inherited_u = at_parents(deep_u, starts, u.shape)
+        inherited_id = at_parents(deep_id, starts, u.shape)
         is_stop = u > r * inherited_u
         ids_here = np.full(u.shape, -1, dtype=np.int64)
         count = int(np.count_nonzero(is_stop))
@@ -165,7 +160,7 @@ def build_sparse(
 
     # E measures: full-volume by direct-children subtraction, cell counts by
     # ownership
-    vol_of = [float(realize(c).volume()) for c in cubes]
+    vol_of = [2.0 ** (-c.level * n) for c in cubes]
     e_full = list(vol_of)
     for cid, pid in enumerate(parents):
         if pid >= 0:
@@ -208,7 +203,7 @@ def sparse_operator(
     if form == "disjoint":
         u_by_id = np.zeros(len(family.cubes) + 1)
         for sc_id, sc in enumerate(family.cubes):
-            u_by_id[sc_id] = float(realize(sc.cube).volume()) ** (a / n - 1.0) * integrate(g, sc.cube)
+            u_by_id[sc_id] = (2.0 ** (-sc.cube.level * n)) ** (a / n - 1.0) * integrate(g, sc.cube)
         out = np.where(family.owner >= 0, u_by_id[family.owner], 0.0)
         return SampledFunction(f.dim, f.lower, f.side, out, meta={"operator": "sparse_disjoint"})
     if form != "chi":
@@ -259,9 +254,10 @@ def subtree_sums(seq: CarlesonSequence) -> Dict[int, np.ndarray]:
     """For every cube, the sum of coefficients over its descendants within
     the level range (itself included), via a bottom-up sweep."""
     totals = {level: arr.copy() for level, arr in seq.values.items()}
-    for scan, pmaps in reversed(list(walk(seq.mesh, seq.grid))):
-        if pmaps is not None:
-            np.add.at(totals[scan.level - 1], np.ix_(*pmaps), totals[scan.level])
+    for scan, starts in reversed(list(walk(seq.mesh, seq.grid))):
+        if starts is not None:
+            pos = ((start + np.arange(count)) // 2 for start, count in zip(starts, scan.shape))
+            np.add.at(totals[scan.level - 1], np.ix_(*pos), totals[scan.level])
     return totals
 
 

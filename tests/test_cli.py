@@ -571,6 +571,20 @@ class TestMalformedInputFiles:
             out = tmp_path / f"run{i}"
             self.assert_rejected(["run", "--config", str(cfg), "--out", str(out)], out, pfield, capsys)
 
+    def test_zero_cell_mesh_refused(self, tmp_path, capsys):
+        # a mesh of no cells is refused when read, before any operator runs
+        f = write_function(tmp_path / "f.json").to_obj()
+        f.update(cells_per_axis=0, values=[])
+        pair = write_pair(tmp_path / "pair.json").to_obj()
+        pair["u"] = dict(f)
+        fpath, ppath = tmp_path / "empty.json", tmp_path / "empty_pair.json"
+        fpath.write_text(json.dumps(f))
+        ppath.write_text(json.dumps(pair))
+        out = tmp_path / "out.json"
+        self.assert_rejected(["ops", "frac_maximal", "-i", str(fpath), "-o", str(out)], out, "got 0", capsys)
+        self.assert_rejected(["constants", "compute", "--which", "all", "--pair", str(ppath),
+                              "--exponents", "1,1/2,4/3,4", "-o", str(out)], out, "got 0", capsys)
+
     def test_fractional_dim_refused(self, tmp_path, capsys):
         # a non-integer dim or cell count is refused, not truncated
         obj = write_function(tmp_path / "f.json").to_obj()

@@ -47,6 +47,11 @@ class TestValidation:
             SampledFunction(1, (0,), 1, np.ones(9))
         SampledFunction(1, (0,), 1, np.ones(12))  # 3*2^2 is fine
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 0)])
+    def test_zero_cells_rejected(self, shape):
+        with pytest.raises(MeshError, match=r"cells per axis must be 3\*2\^L, got 0"):
+            SampledFunction(len(shape), (0,) * len(shape), 1, np.zeros(shape))
+
     def test_noninteger_corner(self):
         with pytest.raises(MeshError):
             SampledFunction(1, (Fraction(1, 2),), 1, np.ones(3))

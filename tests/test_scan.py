@@ -1,14 +1,21 @@
 """Scan-core tests against the exact rational grid oracles."""
+import gc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import operators as op
 from dyadlab.grid import DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab.orlicz import power
 from dyadlab.sampled import MeshError, SampledFunction, prefix_sum
+from dyadlab import scan as scan_module
 from dyadlab.scan import (
+    at_parents,
+    cell_block,
     cube_cell_sums,
     cube_integrals,
     inside_window_mask,
@@ -17,6 +24,7 @@ from dyadlab.scan import (
     map_to_cells,
     parent_positions,
     sweep,
+    walk,
 )
 from dyadlab.sparse import build_sparse, sparse_operator
 
@@ -407,3 +415,86 @@ def test_sparse_operator_bit_identical_with_level_gaps(lower, side, ncells):
             vals[sel] = u[sel]
             expect = expect + by_owners(scan, vals)
         assert np.array_equal(sparse_operator(fam, src).values, expect)
+
+
+# === every scan primitive against an exact rational oracle ====================
+
+@st.composite
+def scan_meshes(draw):
+    """(mesh of small integer values, level range): 1-D and 2-D, negative
+    corners, sides 1/2/4 and any level range the mesh aligns with."""
+    dim = draw(st.sampled_from([1, 2]))
+    lower = tuple(draw(st.integers(-5, 2)) for _ in range(dim))
+    side = draw(st.sampled_from([1, 2, 4]))
+    ncells = 3 * 2 ** draw(st.integers(side.bit_length() - 1, 4 if dim == 1 else 3))
+    vals = np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, 10, (ncells,) * dim)
+    f = SampledFunction(dim, lower, side, vals.astype(float))
+    lo = draw(st.integers(-side.bit_length() - 3, f.max_aligned_level))
+    return f, lo, draw(st.integers(lo, f.max_aligned_level))
+
+
+@given(mesh=scan_meshes())
+@settings(max_examples=40, deadline=None)
+def test_scan_primitives_match_exact_oracle(mesh):
+    # integer cell values keep every prefix-sum difference exact, so each
+    # primitive must equal its oracle bit for bit on every cube
+    f, lo, hi = mesh
+    rng = np.random.default_rng(0)
+    ids = np.arange(f.values.size).reshape(f.values.shape)
+    for shift in all_shifts(f.dim):
+        grid = GridFamily(f.dim, shift, lo, hi, f.window)
+        prev = None
+        for scan, starts in walk(f, grid):
+            cubes = {pos: scan.cube_at(pos) for pos in np.ndindex(scan.shape)}
+            slices = {pos: f.cell_slices(realize(cube)) for pos, cube in cubes.items()}
+            sums = np.zeros(scan.shape)
+            inside = np.zeros(scan.shape, dtype=bool)
+            per_cube = rng.integers(-9, 9, scan.shape)
+            cells = np.full(f.values.shape, 99)
+            for pos, sl in slices.items():
+                sums[pos] = sum(f.values[sl].ravel().tolist())
+                inside[pos] = f.window.contains_box(realize(cubes[pos]))
+                assert np.array_equal(cell_block(scan, ids, pos), ids[sl])
+                cells[sl] = per_cube[pos]
+            assert np.array_equal(cube_cell_sums(scan, f.prefix), sums)
+            assert np.array_equal(inside_window_mask(scan), inside)
+            assert np.array_equal(map_to_cells(scan, per_cube), cells)
+            if prev is None:
+                assert starts is None
+            else:
+                # parent positions as ids of the coarser level
+                pid = np.arange(np.prod(prev.shape)).reshape(prev.shape)
+                want = np.zeros(scan.shape, dtype=pid.dtype)
+                for pos, cube in cubes.items():
+                    ppos = tuple(m - m0 for m, m0 in zip(parent(cube).index, prev.m_lo))
+                    want[pos] = pid[ppos]
+                assert np.array_equal(at_parents(pid, starts, scan.shape), want)
+            prev = scan
+
+
+def _reachable(*roots):
+    """Every object reachable from the roots through references, types,
+    modules and functions aside."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_walk_memo_reused_and_holds_integers_only():
+    f = make_f(2, (-1, 0), 2, 24)
+    op.frac_maximal(f, 0.5)
+    before = scan_module._scans.cache_info()
+    op.frac_maximal(f, 0.5)
+    after = scan_module._scans.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    for grid in op._grids(f, None, None, None):
+        key = (grid, f.lower, f.side, f.ncells)
+        entry = scan_module._scans(*key)
+        assert len(entry) == len(grid.levels)
+        assert not any(isinstance(obj, np.ndarray) for obj in _reachable(entry, *key))

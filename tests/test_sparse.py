@@ -149,6 +149,31 @@ class TestSparsity:
         fam = build_sparse(f, 1.0, min_level=0)
         assert fam.thickness() >= fam.guaranteed_thickness - 1e-12
 
+    @pytest.mark.parametrize("dim,lower,side,ncells,alpha,spike", [
+        (1, (-1,), 2, 48, 0.25, ((17,), 1e4)),
+        (2, (-1, 0), 2, 24, 0.5, ((5, 9), 1e6)),
+    ])
+    def test_level_volumes_equal_realized_volumes(self, dim, lower, side, ncells, alpha, spike):
+        # |Q| = 2^(-level*n) has the bits of the exact rational volume, in
+        # the E measures, the thickness and the disjoint form alike
+        f = rand_f(dim, lower, side, ncells, seed=9, spikes=[spike])
+        g = rand_f(dim, lower, side, ncells, seed=10)
+        fam = build_sparse(f, alpha, min_level=-1)
+        assert len({sc.cube.level for sc in fam.cubes}) > 1
+        vols = [float(realize(sc.cube).volume()) for sc in fam.cubes]
+        assert [2.0 ** (-sc.cube.level * dim) for sc in fam.cubes] == vols
+        e_full = list(vols)
+        for i, sc in enumerate(fam.cubes):
+            if sc.parent >= 0:
+                e_full[sc.parent] -= vols[i]
+        assert [sc.e_volume_full for sc in fam.cubes] == e_full
+        assert fam.thickness() == min([1.0] + [e / v for e, v in zip(e_full, vols)])
+        u_by_id = np.zeros(len(fam.cubes) + 1)
+        for i, (sc, v) in enumerate(zip(fam.cubes, vols)):
+            u_by_id[i] = v ** (alpha / dim - 1.0) * integrate(g, sc.cube)
+        expect = np.where(fam.owner >= 0, u_by_id[fam.owner], 0.0)
+        assert np.array_equal(sparse_operator(fam, g, form="disjoint").values, expect)
+
     def test_e_cells_partition_owned_region(self):
         f = rand_f(1, (0,), 1, 24, seed=8, spikes=[((11,), 90.0)])
         fam = build_sparse(f, 0.5, min_level=0)
