@@ -19,13 +19,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .grid import Box, DyadicCube, cube_to_obj, realize
-from .operators import (
-    ancestor_chain,
-    cut_frac_maximal,
-    dyadic_frac_maximal,
-    _grids,
-)
+from .grid import DyadicCube, cube_to_obj, realize
+from .operators import ancestor_chain, cut_frac_maximal, _grids
 from .orlicz import YoungFunction, luxemburg
 from .sampled import (
     ExponentTuple,
@@ -37,7 +32,8 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import LevelScan, cell_block, cube_cell_sums, cube_integrals, inside_scans, iter_scans, positive_cubes
+from .scan import (LevelScan, at_parents, cell_block, cube_cell_sums, cube_integrals, inside_scans, iter_scans,
+                   positive_cubes, walk)
 
 
 class ConstantError(ValueError):
@@ -175,23 +171,9 @@ def _sup_scan(
     )
 
 
-def _cube_loop(dens: SampledFunction, score: Callable[[DyadicCube, Box, float], float]):
-    """Adapt a scalar per-cube functional to _sup_scan form.
-
-    ``score(cube, box, mass)`` runs on the inside cubes that pass
-    scan.positive_cubes, with mass = dens(Q); the other cubes are skipped.
-    """
-
-    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        masses, live = positive_cubes(scan, inside, dens)
-        vals = np.zeros(scan.shape, dtype=float)
-        for idx in np.argwhere(live):
-            pos = tuple(idx)
-            cube = scan.cube_at(pos)
-            vals[pos] = score(cube, realize(cube), float(masses[pos]))
-        return vals, ~live
-
-    return fn
+def _require_dim(pair: WeightPair, e: ExponentTuple, error=ConstantError) -> None:
+    if pair.u.dim != e.n:
+        raise error("exponent dimension does not match the weights")
 
 
 # === the two-weight fractional constant =====================================
@@ -214,6 +196,7 @@ def apq_alpha(pair: WeightPair, e: ExponentTuple, cube: DyadicCube) -> float:
     """
     if cube.dim != pair.u.dim:
         raise ConstantError("cube dimension does not match the weights")
+    _require_dim(pair, e)
     au, asig, ex = _apq_exponents(e)
     box = realize(cube)
     mu = average(pair.u, box)
@@ -243,6 +226,7 @@ def apq_alpha_constant(
 ) -> ConstantReport:
     """sup_Q apq_alpha(pair, e, Q); cubes where u or sigma fails
     scan.positive_cubes are skipped."""
+    _require_dim(pair, e)
     exps = _apq_exponents(e)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -395,6 +379,7 @@ def mixed_one_sup(
     ainfty_m.  Cubes where a weight fails scan.positive_cubes are skipped
     (sigma for "ap_m", u or sigma for "apq_exp").
     """
+    _require_dim(pair, e)
     if flavor == "apq_exp":
         exps = _apq_exponents(e)
         lpre = log_prefix(pair.sigma)
@@ -460,6 +445,7 @@ def apq_bump(
     constant exactly (the Luxemburg average of sigma^{1/p'} is then the
     p'-mean, i.e. (avg_Q sigma)^{1/p'}).
     """
+    _require_dim(pair, e)
     au, asig, ex = _apq_exponents(e)
     if side not in ("second", "both"):
         raise ConstantError(f"unknown bump side {side!r}")
@@ -518,33 +504,51 @@ def outer_testing_constant(
         sup_{Q0} ( int I^{Q0}(sigma chi_{Q0})^q u dx )^{1/q} sigma(Q0)^{-1/p}.
 
     The potential is constant on the shells between consecutive ancestors
-    of Q0, so the integral collapses to an exact finite sum over the
-    ancestor chain; the tail beyond the window carries no u mass.
+    A_0 = Q0, A_1, ... of Q0, so the integral is (coeff sigma(Q0))^q times
+    sum_k |A_k|^sp (u(A_k) - u(A_{k-1})), sp = (alpha/n - 1) q, u(A_{-1}) = 0.
+    This telescopes to T(Q0), T(Q) = T(parent Q) + c |Q|^sp u(Q), c = 1 - 2^{n sp}:
+    one top-down sweep per grid, seeded at its coarsest level by the chain
+    sums of operators.ancestor_chain (a chain run past the window or a
+    pinned edge adds only zero terms).  T is clamped at 0 against roundoff;
+    cubes that sigma fails scan.positive_cubes on are skipped.
     """
-    n = e.n
-    alpha = float(e.alpha)
+    n, alpha = e.n, float(e.alpha)
     if not 0.0 < alpha < n:
         raise ConstantError("the shell potential needs 0 < alpha < n")
-    if pair.u.dim != n:
-        raise ConstantError("exponent dimension does not match the weights")
+    _require_dim(pair, e)
     coeff = 1.0 / (1.0 - 2.0 ** (alpha - n))
     shell_pow = float((e.alpha / n - 1) * e.q)
-    inv_q = float(1 / e.q)
-    inv_pprime = float(1 / e.pprime)
-    window = pair.u.window
+    c = 1.0 - 2.0 ** (n * shell_pow)
+    inv_q, inv_pprime = float(1 / e.q), float(1 / e.pprime)
+    u = pair.u
 
-    def score(cube: DyadicCube, box: Box, mass: float) -> float:
-        total = 0.0
-        prev = 0.0
-        for anc in ancestor_chain(cube, window):
+    def chain_sum(cube: DyadicCube) -> float:
+        total = prev = 0.0
+        for anc in ancestor_chain(cube, u.window):
             b = realize(anc)
-            here = integrate(pair.u, b)
+            here = integrate(u, b)
             total += float(b.volume()) ** shell_pow * (here - prev)
             prev = here
-        return coeff * mass ** inv_pprime * total ** inv_q
+        return total
 
-    return _sup_scan("outer_testing", pair.u, shifts, min_level, max_level,
-                     _cube_loop(pair.sigma, score))
+    def tree_sums(grid):
+        """(level, T) over the scans of a grid, coarse to fine."""
+        for scan, starts in walk(u, grid):
+            if starts is None:
+                t = np.reshape([chain_sum(scan.cube_at(pos)) for pos in np.ndindex(scan.shape)], scan.shape)
+            else:
+                t = at_parents(t, starts, scan.shape) + c * scan.cube_volume() ** shell_pow * cube_integrals(scan, u)
+            yield scan.level, t
+
+    sums = {grid: dict(tree_sums(grid)) for grid in _grids(u, shifts, min_level, max_level)}
+
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        masses, live = positive_cubes(scan, inside, pair.sigma)
+        vals = np.zeros(scan.shape, dtype=float)
+        vals[live] = coeff * masses[live] ** inv_pprime * np.maximum(sums[scan.grid][scan.level][live], 0.0) ** inv_q
+        return vals, ~live
+
+    return _sup_scan("outer_testing", u, shifts, min_level, max_level, fn)
 
 
 def sawyer_maximal_testing(
@@ -565,10 +569,11 @@ def sawyer_maximal_testing(
     None) and the same levels as the outer cubes.  Both sides are scored
     level by level: one cut maximal per scan (operators.cut_frac_maximal)
     gives M_alpha(w chi_Q) on every cube Q of the scan at once, as in
-    ainfty_m.  md_sp_testing, outer_testing_constant and
-    normest.potential_testing_chain still run one operator per cube.
+    ainfty_m and md_sp_testing.  Of the testing constants only
+    normest.potential_testing_chain still runs one operator per cube.
     Cubes where the inner weight fails scan.positive_cubes are skipped.
     """
+    _require_dim(pair, e)
     alpha = float(e.alpha)
     if which == "forward":
         inner, outer = pair.u, pair.sigma
@@ -604,20 +609,22 @@ def md_sp_testing(
 
         sup_R ( int_R M^D(sigma chi_R)^{s} u )^{1/q} sigma(R)^{-1/q},
 
-    s = 1 + q/p'.  Requires Sobolev-scaling exponents; the inner maximal
-    runs on the same grid that R came from.
+    s = 1 + q/p'.  Requires Sobolev-scaling exponents; the inner maximal runs
+    on R's own grid, one cut maximal per scan; scan.positive_cubes gates sigma.
     """
+    _require_dim(pair, e)
     if not e.is_sobolev:
         raise ConstantError("this testing constant needs Sobolev-scaling exponents")
     s = float(e.s_p)
     inv_q = float(1 / e.q)
+    inner = {grid.shift: _inner_scans(pair.sigma, [grid.shift], min_level, max_level)
+             for grid in _grids(pair.u, shifts, min_level, max_level)}
 
-    def score(cube: DyadicCube, box: Box, mass: float) -> float:
-        m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0, shift=cube.shift,
-                                min_level=min_level, max_level=max_level)
-        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
-        num = max(integrate(m.power(s) * pair.u, box), 0.0)
-        return num ** inv_q * mass ** (-inv_q)
+    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        masses, live = positive_cubes(scan, inside, pair.sigma)
+        num = _cut_maximal_integrals(scan, pair.sigma, live, inner[scan.grid.shift], 0.0, s, pair.u)
+        vals = np.zeros(scan.shape, dtype=float)
+        vals[live] = num ** inv_q * masses[live] ** (-inv_q)
+        return vals, ~live
 
-    return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level,
-                     _cube_loop(pair.sigma, score))
+    return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level, fn)

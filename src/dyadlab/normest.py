@@ -46,6 +46,7 @@ from .constants import (
     mixed_one_sup,
     sawyer_maximal_testing,
     md_sp_testing,
+    _require_dim,
 )
 
 
@@ -226,8 +227,7 @@ def estimate_norm(
     """
     if op not in OPERATOR_IDS:
         raise NormError(f"unknown operator id {op!r}")
-    if pair.u.dim != e.n:
-        raise NormError("exponent dimension does not match the weights")
+    _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()
 
     source, target = _space_labels(e, side, weak)
@@ -431,6 +431,7 @@ def potential_testing_chain(
     most (1 - 2^{alpha-n})^{-1} times the L^q(u) norm of the fractional
     maximal function of sigma chi_Q0; both integrals run over the whole
     window.  The report records the worst observed quotient ratio."""
+    _require_dim(pair, e, NormError)
     a = float(e.alpha)
     n = e.n
     if not 0.0 < a < n:

@@ -338,17 +338,19 @@ class SampledFunction:
         """Inverse of to_obj; a missing or malformed field raises MeshError
         naming it."""
         dim = obj_field(obj, "dim", _json_int)
-        n = obj_field(obj, "cells_per_axis", _json_int)
+        n = obj_field(obj, "cells_per_axis", lambda v: _json_int(v, least=1))
         vals = obj_field(obj, "values", lambda v: np.asarray(v, dtype=np.float64).reshape((n,) * dim))
         w = obj_field(obj, "window", lambda v: v)
         lower = obj_field(w, "lower", lambda v: tuple(Fraction(s) for s in v), "window.")
         return cls(dim, lower, obj_field(w, "side", Fraction, "window."), vals)
 
 
-def _json_int(v) -> int:
-    """A JSON integer; floats and booleans are refused, not truncated."""
+def _json_int(v, least=-math.inf) -> int:
+    """A JSON integer >= least; floats and booleans are refused, not truncated."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"expected an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"expected an integer of at least {least}, got {v}")
     return v
 
 

@@ -585,6 +585,17 @@ class TestMalformedInputFiles:
         self.assert_rejected(["constants", "compute", "--which", "all", "--pair", str(ppath),
                               "--exponents", "1,1/2,4/3,4", "-o", str(out)], out, "got 0", capsys)
 
+    @pytest.mark.parametrize("count,values", [(-2, [1.0, 1.0, 1.0]), (-1, [])])
+    def test_negative_cell_count_refused(self, tmp_path, capsys, count, values):
+        # a negative count is refused, not read by reshape as "infer"
+        obj = write_function(tmp_path / "f.json").to_obj()
+        obj.update(cells_per_axis=count, values=values)
+        src = tmp_path / "negative.json"
+        src.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        self.assert_rejected(["ops", "frac_maximal", "-i", str(src), "-o", str(out)], out,
+                             "'cells_per_axis'", capsys)
+
     def test_fractional_dim_refused(self, tmp_path, capsys):
         # a non-integer dim or cell count is refused, not truncated
         obj = write_function(tmp_path / "f.json").to_obj()

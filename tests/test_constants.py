@@ -13,7 +13,6 @@ from dyadlab.constants import (
     ConstantError,
     ConstantReport,
     WeightPair,
-    _cube_loop,
     _sup_scan,
     ainfty_exp,
     ainfty_m,
@@ -27,9 +26,10 @@ from dyadlab.constants import (
     sawyer_maximal_testing,
 )
 from dyadlab.grid import DyadicCube, realize, shifted_grids
-from dyadlab.operators import frac_maximal
+from dyadlab.operators import ancestor_chain, dyadic_frac_maximal, frac_maximal
 from dyadlab.orlicz import power, power_log
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
+from dyadlab.scan import positive_cubes
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -587,6 +587,23 @@ def test_apq_skips_zero_mass_cubes_1d():
 # === the per-cube Fujii path, kept as an oracle =============================
 
 
+def _cube_loop(dens, score):
+    """Adapt a scalar per-cube functional to _sup_scan form: score(cube,
+    box, mass) runs on the inside cubes that pass scan.positive_cubes, with
+    mass = dens(Q); the other cubes are skipped."""
+
+    def fn(scan, inside):
+        masses, live = positive_cubes(scan, inside, dens)
+        vals = np.zeros(scan.shape, dtype=float)
+        for idx in np.argwhere(live):
+            pos = tuple(idx)
+            cube = scan.cube_at(pos)
+            vals[pos] = score(cube, realize(cube), float(masses[pos]))
+        return vals, ~live
+
+    return fn
+
+
 def fujii_oracle(w, box, mass, min_level, max_level):
     """w(Q)^{-1} int_Q M(w chi_Q): one full-mesh frac_maximal per cube."""
     m = frac_maximal(w.restrict_to(box), 0.0, min_level=min_level, max_level=max_level)
@@ -722,3 +739,139 @@ class TestSawyerBatched:
         pair = WeightPair(SampledFunction(2, (-1, 0), 2, u), SampledFunction(2, (-1, 0), 2, sigma))
         assert_matches_oracle(sawyer_maximal_testing(pair, E_SOB2, which=which),
                               sawyer_oracle(pair, E_SOB2, which=which))
+
+
+# === the per-cube testing paths, kept as oracles ============================
+
+
+def md_sp_oracle(pair, e, shifts=None, min_level=None, max_level=None):
+    """md_sp_testing with one full-mesh dyadic maximal per cube."""
+    s, inv_q = float(e.s_p), float(1 / e.q)
+
+    def score(cube, box, mass):
+        m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0, shift=cube.shift,
+                                min_level=min_level, max_level=max_level)
+        # the integrand is nonnegative: clamp prefix-sum roundoff at 0
+        num = max(integrate(m.power(s) * pair.u, box), 0.0)
+        return num ** inv_q * mass ** (-inv_q)
+
+    return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level, _cube_loop(pair.sigma, score))
+
+
+def outer_testing_oracle(pair, e, shifts=None, min_level=None, max_level=None):
+    """outer_testing_constant with one ancestor chain of boxes per cube."""
+    n, alpha = e.n, float(e.alpha)
+    coeff = 1.0 / (1.0 - 2.0 ** (alpha - n))
+    shell_pow = float((e.alpha / n - 1) * e.q)
+    inv_q, inv_pprime = float(1 / e.q), float(1 / e.pprime)
+
+    def score(cube, box, mass):
+        total = prev = 0.0
+        for anc in ancestor_chain(cube, pair.u.window):
+            b = realize(anc)
+            here = integrate(pair.u, b)
+            total += float(b.volume()) ** shell_pow * (here - prev)
+            prev = here
+        # the chain sum is nonnegative: clamp roundoff at 0
+        return coeff * mass ** inv_pprime * max(total, 0.0) ** inv_q
+
+    return _sup_scan("outer_testing", pair.u, shifts, min_level, max_level, _cube_loop(pair.sigma, score))
+
+
+SWEEP_MESHES = FUJII_MESHES + [(2, (-1, -1), 12)]
+SWEEP_LEVELS = FUJII_LEVELS + [dict(min_level=1)]
+
+
+def sweep_pair(dim, lower, ncells, zeros, seed):
+    """A random pair on [lower, lower + 2)^dim.  zeros="blocks" clears u and
+    sigma on different blocks; zeros="corner" clears u on the top half of
+    every axis, so on [-1,1)^2 the zero-shift chains of that quadrant never
+    leave it and their sums are 2-D prefix-sum roundoff of either sign."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.2, 3.0, (ncells,) * dim)
+    sigma = rng.uniform(0.2, 3.0, (ncells,) * dim)
+    if zeros == "blocks":
+        u[(slice(ncells // 4, ncells // 2),) * dim] = 0.0
+        sigma[(slice(ncells // 2, 3 * ncells // 4),) * dim] = 0.0
+    elif zeros == "corner":
+        u[(slice(ncells // 2, ncells),) * dim] = 0.0
+    return WeightPair(SampledFunction(dim, lower, 2, u), SampledFunction(dim, lower, 2, sigma))
+
+
+class TestTestingSweeps:
+    """md_sp_testing scores from one cut maximal per scan and
+    outer_testing_constant from one top-down sweep per grid; the per-cube
+    paths above are the oracles."""
+
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES)
+    @given(
+        levels=st.sampled_from(SWEEP_LEVELS),
+        zero_shift_only=st.booleans(),
+        zeros=st.sampled_from(["none", "blocks", "corner"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_per_cube_oracle(self, mesh, levels, zero_shift_only, zeros, seed):
+        dim, lower, ncells = mesh
+        shifts = [(0,) * dim] if zero_shift_only else None
+        pair = sweep_pair(dim, lower, ncells, zeros, seed)
+        e = E_SOB if dim == 1 else E_SOB2
+        assert_matches_oracle(md_sp_testing(pair, e, shifts, **levels), md_sp_oracle(pair, e, shifts, **levels))
+        assert_matches_oracle(outer_testing_constant(pair, e, shifts, **levels),
+                              outer_testing_oracle(pair, e, shifts, **levels))
+
+    @pytest.mark.parametrize("levels", SWEEP_LEVELS)
+    def test_outer_sums_clamped_at_zero(self, levels):
+        # without the clamp a negative roundoff sum takes a NaN root and the
+        # cube moves from scored to skipped
+        pair = sweep_pair(2, (-1, -1), 12, "corner", 3)
+        zero = [(0, 0)]
+        rep = outer_testing_constant(pair, E_SOB2, zero, **levels)
+        assert_matches_oracle(rep, outer_testing_oracle(pair, E_SOB2, zero, **levels))
+        assert rep.n_skipped == 0
+
+    @pytest.mark.parametrize("levels", SWEEP_LEVELS)
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES)
+    def test_ancestor_chain_only_on_coarsest_cubes(self, monkeypatch, mesh, levels):
+        import dyadlab.constants as constants
+        from dyadlab.operators import _grids
+        from dyadlab.scan import level_scan
+
+        calls = []
+
+        def counted(cube, window):
+            calls.append(cube)
+            return ancestor_chain(cube, window)
+
+        monkeypatch.setattr(constants, "ancestor_chain", counted)
+        dim, lower, ncells = mesh
+        pair = sweep_pair(dim, lower, ncells, "none", 5)
+        outer_testing_constant(pair, E_SOB if dim == 1 else E_SOB2, **levels)
+        want = []
+        for grid in _grids(pair.u, None, levels.get("min_level"), levels.get("max_level")):
+            top = level_scan(pair.u, grid, grid.min_level)
+            want += [top.cube_at(pos) for pos in np.ndindex(top.shape)]
+        assert calls == want
+
+
+class TestExponentDimension:
+    """Every constant that takes exponents refuses ones of another
+    dimension than the weights."""
+
+    PAIR = WeightPair(rand_weight(2, (0, 0), 1, 12, 61), rand_weight(2, (0, 0), 1, 12, 62))
+
+    @pytest.mark.parametrize("call", [
+        lambda pair, e: apq_alpha(pair, e, DyadicCube(2, 0, (0, 0), (F(0), F(0)))),
+        apq_alpha_constant,
+        lambda pair, e: apq_bump(pair, e, power(4)),
+        lambda pair, e: mixed_one_sup(pair, e, flavor="apq_exp"),
+        lambda pair, e: mixed_one_sup(pair, e, flavor="ap_m"),
+        lambda pair, e: sawyer_maximal_testing(pair, e, which="forward"),
+        lambda pair, e: sawyer_maximal_testing(pair, e, which="dual"),
+        md_sp_testing,
+        outer_testing_constant,
+    ], ids=["apq_alpha", "apq_alpha_constant", "apq_bump", "mixed_apq_exp", "mixed_ap_m",
+            "sawyer_forward", "sawyer_dual", "md_sp_testing", "outer_testing_constant"])
+    def test_wrong_dimension_refused(self, call):
+        with pytest.raises(ConstantError, match="exponent dimension does not match the weights"):
+            call(self.PAIR, E_SOB)

@@ -460,3 +460,14 @@ class TestHelpers:
         assert {k[1] for k in keys} == set(range(len(order)))
         for level in {k[0] for k in keys}:
             assert min(k[1] for k in keys if k[0] == level) == 0
+
+
+class TestExponentDimension:
+    @pytest.mark.parametrize("call", [
+        lambda pair, e: estimate_norm("frac_maximal", pair, e),
+        potential_testing_chain,
+    ], ids=["estimate_norm", "potential_testing_chain"])
+    def test_wrong_dimension_refused(self, call):
+        pair = rand_pair(71, dim=2, lower=(0, 0), ncells=12)
+        with pytest.raises(NormError, match="exponent dimension does not match the weights"):
+            call(pair, E_SOB)

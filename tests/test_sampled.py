@@ -277,6 +277,13 @@ class TestSerialization:
         assert f.same_mesh(g)
         np.testing.assert_array_equal(f.values, g.values)
 
+    @pytest.mark.parametrize("count,values", [(-2, [1, 1, 1]), (-1, []), (0, [])])
+    def test_cell_count_below_one_refused(self, count, values):
+        # reshape would read a negative count as "infer"
+        obj = {"dim": 1, "cells_per_axis": count, "values": values, "window": {"lower": [0], "side": 1}}
+        with pytest.raises(MeshError, match=f"malformed field 'cells_per_axis': .*got {count}$"):
+            SampledFunction.from_obj(obj)
+
 
 class TestExponents:
     def test_sobolev_example(self):
