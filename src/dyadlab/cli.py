@@ -66,6 +66,7 @@ from .operators import (
     frac_maximal,
     geometric_maximal,
     outer_riesz,
+    _shell_constant,
 )
 from .orlicz import (
     YoungFunction,
@@ -398,7 +399,7 @@ def _suite_operators(cfg: dict) -> dict:
     checks.append(_check("geometric_maximal_e_bound", ok_exp, worst=worst))
 
     # shell potential sits below the scaled maximal function, cell by cell
-    coeff = 1.0 / (1.0 - 2.0 ** (float(e.alpha) - e.n))
+    coeff = _shell_constant(e.alpha, e.n)
     ok_shell = True
     worst_shell = 0.0
     lower, side, ncells = _config_mesh(cfg, e.n)
@@ -435,6 +436,19 @@ def _suite_operators(cfg: dict) -> dict:
     }
 
 
+def _sparse_domination(fam) -> tuple:
+    """(ratio, holds): the worst ratio of the dyadic fractional maximal
+    function of a sparse family's source to its sparse sum over the cells
+    the sum covers (0 on none), and whether the ratio is within the
+    family's constant with no uncovered cell where the maximal is positive."""
+    g = fam.grid
+    lhs = dyadic_frac_maximal(fam.source, fam.alpha, shift=g.shift, min_level=g.min_level, max_level=g.max_level)
+    rhs = sparse_operator(fam, form="chi")
+    mask = rhs.values > 0
+    dom = float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
+    return dom, dom <= fam.ratio + 1e-9 and not np.any(~mask & (lhs.values > 0))
+
+
 def _suite_sparse(cfg: dict) -> dict:
     e = _config_exponents(cfg)
     checks, rows = [], []
@@ -445,11 +459,8 @@ def _suite_sparse(cfg: dict) -> dict:
             fam = build_sparse(f, a, shift=(0,) * e.n)
             thick = fam.thickness()
             ok_thick &= thick >= 0.5
-            lhs = dyadic_frac_maximal(f, float(a), shift=(0,) * e.n)
-            rhs = sparse_operator(fam, form="chi")
-            mask = rhs.values > 0
-            dom = float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
-            ok_dom &= dom <= fam.ratio + 1e-9 and not np.any((rhs.values == 0) & (lhs.values > 0))
+            dom, dominated = _sparse_domination(fam)
+            ok_dom &= dominated
             rows.append([i, str(a), len(fam), thick, dom, fam.ratio])
     checks.append(_check("sparse_thickness_half", ok_thick, cases=40))
     checks.append(_check("sparse_domination_with_fixed_constant", ok_dom, cases=40))
@@ -826,13 +837,10 @@ def _cmd_sparse(args) -> int:
         _emit(fam.to_obj(), args.out)
         return 0
     if args.action == "verify":
-        lhs = dyadic_frac_maximal(f, float(alpha), shift=shift, min_level=lo, max_level=hi)
-        rhs = sparse_operator(fam, form="chi")
-        mask = rhs.values > 0
-        dom = float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
+        dom, dominated = _sparse_domination(fam)
         # a family of no cubes certifies nothing, so it is not a pass
         vacuous = len(fam) == 0
-        ok = not vacuous and fam.thickness() >= 0.5 and dom <= fam.ratio + 1e-9
+        ok = not vacuous and fam.thickness() >= 0.5 and dominated
         _emit(
             {
                 "cubes": len(fam),
@@ -865,18 +873,18 @@ def _cmd_constants(args) -> int:
         "ainfty_m_u": lambda: ainfty_m(pair.u, min_level=lo, max_level=hi),
         "ainfty_m_sigma": lambda: ainfty_m(pair.sigma, min_level=lo, max_level=hi),
     }
+    # a report that scored no cube measured nothing, so it exits 1
     if args.which == "all":
-        rows = []
-        for name in sorted(reg):
-            rep = reg[name]()
-            arg = "" if rep.argmax is None else json.dumps(cube_to_obj(rep.argmax), sort_keys=True)
-            rows.append([name, rep.value, arg])
+        reps = [(name, reg[name]()) for name in sorted(reg)]
+        rows = [[name, rep.value, "" if rep.argmax is None else json.dumps(cube_to_obj(rep.argmax), sort_keys=True)]
+                for name, rep in reps]
         _write_csv(Path(args.out) if args.out else None, ["name", "value", "argmax"], rows)
-        return 0
+        return 1 if any(rep.n_scored == 0 for _, rep in reps) else 0
     if args.which not in reg:
         raise CLIError(f"unknown constant {args.which!r}; choose from {sorted(reg)} or 'all'")
-    _emit(reg[args.which]().to_obj(), args.out)
-    return 0
+    obj = reg[args.which]().to_obj()
+    _emit(obj, args.out)
+    return 1 if obj["vacuous"] else 0
 
 
 def _cmd_norms(args) -> int:

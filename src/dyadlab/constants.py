@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, cube_to_obj, realize
-from .operators import ancestor_chain, cut_frac_maximal, _grids
-from .orlicz import YoungFunction, luxemburg
+from .operators import ancestor_chain, cut_frac_maximal, _grids, _luxemburg_averages, _shell_constant
+from .orlicz import YoungFunction
 from .sampled import (
     ExponentTuple,
     SampledFunction,
@@ -32,7 +32,7 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import (LevelScan, at_parents, cell_block, cube_cell_sums, cube_integrals, inside_scans, iter_scans,
+from .scan import (LevelScan, at_parents, cube_cell_sums, cube_integrals, inside_scans, iter_scans,
                    positive_cubes, walk)
 
 
@@ -97,7 +97,8 @@ class ConstantReport:
     ``value`` is a lower bound for the supremum over all cubes; ``argmax``
     is the first cube attaining it in the order of scan.inside_scans.
     ``n_skipped`` counts cubes dropped because a denominator measure
-    vanished.
+    vanished.  A report that scored no cube measured nothing: to_obj marks
+    it vacuous.
     """
 
     name: str
@@ -117,6 +118,7 @@ class ConstantReport:
             "argmax": cube_to_obj(self.argmax) if self.argmax is not None else None,
             "n_scored": self.n_scored,
             "n_skipped": self.n_skipped,
+            "vacuous": self.n_scored == 0,
             "min_level": self.min_level,
             "max_level": self.max_level,
             "shifts": [[str(c) for c in s] for s in self.shifts],
@@ -304,6 +306,16 @@ def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray
     return np.maximum(num, 0.0)
 
 
+def _fujii_values(scan: LevelScan, inside: np.ndarray, w: SampledFunction, inner) -> Tuple[np.ndarray, np.ndarray]:
+    """w(Q)^{-1} int_Q M(w chi_Q) over the cubes of a scan that pass
+    scan.positive_cubes for w (0 on the others), and that live mask; M over
+    the inner scans from _inner_scans."""
+    masses, live = positive_cubes(scan, inside, w)
+    vals = np.zeros(scan.shape, dtype=float)
+    vals[live] = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
+    return vals, live
+
+
 def ainfty_m(
     w: SampledFunction,
     shifts=None,
@@ -322,12 +334,23 @@ def ainfty_m(
     inner = _inner_scans(w, None, min_level, max_level)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        masses, live = positive_cubes(scan, inside, w)
-        vals = np.zeros(scan.shape, dtype=float)
-        vals[live] = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
+        vals, live = _fujii_values(scan, inside, w, inner)
         return vals, ~live
 
     return _sup_scan("ainfty_m", w, shifts, min_level, max_level, fn)
+
+
+def _ap_values(w: SampledFunction, p):
+    """Level function of (avg_Q w)(avg_Q w^{1-p'})^{p-1} on every cube of a
+    scan, for a rational p > 1."""
+    dual_pow = w.power(float(1 - p / (p - 1)))
+    pm1 = float(p - 1)
+
+    def values(scan: LevelScan) -> np.ndarray:
+        vol = scan.cube_volume()
+        return cube_integrals(scan, w) / vol * (cube_integrals(scan, dual_pow) / vol) ** pm1
+
+    return values
 
 
 def ap_constant(
@@ -343,16 +366,10 @@ def ap_constant(
         raise ConstantError(f"the exponent must exceed 1, got {p}")
     if float(np.min(w.values)) <= 0.0:
         raise ConstantError("the Muckenhoupt functional needs a strictly positive weight")
-    pprime = pf / (pf - 1)
-    dual_pow = w.power(float(1 - pprime))
-    pm1 = float(pf - 1)
+    ap = _ap_values(w, pf)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        vol = scan.cube_volume()
-        mv = cube_integrals(scan, w) / vol
-        ms = cube_integrals(scan, dual_pow) / vol
-        vals = mv * ms ** pm1
-        return vals, np.zeros(scan.shape, dtype=bool)
+        return ap(scan), np.zeros(scan.shape, dtype=bool)
 
     return _sup_scan("ap_constant", w, shifts, min_level, max_level, fn)
 
@@ -399,22 +416,15 @@ def mixed_one_sup(
         w = pair.sigma
         if float(np.min(w.values)) <= 0.0:
             raise ConstantError("the ap_m flavor needs a strictly positive second weight")
-        r = e.s_dual
-        rprime = r / (r - 1)
-        dual_pow = w.power(float(1 - rprime))
-        rm1 = float(r - 1)
+        ap = _ap_values(w, e.s_dual)
         beta = float(1 / e.pprime)
         gamma = float(1 / e.q)
         inner = _inner_scans(w, None, min_level, max_level)
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            masses, live = positive_cubes(scan, inside, w)
-            fujii = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
-            vol = scan.cube_volume()
-            mv = masses[live] / vol
-            ms = cube_integrals(scan, dual_pow)[live] / vol
+            fujii, live = _fujii_values(scan, inside, w, inner)
             vals = np.zeros(scan.shape, dtype=float)
-            vals[live] = (mv * ms ** rm1) ** beta * fujii ** gamma
+            vals[live] = ap(scan)[live] ** beta * fujii[live] ** gamma
             return vals, ~live
 
         return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, fn)
@@ -461,16 +471,7 @@ def apq_bump(
             g = f if r == root else f.power(r / root)
             return lambda scan, inside: (cube_integrals(scan, g) / scan.cube_volume()) ** (1.0 / r)
         fpow = f.power(1.0 / root).values
-
-        def column(scan: LevelScan, inside: np.ndarray) -> np.ndarray:
-            vol = scan.cube_volume()
-            out = np.zeros(scan.shape, dtype=float)
-            for idx in np.argwhere(inside):
-                pos = tuple(idx)
-                out[pos] = luxemburg(cell_block(scan, fpow, pos).ravel(), cellvol, vol, fn_phi)
-            return out
-
-        return column
+        return lambda scan, inside: _luxemburg_averages(scan, fpow, cellvol, fn_phi, inside)
 
     lux_s = lux_column(pair.sigma, float(e.pprime), phi)
     lux_u = None if side == "second" else lux_column(pair.u, float(e.q), psi)
@@ -512,11 +513,9 @@ def outer_testing_constant(
     pinned edge adds only zero terms).  T is clamped at 0 against roundoff;
     cubes that sigma fails scan.positive_cubes on are skipped.
     """
-    n, alpha = e.n, float(e.alpha)
-    if not 0.0 < alpha < n:
-        raise ConstantError("the shell potential needs 0 < alpha < n")
+    n = e.n
+    coeff = _shell_constant(e.alpha, n, ConstantError)
     _require_dim(pair, e)
-    coeff = 1.0 / (1.0 - 2.0 ** (alpha - n))
     shell_pow = float((e.alpha / n - 1) * e.q)
     c = 1.0 - 2.0 ** (n * shell_pow)
     inv_q, inv_pprime = float(1 / e.q), float(1 / e.pprime)

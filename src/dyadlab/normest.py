@@ -36,7 +36,7 @@ from .sampled import (
     parse_rational,
 )
 from .scan import inside_scans, positive_cubes
-from .operators import OPERATORS, MissingInputError, frac_maximal, outer_riesz, _grids
+from .operators import OPERATORS, MissingInputError, frac_maximal, outer_riesz, _grids, _shell_constant
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
     WeightPair,
@@ -357,11 +357,8 @@ def equivalence_report(
     """
     if not e.p < e.q:
         raise NormError("the weak-strong equivalence needs p < q; it fails at p = q")
-    a = float(e.alpha)
     n = e.n
-    if not 0.0 < a < n:
-        raise NormError("the potential needs 0 < alpha < n")
-    coeff = 1.0 / (1.0 - 2.0 ** (a - n))
+    coeff = _shell_constant(e.alpha, n, NormError)
 
     config = {
         "exponents": e.to_obj(),
@@ -430,13 +427,12 @@ def potential_testing_chain(
     mass, the L^q(u) norm of the shell potential of sigma chi_Q0 is at
     most (1 - 2^{alpha-n})^{-1} times the L^q(u) norm of the fractional
     maximal function of sigma chi_Q0; both integrals run over the whole
-    window.  The report records the worst observed quotient ratio."""
+    window.  The report records the worst observed quotient ratio over the
+    cubes where the maximal side is positive.  When there is no such cube
+    nothing was compared: max_ratio is null and the chain does not hold."""
     _require_dim(pair, e, NormError)
-    a = float(e.alpha)
     n = e.n
-    if not 0.0 < a < n:
-        raise NormError("the shell potential needs 0 < alpha < n")
-    coeff = 1.0 / (1.0 - 2.0 ** (a - n))
+    coeff = _shell_constant(e.alpha, n, NormError)
     qf = float(e.q)
     inv_p = float(1 / e.p)
     mesh = pair.u
@@ -467,9 +463,9 @@ def potential_testing_chain(
                 worst_cube = label
     return {
         "cubes": count,
-        "max_ratio": None if count == 0 else worst,
+        "max_ratio": None if worst_cube is None else worst,
         "worst_cube": worst_cube,
-        "holds": count > 0 and worst <= 1.0 + 1e-9,
+        "holds": worst_cube is not None and worst <= 1.0 + 1e-9,
         "testing_constant": testing_value,
         "testing_argmax": testing_arg,
         "coefficient": coeff,
@@ -505,25 +501,32 @@ def bump_bound_check(
     psibar = _associate(psi)
     lebesgue = unit_pair(pair.u)
 
-    def _entry(lhs: NormEstimate, bump_value: float, bar: YoungFunction,
-               src, tgt, direct_e: ExponentTuple) -> dict:
-        quad_val, quad_rep = orlicz_norm_quadrature(bar, src, tgt)
-        direct = estimate_norm(
-            "orlicz_maximal", lebesgue, direct_e, fam,
-            alpha=beta, phi=bar, min_level=min_level, max_level=max_level,
-        )
-        rhs_quad = bump_value * quad_val
-        rhs_direct = bump_value * direct.value
+    def _maximal_norm(bar: YoungFunction, direct_e: ExponentTuple, alpha):
+        """The Lebesgue Orlicz-maximal norm from L^p to L^q of direct_e both
+        ways: (quadrature bound, its report, direct estimate)."""
+        quad_val, quad_rep = orlicz_norm_quadrature(bar, direct_e.p, direct_e.q)
+        direct = estimate_norm("orlicz_maximal", lebesgue, direct_e, fam, alpha=alpha, phi=bar,
+                               min_level=min_level, max_level=max_level)
+        return quad_val, quad_rep, direct
+
+    def _routes(lhs: NormEstimate, rhs_quad: float, rhs_direct: float) -> dict:
+        """Both routes' right-hand sides and observed constants lhs/rhs."""
         return {
             "lhs": lhs.to_obj(),
-            "bump_constant": bump_value,
-            "maximal_norm_quadrature": quad_val,
-            "maximal_norm_direct": direct.to_obj(),
-            "quadrature_report": quad_rep.to_obj(),
             "rhs_quadrature": rhs_quad,
             "rhs_direct": rhs_direct,
             "constant_quadrature": _ratio(lhs.value, rhs_quad) if math.isfinite(rhs_quad) else None,
             "constant_direct": _ratio(lhs.value, rhs_direct),
+        }
+
+    def _entry(lhs: NormEstimate, bump_value: float, bar: YoungFunction, direct_e: ExponentTuple) -> dict:
+        quad_val, quad_rep, direct = _maximal_norm(bar, direct_e, beta)
+        return {
+            **_routes(lhs, bump_value * quad_val, bump_value * direct.value),
+            "bump_constant": bump_value,
+            "maximal_norm_quadrature": quad_val,
+            "maximal_norm_direct": direct.to_obj(),
+            "quadrature_report": quad_rep.to_obj(),
         }
 
     report: dict = {
@@ -542,54 +545,34 @@ def bump_bound_check(
     # Maximal operator against the second-weight bump.
     lhs_max = estimate_norm("frac_maximal", pair, e, fam, min_level=min_level, max_level=max_level)
     bump_f = apq_bump(pair, e, phi, min_level=min_level, max_level=max_level)
-    report["entries"]["maximal"] = _entry(lhs_max, bump_f.value, phibar, e.p, e.q, e)
+    report["entries"]["maximal"] = _entry(lhs_max, bump_f.value, phibar, e)
 
     riesz_ok = 0 < float(e.alpha) < e.n and e.p < e.q
     if riesz_ok:
         # Weak Riesz against the dual-pair bump with psi on the u slot.
         lhs_weak = estimate_norm("dyadic_riesz", pair, e, fam, weak=True, min_level=min_level, max_level=max_level)
         bump_d = apq_bump(pair.swapped(), e.dual(), psi, min_level=min_level, max_level=max_level)
-        report["entries"]["weak_riesz"] = _entry(lhs_weak, bump_d.value, psibar, e.qprime, e.pprime, e.dual())
+        report["entries"]["weak_riesz"] = _entry(lhs_weak, bump_d.value, psibar, e.dual())
 
         # Strong Riesz against the sum of the two separated bumps.
         lhs_strong = estimate_norm("dyadic_riesz", pair, e, fam, min_level=min_level, max_level=max_level)
         m = report["entries"]["maximal"]
         wk = report["entries"]["weak_riesz"]
-        rhs_quad = m["rhs_quadrature"] + wk["rhs_quadrature"]
-        rhs_direct = m["rhs_direct"] + wk["rhs_direct"]
-        report["entries"]["strong_riesz"] = {
-            "lhs": lhs_strong.to_obj(),
-            "rhs_quadrature": rhs_quad,
-            "rhs_direct": rhs_direct,
-            "constant_quadrature": _ratio(lhs_strong.value, rhs_quad) if math.isfinite(rhs_quad) else None,
-            "constant_direct": _ratio(lhs_strong.value, rhs_direct),
-        }
+        report["entries"]["strong_riesz"] = _routes(lhs_strong, m["rhs_quadrature"] + wk["rhs_quadrature"],
+                                                    m["rhs_direct"] + wk["rhs_direct"])
 
         # Classical double bump: both slots bumped, same-exponent
         # Lebesgue maximal norms.
         bump2 = apq_bump(pair, e, phi, min_level=min_level, max_level=max_level, side="both", psi=psi)
-        qp = float(e.qprime)
-        pp = float(e.p)
-        quad_psi, rep_psi = orlicz_norm_quadrature(psibar, qp)
-        quad_phi, rep_phi = orlicz_norm_quadrature(phibar, pp)
-        e_psi = ExponentTuple(e.n, 0, e.qprime, e.qprime)
-        e_phi = ExponentTuple(e.n, 0, e.p, e.p)
-        direct_psi = estimate_norm("orlicz_maximal", lebesgue, e_psi, fam, alpha=0, phi=psibar,
-                                   min_level=min_level, max_level=max_level)
-        direct_phi = estimate_norm("orlicz_maximal", lebesgue, e_phi, fam, alpha=0, phi=phibar,
-                                   min_level=min_level, max_level=max_level)
-        rhs_quad2 = bump2.value * quad_psi * quad_phi
-        rhs_direct2 = bump2.value * direct_psi.value * direct_phi.value
+        quad_psi, rep_psi, direct_psi = _maximal_norm(psibar, ExponentTuple(e.n, 0, e.qprime, e.qprime), 0)
+        quad_phi, rep_phi, direct_phi = _maximal_norm(phibar, ExponentTuple(e.n, 0, e.p, e.p), 0)
         report["entries"]["double_bump"] = {
-            "lhs": lhs_strong.to_obj(),
+            **_routes(lhs_strong, bump2.value * quad_psi * quad_phi,
+                      bump2.value * direct_psi.value * direct_phi.value),
             "bump_constant": bump2.value,
             "maximal_norms_quadrature": [quad_psi, quad_phi],
             "maximal_norms_direct": [direct_psi.to_obj(), direct_phi.to_obj()],
             "quadrature_reports": [rep_psi.to_obj(), rep_phi.to_obj()],
-            "rhs_quadrature": rhs_quad2,
-            "rhs_direct": rhs_direct2,
-            "constant_quadrature": _ratio(lhs_strong.value, rhs_quad2) if math.isfinite(rhs_quad2) else None,
-            "constant_direct": _ratio(lhs_strong.value, rhs_direct2),
         }
 
         # Strong norm split into the two weak-type norms.

@@ -64,8 +64,37 @@ def _grid(f: SampledFunction, shift, min_level, max_level) -> GridFamily:
     return GridFamily(f.dim, sh, lo, hi, f.window)
 
 
-def _wrap(f: SampledFunction, values: np.ndarray, **meta) -> SampledFunction:
-    return SampledFunction(f.dim, f.lower, f.side, values, meta=meta)
+def _order(order, n: int, error=OperatorError, name: str = "alpha", open_below: bool = False) -> float:
+    """float(order), checked to lie in [0, n), or in (0, n) when open_below;
+    error is the caller's exception class."""
+    a = float(order)
+    if not (0 < a < n if open_below else 0 <= a < n):
+        raise error(f"{name} must lie in {'(' if open_below else '['}0, {n}), got {order}")
+    return a
+
+
+def _shell_constant(alpha, n: int, error=OperatorError) -> float:
+    """(1 - 2^{alpha - n})^{-1}, the geometric-series constant of the shell
+    potential, for 0 < alpha < n."""
+    return 1.0 / (1.0 - 2.0 ** (_order(alpha, n, error, open_below=True) - n))
+
+
+def _frac_averages(f: SampledFunction, a: float):
+    """Level function of |Q|^{a/n} times the average of f over Q, on every
+    cube of a scan."""
+    n, pre, cellvol = f.dim, f.prefix, float(f.cell_volume)
+    return lambda scan: cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+
+
+def _luxemburg_averages(scan: LevelScan, values: np.ndarray, cellvol: float, phi: YoungFunction,
+                        live: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Luxemburg average ||values||_{phi,Q} cube by cube over a scan
+    (where live is set when it is given; 0 elsewhere)."""
+    vol = scan.cube_volume()
+    out = np.zeros(scan.shape)
+    for pos in np.ndindex(scan.shape) if live is None else map(tuple, np.argwhere(live)):
+        out[pos] = luxemburg(cell_block(scan, values, pos), cellvol, vol, phi)
+    return out
 
 
 # === fractional maximal operators =============================================
@@ -82,20 +111,11 @@ def frac_maximal(
     By default the supremum runs over every shifted grid; pass a single
     shift tuple (or list of them) to restrict it.
     """
-    a = float(alpha)
-    n = f.dim
-    if not 0 <= a < n:
-        raise OperatorError(f"alpha must lie in [0, n), got {alpha}")
+    level_values = _frac_averages(f, _order(alpha, f.dim))
     out = np.zeros_like(f.values)
-    pre = f.prefix
-    cellvol = float(f.cell_volume)
-
-    def level_values(scan):
-        return cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
-
     for grid in _grids(f, shifts, min_level, max_level):
         np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
-    return _wrap(f, out, operator="frac_maximal", alpha=a)
+    return f.with_values(out)
 
 
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
@@ -108,10 +128,8 @@ def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np
     cube R meets Q in one block between consecutive merged edges of the
     two scans, and its sum is a prefix-sum difference of f at those edges.
     """
-    a = float(alpha)
     n = f.dim
-    if not 0 <= a < n:
-        raise OperatorError(f"alpha must lie in [0, n), got {alpha}")
+    a = _order(alpha, n)
     out = np.zeros_like(f.values)
     pre = f.prefix
     cellvol = float(f.cell_volume)
@@ -149,10 +167,8 @@ def weighted_dyadic_maximal(
     mu-average maximal operator.
     """
     f.require_same_mesh(mu)
-    b = float(beta)
     n = f.dim
-    if not 0 <= b < n:
-        raise OperatorError(f"beta must lie in [0, n), got {beta}")
+    b = _order(beta, n, name="beta")
     pre_mu = mu.prefix
     pre_fmu = prefix_sum(f.values * mu.values)
     cellvol = float(f.cell_volume)
@@ -167,7 +183,7 @@ def weighted_dyadic_maximal(
         return vals
 
     out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return _wrap(f, out, operator="weighted_dyadic_maximal", beta=b)
+    return f.with_values(out)
 
 
 def geometric_maximal(
@@ -198,7 +214,7 @@ def geometric_maximal(
         return vals
 
     out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return _wrap(f, out, operator="geometric_maximal")
+    return f.with_values(out)
 
 
 def orlicz_maximal(
@@ -215,9 +231,7 @@ def orlicz_maximal(
     anything else solves the Luxemburg equation cube by cube.
     """
     n = f.dim
-    b = float(beta)
-    if not 0 <= b < n:
-        raise OperatorError(f"beta must lie in [0, n), got {beta}")
+    b = _order(beta, n, name="beta")
     cellvol = float(f.cell_volume)
     is_power = getattr(phi, "is_power", False)
     if is_power:
@@ -228,16 +242,11 @@ def orlicz_maximal(
         side_weight = vol_q ** (b / n)
         if is_power:
             mean_pow = cube_cell_sums(scan, pre_pow) * (cellvol / vol_q)
-            vals = mean_pow ** (1.0 / phi.r) * side_weight
-        else:
-            vals = np.zeros(scan.shape)
-            for pos in np.ndindex(scan.shape):
-                block = cell_block(scan, f.values, pos)
-                vals[pos] = side_weight * luxemburg(block, cellvol, vol_q, phi)
-        return vals
+            return mean_pow ** (1.0 / phi.r) * side_weight
+        return side_weight * _luxemburg_averages(scan, f.values, cellvol, phi)
 
     out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return _wrap(f, out, operator="orlicz_maximal", beta=b)
+    return f.with_values(out)
 
 
 # === potential operators ======================================================
@@ -251,25 +260,14 @@ def dyadic_riesz(
 ) -> SampledFunction:
     """Sum over cubes containing x of |Q|^{alpha/n} times the average of f,
     truncated to the level range."""
-    a = float(alpha)
-    n = f.dim
-    if not 0 < a < n:
-        raise OperatorError(f"alpha must lie in (0, n), got {alpha}")
-    pre = f.prefix
-    cellvol = float(f.cell_volume)
-
-    def level_values(scan):
-        return cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
-
-    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.add)
-    return _wrap(f, out, operator="dyadic_riesz", alpha=a)
+    level_values = _frac_averages(f, _order(alpha, f.dim, open_below=True))
+    return f.with_values(sweep(f, _grid(f, shift, min_level, max_level), level_values, np.add))
 
 
 def riesz_kernel_1d(ncells: int, h: float, alpha: float) -> np.ndarray:
     """k[m] = integral over a cell at offset m of |x - y|^{alpha - 1} dy,
     for x at a cell center; exact via the antiderivative of the kernel."""
-    if not 0 < alpha < 1:
-        raise OperatorError(f"alpha must lie in (0, 1), got {alpha}")
+    _order(alpha, 1, open_below=True)
 
     def F(u: np.ndarray) -> np.ndarray:
         return np.sign(u) * np.abs(u) ** alpha / alpha
@@ -289,7 +287,7 @@ def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
     out = np.convolve(f.values, kk)[f.ncells - 1 : 2 * f.ncells - 1]
     # rounding can leave tiny negatives on zero cells
     np.maximum(out, 0.0, out=out)
-    return _wrap(f, out, operator="riesz_potential_1d", alpha=a)
+    return f.with_values(out)
 
 
 # === outer shell potential ====================================================
@@ -342,24 +340,19 @@ def outer_riesz(
     for the unshifted grid, whose cubes never cross the origin) get zero.
     """
     n = sigma.dim
+    C = _shell_constant(alpha, n)
     a = float(alpha)
-    if not 0 < a < n:
-        raise OperatorError(f"alpha must lie in (0, n), got {alpha}")
     if cube0.dim != n:
         raise OperatorError("cube dimension mismatch")
     if cube0.level > sigma.max_aligned_level:
         raise OperatorError("cube finer than the mesh alignment limit")
-    C = 1.0 / (1.0 - 2.0 ** (a - n))
     mass = integrate(sigma, cube0)
     out = np.zeros_like(sigma.values)
-    assigned = np.zeros(sigma.values.shape, dtype=bool)
-    for A in ancestor_chain(cube0, sigma.window):
+    # coarse to fine, so each cell keeps the shell of its smallest ancestor
+    for A in reversed(ancestor_chain(cube0, sigma.window)):
         b = realize(A)
-        sl = sigma.cell_slices(b, require_aligned=True)
-        fresh = ~assigned[sl]
-        out[sl][fresh] = C * float(b.volume()) ** (a / n - 1.0) * mass
-        assigned[sl] = True
-    return _wrap(sigma, out, operator="outer_riesz", alpha=a)
+        out[sigma.cell_slices(b, require_aligned=True)] = C * float(b.volume()) ** (a / n - 1.0) * mass
+    return sigma.with_values(out)
 
 
 # === operator registry ========================================================

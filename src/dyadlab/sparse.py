@@ -27,7 +27,7 @@ import numpy as np
 from .grid import DyadicCube, GridFamily, cube_to_obj
 from .sampled import SampledFunction, integrate
 from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, sweep, walk
-from .operators import default_levels
+from .operators import _frac_averages, _grid, _order
 
 
 class SparseError(ValueError):
@@ -77,13 +77,9 @@ class SparseFamily:
         return min([1.0] + [sc.e_volume_full / 2.0 ** (-sc.cube.level * n) for sc in self.cubes])
 
     def to_obj(self) -> dict:
-        runs = []
         flat = self.owner.ravel()
-        start = 0
-        for i in range(1, flat.size + 1):
-            if i == flat.size or flat[i] != flat[start]:
-                runs.append([int(flat[start]), i - start])
-                start = i
+        starts = np.flatnonzero(np.diff(flat, prepend=flat[:1] - 1))
+        lengths = np.diff(starts, append=flat.size)
         return {
             "alpha": self.alpha,
             "ratio": self.ratio,
@@ -98,7 +94,7 @@ class SparseFamily:
                 }
                 for sc in self.cubes
             ],
-            "owner_rle": runs,
+            "owner_rle": [[int(v), int(k)] for v, k in zip(flat[starts], lengths)],
         }
 
 
@@ -112,17 +108,12 @@ def build_sparse(
 ) -> SparseFamily:
     """Stopping-time sparse family for the fractional-average functional."""
     n = f.dim
-    a = float(alpha)
-    if not 0 <= a < n:
-        raise SparseError(f"alpha must lie in [0, n), got {alpha}")
+    a = _order(alpha, n, SparseError)
     r = float(2 ** (n + 1)) if ratio is None else float(ratio)
     if not 1.0 < r < math.inf:
         raise SparseError("threshold ratio must be finite and exceed 1")
-    sh = (0,) * n if shift is None else tuple(shift)
-    lo, hi = default_levels(f, min_level, max_level)
-    grid = GridFamily(n, sh, lo, hi, f.window)
-    cellvol = float(f.cell_volume)
-    pre = f.prefix
+    grid = _grid(f, shift, min_level, max_level)
+    frac_averages = _frac_averages(f, a)
 
     cubes: List[DyadicCube] = []
     gens: List[int] = []
@@ -133,8 +124,7 @@ def build_sparse(
     deep_u, deep_id = 0.0, np.int64(-1)
     next_id = 0
     for scan, starts in walk(f, grid):
-        k = scan.level
-        u = cube_cell_sums(scan, pre) * (2.0 ** (k * (n - a)) * cellvol)
+        u = frac_averages(scan)
         inherited_u = at_parents(deep_u, starts, u.shape)
         inherited_id = at_parents(deep_id, starts, u.shape)
         is_stop = u > r * inherited_u
@@ -151,7 +141,7 @@ def build_sparse(
                 gens.append(0 if pid < 0 else gens[pid] + 1)
                 u_of.append(float(uval))
                 cubes.append(scan.cube_at(tuple(int(x) for x in row)))
-            level_members[k] = (stop_positions, np.arange(next_id, next_id + count))
+            level_members[scan.level] = (stop_positions, np.arange(next_id, next_id + count))
             next_id += count
         deep_u = np.where(is_stop, u, inherited_u)
         deep_id = np.where(is_stop, ids_here, inherited_id)
@@ -198,8 +188,6 @@ def sparse_operator(
     f.require_same_mesh(g)
     n = f.dim
     a = family.alpha
-    cellvol = float(f.cell_volume)
-    pre = g.prefix
     if form == "disjoint":
         u_by_id = np.zeros(len(family.cubes) + 1)
         for sc_id, sc in enumerate(family.cubes):
@@ -209,11 +197,13 @@ def sparse_operator(
     if form != "chi":
         raise SparseError(f"unknown form {form!r}")
 
+    frac_averages = _frac_averages(g, a)
+
     def level_values(scan):
         # a level with no stopping cubes contributes zeros
         vals = np.zeros(scan.shape)
         if scan.level in family._level_members:
-            u = cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+            u = frac_averages(scan)
             sel = tuple(family._level_members[scan.level][0].T)
             vals[sel] = u[sel]
         return vals

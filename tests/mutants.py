@@ -36,6 +36,7 @@ from typing import Tuple
 ROOT = Path(__file__).resolve().parents[1]
 
 CONST = "tests/test_constants.py"
+OPS = "tests/test_operators.py"
 SCAN = "tests/test_scan.py"
 
 
@@ -80,6 +81,38 @@ MUTANTS = [
         "_inner_scans(pair.sigma, None, min_level, max_level)",
         (f"{CONST}::TestTestingSweeps::test_matches_per_cube_oracle",),
         "the inner maximal of md_sp_testing runs on the outer cube's own grid only",
+    ),
+    # --- the shared per-cube formulas of the operators ------------------------
+    Mutant(
+        "frac_average_order_sign", "operators.py",
+        "cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a))",
+        "cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n + a))",
+        (f"{OPS}::TestFracMaximal::test_matches_brute_force_1d",
+         f"{OPS}::TestDyadicRiesz::test_matches_brute_sum"),
+        "the fractional average weighs the average over Q by |Q|^{alpha/n}, not |Q|^{-alpha/n}",
+    ),
+    Mutant(
+        "shell_constant_exponent_flipped", "operators.py",
+        "1.0 / (1.0 - 2.0 ** (_order(alpha, n, error, open_below=True) - n))",
+        "1.0 / (1.0 - 2.0 ** (n - _order(alpha, n, error, open_below=True)))",
+        (f"{OPS}::TestOuterRiesz::test_matches_truncated_lattice_sum",
+         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube"),
+        "the shells' geometric series has ratio 2^{alpha - n} < 1",
+    ),
+    Mutant(
+        "order_check_open_below", "operators.py",
+        "0 <= a < n",
+        "0 < a < n",
+        (f"{OPS}::TestFracMaximal::test_constant_function_alpha_zero",),
+        "order 0 is the plain maximal function and must be accepted",
+    ),
+    Mutant(
+        "outer_shells_fine_to_coarse", "operators.py",
+        "for A in reversed(ancestor_chain(cube0, sigma.window)):",
+        "for A in ancestor_chain(cube0, sigma.window):",
+        (f"{OPS}::TestOuterRiesz::test_matches_truncated_lattice_sum",
+         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube"),
+        "each cell takes the shell of its smallest ancestor, so the finest shell is written last",
     ),
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
@@ -166,10 +199,17 @@ MUTANTS = [
     ),
     Mutant(
         "testing_chain_vacuous_pass", "normest.py",
-        '"holds": count > 0 and worst',
+        '"holds": worst_cube is not None and worst',
         '"holds": worst',
         ("tests/test_normest.py::TestEquivalenceReport::test_testing_chain_over_no_cube_does_not_hold",),
         "a testing chain over no cube tested nothing",
+    ),
+    Mutant(
+        "testing_chain_counts_uncompared_cubes", "normest.py",
+        '"holds": worst_cube is not None and worst',
+        '"holds": count > 0 and worst',
+        ("tests/test_normest.py::TestEquivalenceReport::test_testing_chain_with_no_compared_cube_does_not_hold",),
+        "a chain whose cubes all have a zero maximal side compared nothing",
     ),
     Mutant(
         "luxemburg_infeasible_end", "orlicz.py",

@@ -426,6 +426,28 @@ class TestConstantsCommand:
         assert names == sorted(names) and "apq_alpha" in names
         assert all(float(r[1]) > 0 for r in rows)
 
+    def test_vacuous_constant_written_and_exits_one(self, tmp_path):
+        # levels -4..-1 hold no cube inside the unit window
+        pair_path = tmp_path / "pair.json"
+        write_pair(pair_path)
+        out = tmp_path / "c.json"
+        rc = main(["constants", "compute", "--which", "apq_alpha", "--pair", str(pair_path),
+                   "--exponents", "1,1/2,4/3,4", "--levels=-4..-1", "-o", str(out)])
+        assert rc == 1
+        obj = json.loads(out.read_text())
+        assert obj["n_scored"] == 0 and obj["vacuous"] is True
+
+    def test_batch_with_a_vacuous_row_exits_one(self, tmp_path):
+        pair_path = tmp_path / "pair.json"
+        write_pair(pair_path)
+        out = tmp_path / "c.csv"
+        rc = main(["constants", "compute", "--which", "all", "--pair", str(pair_path),
+                   "--exponents", "1,1/2,4/3,4", "--levels=-4..-1", "-o", str(out)])
+        assert rc == 1
+        header, rows = read_csv(out)
+        assert header == ["name", "value", "argmax"]
+        assert [r[0] for r in rows] == sorted(r[0] for r in rows) and len(rows) == 7
+
     def test_unknown_name_exits_two(self, tmp_path):
         pair_path = tmp_path / "pair.json"
         write_pair(pair_path)

@@ -481,9 +481,17 @@ class TestReportSerialization:
         assert obj["name"] == "apq_alpha"
         assert obj["value"] == rep.value
         assert obj["infinite"] is False
+        assert obj["vacuous"] is False
         assert obj["argmax"]["level"] == rep.argmax.level
         assert obj["min_level"] == rep.min_level
         assert ["0"] in obj["shifts"] or ["0", "0"] in obj["shifts"]
+
+    def test_no_scored_cube_is_vacuous(self):
+        # levels -4..-1 hold no cube inside the unit window
+        pair = WeightPair.classical(rand_weight(1, (0,), 1, 48, 5), E_SOB)
+        obj = apq_alpha_constant(pair, E_SOB, min_level=-4, max_level=-1).to_obj()
+        assert obj["value"] == 0.0 and obj["n_scored"] == 0 and obj["n_skipped"] == 0
+        assert obj["vacuous"] is True
 
 
 def brute_inside_counts(dens, min_level, max_level):

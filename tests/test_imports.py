@@ -1,11 +1,14 @@
 """Every import in a library module is used (the package __init__ is a
-re-export list and is left out)."""
+re-export list and is left out).  The modules checked are those of the
+imported package, wherever it was imported from."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dyadlab"
+import dyadlab
+
+SRC = Path(dyadlab.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 

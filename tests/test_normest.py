@@ -1,5 +1,6 @@
 """Norm lower bounds, quadrature upper bounds, and the comparison reports."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -280,6 +281,16 @@ class TestEquivalenceReport:
         rep = equivalence_report(pair, E_SOB, family=LIGHT, min_level=-4, max_level=-1)
         assert rep["testing_chain"]["cubes"] == 0
         assert rep["testing_chain"]["holds"] is False
+
+    def test_testing_chain_with_no_compared_cube_does_not_hold(self):
+        # u = 0 makes every maximal side zero: the chain has cubes but
+        # compared none of them, so it tested nothing
+        pair = WeightPair(SampledFunction.zeros(1, (0,), 1, 48), ones())
+        chain = potential_testing_chain(pair, E_SOB)
+        assert chain["cubes"] > 0
+        assert chain["max_ratio"] is None and chain["worst_cube"] is None
+        assert chain["holds"] is False
+        json.dumps(chain, allow_nan=False)
 
     def test_duality_chain_over_no_cube_does_not_hold(self):
         # the zero-shift forward testing constant scores no cube at levels
