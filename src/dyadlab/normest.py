@@ -32,11 +32,14 @@ from .sampled import (
     SampledFunction,
     ExponentTuple,
     lp_norm,
+    lp_norms,
     weak_lq_norm,
     parse_rational,
+    prefix_sum,
 )
-from .scan import inside_scans, positive_cubes
-from .operators import OPERATORS, MissingInputError, frac_maximal, outer_riesz, _grids, _shell_constant
+from .scan import cube_cells, inside_scans, positive_cubes
+from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _maximal_values, _shell_constant,
+                        _shell_scans, _shells)
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
     WeightPair,
@@ -56,6 +59,9 @@ class NormError(ValueError):
 
 OPERATOR_IDS = tuple(OPERATORS)
 _QUAD_OCTAVES = 14  # doubling windows in the tail quadrature of orlicz_norm_quadrature
+# cubes times cells of one batch of the testing chain: each (B, *mesh)
+# array of a batch holds at most this many floats (32 MB)
+CHAIN_BATCH_FLOATS = 1 << 22
 
 
 # --- test families ----------------------------------------------------------
@@ -429,40 +435,54 @@ def potential_testing_chain(
     maximal function of sigma chi_Q0; both integrals run over the whole
     window.  The report records the worst observed quotient ratio over the
     cubes where the maximal side is positive.  When there is no such cube
-    nothing was compared: max_ratio is null and the chain does not hold."""
+    nothing was compared: max_ratio is null and the chain does not hold.
+
+    Every cube is scored in one batched pass, in batches of at most
+    CHAIN_BATCH_FLOATS floats per (cubes, *mesh) array: the cuts sigma
+    chi_Q0 and their maximal functions over every shift, and the shells
+    (operators.outer_riesz for one cube), each with the bits of its
+    per-cube computation."""
     _require_dim(pair, e, NormError)
     n = e.n
     coeff = _shell_constant(e.alpha, n, NormError)
+    a = float(e.alpha)
     qf = float(e.q)
     inv_p = float(1 / e.p)
-    mesh = pair.u
-    zero_shift = [(0,) * n]
+    sigma = pair.sigma
+    zero = (0,) * n
+    scans = _shell_scans(sigma, zero, *default_levels(sigma, min_level, max_level))
+    cubes = list(_inside_cubes(pair.u, sigma, [zero], min_level, max_level))
+    lev = np.array([cube.level - scans[0].level for _, cube, _ in cubes], dtype=np.int64)
+    pos = np.reshape([cube.index for _, cube, _ in cubes], (len(cubes), n)).astype(np.int64)
+    pos -= np.reshape([scan.m_lo for scan in scans], (len(scans), n))[lev]
+    masses = np.array([mass for _, _, mass in cubes])
+    grids = _grids(sigma, None, min_level, max_level)
+    lhs, rhs = [], []
+    batch = max(1, CHAIN_BATCH_FLOATS // sigma.values.size)
+    for start in range(0, len(cubes), batch):
+        part = slice(start, start + batch)
+        cuts = np.where(cube_cells(scans, lev[part], pos[part]), sigma.values, 0.0)
+        shells = _shells(sigma, scans, lev[part], pos[part], masses[part], coeff, a)
+        lhs += lp_norms(sigma, shells, qf, weight=pair.u)
+        maximal = _maximal_values(sigma, prefix_sum(cuts, n), a, grids)
+        rhs += [coeff * norm for norm in lp_norms(sigma, maximal, qf, weight=pair.u)]
 
     worst = -math.inf
     worst_cube = None
     testing_value = 0.0
     testing_arg = None
-    count = 0
-    for label, cube, mass in _inside_cubes(mesh, pair.sigma, zero_shift, min_level, max_level):
-        pot = outer_riesz(pair.sigma, cube, e.alpha)
-        lhs = lp_norm(pot, qf, weight=pair.u)
-        cut = pair.sigma.restrict_to(cube)
-        rhs = coeff * lp_norm(
-            frac_maximal(cut, e.alpha, min_level=min_level, max_level=max_level),
-            qf, weight=pair.u,
-        )
-        count += 1
-        quotient = lhs * mass ** (-inv_p)
+    for (label, _, mass), lhs_q, rhs_q in zip(cubes, lhs, rhs):
+        quotient = lhs_q * mass ** (-inv_p)
         if quotient > testing_value:
             testing_value = quotient
             testing_arg = label
-        if rhs > 0:
-            r = lhs / rhs
+        if rhs_q > 0:
+            r = lhs_q / rhs_q
             if r > worst:
                 worst = r
                 worst_cube = label
     return {
-        "cubes": count,
+        "cubes": len(cubes),
         "max_ratio": None if worst_cube is None else worst,
         "worst_cube": worst_cube,
         "holds": worst_cube is not None and worst <= 1.0 + 1e-9,

@@ -15,12 +15,15 @@ import numpy as np
 
 from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from .orlicz import YoungFunction, luxemburg
-from .sampled import SampledFunction, _log2_exact, block_sums, integrate, log_prefix, prefix_sum
+from .sampled import SampledFunction, _log2_exact, block_sums, log_prefix, prefix_sum
 from .scan import (
     LevelScan,
     cell_block,
     cube_cell_sums,
+    cube_cells,
+    cube_integrals,
     inside_window_mask,
+    iter_scans,
     merge_edges,
     spread,
     sweep,
@@ -79,11 +82,24 @@ def _shell_constant(alpha, n: int, error=OperatorError) -> float:
     return 1.0 / (1.0 - 2.0 ** (_order(alpha, n, error, open_below=True) - n))
 
 
-def _frac_averages(f: SampledFunction, a: float):
+def _frac_averages(f: SampledFunction, a: float, pre: Optional[np.ndarray] = None):
     """Level function of |Q|^{a/n} times the average of f over Q, on every
-    cube of a scan."""
-    n, pre, cellvol = f.dim, f.prefix, float(f.cell_volume)
+    cube of a scan; with a prefix table pre of functions on the mesh of f
+    (leading axes a batch), of each of those instead."""
+    n, cellvol = f.dim, float(f.cell_volume)
+    pre = f.prefix if pre is None else pre
     return lambda scan: cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
+
+
+def _maximal_values(f: SampledFunction, pre: np.ndarray, a: float, grids) -> np.ndarray:
+    """The values of frac_maximal over the grids for the functions whose
+    prefix table is pre, on the mesh of f; leading axes of pre are a batch,
+    and each row gets the bits of its own unbatched maximal."""
+    level_values = _frac_averages(f, a, pre)
+    out = np.zeros(pre.shape[:pre.ndim - f.dim] + f.values.shape)
+    for grid in grids:
+        np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
+    return out
 
 
 def _luxemburg_averages(scan: LevelScan, values: np.ndarray, cellvol: float, phi: YoungFunction,
@@ -111,11 +127,8 @@ def frac_maximal(
     By default the supremum runs over every shifted grid; pass a single
     shift tuple (or list of them) to restrict it.
     """
-    level_values = _frac_averages(f, _order(alpha, f.dim))
-    out = np.zeros_like(f.values)
-    for grid in _grids(f, shifts, min_level, max_level):
-        np.maximum(out, sweep(f, grid, level_values, np.maximum), out=out)
-    return f.with_values(out)
+    a = _order(alpha, f.dim)
+    return f.with_values(_maximal_values(f, f.prefix, a, _grids(f, shifts, min_level, max_level)))
 
 
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
@@ -323,6 +336,61 @@ def ancestor_chain(cube0: DyadicCube, window: Box) -> list:
     return chain
 
 
+def _chains_end(scan: LevelScan) -> bool:
+    """Whether ancestor_chain stops at every cube of the scan: each cube,
+    on every axis, covers the window or is pinned at a persistent edge of
+    the unshifted grid (_axis_locked on the cubes' integer cell edges)."""
+    for (m_lo, count, raw0, step), tau in zip(scan.plans, scan.grid.shift):
+        j = np.arange(count)
+        lo_cov, hi_cov = raw0 + step * j <= 0, raw0 + step * (j + 1) >= scan.ncells
+        locked = lo_cov & hi_cov
+        if tau == 0:
+            locked |= ((m_lo + j == 0) & hi_cov) | ((m_lo + j == -1) & lo_cov)
+        if not locked.all():
+            return False
+    return True
+
+
+def _shell_scans(f: SampledFunction, shift, min_level: int, max_level: int) -> tuple:
+    """The scans of one grid on the mesh of f, coarse to fine down to
+    max_level, from the finest level at or above min_level at which every
+    ancestor chain stops; so the chain of every cube in the level range
+    runs inside them."""
+    for top in range(min_level, min_level - 500, -1):
+        scans = tuple(iter_scans(f, GridFamily(f.dim, shift, top, max_level, f.window)))
+        if _chains_end(scans[0]):
+            return scans
+    raise OperatorError("ancestor chain did not stabilize")
+
+
+def _shells(f: SampledFunction, scans, lev: np.ndarray, pos: np.ndarray, masses: np.ndarray,
+            coeff: float, a: float) -> np.ndarray:
+    """Shell potentials of B cubes of one grid at once, as (B, *mesh).
+
+    Cube b sits at position pos[b] (a (B, dim) array) of scans[lev[b]] and
+    carries the mass masses[b]; the scans come from _shell_scans.  Each of
+    its ancestors A, found through the parent offsets, writes
+    coeff * |A|^{a/n - 1} * mass onto its cells, coarse to fine.  The
+    ancestors past the end of the cube's ancestor_chain cover the same
+    cells of the window as its last one, so their values are overwritten.
+    """
+    n, B = f.dim, len(lev)
+    anc = [None] * len(scans)
+    cur = np.zeros_like(pos)
+    for i in range(len(scans) - 1, -1, -1):
+        anc[i] = cur = np.where((lev == i)[:, None], pos, cur)
+        if scans[i].parent_start is not None:
+            cur = (cur + np.array(scans[i].parent_start)) // 2
+    out = np.zeros((B,) + f.values.shape)
+    rows = (B,) + (1,) * n
+    # coarse to fine, so each cell keeps the shell of its smallest ancestor
+    for i in range(len(scans)):
+        value = coeff * scans[i].cube_volume() ** (a / n - 1.0) * masses
+        hit = cube_cells(scans, np.full(B, i), anc[i]) & (lev >= i).reshape(rows)
+        np.copyto(out, value.reshape(rows), where=hit)
+    return out
+
+
 def outer_riesz(
     sigma: SampledFunction,
     cube0: DyadicCube,
@@ -338,21 +406,22 @@ def outer_riesz(
     where A_min(x) is the minimal ancestor containing x and
     coeff = 1 / (1 - 2^{alpha - n}).  Points below no ancestor (possible
     for the unshifted grid, whose cubes never cross the origin) get zero.
+    This is the one-cube case of the batched shells of the testing chain.
     """
     n = sigma.dim
     C = _shell_constant(alpha, n)
-    a = float(alpha)
     if cube0.dim != n:
         raise OperatorError("cube dimension mismatch")
     if cube0.level > sigma.max_aligned_level:
         raise OperatorError("cube finer than the mesh alignment limit")
-    mass = integrate(sigma, cube0)
-    out = np.zeros_like(sigma.values)
-    # coarse to fine, so each cell keeps the shell of its smallest ancestor
-    for A in reversed(ancestor_chain(cube0, sigma.window)):
-        b = realize(A)
-        out[sigma.cell_slices(b, require_aligned=True)] = C * float(b.volume()) ** (a / n - 1.0) * mass
-    return sigma.with_values(out)
+    scans = _shell_scans(sigma, cube0.shift, cube0.level, cube0.level)
+    pos = np.array([m - m_lo for m, m_lo in zip(cube0.index, scans[-1].m_lo)])
+    if not all(0 <= j < count for j, count in zip(pos, scans[-1].shape)):
+        # a cube off the window has no mass, and so neither do its shells
+        return sigma.with_values(np.zeros_like(sigma.values))
+    mass = cube_integrals(scans[-1], sigma)[tuple(pos)]
+    out = _shells(sigma, scans, np.array([len(scans) - 1]), pos[None], np.array([mass]), C, float(alpha))
+    return sigma.with_values(out[0])
 
 
 # === operator registry ========================================================

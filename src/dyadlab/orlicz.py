@@ -380,9 +380,10 @@ def bp_classify(phi: YoungFunction, p: float, octaves: int = 12) -> BpReport:
 
     def window_integral(x0: float, x1: float) -> float:
         x = np.linspace(x0, x1, _POINTS_PER_OCTAVE + 1)
+        # a divergent tail overflows to inf in exp and in the sum alike
         with np.errstate(over="ignore"):
             y = np.exp(phi.log_eval(x) - p * x)
-        return float(np.trapezoid(y, x))
+            return float(np.trapezoid(y, x))
 
     base = window_integral(0.0, 1.0)
     deltas = [window_integral(2.0 ** j, 2.0 ** (j + 1)) for j in range(octaves)]

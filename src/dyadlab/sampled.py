@@ -62,28 +62,33 @@ def _log2_exact(x: Fraction) -> int:
 _UNSET = object()  # marks a lazily computed cache not yet filled
 
 
-def prefix_sum(arr: np.ndarray) -> np.ndarray:
-    """Cumulative-sum table with a zero border; works on signed data."""
+def prefix_sum(arr: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
+    """Cumulative-sum table with a zero border over the last dim axes (all
+    of them by default); leading axes are a batch.  Works on signed data."""
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim not in (1, 2):
+    dim = arr.ndim if dim is None else dim
+    if dim not in (1, 2) or arr.ndim < dim:
         raise MeshError("prefix_sum supports 1-D and 2-D arrays")
-    p = np.zeros(tuple(n + 1 for n in arr.shape))
-    if arr.ndim == 1:
-        np.cumsum(arr, out=p[1:])
+    lead = arr.ndim - dim
+    p = np.zeros(arr.shape[:lead] + tuple(n + 1 for n in arr.shape[lead:]))
+    if dim == 1:
+        np.cumsum(arr, axis=-1, out=p[..., 1:])
     else:
         # both cumsums in place: no full-size temporaries
-        inner = p[1:, 1:]
-        np.cumsum(arr, axis=0, out=inner)
-        np.cumsum(inner, axis=1, out=inner)
+        inner = p[..., 1:, 1:]
+        np.cumsum(arr, axis=-2, out=inner)
+        np.cumsum(inner, axis=-1, out=inner)
     return p
 
 
-def block_differences(S: np.ndarray) -> np.ndarray:
+def block_differences(S: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     """Raw block sums from a prefix table read at the block edges: S[i]
-    (S[i, j] in 2-D) is the prefix sum at the i-th edge (of each axis)."""
-    if S.ndim == 1:
-        return S[1:] - S[:-1]
-    return S[1:, 1:] - S[:-1, 1:] - S[1:, :-1] + S[:-1, :-1]
+    (S[i, j] in 2-D) is the prefix sum at the i-th edge (of each axis).
+    The edges run along the last dim axes (all of them by default);
+    leading axes are a batch."""
+    if (S.ndim if dim is None else dim) == 1:
+        return S[..., 1:] - S[..., :-1]
+    return S[..., 1:, 1:] - S[..., :-1, 1:] - S[..., 1:, :-1] + S[..., :-1, :-1]
 
 
 def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
@@ -390,19 +395,26 @@ def average(f: SampledFunction, region: Union[Box, DyadicCube]) -> float:
 
 def lp_norm(f: SampledFunction, p, weight: Optional[SampledFunction] = None) -> float:
     """||f||_{L^p(w dx)} over the window; Lebesgue measure when weight None."""
+    return lp_norms(f, f.values, p, weight)[0]
+
+
+def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[SampledFunction] = None) -> list:
+    """lp_norm of every row of values on the mesh of f, in row-major order
+    of the leading (batch) axes; the spatial axes come last.  Each row is
+    summed on its own and its root taken by Python's float power, as a
+    single norm is."""
     pf = float(p)
     if pf <= 0:
         raise MeshError("p must be positive")
-    v = f.values
     if weight is not None:
         f.require_same_mesh(weight)
-        mass = weight.values * float(f.cell_volume)
+        mass = (weight.values * float(f.cell_volume)).ravel()
     else:
         mass = float(f.cell_volume)
+    rows = values.reshape(-1, f.values.size)
     if math.isinf(pf):
-        return float(v.max(initial=0.0))
-    total = float(np.sum(v ** pf * mass))
-    return total ** (1.0 / pf)
+        return rows.max(axis=-1, initial=0.0).tolist()
+    return [total ** (1.0 / pf) for total in np.sum(rows ** pf * mass, axis=-1).tolist()]
 
 
 def weak_lq_norm(g: SampledFunction, q, weight: Optional[SampledFunction] = None) -> float:

@@ -21,6 +21,15 @@ reverse.  Sums over the intersections of the cubes of two scans come from
 their edge arrays, united per axis by merge_edges().  inside_scans() fixes
 the order in which per-cube constants and test families visit the cubes
 inside the window across several grids.  All index arithmetic is exact.
+
+The array primitives (sampled.prefix_sum and block_differences,
+cube_cell_sums, at_parents, spread and map_to_cells, sweep) take leading
+batch axes, with the spatial axes last: a (B, *mesh) array is B functions
+on one mesh, and each row of a batched call has the bits of the unbatched
+call on that row, since every row goes through the same element-wise
+operations.  cube_cells marks the cells of given cubes of several scans
+at once from the integer plans.  normest.potential_testing_chain scores
+all its cubes in one such batched pass.
 """
 from __future__ import annotations
 
@@ -171,12 +180,13 @@ def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:
     """Raw sums of cell values over each cube's window part, from a table
     of prefix_sum (or SampledFunction.prefix) read at the inner edges by a
     strided slice and at the clipped end edges 0 and N apart.  The result
-    has scan.shape; multiply by the cell volume for integrals."""
-    n, table = scan.ncells, prefix
-    for ax, (_, count, raw0, step) in enumerate(scan.plans):
+    has the table's leading (batch) axes, then scan.shape; multiply by the
+    cell volume for integrals."""
+    n, table, lead = scan.ncells, prefix, prefix.ndim - scan.dim
+    for ax, (_, count, raw0, step) in enumerate(scan.plans, lead):
         pieces = (slice(0, 1), slice(raw0 + step, raw0 + count * step, step), slice(n, n + 1))
         table = np.concatenate([table[(slice(None),) * ax + (sl,)] for sl in pieces], axis=ax)
-    return block_differences(table)
+    return block_differences(table, scan.dim)
 
 
 def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
@@ -208,9 +218,10 @@ def inside_window_mask(scan: LevelScan) -> np.ndarray:
 
 def spread(per_block: np.ndarray, widths) -> np.ndarray:
     """Spread a per-block array onto the cell mesh: along each axis, every
-    block's value is repeated over its width in cells."""
+    block's value is repeated over its width in cells.  The block axes come
+    last; leading axes are a batch."""
     out = per_block
-    for ax, w in enumerate(widths):
+    for ax, w in enumerate(widths, per_block.ndim - len(widths)):
         out = np.repeat(out, w, axis=ax)
     return out
 
@@ -244,10 +255,11 @@ def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarra
 def at_parents(arr, starts: Optional[Tuple[int, ...]], shape: Tuple[int, ...]) -> np.ndarray:
     """Values of a coarser-level per-cube array at each cube's parent, with
     the parent start offsets from walk(); above the coarsest level (starts
-    None) arr is a scalar that fills the given shape."""
+    None) arr is a scalar that fills the given shape.  The cube axes come
+    last; leading axes of arr are a batch."""
     if starts is None:
         return np.full(shape, arr)
-    for ax, (start, count) in enumerate(zip(starts, shape)):
+    for ax, (start, count) in enumerate(zip(starts, shape), np.ndim(arr) - len(shape)):
         arr = np.repeat(arr, 2, axis=ax)[(slice(None),) * ax + (slice(start, start + count),)]
     return arr
 
@@ -266,12 +278,29 @@ def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelSca
     starting from zeros above the coarsest level; the finest acc is then
     spread onto the cells.  With combine np.maximum or np.add each cell
     gets, bit for bit, what combining every level's spread values into a
-    zero array in level order gives.
+    zero array in level order gives.  level_values may return leading
+    batch axes before scan.shape: the result then has them before the
+    mesh axes, and each row is what the sweep of that row alone gives.
     """
     acc = 0.0
     for scan, starts in walk(f, grid):
         acc = combine(at_parents(acc, starts, scan.shape), level_values(scan))
     return map_to_cells(scan, acc)
+
+
+def cube_cells(scans, lev: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(B, *mesh) booleans: row b marks the cells of the window part of the
+    cube at position pos[b] (a (B, dim) array) of scans[lev[b]].  The cell
+    ranges come from the scans' integer plans, as in cell_block."""
+    ncells, dim = scans[0].ncells, scans[0].dim
+    cells = np.arange(ncells)
+    out = np.ones((len(lev),) + (ncells,) * dim, dtype=bool)
+    for ax in range(dim):
+        raw0, step = np.array([scan.plans[ax][2:] for scan in scans])[lev].T
+        start = (raw0 + step * pos[:, ax])[:, None]
+        hit = (cells >= start) & (cells < start + step[:, None])
+        out &= hit.reshape((len(lev),) + tuple(ncells if k == ax else 1 for k in range(dim)))
+    return out
 
 
 def cell_block(scan: LevelScan, values: np.ndarray, pos: Tuple[int, ...]) -> np.ndarray:

@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONST = "tests/test_constants.py"
 OPS = "tests/test_operators.py"
 SCAN = "tests/test_scan.py"
+NORM = "tests/test_normest.py"
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,45 @@ MUTANTS = [
     ),
     Mutant(
         "outer_shells_fine_to_coarse", "operators.py",
-        "for A in reversed(ancestor_chain(cube0, sigma.window)):",
-        "for A in ancestor_chain(cube0, sigma.window):",
+        "    for i in range(len(scans)):\n",
+        "    for i in reversed(range(len(scans))):\n",
         (f"{OPS}::TestOuterRiesz::test_matches_truncated_lattice_sum",
-         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube"),
+         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube",
+         f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
         "each cell takes the shell of its smallest ancestor, so the finest shell is written last",
+    ),
+    # --- the batched testing chain --------------------------------------------
+    Mutant(
+        "chain_cut_one_cell_short", "scan.py",
+        "(cells < start + step[:, None])",
+        "(cells < start + step[:, None] - 1)",
+        (f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle",
+         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube"),
+        "the cut sigma chi_Q and each shell cover every cell of their cube, the last one included",
+    ),
+    Mutant(
+        "at_parents_repeats_batch_axis", "scan.py",
+        "enumerate(zip(starts, shape), np.ndim(arr) - len(shape))",
+        "enumerate(zip(starts, shape))",
+        (f"{SCAN}::test_batched_primitives_match_row_loop",
+         f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
+        "the parent values of a batch are repeated along the cube axes, which come last",
+    ),
+    Mutant(
+        "cube_sums_slice_batch_axis", "scan.py",
+        "enumerate(scan.plans, lead)",
+        "enumerate(scan.plans)",
+        (f"{SCAN}::test_batched_primitives_match_row_loop",
+         f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
+        "the cube edges of a batched prefix table are read along its last axes",
+    ),
+    Mutant(
+        "batch_norm_rows_transposed", "sampled.py",
+        "rows = values.reshape(-1, f.values.size)",
+        "rows = values.reshape(f.values.size, -1).T",
+        (f"{SCAN}::test_batched_primitives_match_row_loop",
+         f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
+        "each row of a batch holds one function's cells, contiguous after the batch axes",
     ),
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
@@ -207,7 +242,7 @@ MUTANTS = [
     Mutant(
         "testing_chain_counts_uncompared_cubes", "normest.py",
         '"holds": worst_cube is not None and worst',
-        '"holds": count > 0 and worst',
+        '"holds": len(cubes) > 0 and worst',
         ("tests/test_normest.py::TestEquivalenceReport::test_testing_chain_with_no_compared_cube_does_not_hold",),
         "a chain whose cubes all have a zero maximal side compared nothing",
     ),

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from dyadlab.constants import WeightPair, sawyer_maximal_testing
-from dyadlab.grid import all_shifts
+from dyadlab import normest
+from dyadlab.constants import WeightPair, _require_dim, sawyer_maximal_testing
+from dyadlab.grid import DyadicCube, GridFamily, all_shifts, realize
+from dyadlab.operators import ancestor_chain, frac_maximal, outer_riesz, _shell_constant
 from dyadlab.normest import (
     NormError,
     NormEstimate,
@@ -23,8 +25,9 @@ from dyadlab.normest import (
     unit_pair,
     _inside_cubes,
 )
-from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, borderline, power
-from dyadlab.sampled import ExponentTuple, SampledFunction
+from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, borderline, log_bump, power, power_log
+from dyadlab.pairs import classical_pair
+from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -155,6 +158,14 @@ class TestEstimateNorm:
 
 
 class TestQuadratureBound:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi,p,q", [(power_log(2, 1), 1.5, 2), (log_bump(3, 1), F(4, 3), 4),
+                                         (power(3), F(4, 3), 4)], ids=["power_log", "log_bump", "power"])
+    def test_overflowing_tail_is_divergent_without_warning(self, phi, p, q):
+        # the tail integrand overflows to inf: a divergent verdict, no warning
+        val, rep = orlicz_norm_quadrature(normest._associate(phi), p, q)
+        assert (val, rep.verdict) == (math.inf, DIVERGENT)
+
     def test_plain_power_closed_form(self):
         # int_1^inf t^{4/3 - 2} dt/t = 1/(2 - 4/3), bound is its square root.
         val, rep = orlicz_norm_quadrature(power(F(4, 3)), 2.0)
@@ -482,3 +493,125 @@ class TestExponentDimension:
         pair = rand_pair(71, dim=2, lower=(0, 0), ncells=12)
         with pytest.raises(NormError, match="exponent dimension does not match the weights"):
             call(pair, E_SOB)
+
+
+# --- the testing chain, per cube --------------------------------------------
+
+
+def shell_oracle(sigma, cube0, alpha):
+    """The shell potential of one cube from the rational geometry of its
+    ancestor chain: each ancestor, coarse to fine, writes its shell onto
+    the cells it covers."""
+    n = sigma.dim
+    C = _shell_constant(alpha, n)
+    a = float(alpha)
+    mass = integrate(sigma, cube0)
+    out = np.zeros_like(sigma.values)
+    for A in reversed(ancestor_chain(cube0, sigma.window)):
+        b = realize(A)
+        out[sigma.cell_slices(b, require_aligned=True)] = C * float(b.volume()) ** (a / n - 1.0) * mass
+    return sigma.with_values(out)
+
+
+def potential_testing_chain_oracle(pair, e, min_level=None, max_level=None):
+    """normest.potential_testing_chain one cube at a time: per cube one
+    shell from shell_oracle, one cut sigma chi_Q0 and one frac_maximal."""
+    _require_dim(pair, e, NormError)
+    coeff = _shell_constant(e.alpha, e.n, NormError)
+    qf = float(e.q)
+    inv_p = float(1 / e.p)
+    worst, worst_cube = -math.inf, None
+    testing_value, testing_arg = 0.0, None
+    count = 0
+    for label, cube, mass in _inside_cubes(pair.u, pair.sigma, [(0,) * e.n], min_level, max_level):
+        lhs = lp_norm(shell_oracle(pair.sigma, cube, e.alpha), qf, weight=pair.u)
+        cut = pair.sigma.restrict_to(cube)
+        rhs = coeff * lp_norm(frac_maximal(cut, e.alpha, min_level=min_level, max_level=max_level),
+                              qf, weight=pair.u)
+        count += 1
+        quotient = lhs * mass ** (-inv_p)
+        if quotient > testing_value:
+            testing_value, testing_arg = quotient, label
+        if rhs > 0 and lhs / rhs > worst:
+            worst, worst_cube = lhs / rhs, label
+    return {
+        "cubes": count,
+        "max_ratio": None if worst_cube is None else worst,
+        "worst_cube": worst_cube,
+        "holds": worst_cube is not None and worst <= 1.0 + 1e-9,
+        "testing_constant": testing_value,
+        "testing_argmax": testing_arg,
+        "coefficient": coeff,
+    }
+
+
+CHAIN_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 48), (1, (0,), 1, 384),
+                (2, (0, 0), 1, 6), (2, (-1, 0), 2, 12), (2, (0, 0), 1, 24)]
+
+
+def chain_pair(kind, dim, lower, side, ncells):
+    """A classical pair, a random pair, or a random pair whose sigma is
+    zero on a block of cells."""
+    e = E_SOB if dim == 1 else E_SOB2
+    u = rand_weight(dim, lower, side, ncells, 41)
+    if kind == "classical":
+        return classical_pair(u, e), e
+    sigma = rand_weight(dim, lower, side, ncells, 42)
+    if kind == "zero_block":
+        vals = sigma.values.copy()
+        vals[(slice(0, ncells // 2),) + (slice(ncells // 3, None),) * (dim - 1)] = 0.0
+        sigma = sigma.with_values(vals)
+    return WeightPair(u, sigma), e
+
+
+class TestBatchedTestingChain:
+    @pytest.mark.parametrize("levels", [{}, {"min_level": 0}], ids=["default", "min0"])
+    @pytest.mark.parametrize("kind", ["classical", "random", "zero_block"])
+    @pytest.mark.parametrize("mesh", CHAIN_MESHES, ids=lambda m: f"{m[0]}d_{m[3]}")
+    def test_matches_per_cube_oracle(self, mesh, kind, levels):
+        pair, e = chain_pair(kind, *mesh)
+        got = potential_testing_chain(pair, e, **levels)
+        assert got["cubes"] > 0
+        assert got == potential_testing_chain_oracle(pair, e, **levels)
+
+    @pytest.mark.parametrize("batch_floats", [1, 48, 48 * 5])
+    def test_batches_give_the_same_dict(self, monkeypatch, batch_floats):
+        # one cube, one cube, and five cubes per batch on 48 cells: the
+        # 31 cubes span several batches, the last one short
+        pair, e = chain_pair("random", 1, (0,), 1, 48)
+        want = potential_testing_chain_oracle(pair, e)
+        monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", batch_floats)
+        assert potential_testing_chain(pair, e) == want
+
+    def test_vacuous_cases_match_oracle(self):
+        # no cube in the level range, and cubes with no positive maximal side
+        pair = classical_pair(rand_weight(1, (0,), 1, 24, 5), E_SOB)
+        levels = {"min_level": -4, "max_level": -1}
+        assert potential_testing_chain(pair, E_SOB, **levels) == potential_testing_chain_oracle(pair, E_SOB, **levels)
+        pair = WeightPair(SampledFunction.zeros(1, (0,), 1, 48), ones())
+        got = potential_testing_chain(pair, E_SOB)
+        assert got["cubes"] > 0 and got["worst_cube"] is None
+        assert got == potential_testing_chain_oracle(pair, E_SOB)
+
+    def test_no_per_cube_fraction_geometry(self, monkeypatch):
+        # cells and ancestors come from the scans' integer plans
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-cube Fraction geometry")
+
+        pair, e = chain_pair("random", 2, (-1, 0), 2, 12)
+        want = potential_testing_chain_oracle(pair, e)
+        for name in ("cell_slices", "restrict_to", "integrate_box"):
+            monkeypatch.setattr(SampledFunction, name, refuse)
+        monkeypatch.setattr(DyadicCube, "box", refuse)
+        assert potential_testing_chain(pair, e) == want
+
+    @pytest.mark.parametrize("dim,lower,side,ncells", [(1, (-1,), 2, 24), (2, (-1, 0), 2, 12), (2, (0, 0), 1, 12)])
+    def test_outer_riesz_matches_shell_oracle(self, dim, lower, side, ncells):
+        # every cube of every shifted grid at levels -2..2, including cubes
+        # the window clips and chains pinned at the origin
+        sigma = rand_weight(dim, lower, side, ncells, 43)
+        alpha = F(1, 2) if dim == 1 else F(1)
+        for shift in all_shifts(dim):
+            for cube in GridFamily(dim, shift, -2, sigma.max_aligned_level, sigma.window):
+                got = outer_riesz(sigma, cube, alpha).values
+                assert np.array_equal(got, shell_oracle(sigma, cube, alpha).values), cube

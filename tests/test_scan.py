@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from dyadlab import operators as op
 from dyadlab.grid import DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab.orlicz import power
-from dyadlab.sampled import MeshError, SampledFunction, prefix_sum
+from dyadlab.sampled import MeshError, SampledFunction, block_differences, lp_norm, lp_norms, prefix_sum
 from dyadlab import scan as scan_module
 from dyadlab.scan import (
     at_parents,
     cell_block,
     cube_cell_sums,
+    cube_cells,
     cube_integrals,
     inside_window_mask,
     iter_scans,
@@ -470,6 +471,56 @@ def test_scan_primitives_match_exact_oracle(mesh):
                     want[pos] = pid[ppos]
                 assert np.array_equal(at_parents(pid, starts, scan.shape), want)
             prev = scan
+
+
+# === batched primitives against a loop over their rows ========================
+
+@st.composite
+def batched_meshes(draw):
+    """(mesh, level range, shift, B rows of float values on the mesh)."""
+    f, lo, hi = draw(scan_meshes())
+    shift = draw(st.sampled_from(all_shifts(f.dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return f, lo, hi, shift, rng.exponential(1.0, (draw(st.integers(1, 5)),) + f.values.shape)
+
+
+@given(mesh=batched_meshes())
+@settings(max_examples=40, deadline=None)
+def test_batched_primitives_match_row_loop(mesh):
+    # float values, so each row must also round as its unbatched call does
+    f, lo, hi, shift, rows = mesh
+    B, dim = len(rows), f.dim
+
+    def each(call, *batched):
+        return np.stack([call(*row) for row in zip(*batched)])
+
+    pre = prefix_sum(rows, dim)
+    assert np.array_equal(pre, each(prefix_sum, rows))
+    assert np.array_equal(block_differences(pre, dim), each(block_differences, pre))
+    grid = GridFamily(dim, shift, lo, hi, f.window)
+    scans = tuple(iter_scans(f, grid))
+    ids = np.arange(f.values.size).reshape(f.values.shape)
+    rng = np.random.default_rng(B)
+    acc = None
+    for scan, starts in walk(f, grid):
+        sums = cube_cell_sums(scan, pre)
+        assert np.array_equal(sums, each(lambda p: cube_cell_sums(scan, p), pre))
+        assert np.array_equal(map_to_cells(scan, sums), each(lambda s: map_to_cells(scan, s), sums))
+        if starts is not None:
+            assert np.array_equal(at_parents(acc, starts, scan.shape),
+                                  each(lambda a: at_parents(a, starts, scan.shape), acc))
+        acc = sums
+        pos = np.stack([rng.integers(0, count, B) for count in scan.shape], axis=1)
+        cells = cube_cells(scans, np.full(B, scan.level - lo), pos)
+        for row, p in zip(cells, pos):
+            assert np.array_equal(np.flatnonzero(row), np.sort(cell_block(scan, ids, tuple(p)).ravel()))
+    for combine in (np.maximum, np.add):
+        got = sweep(f, grid, lambda scan: cube_cell_sums(scan, pre) * 2.0 ** scan.level, combine)
+        want = each(lambda p: sweep(f, grid, lambda scan: cube_cell_sums(scan, p) * 2.0 ** scan.level, combine), pre)
+        assert np.array_equal(got, want)
+    for q in (1.5, 4.0, np.inf):
+        norms = lp_norms(f, rows, q, weight=f)
+        assert norms == [lp_norm(f.with_values(row), q, weight=f) for row in rows]
 
 
 def _reachable(*roots):
