@@ -20,20 +20,18 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, cube_to_obj, realize
-from .operators import ancestor_chain, cut_frac_maximal, _grids, _luxemburg_averages, _shell_constant
+from .operators import cut_frac_maximal, _grids, _luxemburg_averages, _shell_constant, _shell_scans
 from .orlicz import YoungFunction
 from .sampled import (
     ExponentTuple,
     SampledFunction,
     average,
-    integrate,
     log_prefix,
     obj_field,
     parse_rational,
     prefix_sum,
 )
-from .scan import (LevelScan, at_parents, cube_cell_sums, cube_integrals, inside_scans, iter_scans,
-                   positive_cubes, walk)
+from .scan import LevelScan, at_parents, cube_cell_sums, cube_integrals, inside_scans, iter_scans, positive_cubes
 
 
 class ConstantError(ValueError):
@@ -508,9 +506,10 @@ def outer_testing_constant(
     A_0 = Q0, A_1, ... of Q0, so the integral is (coeff sigma(Q0))^q times
     sum_k |A_k|^sp (u(A_k) - u(A_{k-1})), sp = (alpha/n - 1) q, u(A_{-1}) = 0.
     This telescopes to T(Q0), T(Q) = T(parent Q) + c |Q|^sp u(Q), c = 1 - 2^{n sp}:
-    one top-down sweep per grid, seeded at its coarsest level by the chain
-    sums of operators.ancestor_chain (a chain run past the window or a
-    pinned edge adds only zero terms).  T is clamped at 0 against roundoff;
+    one top-down sweep per grid over the scans of operators._shell_scans,
+    seeded with T(A) = |A|^sp u(A) at their top, where every ancestor chain
+    has ended (ancestors past the end of a chain have the same window part,
+    so their terms telescope away).  T is clamped at 0 against roundoff;
     cubes that sigma fails scan.positive_cubes on are skipped.
     """
     n = e.n
@@ -521,25 +520,18 @@ def outer_testing_constant(
     inv_q, inv_pprime = float(1 / e.q), float(1 / e.pprime)
     u = pair.u
 
-    def chain_sum(cube: DyadicCube) -> float:
-        total = prev = 0.0
-        for anc in ancestor_chain(cube, u.window):
-            b = realize(anc)
-            here = integrate(u, b)
-            total += float(b.volume()) ** shell_pow * (here - prev)
-            prev = here
-        return total
+    def tree_sums(grid) -> dict:
+        """{level: T} over the levels of a grid, swept from the top of its
+        shell scans."""
+        top, *below = _shell_scans(u, grid.shift, grid.min_level, grid.max_level)
+        t = top.cube_volume() ** shell_pow * cube_integrals(top, u)
+        out = {top.level: t}
+        for scan in below:
+            out[scan.level] = t = (at_parents(t, scan.parent_start, scan.shape)
+                                   + c * scan.cube_volume() ** shell_pow * cube_integrals(scan, u))
+        return {level: out[level] for level in grid.levels}
 
-    def tree_sums(grid):
-        """(level, T) over the scans of a grid, coarse to fine."""
-        for scan, starts in walk(u, grid):
-            if starts is None:
-                t = np.reshape([chain_sum(scan.cube_at(pos)) for pos in np.ndindex(scan.shape)], scan.shape)
-            else:
-                t = at_parents(t, starts, scan.shape) + c * scan.cube_volume() ** shell_pow * cube_integrals(scan, u)
-            yield scan.level, t
-
-    sums = {grid: dict(tree_sums(grid)) for grid in _grids(u, shifts, min_level, max_level)}
+    sums = {grid: tree_sums(grid) for grid in _grids(u, shifts, min_level, max_level)}
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         masses, live = positive_cubes(scan, inside, pair.sigma)
@@ -568,9 +560,8 @@ def sawyer_maximal_testing(
     None) and the same levels as the outer cubes.  Both sides are scored
     level by level: one cut maximal per scan (operators.cut_frac_maximal)
     gives M_alpha(w chi_Q) on every cube Q of the scan at once, as in
-    ainfty_m and md_sp_testing.  Of the testing constants only
-    normest.potential_testing_chain still runs one operator per cube.
-    Cubes where the inner weight fails scan.positive_cubes are skipped.
+    ainfty_m and md_sp_testing.  Cubes where the inner weight fails
+    scan.positive_cubes are skipped.
     """
     _require_dim(pair, e)
     alpha = float(e.alpha)

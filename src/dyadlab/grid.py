@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class GridError(ValueError):
@@ -139,13 +139,10 @@ class DyadicCube:
             for m, t in zip(self.index, self.shift)
         )
 
-    def box(self) -> Box:
-        return Box(self.lower(), self.side)
-
 
 def realize(cube: DyadicCube) -> Box:
     """Exact rational realization of the cube as a half-open box."""
-    return cube.box()
+    return Box(cube.lower(), cube.side)
 
 
 def parent(cube: DyadicCube) -> DyadicCube:
@@ -246,12 +243,37 @@ def cube_to_obj(cube: DyadicCube) -> dict:
     }
 
 
+def _json_int(v, least=-math.inf) -> int:
+    """A JSON integer >= least; floats and booleans are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"expected an integer of at least {least}, got {v}")
+    return v
+
+
+def obj_field(obj, key: str, parse: Callable, where: str = "", error=GridError):
+    """parse(obj[key]) for a JSON object read from outside the program; a
+    missing field, or one that parse rejects, raises error naming
+    where + key."""
+    if not isinstance(obj, dict):
+        raise error(f"expected an object holding '{where}{key}', got {type(obj).__name__}")
+    if key not in obj:
+        raise error(f"missing field '{where}{key}'")
+    try:
+        return parse(obj[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"malformed field '{where}{key}': {exc}") from None
+
+
 def cube_from_obj(obj: dict) -> DyadicCube:
+    """Inverse of cube_to_obj; a missing field, or one that is not a JSON
+    integer (a list of them for index and shift), raises GridError naming it."""
     return DyadicCube(
-        dim=int(obj["dim"]),
-        level=int(obj["level"]),
-        index=tuple(int(i) for i in obj["index"]),
-        shift=tuple(int(s) for s in obj["shift"]),
+        dim=obj_field(obj, "dim", _json_int),
+        level=obj_field(obj, "level", _json_int),
+        index=obj_field(obj, "index", lambda v: tuple(map(_json_int, v))),
+        shift=obj_field(obj, "shift", lambda v: tuple(map(_json_int, v))),
     )
 
 

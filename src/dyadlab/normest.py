@@ -37,7 +37,7 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import cube_cells, inside_scans, positive_cubes
+from .scan import cell_block, cube_cells, inside_scans, positive_cubes
 from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _maximal_values, _shell_constant,
                         _shell_scans, _shells)
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
@@ -128,14 +128,22 @@ def _blocks_for(ncells: int) -> int:
 
 
 def _inside_cubes(mesh: SampledFunction, dens: SampledFunction, shifts, min_level, max_level):
-    """Yield (label, cube, mass) over the grid cubes that pass
+    """Yield (label, scan, pos, mass) over the grid cubes that pass
     scan.positive_cubes for dens, labelled "s=shift,l=level,pos=position",
     in the order of scan.inside_scans."""
     for scan, inside in inside_scans(mesh, _grids(mesh, shifts, min_level, max_level)):
         masses, live = positive_cubes(scan, inside, dens)
         for idx in np.argwhere(live):
             pos = tuple(int(i) for i in idx)
-            yield f"s={scan.grid.shift},l={scan.level},pos={pos}", scan.cube_at(pos), float(masses[pos])
+            yield f"s={scan.grid.shift},l={scan.level},pos={pos}", scan, pos, float(masses[pos])
+
+
+def _indicator(mesh: SampledFunction, scan, pos) -> SampledFunction:
+    """The indicator of the cube at pos of a scan on the mesh, its cells
+    read from the scan's integer plans."""
+    arr = np.zeros_like(mesh.values)
+    cell_block(scan, arr, pos)[...] = 1.0
+    return mesh.with_values(arr)
 
 
 def _iter_family(
@@ -153,8 +161,8 @@ def _iter_family(
     source = pair.sigma if side == "forward" else pair.u
 
     if family.indicators:
-        for label, cube, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
-            yield f"chi[{label}]", SampledFunction.indicator(cube.box(), mesh.dim, mesh.lower, mesh.side, mesh.ncells)
+        for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
+            yield f"chi[{label}]", _indicator(mesh, scan, pos)
 
     if family.random_steps > 0:
         rng = np.random.default_rng(family.seed)
@@ -174,14 +182,10 @@ def _iter_family(
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         zero_shift = [(0,) * mesh.dim]
-        for label, cube, _mass in _inside_cubes(mesh, other, zero_shift, min_level, max_level):
-            box = cube.box()
-            chi = SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells)
+        for label, scan, cube_pos, _mass in _inside_cubes(mesh, other, zero_shift, min_level, max_level):
+            chi = _indicator(mesh, scan, cube_pos)
             seed = OPERATORS[op](chi, other, alpha, phi, None, min_level, max_level)
-            sl = other.cell_slices(box, require_aligned=True)
-            on_cube = np.zeros_like(seed.values, dtype=bool)
-            on_cube[sl] = True
-            pos = on_cube & (seed.values > 0)
+            pos = (chi.values > 0) & (seed.values > 0)
             if not np.any(pos):
                 continue
             arr = np.zeros_like(seed.values)
@@ -452,10 +456,10 @@ def potential_testing_chain(
     zero = (0,) * n
     scans = _shell_scans(sigma, zero, *default_levels(sigma, min_level, max_level))
     cubes = list(_inside_cubes(pair.u, sigma, [zero], min_level, max_level))
-    lev = np.array([cube.level - scans[0].level for _, cube, _ in cubes], dtype=np.int64)
-    pos = np.reshape([cube.index for _, cube, _ in cubes], (len(cubes), n)).astype(np.int64)
-    pos -= np.reshape([scan.m_lo for scan in scans], (len(scans), n))[lev]
-    masses = np.array([mass for _, _, mass in cubes])
+    # _inside_cubes and _shell_scans share the plans of every level they both scan
+    lev = np.array([scan.level - scans[0].level for _, scan, _, _ in cubes], dtype=np.int64)
+    pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), n)).astype(np.int64)
+    masses = np.array([mass for _, _, _, mass in cubes])
     grids = _grids(sigma, None, min_level, max_level)
     lhs, rhs = [], []
     batch = max(1, CHAIN_BATCH_FLOATS // sigma.values.size)
@@ -471,7 +475,7 @@ def potential_testing_chain(
     worst_cube = None
     testing_value = 0.0
     testing_arg = None
-    for (label, _, mass), lhs_q, rhs_q in zip(cubes, lhs, rhs):
+    for (label, _, _, mass), lhs_q, rhs_q in zip(cubes, lhs, rhs):
         quotient = lhs_q * mass ** (-inv_p)
         if quotient > testing_value:
             testing_value = quotient

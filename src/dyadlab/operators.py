@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
+from .grid import DyadicCube, GridFamily, all_shifts
 from .orlicz import YoungFunction, luxemburg
 from .sampled import SampledFunction, _log2_exact, block_sums, log_prefix, prefix_sum
 from .scan import (
@@ -254,7 +254,8 @@ def orlicz_maximal(
         vol_q = scan.cube_volume()
         side_weight = vol_q ** (b / n)
         if is_power:
-            mean_pow = cube_cell_sums(scan, pre_pow) * (cellvol / vol_q)
+            # clamped at 0: a 2-D prefix-sum difference over zero cells can be -roundoff
+            mean_pow = np.maximum(cube_cell_sums(scan, pre_pow), 0.0) * (cellvol / vol_q)
             return mean_pow ** (1.0 / phi.r) * side_weight
         return side_weight * _luxemburg_averages(scan, f.values, cellvol, phi)
 
@@ -305,41 +306,12 @@ def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
 
 # === outer shell potential ====================================================
 
-def _axis_locked(cube: DyadicCube, b: Box, window: Box, ax: int) -> bool:
-    lo_cov = b.lower[ax] <= window.lower[ax]
-    hi_cov = b.lower[ax] + b.side >= window.lower[ax] + window.side
-    if lo_cov and hi_cov:
-        return True
-    if cube.shift[ax] == 0:
-        # the unshifted grid keeps an edge at the origin at every level
-        if cube.index[ax] == 0 and hi_cov:
-            return True
-        if cube.index[ax] == -1 and lo_cov:
-            return True
-    return False
-
-
-def ancestor_chain(cube0: DyadicCube, window: Box) -> list:
-    """Ancestors of cube0, finest first, walked until they cover the window
-    or are pinned at a grid-persistent edge so coverage can no longer grow;
-    more than 500 steps raise OperatorError."""
-    chain = [cube0]
-    for _ in range(500):
-        b = realize(chain[-1])
-        if b.contains_box(window):
-            break
-        if all(_axis_locked(chain[-1], b, window, ax) for ax in range(cube0.dim)):
-            break
-        chain.append(parent(chain[-1]))
-    else:
-        raise OperatorError("ancestor chain did not stabilize")
-    return chain
-
-
 def _chains_end(scan: LevelScan) -> bool:
-    """Whether ancestor_chain stops at every cube of the scan: each cube,
-    on every axis, covers the window or is pinned at a persistent edge of
-    the unshifted grid (_axis_locked on the cubes' integer cell edges)."""
+    """Whether the ancestor chain of every cube of the scan has ended: on
+    every axis each cube covers the window or, on the unshifted grid, is
+    pinned at the origin (an edge of every level), so no coarser ancestor
+    covers another cell of the window.  The one place the end of a chain
+    is decided, on the cubes' integer cell edges."""
     for (m_lo, count, raw0, step), tau in zip(scan.plans, scan.grid.shift):
         j = np.arange(count)
         lo_cov, hi_cov = raw0 + step * j <= 0, raw0 + step * (j + 1) >= scan.ncells
@@ -371,8 +343,9 @@ def _shells(f: SampledFunction, scans, lev: np.ndarray, pos: np.ndarray, masses:
     carries the mass masses[b]; the scans come from _shell_scans.  Each of
     its ancestors A, found through the parent offsets, writes
     coeff * |A|^{a/n - 1} * mass onto its cells, coarse to fine.  The
-    ancestors past the end of the cube's ancestor_chain cover the same
-    cells of the window as its last one, so their values are overwritten.
+    ancestors past the end of the cube's ancestor chain (_chains_end) cover
+    the same cells of the window as its last one, so their values are
+    overwritten.
     """
     n, B = f.dim, len(lev)
     anc = [None] * len(scans)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from functools import partial
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Box, DyadicCube, realize
+from .grid import Box, DyadicCube, _json_int, obj_field as _obj_field, realize
 
 
 class MeshError(ValueError):
@@ -350,27 +351,8 @@ class SampledFunction:
         return cls(dim, lower, obj_field(w, "side", Fraction, "window."), vals)
 
 
-def _json_int(v, least=-math.inf) -> int:
-    """A JSON integer >= least; floats and booleans are refused, not truncated."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"expected an integer, got {v!r}")
-    if v < least:
-        raise ValueError(f"expected an integer of at least {least}, got {v}")
-    return v
-
-
-def obj_field(obj, key: str, parse: Callable, where: str = ""):
-    """parse(obj[key]) for a JSON object read from outside the program; a
-    missing field, or one that parse rejects, raises MeshError naming
-    where + key."""
-    if not isinstance(obj, dict):
-        raise MeshError(f"expected an object holding '{where}{key}', got {type(obj).__name__}")
-    if key not in obj:
-        raise MeshError(f"missing field '{where}{key}'")
-    try:
-        return parse(obj[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MeshError(f"malformed field '{where}{key}': {exc}") from None
+# grid.obj_field, raising MeshError
+obj_field = partial(_obj_field, error=MeshError)
 
 
 # === integration / averages / norms ==========================================
@@ -394,7 +376,9 @@ def average(f: SampledFunction, region: Union[Box, DyadicCube]) -> float:
 
 
 def lp_norm(f: SampledFunction, p, weight: Optional[SampledFunction] = None) -> float:
-    """||f||_{L^p(w dx)} over the window; Lebesgue measure when weight None."""
+    """||f||_{L^p(w dx)} over the window; Lebesgue measure when weight None.
+    At p = inf this is the max of f over the cells of positive weight (0
+    when there is none)."""
     return lp_norms(f, f.values, p, weight)[0]
 
 
@@ -413,7 +397,9 @@ def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[Sampled
         mass = float(f.cell_volume)
     rows = values.reshape(-1, f.values.size)
     if math.isinf(pf):
-        return rows.max(axis=-1, initial=0.0).tolist()
+        # the essential sup over the measure w dx: cells of zero weight do not count
+        live = rows if weight is None else rows[:, weight.values.ravel() > 0]
+        return live.max(axis=-1, initial=0.0).tolist()
     return [total ** (1.0 / pf) for total in np.sum(rows ** pf * mass, axis=-1).tolist()]
 
 

@@ -13,11 +13,11 @@ Edge and owner arrays are built on demand and handed out read-only.
 
 Cube sums are prefix-sum differences read through strided slices, and a
 per-cube array reaches the cells by repeating each value over its cube's
-clipped width.  walk() yields a grid's scans coarse to fine with their
-parent start offsets (None at the coarsest level); sweep() and the
-stopping-time construction read parent values through at_parents() (repeat
-twice per axis, slice at the offset), bottom-up sums walk the same pairs in
-reverse.  Sums over the intersections of the cubes of two scans come from
+clipped width.  iter_scans() yields a grid's scans coarse to fine, each
+with its parent start offsets (parent_start, None at the coarsest level);
+sweep() and the stopping-time construction read parent values through
+at_parents() (repeat twice per axis, slice at the offset), and bottom-up
+sums scatter onto parent_positions() in reverse.  Sums over the intersections of the cubes of two scans come from
 their edge arrays, united per axis by merge_edges().  inside_scans() fixes
 the order in which per-cube constants and test families visit the cubes
 inside the window across several grids.  All index arithmetic is exact.
@@ -254,20 +254,14 @@ def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarra
 
 def at_parents(arr, starts: Optional[Tuple[int, ...]], shape: Tuple[int, ...]) -> np.ndarray:
     """Values of a coarser-level per-cube array at each cube's parent, with
-    the parent start offsets from walk(); above the coarsest level (starts
-    None) arr is a scalar that fills the given shape.  The cube axes come
+    the parent start offsets of a scan (its parent_start); above the
+    coarsest level (starts None) arr is a scalar that fills the given shape.  The cube axes come
     last; leading axes of arr are a batch."""
     if starts is None:
         return np.full(shape, arr)
     for ax, (start, count) in enumerate(zip(starts, shape), np.ndim(arr) - len(shape)):
         arr = np.repeat(arr, 2, axis=ax)[(slice(None),) * ax + (slice(start, start + count),)]
     return arr
-
-
-def walk(f: SampledFunction, grid: GridFamily):
-    """Yield (scan, parent start offsets, None at the top) coarse to fine."""
-    for scan in iter_scans(f, grid):
-        yield scan, scan.parent_start
 
 
 def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelScan], np.ndarray],
@@ -283,8 +277,8 @@ def sweep(f: SampledFunction, grid: GridFamily, level_values: Callable[[LevelSca
     mesh axes, and each row is what the sweep of that row alone gives.
     """
     acc = 0.0
-    for scan, starts in walk(f, grid):
-        acc = combine(at_parents(acc, starts, scan.shape), level_values(scan))
+    for scan in iter_scans(f, grid):
+        acc = combine(at_parents(acc, scan.parent_start, scan.shape), level_values(scan))
     return map_to_cells(scan, acc)
 
 

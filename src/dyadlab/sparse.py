@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFamily, cube_to_obj
 from .sampled import SampledFunction, integrate
-from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, sweep, walk
+from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, parent_positions, sweep
 from .operators import _frac_averages, _grid, _order
 
 
@@ -123,10 +123,10 @@ def build_sparse(
     # above the coarsest level nothing has stopped, so roots are u > 0
     deep_u, deep_id = 0.0, np.int64(-1)
     next_id = 0
-    for scan, starts in walk(f, grid):
+    for scan in iter_scans(f, grid):
         u = frac_averages(scan)
-        inherited_u = at_parents(deep_u, starts, u.shape)
-        inherited_id = at_parents(deep_id, starts, u.shape)
+        inherited_u = at_parents(deep_u, scan.parent_start, u.shape)
+        inherited_id = at_parents(deep_id, scan.parent_start, u.shape)
         is_stop = u > r * inherited_u
         ids_here = np.full(u.shape, -1, dtype=np.int64)
         count = int(np.count_nonzero(is_stop))
@@ -244,10 +244,10 @@ def subtree_sums(seq: CarlesonSequence) -> Dict[int, np.ndarray]:
     """For every cube, the sum of coefficients over its descendants within
     the level range (itself included), via a bottom-up sweep."""
     totals = {level: arr.copy() for level, arr in seq.values.items()}
-    for scan, starts in reversed(list(walk(seq.mesh, seq.grid))):
-        if starts is not None:
-            pos = ((start + np.arange(count)) // 2 for start, count in zip(starts, scan.shape))
-            np.add.at(totals[scan.level - 1], np.ix_(*pos), totals[scan.level])
+    scans = tuple(iter_scans(seq.mesh, seq.grid))
+    for scan, child in reversed(list(zip(scans, scans[1:]))):
+        pos = parent_positions(child, scan)
+        np.add.at(totals[scan.level], np.ix_(*pos), totals[child.level])
     return totals
 
 

@@ -63,11 +63,19 @@ MUTANTS = [
     ),
     Mutant(
         "outer_seed_without_chain", "constants.py",
-        "t = np.reshape([chain_sum(scan.cube_at(pos)) for pos in np.ndindex(scan.shape)], scan.shape)",
-        "t = scan.cube_volume() ** shell_pow * cube_integrals(scan, u)",
+        "top, *below = _shell_scans(u, grid.shift, grid.min_level, grid.max_level)",
+        "top, *below = iter_scans(u, grid)",
         (f"{CONST}::TestTestingSweeps::test_matches_per_cube_oracle",
-         f"{CONST}::TestTestingSweeps::test_ancestor_chain_only_on_coarsest_cubes"),
-        "a coarsest cube that does not cover the window needs its ancestors' shells in the seed",
+         f"{CONST}::TestTestingSweeps::test_no_fraction_geometry"),
+        "a coarsest cube whose ancestor chain has not ended needs its ancestors' shells in the seed",
+    ),
+    Mutant(
+        "outer_top_seed_times_c", "constants.py",
+        "t = top.cube_volume() ** shell_pow * cube_integrals(top, u)",
+        "t = c * top.cube_volume() ** shell_pow * cube_integrals(top, u)",
+        (f"{CONST}::TestTestingSweeps::test_matches_per_cube_oracle",
+         f"{CONST}::TestOuterTesting::test_matches_outer_riesz_route"),
+        "the top of the sweep, where every chain has ended, carries its whole shell |A|^sp u(A)",
     ),
     Mutant(
         "outer_sum_unclamped", "constants.py",
@@ -270,11 +278,33 @@ MUTANTS = [
          "tests/test_cli.py::TestMalformedInputFiles::test_negative_cell_count_refused"),
         "reshape reads a negative cell count as 'infer'",
     ),
+    Mutant(
+        "orlicz_power_mean_unclamped", "operators.py",
+        "mean_pow = np.maximum(cube_cell_sums(scan, pre_pow), 0.0) * (cellvol / vol_q)",
+        "mean_pow = cube_cell_sums(scan, pre_pow) * (cellvol / vol_q)",
+        (f"{OPS}::TestOrliczMaximal::test_power_path_over_zero_block_2d",),
+        "a negative roundoff power mean takes a NaN root, which the result refuses",
+    ),
+    Mutant(
+        "sup_norm_counts_zero_weight", "sampled.py",
+        "live = rows if weight is None else rows[:, weight.values.ravel() > 0]",
+        "live = rows",
+        ("tests/test_sampled.py::TestNorms::test_weighted_sup_norm_ignores_zero_weight",),
+        "L^inf(w dx) does not see the cells of zero weight",
+    ),
+    Mutant(
+        "cube_level_truncated", "grid.py",
+        'level=obj_field(obj, "level", _json_int)',
+        'level=obj_field(obj, "level", int)',
+        ("tests/test_grid.py::TestSerialization::test_cube_fields_must_be_integers",
+         "tests/test_cli.py::TestOpsCommand::test_outer_riesz_malformed_cube_refused"),
+        "a cube level of 1.5 is refused, not truncated to 1",
+    ),
     # --- sparse families and imports ------------------------------------------
     Mutant(
         "subtree_scatter_transposed", "sparse.py",
-        "np.add.at(totals[scan.level - 1], np.ix_(*pos), totals[scan.level])",
-        "np.add.at(totals[scan.level - 1], np.ix_(*list(pos)[::-1]), totals[scan.level].T)",
+        "np.add.at(totals[scan.level], np.ix_(*pos), totals[child.level])",
+        "np.add.at(totals[scan.level], np.ix_(*pos[::-1]), totals[child.level].T)",
         ("tests/test_sparse.py::TestCarleson::test_subtree_sums_2d_against_brute",),
         "each axis of the child positions indexes the same axis of the parents",
     ),

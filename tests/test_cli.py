@@ -297,6 +297,24 @@ class TestOpsCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["metadata"]["operator"] == "outer_riesz"
 
+    @pytest.mark.parametrize("field,cube", [
+        ("'dim'", {}),
+        ("'index'", {"dim": 1, "level": 1, "index": 0, "shift": [0]}),
+        ("'level'", {"dim": 1, "level": 1.5, "index": [0.9], "shift": [0]}),
+        ("'shift'", {"dim": 1, "level": 1, "index": [0], "shift": [True]}),
+    ])
+    def test_outer_riesz_malformed_cube_refused(self, tmp_path, capsys, field, cube):
+        # each field of --cube is read as a JSON integer: no traceback, no truncation
+        src = tmp_path / "f.json"
+        write_function(src)
+        out = tmp_path / "out.json"
+        rc = main(["ops", "outer_riesz", "-i", str(src), "--alpha", "1/2", "--cube", json.dumps(cube),
+                   "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["frac_maximal", "dyadic_riesz", "riesz_1d"])
     def test_shift_metadata_echoes_the_flags(self, tmp_path, name):
         # the operators differ in their default grid, so an omitted

@@ -26,10 +26,12 @@ from dyadlab.constants import (
     sawyer_maximal_testing,
 )
 from dyadlab.grid import DyadicCube, realize, shifted_grids
-from dyadlab.operators import ancestor_chain, dyadic_frac_maximal, frac_maximal
+from dyadlab.operators import _grids, _shell_scans, dyadic_frac_maximal, frac_maximal
 from dyadlab.orlicz import power, power_log
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 from dyadlab.scan import positive_cubes
+
+from fraction_oracle import ancestor_chain, refuse_fraction_geometry
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -840,26 +842,27 @@ class TestTestingSweeps:
 
     @pytest.mark.parametrize("levels", SWEEP_LEVELS)
     @pytest.mark.parametrize("mesh", SWEEP_MESHES)
-    def test_ancestor_chain_only_on_coarsest_cubes(self, monkeypatch, mesh, levels):
-        import dyadlab.constants as constants
-        from dyadlab.operators import _grids
-        from dyadlab.scan import level_scan
-
-        calls = []
-
-        def counted(cube, window):
-            calls.append(cube)
-            return ancestor_chain(cube, window)
-
-        monkeypatch.setattr(constants, "ancestor_chain", counted)
+    def test_ancestor_chain_only_on_coarsest_cubes(self, mesh, levels):
+        # the sweep needs the ancestor chains of the coarsest cubes only, and
+        # of those only where they end: it is seeded at the top of the shell
+        # scans, which is the coarsest level any of those chains reaches
         dim, lower, ncells = mesh
         pair = sweep_pair(dim, lower, ncells, "none", 5)
-        outer_testing_constant(pair, E_SOB if dim == 1 else E_SOB2, **levels)
-        want = []
         for grid in _grids(pair.u, None, levels.get("min_level"), levels.get("max_level")):
-            top = level_scan(pair.u, grid, grid.min_level)
-            want += [top.cube_at(pos) for pos in np.ndindex(top.shape)]
-        assert calls == want
+            top = _shell_scans(pair.u, grid.shift, grid.min_level, grid.max_level)[0]
+            ends = [ancestor_chain(cube, pair.u.window)[-1].level for cube in grid.cubes_at_level(grid.min_level)]
+            assert min(ends) == top.level
+
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES)
+    def test_no_fraction_geometry(self, monkeypatch, mesh):
+        # the sums come from the integer scan plans, not from boxes per cube
+        dim, lower, ncells = mesh
+        pair = sweep_pair(dim, lower, ncells, "blocks", 6)
+        e = E_SOB if dim == 1 else E_SOB2
+        levels = dict(min_level=1)
+        want = outer_testing_oracle(pair, e, **levels)
+        refuse_fraction_geometry(monkeypatch)
+        assert_matches_oracle(outer_testing_constant(pair, e, **levels), want)
 
 
 class TestExponentDimension:

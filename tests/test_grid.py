@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dyadlab.grid import (
     Box,
     DyadicCube,
+    GridError,
     GridFamily,
     all_shifts,
     box_from_obj,
@@ -237,6 +238,20 @@ class TestSerialization:
     def test_cube_roundtrip(self):
         c = DyadicCube(2, -2, (5, -7), (1, 0))
         assert cube_from_obj(cube_to_obj(c)) == c
+
+    @pytest.mark.parametrize("field,obj", [
+        ("'dim'", {}),
+        ("'dim'", {"dim": True, "level": 1, "index": [0], "shift": [0]}),
+        ("'level'", {"dim": 1, "level": 1.5, "index": [0], "shift": [0]}),
+        ("'index'", {"dim": 1, "level": 1, "index": 0, "shift": [0]}),
+        ("'index'", {"dim": 1, "level": 1, "index": [0.9], "shift": [0]}),
+        ("'shift'", {"dim": 1, "level": 1, "index": [0], "shift": [True]}),
+        ("'shift'", {"dim": 1, "level": 1, "index": [0]}),
+    ])
+    def test_cube_fields_must_be_integers(self, field, obj):
+        # a missing or non-integer field is refused by name, never truncated
+        with pytest.raises(GridError, match=field):
+            cube_from_obj(obj)
 
     def test_box_roundtrip(self):
         b = Box((Fraction(-1, 6), Fraction(2, 3)), Fraction(1, 2))

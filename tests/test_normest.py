@@ -11,7 +11,7 @@ from pytest import approx
 from dyadlab import normest
 from dyadlab.constants import WeightPair, _require_dim, sawyer_maximal_testing
 from dyadlab.grid import DyadicCube, GridFamily, all_shifts, realize
-from dyadlab.operators import ancestor_chain, frac_maximal, outer_riesz, _shell_constant
+from dyadlab.operators import frac_maximal, outer_riesz, _shell_constant
 from dyadlab.normest import (
     NormError,
     NormEstimate,
@@ -28,6 +28,8 @@ from dyadlab.normest import (
 from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, borderline, log_bump, power, power_log
 from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
+
+from fraction_oracle import ancestor_chain, refuse_fraction_geometry
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -476,8 +478,8 @@ class TestHelpers:
         # grids come in all_shifts order, the zero shift first
         w = rand_weight(dim, lower, 2, ncells, 5)
         order = all_shifts(dim)
-        keys = [(cube.level, order.index(cube.shift))
-                for _, cube, _ in _inside_cubes(w, w, None, None, None)]
+        keys = [(scan.level, order.index(scan.grid.shift))
+                for _, scan, _, _ in _inside_cubes(w, w, None, None, None)]
         assert keys == sorted(keys)
         assert {k[1] for k in keys} == set(range(len(order)))
         for level in {k[0] for k in keys}:
@@ -523,7 +525,8 @@ def potential_testing_chain_oracle(pair, e, min_level=None, max_level=None):
     worst, worst_cube = -math.inf, None
     testing_value, testing_arg = 0.0, None
     count = 0
-    for label, cube, mass in _inside_cubes(pair.u, pair.sigma, [(0,) * e.n], min_level, max_level):
+    for label, scan, pos, mass in _inside_cubes(pair.u, pair.sigma, [(0,) * e.n], min_level, max_level):
+        cube = scan.cube_at(pos)
         lhs = lp_norm(shell_oracle(pair.sigma, cube, e.alpha), qf, weight=pair.u)
         cut = pair.sigma.restrict_to(cube)
         rhs = coeff * lp_norm(frac_maximal(cut, e.alpha, min_level=min_level, max_level=max_level),
@@ -595,14 +598,9 @@ class TestBatchedTestingChain:
 
     def test_no_per_cube_fraction_geometry(self, monkeypatch):
         # cells and ancestors come from the scans' integer plans
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-cube Fraction geometry")
-
         pair, e = chain_pair("random", 2, (-1, 0), 2, 12)
         want = potential_testing_chain_oracle(pair, e)
-        for name in ("cell_slices", "restrict_to", "integrate_box"):
-            monkeypatch.setattr(SampledFunction, name, refuse)
-        monkeypatch.setattr(DyadicCube, "box", refuse)
+        refuse_fraction_geometry(monkeypatch)
         assert potential_testing_chain(pair, e) == want
 
     @pytest.mark.parametrize("dim,lower,side,ncells", [(1, (-1,), 2, 24), (2, (-1, 0), 2, 12), (2, (0, 0), 1, 12)])
@@ -615,3 +613,68 @@ class TestBatchedTestingChain:
             for cube in GridFamily(dim, shift, -2, sigma.max_aligned_level, sigma.window):
                 got = outer_riesz(sigma, cube, alpha).values
                 assert np.array_equal(got, shell_oracle(sigma, cube, alpha).values), cube
+
+
+# --- the test families, from the scans' integer plans ------------------------
+
+
+def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, phi):
+    """normest._iter_family with each indicator and each duality cut built
+    from the rational box of its cube."""
+    mesh = pair.u
+    source = pair.sigma if side == "forward" else pair.u
+    if family.indicators:
+        for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
+            box = realize(scan.cube_at(pos))
+            yield f"chi[{label}]", SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells)
+    if family.random_steps > 0:
+        rng = np.random.default_rng(family.seed)
+        blocks = normest._blocks_for(mesh.ncells)
+        reps = mesh.ncells // blocks
+        for k in range(family.random_steps):
+            vals = rng.exponential(1.0, size=(blocks,) * mesh.dim)
+            for ax in range(mesh.dim):
+                vals = np.repeat(vals, reps, axis=ax)
+            yield f"step[{k}]", mesh.with_values(vals)
+    if family.duality:
+        other = pair.u if side == "forward" else pair.sigma
+        expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
+        for label, scan, pos, _mass in _inside_cubes(mesh, other, [(0,) * mesh.dim], min_level, max_level):
+            box = realize(scan.cube_at(pos))
+            chi = SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells)
+            seed = normest.OPERATORS[op](chi, other, alpha, phi, None, min_level, max_level)
+            on_cube = np.zeros_like(seed.values, dtype=bool)
+            on_cube[other.cell_slices(box, require_aligned=True)] = True
+            live = on_cube & (seed.values > 0)
+            if not np.any(live):
+                continue
+            arr = np.zeros_like(seed.values)
+            with np.errstate(over="ignore"):
+                arr[live] = seed.values[live] ** expo
+            if not np.all(np.isfinite(arr)):
+                continue
+            yield f"dual[chi[{label}]]", mesh.with_values(arr)
+
+
+FAMILY_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 24), (2, (0, 0), 1, 6), (2, (-1, 0), 2, 12)]
+
+
+class TestFamilyOnScans:
+    @pytest.mark.parametrize("mesh,op", [
+        (mesh, op) for mesh in FAMILY_MESHES for op in normest.OPERATOR_IDS
+        if not (op == "riesz_1d" and mesh[0] == 2)
+    ], ids=lambda v: f"{v[0]}d_{v[1][0]}_{v[3]}" if isinstance(v, tuple) else v)
+    def test_matches_fraction_family(self, monkeypatch, mesh, op):
+        # every estimate equals the one over the rational-box family, bit for
+        # bit, and is built with no per-cube rational geometry at all
+        pair, e = chain_pair("zero_block", *mesh)
+        calls = [dict(side=side, weak=weak) for side in ("forward", "dual") for weak in (False, True)]
+
+        def estimates():
+            return [estimate_norm(op, pair, e, LIGHT, phi=power(3), **kw) for kw in calls]
+
+        with monkeypatch.context() as m:
+            m.setattr(normest, "_iter_family", _iter_family_oracle)
+            want = estimates()
+        refuse_fraction_geometry(monkeypatch)
+        assert estimates() == want

@@ -9,7 +9,6 @@ from dyadlab.grid import Box, DyadicCube, GridFamily, all_shifts, parent, realiz
 from dyadlab.operators import (
     OperatorError,
     _grids,
-    ancestor_chain,
     cut_frac_maximal,
     dyadic_frac_maximal,
     dyadic_riesz,
@@ -23,6 +22,8 @@ from dyadlab.operators import (
 from dyadlab.orlicz import PowerScaled, log_bump, power
 from dyadlab.sampled import SampledFunction, integrate, lp_norm
 from dyadlab.scan import cell_block, iter_scans
+
+from fraction_oracle import ancestor_chain
 
 
 def rand_f(dim, lower, side, ncells, seed=0, zeros_at=()):
@@ -226,6 +227,18 @@ class TestOrliczMaximal:
         # constant 1 on [0,1): level-0 cube inside has |Q| = 1, norm 1;
         # straddling coarse cubes are cut by the default range
         assert np.max(got.values) == pytest.approx(1.0, rel=1e-12)
+
+    def test_power_path_over_zero_block_2d(self):
+        # a 2-D prefix-sum difference over a block of zero cells can be
+        # -roundoff (on a few of these draws), whose root is NaN unless the
+        # power mean is clamped at 0
+        for seed in range(40):
+            v = np.random.default_rng(seed).exponential(1.0, (12, 12))
+            v[:6, 4:] = 0.0
+            f = SampledFunction(2, (-1, 0), 2, v)
+            got = orlicz_maximal(f, power(3), beta=0.5)
+            want = dyadic_frac_maximal(f.with_values(v ** 3), 1.5).values ** (1.0 / 3.0)
+            np.testing.assert_allclose(got.values, want, rtol=1e-12)
 
 
 class TestDyadicRiesz:

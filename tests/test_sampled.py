@@ -16,6 +16,7 @@ from dyadlab.sampled import (
     average,
     integrate,
     lp_norm,
+    lp_norms,
     make_exponents,
     parse_rational,
     weak_lq_norm,
@@ -224,6 +225,15 @@ class TestNorms:
         w = SampledFunction(1, (0,), 1, np.array([3.0, 0.0, 1.0]))
         expect = ((1 * 3 + 0 + 27 * 1) / 3) ** (1 / 3)
         assert lp_norm(f, 3, weight=w) == pytest.approx(expect, rel=1e-14)
+
+    def test_weighted_sup_norm_ignores_zero_weight(self):
+        # L^inf(w dx) is the max over the cells of positive weight
+        f = SampledFunction(1, (0,), 1, np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        w = f.with_values(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        assert lp_norm(f, math.inf, weight=w) == 1.0
+        assert lp_norm(f, math.inf) == 5.0
+        assert lp_norm(f, math.inf, weight=f.with_values(np.zeros(6))) == 0.0
+        assert lp_norms(f, np.stack([f.values, f.values[::-1]]), math.inf, weight=w) == [1.0, 5.0]
 
     def test_weak_norm_two_values(self):
         # g takes values 4 (on one cell) and 1 (on two cells), cells of

@@ -25,7 +25,6 @@ from dyadlab.scan import (
     map_to_cells,
     parent_positions,
     sweep,
-    walk,
 )
 from dyadlab.sparse import build_sparse, sparse_operator
 
@@ -445,7 +444,8 @@ def test_scan_primitives_match_exact_oracle(mesh):
     for shift in all_shifts(f.dim):
         grid = GridFamily(f.dim, shift, lo, hi, f.window)
         prev = None
-        for scan, starts in walk(f, grid):
+        for scan in iter_scans(f, grid):
+            starts = scan.parent_start
             cubes = {pos: scan.cube_at(pos) for pos in np.ndindex(scan.shape)}
             slices = {pos: f.cell_slices(realize(cube)) for pos, cube in cubes.items()}
             sums = np.zeros(scan.shape)
@@ -502,7 +502,8 @@ def test_batched_primitives_match_row_loop(mesh):
     ids = np.arange(f.values.size).reshape(f.values.shape)
     rng = np.random.default_rng(B)
     acc = None
-    for scan, starts in walk(f, grid):
+    for scan in scans:
+        starts = scan.parent_start
         sums = cube_cell_sums(scan, pre)
         assert np.array_equal(sums, each(lambda p: cube_cell_sums(scan, p), pre))
         assert np.array_equal(map_to_cells(scan, sums), each(lambda s: map_to_cells(scan, s), sums))
