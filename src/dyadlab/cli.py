@@ -221,18 +221,30 @@ def _config_int(value, name: str) -> int:
         raise CLIError(f"{name} must be an integer, got {value!r}") from None
 
 
-def validate_config(cfg: dict) -> dict:
-    """Reject a malformed config before any suite runs or any output is
-    written."""
-    unknown = set(cfg) - set(DEFAULT_CONFIG)
+def _known_fields(obj, fields, where: str = ""):
+    """Refuse obj unless it is an object whose keys all lie in fields;
+    where is obj's dotted place in the config ("" at the top)."""
+    if not isinstance(obj, dict):
+        raise CLIError(f"{where} must be an object")
+    unknown = sorted(f"{where}.{k}" if where else k for k in set(obj) - set(fields))
     if unknown:
-        raise CLIError(f"unknown config fields: {sorted(unknown)}")
+        raise CLIError(f"unknown config fields: {unknown}")
+
+
+def validate_config(cfg: dict) -> dict:
+    """Reject a malformed config, or one that gives a suite nothing to
+    run, before any suite runs or any output is written."""
+    _known_fields(cfg, DEFAULT_CONFIG)
     for key in ("suites", "young", "pairs"):
         if not isinstance(cfg[key], list):
             raise CLIError(f"{key} must be a list")
-    for key in ("exponents", "mesh", "counterexample"):
-        if not isinstance(cfg[key], dict):
-            raise CLIError(f"{key} must be an object")
+    grids = {} if cfg["grids"] is None else cfg["grids"]  # null pins no level range
+    for key in ("exponents", "mesh", "grids", "counterexample"):
+        _known_fields(grids if key == "grids" else cfg[key], DEFAULT_CONFIG[key], key)
+    if not cfg["suites"]:
+        raise CLIError("suites must name at least one suite")
+    if "equivalence" in cfg["suites"] and not cfg["pairs"]:
+        raise CLIError("the equivalence suite needs at least one pair")
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
@@ -247,8 +259,7 @@ def validate_config(cfg: dict) -> dict:
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
     # every suite picks its own level range, so a pinned one would be
     # reported but never used
-    grids = cfg["grids"] or {}
-    if not isinstance(grids, dict) or any(v is not None for v in grids.values()):
+    if any(v is not None for v in grids.values()):
         raise CLIError("grids.min_level and grids.max_level are not supported; leave them null")
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
@@ -260,10 +271,11 @@ def validate_config(cfg: dict) -> dict:
     if w < 8 or w & (w - 1):
         raise CLIError("counterexample.window must be a power of two, at least 8")
     _config_int(cfg["seed"], "seed")
-    for y in cfg["young"]:
+    for i, y in enumerate(cfg["young"]):
+        _known_fields(y, ("family", "params"), f"young[{i}]")
         young_from_spec(y)
-    for spec in cfg["pairs"]:
-        _pair_from_spec(cfg, spec, e)  # builds each pair once, so a bad spec fails here
+    for i, spec in enumerate(cfg["pairs"]):
+        _pair_from_spec(cfg, spec, e, f"pairs[{i}]")  # builds each pair once, so a bad spec fails here
     return cfg
 
 
@@ -293,11 +305,15 @@ def _smooth_weight(cfg: dict, dim: int) -> SampledFunction:
     return SampledFunction(dim, lower, side, vals)
 
 
-def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple) -> WeightPair:
-    if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
-        raise CLIError(f"a pair is an object with an optional params object, got {spec!r}")
-    kind = spec.get("kind")
-    params = spec.get("params", {})
+_PAIR_PARAMS = {"classical-smooth": (), "random": ("seed",), "file": ("path",)}
+
+
+def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple, where: str = "pair") -> WeightPair:
+    _known_fields(spec, ("kind", "params"), where)
+    kind, params = spec.get("kind"), spec.get("params", {})
+    if kind not in _PAIR_PARAMS:
+        raise CLIError(f"unknown pair kind {kind!r}")
+    _known_fields(params, _PAIR_PARAMS[kind], f"{where}.params")
     if kind == "classical-smooth":
         return classical_pair(_smooth_weight(cfg, e.n), e) if e.is_sobolev else WeightPair(
             _smooth_weight(cfg, e.n), _smooth_weight(cfg, e.n), provenance="smooth"
@@ -307,54 +323,65 @@ def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple) -> WeightPair:
         return WeightPair(
             _rand_weight(cfg, e.n, seed), _rand_weight(cfg, e.n, seed + 1000), provenance="random"
         )
-    if kind == "file":
-        if not isinstance(params.get("path"), str):
-            raise CLIError("a file pair needs params.path")
-        return _load_pair(params["path"])
-    raise CLIError(f"unknown pair kind {kind!r}")
+    if not isinstance(params.get("path"), str):
+        raise CLIError("a file pair needs params.path")
+    return _load_pair(params["path"])
 
 
 # === suites ==================================================================
 
 
-def _check(name: str, passed: bool, **detail) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    out.update(detail)
-    return out
+def _check(name: str, value, bound, cases: int, sense: str = "<=") -> dict:
+    """The one verdict rule of `dyadlab run`: value held to bound (value <=
+    bound, or value >= bound when sense is ">="), over cases trials, cubes
+    or test functions.  A check that compared nothing (no case, or no
+    value) is vacuous and does not pass; a NaN value fails."""
+    vacuous = cases == 0 or value is None
+    lo, hi = (value, bound) if sense == "<=" else (bound, value)
+    return {"name": name, "value": value, "bound": bound, "sense": sense, "cases": cases,
+            "margin": None if vacuous else hi - lo, "vacuous": vacuous, "passed": not vacuous and lo <= hi}
+
+
+def _worst(values, sense: str = "<=") -> Optional[float]:
+    """The worst of values against a bound of the given sense: NaN when
+    any value is NaN (Python's max would drop it), None when there is none."""
+    if not len(values):
+        return None
+    return float((np.max if sense == "<=" else np.min)(values))
+
+
+def _result(checks: list, **tables) -> dict:
+    """A suite's checks and its tables, each given as (header, rows)."""
+    return {"checks": checks, "tables": {k: {"header": h, "rows": r} for k, (h, r) in tables.items()}}
+
+
+def _rand_cube(rng, dim: int, levels, index) -> DyadicCube:
+    return DyadicCube(
+        dim,
+        int(rng.integers(*levels)),
+        tuple(int(rng.integers(*index)) for _ in range(dim)),
+        tuple(int(rng.integers(0, 2)) for _ in range(dim)),
+    )
 
 
 def _suite_geometry(cfg: dict) -> dict:
     rng = np.random.default_rng(int(cfg["seed"]) + 1)
     checks, rows = [], []
 
-    ok_round = True
+    failed = 0
     for _ in range(50):
-        dim = int(rng.integers(1, 3))
-        cube = DyadicCube(
-            dim,
-            int(rng.integers(-6, 7)),
-            tuple(int(rng.integers(-512, 512)) for _ in range(dim)),
-            tuple(int(rng.integers(0, 2)) for _ in range(dim)),
-        )
-        ok_round &= cube_from_obj(cube_to_obj(cube)) == cube
+        cube = _rand_cube(rng, int(rng.integers(1, 3)), (-6, 7), (-512, 512))
         box = realize(cube)
-        ok_round &= box_from_obj(box_to_obj(box)) == box
-    checks.append(_check("serialization_roundtrip", ok_round, cases=50))
+        failed += cube_from_obj(cube_to_obj(cube)) != cube or box_from_obj(box_to_obj(box)) != box
+    checks.append(_check("serialization_roundtrip", failed, 0, 50))
 
-    ok_parent = True
+    failed = 0
     for _ in range(50):
-        dim = int(rng.integers(1, 3))
-        cube = DyadicCube(
-            dim,
-            int(rng.integers(-4, 7)),
-            tuple(int(rng.integers(-64, 64)) for _ in range(dim)),
-            tuple(int(rng.integers(0, 2)) for _ in range(dim)),
-        )
-        ok_parent &= realize(parent(cube)).contains_box(realize(cube))
-    checks.append(_check("parent_contains_child", ok_parent, cases=50))
+        cube = _rand_cube(rng, int(rng.integers(1, 3)), (-4, 7), (-64, 64))
+        failed += not realize(parent(cube)).contains_box(realize(cube))
+    checks.append(_check("parent_contains_child", failed, 0, 50))
 
     # one-third trick: some shifted cube of comparable side contains any box
-    dominated = 0
     trials = 40
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
@@ -362,47 +389,35 @@ def _suite_geometry(cfg: dict) -> dict:
         side = Fraction(int(rng.integers(1, 129)), 64)
         box = Box(lo, side)
         level = -math.ceil(math.log2(float(4 * side)))  # cube side in [4s, 8s)
-        hit = False
-        for sh in all_shifts(dim):
-            fam = GridFamily(dim, sh, level, level, box)
-            for cand in fam.cubes_at_level(level):
-                if realize(cand).contains_box(box):
-                    hit = True
-                    break
-            if hit:
-                break
-        dominated += hit
+        hit = any(
+            realize(cand).contains_box(box)
+            for sh in all_shifts(dim)
+            for cand in GridFamily(dim, sh, level, level, box).cubes_at_level(level)
+        )
         rows.append([dim, str(side), level, int(hit)])
-    checks.append(_check("shift_family_dominates_boxes", dominated == trials, cases=trials))
+    checks.append(_check("shift_family_dominates_boxes", sum(1 - r[3] for r in rows), 0, trials))
 
-    return {
-        "checks": checks,
-        "tables": {"geometry_domination": {"header": ["dim", "side", "level", "dominated"], "rows": rows}},
-    }
+    return _result(checks, geometry_domination=(["dim", "side", "level", "dominated"], rows))
 
 
 def _suite_operators(cfg: dict) -> dict:
     e = _config_exponents(cfg)
     checks, rows = [], []
-    worst = {"3/2": 0.0, "2": 0.0, "3": 0.0}
-    ok_exp = True
+    ratios = {"3/2": [], "2": [], "3": []}
     for i in range(30):
         f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 100 + i, lo=0.0, hi=4.0)
         for plabel, p in (("3/2", Fraction(3, 2)), ("2", 2), ("3", 3)):
             lhs = lp_norm(geometric_maximal(f, shift=(0,) * e.n), p)
             rhs = lp_norm(f, p)
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            worst[plabel] = max(worst[plabel], ratio)
-            ok_exp &= ratio <= math.e + 1e-9
-    for plabel, r in worst.items():
-        rows.append([plabel, r, math.e])
-    checks.append(_check("geometric_maximal_e_bound", ok_exp, worst=worst))
+            ratios[plabel].append(lhs / rhs if rhs > 0 else 0.0)
+    for plabel, rs in ratios.items():
+        rows.append([plabel, _worst(rs), math.e])
+    every = sum(ratios.values(), [])
+    checks.append(_check("geometric_maximal_e_bound", _worst(every), math.e + 1e-9, len(every)))
 
     # shell potential sits below the scaled maximal function, cell by cell
     coeff = _shell_constant(e.alpha, e.n)
-    ok_shell = True
-    worst_shell = 0.0
-    lower, side, ncells = _config_mesh(cfg, e.n)
+    shell = []
     for i in range(5):
         sig = _rand_weight(cfg, e.n, int(cfg["seed"]) + 300 + i)
         fam = GridFamily(e.n, (0,) * e.n, 1, 1, sig.window)
@@ -413,122 +428,91 @@ def _suite_operators(cfg: dict) -> dict:
             lhs = outer_riesz(sig, cube, float(e.alpha))
             rhs = frac_maximal(cut, float(e.alpha))
             mask = rhs.values > 0
-            ratio = float(np.max(lhs.values[mask] / (coeff * rhs.values[mask])))
-            worst_shell = max(worst_shell, ratio)
-            ok_shell &= ratio <= 1.0 + 1e-9
-    checks.append(
-        _check("shell_potential_below_scaled_maximal", ok_shell, worst_ratio=worst_shell, coeff=coeff)
-    )
+            shell.append(float(np.max(lhs.values[mask] / (coeff * rhs.values[mask]))))
+    checks.append(_check("shell_potential_below_scaled_maximal", _worst(shell), 1.0 + 1e-9, len(shell)))
 
     # discrete potential is self-adjoint
-    ok_adj = True
+    rels = []
     for i in range(5):
         f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 400 + i)
         g = _rand_weight(cfg, e.n, int(cfg["seed"]) + 500 + i)
         lhs = integrate(dyadic_riesz(f, float(e.alpha), shift=(0,) * e.n) * g)
         rhs = integrate(dyadic_riesz(g, float(e.alpha), shift=(0,) * e.n) * f)
-        ok_adj &= abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-    checks.append(_check("dyadic_potential_self_adjoint", ok_adj, cases=5))
+        rels.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    checks.append(_check("dyadic_potential_self_adjoint", _worst(rels), 1e-12, len(rels)))
 
-    return {
-        "checks": checks,
-        "tables": {"operators_maximal_bound": {"header": ["p", "worst_ratio", "bound"], "rows": rows}},
-    }
+    return _result(checks, operators_maximal_bound=(["p", "worst_ratio", "bound"], rows))
 
 
-def _sparse_domination(fam) -> tuple:
-    """(ratio, holds): the worst ratio of the dyadic fractional maximal
-    function of a sparse family's source to its sparse sum over the cells
-    the sum covers (0 on none), and whether the ratio is within the
-    family's constant with no uncovered cell where the maximal is positive."""
+def _sparse_domination(fam) -> float:
+    """The worst ratio of the dyadic fractional maximal function of a sparse
+    family's source to its sparse sum over the cells the sum covers (0 on
+    none), or inf when the maximal function is positive on a cell the sum
+    does not cover."""
     g = fam.grid
     lhs = dyadic_frac_maximal(fam.source, fam.alpha, shift=g.shift, min_level=g.min_level, max_level=g.max_level)
     rhs = sparse_operator(fam, form="chi")
     mask = rhs.values > 0
-    dom = float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
-    return dom, dom <= fam.ratio + 1e-9 and not np.any(~mask & (lhs.values > 0))
+    if np.any(~mask & (lhs.values > 0)):
+        return math.inf
+    return float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
 
 
 def _suite_sparse(cfg: dict) -> dict:
     e = _config_exponents(cfg)
-    checks, rows = [], []
-    ok_thick, ok_dom = True, True
+    rows = []
     for i in range(20):
         f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 600 + i, lo=0.0, hi=3.0)
         for a in (0, e.alpha):
             fam = build_sparse(f, a, shift=(0,) * e.n)
-            thick = fam.thickness()
-            ok_thick &= thick >= 0.5
-            dom, dominated = _sparse_domination(fam)
-            ok_dom &= dominated
-            rows.append([i, str(a), len(fam), thick, dom, fam.ratio])
-    checks.append(_check("sparse_thickness_half", ok_thick, cases=40))
-    checks.append(_check("sparse_domination_with_fixed_constant", ok_dom, cases=40))
-    return {
-        "checks": checks,
-        "tables": {
-            "sparse_families": {
-                "header": ["trial", "alpha", "cubes", "thickness", "domination_ratio", "C_a"],
-                "rows": rows,
-            }
-        },
-    }
+            rows.append([i, str(a), len(fam), fam.thickness(), _sparse_domination(fam), fam.ratio])
+    thick = [r[3] for r in rows]
+    dom = [r[4] for r in rows]
+    checks = [
+        _check("sparse_thickness_half", _worst(thick, ">="), 0.5, len(thick), ">="),
+        # every family stops at the same default ratio 2^(n+1)
+        _check("sparse_domination_with_fixed_constant", _worst(dom), fam.ratio + 1e-9, len(dom)),
+    ]
+    return _result(checks, sparse_families=(["trial", "alpha", "cubes", "thickness", "domination_ratio", "C_a"], rows))
 
 
 def _suite_orlicz(cfg: dict) -> dict:
     rng = np.random.default_rng(int(cfg["seed"]) + 2)
-    checks, rows = [], []
+    checks = []
     probe = np.geomspace(0.05, 40.0, 120)
 
-    ok_inv, worst_inv = True, 0.0
+    rels = []
     for spec in cfg["young"]:
         phi = young_from_spec(spec)
         twice = phi.associate().associate()
-        rel = float(np.max(np.abs(twice.eval(probe) - phi.eval(probe)) / phi.eval(probe)))
-        worst_inv = max(worst_inv, rel)
-        ok_inv &= rel <= 1e-6
-    checks.append(_check("conjugate_involution", ok_inv, worst_rel=worst_inv))
+        rels.append(float(np.max(np.abs(twice.eval(probe) - phi.eval(probe)) / phi.eval(probe))))
+    checks.append(_check("conjugate_involution", _worst(rels), 1e-6, len(rels)))
 
-    ok_res, worst_res = True, 0.0
+    rels = []
     for i in range(20):
         v = rng.uniform(0.05, 3.0, 48)
         out = rescale_identity_check(power_log(1.5, 0.6), 2.0, v, 1.0 / 48, 1.0)
-        rel = abs(out["scaled_norm"] - out["power_norm"]) / out["power_norm"]
-        worst_res = max(worst_res, rel)
-        ok_res &= rel <= 1e-8
-    checks.append(_check("rescaling_identity", ok_res, worst_rel=worst_res))
+        rels.append(abs(out["scaled_norm"] - out["power_norm"]) / out["power_norm"])
+    checks.append(_check("rescaling_identity", _worst(rels), 1e-8, len(rels)))
 
-    ok_hold = True
+    shares = []
     for i in range(100):
         fv = rng.uniform(0.0, 2.0, 48)
         gv = rng.uniform(0.0, 2.0, 48)
         out = orlicz_holder_check(log_bump(2.0, 0.5), fv, gv, 1.0 / 48, 1.0)
-        ok_hold &= out["mean_fg"] <= out["bound"] * (1 + 1e-12)
-    checks.append(_check("orlicz_holder_factor_two", ok_hold, trials=100))
+        shares.append(out["mean_fg"] / out["bound"])
+    checks.append(_check("orlicz_holder_factor_two", _worst(shares), 1 + 1e-12, len(shares)))
 
-    ok_power = True
     with np.errstate(over="ignore"):
-        for m, expect in ((1.5, "convergent"), (2.5, "divergent")):
-            rep = bp_classify(power(m), 2.0)
-            ok_power &= rep.verdict == expect
-            rows.append([rep.phi_label, rep.p, rep.verdict, rep.rho if math.isfinite(rep.rho) else ""])
-        checks.append(_check("power_tail_verdicts", ok_power))
-
+        reps = [bp_classify(power(m), 2.0) for m in (1.5, 2.5)]
         for spec in cfg["young"]:
             phi = young_from_spec(spec)
-            p = float(spec.get("params", {}).get("p", getattr(phi, "r", 2.0)))
-            rep = bp_classify(phi, p)
-            rows.append([rep.phi_label, rep.p, rep.verdict, rep.rho if math.isfinite(rep.rho) else ""])
+            reps.append(bp_classify(phi, float(spec.get("params", {}).get("p", getattr(phi, "r", 2.0)))))
+    failed = (reps[0].verdict != "convergent") + (reps[1].verdict != "divergent")
+    checks.append(_check("power_tail_verdicts", failed, 0, 2))
+    rows = [[rep.phi_label, rep.p, rep.verdict, rep.rho if math.isfinite(rep.rho) else ""] for rep in reps]
 
-    return {
-        "checks": checks,
-        "tables": {
-            "orlicz_tail_classification": {
-                "header": ["phi", "p", "verdict", "rho"],
-                "rows": rows,
-            }
-        },
-    }
+    return _result(checks, orlicz_tail_classification=(["phi", "p", "verdict", "rho"], rows))
 
 
 def _suite_constants(cfg: dict) -> dict:
@@ -543,24 +527,19 @@ def _suite_constants(cfg: dict) -> dict:
 
     apq = apq_alpha_constant(pair, e)
     apq_dual = apq_alpha_constant(pair.swapped(), e.dual())
-    rel_sym = abs(apq.value - apq_dual.value) / apq.value
-    checks.append(_check("joint_constant_swap_symmetry", rel_sym <= 1e-12, rel=rel_sym))
+    checks.append(_check("joint_constant_swap_symmetry", abs(apq.value - apq_dual.value) / apq.value,
+                         1e-12, min(apq.n_scored, apq_dual.n_scored)))
 
     if e.is_sobolev:
-        link = ap_constant(pair.u, e.s_p).value ** (1.0 / float(e.q))
-        rel_link = abs(apq.value - link) / link
-        checks.append(_check("classical_link_identity", rel_link <= 1e-12, rel=rel_link))
+        ap = ap_constant(pair.u, e.s_p)
+        link = ap.value ** (1.0 / float(e.q))
+        checks.append(_check("classical_link_identity", abs(apq.value - link) / link,
+                             1e-12, min(apq.n_scored, ap.n_scored)))
 
     fine = WeightPair(pair.u.refine(), pair.sigma.refine(), provenance=pair.provenance)
     apq_fine = apq_alpha_constant(fine, e)
-    checks.append(
-        _check(
-            "lower_bound_nondecreasing_under_refinement",
-            apq_fine.value >= apq.value * (1 - 1e-12),
-            coarse=apq.value,
-            fine=apq_fine.value,
-        )
-    )
+    checks.append(_check("lower_bound_nondecreasing_under_refinement", apq_fine.value,
+                         apq.value * (1 - 1e-12), min(apq.n_scored, apq_fine.n_scored), ">="))
 
     entries = [
         ("apq_alpha", apq),
@@ -575,10 +554,7 @@ def _suite_constants(cfg: dict) -> dict:
         arg = rep.argmax
         rows.append([name, rep.value, "" if arg is None else json.dumps(cube_to_obj(arg), sort_keys=True)])
 
-    return {
-        "checks": checks,
-        "tables": {"constants_values": {"header": ["name", "value", "argmax"], "rows": rows}},
-    }
+    return _result(checks, constants_values=(["name", "value", "argmax"], rows))
 
 
 def _suite_equivalence(cfg: dict) -> dict:
@@ -590,42 +566,28 @@ def _suite_equivalence(cfg: dict) -> dict:
         pair = _pair_from_spec(cfg, spec, e)
         rep = equivalence_report(pair, e, family=family)
         label = spec.get("kind", "pair")
-        checks.append(
-            _check(f"testing_chain[{label}]", rep["testing_chain"]["holds"],
-                   max_ratio=rep["testing_chain"]["max_ratio"])
-        )
-        checks.append(
-            _check(f"duality_chain[{label}]", rep["duality_chain"]["holds"],
-                   ratio=rep["duality_chain"]["ratio"])
-        )
-        ratio = rep["ratios"]["dyadic_maximal_vs_strong"]  # null for a degenerate pair
-        checks.append(
-            _check(f"dyadic_maximal_below_strong[{label}]", ratio is not None and ratio <= 1 + 1e-9,
-                   ratio=ratio)
-        )
-        for key, est in rep["estimates"].items():
+        chain, duality, ests = rep["testing_chain"], rep["duality_chain"], rep["estimates"]
+        tested = min(ests[k]["family_size"] for k in ("dyadic_maximal_forward", "strong_riesz"))
+        checks += [
+            _check(f"testing_chain[{label}]", chain["max_ratio"], 1 + 1e-9, chain["cubes"]),
+            _check(f"duality_chain[{label}]", duality["ratio"], 1 + 1e-9, duality["cubes"]),
+            # the ratio is null for a degenerate pair
+            _check(f"dyadic_maximal_below_strong[{label}]", rep["ratios"]["dyadic_maximal_vs_strong"],
+                   1 + 1e-9, tested),
+        ]
+        for key, est in ests.items():
             rows.append([label, key, est["value"], est["source"], est["target"]])
 
     # indicator-family norm estimates only grow when the mesh refines
     pair = _pair_from_spec(cfg, cfg["pairs"][0], e)
     ind = TestFamily(indicators=True, random_steps=0, duality=False)
-    coarse = estimate_norm("frac_maximal", pair, e, family=ind, alpha=e.alpha).value
+    coarse = estimate_norm("frac_maximal", pair, e, family=ind, alpha=e.alpha)
     fine_pair = WeightPair(pair.u.refine(), pair.sigma.refine(), provenance=pair.provenance)
-    fine = estimate_norm("frac_maximal", fine_pair, e, family=ind, alpha=e.alpha).value
-    checks.append(
-        _check("estimate_nondecreasing_under_refinement", fine >= coarse * (1 - 1e-12),
-               coarse=coarse, fine=fine)
-    )
+    fine = estimate_norm("frac_maximal", fine_pair, e, family=ind, alpha=e.alpha)
+    checks.append(_check("estimate_nondecreasing_under_refinement", fine.value, coarse.value * (1 - 1e-12),
+                         min(coarse.family_size, fine.family_size), ">="))
 
-    return {
-        "checks": checks,
-        "tables": {
-            "equivalence_estimates": {
-                "header": ["pair", "estimate", "value", "source", "target"],
-                "rows": rows,
-            }
-        },
-    }
+    return _result(checks, equivalence_estimates=(["pair", "estimate", "value", "source", "target"], rows))
 
 
 def _suite_counterexample(cfg: dict) -> dict:
@@ -642,54 +604,41 @@ def _suite_counterexample(cfg: dict) -> dict:
         apqs.append(rep1["apq"]["value"])
         if wexp == 6:
             rows1 = [[r["X"], r["integral"], r["log_X"], r["ratio"]] for r in rep1["rows"]]
-    checks.append(
-        _check("case1_constant_window_independent",
-               abs(apqs[1] - apqs[0]) <= 1e-9 * apqs[0] and apqs[0] > 0,
-               values=apqs)
-    )
-    checks.append(_check("case1_minorant_exponents", rep1["minorant_exponent_sum"] == "-1"))
+    drift = abs(apqs[1] - apqs[0]) / apqs[0] if apqs[0] > 0 else None
+    checks += [
+        _check("case1_constant_window_independent", drift, 1e-9, len(apqs)),
+        _check("case1_minorant_exponents", int(rep1["minorant_exponent_sum"] != "-1"), 0, 1),
+    ]
 
     e2 = ExponentTuple(1, g, 2, 2)  # with p = q the factored order equals alpha
     rep2 = case2_divergence(e2, max_exp=max_exp)
     rows2 = [[r["X"], r["S"], r["H"], r["ratio"]] for r in rep2["rows"]]
-    checks.append(_check("case2_exponent_identity", rep2["identity"]["holds"], **rep2["identity"]))
-    checks.append(
+    minorant = rep2["minorant"]
+    checks += [
+        _check("case2_exponent_identity", int(not rep2["identity"]["holds"]), 0, 1),
         _check("case2_termwise_minorant",
-               rep2["minorant"]["integral_ge_pointwise"] and rep2["minorant"]["pointwise_ge_harmonic"],
-               terms=rep2["minorant"]["terms"])
-    )
-    checks.append(_check("case2_dominates_harmonic", rep2["dominates"]))
-    checks.append(_check("case2_mesh_check_one_sided", rep2["mesh_check"]["one_sided"],
-                         rel_gap=rep2["mesh_check"]["rel_gap"]))
+               2 - minorant["integral_ge_pointwise"] - minorant["pointwise_ge_harmonic"], 0, minorant["terms"]),
+        _check("case2_dominates_harmonic", int(not rep2["dominates"]), 0, len(rows2)),
+        _check("case2_mesh_check_one_sided", int(not rep2["mesh_check"]["one_sided"]), 0, 1),
+    ]
     if g == Fraction(1, 2) and window >= 2**16:
-        checks.append(
-            _check("case2_partial_integral_clears_five", rows2[-1][1] > 5.0, S=rows2[-1][1])
-        )
+        # S must exceed 5 strictly
+        checks.append(_check("case2_partial_integral_clears_five", rows2[-1][1],
+                             math.nextafter(5.0, math.inf), 1, ">="))
 
     ver = verify_E_maximal(g, 64)
-    checks.append(
-        _check("interval_train_maximal_pinched", ver["holds"],
-               floor=ver["unit_floor"]["bound"], observed_min=ver["overall"]["min"],
-               observed_max=ver["overall"]["max"])
-    )
+    pinched = [ver["unit_floor"], ver["small_cube_max"], *ver["intervals"]]
+    checks.append(_check("interval_train_maximal_pinched", sum(not c["holds"] for c in pinched), 0, len(pinched)))
 
     X = 64
     chi = build_E(g, X)
     w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), X, chi.ncells)
     fpair = factored_pair(chi, w2, e2)
     fap = apq_alpha_constant(fpair, e2)
-    checks.append(_check("factored_constant_at_most_one", fap.value <= 1.0 + 1e-12, value=fap.value))
+    checks.append(_check("factored_constant_at_most_one", fap.value, 1.0 + 1e-12, fap.n_scored))
 
-    return {
-        "checks": checks,
-        "tables": {
-            "counterexample_case1": {
-                "header": ["X", "integral", "log_X", "ratio"],
-                "rows": rows1,
-            },
-            "counterexample_case2": {"header": ["X", "S", "H", "ratio"], "rows": rows2},
-        },
-    }
+    return _result(checks, counterexample_case1=(["X", "integral", "log_X", "ratio"], rows1),
+                   counterexample_case2=(["X", "S", "H", "ratio"], rows2))
 
 
 _SUITE_FN = {
@@ -729,11 +678,18 @@ _TABLE_DOCS = {
     "counterexample_case2": "cutoff X, S(X) = int_2^X x^(gamma-1) chi_E dx, harmonic minorant H(X), S/H",
     "summary": "suite name, check name, 1 if passed",
 }
+_REPORT_DOC = (
+    "report.json: config, then per suite its checks, each {name, value, bound, sense, cases, margin, vacuous, "
+    "passed}: value held to bound (sense <= or >=) over cases trials, cubes or test functions, margin inside "
+    "the bound; a check over no case or no value is vacuous and fails"
+)
 
 
 def run_suite(cfg: dict, out_dir: Path, workers: int = 1) -> int:
     """Execute the configured suites and write the artifact directory."""
     cfg = validate_config(_merge_config(DEFAULT_CONFIG, cfg))
+    if workers < 1:
+        raise CLIError(f"workers must be at least 1, got {workers}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tables").mkdir(exist_ok=True)
 
@@ -765,6 +721,7 @@ def run_suite(cfg: dict, out_dir: Path, workers: int = 1) -> int:
     schema = ["CSV column documentation, one table per line.", ""]
     for t in sorted(set(used_tables)):
         schema.append(f"{t}.csv: {_TABLE_DOCS[t]}")
+    schema.append(_REPORT_DOC)
     (out_dir / "schema.txt").write_text("\n".join(schema) + "\n")
     return 0 if all_passed else 1
 
@@ -837,19 +794,19 @@ def _cmd_sparse(args) -> int:
         _emit(fam.to_obj(), args.out)
         return 0
     if args.action == "verify":
-        dom, dominated = _sparse_domination(fam)
-        # a family of no cubes certifies nothing, so it is not a pass
-        vacuous = len(fam) == 0
-        ok = not vacuous and fam.thickness() >= 0.5 and dominated
+        # a family of no cubes certifies nothing, so both checks are vacuous
+        thick = _check("thickness", fam.thickness(), 0.5, len(fam), ">=")
+        dom = _check("domination", _sparse_domination(fam), fam.ratio + 1e-9, len(fam))
+        ok = thick["passed"] and dom["passed"]
         _emit(
             {
                 "cubes": len(fam),
-                "vacuous": vacuous,
-                "thickness": fam.thickness(),
+                "vacuous": thick["vacuous"],
+                "thickness": thick["value"],
                 "guaranteed_thickness": fam.guaranteed_thickness,
-                "domination_ratio": dom,
+                "domination_ratio": dom["value"],
                 "C_a": fam.ratio,
-                "passed": bool(ok),
+                "passed": ok,
             },
             args.out,
         )

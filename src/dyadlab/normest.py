@@ -363,7 +363,8 @@ def equivalence_report(
     bound and the dual maximal bound genuinely fails, so the report
     refuses to run there.  A pair with a vanishing weight is reported as
     degenerate: its estimates are zero, its ratios null, and neither
-    chain holds, since nothing was measured.
+    chain holds, since nothing was measured.  Each chain records how many
+    cubes it compared under "cubes".
     """
     if not e.p < e.q:
         raise NormError("the weak-strong equivalence needs p < q; it fails at p = q")
@@ -395,7 +396,7 @@ def equivalence_report(
 
     if degenerate:
         testing = {"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0}
-        duality = {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False}
+        duality = {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False, "cubes": 0}
     else:
         testing = potential_testing_chain(pair, e, min_level=min_level, max_level=max_level)
         # Duality chain: forward maximal testing on the zero-shift grid is
@@ -412,6 +413,7 @@ def equivalence_report(
             "bound": bound,
             "ratio": _ratio(sawyer.value, bound),
             "holds": sawyer.n_scored > 0 and sawyer.value <= bound * (1.0 + 1e-9),
+            "cubes": sawyer.n_scored,
         }
 
     return {

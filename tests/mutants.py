@@ -39,6 +39,7 @@ CONST = "tests/test_constants.py"
 OPS = "tests/test_operators.py"
 SCAN = "tests/test_scan.py"
 NORM = "tests/test_normest.py"
+CLI = "tests/test_cli.py"
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,35 @@ MUTANTS = [
         ("tests/test_grid.py::TestSerialization::test_cube_fields_must_be_integers",
          "tests/test_cli.py::TestOpsCommand::test_outer_riesz_malformed_cube_refused"),
         "a cube level of 1.5 is refused, not truncated to 1",
+    ),
+    # --- the verdict rule of dyadlab run --------------------------------------
+    Mutant(
+        "check_without_cases_guard", "cli.py",
+        "vacuous = cases == 0 or value is None",
+        "vacuous = value is None",
+        (f"{CLI}::TestCheck::test_vacuous_at_zero_cases",),
+        "a check that compared no case is vacuous and does not pass",
+    ),
+    Mutant(
+        "worst_by_python_max", "cli.py",
+        "return float((np.max if sense == \"<=\" else np.min)(values))",
+        "return float((max if sense == \"<=\" else min)(values))",
+        (f"{CLI}::TestCheck::test_worst_keeps_nan",),
+        "Python's max drops a NaN that follows a number, so a NaN trial would pass",
+    ),
+    Mutant(
+        "check_at_least_inverted", "cli.py",
+        "lo, hi = (value, bound) if sense == \"<=\" else (bound, value)",
+        "lo, hi = (value, bound)",
+        (f"{CLI}::TestCheck::test_at_least_sense",),
+        "a >= check holds the value from below: 0.75 against 0.5 passes with margin 0.25",
+    ),
+    Mutant(
+        "nested_config_fields_unchecked", "cli.py",
+        "_known_fields(grids if key == \"grids\" else cfg[key], DEFAULT_CONFIG[key], key)",
+        "pass",
+        (f"{CLI}::TestRunCommand::test_unknown_nested_field_refused",),
+        "a misspelt nested field would run the defaults and be echoed into report.json",
     ),
     # --- sparse families and imports ------------------------------------------
     Mutant(

@@ -11,8 +11,10 @@ import pytest
 from dyadlab.cli import (
     CLIError,
     DEFAULT_CONFIG,
+    _check,
     _dumps,
     _merge_config,
+    _worst,
     main,
     run_suite,
     validate_config,
@@ -33,6 +35,7 @@ from dyadlab.orlicz import log_bump
 from dyadlab.sampled import ExponentTuple, SampledFunction
 
 FAST_SUITES = ["geometry", "sparse", "constants", "counterexample"]
+CHECK_FIELDS = {"name", "value", "bound", "sense", "cases", "margin", "vacuous", "passed"}
 
 
 def write_function(path: Path, seed: int = 7, ncells: int = 24, lo: float = 0.3) -> SampledFunction:
@@ -48,6 +51,12 @@ def write_pair(path: Path, seed: int = 9) -> WeightPair:
     pair = WeightPair(w.power(4.0), w.power(-4.0), provenance="powers")
     path.write_text(json.dumps(pair.to_obj()))
     return pair
+
+
+def _write_config(tmp_path: Path, cfg: dict) -> Path:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def read_csv(path: Path):
@@ -98,6 +107,45 @@ class TestConfig:
         validate_config(_merge_config(DEFAULT_CONFIG, {"grids": {"min_level": None, "max_level": None}}))
 
 
+class TestCheck:
+    def test_record_and_margin(self):
+        c = _check("c", 0.25, 1.0, 3)
+        assert set(c) == CHECK_FIELDS
+        assert c["passed"] and not c["vacuous"] and c["margin"] == 0.75 and c["sense"] == "<="
+        over = _check("c", 1.5, 1.0, 3)
+        assert not over["passed"] and over["margin"] == -0.5
+
+    def test_at_least_sense(self):
+        c = _check("c", 0.75, 0.5, 2, ">=")
+        assert c["passed"] and c["margin"] == 0.25
+        under = _check("c", 0.25, 0.5, 2, ">=")
+        assert not under["passed"] and under["margin"] == -0.25
+
+    def test_bound_itself_passes(self):
+        assert _check("c", 1.0, 1.0, 1)["passed"] and _check("c", 1.0, 1.0, 1, ">=")["passed"]
+
+    def test_vacuous_at_zero_cases(self):
+        # a check that compared nothing is not a pass, whatever its value
+        c = _check("c", 0.0, 1.0, 0)
+        assert c["vacuous"] and not c["passed"] and c["margin"] is None
+
+    def test_vacuous_without_a_value(self):
+        c = _check("c", None, 1.0, 5, ">=")
+        assert c["vacuous"] and not c["passed"] and c["margin"] is None
+
+    def test_nan_fails(self):
+        for sense in ("<=", ">="):
+            c = _check("c", math.nan, 1.0, 4, sense)
+            assert not c["vacuous"] and not c["passed"]
+
+    def test_worst_keeps_nan(self):
+        # Python's max would return 0.5 here and pass the check
+        assert math.isnan(_worst([0.5, math.nan, 0.25]))
+        assert not _check("c", _worst([0.5, math.nan, 0.25]), 1.0, 3)["passed"]
+        assert _worst([0.5, 0.75, 0.25]) == 0.75 and _worst([0.5, 0.75, 0.25], ">=") == 0.25
+        assert _worst([]) is None
+
+
 class TestYoungSpec:
     def test_string_and_dict_forms_agree(self):
         a = young_from_spec("log-bump:p=2,delta=0.5")
@@ -132,6 +180,9 @@ class TestRunSuite:
         for suite, body in report["suites"].items():
             assert body["passed"], suite
             assert body["checks"], suite
+            for c in body["checks"]:
+                assert set(c) == CHECK_FIELDS, c["name"]
+                assert c["vacuous"] is False and c["cases"] > 0, c["name"]
 
     def test_reports_are_deterministic(self, tmp_path):
         cfg = {"suites": FAST_SUITES}
@@ -165,12 +216,22 @@ class TestRunSuite:
         failed = [c["name"] for c in report["suites"]["equivalence"]["checks"] if not c["passed"]]
         assert failed == ["testing_chain[file]", "duality_chain[file]", "dyadic_maximal_below_strong[file]"]
 
-    def test_empty_suite_list_exits_zero(self, tmp_path):
-        rc = run_suite({"suites": []}, tmp_path / "empty")
-        assert rc == 0
-        report = json.loads((tmp_path / "empty" / "report.json").read_text())
-        assert report["passed"] is True
-        assert report["suites"] == {}
+    def test_empty_suite_list_refused(self, tmp_path):
+        # a run of no suite checks nothing, so it is refused rather than passed
+        with pytest.raises(CLIError, match="at least one suite"):
+            run_suite({"suites": []}, tmp_path / "empty")
+        assert not (tmp_path / "empty").exists()
+
+    def test_no_young_function_is_vacuous(self, tmp_path):
+        rc = main(["run", "--config", str(_write_config(tmp_path, {"young": []})),
+                   "--suite", "orlicz", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        checks = {c["name"]: c for c in report["suites"]["orlicz"]["checks"]}
+        assert checks["conjugate_involution"]["vacuous"] is True
+        assert checks["conjugate_involution"]["cases"] == 0
+        assert not checks["conjugate_involution"]["passed"]
+        assert all(c["passed"] for name, c in checks.items() if name != "conjugate_involution")
 
     def test_schema_documents_every_table(self, tmp_path):
         run_suite({"suites": FAST_SUITES}, tmp_path / "run")
@@ -237,6 +298,10 @@ class TestRunCommand:
             {"young": [{"family": "power", "params": None}]},
             {"young": [{"family": "power", "params": {"r": None}}]},
             {"mesh": {"cells_per_axis": 0}},
+            {"suites": []},
+            {"suites": ["equivalence"], "pairs": []},
+            {"young": ["power:r=2"]},
+            {"grids": []},
         ]
         for i, override in enumerate(bad):
             cfg = tmp_path / f"cfg{i}.json"
@@ -245,6 +310,30 @@ class TestRunCommand:
             assert rc == 2, override
             assert capsys.readouterr().err.startswith("error: "), override
             assert not (tmp_path / f"run{i}").exists(), override
+
+    @pytest.mark.parametrize("override,field", [
+        ({"counterexample": {"gama": "1/3"}}, "counterexample.gama"),
+        ({"mesh": {"cels_per_axis": 96}}, "mesh.cels_per_axis"),
+        ({"exponents": {"qq": "5"}}, "exponents.qq"),
+        ({"grids": {"min_levl": None}}, "grids.min_levl"),
+        ({"young": [{"family": "power", "params": {"r": 2}, "parms": {}}]}, "young[0].parms"),
+        ({"pairs": [{"kind": "random", "seed": 3}]}, "pairs[0].seed"),
+        ({"pairs": [{"kind": "classical-smooth"}, {"kind": "random", "params": {"sed": 3}}]},
+         "pairs[1].params.sed"),
+    ])
+    def test_unknown_nested_field_refused(self, tmp_path, capsys, override, field):
+        rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        rc = main(["run", "--suite", "geometry", "--workers", workers, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "r")])

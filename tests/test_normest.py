@@ -317,6 +317,15 @@ class TestEquivalenceReport:
         rep = equivalence_report(pair, E_SOB, family=LIGHT, min_level=-4, max_level=-1)
         assert rep["duality_chain"]["testing"] == 0.0
         assert rep["duality_chain"]["holds"] is False
+        assert rep["duality_chain"]["cubes"] == 0
+
+    def test_duality_chain_counts_the_scored_cubes(self):
+        pair = rand_pair(11)
+        sawyer = sawyer_maximal_testing(pair, E_SOB, shifts=[(0,)], which="forward", inner_shifts=[(0,)])
+        rep = equivalence_report(pair, E_SOB, family=LIGHT)
+        assert rep["duality_chain"]["cubes"] == sawyer.n_scored > 0
+        degenerate = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
+        assert equivalence_report(degenerate, E_SOB)["duality_chain"]["cubes"] == 0
 
     def test_degenerate_sigma_flagged(self):
         pair = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
