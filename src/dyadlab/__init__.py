@@ -42,10 +42,8 @@ from .grid import (
 from .normest import (
     NormEstimate,
     TestFamily,
-    bump_bound_check,
     equivalence_report,
     estimate_norm,
-    log_ainfty_check,
     orlicz_norm_quadrature,
     potential_testing_chain,
     unit_pair,

@@ -8,7 +8,7 @@ run        execute named verification suites from a JSON config into an
 ops        apply one cube operator to a sampled function (JSON in/out)
 sparse     build | verify | apply stopping-time sparse families
 constants  compute one weight constant, or a batch of them to CSV
-norms      estimate | equiv | bumps | logcheck
+norms      estimate | equiv norm lower bounds and the weak-strong equivalence
 examples   case1 | case2 | factored | classical constructive pairs
 
 Determinism contract: reports carry no timestamps or absolute paths, JSON
@@ -54,10 +54,8 @@ from .grid import (
 from .normest import (
     OPERATOR_IDS,
     TestFamily,
-    bump_bound_check,
     equivalence_report,
     estimate_norm,
-    log_ainfty_check,
 )
 from .operators import (
     OPERATORS,
@@ -848,32 +846,15 @@ def _cmd_norms(args) -> int:
     e = _parse_exponents(args.exponents)
     lo, hi = _parse_levels(args.levels)
     family = TestFamily(random_steps=args.family_steps, seed=args.seed)
+    pair = _load_pair(args.pair)
     if args.action == "estimate":
-        pair = _load_pair(args.pair)
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         phi = young_from_spec(args.young) if args.young else None
         est = estimate_norm(args.op, pair, e, family=family, side=args.side, weak=args.weak,
                             alpha=alpha, phi=phi, min_level=lo, max_level=hi)
         _emit({"estimate": est.to_obj(), "family": family.describe()}, args.out)
         return 0
-    if args.action == "equiv":
-        pair = _load_pair(args.pair)
-        _emit(equivalence_report(pair, e, family=family, min_level=lo, max_level=hi), args.out)
-        return 0
-    if args.action == "bumps":
-        pair = _load_pair(args.pair)
-        if not (args.young and args.young2):
-            raise CLIError("bumps needs --young (u-side) and --young2 (sigma-side)")
-        rep = bump_bound_check(pair, e, young_from_spec(args.young), young_from_spec(args.young2),
-                               family=family, min_level=lo, max_level=hi)
-        _emit(rep, args.out)
-        return 0
-    if not args.weight:
-        raise CLIError("logcheck needs --weight")
-    ar = parse_rational(args.ar_index) if args.ar_index else None
-    rep = log_ainfty_check(_load_function(args.weight), e, family=family,
-                           min_level=lo, max_level=hi, ar_index=ar)
-    _emit(rep, args.out)
+    _emit(equivalence_report(pair, e, family=family, min_level=lo, max_level=hi), args.out)
     return 0
 
 
@@ -975,17 +956,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("norms", help="norm estimates and composite diagnostics")
-    p.add_argument("action", choices=["estimate", "equiv", "bumps", "logcheck"])
-    p.add_argument("--pair", help="WeightPair JSON")
-    p.add_argument("--weight", help="single weight JSON (logcheck)")
+    p.add_argument("action", choices=["estimate", "equiv"])
+    p.add_argument("--pair", required=True, help="WeightPair JSON")
     p.add_argument("--exponents", required=True, help="n,alpha,p,q")
     p.add_argument("--op", default="frac_maximal", choices=list(OPERATOR_IDS))
     p.add_argument("--side", default="forward", choices=["forward", "dual"])
     p.add_argument("--weak", action="store_true")
     p.add_argument("--alpha", help="operator order override")
-    p.add_argument("--young", help="young function (bumps: u-side; estimate: orlicz)")
-    p.add_argument("--young2", help="young function, sigma-side (bumps)")
-    p.add_argument("--ar-index", help="reduction index r (logcheck)")
+    p.add_argument("--young", help="young function of orlicz_maximal (estimate)")
     p.add_argument("--levels", help="level range lo..hi")
     p.add_argument("--family-steps", type=int, default=4)
     p.add_argument("--seed", type=int, default=715)

@@ -124,9 +124,6 @@ class DyadicCube:
     def side(self) -> Fraction:
         return pow2(-self.level)
 
-    def volume(self) -> Fraction:
-        return self.side ** self.dim
-
     @property
     def sign(self) -> int:
         """(-1)**level, the alternating shift direction at this level."""

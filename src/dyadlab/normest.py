@@ -1,14 +1,14 @@
-"""Lower bounds for weighted operator norms, and the reports that set
-them against constant-based upper bounds.
+"""Lower bounds for weighted operator norms, and the equivalence report
+that sets them against the testing chains.
 
 Every norm produced here is a best Rayleigh quotient over a finite,
 reproducible family of nonnegative test functions, so it is a certified
 lower bound for the corresponding operator norm at the chosen
-truncation.  Upper-bound partners (Muckenhoupt-type products, testing
-constants, tail-integral quadrature bounds) come from the constants and
-orlicz modules.  The report builders place the two sides next to each
-other and record the observed gap; they assert nothing beyond the
-inequalities that hold exactly at the discrete level.
+truncation.  The tail quadrature of the Orlicz maximal norm
+(orlicz_norm_quadrature) is comparable to that norm only up to a
+dimensional constant, and is not a certified bound of either kind.  The
+equivalence report asserts nothing beyond the inequalities that hold
+exactly at the discrete level.
 
 Test families combine three sources:
 
@@ -43,12 +43,7 @@ from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _m
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
     WeightPair,
-    apq_bump,
-    ap_constant,
-    ainfty_m,
-    mixed_one_sup,
     sawyer_maximal_testing,
-    md_sp_testing,
     _require_dim,
 )
 
@@ -274,7 +269,7 @@ def estimate_norm(
     return NormEstimate(op, source, target, best, arg, count)
 
 
-# --- quadrature bound for the Orlicz maximal norm ---------------------------
+# --- tail quadrature of the Orlicz maximal norm -----------------------------
 
 
 @dataclass(frozen=True)
@@ -301,12 +296,19 @@ def orlicz_norm_quadrature(
     p,
     q=None,
 ) -> Tuple[float, BpReport]:
-    """Tail-integral upper bound for the Orlicz maximal operator norm.
+    """Tail integral of the Orlicz maximal operator norm.
 
     Returns ( int_1^inf phibar(t)^{q/p} t^{-q} dt/t )^{1/q} together with
     the underlying quadrature report; q defaults to p (the classical
-    same-exponent bound).  A divergent or undecided tail yields +inf.
+    same-exponent case).  A divergent or undecided tail yields +inf.
     The quadrature runs over _QUAD_OCTAVES doubling windows.
+
+    The value is comparable to the norm of the Orlicz maximal operator
+    only up to a dimensional constant (Perez, Proc. London Math. Soc. 71
+    (1995)), so it is not a certified bound.  For the comparable
+    associate of log_bump(4, 1/2) at p = 4/3, q = 4 it is 0.8031, below
+    the lower bound 0.8195 that estimate_norm finds for the order-1/2
+    Orlicz maximal operator on 48 cells of [0, 1).
     """
     pf = float(p)
     qf = pf if q is None else float(q)
@@ -325,14 +327,6 @@ def orlicz_norm_quadrature(
     else:
         value = math.inf
     return value, rep
-
-
-def _associate(phi: YoungFunction) -> YoungFunction:
-    """Conjugate partner; for genuine power-log functions prefer the
-    same-family comparable associate, which quadrature handles exactly."""
-    if isinstance(phi, PowerLog) and not phi.is_power:
-        return phi.comparable_associate()
-    return phi.associate()
 
 
 # --- equivalence of weak Riesz and dual maximal bounds ----------------------
@@ -495,201 +489,4 @@ def potential_testing_chain(
         "testing_constant": testing_value,
         "testing_argmax": testing_arg,
         "coefficient": coeff,
-    }
-
-
-# --- bump upper bounds vs norm lower bounds ---------------------------------
-
-
-def bump_bound_check(
-    pair: WeightPair,
-    e: ExponentTuple,
-    phi: YoungFunction,
-    psi: YoungFunction,
-    family: Optional[TestFamily] = None,
-    min_level: Optional[int] = None,
-    max_level: Optional[int] = None,
-) -> dict:
-    """Each bumped upper bound next to the matching norm lower bound.
-
-    The right-hand sides combine the bumped joint constants with the
-    Lebesgue Orlicz-maximal norm estimated two ways: the tail-integral
-    quadrature bound, and a direct norm lower bound on the same mesh.
-    Entries record the observed constant lhs/rhs for each route; the
-    quadrature route is a genuine upper-bound partner, the direct route
-    a lower-bound one, so their constants bracket the truth.
-    """
-    if e.p > e.q:
-        raise NormError("bump bounds need p <= q (nonnegative exponent gap)")
-    beta = e.beta
-    fam = family if family is not None else TestFamily()
-    phibar = _associate(phi)
-    psibar = _associate(psi)
-    lebesgue = unit_pair(pair.u)
-
-    def _maximal_norm(bar: YoungFunction, direct_e: ExponentTuple, alpha):
-        """The Lebesgue Orlicz-maximal norm from L^p to L^q of direct_e both
-        ways: (quadrature bound, its report, direct estimate)."""
-        quad_val, quad_rep = orlicz_norm_quadrature(bar, direct_e.p, direct_e.q)
-        direct = estimate_norm("orlicz_maximal", lebesgue, direct_e, fam, alpha=alpha, phi=bar,
-                               min_level=min_level, max_level=max_level)
-        return quad_val, quad_rep, direct
-
-    def _routes(lhs: NormEstimate, rhs_quad: float, rhs_direct: float) -> dict:
-        """Both routes' right-hand sides and observed constants lhs/rhs."""
-        return {
-            "lhs": lhs.to_obj(),
-            "rhs_quadrature": rhs_quad,
-            "rhs_direct": rhs_direct,
-            "constant_quadrature": _ratio(lhs.value, rhs_quad) if math.isfinite(rhs_quad) else None,
-            "constant_direct": _ratio(lhs.value, rhs_direct),
-        }
-
-    def _entry(lhs: NormEstimate, bump_value: float, bar: YoungFunction, direct_e: ExponentTuple) -> dict:
-        quad_val, quad_rep, direct = _maximal_norm(bar, direct_e, beta)
-        return {
-            **_routes(lhs, bump_value * quad_val, bump_value * direct.value),
-            "bump_constant": bump_value,
-            "maximal_norm_quadrature": quad_val,
-            "maximal_norm_direct": direct.to_obj(),
-            "quadrature_report": quad_rep.to_obj(),
-        }
-
-    report: dict = {
-        "config": {
-            "exponents": e.to_obj(),
-            "beta": str(beta),
-            "phi": phi.label,
-            "psi": psi.label,
-            "phibar": phibar.label,
-            "psibar": psibar.label,
-            "family": fam.describe(),
-        },
-        "entries": {},
-    }
-
-    # Maximal operator against the second-weight bump.
-    lhs_max = estimate_norm("frac_maximal", pair, e, fam, min_level=min_level, max_level=max_level)
-    bump_f = apq_bump(pair, e, phi, min_level=min_level, max_level=max_level)
-    report["entries"]["maximal"] = _entry(lhs_max, bump_f.value, phibar, e)
-
-    riesz_ok = 0 < float(e.alpha) < e.n and e.p < e.q
-    if riesz_ok:
-        # Weak Riesz against the dual-pair bump with psi on the u slot.
-        lhs_weak = estimate_norm("dyadic_riesz", pair, e, fam, weak=True, min_level=min_level, max_level=max_level)
-        bump_d = apq_bump(pair.swapped(), e.dual(), psi, min_level=min_level, max_level=max_level)
-        report["entries"]["weak_riesz"] = _entry(lhs_weak, bump_d.value, psibar, e.dual())
-
-        # Strong Riesz against the sum of the two separated bumps.
-        lhs_strong = estimate_norm("dyadic_riesz", pair, e, fam, min_level=min_level, max_level=max_level)
-        m = report["entries"]["maximal"]
-        wk = report["entries"]["weak_riesz"]
-        report["entries"]["strong_riesz"] = _routes(lhs_strong, m["rhs_quadrature"] + wk["rhs_quadrature"],
-                                                    m["rhs_direct"] + wk["rhs_direct"])
-
-        # Classical double bump: both slots bumped, same-exponent
-        # Lebesgue maximal norms.
-        bump2 = apq_bump(pair, e, phi, min_level=min_level, max_level=max_level, side="both", psi=psi)
-        quad_psi, rep_psi, direct_psi = _maximal_norm(psibar, ExponentTuple(e.n, 0, e.qprime, e.qprime), 0)
-        quad_phi, rep_phi, direct_phi = _maximal_norm(phibar, ExponentTuple(e.n, 0, e.p, e.p), 0)
-        report["entries"]["double_bump"] = {
-            **_routes(lhs_strong, bump2.value * quad_psi * quad_phi,
-                      bump2.value * direct_psi.value * direct_phi.value),
-            "bump_constant": bump2.value,
-            "maximal_norms_quadrature": [quad_psi, quad_phi],
-            "maximal_norms_direct": [direct_psi.to_obj(), direct_phi.to_obj()],
-            "quadrature_reports": [rep_psi.to_obj(), rep_phi.to_obj()],
-        }
-
-        # Strong norm split into the two weak-type norms.
-        weak_dual = estimate_norm("dyadic_riesz", pair, e, fam, side="dual", weak=True,
-                                  min_level=min_level, max_level=max_level)
-        split = lhs_weak.value + weak_dual.value
-        report["entries"]["strong_weak_split"] = {
-            "strong": lhs_strong.to_obj(),
-            "weak_forward": lhs_weak.to_obj(),
-            "weak_dual": weak_dual.to_obj(),
-            "sum_of_weak": split,
-            "ratio": _ratio(lhs_strong.value, split),
-        }
-    else:
-        report["entries"]["riesz_skipped"] = "needs 0 < alpha < n and p < q"
-
-    return report
-
-
-# --- logarithmic A-infinity refinements --------------------------------------
-
-
-def log_ainfty_check(
-    w: SampledFunction,
-    e: ExponentTuple,
-    family: Optional[TestFamily] = None,
-    min_level: Optional[int] = None,
-    max_level: Optional[int] = None,
-    ar_index=None,
-) -> dict:
-    """One-weight logarithmic refinements for the classical pair of w.
-
-    Builds u = w^q, sigma = w^{-p'}, estimates the maximal and Riesz
-    norms from below, and compares each against the product of the
-    plain Muckenhoupt constant's logarithm and the mixed one-supremum
-    constant.  Also records the interpolation-route upper bound through
-    an A_r constant at an index strictly inside the admissible range,
-    and the dyadic testing constant that drives the maximal bound.
-    """
-    if not e.is_sobolev:
-        raise NormError("the logarithmic refinements need Sobolev-scaling exponents")
-    pair = WeightPair.classical(w, e)
-    fam = family if family is not None else TestFamily()
-    inv_q = float(1 / e.q)
-    inv_pp = float(1 / e.pprime)
-
-    # Sigma-side constants drive the maximal bound.
-    ap_sigma = ap_constant(pair.sigma, e.s_dual, min_level=min_level, max_level=max_level)
-    mixed_sigma = mixed_one_sup(pair, e, min_level=min_level, max_level=max_level, flavor="ap_m")
-    rhs_maximal = (1.0 + math.log(ap_sigma.value)) ** inv_q * mixed_sigma.value
-    lhs_maximal = estimate_norm("frac_maximal", pair, e, fam, min_level=min_level, max_level=max_level)
-
-    # U-side constants drive the weak Riesz bound.
-    ap_u = ap_constant(pair.u, e.s_p, min_level=min_level, max_level=max_level)
-    mixed_u = mixed_one_sup(pair.swapped(), e.dual(), min_level=min_level, max_level=max_level, flavor="ap_m")
-    rhs_weak = (1.0 + math.log(ap_u.value)) ** inv_pp * mixed_u.value
-    lhs_weak = estimate_norm("dyadic_riesz", pair, e, fam, weak=True, min_level=min_level, max_level=max_level)
-
-    lhs_strong = estimate_norm("dyadic_riesz", pair, e, fam, min_level=min_level, max_level=max_level)
-    rhs_strong = rhs_weak + rhs_maximal
-
-    # Interpolation route: any A_r entry with r strictly below s(p).
-    r = (1 + e.s_p) / 2 if ar_index is None else parse_rational(ar_index)
-    if not 1 < r < e.s_p:
-        raise NormError(f"the interpolation index must lie in (1, {e.s_p}), got {r}")
-    ap_r = ap_constant(pair.u, r, min_level=min_level, max_level=max_level)
-    fujii_u = ainfty_m(pair.u, min_level=min_level, max_level=max_level)
-    rhs_red = ap_r.value ** inv_q * fujii_u.value ** inv_pp
-
-    # Dyadic testing constant that feeds the maximal bound.
-    md = md_sp_testing(pair, e, min_level=min_level, max_level=max_level)
-
-    def _block(lhs: float, rhs: float) -> dict:
-        return {"lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
-
-    return {
-        "config": {
-            "exponents": e.to_obj(),
-            "s_p": str(e.s_p),
-            "s_dual": str(e.s_dual),
-            "family": fam.describe(),
-        },
-        "constants": {
-            "ap_sigma": ap_sigma.value,
-            "mixed_sigma": mixed_sigma.value,
-            "ap_u": ap_u.value,
-            "mixed_u": mixed_u.value,
-        },
-        "maximal": {**_block(lhs_maximal.value, rhs_maximal), "estimate": lhs_maximal.to_obj()},
-        "riesz_weak": {**_block(lhs_weak.value, rhs_weak), "estimate": lhs_weak.to_obj()},
-        "riesz_strong": {**_block(lhs_strong.value, rhs_strong), "estimate": lhs_strong.to_obj()},
-        "reduction": {"r": str(r), **_block(lhs_strong.value, rhs_red)},
-        "md_testing": _block(md.value, rhs_maximal),
     }

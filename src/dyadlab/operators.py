@@ -278,25 +278,22 @@ def dyadic_riesz(
     return f.with_values(sweep(f, _grid(f, shift, min_level, max_level), level_values, np.add))
 
 
-def riesz_kernel_1d(ncells: int, h: float, alpha: float) -> np.ndarray:
-    """k[m] = integral over a cell at offset m of |x - y|^{alpha - 1} dy,
-    for x at a cell center; exact via the antiderivative of the kernel."""
-    _order(alpha, 1, open_below=True)
-
-    def F(u: np.ndarray) -> np.ndarray:
-        return np.sign(u) * np.abs(u) ** alpha / alpha
-
-    m = np.arange(ncells, dtype=np.float64)
-    return F((m + 0.5) * h) - F((m - 0.5) * h)
-
-
 def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
     """Continuum fractional integral on the line, evaluated at cell centers
-    with the kernel integrated exactly over each source cell."""
+    with the kernel integrated exactly over each source cell: k[m], the
+    integral of |x - y|^{alpha - 1} over the cell at offset m from x, is a
+    difference of the antiderivative sign(u)|u|^alpha / alpha."""
     if f.dim != 1:
         raise OperatorError("the continuum potential is implemented on the line")
     a = float(alpha)
-    k = riesz_kernel_1d(f.ncells, float(f.h), a)
+    _order(a, 1, open_below=True)
+
+    def F(u: np.ndarray) -> np.ndarray:
+        return np.sign(u) * np.abs(u) ** a / a
+
+    m = np.arange(f.ncells, dtype=np.float64)
+    h = float(f.h)
+    k = F((m + 0.5) * h) - F((m - 0.5) * h)
     kk = np.concatenate([k[:0:-1], k])
     out = np.convolve(f.values, kk)[f.ncells - 1 : 2 * f.ncells - 1]
     # rounding can leave tiny negatives on zero cells

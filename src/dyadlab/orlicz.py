@@ -345,18 +345,6 @@ class BpReport:
     verdict: str
     constant_estimate: Optional[float]
 
-    def to_obj(self) -> dict:
-        return {
-            "phi": self.phi_label,
-            "p": self.p,
-            "base_integral": self.base_integral,
-            "octave_integrals": list(self.octave_integrals),
-            "ratios": [None if not math.isfinite(r) else r for r in self.ratios],
-            "rho": None if not math.isfinite(self.rho) else self.rho,
-            "verdict": self.verdict,
-            "constant_estimate": self.constant_estimate,
-        }
-
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"

@@ -454,11 +454,6 @@ class ExponentTuple:
         return self.q / (self.q - 1)
 
     @property
-    def beta(self) -> Fraction:
-        """n(1/p - 1/q), the Sobolev gap the pair (p,q) spans."""
-        return self.n * (1 / self.p - 1 / self.q)
-
-    @property
     def s_p(self) -> Fraction:
         """s(p) = 1 + q/p'; equals q(1 - alpha/n) exactly when Sobolev."""
         return 1 + self.q / self.pprime

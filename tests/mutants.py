@@ -10,12 +10,17 @@ breaks.  From the repository root,
 
 applies each entry to a fresh temporary copy of src/ (next to a copy of
 tests/, so a test that reads the sources reads the mutated ones) and runs
-only its named tests against that copy, one pytest process per node id,
-on the ci profile's examples without shrinking (HYPOTHESIS_PROFILE=mutants)
-and with RuntimeWarnings turned into errors, as in the tier-1 run.  The
-mutant is killed when every named test fails.  The run exits 1 when a
-mutant survives, when an entry's old text is not found exactly once, or
-when a node id does not name a test.
+its named tests against that copy in one pytest process: on the ci
+profile's examples without shrinking (HYPOTHESIS_PROFILE=mutants), with
+RuntimeWarnings turned into errors as in the tier-1 run, and with plain
+asserts, which pass and fail as the rewritten ones do.  Every named node
+runs to its end (no -x), and its outcome is read from the process's JUnit
+XML report: a node fails when one of the cases it selects fails or
+errors.  The mutant is killed when every named node fails.  The entries
+run on os.cpu_count() workers, and their results are printed in
+catalogue order.  The run exits 1 when a mutant survives, when an entry's
+old text is not found exactly once, or when a node id does not name a
+test.
 
 Plain Python on purpose: no mutation-testing package.  When a later change
 claims that a test catches a fault, the fault belongs here.
@@ -29,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
@@ -327,10 +334,17 @@ MUTANTS = [
         "nested_config_fields_unchecked", "cli.py",
         "_known_fields(grids if key == \"grids\" else cfg[key], DEFAULT_CONFIG[key], key)",
         "pass",
-        (f"{CLI}::TestRunCommand::test_unknown_nested_field_refused",),
+        (f"{CLI}::TestRunCommand::test_unknown_nested_field_refused[override1-mesh.cels_per_axis]",),
         "a misspelt nested field would run the defaults and be echoed into report.json",
     ),
-    # --- sparse families and imports ------------------------------------------
+    Mutant(
+        "norms_pair_optional", "cli.py",
+        'choices=["estimate", "equiv"])\n    p.add_argument("--pair", required=True,',
+        'choices=["estimate", "equiv"])\n    p.add_argument("--pair",',
+        (f"{CLI}::TestNormsCommand::test_pair_required",),
+        "without --pair, norms reads Path(None) and dies with a TypeError traceback, not a usage line",
+    ),
+    # --- sparse families, imports and reachability -----------------------------
     Mutant(
         "subtree_scatter_transposed", "sparse.py",
         "np.add.at(totals[scan.level], np.ix_(*pos), totals[child.level])",
@@ -345,6 +359,13 @@ MUTANTS = [
         ("tests/test_imports.py::test_no_unused_imports[scan.py]",),
         "every import in a library module is used",
     ),
+    Mutant(
+        "unreached_def_planted", "sparse.py",
+        "def subtree_sums(seq: CarlesonSequence)",
+        "def _planted():\n    return None\n\n\ndef subtree_sums(seq: CarlesonSequence)",
+        ("tests/test_reachability.py::test_every_function_reached_or_allowed",),
+        "a function that no command reaches and ALLOWED does not keep is dead code",
+    ),
 ]
 
 
@@ -354,15 +375,29 @@ def apply(mutant: Mutant, src: Path) -> None:
     text = target.read_text()
     found = text.count(mutant.old)
     if found != 1:
-        raise LookupError(f"{mutant.name}: old text found {found} times in {mutant.path}, expected once")
+        raise LookupError(f"old text found {found} times in {mutant.path}, expected once")
     target.write_text(text.replace(mutant.old, mutant.new))
+
+
+def node_failed(node: str, cases) -> bool:
+    """Whether a case that the node id selects failed or errored, from
+    (classname, name, failed) of the JUnit report's test cases.  A node
+    id that selects no case raises RuntimeError."""
+    path, *names = node.split("::")
+    classname = ".".join([path[:-len(".py")].replace("/", "."), *names[:-1]])
+    last = names[-1]
+    mine = [failed for cls, name, failed in cases
+            if cls == classname and (name == last or "[" not in last and name.startswith(last + "["))]
+    if not mine:
+        raise RuntimeError(f"no test case ran for {node}")
+    return any(mine)
 
 
 def run(mutant: Mutant) -> list:
     """The node ids that passed with the mutant in place (empty: killed).
 
-    A node id that pytest neither passes nor fails (a collection or usage
-    error, or no test collected) raises RuntimeError."""
+    A pytest run that neither passes nor fails (a collection or usage
+    error), or a node id that selects no test, raises RuntimeError."""
     with tempfile.TemporaryDirectory(prefix="dyadlab-mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
@@ -372,22 +407,36 @@ def run(mutant: Mutant) -> list:
         src = copy / "src"
         apply(mutant, src)
         env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutants", PYTHONDONTWRITEBYTECODE="1")
-        where = subprocess.run([sys.executable, "-c", "import dyadlab; print(dyadlab.__file__)"],
-                               cwd=copy, env=env, capture_output=True, text=True).stdout
-        if src.resolve() not in Path(where.strip()).resolve().parents:
-            raise RuntimeError(f"{mutant.name}: dyadlab imported from {where.strip()!r}, not the mutated copy")
-        survivors = []
-        for node in mutant.tests:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 "-W", "error::RuntimeWarning", node],
-                cwd=copy, env=env, capture_output=True, text=True)
-            if proc.returncode == 0:
-                survivors.append(node)
-            elif proc.returncode != 1:
-                tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
-                raise RuntimeError(f"{mutant.name}: pytest exit {proc.returncode} on {node}\n{tail}")
-        return survivors
+        report = copy / "junit.xml"
+        # plain asserts: with bytecode writing off, rewriting the asserts of
+        # hypothesis and the test modules would cost each process about 1 s
+        args = ["-q", "-p", "no:cacheprovider", "--assert=plain", "-W", "error::RuntimeWarning",
+                f"--junitxml={report}", *mutant.tests]
+        # one process: print where dyadlab comes from, then run the named tests
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dyadlab, pytest; print(dyadlab.__file__, flush=True); "
+             f"sys.exit(pytest.main({args!r}))"],
+            cwd=copy, env=env, capture_output=True, text=True)
+        where = proc.stdout.split("\n", 1)[0].strip()
+        if not where or src.resolve() not in Path(where).resolve().parents:
+            raise RuntimeError(f"dyadlab imported from {where!r}, not the mutated copy")
+        if proc.returncode not in (0, 1) or not report.is_file():
+            tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
+            raise RuntimeError(f"pytest exit {proc.returncode}\n{tail}")
+        cases = [(case.get("classname"), case.get("name"),
+                  case.find("failure") is not None or case.find("error") is not None)
+                 for case in ET.parse(report).iter("testcase")]
+        return [node for node in mutant.tests if not node_failed(node, cases)]
+
+
+def _timed(mutant: Mutant):
+    """(survivors or the error, seconds) of one entry."""
+    t0 = time.perf_counter()
+    try:
+        out = run(mutant)
+    except (LookupError, RuntimeError) as exc:
+        out = exc
+    return out, time.perf_counter() - t0
 
 
 def main(argv=None) -> int:
@@ -402,19 +451,17 @@ def main(argv=None) -> int:
     chosen = [by_name[n] for n in args.names] or MUTANTS
     bad = 0
     start = time.perf_counter()
-    for m in chosen:
-        t0 = time.perf_counter()
-        try:
-            survivors = run(m)
-        except (LookupError, RuntimeError) as exc:
-            print(f"ERROR     {exc}")
-            bad += 1
-            continue
-        status = "SURVIVED" if survivors else "killed"
-        print(f"{status:<9} {m.name} ({time.perf_counter() - t0:.1f} s)")
-        for node in survivors:
-            print(f"          passes: {node}")
-        bad += bool(survivors)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for m, (out, seconds) in zip(chosen, pool.map(_timed, chosen)):
+            if isinstance(out, Exception):
+                print(f"ERROR     {m.name}: {out}", flush=True)
+                bad += 1
+                continue
+            status = "SURVIVED" if out else "killed"
+            print(f"{status:<9} {m.name} ({seconds:.1f} s)", flush=True)
+            for node in out:
+                print(f"          passes: {node}")
+            bad += bool(out)
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed in {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 

@@ -591,21 +591,23 @@ class TestNormsCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["testing_chain"]["holds"] and obj["duality_chain"]["holds"]
 
-    def test_bumps_needs_both_young(self, tmp_path):
+    @pytest.mark.parametrize("action", ["estimate", "equiv"])
+    def test_pair_required(self, action, capsys):
+        # argparse refuses the call with a usage line, before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", action, "--exponents", "1,1/2,4/3,4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--pair" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("action", ["bumps", "logcheck"])
+    def test_removed_actions_refused(self, action, tmp_path, capsys):
         pair_path = tmp_path / "pair.json"
         write_pair(pair_path)
-        rc = main(["norms", "bumps", "--pair", str(pair_path),
-                   "--exponents", "1,1/2,4/3,4", "--young", "log-bump:p=2,delta=0.5"])
-        assert rc == 2
-
-    def test_logcheck_runs(self, tmp_path, capsys):
-        w_path = tmp_path / "w.json"
-        write_function(w_path, lo=0.5)
-        rc = main(["norms", "logcheck", "--weight", str(w_path),
-                   "--exponents", "1,1/2,4/3,4", "--family-steps", "1"])
-        assert rc == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert "constants" in obj and "config" in obj
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", action, "--pair", str(pair_path), "--exponents", "1,1/2,4/3,4"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestExamplesCommand:

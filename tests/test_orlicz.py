@@ -381,9 +381,3 @@ class TestBpClassification:
         ph = log_bump(2.0, 0.5)
         rep = bp_classify(ph.comparable_associate(), 2.0)
         assert rep.verdict == CONVERGENT
-
-    def test_report_serialization(self):
-        rep = bp_classify(power_log(2.0, -1.25), 2.0)
-        obj = rep.to_obj()
-        assert obj["verdict"] == CONVERGENT
-        assert len(obj["octave_integrals"]) == 12

@@ -302,7 +302,7 @@ class TestExponents:
         assert e.is_sobolev
         assert e.pprime == Fraction(4)
         assert e.qprime == Fraction(4, 3)
-        assert e.beta == Fraction(1, 2)
+        assert e.n * (1 / e.p - 1 / e.q) == Fraction(1, 2)
         assert e.s_p == Fraction(2)
         # under Sobolev, s(p) coincides with q(1 - alpha/n)
         assert e.s_p == e.q * (1 - e.alpha / e.n)
