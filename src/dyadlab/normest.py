@@ -23,6 +23,7 @@ Test families combine three sources:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -37,9 +38,9 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import cell_block, cube_cells, inside_scans, positive_cubes
-from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _maximal_values, _shell_constant,
-                        _shell_scans, _shells)
+from .scan import cell_block, cube_cells, inside_scans, iter_scans, positive_cubes
+from .operators import (CORES, OPERATORS, MissingInputError, default_levels, _grids, _maximal_values,
+                        _shell_constant, _shell_scans, _shells)
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
     WeightPair,
@@ -54,8 +55,8 @@ class NormError(ValueError):
 
 OPERATOR_IDS = tuple(OPERATORS)
 _QUAD_OCTAVES = 14  # doubling windows in the tail quadrature of orlicz_norm_quadrature
-# cubes times cells of one batch of the testing chain: each (B, *mesh)
-# array of a batch holds at most this many floats (32 MB)
+# cubes times cells of one batch of the testing chain and of the duality
+# seeds: each (B, *mesh) array of a batch holds at most this many floats (32 MB)
 CHAIN_BATCH_FLOATS = 1 << 22
 
 
@@ -74,8 +75,11 @@ class TestFamily:
     duality: bool = True
 
     def __post_init__(self):
-        if self.random_steps < 0:
-            raise NormError("random_steps must be nonnegative")
+        # checked here, so a bad recipe fails as a NormError and not at numpy's first draw
+        for name in ("random_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise NormError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def describe(self) -> dict:
         return {
@@ -133,6 +137,14 @@ def _inside_cubes(mesh: SampledFunction, dens: SampledFunction, shifts, min_leve
             yield f"s={scan.grid.shift},l={scan.level},pos={pos}", scan, pos, float(masses[pos])
 
 
+def _cube_index(cubes, top: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lev, pos) of cubes from _inside_cubes, as scan.cube_cells reads
+    them: each cube's level counted from level top, and its position."""
+    lev = np.array([scan.level - top for _, scan, _, _ in cubes], dtype=np.int64)
+    pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), dim)).astype(np.int64)
+    return lev, pos
+
+
 def _indicator(mesh: SampledFunction, scan, pos) -> SampledFunction:
     """The indicator of the cube at pos of a scan on the mesh, its cells
     read from the scan's integer plans."""
@@ -173,22 +185,31 @@ def _iter_family(
     if family.duality:
         # Saturating functions for the weak-type pairing: cut the other
         # weight to a cube, push it through the operator, and raise to
-        # the conjugate-exponent power on the cube itself.
+        # the conjugate-exponent power on the cube itself.  The cubes'
+        # indicators go through the operator's array core in batches of
+        # at most CHAIN_BATCH_FLOATS floats, each row with the bits of
+        # its one-cube call.
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         zero_shift = [(0,) * mesh.dim]
-        for label, scan, cube_pos, _mass in _inside_cubes(mesh, other, zero_shift, min_level, max_level):
-            chi = _indicator(mesh, scan, cube_pos)
-            seed = OPERATORS[op](chi, other, alpha, phi, None, min_level, max_level)
-            pos = (chi.values > 0) & (seed.values > 0)
-            if not np.any(pos):
-                continue
-            arr = np.zeros_like(seed.values)
-            with np.errstate(over="ignore"):
-                arr[pos] = seed.values[pos] ** expo
-            if not np.all(np.isfinite(arr)):
-                continue
-            yield f"dual[chi[{label}]]", mesh.with_values(arr)
+        grid, = _grids(mesh, zero_shift, min_level, max_level)
+        scans = tuple(iter_scans(mesh, grid))
+        cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
+        lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
+        batch = max(1, CHAIN_BATCH_FLOATS // mesh.values.size)
+        for start in range(0, len(cubes), batch):
+            part = slice(start, start + batch)
+            chi = cube_cells(scans, lev[part], pos[part])
+            seeds = CORES[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
+            for (label, _, _, _), live, seed in zip(cubes[part], chi & (seeds > 0), seeds):
+                if not np.any(live):
+                    continue
+                arr = np.zeros_like(seed)
+                with np.errstate(over="ignore"):
+                    arr[live] = seed[live] ** expo
+                if not np.all(np.isfinite(arr)):
+                    continue
+                yield f"dual[chi[{label}]]", mesh.with_values(arr)
 
 
 # --- norm estimation --------------------------------------------------------
@@ -247,9 +268,10 @@ def estimate_norm(
 
     best = -math.inf
     arg = None
-    count = 0
+    count = tried = 0
     try:
         for name, f in _iter_family(op, pair, e, fam, side, a, min_level, max_level, phi):
+            tried += 1
             den = lp_norm(f, src_p, weight=src_w)
             if not den > 0:
                 continue
@@ -264,6 +286,8 @@ def estimate_norm(
                 best, arg = ratio, name
     except MissingInputError as exc:
         raise NormError(str(exc)) from None
+    if tried == 0:
+        raise NormError("the test family is empty")
     if count == 0:
         raise NormError("every test function had zero source norm")
     return NormEstimate(op, source, target, best, arg, count)
@@ -453,8 +477,7 @@ def potential_testing_chain(
     scans = _shell_scans(sigma, zero, *default_levels(sigma, min_level, max_level))
     cubes = list(_inside_cubes(pair.u, sigma, [zero], min_level, max_level))
     # _inside_cubes and _shell_scans share the plans of every level they both scan
-    lev = np.array([scan.level - scans[0].level for _, scan, _, _ in cubes], dtype=np.int64)
-    pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), n)).astype(np.int64)
+    lev, pos = _cube_index(cubes, scans[0].level, n)
     masses = np.array([mass for _, _, _, mass in cubes])
     grids = _grids(sigma, None, min_level, max_level)
     lhs, rhs = [], []

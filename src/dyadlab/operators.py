@@ -6,6 +6,13 @@ difference.  Suprema and sums over levels are therefore truncated at the
 requested level range; callers comparing two operators should use the same
 range on both sides.  Averages are always taken over the full cube volume,
 with the zero extension outside the window contributing nothing.
+
+Every operator of the registry OPERATORS has an array core in CORES.
+The core maps an array of values on a mesh, the spatial axes last and
+any leading axes a batch, to an array of the same shape: (B, *mesh) to
+(B, *mesh).  Each row has the bits of the SampledFunction operator on
+that row alone, which is the core's one-row case, since every row goes
+through the same element-wise operations.
 """
 from __future__ import annotations
 
@@ -102,14 +109,23 @@ def _maximal_values(f: SampledFunction, pre: np.ndarray, a: float, grids) -> np.
     return out
 
 
+def _riesz_values(f: SampledFunction, pre: np.ndarray, a: float, grid: GridFamily) -> np.ndarray:
+    """The values of dyadic_riesz over a grid for the functions whose
+    prefix table is pre, on the mesh of f; leading axes of pre are a batch."""
+    return sweep(f, grid, _frac_averages(f, a, pre), np.add)
+
+
 def _luxemburg_averages(scan: LevelScan, values: np.ndarray, cellvol: float, phi: YoungFunction,
                         live: Optional[np.ndarray] = None) -> np.ndarray:
     """The Luxemburg average ||values||_{phi,Q} cube by cube over a scan
-    (where live is set when it is given; 0 elsewhere)."""
+    (where live is set when it is given; 0 elsewhere), for each row of
+    values; leading axes of values are a batch."""
     vol = scan.cube_volume()
-    out = np.zeros(scan.shape)
-    for pos in np.ndindex(scan.shape) if live is None else map(tuple, np.argwhere(live)):
-        out[pos] = luxemburg(cell_block(scan, values, pos), cellvol, vol, phi)
+    lead = values.shape[:values.ndim - scan.dim]
+    out = np.zeros(lead + scan.shape)
+    for row in np.ndindex(lead):
+        for pos in np.ndindex(scan.shape) if live is None else map(tuple, np.argwhere(live)):
+            out[row + pos] = luxemburg(cell_block(scan, values[row], pos), cellvol, vol, phi)
     return out
 
 
@@ -179,24 +195,31 @@ def weighted_dyadic_maximal(
     Cubes with mu(Q) = 0 contribute nothing.  beta = 0 recovers the
     mu-average maximal operator.
     """
+    b = _order(beta, f.dim, name="beta")
+    return f.with_values(_weighted_values(f, f.values, mu, b, _grid(f, shift, min_level, max_level)))
+
+
+def _weighted_values(f: SampledFunction, values: np.ndarray, mu: SampledFunction, b: float,
+                     grid: GridFamily) -> np.ndarray:
+    """The values of weighted_dyadic_maximal over a grid for the functions
+    values on the mesh of f; leading axes of values are a batch."""
     f.require_same_mesh(mu)
     n = f.dim
-    b = _order(beta, n, name="beta")
     pre_mu = mu.prefix
-    pre_fmu = prefix_sum(f.values * mu.values)
+    pre_fmu = prefix_sum(values * mu.values, n)
     cellvol = float(f.cell_volume)
     expo = b / n - 1.0
 
     def level_values(scan):
         mu_q = cube_cell_sums(scan, pre_mu) * cellvol
         fmu_q = cube_cell_sums(scan, pre_fmu) * cellvol
-        vals = np.zeros_like(mu_q)
-        pos = mu_q > 0
-        vals[pos] = mu_q[pos] ** expo * fmu_q[pos]
+        vals = np.zeros_like(fmu_q)
+        # the mask spans every axis of the batch, which keeps numpy's plain boolean path
+        pos = np.broadcast_to(mu_q > 0, fmu_q.shape)
+        vals[pos] = np.broadcast_to(mu_q, fmu_q.shape)[pos] ** expo * fmu_q[pos]
         return vals
 
-    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return f.with_values(out)
+    return sweep(f, grid, level_values, np.maximum)
 
 
 def geometric_maximal(
@@ -243,12 +266,19 @@ def orlicz_maximal(
     Plain-power Young functions reduce to power averages and vectorize;
     anything else solves the Luxemburg equation cube by cube.
     """
+    b = _order(beta, f.dim, name="beta")
+    return f.with_values(_orlicz_values(f, f.values, phi, b, _grid(f, shift, min_level, max_level)))
+
+
+def _orlicz_values(f: SampledFunction, values: np.ndarray, phi: YoungFunction, b: float,
+                   grid: GridFamily) -> np.ndarray:
+    """The values of orlicz_maximal over a grid for the functions values
+    on the mesh of f; leading axes of values are a batch."""
     n = f.dim
-    b = _order(beta, n, name="beta")
     cellvol = float(f.cell_volume)
     is_power = getattr(phi, "is_power", False)
     if is_power:
-        pre_pow = prefix_sum(f.values ** phi.r)
+        pre_pow = prefix_sum(values ** phi.r, n)
 
     def level_values(scan):
         vol_q = scan.cube_volume()
@@ -257,10 +287,9 @@ def orlicz_maximal(
             # clamped at 0: a 2-D prefix-sum difference over zero cells can be -roundoff
             mean_pow = np.maximum(cube_cell_sums(scan, pre_pow), 0.0) * (cellvol / vol_q)
             return mean_pow ** (1.0 / phi.r) * side_weight
-        return side_weight * _luxemburg_averages(scan, f.values, cellvol, phi)
+        return side_weight * _luxemburg_averages(scan, values, cellvol, phi)
 
-    out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return f.with_values(out)
+    return sweep(f, grid, level_values, np.maximum)
 
 
 # === potential operators ======================================================
@@ -274,8 +303,8 @@ def dyadic_riesz(
 ) -> SampledFunction:
     """Sum over cubes containing x of |Q|^{alpha/n} times the average of f,
     truncated to the level range."""
-    level_values = _frac_averages(f, _order(alpha, f.dim, open_below=True))
-    return f.with_values(sweep(f, _grid(f, shift, min_level, max_level), level_values, np.add))
+    a = _order(alpha, f.dim, open_below=True)
+    return f.with_values(_riesz_values(f, f.prefix, a, _grid(f, shift, min_level, max_level)))
 
 
 def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
@@ -283,6 +312,12 @@ def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
     with the kernel integrated exactly over each source cell: k[m], the
     integral of |x - y|^{alpha - 1} over the cell at offset m from x, is a
     difference of the antiderivative sign(u)|u|^alpha / alpha."""
+    return f.with_values(_riesz_1d_values(f, f.values, alpha))
+
+
+def _riesz_1d_values(f: SampledFunction, values: np.ndarray, alpha) -> np.ndarray:
+    """The values of riesz_potential_1d for the functions values on the
+    mesh of f; leading axes of values are a batch, convolved row by row."""
     if f.dim != 1:
         raise OperatorError("the continuum potential is implemented on the line")
     a = float(alpha)
@@ -291,14 +326,16 @@ def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
     def F(u: np.ndarray) -> np.ndarray:
         return np.sign(u) * np.abs(u) ** a / a
 
-    m = np.arange(f.ncells, dtype=np.float64)
+    N = f.ncells
+    m = np.arange(N, dtype=np.float64)
     h = float(f.h)
     k = F((m + 0.5) * h) - F((m - 0.5) * h)
     kk = np.concatenate([k[:0:-1], k])
-    out = np.convolve(f.values, kk)[f.ncells - 1 : 2 * f.ncells - 1]
+    rows = [np.convolve(row, kk)[N - 1 : 2 * N - 1] for row in values.reshape(-1, N)]
+    out = np.reshape(rows, values.shape)
     # rounding can leave tiny negatives on zero cells
     np.maximum(out, 0.0, out=out)
-    return f.with_values(out)
+    return out
 
 
 # === outer shell potential ====================================================
@@ -410,6 +447,19 @@ def _times(f: SampledFunction, mu: Optional[SampledFunction]) -> SampledFunction
     return f if mu is None else f * mu
 
 
+def _times_values(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
+    """values times the density of mu, on the mesh of f (values itself when mu is None)."""
+    if mu is None:
+        return values
+    f.require_same_mesh(mu)
+    return values * mu.values
+
+
+def _prefix_values(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
+    """The prefix table of values times the density of mu, on the mesh of f."""
+    return prefix_sum(_times_values(f, values, mu), f.dim)
+
+
 # Each entry applies one operator to the measure f dmu (to f itself when mu
 # is None): OPERATORS[id](f, mu, alpha, phi, shift, min_level, max_level).
 # alpha is the order; the Orlicz and weighted maximal operators take it as
@@ -430,4 +480,27 @@ OPERATORS = {
     "weighted_dyadic_maximal": lambda f, mu, a, phi, sh, lo, hi: weighted_dyadic_maximal(
         f, _needs(mu, "weighted_dyadic_maximal needs a measure mu"), beta=a,
         shift=sh, min_level=lo, max_level=hi),
+}
+
+
+# CORES[id](f, values, mu, alpha, phi, shift, min_level, max_level) is the
+# array core of OPERATORS[id]: it applies the operator to values dmu, where
+# values holds functions on the mesh of f (whose own values it does not
+# read), and returns an array of the shape of values.  Each row has the
+# bits of OPERATORS[id] on that row alone.
+CORES = {
+    "identity": lambda f, v, mu, a, phi, sh, lo, hi: _times_values(f, v, mu),
+    "frac_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _maximal_values(
+        f, _prefix_values(f, v, mu), _order(a, f.dim), _grids(f, sh, lo, hi)),
+    "dyadic_frac_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _maximal_values(
+        f, _prefix_values(f, v, mu), _order(a, f.dim), [_grid(f, sh, lo, hi)]),
+    "dyadic_riesz": lambda f, v, mu, a, phi, sh, lo, hi: _riesz_values(
+        f, _prefix_values(f, v, mu), _order(a, f.dim, open_below=True), _grid(f, sh, lo, hi)),
+    "riesz_1d": lambda f, v, mu, a, phi, sh, lo, hi: _riesz_1d_values(f, _times_values(f, v, mu), a),
+    "orlicz_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _orlicz_values(
+        f, _times_values(f, v, mu), _needs(phi, "orlicz_maximal needs a Young function phi"),
+        _order(a, f.dim, name="beta"), _grid(f, sh, lo, hi)),
+    "weighted_dyadic_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _weighted_values(
+        f, v, _needs(mu, "weighted_dyadic_maximal needs a measure mu"), _order(a, f.dim, name="beta"),
+        _grid(f, sh, lo, hi)),
 }

@@ -165,6 +165,36 @@ MUTANTS = [
          f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
         "each row of a batch holds one function's cells, contiguous after the batch axes",
     ),
+    # --- the batched duality seeds of the test families -------------------------
+    Mutant(
+        "duality_seed_cut_from_u", "normest.py",
+        "chi.astype(np.float64), other, alpha",
+        "chi.astype(np.float64), pair.u, alpha",
+        (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
+        "each side cuts its seeds from its other weight: u on the forward side, sigma on the dual one",
+    ),
+    Mutant(
+        "duality_seed_rows_shifted", "normest.py",
+        "chi = cube_cells(scans, lev[part], pos[part])",
+        "chi = cube_cells(scans, np.roll(lev, 1)[part], np.roll(pos, 1, axis=0)[part])",
+        (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
+        "row b of a batch is the cube of label b, so each seed goes out under its own cube's label",
+    ),
+    Mutant(
+        "duality_seed_chunk_drops_last_row", "normest.py",
+        "part = slice(start, start + batch)\n            chi = ",
+        "part = slice(start, start + batch - 1)\n            chi = ",
+        (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",
+         f"{NORM}::TestBatchedDualitySeeds::test_one_core_call_per_chunk"),
+        "consecutive chunks cover every cube, the last row of each included",
+    ),
+    Mutant(
+        "duality_seed_mask_dropped", "normest.py",
+        "chi & (seeds > 0)",
+        "seeds > 0",
+        (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
+        "a saturating function lives on its own cube, not wherever its seed is positive",
+    ),
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
         "cut_maximal_inner_edges_only", "operators.py",

@@ -151,6 +151,19 @@ class TestEstimateNorm:
         with pytest.raises(NormError):
             estimate_norm("dyadic_riesz", pair, E_SOB, fam)
 
+    def test_family_with_every_source_off_is_empty(self):
+        fam = TestFamily(indicators=False, random_steps=0, duality=False)
+        with pytest.raises(NormError, match="the test family is empty"):
+            estimate_norm("dyadic_riesz", rand_pair(2), E_SOB, fam)
+
+    @pytest.mark.parametrize("recipe", [
+        {"random_steps": 2.5}, {"random_steps": True}, {"random_steps": "3"},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None},
+    ], ids=repr)
+    def test_bad_recipe_refused(self, recipe):
+        with pytest.raises(NormError, match="must be a nonnegative integer"):
+            TestFamily(**recipe)
+
     def test_orlicz_operator_needs_young_function(self):
         pair = rand_pair(4)
         with pytest.raises(NormError):
@@ -521,7 +534,8 @@ class TestBatchedTestingChain:
 
 def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, phi):
     """normest._iter_family with each indicator and each duality cut built
-    from the rational box of its cube."""
+    from the rational box of its cube, and one operator call per cube for
+    the duality seeds."""
     mesh = pair.u
     source = pair.sigma if side == "forward" else pair.u
     if family.indicators:
@@ -557,6 +571,20 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
             yield f"dual[chi[{label}]]", mesh.with_values(arr)
 
 
+def seed_pair(dim, lower, side, ncells):
+    """A random pair whose u and sigma each vanish on a block of cells.
+    Each block holds some of the finest zero-shift cubes whole, which the
+    mass gate drops, and cuts others, where the cut weight vanishes on part
+    of the cube."""
+    e = E_SOB if dim == 1 else E_SOB2
+    u = rand_weight(dim, lower, side, ncells, 51).values.copy()
+    sigma = rand_weight(dim, lower, side, ncells, 52).values.copy()
+    u[(slice(ncells // 4, ncells // 2 + 1),) * dim] = 0.0
+    sigma[(slice(ncells // 2, 3 * ncells // 4 + 1),) * dim] = 0.0
+    mesh = rand_weight(dim, lower, side, ncells, 0)
+    return WeightPair(mesh.with_values(u), mesh.with_values(sigma)), e
+
+
 FAMILY_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 24), (2, (0, 0), 1, 6), (2, (-1, 0), 2, 12)]
 
 
@@ -566,9 +594,10 @@ class TestFamilyOnScans:
         if not (op == "riesz_1d" and mesh[0] == 2)
     ], ids=lambda v: f"{v[0]}d_{v[1][0]}_{v[3]}" if isinstance(v, tuple) else v)
     def test_matches_fraction_family(self, monkeypatch, mesh, op):
-        # every estimate equals the one over the rational-box family, bit for
-        # bit, and is built with no per-cube rational geometry at all
-        pair, e = chain_pair("zero_block", *mesh)
+        # every estimate equals the one over the rational-box family with
+        # per-cube duality seeds, bit for bit, also when the seeds come in
+        # several chunks, and is built with no per-cube rational geometry
+        pair, e = seed_pair(*mesh)
         calls = [dict(side=side, weak=weak) for side in ("forward", "dual") for weak in (False, True)]
 
         def estimates():
@@ -579,3 +608,73 @@ class TestFamilyOnScans:
             want = estimates()
         refuse_fraction_geometry(monkeypatch)
         assert estimates() == want
+        monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", 5 * pair.u.values.size)
+        assert estimates() == want
+
+
+# --- the duality seeds, batched ----------------------------------------------
+
+
+DUAL_ONLY = TestFamily(indicators=False, random_steps=0)
+SEED_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 48), (2, (0, 0), 1, 12), (2, (-1, 0), 2, 12)]
+SEED_CASES = [(mesh, op) for mesh in SEED_MESHES for op in normest.OPERATOR_IDS
+              if not (op == "riesz_1d" and mesh[0] == 2)]
+SEED_IDS = [f"{mesh[0]}d_{mesh[3]}_{mesh[2]}-{op}" for mesh, op in SEED_CASES]
+
+
+def family(iterate, op, pair, e, side, fam=DUAL_ONLY):
+    return list(iterate(op, pair, e, fam, side, float(e.alpha), None, None, power(3)))
+
+
+def assert_same_family(got, want):
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, f), (_, g) in zip(got, want):
+        assert np.array_equal(f.values, g.values), name
+
+
+class TestBatchedDualitySeeds:
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["one_chunk", "chunks_of_1", "chunks_of_5"])
+    @pytest.mark.parametrize("mesh,op", SEED_CASES, ids=SEED_IDS)
+    def test_family_matches_per_cube_oracle(self, monkeypatch, mesh, op, rows):
+        # the same functions under the same labels, in the same order, and
+        # the same cubes dropped by the mass gate and by the seed mask, in
+        # one chunk and in chunks of one and of five cubes, the last short
+        pair, e = seed_pair(*mesh)
+        want = {side: family(_iter_family_oracle, op, pair, e, side) for side in ("forward", "dual")}
+        if rows is not None:
+            monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
+        for side, functions in want.items():
+            assert functions
+            assert_same_family(family(normest._iter_family, op, pair, e, side), functions)
+
+    @pytest.mark.parametrize("rows", [1, 5, 1000])
+    def test_one_core_call_per_chunk(self, monkeypatch, rows):
+        # no operator call per cube: the seeds come from the array core,
+        # once per chunk of rows cubes
+        pair, e = seed_pair(*SEED_MESHES[0])
+        cubes = len(family(normest._iter_family, "frac_maximal", pair, e, "forward"))
+        calls = []
+        core = normest.CORES["frac_maximal"]
+
+        def counted(f, values, *args):
+            calls.append(len(values))
+            return core(f, values, *args)
+
+        monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
+        monkeypatch.setattr(normest, "CORES", {"frac_maximal": counted})
+        monkeypatch.setattr(normest, "OPERATORS", {})
+        assert len(family(normest._iter_family, "frac_maximal", pair, e, "forward")) == cubes
+        assert calls == [min(rows, cubes - k) for k in range(0, cubes, rows)]
+
+    @pytest.mark.parametrize("op", ["identity", "frac_maximal", "dyadic_riesz"])
+    def test_overflowing_seeds_skipped_as_one_cube_ones(self, op):
+        # u of 1e120 on a block: there the forward seeds raised to p' - 1 = 3
+        # overflow, and those functions leave the family
+        pair, e = seed_pair(*SEED_MESHES[0])
+        u = pair.u.values.copy()
+        u[-6:] = 1e120
+        pair = WeightPair(pair.u.with_values(u), pair.sigma)
+        want = family(_iter_family_oracle, op, pair, e, "forward")
+        assert 0 < len(want) < len(list(_inside_cubes(pair.u, pair.u, [(0,)], None, None)))
+        assert_same_family(family(normest._iter_family, op, pair, e, "forward"), want)
+

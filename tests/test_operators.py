@@ -7,6 +7,8 @@ import pytest
 
 from dyadlab.grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab.operators import (
+    CORES,
+    OPERATORS,
     OperatorError,
     _grids,
     cut_frac_maximal,
@@ -417,3 +419,46 @@ class TestOuterRiesz:
         slp = sigma.cell_slices(parent_box)
         vals = np.unique(np.round(got.values[slp], 10))
         assert len(vals) == 2  # seed value and first-shell value
+
+
+# --- the array cores of the registry -----------------------------------------
+
+
+CORE_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 48), (2, (0, 0), 1, 12), (2, (-1, 0), 2, 12)]
+# every registry operator, the Orlicz maximal on its power and its Luxemburg path
+CORE_OPS = [(op, None) for op in OPERATORS if op != "orlicz_maximal"] + [
+    ("orlicz_maximal", power(3)), ("orlicz_maximal", log_bump(2.0, 0.5))]
+CORE_CASES = [(op, phi, mesh) for op, phi in CORE_OPS for mesh in CORE_MESHES
+              if not (op == "riesz_1d" and mesh[0] == 2)]
+
+
+class TestArrayCores:
+    def test_cores_cover_the_registry(self):
+        assert tuple(CORES) == tuple(OPERATORS)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=lambda s: f"lead{len(s)}")
+    @pytest.mark.parametrize("op,phi,mesh", CORE_CASES,
+                             ids=lambda v: f"{v[0]}d_{v[3]}_{v[2]}" if isinstance(v, tuple) else getattr(v, "label", v))
+    def test_rows_have_the_bits_of_the_operator(self, op, phi, mesh, lead):
+        # rows of values and a measure that vanish on blocks of cells
+        dim, lower, side, n = mesh
+        rng = np.random.default_rng([dim, n, len(lead)])
+        values = rng.exponential(1.0, lead + (n,) * dim)
+        values[..., : n // 4] = 0.0
+        mu = rand_f(dim, lower, side, n, seed=n, zeros_at=[(slice(n // 3, n // 2),) * dim])
+        f = SampledFunction.zeros(dim, lower, side, n)
+        got = CORES[op](f, values, mu, 0.5, phi, None, None, None)
+        assert got.shape == values.shape
+        for row in np.ndindex(lead):
+            want = OPERATORS[op](f.with_values(values[row]), mu, 0.5, phi, None, None, None)
+            assert np.array_equal(got[row], want.values), row
+
+    def test_core_refuses_as_the_operator_does(self):
+        f = rand_f(2, (0, 0), 1, 12)
+        with pytest.raises(OperatorError):
+            CORES["riesz_1d"](f, f.values[None], None, 0.5, None, None, None, None)
+        with pytest.raises(OperatorError):
+            CORES["orlicz_maximal"](f, f.values[None], None, 0.5, None, None, None, None)
+        with pytest.raises(OperatorError):
+            CORES["weighted_dyadic_maximal"](f, f.values[None], None, 0.5, None, None, None, None)
+
