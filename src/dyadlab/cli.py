@@ -764,7 +764,7 @@ def _cmd_ops(args) -> int:
     else:
         mu = _load_function(args.mu) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None
-        out = OPERATORS[name](f, mu, alpha, phi, shift, lo, hi)
+        out = f.with_values(OPERATORS[name](f, f.values, mu, alpha, phi, shift, lo, hi))
     obj = {
         "function": out.to_obj(),
         "metadata": {

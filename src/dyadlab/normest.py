@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -32,14 +32,13 @@ import numpy as np
 from .sampled import (
     SampledFunction,
     ExponentTuple,
-    lp_norm,
     lp_norms,
-    weak_lq_norm,
+    weak_lq_norms,
     parse_rational,
     prefix_sum,
 )
 from .scan import cell_block, cube_cells, inside_scans, iter_scans, positive_cubes
-from .operators import (CORES, OPERATORS, MissingInputError, default_levels, _grids, _maximal_values,
+from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _maximal_values,
                         _shell_constant, _shell_scans, _shells)
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
@@ -82,12 +81,7 @@ class TestFamily:
                 raise NormError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def describe(self) -> dict:
-        return {
-            "indicators": self.indicators,
-            "random_steps": self.random_steps,
-            "seed": self.seed,
-            "duality": self.duality,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -103,14 +97,7 @@ class NormEstimate:
     family_size: int
 
     def to_obj(self) -> dict:
-        return {
-            "operator": self.operator,
-            "source": self.source,
-            "target": self.target,
-            "value": self.value,
-            "argmax": self.argmax,
-            "family_size": self.family_size,
-        }
+        return asdict(self)
 
 
 def unit_pair(like: SampledFunction) -> WeightPair:
@@ -145,14 +132,6 @@ def _cube_index(cubes, top: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return lev, pos
 
 
-def _indicator(mesh: SampledFunction, scan, pos) -> SampledFunction:
-    """The indicator of the cube at pos of a scan on the mesh, its cells
-    read from the scan's integer plans."""
-    arr = np.zeros_like(mesh.values)
-    cell_block(scan, arr, pos)[...] = 1.0
-    return mesh.with_values(arr)
-
-
 def _iter_family(
     op: str,
     pair: WeightPair,
@@ -163,13 +142,18 @@ def _iter_family(
     min_level,
     max_level,
     phi,
-) -> Iterator[Tuple[str, SampledFunction]]:
+) -> Iterator[Tuple[str, np.ndarray]]:
+    """(label, values) of each test function of the family, on the mesh
+    of the pair; the indicators' cells are read from the scans' integer
+    plans."""
     mesh = pair.u
     source = pair.sigma if side == "forward" else pair.u
 
     if family.indicators:
         for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
-            yield f"chi[{label}]", _indicator(mesh, scan, pos)
+            arr = np.zeros_like(mesh.values)
+            cell_block(scan, arr, pos)[...] = 1.0
+            yield f"chi[{label}]", arr
 
     if family.random_steps > 0:
         rng = np.random.default_rng(family.seed)
@@ -180,15 +164,15 @@ def _iter_family(
             vals = coarse
             for ax in range(mesh.dim):
                 vals = np.repeat(vals, reps, axis=ax)
-            yield f"step[{k}]", mesh.with_values(vals)
+            yield f"step[{k}]", vals
 
     if family.duality:
         # Saturating functions for the weak-type pairing: cut the other
         # weight to a cube, push it through the operator, and raise to
         # the conjugate-exponent power on the cube itself.  The cubes'
-        # indicators go through the operator's array core in batches of
-        # at most CHAIN_BATCH_FLOATS floats, each row with the bits of
-        # its one-cube call.
+        # indicators go through the registry operator in batches of at
+        # most CHAIN_BATCH_FLOATS floats, each row with the bits of its
+        # one-cube call.
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         zero_shift = [(0,) * mesh.dim]
@@ -200,7 +184,7 @@ def _iter_family(
         for start in range(0, len(cubes), batch):
             part = slice(start, start + batch)
             chi = cube_cells(scans, lev[part], pos[part])
-            seeds = CORES[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
+            seeds = OPERATORS[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
             for (label, _, _, _), live, seed in zip(cubes[part], chi & (seeds > 0), seeds):
                 if not np.any(live):
                     continue
@@ -209,7 +193,7 @@ def _iter_family(
                     arr[live] = seed[live] ** expo
                 if not np.all(np.isfinite(arr)):
                     continue
-                yield f"dual[chi[{label}]]", mesh.with_values(arr)
+                yield f"dual[chi[{label}]]", arr
 
 
 # --- norm estimation --------------------------------------------------------
@@ -224,6 +208,13 @@ def _space_labels(e: ExponentTuple, side: str, weak: bool) -> Tuple[str, str]:
     else:
         raise NormError(f"unknown side {side!r}")
     return source, "weak-" + target if weak else target
+
+
+def _finite(value, what: str, name: str):
+    """value, when it is finite everywhere; NormError naming the test function otherwise."""
+    if not np.all(np.isfinite(value)):
+        raise NormError(f"{what} of the test function {name} is not finite")
+    return value
 
 
 def _ratio(num: float, den: float) -> Optional[float]:
@@ -249,7 +240,13 @@ def estimate_norm(
     to L^q(u); side="dual" estimates f -> T(f u) from L^{q'}(u) to
     L^{p'}(sigma).  With weak=True the target norm is the weak
     (Lorentz) quasinorm instead.  The value is a lower bound for the
-    operator norm and never decreases as the family grows.
+    operator norm and never decreases as the family grows.  A source
+    norm, operator output or target norm that is not finite raises
+    NormError naming its test function: an overflow is no lower bound.
+
+    The operator runs on one test function at a time, an array on the
+    mesh of the pair; the norms are the one-row cases of lp_norms and
+    weak_lq_norms.
     """
     if op not in OPERATOR_IDS:
         raise NormError(f"unknown operator id {op!r}")
@@ -265,25 +262,26 @@ def estimate_norm(
         tgt_w, tgt_q = pair.sigma, float(e.pprime)
 
     a = float(e.alpha) if alpha is None else float(parse_rational(alpha))
+    mesh = pair.u
+    target_norms = weak_lq_norms if weak else lp_norms
 
     best = -math.inf
     arg = None
     count = tried = 0
     try:
-        for name, f in _iter_family(op, pair, e, fam, side, a, min_level, max_level, phi):
-            tried += 1
-            den = lp_norm(f, src_p, weight=src_w)
-            if not den > 0:
-                continue
-            g = OPERATORS[op](f, dens, a, phi, None, min_level, max_level)
-            if weak:
-                num = weak_lq_norm(g, tgt_q, weight=tgt_w)
-            else:
-                num = lp_norm(g, tgt_q, weight=tgt_w)
-            count += 1
-            ratio = num / den
-            if ratio > best:
-                best, arg = ratio, name
+        # overflow and its NaNs are refused by _finite below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, f in _iter_family(op, pair, e, fam, side, a, min_level, max_level, phi):
+                tried += 1
+                den = _finite(lp_norms(mesh, f, src_p, weight=src_w)[0], "the source norm", name)
+                if not den > 0:
+                    continue
+                g = _finite(OPERATORS[op](mesh, f, dens, a, phi, None, min_level, max_level), "the image", name)
+                num = _finite(target_norms(mesh, g, tgt_q, weight=tgt_w)[0], "the target norm", name)
+                count += 1
+                ratio = num / den
+                if ratio > best:
+                    best, arg = ratio, name
     except MissingInputError as exc:
         raise NormError(str(exc)) from None
     if tried == 0:

@@ -1,18 +1,22 @@
 """Maximal and potential operators on sampled functions.
 
 All cube-based operators run over shifted dyadic grids whose levels are
-aligned with the sample mesh, so every cube average is an exact prefix-sum
-difference.  Suprema and sums over levels are therefore truncated at the
-requested level range; callers comparing two operators should use the same
-range on both sides.  Averages are always taken over the full cube volume,
-with the zero extension outside the window contributing nothing.
+aligned with the sample mesh, so every cube is a block of whole cells and
+its sum is read as a difference of prefix sums.  That difference is not
+exact: when the cube's mass is small next to the prefix totals it cancels,
+and on high-contrast weights the relative error of a cube sum has reached
+1.5e5 ulps.  Suprema and sums over levels are truncated at the requested
+level range; callers comparing two operators should use the same range on
+both sides.  Averages are always taken over the full cube volume, with the
+zero extension outside the window contributing nothing.
 
-Every operator of the registry OPERATORS has an array core in CORES.
-The core maps an array of values on a mesh, the spatial axes last and
-any leading axes a batch, to an array of the same shape: (B, *mesh) to
-(B, *mesh).  Each row has the bits of the SampledFunction operator on
-that row alone, which is the core's one-row case, since every row goes
-through the same element-wise operations.
+The registry OPERATORS holds the one definition of each operator, on
+arrays: OPERATORS[id](f, values, mu, ...) maps values on the mesh of f,
+the spatial axes last and any leading axes a batch, to an array of the
+same shape, (B, *mesh) to (B, *mesh).  Each row has the bits of the
+operator on that row alone, since every row goes through the same
+element-wise operations.  The public SampledFunction operators are its
+one-row cases, and the CLI and normest call the registry directly.
 """
 from __future__ import annotations
 
@@ -109,12 +113,6 @@ def _maximal_values(f: SampledFunction, pre: np.ndarray, a: float, grids) -> np.
     return out
 
 
-def _riesz_values(f: SampledFunction, pre: np.ndarray, a: float, grid: GridFamily) -> np.ndarray:
-    """The values of dyadic_riesz over a grid for the functions whose
-    prefix table is pre, on the mesh of f; leading axes of pre are a batch."""
-    return sweep(f, grid, _frac_averages(f, a, pre), np.add)
-
-
 def _luxemburg_averages(scan: LevelScan, values: np.ndarray, cellvol: float, phi: YoungFunction,
                         live: Optional[np.ndarray] = None) -> np.ndarray:
     """The Luxemburg average ||values||_{phi,Q} cube by cube over a scan
@@ -143,8 +141,7 @@ def frac_maximal(
     By default the supremum runs over every shifted grid; pass a single
     shift tuple (or list of them) to restrict it.
     """
-    a = _order(alpha, f.dim)
-    return f.with_values(_maximal_values(f, f.prefix, a, _grids(f, shifts, min_level, max_level)))
+    return f.with_values(OPERATORS["frac_maximal"](f, f.values, None, alpha, None, shifts, min_level, max_level))
 
 
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
@@ -178,8 +175,7 @@ def dyadic_frac_maximal(
     max_level: Optional[int] = None,
 ) -> SampledFunction:
     """Single-grid fractional maximal; the classic unshifted grid by default."""
-    sh = (0,) * f.dim if shift is None else tuple(shift)
-    return frac_maximal(f, alpha, shifts=[sh], min_level=min_level, max_level=max_level)
+    return f.with_values(OPERATORS["dyadic_frac_maximal"](f, f.values, None, alpha, None, shift, min_level, max_level))
 
 
 def weighted_dyadic_maximal(
@@ -195,20 +191,19 @@ def weighted_dyadic_maximal(
     Cubes with mu(Q) = 0 contribute nothing.  beta = 0 recovers the
     mu-average maximal operator.
     """
-    b = _order(beta, f.dim, name="beta")
-    return f.with_values(_weighted_values(f, f.values, mu, b, _grid(f, shift, min_level, max_level)))
+    return f.with_values(OPERATORS["weighted_dyadic_maximal"](f, f.values, mu, beta, None, shift, min_level, max_level))
 
 
-def _weighted_values(f: SampledFunction, values: np.ndarray, mu: SampledFunction, b: float,
-                     grid: GridFamily) -> np.ndarray:
-    """The values of weighted_dyadic_maximal over a grid for the functions
-    values on the mesh of f; leading axes of values are a batch."""
-    f.require_same_mesh(mu)
+def _weighted_dyadic_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np.ndarray:
+    """The registry's weighted_dyadic_maximal: mu is the measure of the
+    maximal operator, not a density applied to values."""
+    mu = _needs(mu, "weighted_dyadic_maximal needs a measure mu")
     n = f.dim
+    expo = _order(beta, n, name="beta") / n - 1.0
+    grid = _grid(f, shift, min_level, max_level)
+    pre_fmu = _prefix(f, values, mu)
     pre_mu = mu.prefix
-    pre_fmu = prefix_sum(values * mu.values, n)
     cellvol = float(f.cell_volume)
-    expo = b / n - 1.0
 
     def level_values(scan):
         mu_q = cube_cell_sums(scan, pre_mu) * cellvol
@@ -266,15 +261,16 @@ def orlicz_maximal(
     Plain-power Young functions reduce to power averages and vectorize;
     anything else solves the Luxemburg equation cube by cube.
     """
-    b = _order(beta, f.dim, name="beta")
-    return f.with_values(_orlicz_values(f, f.values, phi, b, _grid(f, shift, min_level, max_level)))
+    return f.with_values(OPERATORS["orlicz_maximal"](f, f.values, None, beta, phi, shift, min_level, max_level))
 
 
-def _orlicz_values(f: SampledFunction, values: np.ndarray, phi: YoungFunction, b: float,
-                   grid: GridFamily) -> np.ndarray:
-    """The values of orlicz_maximal over a grid for the functions values
-    on the mesh of f; leading axes of values are a batch."""
+def _orlicz_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np.ndarray:
+    """The registry's orlicz_maximal, of values dmu."""
+    phi = _needs(phi, "orlicz_maximal needs a Young function phi")
     n = f.dim
+    b = _order(beta, n, name="beta")
+    grid = _grid(f, shift, min_level, max_level)
+    values = _dmu(f, values, mu)
     cellvol = float(f.cell_volume)
     is_power = getattr(phi, "is_power", False)
     if is_power:
@@ -303,8 +299,7 @@ def dyadic_riesz(
 ) -> SampledFunction:
     """Sum over cubes containing x of |Q|^{alpha/n} times the average of f,
     truncated to the level range."""
-    a = _order(alpha, f.dim, open_below=True)
-    return f.with_values(_riesz_values(f, f.prefix, a, _grid(f, shift, min_level, max_level)))
+    return f.with_values(OPERATORS["dyadic_riesz"](f, f.values, None, alpha, None, shift, min_level, max_level))
 
 
 def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
@@ -312,16 +307,16 @@ def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
     with the kernel integrated exactly over each source cell: k[m], the
     integral of |x - y|^{alpha - 1} over the cell at offset m from x, is a
     difference of the antiderivative sign(u)|u|^alpha / alpha."""
-    return f.with_values(_riesz_1d_values(f, f.values, alpha))
+    return f.with_values(OPERATORS["riesz_1d"](f, f.values, None, alpha, None, None, None, None))
 
 
-def _riesz_1d_values(f: SampledFunction, values: np.ndarray, alpha) -> np.ndarray:
-    """The values of riesz_potential_1d for the functions values on the
-    mesh of f; leading axes of values are a batch, convolved row by row."""
+def _riesz_1d(f, values, mu, alpha, phi, shift, min_level, max_level) -> np.ndarray:
+    """The registry's riesz_1d, convolved row by row; it has no grid, so
+    shift and the level range are not read."""
     if f.dim != 1:
         raise OperatorError("the continuum potential is implemented on the line")
-    a = float(alpha)
-    _order(a, 1, open_below=True)
+    a = _order(alpha, 1, open_below=True)
+    values = _dmu(f, values, mu)
 
     def F(u: np.ndarray) -> np.ndarray:
         return np.sign(u) * np.abs(u) ** a / a
@@ -443,11 +438,7 @@ def _needs(value, message: str):
     return value
 
 
-def _times(f: SampledFunction, mu: Optional[SampledFunction]) -> SampledFunction:
-    return f if mu is None else f * mu
-
-
-def _times_values(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
+def _dmu(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
     """values times the density of mu, on the mesh of f (values itself when mu is None)."""
     if mu is None:
         return values
@@ -455,52 +446,32 @@ def _times_values(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFu
     return values * mu.values
 
 
-def _prefix_values(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
-    """The prefix table of values times the density of mu, on the mesh of f."""
-    return prefix_sum(_times_values(f, values, mu), f.dim)
+def _prefix(f: SampledFunction, values: np.ndarray, mu: Optional[SampledFunction]) -> np.ndarray:
+    """The prefix table of values dmu on the mesh of f.  For f's own values
+    and no measure it is f's cached table, so the operators run on one
+    function share it."""
+    if mu is None and values is f.values:
+        return f.prefix
+    return prefix_sum(_dmu(f, values, mu), f.dim)
 
 
-# Each entry applies one operator to the measure f dmu (to f itself when mu
-# is None): OPERATORS[id](f, mu, alpha, phi, shift, min_level, max_level).
+# OPERATORS[id](f, values, mu, alpha, phi, shift, min_level, max_level)
+# applies one operator to values dmu (to values itself when mu is None)
+# and returns an array of the shape of values.  values holds functions on
+# the mesh of f, the spatial axes last; f gives only the mesh.
 # alpha is the order; the Orlicz and weighted maximal operators take it as
-# beta, and shift None means every shift for frac_maximal and the classic
-# grid for the single-grid operators.
+# beta, and the weighted one reads mu as its measure.  shift None means
+# every shift for frac_maximal and the classic grid for the single-grid
+# operators.
 OPERATORS = {
-    "identity": lambda f, mu, a, phi, sh, lo, hi: _times(f, mu),
-    "frac_maximal": lambda f, mu, a, phi, sh, lo, hi: frac_maximal(
-        _times(f, mu), a, shifts=sh, min_level=lo, max_level=hi),
-    "dyadic_frac_maximal": lambda f, mu, a, phi, sh, lo, hi: dyadic_frac_maximal(
-        _times(f, mu), a, shift=sh, min_level=lo, max_level=hi),
-    "dyadic_riesz": lambda f, mu, a, phi, sh, lo, hi: dyadic_riesz(
-        _times(f, mu), a, shift=sh, min_level=lo, max_level=hi),
-    "riesz_1d": lambda f, mu, a, phi, sh, lo, hi: riesz_potential_1d(_times(f, mu), a),
-    "orlicz_maximal": lambda f, mu, a, phi, sh, lo, hi: orlicz_maximal(
-        _times(f, mu), _needs(phi, "orlicz_maximal needs a Young function phi"), beta=a,
-        shift=sh, min_level=lo, max_level=hi),
-    "weighted_dyadic_maximal": lambda f, mu, a, phi, sh, lo, hi: weighted_dyadic_maximal(
-        f, _needs(mu, "weighted_dyadic_maximal needs a measure mu"), beta=a,
-        shift=sh, min_level=lo, max_level=hi),
-}
-
-
-# CORES[id](f, values, mu, alpha, phi, shift, min_level, max_level) is the
-# array core of OPERATORS[id]: it applies the operator to values dmu, where
-# values holds functions on the mesh of f (whose own values it does not
-# read), and returns an array of the shape of values.  Each row has the
-# bits of OPERATORS[id] on that row alone.
-CORES = {
-    "identity": lambda f, v, mu, a, phi, sh, lo, hi: _times_values(f, v, mu),
+    "identity": lambda f, v, mu, a, phi, sh, lo, hi: _dmu(f, v, mu),
     "frac_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _maximal_values(
-        f, _prefix_values(f, v, mu), _order(a, f.dim), _grids(f, sh, lo, hi)),
+        f, _prefix(f, v, mu), _order(a, f.dim), _grids(f, sh, lo, hi)),
     "dyadic_frac_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _maximal_values(
-        f, _prefix_values(f, v, mu), _order(a, f.dim), [_grid(f, sh, lo, hi)]),
-    "dyadic_riesz": lambda f, v, mu, a, phi, sh, lo, hi: _riesz_values(
-        f, _prefix_values(f, v, mu), _order(a, f.dim, open_below=True), _grid(f, sh, lo, hi)),
-    "riesz_1d": lambda f, v, mu, a, phi, sh, lo, hi: _riesz_1d_values(f, _times_values(f, v, mu), a),
-    "orlicz_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _orlicz_values(
-        f, _times_values(f, v, mu), _needs(phi, "orlicz_maximal needs a Young function phi"),
-        _order(a, f.dim, name="beta"), _grid(f, sh, lo, hi)),
-    "weighted_dyadic_maximal": lambda f, v, mu, a, phi, sh, lo, hi: _weighted_values(
-        f, v, _needs(mu, "weighted_dyadic_maximal needs a measure mu"), _order(a, f.dim, name="beta"),
-        _grid(f, sh, lo, hi)),
+        f, _prefix(f, v, mu), _order(a, f.dim), [_grid(f, sh, lo, hi)]),
+    "dyadic_riesz": lambda f, v, mu, a, phi, sh, lo, hi: sweep(
+        f, _grid(f, sh, lo, hi), _frac_averages(f, _order(a, f.dim, open_below=True), _prefix(f, v, mu)), np.add),
+    "riesz_1d": _riesz_1d,
+    "orlicz_maximal": _orlicz_maximal,
+    "weighted_dyadic_maximal": _weighted_dyadic_maximal,
 }

@@ -3,8 +3,9 @@
 A SampledFunction is a nonnegative step function on a window [a, a+2^s)^n
 with N = 3*2^L uniform cells per axis and zero extension outside the window.
 The 3*2^L cell count puts every shifted-dyadic cube boundary of level <= L-s
-on a cell boundary, so cube integrals and averages reduce to exact prefix-sum
-differences.  Integrals of cell-constant data are exact up to float rounding.
+on a cell boundary, so cube integrals and averages reduce to prefix-sum
+differences over whole cells.  Those differences round like any sum, and
+cancel when a cube's mass is small next to the prefix totals.
 """
 from __future__ import annotations
 
@@ -406,22 +407,27 @@ def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[Sampled
 def weak_lq_norm(g: SampledFunction, q, weight: Optional[SampledFunction] = None) -> float:
     """sup_t t * w({g > t})^{1/q}; the sup is attained approaching each
     distinct value of g from below, so it is evaluated at those values."""
+    return weak_lq_norms(g, g.values, q, weight)[0]
+
+
+def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: Optional[SampledFunction] = None) -> list:
+    """weak_lq_norm of every row of values on the mesh of f, in row-major
+    order of the leading (batch) axes, as lp_norms is of lp_norm.  Each row
+    is sorted on its own, so its tied values sum their weights in the order
+    of its one-row call."""
     qf = float(q)
     if qf <= 0:
         raise MeshError("q must be positive")
-    v = g.values.ravel()
     if weight is not None:
-        g.require_same_mesh(weight)
-        mass = (weight.values * float(g.cell_volume)).ravel()
+        f.require_same_mesh(weight)
+        mass = (weight.values * float(f.cell_volume)).ravel()
     else:
-        mass = np.full(v.size, float(g.cell_volume))
-    order = np.argsort(v)[::-1]
-    vs = v[order]
-    cum = np.cumsum(mass[order])
-    pos = vs > 0
-    if not np.any(pos):
-        return 0.0
-    return float(np.max(vs[pos] * cum[pos] ** (1.0 / qf)))
+        mass = np.full(f.values.size, float(f.cell_volume))
+    flat = values.reshape(-1, f.values.size)
+    order = np.argsort(flat, axis=-1)[:, ::-1]
+    vs = np.take_along_axis(flat, order, axis=-1)
+    scaled = vs * np.cumsum(mass[order], axis=-1) ** (1.0 / qf)
+    return np.where(vs > 0, scaled, 0.0).max(axis=-1, initial=0.0).tolist()
 
 
 # === exponent tuples =========================================================

@@ -195,6 +195,29 @@ MUTANTS = [
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "a saturating function lives on its own cube, not wherever its seed is positive",
     ),
+    # --- the operator registry on arrays, and the norms of estimate_norm -------
+    Mutant(
+        "registry_prefix_reused_for_same_shape", "operators.py",
+        "if mu is None and values is f.values:",
+        "if mu is None and values.shape == f.values.shape:",
+        (f"{OPS}::TestArrayCores::test_rows_have_the_bits_of_the_public_operator",
+         f"{OPS}::TestArrayCores::test_own_values_share_the_cached_prefix"),
+        "only f's own values have f's cached prefix table; other values of its shape need their own",
+    ),
+    Mutant(
+        "weak_norms_read_row_zero", "sampled.py",
+        "vs = np.take_along_axis(flat, order, axis=-1)",
+        "vs = np.take_along_axis(flat[[0] * len(flat)], order, axis=-1)",
+        ("tests/test_sampled.py::TestNorms::test_weak_norms_rows_are_the_one_row_norm",),
+        "each row of a batch gets the weak norm of its own values",
+    ),
+    Mutant(
+        "norm_estimate_nonfinite_unguarded", "normest.py",
+        "    if not np.all(np.isfinite(value)):\n        raise NormError(",
+        "    if False:\n        raise NormError(",
+        (f"{NORM}::TestEstimateNorm::test_overflow_refused_not_reported",),
+        "an overflowing norm or image gives an infinite or NaN ratio, which is no lower bound",
+    ),
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
         "cut_maximal_inner_edges_only", "operators.py",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +29,7 @@ from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 
 from fraction_oracle import ancestor_chain, refuse_fraction_geometry
+from operator_oracle import PUBLIC_OPERATORS
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -63,6 +65,20 @@ class TestEstimateNorm:
         assert est.value == 1.0
         assert est.argmax.startswith("chi[")
         assert est.family_size == 94  # 57 indicators + 6 steps + 31 duality
+
+    @pytest.mark.parametrize("op", normest.OPERATOR_IDS)
+    def test_overflow_refused_not_reported(self, op):
+        # sigma = 1e200: the true forward ratio is about 1e50, but the
+        # target norm overflows (the Orlicz power mean, the image first)
+        one = ones(ncells=24)
+        pair = WeightPair(one, one.with_values(np.full(24, 1e200)))
+        with pytest.raises(NormError, match=re.escape("test function chi[s=(0,),l=0,pos=(0,)] is not finite")):
+            estimate_norm(op, pair, E_SOB, phi=power(2))
+        # u = 1e100: the duality seeds (1e100)^3 are finite, their source norms are not
+        pair = WeightPair(one.with_values(np.full(24, 1e100)), one)
+        what = "target" if op == "weighted_dyadic_maximal" else "source"
+        with pytest.raises(NormError, match=re.escape(f"the {what} norm of the test function dual[chi[s=(0,),l=0,")):
+            estimate_norm(op, pair, E_SOB, phi=power(2))
 
     def test_dyadic_maximal_within_lebesgue_bound(self):
         # The mu-maximal norm bound (1 + p'/q)^{1 - beta/n} with mu = Lebesgue.
@@ -534,14 +550,14 @@ class TestBatchedTestingChain:
 
 def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, phi):
     """normest._iter_family with each indicator and each duality cut built
-    from the rational box of its cube, and one operator call per cube for
-    the duality seeds."""
+    from the rational box of its cube, and one call of the public operator
+    per cube for the duality seeds."""
     mesh = pair.u
     source = pair.sigma if side == "forward" else pair.u
     if family.indicators:
         for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
             box = realize(scan.cube_at(pos))
-            yield f"chi[{label}]", SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells)
+            yield f"chi[{label}]", SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells).values
     if family.random_steps > 0:
         rng = np.random.default_rng(family.seed)
         blocks = normest._blocks_for(mesh.ncells)
@@ -550,14 +566,14 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
             vals = rng.exponential(1.0, size=(blocks,) * mesh.dim)
             for ax in range(mesh.dim):
                 vals = np.repeat(vals, reps, axis=ax)
-            yield f"step[{k}]", mesh.with_values(vals)
+            yield f"step[{k}]", vals
     if family.duality:
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         for label, scan, pos, _mass in _inside_cubes(mesh, other, [(0,) * mesh.dim], min_level, max_level):
             box = realize(scan.cube_at(pos))
             chi = SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells)
-            seed = normest.OPERATORS[op](chi, other, alpha, phi, None, min_level, max_level)
+            seed = PUBLIC_OPERATORS[op](chi, other, alpha, phi, None, min_level, max_level)
             on_cube = np.zeros_like(seed.values, dtype=bool)
             on_cube[other.cell_slices(box, require_aligned=True)] = True
             live = on_cube & (seed.values > 0)
@@ -568,7 +584,7 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
                 arr[live] = seed.values[live] ** expo
             if not np.all(np.isfinite(arr)):
                 continue
-            yield f"dual[chi[{label}]]", mesh.with_values(arr)
+            yield f"dual[chi[{label}]]", arr
 
 
 def seed_pair(dim, lower, side, ncells):
@@ -629,7 +645,7 @@ def family(iterate, op, pair, e, side, fam=DUAL_ONLY):
 def assert_same_family(got, want):
     assert [name for name, _ in got] == [name for name, _ in want]
     for (name, f), (_, g) in zip(got, want):
-        assert np.array_equal(f.values, g.values), name
+        assert np.array_equal(f, g), name
 
 
 class TestBatchedDualitySeeds:
@@ -649,20 +665,19 @@ class TestBatchedDualitySeeds:
 
     @pytest.mark.parametrize("rows", [1, 5, 1000])
     def test_one_core_call_per_chunk(self, monkeypatch, rows):
-        # no operator call per cube: the seeds come from the array core,
-        # once per chunk of rows cubes
+        # no operator call per cube: the seeds come from the registry
+        # operator, once per chunk of rows cubes
         pair, e = seed_pair(*SEED_MESHES[0])
         cubes = len(family(normest._iter_family, "frac_maximal", pair, e, "forward"))
         calls = []
-        core = normest.CORES["frac_maximal"]
+        core = normest.OPERATORS["frac_maximal"]
 
         def counted(f, values, *args):
             calls.append(len(values))
             return core(f, values, *args)
 
         monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
-        monkeypatch.setattr(normest, "CORES", {"frac_maximal": counted})
-        monkeypatch.setattr(normest, "OPERATORS", {})
+        monkeypatch.setattr(normest, "OPERATORS", {"frac_maximal": counted})
         assert len(family(normest._iter_family, "frac_maximal", pair, e, "forward")) == cubes
         assert calls == [min(rows, cubes - k) for k in range(0, cubes, rows)]
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dyadlab.grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
+from dyadlab import operators
 from dyadlab.operators import (
-    CORES,
     OPERATORS,
     OperatorError,
     _grids,
@@ -22,10 +22,11 @@ from dyadlab.operators import (
     weighted_dyadic_maximal,
 )
 from dyadlab.orlicz import PowerScaled, log_bump, power
-from dyadlab.sampled import SampledFunction, integrate, lp_norm
+from dyadlab.sampled import SampledFunction, integrate, lp_norm, prefix_sum
 from dyadlab.scan import cell_block, iter_scans
 
 from fraction_oracle import ancestor_chain
+from operator_oracle import PUBLIC_OPERATORS
 
 
 def rand_f(dim, lower, side, ncells, seed=0, zeros_at=()):
@@ -421,44 +422,60 @@ class TestOuterRiesz:
         assert len(vals) == 2  # seed value and first-shell value
 
 
-# --- the array cores of the registry -----------------------------------------
+# --- the registry, on arrays -------------------------------------------------
 
 
 CORE_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 48), (2, (0, 0), 1, 12), (2, (-1, 0), 2, 12)]
 # every registry operator, the Orlicz maximal on its power and its Luxemburg path
 CORE_OPS = [(op, None) for op in OPERATORS if op != "orlicz_maximal"] + [
     ("orlicz_maximal", power(3)), ("orlicz_maximal", log_bump(2.0, 0.5))]
-CORE_CASES = [(op, phi, mesh) for op, phi in CORE_OPS for mesh in CORE_MESHES
+# with a measure and without one, which the weighted maximal always needs
+CORE_CASES = [(op, phi, mesh, with_mu) for op, phi in CORE_OPS for mesh in CORE_MESHES
+              for with_mu in ((True,) if op == "weighted_dyadic_maximal" else (False, True))
               if not (op == "riesz_1d" and mesh[0] == 2)]
 
 
 class TestArrayCores:
-    def test_cores_cover_the_registry(self):
-        assert tuple(CORES) == tuple(OPERATORS)
+    def test_public_table_covers_the_registry(self):
+        assert tuple(PUBLIC_OPERATORS) == tuple(OPERATORS)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=lambda s: f"lead{len(s)}")
-    @pytest.mark.parametrize("op,phi,mesh", CORE_CASES,
-                             ids=lambda v: f"{v[0]}d_{v[3]}_{v[2]}" if isinstance(v, tuple) else getattr(v, "label", v))
-    def test_rows_have_the_bits_of_the_operator(self, op, phi, mesh, lead):
-        # rows of values and a measure that vanish on blocks of cells
+    @pytest.mark.parametrize(
+        "op,phi,mesh,with_mu", CORE_CASES,
+        ids=[f"{op}-{getattr(phi, 'label', phi)}-{m[0]}d_{m[3]}_{m[2]}-{'mu' if w else 'nomu'}"
+             for op, phi, m, w in CORE_CASES])
+    def test_rows_have_the_bits_of_the_public_operator(self, op, phi, mesh, with_mu, lead):
+        # rows of values and a measure that vanish on blocks of cells, on
+        # an all-zero f whose own values no row is
         dim, lower, side, n = mesh
         rng = np.random.default_rng([dim, n, len(lead)])
         values = rng.exponential(1.0, lead + (n,) * dim)
         values[..., : n // 4] = 0.0
-        mu = rand_f(dim, lower, side, n, seed=n, zeros_at=[(slice(n // 3, n // 2),) * dim])
+        mu = rand_f(dim, lower, side, n, seed=n, zeros_at=[(slice(n // 3, n // 2),) * dim]) if with_mu else None
         f = SampledFunction.zeros(dim, lower, side, n)
-        got = CORES[op](f, values, mu, 0.5, phi, None, None, None)
+        got = OPERATORS[op](f, values, mu, 0.5, phi, None, None, None)
         assert got.shape == values.shape
         for row in np.ndindex(lead):
-            want = OPERATORS[op](f.with_values(values[row]), mu, 0.5, phi, None, None, None)
+            want = PUBLIC_OPERATORS[op](f.with_values(values[row]), mu, 0.5, phi, None, None, None)
             assert np.array_equal(got[row], want.values), row
 
-    def test_core_refuses_as_the_operator_does(self):
+    def test_own_values_share_the_cached_prefix(self, monkeypatch):
+        # the operators run on one function's own values read its cached
+        # prefix table; a copy of those values gets a table of its own
+        f = rand_f(1, (0,), 1, 24)
+        tables = []
+        monkeypatch.setattr(operators, "prefix_sum", lambda *args: tables.append(args) or prefix_sum(*args))
+        for op in ("frac_maximal", "dyadic_frac_maximal", "dyadic_riesz"):
+            OPERATORS[op](f, f.values, None, 0.5, None, None, None, None)
+        assert tables == []
+        OPERATORS["dyadic_riesz"](f, f.values.copy(), None, 0.5, None, None, None, None)
+        assert len(tables) == 1
+
+    def test_registry_refuses_as_the_operator_does(self):
         f = rand_f(2, (0, 0), 1, 12)
         with pytest.raises(OperatorError):
-            CORES["riesz_1d"](f, f.values[None], None, 0.5, None, None, None, None)
+            OPERATORS["riesz_1d"](f, f.values[None], None, 0.5, None, None, None, None)
         with pytest.raises(OperatorError):
-            CORES["orlicz_maximal"](f, f.values[None], None, 0.5, None, None, None, None)
+            OPERATORS["orlicz_maximal"](f, f.values[None], None, 0.5, None, None, None, None)
         with pytest.raises(OperatorError):
-            CORES["weighted_dyadic_maximal"](f, f.values[None], None, 0.5, None, None, None, None)
-
+            OPERATORS["weighted_dyadic_maximal"](f, f.values[None], None, 0.5, None, None, None, None)

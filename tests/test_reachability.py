@@ -29,6 +29,7 @@ SRC = Path(dyadlab.__file__).resolve().parent
 
 BENCH = "perfbench calls it, or it is a helper of a function perfbench calls; no verdict reads it yet"
 ORACLE = "test oracle: tests check the library against it"
+ONE_ROW = "public one-row form of an array function that the commands call: a registry operator, weak_lq_norms"
 PROTOCOL = "YoungFunction protocol: the abstract methods, and the methods of a Young function outside PowerLog"
 
 ALLOWED = {
@@ -66,6 +67,12 @@ ALLOWED = {
         "sampled.SampledFunction.cell_centers",
         "sampled.SampledFunction.__add__",
     ], ORACLE),
+    **dict.fromkeys([
+        "operators.weighted_dyadic_maximal",
+        "operators.orlicz_maximal",
+        "operators.riesz_potential_1d",
+        "sampled.weak_lq_norm",
+    ], ONE_ROW),
     **dict.fromkeys([
         "orlicz.YoungFunction.eval",
         "orlicz.YoungFunction.log_eval",

@@ -20,6 +20,7 @@ from dyadlab.sampled import (
     make_exponents,
     parse_rational,
     weak_lq_norm,
+    weak_lq_norms,
 )
 
 
@@ -254,6 +255,24 @@ class TestNorms:
         # masses: cell0 0.1, cell1 0.3
         expect = max(5 * 0.1 ** 0.5, 1 * 0.4 ** 0.5)
         assert weak_lq_norm(g, 2, weight=w) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("dim,lead", [(1, (5,)), (1, (2, 3)), (2, (4,))])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_weak_norms_rows_are_the_one_row_norm(self, dim, lead, weighted):
+        # tied values sum their weights in the one-row order, and cells of
+        # zero weight count for nothing; the last row is all zero
+        rng = np.random.default_rng([dim, len(lead)])
+        n = 12 if dim == 1 else 6
+        values = rng.integers(0, 4, lead + (n,) * dim).astype(float) * 0.7
+        values[(-1,) * len(lead)] = 0.0
+        w = rng.uniform(0.1, 2.0, (n,) * dim)
+        w[rng.random((n,) * dim) < 0.3] = 0.0
+        g = SampledFunction.zeros(dim, (0,) * dim, 1, n)
+        weight = g.with_values(w) if weighted else None
+        got = weak_lq_norms(g, values, 1.5, weight=weight)
+        want = [weak_lq_norm(g.with_values(values[row]), 1.5, weight=weight) for row in np.ndindex(lead)]
+        assert len(set(want)) > 2 and want[-1] == 0.0
+        assert got == want
 
     def test_weak_norm_zero_function(self):
         g = SampledFunction.zeros(1, (0,), 1, 3)
