@@ -404,8 +404,9 @@ def _suite_operators(cfg: dict) -> dict:
     ratios = {"3/2": [], "2": [], "3": []}
     for i in range(30):
         f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 100 + i, lo=0.0, hi=4.0)
+        mf = geometric_maximal(f, shift=(0,) * e.n)
         for plabel, p in (("3/2", Fraction(3, 2)), ("2", 2), ("3", 3)):
-            lhs = lp_norm(geometric_maximal(f, shift=(0,) * e.n), p)
+            lhs = lp_norm(mf, p)
             rhs = lp_norm(f, p)
             ratios[plabel].append(lhs / rhs if rhs > 0 else 0.0)
     for plabel, rs in ratios.items():

@@ -245,7 +245,7 @@ def _aexp_values(scan: LevelScan, w: SampledFunction, gate, lpre: np.ndarray) ->
     live) of scan.positive_cubes for w, does not pass; lpre from
     log_prefix(w)."""
     vol = scan.cube_volume()
-    cells = max(1, round(vol / float(w.cell_volume)))
+    cells = max(1, round(vol / w.geometry.cellvol))
     masses, live = gate
     lsum = cube_cell_sums(scan, lpre)
     with np.errstate(over="ignore"):
@@ -299,7 +299,7 @@ def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray
     m = cut_frac_maximal(w, scan, inner, alpha) ** p
     if weight is not None:
         m *= weight.values
-    num = cube_cell_sums(scan, prefix_sum(m))[live] * float(w.cell_volume)
+    num = cube_cell_sums(scan, prefix_sum(m))[live] * w.geometry.cellvol
     # the integrand is nonnegative: clamp prefix-sum roundoff at 0
     return np.maximum(num, 0.0)
 
@@ -459,7 +459,7 @@ def apq_bump(
         raise ConstantError(f"unknown bump side {side!r}")
     if side == "both" and psi is None:
         raise ConstantError("side='both' needs a Young function for the u side")
-    cellvol = float(pair.u.cell_volume)
+    cellvol = pair.u.geometry.cellvol
 
     def lux_column(f: SampledFunction, root: float, fn_phi: YoungFunction):
         """Per-scan Luxemburg averages || f^{1/root} ||_{fn_phi, Q}."""
@@ -531,12 +531,12 @@ def outer_testing_constant(
                                    + c * scan.cube_volume() ** shell_pow * cube_integrals(scan, u))
         return {level: out[level] for level in grid.levels}
 
-    sums = {grid: tree_sums(grid) for grid in _grids(u, shifts, min_level, max_level)}
+    sums = {grid.shift: tree_sums(grid) for grid in _grids(u, shifts, min_level, max_level)}
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         masses, live = positive_cubes(scan, inside, pair.sigma)
         vals = np.zeros(scan.shape, dtype=float)
-        vals[live] = coeff * masses[live] ** inv_pprime * np.maximum(sums[scan.grid][scan.level][live], 0.0) ** inv_q
+        vals[live] = coeff * masses[live] ** inv_pprime * np.maximum(sums[scan.grid.shift][scan.level][live], 0.0) ** inv_q
         return vals, ~live
 
     return _sup_scan("outer_testing", u, shifts, min_level, max_level, fn)

@@ -102,7 +102,7 @@ class NormEstimate:
 
 def unit_pair(like: SampledFunction) -> WeightPair:
     """Lebesgue measure on both slots, on the mesh of the given function."""
-    one = SampledFunction.constant(1.0, like.dim, like.lower, like.side, like.ncells)
+    one = like.with_values(np.ones(like.values.shape))
     return WeightPair(one, one, provenance="lebesgue")
 
 

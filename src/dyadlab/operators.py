@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFamily, all_shifts
 from .orlicz import YoungFunction, luxemburg
-from .sampled import SampledFunction, _log2_exact, block_sums, log_prefix, prefix_sum
+from .sampled import SampledFunction, block_sums, log_prefix, prefix_sum
 from .scan import (
     LevelScan,
     cell_block,
@@ -50,12 +50,13 @@ class OperatorError(ValueError):
 def default_levels(f: SampledFunction, min_level: Optional[int], max_level: Optional[int]) -> Tuple[int, int]:
     """Level range used when the caller does not pin one down: from a few
     doublings above the window size down to the mesh alignment limit."""
-    s = _log2_exact(f.side)
+    geom = f.geometry
+    s = geom.side.bit_length() - 1  # the window side is 2^s
     lo = -(s + COARSE_MARGIN) if min_level is None else int(min_level)
-    hi = f.max_aligned_level if max_level is None else int(max_level)
-    if hi > f.max_aligned_level:
+    hi = geom.max_aligned_level if max_level is None else int(max_level)
+    if hi > geom.max_aligned_level:
         raise OperatorError(
-            f"max_level {hi} finer than the mesh alignment limit {f.max_aligned_level}"
+            f"max_level {hi} finer than the mesh alignment limit {geom.max_aligned_level}"
         )
     if lo > hi:
         raise OperatorError("empty level range")
@@ -68,14 +69,16 @@ def _grids(f: SampledFunction, shifts, min_level, max_level) -> list:
         shifts = all_shifts(f.dim)
     elif isinstance(shifts, tuple) and all(isinstance(x, int) for x in shifts):
         shifts = [shifts]
-    return [GridFamily(f.dim, tuple(sh), lo, hi, f.window) for sh in shifts]
+    geom = f.geometry
+    return [GridFamily(geom.dim, tuple(sh), lo, hi, geom.window) for sh in shifts]
 
 
 def _grid(f: SampledFunction, shift, min_level, max_level) -> GridFamily:
     """The single grid of a one-shift operator; the classic grid by default."""
     lo, hi = default_levels(f, min_level, max_level)
-    sh = (0,) * f.dim if shift is None else tuple(shift)
-    return GridFamily(f.dim, sh, lo, hi, f.window)
+    geom = f.geometry
+    sh = (0,) * geom.dim if shift is None else tuple(shift)
+    return GridFamily(geom.dim, sh, lo, hi, geom.window)
 
 
 def _order(order, n: int, error=OperatorError, name: str = "alpha", open_below: bool = False) -> float:
@@ -97,7 +100,7 @@ def _frac_averages(f: SampledFunction, a: float, pre: Optional[np.ndarray] = Non
     """Level function of |Q|^{a/n} times the average of f over Q, on every
     cube of a scan; with a prefix table pre of functions on the mesh of f
     (leading axes a batch), of each of those instead."""
-    n, cellvol = f.dim, float(f.cell_volume)
+    n, cellvol = f.dim, f.geometry.cellvol
     pre = f.prefix if pre is None else pre
     return lambda scan: cube_cell_sums(scan, pre) * (2.0 ** (scan.level * (n - a)) * cellvol)
 
@@ -158,7 +161,7 @@ def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np
     a = _order(alpha, n)
     out = np.zeros_like(f.values)
     pre = f.prefix
-    cellvol = float(f.cell_volume)
+    cellvol = f.geometry.cellvol
     outer_edges = outer.edges
     for scan in inner:
         edges = tuple(merge_edges(Q, R) for Q, R in zip(outer_edges, scan.edges))
@@ -203,7 +206,7 @@ def _weighted_dyadic_maximal(f, values, mu, beta, phi, shift, min_level, max_lev
     grid = _grid(f, shift, min_level, max_level)
     pre_fmu = _prefix(f, values, mu)
     pre_mu = mu.prefix
-    cellvol = float(f.cell_volume)
+    cellvol = f.geometry.cellvol
 
     def level_values(scan):
         mu_q = cube_cell_sums(scan, pre_mu) * cellvol
@@ -232,7 +235,7 @@ def geometric_maximal(
     n = f.dim
     pre_zero = f.zero_prefix  # None when f has no zero cell
     pre_log = log_prefix(f)
-    cellvol = float(f.cell_volume)
+    cellvol = f.geometry.cellvol
 
     def level_values(scan):
         log_q = cube_cell_sums(scan, pre_log)
@@ -271,7 +274,7 @@ def _orlicz_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np
     b = _order(beta, n, name="beta")
     grid = _grid(f, shift, min_level, max_level)
     values = _dmu(f, values, mu)
-    cellvol = float(f.cell_volume)
+    cellvol = f.geometry.cellvol
     is_power = getattr(phi, "is_power", False)
     if is_power:
         pre_pow = prefix_sum(values ** phi.r, n)
@@ -323,7 +326,7 @@ def _riesz_1d(f, values, mu, alpha, phi, shift, min_level, max_level) -> np.ndar
 
     N = f.ncells
     m = np.arange(N, dtype=np.float64)
-    h = float(f.h)
+    h = f.geometry.side / f.geometry.ncells  # float(f.h): both round the same rational correctly
     k = F((m + 0.5) * h) - F((m - 0.5) * h)
     kk = np.concatenate([k[:0:-1], k])
     rows = [np.convolve(row, kk)[N - 1 : 2 * N - 1] for row in values.reshape(-1, N)]

@@ -6,14 +6,26 @@ The 3*2^L cell count puts every shifted-dyadic cube boundary of level <= L-s
 on a cell boundary, so cube integrals and averages reduce to prefix-sum
 differences over whole cells.  Those differences round like any sum, and
 cancel when a cube's mass is small next to the prefix totals.
+
+The geometry of a mesh (its corner, side, cell count, cell width and
+volume, window box, level_L and max_aligned_level) is one immutable
+MeshGeometry record, derived once in exact rationals by mesh_geometry and
+shared by every function on the mesh: with_values, power, restrict_to,
+* and + hand their source's record on, and the record of a new function
+comes from a memo on the mesh's plain-integer key.  The record also holds
+the cell volume as a float, so the array paths (operators, scans, norms)
+read integers and floats and never touch a Fraction.  The public
+attributes keep their types: lower and side are Fractions, window a Box,
+dim and ncells ints.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Optional, Tuple, Union
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -109,42 +121,83 @@ def log_prefix(w: SampledFunction) -> np.ndarray:
     return prefix_sum(logs)
 
 
+class MeshGeometry(NamedTuple):
+    """The geometry of one mesh, as the module docstring describes.  key is
+    (ncells, side) + corner, plain integers: the scan memo is keyed on it
+    and same_mesh compares it."""
+
+    dim: int
+    corner: Tuple[int, ...]
+    side: int
+    ncells: int
+    h: Fraction
+    cell_volume: Fraction
+    cellvol: float  # float(cell_volume), for the array paths
+    window: Box
+    level_L: int
+    max_aligned_level: int  # finest dyadic level whose cube boundaries all land on cell edges
+    key: Tuple[int, ...]
+
+
+@lru_cache(maxsize=1 << 10)
+def mesh_geometry(key: Tuple[int, ...]) -> MeshGeometry:
+    """The record of the mesh with key (ncells, side) + corner: ncells =
+    3*2^L cells per axis on the window of integer corner and side 2^s >= 1
+    (the caller checks these)."""
+    ncells, side, *corner = key
+    h = Fraction(side, ncells)
+    cell_volume = h ** len(corner)
+    L = (ncells // 3).bit_length() - 1
+    window = Box(tuple(Fraction(a) for a in corner), Fraction(side))
+    return MeshGeometry(len(corner), tuple(corner), side, ncells, h, cell_volume, float(cell_volume),
+                        window, L, L - (side.bit_length() - 1), key)
+
+
+def _cell_values(values, dim: int) -> np.ndarray:
+    """A read-only float64 copy of values, checked to be finite,
+    nonnegative and square with 3*2^L cells along each of dim axes."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != dim:
+        raise MeshError(f"values must be {dim}-dimensional")
+    n = arr.shape[0]
+    if any(s != n for s in arr.shape):
+        raise MeshError("values must be square across axes")
+    if n == 0 or n % 3 != 0 or (n // 3) & ((n // 3) - 1):
+        raise MeshError(f"cells per axis must be 3*2^L, got {n}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise MeshError("values must be finite and nonnegative")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class SampledFunction:
     """Nonnegative cell-constant function, zero outside its window."""
 
-    __slots__ = ("dim", "lower", "side", "ncells", "values", "meta", "_prefix", "_zeros")
+    __slots__ = ("geometry", "values", "meta", "_prefix", "_zeros")
 
     def __init__(self, dim: int, lower, side, values, meta: Optional[dict] = None):
         if dim not in (1, 2):
             raise MeshError(f"dim must be 1 or 2, got {dim}")
-        self.dim = dim
         lower = tuple(parse_rational(x) for x in (lower if isinstance(lower, (tuple, list)) else (lower,)))
         if len(lower) != dim:
             raise MeshError("window corner arity must match dim")
         if any(x.denominator != 1 for x in lower):
             raise MeshError("window corners must be integers")
-        self.lower = lower
-        self.side = parse_rational(side)
-        _log2_exact(self.side)  # must be a power of two
-        if self.side < 1:
+        side = parse_rational(side)
+        _log2_exact(side)  # must be a power of two
+        if side < 1:
             raise MeshError("window side must be a positive integer power of two")
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != dim:
-            raise MeshError(f"values must be {dim}-dimensional")
-        n = arr.shape[0]
-        if any(s != n for s in arr.shape):
-            raise MeshError("values must be square across axes")
-        if n == 0 or n % 3 != 0 or (n // 3) & ((n // 3) - 1):
-            raise MeshError(f"cells per axis must be 3*2^L, got {n}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise MeshError("values must be finite and nonnegative")
-        self.ncells = n
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.values = arr
+        arr = _cell_values(values, dim)
+        self._fill(mesh_geometry((arr.shape[0], int(side)) + tuple(int(x) for x in lower)), arr, meta)
+
+    def _fill(self, geometry: MeshGeometry, values: np.ndarray, meta: Optional[dict]) -> "SampledFunction":
+        self.geometry = geometry
+        self.values = values
         self.meta = dict(meta) if meta else {}
         self._prefix = None
         self._zeros = _UNSET
+        return self
 
     # --- construction -------------------------------------------------------
 
@@ -167,38 +220,29 @@ class SampledFunction:
         return cls(dim, lower, side, arr)
 
     def with_values(self, values, meta: Optional[dict] = None) -> "SampledFunction":
-        return SampledFunction(self.dim, self.lower, self.side, values, meta=meta)
+        """values on this mesh, sharing its geometry record; values with
+        another cell count make a function on another mesh."""
+        arr = _cell_values(values, self.dim)
+        if arr.shape != self.values.shape:
+            return SampledFunction(self.dim, self.lower, self.side, arr, meta=meta)
+        return object.__new__(SampledFunction)._fill(self.geometry, arr, meta)
 
-    # --- geometry -----------------------------------------------------------
+    # --- geometry: read straight off the shared record -----------------------
 
-    @property
-    def h(self) -> Fraction:
-        return self.side / self.ncells
-
-    @property
-    def cell_volume(self) -> Fraction:
-        return self.h ** self.dim
-
-    @property
-    def window(self) -> Box:
-        return Box(self.lower, self.side)
-
-    @property
-    def level_L(self) -> int:
-        return _log2_exact(Fraction(self.ncells, 3))
-
-    @property
-    def max_aligned_level(self) -> int:
-        """Finest dyadic level whose cube boundaries all land on cell edges."""
-        return self.level_L - _log2_exact(self.side)
+    dim = property(attrgetter("geometry.dim"))
+    lower = property(attrgetter("geometry.window.lower"))  # Fractions
+    side = property(attrgetter("geometry.window.side"))  # a Fraction
+    ncells = property(attrgetter("geometry.ncells"))
+    h = property(attrgetter("geometry.h"))
+    cell_volume = property(attrgetter("geometry.cell_volume"))
+    window = property(attrgetter("geometry.window"))
+    level_L = property(attrgetter("geometry.level_L"))
+    max_aligned_level = property(attrgetter("geometry.max_aligned_level"),
+                                 doc="Finest dyadic level whose cube boundaries all land on cell edges.")
 
     def same_mesh(self, other: "SampledFunction") -> bool:
-        return (
-            self.dim == other.dim
-            and self.lower == other.lower
-            and self.side == other.side
-            and self.ncells == other.ncells
-        )
+        a, b = self.geometry, other.geometry
+        return a is b or a.key == b.key
 
     def require_same_mesh(self, other: "SampledFunction"):
         if not self.same_mesh(other):
@@ -268,7 +312,7 @@ class SampledFunction:
             return 0.0
         if all(c0.denominator == 1 and c1.denominator == 1 for c0, c1 in cells):
             edges = tuple(np.array([c0.numerator, c1.numerator]) for c0, c1 in cells)
-            return block_sums(self.prefix, edges).item() * float(self.cell_volume)
+            return block_sums(self.prefix, edges).item() * self.geometry.cellvol
         # prorate boundary cells exactly
         h = float(self.h)
         axis_w = []
@@ -361,7 +405,7 @@ obj_field = partial(_obj_field, error=MeshError)
 def integrate(f: SampledFunction, region: Union[Box, DyadicCube, None] = None) -> float:
     """Integral of f over region∩window (whole window when region is None)."""
     if region is None:
-        return float(f.values.sum()) * float(f.cell_volume)
+        return float(f.values.sum()) * f.geometry.cellvol
     box = realize(region) if isinstance(region, DyadicCube) else region
     return f.integrate_box(box)
 
@@ -393,9 +437,9 @@ def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[Sampled
         raise MeshError("p must be positive")
     if weight is not None:
         f.require_same_mesh(weight)
-        mass = (weight.values * float(f.cell_volume)).ravel()
+        mass = (weight.values * f.geometry.cellvol).ravel()
     else:
-        mass = float(f.cell_volume)
+        mass = f.geometry.cellvol
     rows = values.reshape(-1, f.values.size)
     if math.isinf(pf):
         # the essential sup over the measure w dx: cells of zero weight do not count
@@ -420,9 +464,9 @@ def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: Optional[Sa
         raise MeshError("q must be positive")
     if weight is not None:
         f.require_same_mesh(weight)
-        mass = (weight.values * float(f.cell_volume)).ravel()
+        mass = (weight.values * f.geometry.cellvol).ravel()
     else:
-        mass = np.full(f.values.size, float(f.cell_volume))
+        mass = np.full(f.values.size, f.geometry.cellvol)
     flat = values.reshape(-1, f.values.size)
     order = np.argsort(flat, axis=-1)[:, ::-1]
     vs = np.take_along_axis(flat, order, axis=-1)

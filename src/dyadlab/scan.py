@@ -7,9 +7,15 @@ cube m_lo + j spans raw cells [raw0 + j*step, raw0 + (j+1)*step) with
 step = 3*2^(L-s-k), and the window clips the first and last cube to 0 and
 N.  A LevelScan is one (grid, level) as integers only: per axis this plan
 (m_lo, count, raw0, step) and the start of its cubes among the parent
-positions repeated twice.  A grid's scans are memoised per mesh geometry,
-coarse to fine, with the alignment checked once; the memo holds no array.
-Edge and owner arrays are built on demand and handed out read-only.
+positions repeated twice.  A grid's scans are memoised coarse to fine, with
+the alignment checked once, in an lru_cache keyed on plain integers: the
+mesh's key from its shared sampled.MeshGeometry record, the shift and the
+level range.  A lookup hashes and compares no Fraction, and cache_info()
+counts the scans built against those reused.  The memo holds no array:
+edge and owner arrays are built on demand and handed out read-only.
+Caching them would not pay.  A trial that kept LevelScan.edges in the memo
+raised perfbench's mesh_sweep peak_rss_mb from 192.0 to 267.4 MB, since
+the benchmark keeps every round's import, and with it every memo, alive.
 
 Cube sums are prefix-sum differences read through strided slices, and a
 per-cube array reaches the cells by repeating each value over its cube's
@@ -33,15 +39,15 @@ all its cubes in one such batched pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridError, GridFamily, pow2
-from .sampled import MeshError, SampledFunction, _log2_exact, block_differences
+from .grid import DyadicCube, GridError, GridFamily
+from .sampled import MeshError, SampledFunction, block_differences, mesh_geometry
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -103,7 +109,8 @@ class LevelScan:
         return DyadicCube(self.dim, self.level, idx, self.grid.shift)
 
     def cube_volume(self) -> float:
-        return float(pow2(-self.level) ** self.dim)
+        """|Q| = 2^(-level*dim), exact in a float."""
+        return math.ldexp(1.0, -self.level * self.dim)
 
 
 def _axis_plans(grid: GridFamily, level: int, lower, L: int, s: int, n_cells: int) -> tuple:
@@ -148,29 +155,40 @@ def _parent_start(level: int, shift, plans, parent_plans) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=1 << 10)
-def _scans(grid: GridFamily, lower, side: Fraction, n_cells: int) -> Tuple[LevelScan, ...]:
-    """The scans of every level of a grid on a mesh, coarse to fine."""
-    if grid.dim != len(lower):
-        raise MeshError("grid dimension does not match the sampled function")
-    if (grid.window.lower, grid.window.side) != (lower, side):
-        raise MeshError("grid window does not match the sampled function window")
-    L, s = _log2_exact(Fraction(n_cells, 3)), _log2_exact(side)
-    if grid.max_level > L - s:
-        raise MeshError(f"grid max_level {grid.max_level} exceeds the mesh alignment limit {L - s}")
+def _scans(key: Tuple[int, ...], shift: Tuple[int, ...], min_level: int, max_level: int) -> Tuple[LevelScan, ...]:
+    """The scans of every level of one grid on the mesh of the given key,
+    coarse to fine."""
+    geom = mesh_geometry(key)
+    if max_level > geom.max_aligned_level:
+        raise MeshError(f"grid max_level {max_level} exceeds the mesh alignment limit {geom.max_aligned_level}")
+    grid = GridFamily(geom.dim, shift, min_level, max_level, geom.window)
+    L, s = geom.level_L, geom.level_L - geom.max_aligned_level
     scans = []
     for level in grid.levels:
-        plans = _axis_plans(grid, level, lower, L, s, n_cells)
+        plans = _axis_plans(grid, level, geom.corner, L, s, geom.ncells)
         start = _parent_start(level, grid.shift, plans, scans[-1].plans) if scans else None
-        scans.append(LevelScan(grid, level, n_cells, plans, start))
+        scans.append(LevelScan(grid, level, geom.ncells, plans, start))
     return tuple(scans)
 
 
+def _grid_scans(f: SampledFunction, grid: GridFamily) -> Tuple[LevelScan, ...]:
+    """The memoised scans of a grid on the mesh of f, once the grid is
+    checked to lie on that mesh (by identity of the window box when the
+    grid was built from the record's window, as operators' grids are)."""
+    geom = f.geometry
+    if grid.dim != geom.dim:
+        raise MeshError("grid dimension does not match the sampled function")
+    if grid.window is not geom.window and grid.window != geom.window:
+        raise MeshError("grid window does not match the sampled function window")
+    return _scans(geom.key, grid.shift, grid.min_level, grid.max_level)
+
+
 def iter_scans(f: SampledFunction, grid: GridFamily):
-    yield from _scans(grid, f.lower, f.side, f.ncells)
+    yield from _grid_scans(f, grid)
 
 
 def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
-    scans = _scans(grid, f.lower, f.side, f.ncells)
+    scans = _grid_scans(f, grid)
     if level not in grid.levels:
         raise GridError(f"level {level} outside grid range")
     return scans[level - grid.min_level]
@@ -191,7 +209,7 @@ def cube_cell_sums(scan: LevelScan, prefix: np.ndarray) -> np.ndarray:
 
 def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
     """Integral of f over each enumerated cube (zero extension outside)."""
-    return cube_cell_sums(scan, f.prefix) * float(f.cell_volume)
+    return cube_cell_sums(scan, f.prefix) * f.geometry.cellvol
 
 
 def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
@@ -203,7 +221,7 @@ def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
     masses = cube_integrals(scan, dens)
     live = inside & (masses > 0.0)
     if dens.zero_prefix is not None:
-        cells = round(scan.cube_volume() / float(dens.cell_volume))
+        cells = round(scan.cube_volume() / dens.geometry.cellvol)
         live &= cube_cell_sums(scan, dens.zero_prefix) < cells
     return masses, live
 

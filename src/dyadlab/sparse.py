@@ -193,7 +193,7 @@ def sparse_operator(
         for sc_id, sc in enumerate(family.cubes):
             u_by_id[sc_id] = (2.0 ** (-sc.cube.level * n)) ** (a / n - 1.0) * integrate(g, sc.cube)
         out = np.where(family.owner >= 0, u_by_id[family.owner], 0.0)
-        return SampledFunction(f.dim, f.lower, f.side, out, meta={"operator": "sparse_disjoint"})
+        return f.with_values(out, meta={"operator": "sparse_disjoint"})
     if form != "chi":
         raise SparseError(f"unknown form {form!r}")
 
@@ -209,7 +209,7 @@ def sparse_operator(
         return vals
 
     out = sweep(f, family.grid, level_values, np.add)
-    return SampledFunction(f.dim, f.lower, f.side, out, meta={"operator": "sparse_chi"})
+    return f.with_values(out, meta={"operator": "sparse_chi"})
 
 
 # === Carleson sequences =======================================================
@@ -259,7 +259,7 @@ def certify_carleson(seq: CarlesonSequence, mu: SampledFunction) -> dict:
     best_cube = None
     infinite = False
     for scan in iter_scans(seq.mesh, seq.grid):
-        mu_q = cube_cell_sums(scan, mu.prefix) * float(mu.cell_volume)
+        mu_q = cube_cell_sums(scan, mu.prefix) * mu.geometry.cellvol
         tot = totals[scan.level]
         pos = mu_q > 0
         with np.errstate(divide="ignore", invalid="ignore"):

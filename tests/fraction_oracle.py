@@ -6,8 +6,12 @@ the window, or is pinned on every axis at an edge that the unshifted grid
 keeps at every level (the origin), so that no coarser ancestor covers
 another cell of the window; operators._chains_end decides the same on
 integer cell edges.  refuse_fraction_geometry makes every per-cube use of
-rational geometry raise, for tests that a code path does without it.
+rational geometry raise, and fraction_calls counts the calls into the
+fractions module, for tests that a code path does without it.
 """
+import fractions
+import sys
+
 from dyadlab import grid
 from dyadlab.grid import Box, DyadicCube, parent, realize
 from dyadlab.operators import OperatorError
@@ -49,10 +53,30 @@ def refuse_fraction_geometry(monkeypatch) -> None:
     """Make per-cube rational geometry raise AssertionError: the cell
     slices, integrals, restrictions and indicators of boxes, and every box
     grid.py builds (so realize of any cube).  The window's own box, built
-    once per function by SampledFunction.window, stays allowed."""
+    once per mesh by sampled.mesh_geometry, stays allowed."""
     def refuse(*args, **kwargs):
         raise AssertionError("per-cube Fraction geometry")
 
     for name in ("cell_slices", "restrict_to", "integrate_box", "indicator"):
         monkeypatch.setattr(SampledFunction, name, refuse)
     monkeypatch.setattr(grid, "Box", refuse)
+
+
+def fraction_calls(fn) -> int:
+    """The number of Python calls into the fractions module (Fraction
+    construction, arithmetic, comparison, hashing, float conversion)
+    while fn() runs, counted with sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            count += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(outer)
+    return count

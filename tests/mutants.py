@@ -87,8 +87,8 @@ MUTANTS = [
     ),
     Mutant(
         "outer_sum_unclamped", "constants.py",
-        "np.maximum(sums[scan.grid][scan.level][live], 0.0) ** inv_q",
-        "sums[scan.grid][scan.level][live] ** inv_q",
+        "np.maximum(sums[scan.grid.shift][scan.level][live], 0.0) ** inv_q",
+        "sums[scan.grid.shift][scan.level][live] ** inv_q",
         (f"{CONST}::TestTestingSweeps::test_outer_sums_clamped_at_zero",),
         "a negative roundoff chain sum takes a NaN root and moves the cube from scored to skipped",
     ),
@@ -396,6 +396,29 @@ MUTANTS = [
         'choices=["estimate", "equiv"])\n    p.add_argument("--pair",',
         (f"{CLI}::TestNormsCommand::test_pair_required",),
         "without --pair, norms reads Path(None) and dies with a TypeError traceback, not a usage line",
+    ),
+    # --- the shared mesh geometry ----------------------------------------------
+    Mutant(
+        "with_values_rebuilds_geometry", "sampled.py",
+        "return object.__new__(SampledFunction)._fill(self.geometry, arr, meta)",
+        "return object.__new__(SampledFunction)._fill(mesh_geometry.__wrapped__(self.geometry.key), arr, meta)",
+        ("tests/test_sampled.py::TestMeshGeometry::test_derived_functions_share_the_record",
+         f"{OPS}::TestNoFractionsWhenWarm::test_warm_maximal"),
+        "a function derived on the same mesh hands its record on; rebuilding it redoes the Fraction arithmetic",
+    ),
+    Mutant(
+        "scan_memo_key_drops_corner", "scan.py",
+        "return _scans(geom.key, grid.shift, grid.min_level, grid.max_level)",
+        "return _scans(geom.key[:2] + (0,) * geom.dim, grid.shift, grid.min_level, grid.max_level)",
+        (f"{SCAN}::test_memo_keeps_window_corners_apart",),
+        "meshes that differ in the window corner alone have different scan plans",
+    ),
+    Mutant(
+        "same_mesh_ignores_side", "sampled.py",
+        "return a is b or a.key == b.key",
+        "return a is b or (a.key[0],) + a.key[2:] == (b.key[0],) + b.key[2:]",
+        ("tests/test_sampled.py::TestMeshGeometry::test_same_mesh_compares_every_part_of_the_key",),
+        "windows of sides 2 and 4 with one corner and one cell count are different meshes",
     ),
     # --- sparse families, imports and reachability -----------------------------
     Mutant(

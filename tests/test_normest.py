@@ -28,7 +28,7 @@ from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, PowerScaled, borderl
 from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 
-from fraction_oracle import ancestor_chain, refuse_fraction_geometry
+from fraction_oracle import ancestor_chain, fraction_calls, refuse_fraction_geometry
 from operator_oracle import PUBLIC_OPERATORS
 
 
@@ -184,6 +184,24 @@ class TestEstimateNorm:
         pair = rand_pair(4)
         with pytest.raises(NormError):
             estimate_norm("orlicz_maximal", pair, E_SOB, family=LIGHT)
+
+    @pytest.mark.parametrize("op", ["identity", "frac_maximal", "dyadic_frac_maximal", "dyadic_riesz",
+                                    "riesz_1d", "weighted_dyadic_maximal"])
+    @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+    def test_test_functions_call_no_fractions(self, op, weak):
+        # a test function's norms and image read the mesh's geometry record:
+        # three more test functions make no more calls into fractions
+        pair = rand_pair(6, lower=(-1,), side=2, ncells=24)
+
+        def calls(steps):
+            fam = TestFamily(indicators=False, random_steps=steps, duality=False)
+            out = []
+            n = fraction_calls(lambda: out.append(estimate_norm(op, pair, E_SOB, fam, weak=weak)))
+            assert out[0].family_size == steps
+            return n
+
+        calls(1)  # the scans are built
+        assert calls(4) == calls(1)
 
 
 class TestQuadratureBound:

@@ -25,7 +25,7 @@ from dyadlab.orlicz import PowerScaled, log_bump, power
 from dyadlab.sampled import SampledFunction, integrate, lp_norm, prefix_sum
 from dyadlab.scan import cell_block, iter_scans
 
-from fraction_oracle import ancestor_chain
+from fraction_oracle import ancestor_chain, fraction_calls
 from operator_oracle import PUBLIC_OPERATORS
 
 
@@ -433,6 +433,23 @@ CORE_OPS = [(op, None) for op in OPERATORS if op != "orlicz_maximal"] + [
 CORE_CASES = [(op, phi, mesh, with_mu) for op, phi in CORE_OPS for mesh in CORE_MESHES
               for with_mu in ((True,) if op == "weighted_dyadic_maximal" else (False, True))
               if not (op == "riesz_1d" and mesh[0] == 2)]
+
+
+class TestNoFractionsWhenWarm:
+    """Once a mesh's scans are memoised, the maximal functions read the
+    integers and floats of its geometry record and make no call into the
+    fractions module, for a new function on the mesh too."""
+
+    @pytest.mark.parametrize("mesh", [(1, (-1,), 2, 48), (2, (0, -1), 2, 12)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("maximal", [dyadic_frac_maximal, frac_maximal], ids=lambda m: m.__name__)
+    def test_warm_maximal(self, maximal, mesh):
+        dim, lower, side, n = mesh
+        f = rand_f(dim, lower, side, n)
+        maximal(f, 0.5)
+        g = f.with_values(rand_f(dim, lower, side, n, seed=1).values)
+        assert fraction_calls(lambda: maximal(g, 0.5)) == 0
+        # the count is live: building a function parses its rational window
+        assert fraction_calls(lambda: rand_f(dim, lower, side, n)) > 0
 
 
 class TestArrayCores:

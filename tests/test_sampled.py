@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import operators as op, sampled
 from dyadlab.grid import Box, DyadicCube, realize
 from dyadlab.sampled import (
     ExponentTuple,
@@ -113,6 +114,62 @@ class TestGeometry:
         np.testing.assert_allclose(
             f.cell_centers(), [-5 / 6, -3 / 6, -1 / 6, 1 / 6, 3 / 6, 5 / 6]
         )
+
+
+class TestMeshGeometry:
+    """One immutable geometry record per mesh, shared by the functions on it."""
+
+    def test_public_attributes_keep_their_types(self):
+        f = SampledFunction(2, (-1, 0), 2, np.ones((24, 24)))
+        assert f.lower == (Fraction(-1), Fraction(0)) and all(type(x) is Fraction for x in f.lower)
+        assert type(f.side) is Fraction and f.side == 2
+        assert type(f.window) is Box and f.window == Box(f.lower, f.side)
+        assert (type(f.dim), type(f.ncells), type(f.level_L), type(f.max_aligned_level)) == (int,) * 4
+        assert (f.dim, f.ncells, f.level_L, f.max_aligned_level) == (2, 24, 3, 2)
+        assert f.h == Fraction(1, 12) and type(f.h) is Fraction
+        assert f.cell_volume == Fraction(1, 144) and type(f.cell_volume) is Fraction
+        g = f.geometry
+        assert g.cellvol == float(f.cell_volume)
+        assert g.key == (24, 2, -1, 0) and all(type(k) is int for k in g.key)
+        assert g.corner == (-1, 0) and g.side == 2
+
+    def test_derived_functions_share_the_record(self):
+        rng = np.random.default_rng(4)
+        f = SampledFunction(1, (0,), 2, rng.uniform(0.5, 2.0, 48))
+        g = f.with_values(rng.uniform(0.5, 2.0, 48))
+        derived = [g, f.power(2.0), f.power(-0.5), f.restrict_to(DyadicCube(1, 0, (0,), (0,))),
+                   f * g, f * 2.0, 2.0 * f, f + g, f + 1.0,
+                   op.frac_maximal(f, 0.5), op.dyadic_frac_maximal(f), op.dyadic_riesz(f, 0.5),
+                   op.geometric_maximal(f), op.weighted_dyadic_maximal(f, g),
+                   op.riesz_potential_1d(f, 0.5), op.outer_riesz(f, DyadicCube(1, 1, (1,), (0,)), 0.5)]
+        assert all(h.geometry is f.geometry for h in derived)
+
+    def test_functions_built_apart_share_the_record(self):
+        f = SampledFunction(1, (0,), 1, np.ones(24))
+        g = SampledFunction(1, (Fraction(0),), Fraction(1), np.zeros(24))
+        assert g.geometry is f.geometry
+
+    def test_other_cell_count_is_another_mesh(self):
+        f = SampledFunction(1, (0,), 1, np.ones(24))
+        g = f.with_values(np.ones(48))
+        assert g.ncells == 48 and g.geometry.key == (48, 1, 0)
+        assert not f.same_mesh(g)
+
+    def test_same_mesh_compares_every_part_of_the_key(self):
+        f = SampledFunction(1, (0,), 2, np.ones(24))
+        clone = SampledFunction(1, (0,), 2, np.ones(24))
+        sampled.mesh_geometry.cache_clear()  # a record built anew: equal key, another object
+        fresh = SampledFunction(1, (0,), 2, np.ones(24))
+        assert fresh.geometry is not f.geometry
+        assert f.same_mesh(clone) and f.same_mesh(fresh) and fresh.same_mesh(f)
+        others = [SampledFunction(1, (0,), 4, np.ones(24)),  # the side alone differs
+                  SampledFunction(1, (-2,), 2, np.ones(24)),  # the corner alone differs
+                  SampledFunction(1, (0,), 2, np.ones(48)),
+                  SampledFunction(2, (0, 0), 2, np.ones((24, 24)))]
+        for g in others:
+            assert not f.same_mesh(g) and not g.same_mesh(f)
+            with pytest.raises(MeshMismatchError):
+                f * g
 
 
 class TestIntegration:

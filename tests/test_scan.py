@@ -546,7 +546,22 @@ def test_walk_memo_reused_and_holds_integers_only():
     assert after.misses == before.misses
     assert after.hits > before.hits
     for grid in op._grids(f, None, None, None):
-        key = (grid, f.lower, f.side, f.ncells)
+        # plain integers: the mesh key of the geometry record, the shift, the level range
+        key = (f.geometry.key, grid.shift, grid.min_level, grid.max_level)
+        assert all(type(k) is int for k in f.geometry.key + grid.shift + key[2:])
         entry = scan_module._scans(*key)
         assert len(entry) == len(grid.levels)
         assert not any(isinstance(obj, np.ndarray) for obj in _reachable(entry, *key))
+
+
+@pytest.mark.parametrize("corners", [((0,), (-1,)), ((-1, 0), (-1, -2))], ids=["1d", "2d"])
+def test_memo_keeps_window_corners_apart(corners):
+    # meshes that differ in the window corner alone get scans of their own,
+    # each the one a cold memo builds
+    meshes = [make_f(len(c), c, 2, 24) for c in corners]
+    grids = [single_grid(f, (1,) * f.dim) for f in meshes]
+    warm = [tuple(iter_scans(f, grid)) for f, grid in zip(meshes, grids)]
+    assert [s.plans for s in warm[0]] != [s.plans for s in warm[1]]
+    scan_module._scans.cache_clear()
+    for f, grid, scans in zip(meshes[::-1], grids[::-1], warm[::-1]):
+        assert tuple(iter_scans(f, grid)) == scans
