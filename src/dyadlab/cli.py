@@ -26,6 +26,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -43,11 +44,13 @@ from .grid import (
     Box,
     DyadicCube,
     GridFamily,
+    _json_int,
     all_shifts,
     box_from_obj,
     box_to_obj,
     cube_from_obj,
     cube_to_obj,
+    obj_field,
     parent,
     realize,
 )
@@ -84,7 +87,8 @@ from .pairs import (
     factored_pair,
     verify_E_maximal,
 )
-from .sampled import ExponentTuple, MeshError, SampledFunction, integrate, lp_norm, make_exponents, parse_rational
+from .sampled import (ExponentTuple, MeshError, SampledFunction, integrate, is_cell_count, is_power_of_two, lp_norm,
+                      make_exponents, parse_rational)
 from .sparse import build_sparse, sparse_operator
 
 class CLIError(ValueError):
@@ -212,11 +216,9 @@ def _merge_config(base: dict, override: dict) -> dict:
     return out
 
 
-def _config_int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"{name} must be an integer, got {value!r}") from None
+# grid.obj_field, raising CLIError; config integers go through grid's integer rule
+_field = partial(obj_field, error=CLIError)
+_seed = partial(_json_int, least=0)
 
 
 def _known_fields(obj, fields, where: str = ""):
@@ -246,14 +248,11 @@ def validate_config(cfg: dict) -> dict:
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
-    _config_int(cfg["exponents"]["n"], "exponents.n")
+    _field(cfg["exponents"], "n", _json_int, "exponents.")
     e = _config_exponents(cfg)
-    mesh = cfg["mesh"]
-    side = parse_rational(mesh["window"])
-    if side < 1 or (side.numerator & (side.numerator - 1)) or side.denominator != 1:
+    if not is_power_of_two(_field(cfg["mesh"], "window", parse_rational, "mesh.")):
         raise CLIError("mesh.window must be a positive power of two")
-    ncells = _config_int(mesh["cells_per_axis"], "mesh.cells_per_axis")
-    if ncells < 3 or ncells % 3 or (ncells // 3) & (ncells // 3 - 1):
+    if not is_cell_count(_field(cfg["mesh"], "cells_per_axis", _json_int, "mesh.")):
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
     # every suite picks its own level range, so a pinned one would be
     # reported but never used
@@ -262,13 +261,12 @@ def validate_config(cfg: dict) -> dict:
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
     cx = cfg["counterexample"]
-    g = parse_rational(cx["gamma"])
-    if not 0 < g < 1:
+    if not 0 < _field(cx, "gamma", parse_rational, "counterexample.") < 1:
         raise CLIError("counterexample.gamma must lie in (0, 1)")
-    w = _config_int(cx["window"], "counterexample.window")
-    if w < 8 or w & (w - 1):
+    w = _field(cx, "window", _json_int, "counterexample.")
+    if w < 8 or not is_power_of_two(w):
         raise CLIError("counterexample.window must be a power of two, at least 8")
-    _config_int(cfg["seed"], "seed")
+    _field(cfg, "seed", _seed)
     for i, y in enumerate(cfg["young"]):
         _known_fields(y, ("family", "params"), f"young[{i}]")
         young_from_spec(y)
@@ -283,9 +281,7 @@ def _config_exponents(cfg: dict) -> ExponentTuple:
 
 
 def _config_mesh(cfg: dict, dim: int):
-    side = parse_rational(cfg["mesh"]["window"])
-    ncells = int(cfg["mesh"]["cells_per_axis"])
-    return (0,) * dim, side, ncells
+    return (0,) * dim, parse_rational(cfg["mesh"]["window"]), cfg["mesh"]["cells_per_axis"]
 
 
 def _rand_weight(cfg: dict, dim: int, seed: int, lo=0.2, hi=3.0) -> SampledFunction:
@@ -317,7 +313,7 @@ def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple, where: str = "pair"
             _smooth_weight(cfg, e.n), _smooth_weight(cfg, e.n), provenance="smooth"
         )
     if kind == "random":
-        seed = _config_int(params.get("seed", 0), "pair params.seed")
+        seed = _field({"seed": 0, **params}, "seed", _seed, f"{where}.params.")
         return WeightPair(
             _rand_weight(cfg, e.n, seed), _rand_weight(cfg, e.n, seed + 1000), provenance="random"
         )
@@ -363,7 +359,7 @@ def _rand_cube(rng, dim: int, levels, index) -> DyadicCube:
 
 
 def _suite_geometry(cfg: dict) -> dict:
-    rng = np.random.default_rng(int(cfg["seed"]) + 1)
+    rng = np.random.default_rng(cfg["seed"] + 1)
     checks, rows = [], []
 
     failed = 0
@@ -403,7 +399,7 @@ def _suite_operators(cfg: dict) -> dict:
     checks, rows = [], []
     ratios = {"3/2": [], "2": [], "3": []}
     for i in range(30):
-        f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 100 + i, lo=0.0, hi=4.0)
+        f = _rand_weight(cfg, e.n, cfg["seed"] + 100 + i, lo=0.0, hi=4.0)
         mf = geometric_maximal(f, shift=(0,) * e.n)
         for plabel, p in (("3/2", Fraction(3, 2)), ("2", 2), ("3", 3)):
             lhs = lp_norm(mf, p)
@@ -418,7 +414,7 @@ def _suite_operators(cfg: dict) -> dict:
     coeff = _shell_constant(e.alpha, e.n)
     shell = []
     for i in range(5):
-        sig = _rand_weight(cfg, e.n, int(cfg["seed"]) + 300 + i)
+        sig = _rand_weight(cfg, e.n, cfg["seed"] + 300 + i)
         fam = GridFamily(e.n, (0,) * e.n, 1, 1, sig.window)
         for cube in fam.cubes_at_level(1):
             cut = sig.restrict_to(cube)
@@ -433,8 +429,8 @@ def _suite_operators(cfg: dict) -> dict:
     # discrete potential is self-adjoint
     rels = []
     for i in range(5):
-        f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 400 + i)
-        g = _rand_weight(cfg, e.n, int(cfg["seed"]) + 500 + i)
+        f = _rand_weight(cfg, e.n, cfg["seed"] + 400 + i)
+        g = _rand_weight(cfg, e.n, cfg["seed"] + 500 + i)
         lhs = integrate(dyadic_riesz(f, float(e.alpha), shift=(0,) * e.n) * g)
         rhs = integrate(dyadic_riesz(g, float(e.alpha), shift=(0,) * e.n) * f)
         rels.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
@@ -461,7 +457,7 @@ def _suite_sparse(cfg: dict) -> dict:
     e = _config_exponents(cfg)
     rows = []
     for i in range(20):
-        f = _rand_weight(cfg, e.n, int(cfg["seed"]) + 600 + i, lo=0.0, hi=3.0)
+        f = _rand_weight(cfg, e.n, cfg["seed"] + 600 + i, lo=0.0, hi=3.0)
         for a in (0, e.alpha):
             fam = build_sparse(f, a, shift=(0,) * e.n)
             rows.append([i, str(a), len(fam), fam.thickness(), _sparse_domination(fam), fam.ratio])
@@ -476,7 +472,7 @@ def _suite_sparse(cfg: dict) -> dict:
 
 
 def _suite_orlicz(cfg: dict) -> dict:
-    rng = np.random.default_rng(int(cfg["seed"]) + 2)
+    rng = np.random.default_rng(cfg["seed"] + 2)
     checks = []
     probe = np.geomspace(0.05, 40.0, 120)
 
@@ -559,7 +555,7 @@ def _suite_constants(cfg: dict) -> dict:
 def _suite_equivalence(cfg: dict) -> dict:
     e = _config_exponents(cfg)
     checks, rows = [], []
-    family = TestFamily(random_steps=2, seed=int(cfg["seed"]))
+    family = TestFamily(random_steps=2, seed=cfg["seed"])
 
     for spec in cfg["pairs"]:
         pair = _pair_from_spec(cfg, spec, e)
@@ -592,7 +588,7 @@ def _suite_equivalence(cfg: dict) -> dict:
 def _suite_counterexample(cfg: dict) -> dict:
     checks = []
     g = parse_rational(cfg["counterexample"]["gamma"])
-    window = int(cfg["counterexample"]["window"])
+    window = cfg["counterexample"]["window"]
     max_exp = window.bit_length() - 1
 
     e1 = ExponentTuple(1, Fraction(1, 4), Fraction(5, 4), 2)
@@ -685,12 +681,10 @@ _REPORT_DOC = (
 
 
 def run_suite(cfg: dict, out_dir: Path, workers: int = 1) -> int:
-    """Execute the configured suites and write the artifact directory."""
+    """Execute the configured suites, then write the artifact directory."""
     cfg = validate_config(_merge_config(DEFAULT_CONFIG, cfg))
     if workers < 1:
         raise CLIError(f"workers must be at least 1, got {workers}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tables").mkdir(exist_ok=True)
 
     names = list(cfg["suites"])
     if workers > 1 and len(names) > 1:
@@ -698,6 +692,9 @@ def run_suite(cfg: dict, out_dir: Path, workers: int = 1) -> int:
             results = list(pool.map(lambda s: _SUITE_FN[s](cfg), names))
     else:
         results = [_SUITE_FN[s](cfg) for s in names]
+    # suites write no files, so a suite that raises leaves no partial directory
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "tables").mkdir(exist_ok=True)
 
     summary_rows = []
     used_tables = ["summary"]

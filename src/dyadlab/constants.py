@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -133,9 +134,10 @@ def _sup_scan(
 ) -> ConstantReport:
     """Run a per-cube functional over every enumerated cube and take the max.
 
-    ``level_values(scan, inside)`` returns (values, skip) arrays over
-    scan.shape; only cubes fully inside the window and not skipped are
-    scored.
+    ``level_values(scan, inside)`` returns (values, live): live, a mask
+    over scan.shape within inside, marks the cubes the functional scores,
+    and values holds their values in row-major order.  The other inside
+    cubes, and those of a NaN value, are skipped and counted.
     """
     grids = _grids(mesh, shifts, min_level, max_level)
     lo, hi = grids[0].min_level, grids[0].max_level
@@ -144,15 +146,16 @@ def _sup_scan(
     scored = 0
     skipped = 0
     for scan, inside in inside_scans(mesh, grids):
-        vals, skip = level_values(scan, inside)
-        skip = skip | np.isnan(vals)
-        ok = inside & ~skip
-        skipped += int(np.count_nonzero(inside & skip))
+        values, live = level_values(scan, inside)
+        masked = np.full(scan.shape, math.nan)
+        masked[live] = values
+        ok = ~np.isnan(masked)
         n_ok = int(np.count_nonzero(ok))
         scored += n_ok
+        skipped += int(np.count_nonzero(inside)) - n_ok
         if n_ok == 0:
             continue
-        masked = np.where(ok, vals, -math.inf)
+        masked[~ok] = -math.inf
         flat = int(np.argmax(masked))
         v = float(masked.reshape(-1)[flat])
         if v > best:
@@ -205,16 +208,14 @@ def apq_alpha(pair: WeightPair, e: ExponentTuple, cube: DyadicCube) -> float:
 
 
 def _apq_values(scan: LevelScan, exps: Tuple[float, float, float], u_gate, sigma_gate) -> Tuple[np.ndarray, np.ndarray]:
-    """apq_alpha over the cubes of a scan that both gates pass (0 on the
-    others), and the mask of the others; exps from _apq_exponents and each
-    gate the (masses, live) of scan.positive_cubes for u and sigma."""
+    """(values, live) of apq_alpha on the cubes of a scan that both gates
+    pass; exps from _apq_exponents and each gate the (masses, live) of
+    scan.positive_cubes for u and sigma."""
     au, asig, ex = exps
     (mass_u, live_u), (mass_s, live_s) = u_gate, sigma_gate
     live = live_u & live_s
     vol = scan.cube_volume()
-    vals = np.zeros(scan.shape, dtype=float)
-    vals[live] = vol ** ex * (((mass_u[live] / vol) ** au) * ((mass_s[live] / vol) ** asig))
-    return vals, ~live
+    return vol ** ex * (((mass_u[live] / vol) ** au) * ((mass_s[live] / vol) ** asig)), live
 
 
 def apq_alpha_constant(
@@ -239,20 +240,18 @@ def apq_alpha_constant(
 # === A_infty flavors =========================================================
 
 
-def _aexp_values(scan: LevelScan, w: SampledFunction, gate, lpre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _aexp_values(scan: LevelScan, w: SampledFunction, masses: np.ndarray, lpre: np.ndarray) -> np.ndarray:
     """(avg_Q w) exp(-avg_Q log w) over every cube of a scan, +inf where w
-    has a zero cell, and the mask of cubes that the gate, the (masses,
-    live) of scan.positive_cubes for w, does not pass; lpre from
+    has a zero cell; masses from scan.positive_cubes for w, lpre from
     log_prefix(w)."""
     vol = scan.cube_volume()
     cells = max(1, round(vol / w.geometry.cellvol))
-    masses, live = gate
     lsum = cube_cell_sums(scan, lpre)
     with np.errstate(over="ignore"):
         vals = masses / vol * np.exp(-lsum / cells)
     if w.zero_prefix is not None:
         vals = np.where(cube_cell_sums(scan, w.zero_prefix) > 0, math.inf, vals)
-    return vals, ~live
+    return vals
 
 
 def ainfty_exp(
@@ -270,7 +269,8 @@ def ainfty_exp(
     lpre = log_prefix(w)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _aexp_values(scan, w, positive_cubes(scan, inside, w), lpre)
+        masses, live = positive_cubes(scan, inside, w)
+        return _aexp_values(scan, w, masses, lpre)[live], live
 
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
@@ -305,13 +305,11 @@ def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray
 
 
 def _fujii_values(scan: LevelScan, inside: np.ndarray, w: SampledFunction, inner) -> Tuple[np.ndarray, np.ndarray]:
-    """w(Q)^{-1} int_Q M(w chi_Q) over the cubes of a scan that pass
-    scan.positive_cubes for w (0 on the others), and that live mask; M over
-    the inner scans from _inner_scans."""
+    """(values, live) of w(Q)^{-1} int_Q M(w chi_Q) on the cubes of a scan
+    that pass scan.positive_cubes for w; M over the inner scans from
+    _inner_scans."""
     masses, live = positive_cubes(scan, inside, w)
-    vals = np.zeros(scan.shape, dtype=float)
-    vals[live] = _cut_maximal_integrals(scan, w, live, inner) / masses[live]
-    return vals, live
+    return _cut_maximal_integrals(scan, w, live, inner) / masses[live], live
 
 
 def ainfty_m(
@@ -331,11 +329,7 @@ def ainfty_m(
     """
     inner = _inner_scans(w, None, min_level, max_level)
 
-    def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        vals, live = _fujii_values(scan, inside, w, inner)
-        return vals, ~live
-
-    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, fn)
+    return _sup_scan("ainfty_m", w, shifts, min_level, max_level, partial(_fujii_values, w=w, inner=inner))
 
 
 def _ap_values(w: SampledFunction, p):
@@ -367,7 +361,7 @@ def ap_constant(
     ap = _ap_values(w, pf)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return ap(scan), np.zeros(scan.shape, dtype=bool)
+        return ap(scan)[inside], inside
 
     return _sup_scan("ap_constant", w, shifts, min_level, max_level, fn)
 
@@ -402,11 +396,10 @@ def mixed_one_sup(
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             sigma_gate = positive_cubes(scan, inside, pair.sigma)
-            apq, skip = _apq_values(scan, exps, positive_cubes(scan, inside, pair.u), sigma_gate)
-            aexp, _ = _aexp_values(scan, pair.sigma, sigma_gate, lpre)
+            apq, live = _apq_values(scan, exps, positive_cubes(scan, inside, pair.u), sigma_gate)
+            aexp = _aexp_values(scan, pair.sigma, sigma_gate[0], lpre)[live]
             with np.errstate(invalid="ignore"):
-                vals = apq * aexp ** gq
-            return vals, skip
+                return apq * aexp ** gq, live
 
         return _sup_scan("mixed_apq_exp", pair.u, shifts, min_level, max_level, fn)
 
@@ -421,9 +414,7 @@ def mixed_one_sup(
 
         def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             fujii, live = _fujii_values(scan, inside, w, inner)
-            vals = np.zeros(scan.shape, dtype=float)
-            vals[live] = ap(scan)[live] ** beta * fujii[live] ** gamma
-            return vals, ~live
+            return ap(scan)[live] ** beta * fujii ** gamma, live
 
         return _sup_scan("mixed_ap_m", w, shifts, min_level, max_level, fn)
 
@@ -481,8 +472,7 @@ def apq_bump(
             mu = (cube_integrals(scan, pair.u) / vol) ** au
         else:
             mu = lux_u(scan, inside)
-        vals = vol ** ex * (mu * s_avg)
-        return vals, np.zeros(scan.shape, dtype=bool)
+        return (vol ** ex * (mu * s_avg))[inside], inside
 
     name = "apq_bump_second" if side == "second" else "apq_bump_both"
     return _sup_scan(name, pair.u, shifts, min_level, max_level, fn)
@@ -535,9 +525,8 @@ def outer_testing_constant(
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         masses, live = positive_cubes(scan, inside, pair.sigma)
-        vals = np.zeros(scan.shape, dtype=float)
-        vals[live] = coeff * masses[live] ** inv_pprime * np.maximum(sums[scan.grid.shift][scan.level][live], 0.0) ** inv_q
-        return vals, ~live
+        t = np.maximum(sums[scan.grid.shift][scan.level][live], 0.0) ** inv_q
+        return coeff * masses[live] ** inv_pprime * t, live
 
     return _sup_scan("outer_testing", u, shifts, min_level, max_level, fn)
 
@@ -581,9 +570,7 @@ def sawyer_maximal_testing(
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         masses, live = positive_cubes(scan, inside, inner)
         num = _cut_maximal_integrals(scan, inner, live, inner_scans, alpha, p_in, outer)
-        vals = np.zeros(scan.shape, dtype=float)
-        vals[live] = num ** (1.0 / p_in) * masses[live] ** (-p_norm)
-        return vals, ~live
+        return num ** (1.0 / p_in) * masses[live] ** (-p_norm), live
 
     return _sup_scan(f"sawyer_{which}", pair.u, shifts, min_level, max_level, fn)
 
@@ -613,8 +600,6 @@ def md_sp_testing(
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         masses, live = positive_cubes(scan, inside, pair.sigma)
         num = _cut_maximal_integrals(scan, pair.sigma, live, inner[scan.grid.shift], 0.0, s, pair.u)
-        vals = np.zeros(scan.shape, dtype=float)
-        vals[live] = num ** inv_q * masses[live] ** (-inv_q)
-        return vals, ~live
+        return num ** inv_q * masses[live] ** (-inv_q), live
 
     return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level, fn)

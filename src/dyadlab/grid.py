@@ -12,6 +12,7 @@ predicates (containment, intersection) are exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,18 +30,21 @@ def pow2(k: int) -> Fraction:
     return Fraction(1, 1 << (-k))
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, error=GridError) -> Fraction:
+    """The one rational parser: an exact Fraction from a Fraction, an
+    integer (a numpy one too), an 'a/b' string or a finite binary float;
+    anything else raises error."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise GridError(f"non-finite coordinate {x!r}")
+            raise error(f"non-finite rational {x!r}")
         return Fraction(x)
-    raise GridError(f"cannot interpret {x!r} as a rational")
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    raise error(f"cannot interpret {x!r} as a rational")
 
 
 @dataclass(frozen=True)
@@ -241,26 +245,33 @@ def cube_to_obj(cube: DyadicCube) -> dict:
 
 
 def _json_int(v, least=-math.inf) -> int:
-    """A JSON integer >= least; floats and booleans are refused, not truncated."""
-    if isinstance(v, bool) or not isinstance(v, int):
+    """The one integer rule: an integer (a numpy one too) of at least
+    least, as an int; floats and booleans are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise TypeError(f"expected an integer, got {v!r}")
     if v < least:
         raise ValueError(f"expected an integer of at least {least}, got {v}")
-    return v
+    return int(v)
+
+
+def parse_field(value, parse: Callable, name: str, error=GridError):
+    """parse(value) for a value given from outside the library; one that
+    parse rejects raises error naming the field."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"malformed field '{name}': {exc}") from None
 
 
 def obj_field(obj, key: str, parse: Callable, where: str = "", error=GridError):
-    """parse(obj[key]) for a JSON object read from outside the program; a
-    missing field, or one that parse rejects, raises error naming
-    where + key."""
+    """parse_field of obj[key] for a JSON object read from outside the
+    program; a missing field, or one that parse rejects, raises error
+    naming where + key."""
     if not isinstance(obj, dict):
         raise error(f"expected an object holding '{where}{key}', got {type(obj).__name__}")
     if key not in obj:
         raise error(f"missing field '{where}{key}'")
-    try:
-        return parse(obj[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise error(f"malformed field '{where}{key}': {exc}") from None
+    return parse_field(obj[key], parse, where + key, error)
 
 
 def cube_from_obj(obj: dict) -> DyadicCube:
@@ -279,4 +290,4 @@ def box_to_obj(box: Box) -> dict:
 
 
 def box_from_obj(obj: dict) -> Box:
-    return Box(tuple(Fraction(s) for s in obj["lower"]), Fraction(obj["side"]))
+    return Box(obj["lower"], obj["side"])

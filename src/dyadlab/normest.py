@@ -23,12 +23,12 @@ Test families combine three sources:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from .grid import _json_int
 from .sampled import (
     SampledFunction,
     ExponentTuple,
@@ -76,9 +76,10 @@ class TestFamily:
     def __post_init__(self):
         # checked here, so a bad recipe fails as a NormError and not at numpy's first draw
         for name in ("random_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise NormError(f"{name} must be a nonnegative integer, got {value!r}")
+            try:
+                _json_int(getattr(self, name), least=0)
+            except (TypeError, ValueError):
+                raise NormError(f"{name} must be a nonnegative integer, got {getattr(self, name)!r}") from None
 
     def describe(self) -> dict:
         return asdict(self)
@@ -177,7 +178,7 @@ def _iter_family(
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         zero_shift = [(0,) * mesh.dim]
         grid, = _grids(mesh, zero_shift, min_level, max_level)
-        scans = tuple(iter_scans(mesh, grid))
+        scans = iter_scans(mesh, grid)
         cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
         lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
         batch = max(1, CHAIN_BATCH_FLOATS // mesh.values.size)

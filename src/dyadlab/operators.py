@@ -361,7 +361,7 @@ def _shell_scans(f: SampledFunction, shift, min_level: int, max_level: int) -> t
     ancestor chain stops; so the chain of every cube in the level range
     runs inside them."""
     for top in range(min_level, min_level - 500, -1):
-        scans = tuple(iter_scans(f, GridFamily(f.dim, shift, top, max_level, f.window)))
+        scans = iter_scans(f, GridFamily(f.dim, shift, top, max_level, f.window))
         if _chains_end(scans[0]):
             return scans
     raise OperatorError("ancestor chain did not stabilize")

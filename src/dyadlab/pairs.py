@@ -39,9 +39,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constants import WeightPair, apq_alpha_constant
-from .grid import Box
+from .grid import Box, _json_int, parse_field
 from .operators import frac_maximal
-from .sampled import ExponentTuple, SampledFunction, _log2_exact, parse_rational
+from .sampled import ExponentTuple, SampledFunction, is_cell_count, is_power_of_two, parse_rational
 
 
 class ExampleError(ValueError):
@@ -66,11 +66,9 @@ def _tree_sum(terms) -> float:
 
 
 def _check_cpu(cells_per_unit: int) -> int:
-    c = int(cells_per_unit)
-    if c < 3 or c % 3 or (c // 3) & (c // 3 - 1):
-        raise ExampleError(
-            f"cells per unit length must be 3 * 2^j to align with the mesh, got {cells_per_unit}"
-        )
+    c = parse_field(cells_per_unit, _json_int, "cells_per_unit", ExampleError)
+    if not is_cell_count(c):
+        raise ExampleError(f"cells per unit length must be 3 * 2^j to align with the mesh, got {c}")
     return c
 
 
@@ -105,10 +103,11 @@ def case1_pair(
         raise ExampleError(
             "the disjoint-support example needs the strict regime 1/p - 1/q > alpha/n"
         )
-    if int(window_exp) < 3:
+    window_exp = parse_field(window_exp, _json_int, "window_exp", ExampleError)
+    if window_exp < 3:
         raise ExampleError("window_exp must be at least 3 so the window clears x = 2")
     cpu = _check_cpu(cells_per_unit)
-    side = Fraction(2) ** int(window_exp)
+    side = Fraction(2) ** window_exp
     X = side // 2
     ncells = int(side) * cpu
     lower = (-X,)
@@ -130,7 +129,7 @@ def case1_pair(
     mfa = frac_maximal(f * pair.sigma, float(e.alpha))
     gq = mfa.power(float(e.q)) * u
 
-    cuts = [Fraction(2) ** j for j in range(1, int(window_exp))]
+    cuts = [Fraction(2) ** j for j in range(1, window_exp)]
     rows = []
     i_lo = int((1 + X) * cpu)  # cell index of x = 1
     for xk in cuts:
@@ -181,9 +180,8 @@ def build_E(gamma, side, cells_per_unit: Optional[int] = None) -> SampledFunctio
         raise ExampleError(f"the interval train needs 0 < gamma < 1, got {g}")
     gf = float(g)
     side = parse_rational(side)
-    _log2_exact(side)
-    if side < 2:
-        raise ExampleError("window side must be at least 2")
+    if not is_power_of_two(side) or side < 2:
+        raise ExampleError(f"window side must be a power of two, at least 2, got {side}")
     X = int(side)
     cpu = _auto_cpu(gf, side) if cells_per_unit is None else _check_cpu(cells_per_unit)
 
@@ -348,7 +346,8 @@ def case2_divergence(
             f"the interval-train construction needs 0 < gamma < 1, got {g}; "
             "on the boundary the set degenerates"
         )
-    if not 3 <= int(max_exp) <= 26:
+    max_exp = parse_field(max_exp, _json_int, "max_exp", ExampleError)
+    if not 3 <= max_exp <= 26:
         raise ExampleError("max_exp out of range")
     gf = float(g)
 
@@ -356,20 +355,20 @@ def case2_divergence(
     rhs = g - 1
     identity = {"lhs": str(lhs), "rhs": str(rhs), "holds": bool(lhs == rhs)}
 
-    xmax = 2**int(max_exp)
+    xmax = 2**max_exp
     js = np.arange(2, xmax, dtype=np.float64)
     lens = (js + 1.0) ** (-gf)
     terms_s = ((js + lens) ** gf - js**gf) / gf
     terms_h = 1.0 / (js + 1.0)
 
     rows = []
-    for j in range(2, int(max_exp) + 1):
+    for j in range(2, max_exp + 1):
         stop = 2**j - 2  # number of terms with index < 2^j
         s_val = _tree_sum(terms_s[:stop])
         h_val = _tree_sum(terms_h[:stop])
         rows.append({"X": float(2**j), "S": s_val, "H": h_val, "ratio": s_val / h_val})
 
-    nt = min(int(minorant_terms), terms_s.size)
+    nt = min(parse_field(minorant_terms, _json_int, "minorant_terms", ExampleError), terms_s.size)
     pointwise = (js[:nt] + lens[:nt]) ** (gf - 1.0) * lens[:nt]
     minorant = {
         "terms": nt,

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Box, DyadicCube, _json_int, obj_field as _obj_field, realize
+from .grid import Box, DyadicCube, _as_fraction, _json_int, obj_field as _obj_field, parse_field, realize
 
 
 class MeshError(ValueError):
@@ -40,37 +40,19 @@ class MeshMismatchError(MeshError):
     pass
 
 
-def parse_rational(x) -> Fraction:
-    """Exact rational from int, Fraction, 'a/b' string, or binary float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise MeshError(f"non-finite rational {x!r}")
-        return Fraction(x)
-    raise MeshError(f"cannot interpret {x!r} as a rational")
+# grid's rational parser, raising MeshError
+parse_rational = partial(_as_fraction, error=MeshError)
 
 
-def _log2_exact(x: Fraction) -> int:
-    """k with x == 2**k, error if x is not a power of two."""
-    if x <= 0:
-        raise MeshError("expected a positive power of two")
-    num, den = x.numerator, x.denominator
-    if num == 1:
-        k = -(den.bit_length() - 1)
-        if den != 1 << (-k):
-            raise MeshError(f"{x} is not a power of two")
-        return k
-    if den == 1:
-        k = num.bit_length() - 1
-        if num != 1 << k:
-            raise MeshError(f"{x} is not a power of two")
-        return k
-    raise MeshError(f"{x} is not a power of two")
+def is_power_of_two(x) -> bool:
+    """The one window-side rule: x, an int or a Fraction, is a positive
+    integer power of two."""
+    return x.denominator == 1 and x > 0 and not x.numerator & (x.numerator - 1)
+
+
+def is_cell_count(n: int) -> bool:
+    """The one cell-count rule: n = 3*2^L cells per axis, L >= 0."""
+    return n % 3 == 0 and is_power_of_two(n // 3)
 
 
 _UNSET = object()  # marks a lazily computed cache not yet filled
@@ -162,7 +144,7 @@ def _cell_values(values, dim: int) -> np.ndarray:
     n = arr.shape[0]
     if any(s != n for s in arr.shape):
         raise MeshError("values must be square across axes")
-    if n == 0 or n % 3 != 0 or (n // 3) & ((n // 3) - 1):
+    if not is_cell_count(n):
         raise MeshError(f"cells per axis must be 3*2^L, got {n}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise MeshError("values must be finite and nonnegative")
@@ -185,8 +167,7 @@ class SampledFunction:
         if any(x.denominator != 1 for x in lower):
             raise MeshError("window corners must be integers")
         side = parse_rational(side)
-        _log2_exact(side)  # must be a power of two
-        if side < 1:
+        if not is_power_of_two(side):
             raise MeshError("window side must be a positive integer power of two")
         arr = _cell_values(values, dim)
         self._fill(mesh_geometry((arr.shape[0], int(side)) + tuple(int(x) for x in lower)), arr, meta)
@@ -392,8 +373,8 @@ class SampledFunction:
         n = obj_field(obj, "cells_per_axis", lambda v: _json_int(v, least=1))
         vals = obj_field(obj, "values", lambda v: np.asarray(v, dtype=np.float64).reshape((n,) * dim))
         w = obj_field(obj, "window", lambda v: v)
-        lower = obj_field(w, "lower", lambda v: tuple(Fraction(s) for s in v), "window.")
-        return cls(dim, lower, obj_field(w, "side", Fraction, "window."), vals)
+        lower = obj_field(w, "lower", lambda v: tuple(map(parse_rational, v)), "window.")
+        return cls(dim, lower, obj_field(w, "side", parse_rational, "window."), vals)
 
 
 # grid.obj_field, raising MeshError
@@ -486,10 +467,11 @@ class ExponentTuple:
     q: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "n", parse_field(self.n, _json_int, "n", MeshError))
         if self.n not in (1, 2):
             raise MeshError("n must be 1 or 2")
         for name in ("alpha", "p", "q"):
-            object.__setattr__(self, name, parse_rational(getattr(self, name)))
+            object.__setattr__(self, name, parse_field(getattr(self, name), parse_rational, name, MeshError))
         if not (0 <= self.alpha < self.n):
             raise MeshError(f"alpha must satisfy 0 <= alpha < n, got {self.alpha}")
         if self.p <= 1 or self.q <= 1:
@@ -541,6 +523,7 @@ class ExponentTuple:
         }
 
 
-def make_exponents(n: int, alpha, p, q) -> ExponentTuple:
-    """Validated exponent tuple; accepts ints, Fractions, or 'a/b' strings."""
-    return ExponentTuple(int(n), parse_rational(alpha), parse_rational(p), parse_rational(q))
+def make_exponents(n, alpha, p, q) -> ExponentTuple:
+    """Validated exponent tuple; n an integer or a decimal string, alpha, p
+    and q ints, Fractions or 'a/b' strings."""
+    return ExponentTuple(int(n) if isinstance(n, str) else n, alpha, p, q)

@@ -19,14 +19,16 @@ the benchmark keeps every round's import, and with it every memo, alive.
 
 Cube sums are prefix-sum differences read through strided slices, and a
 per-cube array reaches the cells by repeating each value over its cube's
-clipped width.  iter_scans() yields a grid's scans coarse to fine, each
-with its parent start offsets (parent_start, None at the coarsest level);
-sweep() and the stopping-time construction read parent values through
-at_parents() (repeat twice per axis, slice at the offset), and bottom-up
-sums scatter onto parent_positions() in reverse.  Sums over the intersections of the cubes of two scans come from
-their edge arrays, united per axis by merge_edges().  inside_scans() fixes
-the order in which per-cube constants and test families visit the cubes
-inside the window across several grids.  All index arithmetic is exact.
+clipped width.  iter_scans() returns a grid's memoised tuple of scans,
+coarse to fine, each with its parent start offsets (parent_start, None at
+the coarsest level); sweep() and the stopping-time construction read
+parent values through at_parents() (repeat twice per axis, slice at the
+offset), and bottom-up sums scatter onto parent_positions(), which reads
+the same offsets, in reverse.  Sums over the intersections of the cubes
+of two scans come from their edge arrays, united per axis by
+merge_edges().  inside_scans() fixes the order in which per-cube
+constants and test families visit the cubes inside the window across
+several grids.  All index arithmetic is exact.
 
 The array primitives (sampled.prefix_sum and block_differences,
 cube_cell_sums, at_parents, spread and map_to_cells, sweep) take leading
@@ -171,10 +173,11 @@ def _scans(key: Tuple[int, ...], shift: Tuple[int, ...], min_level: int, max_lev
     return tuple(scans)
 
 
-def _grid_scans(f: SampledFunction, grid: GridFamily) -> Tuple[LevelScan, ...]:
-    """The memoised scans of a grid on the mesh of f, once the grid is
-    checked to lie on that mesh (by identity of the window box when the
-    grid was built from the record's window, as operators' grids are)."""
+def iter_scans(f: SampledFunction, grid: GridFamily) -> Tuple[LevelScan, ...]:
+    """The memoised scans of a grid on the mesh of f, coarse to fine, once
+    the grid is checked to lie on that mesh (by identity of the window box
+    when the grid was built from the record's window, as operators' grids
+    are)."""
     geom = f.geometry
     if grid.dim != geom.dim:
         raise MeshError("grid dimension does not match the sampled function")
@@ -183,12 +186,8 @@ def _grid_scans(f: SampledFunction, grid: GridFamily) -> Tuple[LevelScan, ...]:
     return _scans(geom.key, grid.shift, grid.min_level, grid.max_level)
 
 
-def iter_scans(f: SampledFunction, grid: GridFamily):
-    yield from _grid_scans(f, grid)
-
-
 def level_scan(f: SampledFunction, grid: GridFamily, level: int) -> LevelScan:
-    scans = _grid_scans(f, grid)
+    scans = iter_scans(f, grid)
     if level not in grid.levels:
         raise GridError(f"level {level} outside grid range")
     return scans[level - grid.min_level]
@@ -261,13 +260,12 @@ def merge_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m[keep]
 
 
-def parent_positions(scan: LevelScan, parent_scan: LevelScan) -> Tuple[np.ndarray, ...]:
+def parent_positions(scan: LevelScan) -> Tuple[np.ndarray, ...]:
     """Per-axis map from cube position at scan.level to the position of its
-    parent cube at scan.level - 1."""
-    if parent_scan.grid.shift != scan.grid.shift or parent_scan.level != scan.level - 1:
-        raise GridError("parent scan must be one level coarser, same grid")
-    starts = _parent_start(scan.level, scan.grid.shift, scan.plans, parent_scan.plans)
-    return tuple((start + np.arange(count, dtype=np.int64)) // 2 for start, count in zip(starts, scan.shape))
+    parent cube at scan.level - 1, read off scan.parent_start."""
+    if scan.parent_start is None:
+        raise GridError("the coarsest scan of a grid has no parent scan")
+    return tuple((start + np.arange(count, dtype=np.int64)) // 2 for start, count in zip(scan.parent_start, scan.shape))
 
 
 def at_parents(arr, starts: Optional[Tuple[int, ...]], shape: Tuple[int, ...]) -> np.ndarray:

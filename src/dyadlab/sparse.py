@@ -244,9 +244,9 @@ def subtree_sums(seq: CarlesonSequence) -> Dict[int, np.ndarray]:
     """For every cube, the sum of coefficients over its descendants within
     the level range (itself included), via a bottom-up sweep."""
     totals = {level: arr.copy() for level, arr in seq.values.items()}
-    scans = tuple(iter_scans(seq.mesh, seq.grid))
+    scans = iter_scans(seq.mesh, seq.grid)
     for scan, child in reversed(list(zip(scans, scans[1:]))):
-        pos = parent_positions(child, scan)
+        pos = parent_positions(child)
         np.add.at(totals[scan.level], np.ix_(*pos), totals[child.level])
     return totals
 

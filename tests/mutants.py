@@ -361,6 +361,40 @@ MUTANTS = [
          "tests/test_cli.py::TestOpsCommand::test_outer_riesz_malformed_cube_refused"),
         "a cube level of 1.5 is refused, not truncated to 1",
     ),
+    Mutant(
+        "integer_rule_takes_floats_and_bools", "grid.py",
+        "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
+        "if not isinstance(v, numbers.Real):",
+        ("tests/test_sampled.py::TestExponents::test_n_must_be_an_integer",
+         "tests/test_sampled.py::TestExponents::test_make_exponents_refuses_float_n",
+         "tests/test_grid.py::TestSerialization::test_cube_fields_must_be_integers",
+         "tests/test_pairs.py::TestCase1::test_sizes_must_be_integers_of_the_rule"),
+        "the one integer rule refuses 48.9 cells, seed 3.7 and n = True, where int() truncated them",
+    ),
+    Mutant(
+        "integer_rule_ignores_least", "grid.py",
+        "    if v < least:\n",
+        "    if False:\n",
+        ("tests/test_sampled.py::TestSerialization::test_cell_count_below_one_refused",
+         f"{CLI}::TestRunCommand::test_negative_seed_flag_refused_before_output",
+         f"{NORM}::TestEstimateNorm::test_bad_recipe_refused"),
+        "a negative seed or cell count passes the rule and fails later, after output exists",
+    ),
+    Mutant(
+        "cell_count_rule_without_power_of_two", "sampled.py",
+        "return n % 3 == 0 and is_power_of_two(n // 3)",
+        "return n % 3 == 0 and n > 0",
+        ("tests/test_sampled.py::TestValidation::test_cell_count_rule_refuses_the_rest",
+         "tests/test_sampled.py::TestValidation::test_cell_count_must_be_three_times_pow2"),
+        "9 or 36 cells put some dyadic cube boundary inside a cell",
+    ),
+    Mutant(
+        "artifact_dir_before_suites", "cli.py",
+        'names = list(cfg["suites"])',
+        'names = list(cfg["suites"]); out_dir.mkdir(parents=True, exist_ok=True)',
+        (f"{CLI}::TestRunCommand::test_bad_config_exits_two",),
+        "a suite that raises leaves a partial artifact directory without report.json",
+    ),
     # --- the verdict rule of dyadlab run --------------------------------------
     Mutant(
         "check_without_cases_guard", "cli.py",

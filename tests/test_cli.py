@@ -283,8 +283,9 @@ class TestRunCommand:
         assert report["config"]["seed"] == 3
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
-        # each is rejected before any suite runs: exit 2, an error line,
-        # and no output directory
+        # each exits 2 with an error line and leaves no output directory:
+        # all but the last are rejected before any suite runs, and the
+        # last fails inside the orlicz suite, before anything is written
         bad = [
             {"suites": ["nope"]},
             {"seed": None},
@@ -302,6 +303,13 @@ class TestRunCommand:
             {"suites": ["equivalence"], "pairs": []},
             {"young": ["power:r=2"]},
             {"grids": []},
+            # once truncated to 48 cells and seed 3 while report.json recorded the floats
+            {"mesh": {"cells_per_axis": 48.9}},
+            {"seed": 3.7},
+            {"seed": True},
+            {"seed": -5000},
+            {"exponents": {"n": 1.0}},
+            {"suites": ["orlicz"], "young": [{"family": "power", "params": {"r": 1}}]},
         ]
         for i, override in enumerate(bad):
             cfg = tmp_path / f"cfg{i}.json"
@@ -310,6 +318,28 @@ class TestRunCommand:
             assert rc == 2, override
             assert capsys.readouterr().err.startswith("error: "), override
             assert not (tmp_path / f"run{i}").exists(), override
+
+    @pytest.mark.parametrize("override,field", [
+        ({"mesh": {"cells_per_axis": 48.9}}, "'mesh.cells_per_axis': expected an integer, got 48.9"),
+        ({"mesh": {"window": "x"}}, "'mesh.window'"),
+        ({"seed": 3.7}, "'seed': expected an integer, got 3.7"),
+        ({"seed": True}, "'seed': expected an integer, got True"),
+        ({"seed": -5000}, "'seed': expected an integer of at least 0, got -5000"),
+        ({"exponents": {"n": 1.0}}, "'exponents.n': expected an integer, got 1.0"),
+        ({"counterexample": {"window": 64.0}}, "'counterexample.window'"),
+        ({"pairs": [{"kind": "random", "params": {"seed": -1}}]}, "'pairs[0].params.seed'"),
+    ])
+    def test_malformed_config_value_named(self, tmp_path, capsys, override, field):
+        rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag_refused_before_output(self, tmp_path, capsys):
+        rc = main(["run", "--suite", "geometry", "--seed", "-5000", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "malformed field 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override,field", [
         ({"counterexample": {"gama": "1/3"}}, "counterexample.gama"),

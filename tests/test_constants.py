@@ -600,16 +600,13 @@ def test_apq_skips_zero_mass_cubes_1d():
 def _cube_loop(dens, score):
     """Adapt a scalar per-cube functional to _sup_scan form: score(cube,
     box, mass) runs on the inside cubes that pass scan.positive_cubes, with
-    mass = dens(Q); the other cubes are skipped."""
+    mass = dens(Q), in row-major order; the other cubes are skipped."""
 
     def fn(scan, inside):
         masses, live = positive_cubes(scan, inside, dens)
-        vals = np.zeros(scan.shape, dtype=float)
-        for idx in np.argwhere(live):
-            pos = tuple(idx)
-            cube = scan.cube_at(pos)
-            vals[pos] = score(cube, realize(cube), float(masses[pos]))
-        return vals, ~live
+        vals = [score(cube, realize(cube), float(masses[pos]))
+                for pos in map(tuple, np.argwhere(live)) for cube in [scan.cube_at(pos)]]
+        return np.array(vals, dtype=float), live
 
     return fn
 

@@ -253,6 +253,11 @@ class TestSerialization:
         with pytest.raises(GridError, match=field):
             cube_from_obj(obj)
 
+    @pytest.mark.parametrize("bad", [None, [1], float("inf"), float("nan")])
+    def test_box_refuses_what_is_no_rational(self, bad):
+        with pytest.raises(GridError):
+            Box((bad,), 1)
+
     def test_box_roundtrip(self):
         b = Box((Fraction(-1, 6), Fraction(2, 3)), Fraction(1, 2))
         assert box_from_obj(box_to_obj(b)) == b

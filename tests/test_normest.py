@@ -180,6 +180,9 @@ class TestEstimateNorm:
         with pytest.raises(NormError, match="must be a nonnegative integer"):
             TestFamily(**recipe)
 
+    def test_numpy_integer_recipe_accepted(self):
+        assert TestFamily(random_steps=np.int64(2), seed=np.uint8(3)).describe()["seed"] == 3
+
     def test_orlicz_operator_needs_young_function(self):
         pair = rand_pair(4)
         with pytest.raises(NormError):

@@ -142,7 +142,7 @@ class TestCutFracMaximal:
 
     def test_alpha_range_validated(self):
         f = rand_f(1, (0,), 1, 12)
-        scan = next(iter_scans(f, _grids(f, None, 0, 1)[0]))
+        scan = iter_scans(f, _grids(f, None, 0, 1)[0])[0]
         with pytest.raises(OperatorError):
             cut_frac_maximal(f, scan, [scan], 1.0)
 

@@ -67,6 +67,15 @@ class TestCase1:
         with pytest.raises(ExampleError):
             case1_pair(ExponentTuple(2, F(1, 4), F(5, 4), 2))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"window_exp": 4.5}, {"window_exp": True}, {"window_exp": 2},
+        {"cells_per_unit": 12.0}, {"cells_per_unit": 36}, {"cells_per_unit": 0},
+    ], ids=repr)
+    def test_sizes_must_be_integers_of_the_rule(self, kwargs):
+        # a float window_exp or cells_per_unit was truncated, not refused
+        with pytest.raises(ExampleError):
+            case1_pair(E_CASE1, **kwargs)
+
     def test_f_is_sigma(self):
         pair, f, _ = case1_pair(E_CASE1, window_exp=4)
         assert np.array_equal(pair.sigma.values, f.values)
@@ -140,6 +149,13 @@ class TestBuildE:
     def test_bad_cpu_shape(self):
         with pytest.raises(ExampleError):
             build_E(F(1, 2), 8, cells_per_unit=100)  # not 3 * 2^j
+        with pytest.raises(ExampleError):
+            build_E(F(1, 2), 8, cells_per_unit=48.0)
+
+    @pytest.mark.parametrize("side", [1, 6, F(5, 2), F(1, 2)])
+    def test_side_must_be_a_power_of_two_of_at_least_two(self, side):
+        with pytest.raises(ExampleError, match="power of two, at least 2"):
+            build_E(F(1, 2), side)
 
     @given(gnum=st.integers(10, 90), xexp=st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
@@ -308,6 +324,11 @@ class TestCase2Divergence:
         mc = rep["mesh_check"]
         assert mc["one_sided"]
         assert 0 <= mc["rel_gap"] < 0.13
+
+    @pytest.mark.parametrize("kwargs", [{"max_exp": 10.5}, {"max_exp": 2}, {"minorant_terms": 100.0}], ids=repr)
+    def test_sizes_must_be_integers(self, kwargs):
+        with pytest.raises(ExampleError):
+            case2_divergence(E_IDENT, **kwargs)
 
     def test_regime_and_gamma_rejection(self):
         with pytest.raises(ExampleError):

@@ -16,6 +16,8 @@ from dyadlab.sampled import (
     SampledFunction,
     average,
     integrate,
+    is_cell_count,
+    is_power_of_two,
     lp_norm,
     lp_norms,
     make_exponents,
@@ -49,6 +51,24 @@ class TestValidation:
         with pytest.raises(MeshError):
             SampledFunction(1, (0,), 1, np.ones(9))
         SampledFunction(1, (0,), 1, np.ones(12))  # 3*2^2 is fine
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 48, 96, 3 * 2**20])
+    def test_cell_count_rule_accepts_three_times_pow2(self, n):
+        assert is_cell_count(n)
+
+    @pytest.mark.parametrize("n", [0, -3, -6, 1, 2, 5, 9, 18, 36, 75])
+    def test_cell_count_rule_refuses_the_rest(self, n):
+        # 18 and 36 are multiples of 3 but not 3 * 2^L
+        assert not is_cell_count(n)
+        if n >= 0:
+            with pytest.raises(MeshError, match=rf"cells per axis must be 3\*2\^L, got {n}"):
+                SampledFunction(1, (0,), 1, np.ones(n))
+
+    @pytest.mark.parametrize("x,ok", [(1, True), (2, True), (64, True), (Fraction(8), True),
+                                      (0, False), (-2, False), (3, False), (12, False),
+                                      (Fraction(1, 2), False), (Fraction(3, 2), False)])
+    def test_power_of_two_rule(self, x, ok):
+        assert is_power_of_two(x) is ok
 
     @pytest.mark.parametrize("shape", [(0,), (0, 0)])
     def test_zero_cells_rejected(self, shape):
@@ -371,6 +391,14 @@ class TestSerialization:
             SampledFunction.from_obj(obj)
 
 
+    @pytest.mark.parametrize("side", [float("inf"), float("nan"), None])
+    def test_window_side_must_be_rational(self, side):
+        # json.load reads Infinity, which Fraction() raised as an uncaught OverflowError
+        obj = {"dim": 1, "cells_per_axis": 3, "values": [1, 1, 1], "window": {"lower": [0], "side": side}}
+        with pytest.raises(MeshError, match="malformed field 'window.side'"):
+            SampledFunction.from_obj(obj)
+
+
 class TestExponents:
     def test_sobolev_example(self):
         # p = 4/3, q = 4, alpha = 1/2 in dimension 1 is a Sobolev tuple
@@ -427,12 +455,35 @@ class TestExponents:
         with pytest.raises(MeshError):
             make_exponents(3, "1/2", 2, 2)  # unsupported dimension
 
+    @pytest.mark.parametrize("n", [1.0, 1.7, True, "1", None])
+    def test_n_must_be_an_integer(self, n):
+        # a float n once built a tuple whose gamma raised TypeError, and True passed as 1
+        with pytest.raises(MeshError, match="malformed field 'n'"):
+            ExponentTuple(n, "1/2", "4/3", 4)
+
+    def test_make_exponents_refuses_float_n(self):
+        # 1.7 was truncated to n = 1
+        with pytest.raises(MeshError, match="malformed field 'n'"):
+            make_exponents(1.7, "1/2", "4/3", 4)
+
+    def test_make_exponents_parses_string_n(self):
+        assert make_exponents("2", "1/2", "3", "5") == ExponentTuple(2, Fraction(1, 2), 3, 5)
+        assert ExponentTuple(np.int64(1), "1/2", "4/3", 4).n == 1
+
     def test_parse_rational(self):
         assert parse_rational("7/3") == Fraction(7, 3)
         assert parse_rational(0.25) == Fraction(1, 4)
         assert parse_rational(5) == Fraction(5)
         with pytest.raises(MeshError):
             parse_rational(float("inf"))
+
+    def test_parse_rational_agrees_with_box(self):
+        # one parser: a numpy integer is a rational for Box as for parse_rational
+        assert parse_rational(np.int64(3)) == Fraction(3)
+        assert Box((np.int64(3),), np.int64(1)) == Box((Fraction(3),), Fraction(1))
+        for bad in (None, [1], float("nan")):
+            with pytest.raises(MeshError):
+                parse_rational(bad)
 
     def test_to_obj(self):
         e = make_exponents(1, "1/2", "4/3", 4)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import operators as op
-from dyadlab.grid import DyadicCube, GridFamily, all_shifts, parent, realize
+from dyadlab.grid import DyadicCube, GridError, GridFamily, all_shifts, parent, realize
 from dyadlab.orlicz import power
 from dyadlab.sampled import MeshError, SampledFunction, block_differences, lp_norm, lp_norms, prefix_sum
 from dyadlab import scan as scan_module
@@ -167,12 +167,21 @@ def test_parent_positions_match_parent():
     scans = {s.level: s for s in iter_scans(f, grid)}
     for level in range(grid.min_level + 1, grid.max_level + 1):
         child, par = scans[level], scans[level - 1]
-        (pmap,) = parent_positions(child, par)
+        (pmap,) = parent_positions(child)
         for j in range(child.shape[0]):
             cube = child.cube_at((j,))
             expect = parent(cube)
             got = par.cube_at((int(pmap[j]),))
             assert got == expect
+
+
+def test_scans_are_the_memoised_tuple():
+    f = make_f(1, (0,), 1, 24)
+    grid = GridFamily(1, (1,), 0, f.max_aligned_level, f.window)
+    scans = iter_scans(f, grid)
+    assert scans is iter_scans(f, grid)  # the memoised tuple itself
+    with pytest.raises(GridError):  # the coarsest scan has no parent offsets
+        parent_positions(scans[0])
 
 
 def test_parent_positions_2d():
@@ -181,7 +190,7 @@ def test_parent_positions_2d():
     scans = {s.level: s for s in iter_scans(f, grid)}
     for level in range(grid.min_level + 1, grid.max_level + 1):
         child, par = scans[level], scans[level - 1]
-        pmaps = parent_positions(child, par)
+        pmaps = parent_positions(child)
         for pos in enumerate_positions(child):
             expect = parent(child.cube_at(pos))
             got = par.cube_at(tuple(int(pmaps[ax][pos[ax]]) for ax in range(2)))
