@@ -55,7 +55,6 @@ from .operators import (
     geometric_maximal,
     orlicz_maximal,
     outer_riesz,
-    riesz_potential_1d,
     weighted_dyadic_maximal,
 )
 from .orlicz import (
@@ -92,7 +91,6 @@ from .sampled import (
     lp_norm,
     make_exponents,
     parse_rational,
-    weak_lq_norm,
 )
 from .sparse import (
     CarlesonSequence,

@@ -70,6 +70,7 @@ from .operators import (
     _shell_constant,
 )
 from .orlicz import (
+    OrliczError,
     YoungFunction,
     borderline,
     bp_classify,
@@ -238,9 +239,8 @@ def validate_config(cfg: dict) -> dict:
     for key in ("suites", "young", "pairs"):
         if not isinstance(cfg[key], list):
             raise CLIError(f"{key} must be a list")
-    grids = {} if cfg["grids"] is None else cfg["grids"]  # null pins no level range
-    for key in ("exponents", "mesh", "grids", "counterexample"):
-        _known_fields(grids if key == "grids" else cfg[key], DEFAULT_CONFIG[key], key)
+    for key in ("exponents", "mesh", "counterexample"):
+        _known_fields(cfg[key], DEFAULT_CONFIG[key], key)
     if not cfg["suites"]:
         raise CLIError("suites must name at least one suite")
     if "equivalence" in cfg["suites"] and not cfg["pairs"]:
@@ -254,10 +254,6 @@ def validate_config(cfg: dict) -> dict:
         raise CLIError("mesh.window must be a positive power of two")
     if not is_cell_count(_field(cfg["mesh"], "cells_per_axis", _json_int, "mesh.")):
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
-    # every suite picks its own level range, so a pinned one would be
-    # reported but never used
-    if any(v is not None for v in grids.values()):
-        raise CLIError("grids.min_level and grids.max_level are not supported; leave them null")
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
     cx = cfg["counterexample"]
@@ -269,7 +265,10 @@ def validate_config(cfg: dict) -> dict:
     _field(cfg, "seed", _seed)
     for i, y in enumerate(cfg["young"]):
         _known_fields(y, ("family", "params"), f"young[{i}]")
-        young_from_spec(y)
+        try:
+            young_from_spec(y).associate()  # the orlicz suite conjugates every entry
+        except OrliczError as exc:
+            raise CLIError(f"young[{i}]: {exc}") from None
     for i, spec in enumerate(cfg["pairs"]):
         _pair_from_spec(cfg, spec, e, f"pairs[{i}]")  # builds each pair once, so a bad spec fails here
     return cfg
@@ -651,7 +650,6 @@ DEFAULT_CONFIG = {
     "suites": list(SUITES),
     "exponents": {"n": 1, "alpha": "1/2", "p": "4/3", "q": "4"},
     "mesh": {"window": 1, "cells_per_axis": 48},
-    "grids": {"min_level": None, "max_level": None},
     "seed": 715,
     "young": [
         {"family": "power", "params": {"r": 2.0}},

@@ -32,7 +32,8 @@ from .sampled import (
     parse_rational,
     prefix_sum,
 )
-from .scan import LevelScan, at_parents, cube_cell_sums, cube_integrals, inside_scans, iter_scans, positive_cubes
+from .scan import (LevelScan, at_parents, cube_cell_sums, cube_integrals, inside_scans, iter_scans, positive_cubes,
+                   zero_cells)
 
 
 class ConstantError(ValueError):
@@ -249,9 +250,7 @@ def _aexp_values(scan: LevelScan, w: SampledFunction, masses: np.ndarray, lpre: 
     lsum = cube_cell_sums(scan, lpre)
     with np.errstate(over="ignore"):
         vals = masses / vol * np.exp(-lsum / cells)
-    if w.zero_prefix is not None:
-        vals = np.where(cube_cell_sums(scan, w.zero_prefix) > 0, math.inf, vals)
-    return vals
+    return np.where(zero_cells(scan, w) > 0, math.inf, vals)
 
 
 def ainfty_exp(

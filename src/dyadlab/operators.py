@@ -16,7 +16,7 @@ the spatial axes last and any leading axes a batch, to an array of the
 same shape, (B, *mesh) to (B, *mesh).  Each row has the bits of the
 operator on that row alone, since every row goes through the same
 element-wise operations.  The public SampledFunction operators are its
-one-row cases, and the CLI and normest call the registry directly.
+one-row cases, bar riesz_1d's; the CLI and normest call the registry.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .scan import (
     merge_edges,
     spread,
     sweep,
+    zero_cells,
 )
 
 COARSE_MARGIN = 4
@@ -233,15 +234,12 @@ def geometric_maximal(
     outside the window) sends the geometric average to zero.
     """
     n = f.dim
-    pre_zero = f.zero_prefix  # None when f has no zero cell
     pre_log = log_prefix(f)
     cellvol = f.geometry.cellvol
 
     def level_values(scan):
         log_q = cube_cell_sums(scan, pre_log)
-        clean = inside_window_mask(scan)
-        if pre_zero is not None:
-            clean &= np.rint(cube_cell_sums(scan, pre_zero)) == 0
+        clean = inside_window_mask(scan) & (zero_cells(scan, f) == 0)
         inv_vol = 2.0 ** (scan.level * n) * cellvol
         vals = np.zeros_like(log_q)
         vals[clean] = np.exp(log_q[clean] * inv_vol)
@@ -305,17 +303,11 @@ def dyadic_riesz(
     return f.with_values(OPERATORS["dyadic_riesz"](f, f.values, None, alpha, None, shift, min_level, max_level))
 
 
-def riesz_potential_1d(f: SampledFunction, alpha) -> SampledFunction:
-    """Continuum fractional integral on the line, evaluated at cell centers
-    with the kernel integrated exactly over each source cell: k[m], the
-    integral of |x - y|^{alpha - 1} over the cell at offset m from x, is a
-    difference of the antiderivative sign(u)|u|^alpha / alpha."""
-    return f.with_values(OPERATORS["riesz_1d"](f, f.values, None, alpha, None, None, None, None))
-
-
 def _riesz_1d(f, values, mu, alpha, phi, shift, min_level, max_level) -> np.ndarray:
-    """The registry's riesz_1d, convolved row by row; it has no grid, so
-    shift and the level range are not read."""
+    """The continuum fractional integral on the line at cell centers, each
+    row convolved with k[m], the exact integral of |x - y|^{alpha - 1} over
+    the cell at offset m from x: a difference of sign(u)|u|^alpha / alpha.
+    It has no grid, so shift and the level range are not read."""
     if f.dim != 1:
         raise OperatorError("the continuum potential is implemented on the line")
     a = _order(alpha, 1, open_below=True)

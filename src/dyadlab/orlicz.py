@@ -97,26 +97,26 @@ class PowerLog(YoungFunction):
         return PowerLog(rp, -self.a / (self.r - 1.0), label=f"{self.label}_assoc")
 
 
-def power(r: float, label: Optional[str] = None) -> PowerLog:
-    return PowerLog(float(r), 0.0, label=label or f"power({r})")
+def power(r: float) -> PowerLog:
+    return PowerLog(float(r), 0.0, label=f"power({r})")
 
 
-def power_log(r: float, a: float, label: Optional[str] = None) -> PowerLog:
-    return PowerLog(float(r), float(a), label=label or f"power_log({r},{a})")
+def power_log(r: float, a: float) -> PowerLog:
+    return PowerLog(float(r), float(a), label=f"power_log({r},{a})")
 
 
-def log_bump(r: float, delta: float, label: Optional[str] = None) -> PowerLog:
+def log_bump(r: float, delta: float) -> PowerLog:
     """Phi(t) = t^r log(e+t)^{r-1+delta}, the classical integrability bump."""
     if delta <= 0:
         raise OrliczError("bump exponent delta must be positive")
-    return PowerLog(float(r), float(r) - 1.0 + float(delta), label=label or f"log_bump({r},{delta})")
+    return PowerLog(float(r), float(r) - 1.0 + float(delta), label=f"log_bump({r},{delta})")
 
 
-def borderline(p: float, q: float, eps: float, label: Optional[str] = None) -> PowerLog:
+def borderline(p: float, q: float, eps: float) -> PowerLog:
     """Phi(t) = t^p / log(e+t)^{(1+eps) p / q}; tail integral against t^{-p}
     converges or diverges according to (1+eps) p / q versus 1."""
     a = -(1.0 + float(eps)) * float(p) / float(q)
-    return PowerLog(float(p), a, label=label or f"borderline({p},{q},{eps})")
+    return PowerLog(float(p), a, label=f"borderline({p},{q},{eps})")
 
 
 @dataclass(frozen=True)

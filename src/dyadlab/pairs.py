@@ -26,9 +26,9 @@ survives discretization exactly.
   logarithmic, with a termwise harmonic minorant.
 
 Every window truncation and endpoint rounding is one-sided (sets only
-shrink), so lower bounds asserted here are honest on the mesh; roundings
-are recorded in the returned metadata.  Long sums are folded with a
-fixed-order pairwise tree so results do not depend on chunking.
+shrink), so lower bounds asserted here are honest on the mesh.  Long sums
+are folded with a fixed-order pairwise tree so results do not depend on
+chunking.
 """
 from __future__ import annotations
 
@@ -120,7 +120,7 @@ def case1_pair(
     lo = np.clip(edges[:-1], 0.0, None)
     hi = np.clip(edges[1:], 0.0, None)
     uvals = (hi**sf - lo**sf) / (sf * float(h))
-    u = SampledFunction(1, lower, side, uvals, meta={"weight": "power", "t": str(t)})
+    u = SampledFunction(1, lower, side, uvals)
 
     f = SampledFunction.indicator(Box((Fraction(-2),), Fraction(1)), 1, lower, side, ncells)
     pair = WeightPair(u, f, provenance="disjoint-support")
@@ -196,15 +196,7 @@ def build_E(gamma, side, cells_per_unit: Optional[int] = None) -> SampledFunctio
     starts = np.arange(X, dtype=np.int64) * cpu
     for st, sp in zip(starts, span):
         arr[st : st + int(sp)] = 1.0
-    dropped = lengths * cpu - span
-    meta = {
-        "set": "interval-train",
-        "gamma": str(g),
-        "rounding": "down",
-        "max_dropped_width": float(dropped.max()) / cpu,
-        "min_cells_per_interval": int(span.min()),
-    }
-    return SampledFunction(1, (0,), side, arr, meta=meta)
+    return SampledFunction(1, (0,), side, arr)
 
 
 def verify_E_maximal(gamma, side) -> dict:
@@ -299,24 +291,20 @@ def factored_pair(
     g = e.gamma
     m1 = frac_maximal(w1, float(g))
     m2 = frac_maximal(w2, float(g))
-    meta = {"construction": "factored", "gamma": str(g)}
     u = w1 * m2.power(-float(e.q / e.pprime))
     sigma = w2 * m1.power(-float(e.pprime / e.q))
-    return WeightPair(
-        u.with_values(u.values, meta=meta),
-        sigma.with_values(sigma.values, meta=meta),
-        provenance="factored",
-    )
+    return WeightPair(u, sigma, provenance="factored")
 
 
 # === the divergence diagnostic in the factored regime ========================
+
+MINORANT_TERMS = 10**4  # terms of case2_divergence's termwise minorant check
 
 
 def case2_divergence(
     e: ExponentTuple,
     gamma=None,
     max_exp: int = 20,
-    minorant_terms: int = 10**4,
 ) -> dict:
     """Window-free divergence diagnostic for the factored counterexample.
 
@@ -331,7 +319,7 @@ def case2_divergence(
 
         int_j >= (j + (j+1)^{-gamma})^{gamma-1} (j+1)^{-gamma} >= 1/(j+1),
 
-    checked term by term up to minorant_terms.  S therefore dominates H at
+    checked term by term up to MINORANT_TERMS.  S therefore dominates H at
     every cutoff and grows by about log 2 per doubling.  A small sampled
     window, [0, 128), cross-checks the closed form: the rounded-down set
     makes the mesh value a strict lower bound.
@@ -368,7 +356,7 @@ def case2_divergence(
         h_val = _tree_sum(terms_h[:stop])
         rows.append({"X": float(2**j), "S": s_val, "H": h_val, "ratio": s_val / h_val})
 
-    nt = min(parse_field(minorant_terms, _json_int, "minorant_terms", ExampleError), terms_s.size)
+    nt = min(MINORANT_TERMS, terms_s.size)
     pointwise = (js[:nt] + lens[:nt]) ** (gf - 1.0) * lens[:nt]
     minorant = {
         "terms": nt,

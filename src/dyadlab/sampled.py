@@ -156,9 +156,9 @@ def _cell_values(values, dim: int) -> np.ndarray:
 class SampledFunction:
     """Nonnegative cell-constant function, zero outside its window."""
 
-    __slots__ = ("geometry", "values", "meta", "_prefix", "_zeros")
+    __slots__ = ("geometry", "values", "_prefix", "_zeros")
 
-    def __init__(self, dim: int, lower, side, values, meta: Optional[dict] = None):
+    def __init__(self, dim: int, lower, side, values):
         if dim not in (1, 2):
             raise MeshError(f"dim must be 1 or 2, got {dim}")
         lower = tuple(parse_rational(x) for x in (lower if isinstance(lower, (tuple, list)) else (lower,)))
@@ -170,12 +170,11 @@ class SampledFunction:
         if not is_power_of_two(side):
             raise MeshError("window side must be a positive integer power of two")
         arr = _cell_values(values, dim)
-        self._fill(mesh_geometry((arr.shape[0], int(side)) + tuple(int(x) for x in lower)), arr, meta)
+        self._fill(mesh_geometry((arr.shape[0], int(side)) + tuple(int(x) for x in lower)), arr)
 
-    def _fill(self, geometry: MeshGeometry, values: np.ndarray, meta: Optional[dict]) -> "SampledFunction":
+    def _fill(self, geometry: MeshGeometry, values: np.ndarray) -> "SampledFunction":
         self.geometry = geometry
         self.values = values
-        self.meta = dict(meta) if meta else {}
         self._prefix = None
         self._zeros = _UNSET
         return self
@@ -200,13 +199,13 @@ class SampledFunction:
         arr[sl] = 1.0
         return cls(dim, lower, side, arr)
 
-    def with_values(self, values, meta: Optional[dict] = None) -> "SampledFunction":
+    def with_values(self, values) -> "SampledFunction":
         """values on this mesh, sharing its geometry record; values with
         another cell count make a function on another mesh."""
         arr = _cell_values(values, self.dim)
         if arr.shape != self.values.shape:
-            return SampledFunction(self.dim, self.lower, self.side, arr, meta=meta)
-        return object.__new__(SampledFunction)._fill(self.geometry, arr, meta)
+            return SampledFunction(self.dim, self.lower, self.side, arr)
+        return object.__new__(SampledFunction)._fill(self.geometry, arr)
 
     # --- geometry: read straight off the shared record -----------------------
 
@@ -279,11 +278,9 @@ class SampledFunction:
         Its differences are exact cell counts, while differences of
         ``prefix`` over a block of zero cells can leave roundoff in 2-D."""
         if self._zeros is _UNSET:
-            zero = self.values == 0
-            p = prefix_sum(zero) if zero.any() else None
-            if p is not None:
-                p.setflags(write=False)
-            self._zeros = p
+            self._zeros = None if self.values.all() else prefix_sum(self.values == 0)
+            if self._zeros is not None:
+                self._zeros.setflags(write=False)
         return self._zeros
 
     def integrate_box(self, box: Box) -> float:
@@ -347,12 +344,11 @@ class SampledFunction:
         out[sl] = self.values[sl]
         return self.with_values(out)
 
-    def refine(self, times: int = 1) -> "SampledFunction":
-        """Same function on a mesh 2^times finer per axis."""
+    def refine(self) -> "SampledFunction":
+        """Same function on a mesh twice as fine per axis."""
         v = self.values
-        for _ in range(times):
-            for ax in range(self.dim):
-                v = np.repeat(v, 2, axis=ax)
+        for ax in range(self.dim):
+            v = np.repeat(v, 2, axis=ax)
         return SampledFunction(self.dim, self.lower, self.side, v)
 
     # --- serialization --------------------------------------------------------
@@ -429,17 +425,11 @@ def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[Sampled
     return [total ** (1.0 / pf) for total in np.sum(rows ** pf * mass, axis=-1).tolist()]
 
 
-def weak_lq_norm(g: SampledFunction, q, weight: Optional[SampledFunction] = None) -> float:
-    """sup_t t * w({g > t})^{1/q}; the sup is attained approaching each
-    distinct value of g from below, so it is evaluated at those values."""
-    return weak_lq_norms(g, g.values, q, weight)[0]
-
-
 def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: Optional[SampledFunction] = None) -> list:
-    """weak_lq_norm of every row of values on the mesh of f, in row-major
-    order of the leading (batch) axes, as lp_norms is of lp_norm.  Each row
-    is sorted on its own, so its tied values sum their weights in the order
-    of its one-row call."""
+    """sup_t t * w({g > t})^{1/q} (w = 1 when weight is None) of every row
+    g of values on the mesh of f, ordered as lp_norms orders them.  The sup
+    is attained approaching each value of g from below, so it is evaluated
+    there; each row is sorted on its own, as a batch of that row alone is."""
     qf = float(q)
     if qf <= 0:
         raise MeshError("q must be positive")

@@ -211,6 +211,13 @@ def cube_integrals(scan: LevelScan, f: SampledFunction) -> np.ndarray:
     return cube_cell_sums(scan, f.prefix) * f.geometry.cellvol
 
 
+def zero_cells(scan: LevelScan, f: SampledFunction):
+    """The exact count of zero cells of f in each cube's window part (the
+    zero-cell table and its differences are integers); the scalar 0 when f
+    has no zero cell.  The one reader of f.zero_prefix."""
+    return 0 if f.zero_prefix is None else cube_cell_sums(scan, f.zero_prefix)
+
+
 def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
     """(masses, live) over a scan: masses = cube_integrals(scan, dens), and
     live marks the inside cubes where dens has a positive cell and a
@@ -219,9 +226,7 @@ def positive_cubes(scan: LevelScan, inside: np.ndarray, dens: SampledFunction):
     prefix-sum difference is roundoff."""
     masses = cube_integrals(scan, dens)
     live = inside & (masses > 0.0)
-    if dens.zero_prefix is not None:
-        cells = round(scan.cube_volume() / dens.geometry.cellvol)
-        live &= cube_cell_sums(scan, dens.zero_prefix) < cells
+    live &= zero_cells(scan, dens) < round(scan.cube_volume() / dens.geometry.cellvol)
     return masses, live
 
 

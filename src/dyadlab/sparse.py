@@ -193,7 +193,7 @@ def sparse_operator(
         for sc_id, sc in enumerate(family.cubes):
             u_by_id[sc_id] = (2.0 ** (-sc.cube.level * n)) ** (a / n - 1.0) * integrate(g, sc.cube)
         out = np.where(family.owner >= 0, u_by_id[family.owner], 0.0)
-        return f.with_values(out, meta={"operator": "sparse_disjoint"})
+        return f.with_values(out)
     if form != "chi":
         raise SparseError(f"unknown form {form!r}")
 
@@ -209,7 +209,7 @@ def sparse_operator(
         return vals
 
     out = sweep(f, family.grid, level_values, np.add)
-    return f.with_values(out, meta={"operator": "sparse_chi"})
+    return f.with_values(out)
 
 
 # === Carleson sequences =======================================================

@@ -288,7 +288,7 @@ MUTANTS = [
     # --- gates: no roundoff mass, no vacuous pass, a feasible Luxemburg norm ---
     Mutant(
         "zero_cells_ungated", "scan.py",
-        "        live &= cube_cell_sums(scan, dens.zero_prefix) < cells\n",
+        "    live &= zero_cells(scan, dens) < round(scan.cube_volume() / dens.geometry.cellvol)\n",
         "",
         (f"{CONST}::test_apq_zero_block_skipped_2d",
          f"{CONST}::TestMassGate::test_zero_block_roundoff_2d"),
@@ -392,7 +392,7 @@ MUTANTS = [
         "artifact_dir_before_suites", "cli.py",
         'names = list(cfg["suites"])',
         'names = list(cfg["suites"]); out_dir.mkdir(parents=True, exist_ok=True)',
-        (f"{CLI}::TestRunCommand::test_bad_config_exits_two",),
+        (f"{CLI}::TestRunCommand::test_suite_that_raises_leaves_no_directory",),
         "a suite that raises leaves a partial artifact directory without report.json",
     ),
     # --- the verdict rule of dyadlab run --------------------------------------
@@ -419,10 +419,17 @@ MUTANTS = [
     ),
     Mutant(
         "nested_config_fields_unchecked", "cli.py",
-        "_known_fields(grids if key == \"grids\" else cfg[key], DEFAULT_CONFIG[key], key)",
+        "_known_fields(cfg[key], DEFAULT_CONFIG[key], key)",
         "pass",
         (f"{CLI}::TestRunCommand::test_unknown_nested_field_refused[override1-mesh.cels_per_axis]",),
         "a misspelt nested field would run the defaults and be echoed into report.json",
+    ),
+    Mutant(
+        "young_conjugate_unchecked", "cli.py",
+        "young_from_spec(y).associate()",
+        "young_from_spec(y)",
+        (f"{CLI}::TestRunCommand::test_malformed_config_value_named",),
+        "t^1 has no finite conjugate: the run would fail in the orlicz suite, or pass when it is not selected",
     ),
     Mutant(
         "norms_pair_optional", "cli.py",
@@ -434,8 +441,8 @@ MUTANTS = [
     # --- the shared mesh geometry ----------------------------------------------
     Mutant(
         "with_values_rebuilds_geometry", "sampled.py",
-        "return object.__new__(SampledFunction)._fill(self.geometry, arr, meta)",
-        "return object.__new__(SampledFunction)._fill(mesh_geometry.__wrapped__(self.geometry.key), arr, meta)",
+        "return object.__new__(SampledFunction)._fill(self.geometry, arr)",
+        "return object.__new__(SampledFunction)._fill(mesh_geometry.__wrapped__(self.geometry.key), arr)",
         ("tests/test_sampled.py::TestMeshGeometry::test_derived_functions_share_the_record",
          f"{OPS}::TestNoFractionsWhenWarm::test_warm_maximal"),
         "a function derived on the same mesh hands its record on; rebuilding it redoes the Fraction arithmetic",

@@ -365,7 +365,7 @@ def test_criterion_08_counterexample_reproduction():
     # its joint constant within the mesh allowance.
     e2 = ExponentTuple(1, F(1, 2), F(2), F(2))
     assert e2.gamma == F(1, 2)
-    rep2 = case2_divergence(e2, max_exp=16, minorant_terms=10**4)
+    rep2 = case2_divergence(e2, max_exp=16)
     assert rep2["identity"]["holds"]
     assert rep2["minorant"]["terms"] == 10**4
     assert rep2["minorant"]["integral_ge_pointwise"]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyadlab import cli
 from dyadlab.cli import (
     CLIError,
     DEFAULT_CONFIG,
@@ -28,11 +29,12 @@ from dyadlab.operators import (
     dyadic_riesz,
     frac_maximal,
     orlicz_maximal,
-    riesz_potential_1d,
     weighted_dyadic_maximal,
 )
 from dyadlab.orlicz import log_bump
 from dyadlab.sampled import ExponentTuple, SampledFunction
+
+from operator_oracle import riesz_1d_row
 
 FAST_SUITES = ["geometry", "sparse", "constants", "counterexample"]
 CHECK_FIELDS = {"name", "value", "bound", "sense", "cases", "margin", "vacuous", "passed"}
@@ -97,14 +99,6 @@ class TestConfig:
         cfg = _merge_config(DEFAULT_CONFIG, {"counterexample": {"gamma": "1/2", "window": 100}})
         with pytest.raises(CLIError):
             validate_config(cfg)
-
-    @pytest.mark.parametrize("grids", [{"min_level": 0}, {"max_level": 3}, {"min_level": -2, "max_level": 2}])
-    def test_pinned_grid_levels_rejected(self, grids):
-        # no suite reads a level range from the config, so a pinned one
-        # would be echoed in report.json without being used
-        with pytest.raises(CLIError):
-            validate_config(_merge_config(DEFAULT_CONFIG, {"grids": grids}))
-        validate_config(_merge_config(DEFAULT_CONFIG, {"grids": {"min_level": None, "max_level": None}}))
 
 
 class TestCheck:
@@ -283,9 +277,8 @@ class TestRunCommand:
         assert report["config"]["seed"] == 3
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
-        # each exits 2 with an error line and leaves no output directory:
-        # all but the last are rejected before any suite runs, and the
-        # last fails inside the orlicz suite, before anything is written
+        # each exits 2 with an error line and leaves no output directory,
+        # rejected before any suite runs
         bad = [
             {"suites": ["nope"]},
             {"seed": None},
@@ -302,7 +295,6 @@ class TestRunCommand:
             {"suites": []},
             {"suites": ["equivalence"], "pairs": []},
             {"young": ["power:r=2"]},
-            {"grids": []},
             # once truncated to 48 cells and seed 3 while report.json recorded the floats
             {"mesh": {"cells_per_axis": 48.9}},
             {"seed": 3.7},
@@ -328,6 +320,10 @@ class TestRunCommand:
         ({"exponents": {"n": 1.0}}, "'exponents.n': expected an integer, got 1.0"),
         ({"counterexample": {"window": 64.0}}, "'counterexample.window'"),
         ({"pairs": [{"kind": "random", "params": {"seed": -1}}]}, "'pairs[0].params.seed'"),
+        # the orlicz suite conjugates every young entry; t^1 has no finite
+        # conjugate, and is refused whichever suites the config selects
+        ({"young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate of t^1 is not finite-valued"),
+        ({"suites": ["geometry"], "young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate"),
     ])
     def test_malformed_config_value_named(self, tmp_path, capsys, override, field):
         rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
@@ -345,7 +341,6 @@ class TestRunCommand:
         ({"counterexample": {"gama": "1/3"}}, "counterexample.gama"),
         ({"mesh": {"cels_per_axis": 96}}, "mesh.cels_per_axis"),
         ({"exponents": {"qq": "5"}}, "exponents.qq"),
-        ({"grids": {"min_levl": None}}, "grids.min_levl"),
         ({"young": [{"family": "power", "params": {"r": 2}, "parms": {}}]}, "young[0].parms"),
         ({"pairs": [{"kind": "random", "seed": 3}]}, "pairs[0].seed"),
         ({"pairs": [{"kind": "classical-smooth"}, {"kind": "random", "params": {"sed": 3}}]},
@@ -356,6 +351,25 @@ class TestRunCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("grids", [None, {"min_level": None, "max_level": None}, {"min_level": 0}])
+    def test_grids_is_an_unknown_field(self, tmp_path, capsys, grids):
+        # every suite picks its own level range; no config field sets one
+        rc = main(["run", "--config", str(_write_config(tmp_path, {"grids": grids})), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "unknown config fields: ['grids']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_suite_that_raises_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # suites write no files, and the directory is made only once every suite has returned
+        def broken(cfg):
+            raise ValueError("planted suite failure")
+
+        monkeypatch.setitem(cli._SUITE_FN, "sparse", broken)
+        rc = main(["run", "--suite", "geometry", "--suite", "sparse", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "planted suite failure" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -454,7 +468,7 @@ REGISTRY_CASES = {
                             lambda f, mu: dyadic_frac_maximal(f, 1 / 3, shift=(1,))),
     "dyadic_riesz": (["--alpha", "1/2", "--levels=-2..2"],
                      lambda f, mu: dyadic_riesz(f, 0.5, min_level=-2, max_level=2)),
-    "riesz_1d": (["--alpha", "1/4"], lambda f, mu: riesz_potential_1d(f, 0.25)),
+    "riesz_1d": (["--alpha", "1/4"], lambda f, mu: riesz_1d_row(f, 0.25)),
     "orlicz_maximal": (["--young", "log-bump:p=2,delta=0.5", "--alpha", "1/4", "--shift", "1"],
                        lambda f, mu: orlicz_maximal(f, log_bump(2.0, 0.5), beta=0.25, shift=(1,))),
     "weighted_dyadic_maximal": (["--alpha", "1/4", "--shift", "1", "--levels=1..3", "--mu", "MU"],

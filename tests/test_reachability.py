@@ -29,7 +29,7 @@ SRC = Path(dyadlab.__file__).resolve().parent
 
 BENCH = "perfbench calls it, or it is a helper of a function perfbench calls; no verdict reads it yet"
 ORACLE = "test oracle: tests check the library against it"
-ONE_ROW = "public one-row form of an array function that the commands call: a registry operator, weak_lq_norms"
+ONE_ROW = "public one-row form of a registry operator that the commands call"
 PROTOCOL = "YoungFunction protocol: the abstract methods, and the methods of a Young function outside PowerLog"
 
 ALLOWED = {
@@ -70,8 +70,6 @@ ALLOWED = {
     **dict.fromkeys([
         "operators.weighted_dyadic_maximal",
         "operators.orlicz_maximal",
-        "operators.riesz_potential_1d",
-        "sampled.weak_lq_norm",
     ], ONE_ROW),
     **dict.fromkeys([
         "orlicz.YoungFunction.eval",

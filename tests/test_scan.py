@@ -25,6 +25,7 @@ from dyadlab.scan import (
     map_to_cells,
     parent_positions,
     sweep,
+    zero_cells,
 )
 from dyadlab.sparse import build_sparse, sparse_operator
 
@@ -112,6 +113,21 @@ def test_cube_sums_against_blocks_2d():
             for j in range(scan.shape[1]):
                 direct = float(f.values[E0[i]:E0[i + 1], E1[j]:E1[j + 1]].sum())
                 assert sums[i, j] == pytest.approx(direct, rel=1e-13, abs=1e-15)
+
+
+def test_zero_cells_counts_exactly_2d():
+    # the counts equal the zero cells of each cube's window part, with no
+    # rounding; a function with no zero cell counts 0 on every cube
+    f = make_f(2, (-1, 0), 2, 24, seed=6)
+    z = f.with_values(np.where(f.values < 0.7, 0.0, f.values))
+    grid = GridFamily(2, (1, 0), -2, f.max_aligned_level, f.window)
+    for scan in iter_scans(f, grid):
+        counts = zero_cells(scan, z)
+        E0, E1 = scan.edges
+        direct = [[np.count_nonzero(z.values[E0[i]:E0[i + 1], E1[j]:E1[j + 1]] == 0) for j in range(scan.shape[1])]
+                  for i in range(scan.shape[0])]
+        assert np.array_equal(counts, direct)
+        assert zero_cells(scan, f) == 0
 
 
 def test_cube_integrals_match_integrate():
