@@ -81,6 +81,7 @@ from .orlicz import (
     rescale_identity_check,
 )
 from .pairs import (
+    MAX_EXPS,
     build_E,
     case1_pair,
     case2_divergence,
@@ -260,8 +261,10 @@ def validate_config(cfg: dict) -> dict:
     if not 0 < _field(cx, "gamma", parse_rational, "counterexample.") < 1:
         raise CLIError("counterexample.gamma must lie in (0, 1)")
     w = _field(cx, "window", _json_int, "counterexample.")
-    if w < 8 or not is_power_of_two(w):
-        raise CLIError("counterexample.window must be a power of two, at least 8")
+    if not is_power_of_two(w) or w.bit_length() - 1 not in MAX_EXPS:
+        # the suite hands case2_divergence the cutoff exponent log2(window)
+        raise CLIError(f"counterexample.window must be a power of two from 2^{MAX_EXPS.start} "
+                       f"to 2^{MAX_EXPS[-1]}, got {w}")
     _field(cfg, "seed", _seed)
     for i, y in enumerate(cfg["young"]):
         _known_fields(y, ("family", "params"), f"young[{i}]")
@@ -417,8 +420,6 @@ def _suite_operators(cfg: dict) -> dict:
         fam = GridFamily(e.n, (0,) * e.n, 1, 1, sig.window)
         for cube in fam.cubes_at_level(1):
             cut = sig.restrict_to(cube)
-            if integrate(cut) <= 0:
-                continue
             lhs = outer_riesz(sig, cube, float(e.alpha))
             rhs = frac_maximal(cut, float(e.alpha))
             mask = rhs.values > 0
@@ -524,11 +525,11 @@ def _suite_constants(cfg: dict) -> dict:
     checks.append(_check("joint_constant_swap_symmetry", abs(apq.value - apq_dual.value) / apq.value,
                          1e-12, min(apq.n_scored, apq_dual.n_scored)))
 
+    ap_u = ap_constant(pair.u, e.s_p)
     if e.is_sobolev:
-        ap = ap_constant(pair.u, e.s_p)
-        link = ap.value ** (1.0 / float(e.q))
+        link = ap_u.value ** (1.0 / float(e.q))
         checks.append(_check("classical_link_identity", abs(apq.value - link) / link,
-                             1e-12, min(apq.n_scored, ap.n_scored)))
+                             1e-12, min(apq.n_scored, ap_u.n_scored)))
 
     fine = WeightPair(pair.u.refine(), pair.sigma.refine(), provenance=pair.provenance)
     apq_fine = apq_alpha_constant(fine, e)
@@ -538,7 +539,7 @@ def _suite_constants(cfg: dict) -> dict:
     entries = [
         ("apq_alpha", apq),
         ("apq_alpha_dual", apq_dual),
-        ("ap_u_sp", ap_constant(pair.u, e.s_p)),
+        ("ap_u_sp", ap_u),
         ("ap_sigma_sdual", ap_constant(pair.sigma, e.s_dual)),
         ("ainfty_exp_u", ainfty_exp(pair.u)),
         ("ainfty_m_u", ainfty_m(pair.u)),

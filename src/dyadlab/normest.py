@@ -108,10 +108,9 @@ def unit_pair(like: SampledFunction) -> WeightPair:
 
 
 def _blocks_for(ncells: int) -> int:
-    for b in (12, 6, 3):
-        if ncells % b == 0:
-            return b
-    return 1
+    """Blocks per axis of a random step function: 12 divides N = 3*2^L
+    from L = 2 on, and below that every cell is a block."""
+    return min(ncells, 12)
 
 
 def _inside_cubes(mesh: SampledFunction, dens: SampledFunction, shifts, min_level, max_level):
@@ -295,25 +294,6 @@ def estimate_norm(
 # --- tail quadrature of the Orlicz maximal norm -----------------------------
 
 
-@dataclass(frozen=True)
-class _PoweredIntegrand(YoungFunction):
-    """phi^s as a quadrature integrand; not itself a Young function."""
-
-    base: YoungFunction
-    s: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.base.label}^{self.s:g}"
-
-    def eval(self, t):
-        with np.errstate(over="ignore"):
-            return np.asarray(self.base.eval(t), dtype=float) ** self.s
-
-    def log_eval(self, x):
-        return self.s * np.asarray(self.base.log_eval(x), dtype=float)
-
-
 def orlicz_norm_quadrature(
     phibar: YoungFunction,
     p,
@@ -323,7 +303,10 @@ def orlicz_norm_quadrature(
 
     Returns ( int_1^inf phibar(t)^{q/p} t^{-q} dt/t )^{1/q} together with
     the underlying quadrature report; q defaults to p (the classical
-    same-exponent case).  A divergent or undecided tail yields +inf.
+    same-exponent case), where any Young function is taken.  At q > p
+    phibar must be a PowerLog, whose power phibar^{q/p} the quadrature
+    reads as another PowerLog; anything else raises NormError.  A
+    divergent or undecided tail yields +inf.
     The quadrature runs over _QUAD_OCTAVES doubling windows.
 
     The value is comparable to the norm of the Orlicz maximal operator
@@ -339,11 +322,12 @@ def orlicz_norm_quadrature(
         raise NormError("the quadrature bound needs 1 < p <= q")
     s = qf / pf
     if s == 1.0:
-        powered: YoungFunction = phibar
-    elif isinstance(phibar, PowerLog) and phibar.r * s >= 1.0:
+        powered = phibar
+    elif isinstance(phibar, PowerLog):
+        # r >= 1 and s > 1, so phibar^s is again a PowerLog
         powered = PowerLog(phibar.r * s, phibar.a * s, label=f"{phibar.label}^{s:g}")
     else:
-        powered = _PoweredIntegrand(phibar, s)
+        raise NormError("at q > p the quadrature bound needs a PowerLog")
     rep = bp_classify(powered, qf, octaves=_QUAD_OCTAVES)
     if rep.verdict == CONVERGENT and rep.constant_estimate is not None and rep.constant_estimate > 0:
         value = rep.constant_estimate ** (1.0 / qf)

@@ -299,6 +299,7 @@ def factored_pair(
 # === the divergence diagnostic in the factored regime ========================
 
 MINORANT_TERMS = 10**4  # terms of case2_divergence's termwise minorant check
+MAX_EXPS = range(3, 27)  # the cutoff exponents case2_divergence takes: X = 2^3 .. 2^26
 
 
 def case2_divergence(
@@ -335,8 +336,8 @@ def case2_divergence(
             "on the boundary the set degenerates"
         )
     max_exp = parse_field(max_exp, _json_int, "max_exp", ExampleError)
-    if not 3 <= max_exp <= 26:
-        raise ExampleError("max_exp out of range")
+    if max_exp not in MAX_EXPS:
+        raise ExampleError(f"max_exp must lie in {MAX_EXPS.start}..{MAX_EXPS[-1]}, got {max_exp}")
     gf = float(g)
 
     lhs = (e.alpha - 1) * e.q + (1 - g) * e.q / e.pprime

@@ -187,17 +187,9 @@ class SampledFunction:
         return cls(dim, lower, side, np.full(shape, float(c)))
 
     @classmethod
-    def zeros(cls, dim: int, lower, side, ncells: int) -> "SampledFunction":
-        return cls.constant(0.0, dim, lower, side, ncells)
-
-    @classmethod
     def indicator(cls, box: Box, dim: int, lower, side, ncells: int) -> "SampledFunction":
-        """Exact indicator of a cell-aligned box; error if not aligned."""
-        f = cls.zeros(dim, lower, side, ncells)
-        sl = f.cell_slices(box, require_aligned=True)
-        arr = np.zeros((ncells,) * dim)
-        arr[sl] = 1.0
-        return cls(dim, lower, side, arr)
+        """Exact indicator of a box on the cell grid; MeshError off it."""
+        return cls.constant(1.0, dim, lower, side, ncells).restrict_to(box)
 
     def with_values(self, values) -> "SampledFunction":
         """values on this mesh, sharing its geometry record; values with
@@ -233,28 +225,19 @@ class SampledFunction:
         h = float(self.h)
         return a + h * (np.arange(self.ncells) + 0.5)
 
-    def _cell_range(self, box: Box) -> list:
-        """Per axis, the exact fractional cell coordinates (c0, c1) that
-        box∩window spans, or None where that intersection is empty."""
+    def cell_slices(self, box: Box, require_aligned: bool = False):
+        """Per-axis slice of the cells that box∩window meets, empty where
+        that intersection is.  With require_aligned box∩window must sit
+        exactly on cell boundaries, or MeshError."""
         if box.dim != self.dim:
             raise MeshMismatchError("box dimension mismatch")
-        out = []
-        for ax in range(self.dim):
-            a = self.lower[ax]
-            lo = max(box.lower[ax], a)
-            hi = min(box.lower[ax] + box.side, a + self.side)
-            out.append(((lo - a) / self.h, (hi - a) / self.h) if hi > lo else None)
-        return out
-
-    def cell_slices(self, box: Box, require_aligned: bool = False):
-        """Per-axis slice of cells covered by box∩window.  With
-        require_aligned the box must sit exactly on cell boundaries."""
         sl = []
-        for rng in self._cell_range(box):
-            if rng is None:
+        for a, b in zip(self.lower, box.lower):
+            lo, hi = max(b, a), min(b + box.side, a + self.side)
+            if hi <= lo:
                 sl.append(slice(0, 0))
                 continue
-            c0, c1 = rng
+            c0, c1 = (lo - a) / self.h, (hi - a) / self.h
             if require_aligned and (c0.denominator != 1 or c1.denominator != 1):
                 raise MeshError(f"box edge not on cell boundary: {box}")
             sl.append(slice(math.floor(c0), math.ceil(c1)))
@@ -284,29 +267,11 @@ class SampledFunction:
         return self._zeros
 
     def integrate_box(self, box: Box) -> float:
-        """Exact integral over box (cell-constant data, zero extension)."""
-        cells = self._cell_range(box)
-        if None in cells:
-            return 0.0
-        if all(c0.denominator == 1 and c1.denominator == 1 for c0, c1 in cells):
-            edges = tuple(np.array([c0.numerator, c1.numerator]) for c0, c1 in cells)
-            return block_sums(self.prefix, edges).item() * self.geometry.cellvol
-        # prorate boundary cells exactly
-        h = float(self.h)
-        axis_w = []
-        axis_sl = []
-        for c0, c1 in cells:
-            j0, j1 = math.floor(c0), math.ceil(c1)
-            w = np.full(j1 - j0, h)
-            w[0] = float((min(c1, Fraction(j0 + 1)) - c0) * self.h)
-            if j1 - j0 > 1:
-                w[-1] = float((c1 - Fraction(j1 - 1)) * self.h)
-            axis_w.append(w)
-            axis_sl.append(slice(j0, j1))
-        block = self.values[tuple(axis_sl)]
-        if self.dim == 1:
-            return float(axis_w[0] @ block)
-        return float(axis_w[0] @ block @ axis_w[1])
+        """Integral over box (zero extension), a prefix-sum difference over
+        the cells of box∩window; MeshError unless those sit on the cell
+        grid, as in restrict_to."""
+        edges = tuple(np.array([s.start, s.stop]) for s in self.cell_slices(box, require_aligned=True))
+        return block_sums(self.prefix, edges).item() * self.geometry.cellvol
 
     # --- pointwise algebra ----------------------------------------------------
 
@@ -380,7 +345,8 @@ obj_field = partial(_obj_field, error=MeshError)
 # === integration / averages / norms ==========================================
 
 def integrate(f: SampledFunction, region: Union[Box, DyadicCube, None] = None) -> float:
-    """Integral of f over region∩window (whole window when region is None)."""
+    """Integral of f over region∩window (whole window when region is None);
+    MeshError unless region∩window lies on the cell grid."""
     if region is None:
         return float(f.values.sum()) * f.geometry.cellvol
     box = realize(region) if isinstance(region, DyadicCube) else region
@@ -389,7 +355,8 @@ def integrate(f: SampledFunction, region: Union[Box, DyadicCube, None] = None) -
 
 def average(f: SampledFunction, region: Union[Box, DyadicCube]) -> float:
     """Mean of f over the full region volume; zero extension outside the
-    window, so partially covered regions are diluted."""
+    window, so partially covered regions are diluted.  MeshError unless
+    region∩window lies on the cell grid."""
     box = realize(region) if isinstance(region, DyadicCube) else region
     vol = float(box.volume())
     if vol == 0:

@@ -15,6 +15,12 @@ are certified numerically:
   * domination: for any cube P in the scanned range, the deepest stopping
     cube Q containing P satisfies u(P) <= a * u(Q), hence the fractional
     maximal function is bounded by a times the sparse sum at every cell.
+
+The sparse operator reads |Q|^{alpha/n} times the average of g over each
+stopping cube Q off the scan of Q's level, as the construction reads u,
+with no rational box per cube.  Its chi form sums these values down the
+chain of stopping parents, its disjoint form keeps the deepest cube's
+value alone, and every cell takes the value of the cube that owns it.
 """
 from __future__ import annotations
 
@@ -25,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, GridFamily, cube_to_obj
-from .sampled import SampledFunction, integrate
-from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, parent_positions, sweep
+from .sampled import SampledFunction
+from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, parent_positions
 from .operators import _frac_averages, _grid, _order
 
 
@@ -181,35 +187,27 @@ def sparse_operator(
 
     form="chi": sum over stopping cubes containing x of |Q|^{alpha/n} avg_Q g;
     form="disjoint": only the deepest stopping cube containing x contributes.
+
+    One pass over the levels of the family, coarse to fine: ids number
+    parents first, so each chi value is its stopping parent's plus its
+    own.  The chain meets the non-zero terms of a top-down sweep over
+    every level in the sweep's order, so it has the sweep's bits.
     """
     f = family.source
     if g is None:
         g = f
     f.require_same_mesh(g)
-    n = f.dim
-    a = family.alpha
-    if form == "disjoint":
-        u_by_id = np.zeros(len(family.cubes) + 1)
-        for sc_id, sc in enumerate(family.cubes):
-            u_by_id[sc_id] = (2.0 ** (-sc.cube.level * n)) ** (a / n - 1.0) * integrate(g, sc.cube)
-        out = np.where(family.owner >= 0, u_by_id[family.owner], 0.0)
-        return f.with_values(out)
-    if form != "chi":
+    if form not in ("chi", "disjoint"):
         raise SparseError(f"unknown form {form!r}")
-
-    frac_averages = _frac_averages(g, a)
-
-    def level_values(scan):
-        # a level with no stopping cubes contributes zeros
-        vals = np.zeros(scan.shape)
-        if scan.level in family._level_members:
-            u = frac_averages(scan)
-            sel = tuple(family._level_members[scan.level][0].T)
-            vals[sel] = u[sel]
-        return vals
-
-    out = sweep(f, family.grid, level_values, np.add)
-    return f.with_values(out)
+    frac_averages = _frac_averages(g, family.alpha)
+    scans = iter_scans(f, family.grid)
+    parents = np.array([sc.parent for sc in family.cubes], dtype=np.int64)
+    # the slot past the last id stays 0: the value of owner -1 and of a root's parent
+    value = np.zeros(len(family.cubes) + 1)
+    for level, (positions, ids) in family._level_members.items():
+        u = frac_averages(scans[level - family.grid.min_level])[tuple(positions.T)]
+        value[ids] = value[parents[ids]] + u if form == "chi" else u
+    return f.with_values(value[family.owner])
 
 
 # === Carleson sequences =======================================================

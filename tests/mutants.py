@@ -425,6 +425,13 @@ MUTANTS = [
         "a misspelt nested field would run the defaults and be echoed into report.json",
     ),
     Mutant(
+        "counterexample_window_unbounded", "cli.py",
+        "if not is_power_of_two(w) or w.bit_length() - 1 not in MAX_EXPS:",
+        "if not is_power_of_two(w) or w < 8:",
+        (f"{CLI}::TestRunCommand::test_counterexample_window_past_the_divergence_cutoffs_refused",),
+        "a window past 2^26 would pass the config check and fail mid-run in case2_divergence",
+    ),
+    Mutant(
         "young_conjugate_unchecked", "cli.py",
         "young_from_spec(y).associate()",
         "young_from_spec(y)",
@@ -462,6 +469,20 @@ MUTANTS = [
         "windows of sides 2 and 4 with one corner and one cell count are different meshes",
     ),
     # --- sparse families, imports and reachability -----------------------------
+    Mutant(
+        "sparse_chain_sum_dropped", "sparse.py",
+        'value[ids] = value[parents[ids]] + u if form == "chi" else u',
+        "value[ids] = u",
+        (f"{SCAN}::test_sparse_operator_bit_identical_with_level_gaps",),
+        "the chi form sums over every stopping cube containing a cell, not the deepest one alone",
+    ),
+    Mutant(
+        "off_grid_box_integrated", "sampled.py",
+        "for s in self.cell_slices(box, require_aligned=True))",
+        "for s in self.cell_slices(box))",
+        ("tests/test_sampled.py::TestIntegration::test_off_grid_box_refused",),
+        "a box edge inside a cell would be rounded out to whole cells, not refused",
+    ),
     Mutant(
         "subtree_scatter_transposed", "sparse.py",
         "np.add.at(totals[scan.level], np.ix_(*pos), totals[child.level])",

@@ -202,7 +202,7 @@ class TestRunSuite:
         # checks fail, and the run still writes its artifacts
         src = tmp_path / "zero.json"
         ones = SampledFunction.constant(1.0, 1, (0,), 1, 48)
-        src.write_text(json.dumps(WeightPair(ones, SampledFunction.zeros(1, (0,), 1, 48)).to_obj()))
+        src.write_text(json.dumps(WeightPair(ones, SampledFunction.constant(0.0, 1, (0,), 1, 48)).to_obj()))
         cfg = {"suites": ["equivalence"],
                "pairs": [{"kind": "classical-smooth"}, {"kind": "file", "params": {"path": str(src)}}]}
         assert run_suite(cfg, tmp_path / "run") == 1
@@ -329,6 +329,14 @@ class TestRunCommand:
         rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_counterexample_window_past_the_divergence_cutoffs_refused(self, tmp_path, capsys):
+        # the suite's divergence diagnostic takes cutoffs up to 2^26 only
+        rc = main(["run", "--config", str(_write_config(tmp_path, {"counterexample": {"window": 2 ** 27}})),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "counterexample.window must be a power of two from 2^3 to 2^26" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag_refused_before_output(self, tmp_path, capsys):
@@ -543,7 +551,7 @@ class TestSparseCommand:
 
     def test_verify_of_zero_function_is_vacuous(self, tmp_path):
         src = tmp_path / "zero.json"
-        src.write_text(json.dumps(SampledFunction.zeros(1, (0,), 1, 24).to_obj()))
+        src.write_text(json.dumps(SampledFunction.constant(0.0, 1, (0,), 1, 24).to_obj()))
         out = tmp_path / "ver.json"
         assert main(["sparse", "verify", "-i", str(src), "-o", str(out)]) == 1
         ver = json.loads(out.read_text())

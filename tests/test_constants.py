@@ -187,7 +187,7 @@ class TestAinftyExp:
         assert obj["value"] is None and obj["infinite"] is True
 
     def test_zero_weight_skipped(self):
-        rep = ainfty_exp(SampledFunction.zeros(1, (0,), 1, 48))
+        rep = ainfty_exp(SampledFunction.constant(0.0, 1, (0,), 1, 48))
         assert rep.value == 0.0
         assert rep.argmax is None
         assert rep.n_scored == 0 and rep.n_skipped > 0
@@ -442,7 +442,7 @@ class TestSawyer:
 
     def test_zero_inner_weight(self):
         rep = sawyer_maximal_testing(
-            WeightPair(SampledFunction.zeros(1, (0,), 1, 48), ones()),
+            WeightPair(SampledFunction.constant(0.0, 1, (0,), 1, 48), ones()),
             E_SOB, which="forward")
         assert rep.value == 0.0
         assert rep.argmax is None
@@ -463,7 +463,7 @@ class TestMdSp:
 
     def test_zero_sigma_skipped(self):
         rep = md_sp_testing(
-            WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48)), E_SOB)
+            WeightPair(ones(), SampledFunction.constant(0.0, 1, (0,), 1, 48)), E_SOB)
         assert rep.value == 0.0 and rep.argmax is None
 
     def test_family_growth_monotone(self):

@@ -156,7 +156,7 @@ class TestEstimateNorm:
             estimate_norm("frac_maximal", pair, E_SOB, side="sideways")
 
     def test_zero_source_mass_errors(self):
-        zero = SampledFunction.zeros(1, (0,), 1, 48)
+        zero = SampledFunction.constant(0.0, 1, (0,), 1, 48)
         pair = WeightPair(ones(), zero)
         with pytest.raises(NormError):
             estimate_norm("dyadic_riesz", pair, E_SOB)
@@ -240,13 +240,17 @@ class TestQuadratureBound:
         # The fractional bound is controlled by the classical one.
         assert v_frac <= v_classic * 1.01
 
-    def test_integrand_of_a_function_outside_power_log(self):
-        # t^m as PowerScaled(t^m, 1) is no PowerLog, so its tail integrand
-        # at q > p is the powered wrapper; it gives the closed form too
+    def test_function_outside_power_log_refused_at_q_above_p(self):
+        # t^m as PowerScaled(t^m, 1) is no PowerLog: at q > p its tail
+        # integrand phibar^{q/p} is refused, while at q = p the function is
+        # its own integrand and gives the closed form
         p, q, m = 4 / 3, 4.0, 1.1
-        val, rep = orlicz_norm_quadrature(PowerScaled(power(m), 1.0), p, q)
+        bar = PowerScaled(power(m), 1.0)
+        with pytest.raises(NormError, match="needs a PowerLog"):
+            orlicz_norm_quadrature(bar, p, q)
+        val, rep = orlicz_norm_quadrature(bar, p)
         assert rep.verdict == CONVERGENT
-        assert val == approx((p / (q * (p - m))) ** (1 / q), rel=1e-4)
+        assert val == approx((1 / (p - m)) ** (1 / p), rel=1e-4)
 
     @pytest.mark.parametrize("r", [1.05, 1.2, 2.0, 8.0])
     def test_power_conjugate_scales_like_dual_exponent(self, r):
@@ -355,7 +359,7 @@ class TestEquivalenceReport:
     def test_testing_chain_with_no_compared_cube_does_not_hold(self):
         # u = 0 makes every maximal side zero: the chain has cubes but
         # compared none of them, so it tested nothing
-        pair = WeightPair(SampledFunction.zeros(1, (0,), 1, 48), ones())
+        pair = WeightPair(SampledFunction.constant(0.0, 1, (0,), 1, 48), ones())
         chain = potential_testing_chain(pair, E_SOB)
         assert chain["cubes"] > 0
         assert chain["max_ratio"] is None and chain["worst_cube"] is None
@@ -381,11 +385,11 @@ class TestEquivalenceReport:
         sawyer = sawyer_maximal_testing(pair, E_SOB, shifts=[(0,)], which="forward", inner_shifts=[(0,)])
         rep = equivalence_report(pair, E_SOB, family=LIGHT)
         assert rep["duality_chain"]["cubes"] == sawyer.n_scored > 0
-        degenerate = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
+        degenerate = WeightPair(ones(), SampledFunction.constant(0.0, 1, (0,), 1, 48))
         assert equivalence_report(degenerate, E_SOB)["duality_chain"]["cubes"] == 0
 
     def test_degenerate_sigma_flagged(self):
-        pair = WeightPair(ones(), SampledFunction.zeros(1, (0,), 1, 48))
+        pair = WeightPair(ones(), SampledFunction.constant(0.0, 1, (0,), 1, 48))
         rep = equivalence_report(pair, E_SOB)
         assert rep["degenerate"]
         assert all(est["value"] == 0.0 for est in rep["estimates"].values())
@@ -542,7 +546,7 @@ class TestBatchedTestingChain:
         pair = classical_pair(rand_weight(1, (0,), 1, 24, 5), E_SOB)
         levels = {"min_level": -4, "max_level": -1}
         assert potential_testing_chain(pair, E_SOB, **levels) == potential_testing_chain_oracle(pair, E_SOB, **levels)
-        pair = WeightPair(SampledFunction.zeros(1, (0,), 1, 48), ones())
+        pair = WeightPair(SampledFunction.constant(0.0, 1, (0,), 1, 48), ones())
         got = potential_testing_chain(pair, E_SOB)
         assert got["cubes"] > 0 and got["worst_cube"] is None
         assert got == potential_testing_chain_oracle(pair, E_SOB)

@@ -468,7 +468,7 @@ class TestArrayCores:
         values = rng.exponential(1.0, lead + (n,) * dim)
         values[..., : n // 4] = 0.0
         mu = rand_f(dim, lower, side, n, seed=n, zeros_at=[(slice(n // 3, n // 2),) * dim]) if with_mu else None
-        f = SampledFunction.zeros(dim, lower, side, n)
+        f = SampledFunction.constant(0.0, dim, lower, side, n)
         got = OPERATORS[op](f, values, mu, 0.5, phi, None, None, None)
         assert got.shape == values.shape
         for row in np.ndindex(lead):

@@ -261,7 +261,7 @@ class TestFactoredPair:
 
     def test_vanishing_input_gives_zero_weight(self):
         w1 = rand_weight(96, 3)
-        zero = SampledFunction.zeros(1, (0,), 8, 96)
+        zero = SampledFunction.constant(0.0, 1, (0,), 8, 96)
         pair = factored_pair(w1, zero, E_FACT)
         assert np.all(pair.u.values == 0.0)
         assert np.all(pair.sigma.values == 0.0)

@@ -57,6 +57,7 @@ ALLOWED = {
     **dict.fromkeys([
         "constants.apq_alpha",
         "sampled.average",
+        "sampled.SampledFunction.integrate_box",
         "grid.Box.upper",
         "grid.Box.contains_point",
         "grid.Box.intersects",
@@ -76,9 +77,6 @@ ALLOWED = {
         "orlicz.YoungFunction.log_eval",
         "orlicz.NumericConjugate.log_eval",
         "orlicz.PowerScaled.log_eval",
-        "normest._PoweredIntegrand.label",
-        "normest._PoweredIntegrand.eval",
-        "normest._PoweredIntegrand.log_eval",
     ], PROTOCOL),
 }
 

@@ -105,7 +105,7 @@ class TestBuildSparse:
         assert all(sc.generation == 0 for sc in roots)
 
     def test_zero_function_gives_empty_family(self):
-        f = SampledFunction.zeros(1, (0,), 1, 12)
+        f = SampledFunction.constant(0.0, 1, (0,), 1, 12)
         fam = build_sparse(f, 0.5, min_level=0)
         assert len(fam) == 0
         assert np.all(fam.owner == -1)
@@ -155,7 +155,8 @@ class TestSparsity:
     ])
     def test_level_volumes_equal_realized_volumes(self, dim, lower, side, ncells, alpha, spike):
         # |Q| = 2^(-level*n) has the bits of the exact rational volume, in
-        # the E measures, the thickness and the disjoint form alike
+        # the E measures and the thickness; the disjoint form reads
+        # |Q|^{alpha/n} avg_Q g off the scan of Q's level
         f = rand_f(dim, lower, side, ncells, seed=9, spikes=[spike])
         g = rand_f(dim, lower, side, ncells, seed=10)
         fam = build_sparse(f, alpha, min_level=-1)
@@ -169,8 +170,11 @@ class TestSparsity:
         assert [sc.e_volume_full for sc in fam.cubes] == e_full
         assert fam.thickness() == min([1.0] + [e / v for e, v in zip(e_full, vols)])
         u_by_id = np.zeros(len(fam.cubes) + 1)
-        for i, (sc, v) in enumerate(zip(fam.cubes, vols)):
-            u_by_id[i] = v ** (alpha / dim - 1.0) * integrate(g, sc.cube)
+        for i, sc in enumerate(fam.cubes):
+            scan = level_scan(f, fam.grid, sc.cube.level)
+            pos = tuple(k - lo for k, lo in zip(sc.cube.index, scan.m_lo))
+            sums = cube_cell_sums(scan, g.prefix)
+            u_by_id[i] = sums[pos] * (2.0 ** (sc.cube.level * (dim - alpha)) * float(f.cell_volume))
         expect = np.where(fam.owner >= 0, u_by_id[fam.owner], 0.0)
         assert np.array_equal(sparse_operator(fam, g, form="disjoint").values, expect)
 
