@@ -145,8 +145,12 @@ class NumericConjugate(YoungFunction):
 
     The search slightly underestimates the true supremum; for the smooth
     families used here the defect is far below 1e-8 in relative terms.
-    Values of t above exp(500) are refused: use comparable_associate for
-    stable wide-range quadrature instead.
+    It runs at most 90 golden-section steps and stops early once a step
+    leaves every bracket unchanged: a step depends on the bracket alone,
+    so every later step would leave it unchanged too.  `eval` is 0 at
+    t <= 0, nan at nan, and inf where s t overflows; `log_eval` refuses
+    x above 500 (t above exp(500)): use comparable_associate for stable
+    wide-range quadrature instead.
     """
 
     def __init__(self, base: YoungFunction):
@@ -158,6 +162,7 @@ class NumericConjugate(YoungFunction):
         scalar = t.ndim == 0
         t = np.atleast_1d(t).astype(float)
         out = np.zeros_like(t)
+        out[np.isnan(t)] = np.nan
         pos = t > 0
         if np.any(pos):
             out[pos] = self._conj(t[pos])
@@ -169,31 +174,38 @@ class NumericConjugate(YoungFunction):
         base = self.base
 
         def g(s):
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = s * t - base.eval(s)
-            return np.where(np.isnan(val), -np.inf, val)
+            val = s * t - base.eval(s)
+            val[np.isnan(val)] = -np.inf
+            return val
 
-        hi = np.ones_like(t)
-        for _ in range(200):
-            grow = g(2.0 * hi) > g(hi)
-            if not np.any(grow):
-                break
-            hi[grow] *= 2.0
-        else:
-            raise OrliczError("conjugate bracket did not close")
-        hi = 2.0 * hi
-        lo = np.zeros_like(t)
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        gc, gd = g(c), g(d)
-        for _ in range(_GOLDEN_ITERS):
-            take_low = gc > gd
-            hi = np.where(take_low, d, hi)
-            lo = np.where(take_low, lo, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi = np.ones_like(t)
+            g_hi = g(hi)
+            for _ in range(200):
+                g_up = g(2.0 * hi)
+                grow = g_up > g_hi
+                if not np.any(grow):
+                    break
+                hi[grow] *= 2.0
+                g_hi = np.where(grow, g_up, g_hi)
+            else:
+                raise OrliczError("conjugate bracket did not close")
+            hi = 2.0 * hi
+            lo = np.zeros_like(t)
             c = hi - _INVPHI * (hi - lo)
             d = lo + _INVPHI * (hi - lo)
             gc, gd = g(c), g(d)
-        return np.maximum(g((lo + hi) / 2.0), 0.0)
+            for _ in range(_GOLDEN_ITERS):
+                take_low = gc > gd
+                new_hi = np.where(take_low, d, hi)
+                new_lo = np.where(take_low, lo, c)
+                if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+                    break  # a fixed point: every later step is this one
+                hi, lo = new_hi, new_lo
+                c = hi - _INVPHI * (hi - lo)
+                d = lo + _INVPHI * (hi - lo)
+                gc, gd = g(c), g(d)
+            return np.maximum(g((lo + hi) / 2.0), 0.0)
 
     def log_eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -226,7 +238,7 @@ def luxemburg(
     whenever the secant step is not finite or leaves the bracket, and never
     stepping closer than 5e-12 in log(lam) to either end.  It stops once
     hi - lo <= 1e-11 hi and returns the feasible end hi.  Non-finite
-    values, masses or normalizer raise OrliczError.
+    values, masses or normalizer, and negative masses, raise OrliczError.
     """
     v = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(v)):
@@ -240,6 +252,8 @@ def luxemburg(
     m = np.broadcast_to(np.asarray(masses, dtype=float).ravel(), v.shape) if np.ndim(masses) else np.full_like(v, float(masses))
     if not np.all(np.isfinite(m)):
         raise OrliczError("Luxemburg masses must be finite")
+    if np.any(m < 0):
+        raise OrliczError("Luxemburg masses must be nonnegative")
     keep = (v > 0) & (m > 0)
     if not np.any(keep):
         return 0.0
@@ -362,8 +376,11 @@ def bp_classify(phi: YoungFunction, p: float, octaves: int = 12) -> BpReport:
     geometrically with a per-doubling exponent rho that the last windows
     estimate; rho clearly below 0 certifies convergence, rho at or above 0
     certifies divergence, and a narrow band in between is left undecided.
-    For Phi = t^p log(e+t)^a the exact value is rho = a + 1.
+    For Phi = t^p log(e+t)^a the exact value is rho = a + 1.  A decay
+    ratio needs two windows, so octaves < 2 raises OrliczError.
     """
+    if octaves < 2:
+        raise OrliczError(f"bp_classify needs octaves >= 2 for a decay ratio, got {octaves}")
     p = float(p)
 
     def window_integral(x0: float, x1: float) -> float:

@@ -47,6 +47,7 @@ OPS = "tests/test_operators.py"
 SCAN = "tests/test_scan.py"
 NORM = "tests/test_normest.py"
 CLI = "tests/test_cli.py"
+ORLICZ = "tests/test_orlicz.py"
 
 
 @dataclass(frozen=True)
@@ -319,8 +320,30 @@ MUTANTS = [
         "luxemburg_infeasible_end", "orlicz.py",
         "return hi  # smallest bracketed lam with mean <= 1",
         "return lo  # smallest bracketed lam with mean <= 1",
-        ("tests/test_orlicz.py::TestLuxemburg::test_matches_bisection_oracle",),
+        (f"{ORLICZ}::TestLuxemburg::test_matches_bisection_oracle",),
         "the low end of the bracket has mean > 1, so it is not a feasible Luxemburg norm",
+    ),
+    # --- the golden-section conjugate: skip only what changes no bit ------------
+    Mutant(
+        "golden_stop_on_width", "orlicz.py",
+        "np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo)",
+        "np.all(hi - lo <= 1e-12 * hi)",
+        (f"{ORLICZ}::TestConjugate::test_bit_identical_to_golden_oracle",),
+        "a stop on a relative width of 1e-12 is not the fixed point: it moves conjugate values off the 90-step bits",
+    ),
+    Mutant(
+        "bracket_stale_g_hi", "orlicz.py",
+        "                g_hi = np.where(grow, g_up, g_hi)\n",
+        "",
+        (f"{ORLICZ}::TestConjugate::test_bit_identical_to_golden_oracle",),
+        "the bracket compares g(2 hi) with g at the current hi, not at the first one",
+    ),
+    Mutant(
+        "conjugate_zero_at_nan", "orlicz.py",
+        "        out[np.isnan(t)] = np.nan\n",
+        "",
+        (f"{ORLICZ}::TestConjugate::test_nan_argument_gives_nan",),
+        "a nan argument has no conjugate value; 0 would read as a finite one",
     ),
     # --- input checks -----------------------------------------------------------
     Mutant(
@@ -394,6 +417,20 @@ MUTANTS = [
         'names = list(cfg["suites"]); out_dir.mkdir(parents=True, exist_ok=True)',
         (f"{CLI}::TestRunCommand::test_suite_that_raises_leaves_no_directory",),
         "a suite that raises leaves a partial artifact directory without report.json",
+    ),
+    Mutant(
+        "luxemburg_negative_mass_dropped", "orlicz.py",
+        "    if np.any(m < 0):\n",
+        "    if False:\n",
+        (f"{ORLICZ}::TestLuxemburg::test_non_finite_input_rejected[negative_mass]",),
+        "a negative mass would be dropped with its cell, giving the norm of the other cells",
+    ),
+    Mutant(
+        "bp_classify_single_octave", "orlicz.py",
+        "    if octaves < 2:\n",
+        "    if False:\n",
+        (f"{ORLICZ}::TestBpClassification::test_fewer_than_two_octaves_refused",),
+        "one window has no decay ratio, so rho = -inf reads a divergent tail as convergent",
     ),
     # --- the verdict rule of dyadlab run --------------------------------------
     Mutant(

@@ -1,8 +1,10 @@
 """Young-function and Luxemburg-norm tests with closed-form oracles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conjugate_oracle import GoldenConjugate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +136,49 @@ class TestConjugate:
         conj = NumericConjugate(power_log(2.0, 1.0))
         with pytest.raises(OrliczError):
             conj.log_eval(np.array([600.0]))
+
+    @pytest.mark.parametrize("depth,phi", [
+        (1, power_log(1.5, 0.6)),
+        (1, log_bump(2.0, 0.5)),
+        (1, borderline(2.0, 4.0, 0.5)),
+        (1, log_bump(4.0, 0.5)),
+        (2, log_bump(2.0, 0.5)),
+        (2, log_bump(4.0, 0.5)),
+    ], ids=lambda x: x.label if isinstance(x, YoungFunction) else f"depth{x}")
+    def test_bit_identical_to_golden_oracle(self, depth, phi):
+        # the early stop, the shared errstate and the reused g(hi) skip only
+        # work that cannot change a bit: equal bytes to the 90-step search,
+        # in fewer evaluations of Phi.  The stop waits for every point of one
+        # call, and small t reaches no fixed point in 90 steps, so the grid
+        # goes in by chunks; each outer probe of a double conjugate runs a
+        # whole inner solve, so that grid is thinned
+        t = np.geomspace(1e-8, 1e4, 2000)
+        parts = np.split(t, 8) if depth == 1 else [t[::40]]
+        parts.append(np.array([0.0, -1.0, 1e-300]))
+        ours, ref = Counting(phi), Counting(phi)
+        conj, oracle = ours, ref
+        for _ in range(depth):
+            conj, oracle = NumericConjugate(conj), GoldenConjugate(oracle)
+        for part in parts:
+            assert conj.eval(part).tobytes() == oracle.eval(part).tobytes()
+        assert ours.evals < ref.evals
+
+    def test_error_state_restored_and_overflow_silent(self):
+        conj = NumericConjugate(log_bump(2.0, 0.5))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = conj.eval(np.geomspace(1e290, 1e308, 40))  # s t overflows
+        assert np.geterr() == before
+        assert np.all(out > 0)
+
+    def test_nan_argument_gives_nan(self):
+        conj = log_bump(2.0, 0.5).associate()
+        out = conj.eval(np.array([1.0, math.nan, 0.0, -1.0]))
+        assert out[0] == pytest.approx(0.2064, abs=1e-4)
+        assert math.isnan(out[1])
+        assert out[2] == 0.0 and out[3] == 0.0
+        assert math.isnan(conj.eval(math.nan))
 
 
 def bisection_luxemburg(v, m, normalizer, phi):
@@ -318,7 +363,9 @@ class TestLuxemburg:
         ([1.0, 2.0], [0.5, math.inf], 1.0),
         ([1.0, 2.0], 0.5, math.nan),
         ([1.0, 2.0], 0.5, math.inf),
-    ], ids=["nan_cell", "inf_cell", "nan_mass", "inf_mass", "nan_normalizer", "inf_normalizer"])
+        ([1.0, 2.0], [-0.5, 0.5], 1.0),
+    ], ids=["nan_cell", "inf_cell", "nan_mass", "inf_mass", "nan_normalizer", "inf_normalizer",
+            "negative_mass"])
     def test_non_finite_input_rejected(self, values, masses, normalizer):
         for phi in (log_bump(2.0, 0.5), power(2.0)):
             with pytest.raises(OrliczError):
@@ -374,6 +421,12 @@ class TestBpClassification:
         rep = bp_classify(power(2.0), 2.0)
         assert rep.verdict == DIVERGENT
         assert rep.rho == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("octaves", [0, 1])
+    def test_fewer_than_two_octaves_refused(self, octaves):
+        # one window has no decay ratio; t^{2.5} against t^{-2} diverges
+        with pytest.raises(OrliczError, match=f"got {octaves}"):
+            bp_classify(power(2.5), 2.0, octaves=octaves)
 
     def test_log_bump_associate_converges(self):
         # the comparable associate of a log bump satisfies the dual-tail
