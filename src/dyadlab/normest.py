@@ -23,7 +23,7 @@ Test families combine three sources:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -142,18 +142,21 @@ def _iter_family(
     min_level,
     max_level,
     phi,
-) -> Iterator[Tuple[str, np.ndarray]]:
-    """(label, values) of each test function of the family, on the mesh
-    of the pair; the indicators' cells are read from the scans' integer
-    plans."""
+) -> Iterator[Tuple[list, np.ndarray]]:
+    """(names, values) of each chunk of the family's test functions, in
+    family order: values is (B, *mesh) on the mesh of the pair and row b is
+    the function names[b].  Each indicator and each random step is a
+    one-row chunk, with its cells read from the scans' integer plans; the
+    duality functions come in the chunks of at most CHAIN_BATCH_FLOATS
+    floats their seeds are built in.  Only the duality functions read op."""
     mesh = pair.u
     source = pair.sigma if side == "forward" else pair.u
 
     if family.indicators:
         for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
-            arr = np.zeros_like(mesh.values)
-            cell_block(scan, arr, pos)[...] = 1.0
-            yield f"chi[{label}]", arr
+            arr = np.zeros((1, *mesh.values.shape))
+            cell_block(scan, arr[0], pos)[...] = 1.0
+            yield [f"chi[{label}]"], arr
 
     if family.random_steps > 0:
         rng = np.random.default_rng(family.seed)
@@ -164,7 +167,7 @@ def _iter_family(
             vals = coarse
             for ax in range(mesh.dim):
                 vals = np.repeat(vals, reps, axis=ax)
-            yield f"step[{k}]", vals
+            yield [f"step[{k}]"], vals[None]
 
     if family.duality:
         # Saturating functions for the weak-type pairing: cut the other
@@ -172,7 +175,8 @@ def _iter_family(
         # the conjugate-exponent power on the cube itself.  The cubes'
         # indicators go through the registry operator in batches of at
         # most CHAIN_BATCH_FLOATS floats, each row with the bits of its
-        # one-cube call.
+        # one-cube call.  A cube whose function vanishes or overflows
+        # leaves its chunk.
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
         zero_shift = [(0,) * mesh.dim]
@@ -181,19 +185,18 @@ def _iter_family(
         cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
         lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
         batch = max(1, CHAIN_BATCH_FLOATS // mesh.values.size)
+        spatial = tuple(range(1, mesh.dim + 1))
         for start in range(0, len(cubes), batch):
             part = slice(start, start + batch)
             chi = cube_cells(scans, lev[part], pos[part])
             seeds = OPERATORS[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
-            for (label, _, _, _), live, seed in zip(cubes[part], chi & (seeds > 0), seeds):
-                if not np.any(live):
-                    continue
-                arr = np.zeros_like(seed)
-                with np.errstate(over="ignore"):
-                    arr[live] = seed[live] ** expo
-                if not np.all(np.isfinite(arr)):
-                    continue
-                yield f"dual[chi[{label}]]", arr
+            live = chi & (seeds > 0)
+            arr = np.zeros_like(seeds)
+            with np.errstate(over="ignore"):
+                arr[live] = seeds[live] ** expo
+            keep = np.any(live, axis=spatial) & np.all(np.isfinite(arr), axis=spatial)
+            if np.any(keep):
+                yield [f"dual[chi[{label}]]" for (label, _, _, _), k in zip(cubes[part], keep) if k], arr[keep]
 
 
 # --- norm estimation --------------------------------------------------------
@@ -210,16 +213,120 @@ def _space_labels(e: ExponentTuple, side: str, weak: bool) -> Tuple[str, str]:
     return source, "weak-" + target if weak else target
 
 
-def _finite(value, what: str, name: str):
-    """value, when it is finite everywhere; NormError naming the test function otherwise."""
-    if not np.all(np.isfinite(value)):
-        raise NormError(f"{what} of the test function {name} is not finite")
-    return value
-
-
 def _ratio(num: float, den: float) -> Optional[float]:
     """num / den, or None when den is not positive."""
     return num / den if den > 0 else None
+
+
+@dataclass
+class _Tally:
+    """The running best ratio of one target norm over its family, and the
+    first quantity of it that was not finite."""
+
+    op: str
+    weak: bool
+    best: float = -math.inf
+    arg: Optional[str] = None
+    count: int = 0
+    tried: int = 0
+    error: Optional[str] = None
+
+
+def _evaluate(
+    targets,
+    pair: WeightPair,
+    e: ExponentTuple,
+    family: TestFamily,
+    side: str,
+    alpha: float,
+    phi: Optional[YoungFunction],
+    min_level: Optional[int],
+    max_level: Optional[int],
+) -> list:
+    """One _Tally per (op, weak) target of one side, each over the family
+    of its operator.
+
+    The indicator and step chunks, which no operator shapes, are built
+    once for every target, with one source norm per row; the duality
+    chunks are built per operator and feed that operator's targets.  Per
+    chunk, each operator runs once on the rows of positive source norm,
+    and each target takes its norms row-wise from that image, so a weak
+    and a strong target of one operator share their images.  Every row
+    has the bits of its one-row call, and the first maximum in family
+    order wins a tie.  A target stops at its first non-finite source
+    norm, image or target norm, in family order and in that order within
+    a row; once one has stopped, the targets after it are dropped, since
+    only the first stopped target can be reported."""
+    if side == "forward":
+        dens, src_p, tgt_w, tgt_q = pair.sigma, float(e.p), pair.u, float(e.q)
+    else:
+        dens, src_p, tgt_w, tgt_q = pair.u, float(e.qprime), pair.sigma, float(e.pprime)
+    mesh = pair.u
+    tallies = [_Tally(op, weak) for op, weak in targets]
+
+    def fed(op: Optional[str]) -> list:
+        """The targets op's chunks feed (every target, for op None), among
+        those before the first target that stopped."""
+        cut = next((i for i, t in enumerate(tallies) if t.error), len(tallies))
+        return [t for t in tallies[:cut] if op in (None, t.op)]
+
+    def feed(mine: list, names: list, batch: np.ndarray):
+        den = np.array(lp_norms(mesh, batch, src_p, weight=dens))
+        # rows from the first non-finite source norm on are not imaged
+        bad = ~np.isfinite(den)
+        stop = int(np.argmax(bad)) if np.any(bad) else len(names)
+        rows = np.flatnonzero(den[:stop] > 0)
+        images = {}
+        for t in mine:
+            if len(rows):
+                if t.op not in images:
+                    images[t.op] = OPERATORS[t.op](mesh, batch[rows], dens, alpha, phi, None, min_level, max_level)
+                g = images[t.op]
+                image_ok = np.all(np.isfinite(g.reshape(len(rows), -1)), axis=1)
+                num = np.array((weak_lq_norms if t.weak else lp_norms)(mesh, g, tgt_q, weight=tgt_w))
+                ok = image_ok & np.isfinite(num)
+                if not np.all(ok):
+                    k = int(np.argmin(ok))
+                    what = "the target norm" if image_ok[k] else "the image"
+                    t.error = f"{what} of the test function {names[rows[k]]} is not finite"
+                    continue
+                ratios = num / den[rows]
+                k = int(np.argmax(ratios))
+                if ratios[k] > t.best:
+                    t.best, t.arg = float(ratios[k]), names[rows[k]]
+            t.count += len(rows)
+            t.tried += len(names)
+            if stop < len(names):
+                t.error = f"the source norm of the test function {names[stop]} is not finite"
+
+    # the indicators and steps read no operator, and feed every target
+    groups = [(None, replace(family, duality=False))]
+    groups += [(op, replace(family, indicators=False, random_steps=0)) for op in dict.fromkeys(op for op, _ in targets)]
+    try:
+        # overflow and its NaNs stop a target in feed, they are not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op, recipe in groups:
+                if not fed(op):
+                    continue
+                for names, batch in _iter_family(op or targets[0][0], pair, e, recipe, side, alpha,
+                                                 min_level, max_level, phi):
+                    feed(fed(op), names, batch)
+                    if not fed(op):
+                        break
+    except MissingInputError as exc:
+        raise NormError(str(exc)) from None
+    return tallies
+
+
+def _estimate(t: _Tally, e: ExponentTuple, side: str) -> NormEstimate:
+    """The estimate of a tally, or the NormError of its first failure."""
+    if t.error:
+        raise NormError(t.error)
+    if t.tried == 0:
+        raise NormError("the test family is empty")
+    if t.count == 0:
+        raise NormError("every test function had zero source norm")
+    return NormEstimate(t.op, *_space_labels(e, side, t.weak), t.best, t.arg, t.count)
 
 
 def estimate_norm(
@@ -242,53 +349,25 @@ def estimate_norm(
     (Lorentz) quasinorm instead.  The value is a lower bound for the
     operator norm and never decreases as the family grows.  A source
     norm, operator output or target norm that is not finite raises
-    NormError naming its test function: an overflow is no lower bound.
+    NormError naming its first such test function: an overflow is no
+    lower bound.
 
-    The operator runs on one test function at a time, an array on the
-    mesh of the pair; the norms are the one-row cases of lp_norms and
-    weak_lq_norms.
+    The family is evaluated chunk by chunk, in the chunks it is built in:
+    one row per indicator and per random step, and the duality functions
+    in batches of at most CHAIN_BATCH_FLOATS floats.  Each chunk takes one
+    row-wise lp_norms call for its source norms, one registry call on its
+    rows of positive source norm, and one row-wise lp_norms or
+    weak_lq_norms call for its target norms; every row has the bits of
+    its one-row call.
     """
     if op not in OPERATOR_IDS:
         raise NormError(f"unknown operator id {op!r}")
     _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()
-
-    source, target = _space_labels(e, side, weak)
-    if side == "forward":
-        dens, src_w, src_p = pair.sigma, pair.sigma, float(e.p)
-        tgt_w, tgt_q = pair.u, float(e.q)
-    else:
-        dens, src_w, src_p = pair.u, pair.u, float(e.qprime)
-        tgt_w, tgt_q = pair.sigma, float(e.pprime)
-
+    _space_labels(e, side, weak)  # an unknown side is refused before any work
     a = float(e.alpha) if alpha is None else float(parse_rational(alpha))
-    mesh = pair.u
-    target_norms = weak_lq_norms if weak else lp_norms
-
-    best = -math.inf
-    arg = None
-    count = tried = 0
-    try:
-        # overflow and its NaNs are refused by _finite below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name, f in _iter_family(op, pair, e, fam, side, a, min_level, max_level, phi):
-                tried += 1
-                den = _finite(lp_norms(mesh, f, src_p, weight=src_w)[0], "the source norm", name)
-                if not den > 0:
-                    continue
-                g = _finite(OPERATORS[op](mesh, f, dens, a, phi, None, min_level, max_level), "the image", name)
-                num = _finite(target_norms(mesh, g, tgt_q, weight=tgt_w)[0], "the target norm", name)
-                count += 1
-                ratio = num / den
-                if ratio > best:
-                    best, arg = ratio, name
-    except MissingInputError as exc:
-        raise NormError(str(exc)) from None
-    if tried == 0:
-        raise NormError("the test family is empty")
-    if count == 0:
-        raise NormError("every test function had zero source norm")
-    return NormEstimate(op, source, target, best, arg, count)
+    tally, = _evaluate([(op, weak)], pair, e, fam, side, a, phi, min_level, max_level)
+    return _estimate(tally, e, side)
 
 
 # --- tail quadrature of the Orlicz maximal norm -----------------------------
@@ -366,26 +445,38 @@ def equivalence_report(
     degenerate: its estimates are zero, its ratios null, and neither
     chain holds, since nothing was measured.  Each chain records how many
     cubes it compared under "cubes".
+
+    The estimates are those of estimate_norm, bit for bit, from one
+    evaluation per side; an estimate that meets a non-finite quantity
+    raises its NormError, the first such estimate in report order.
     """
     if not e.p < e.q:
         raise NormError("the weak-strong equivalence needs p < q; it fails at p = q")
     n = e.n
     coeff = _shell_constant(e.alpha, n, NormError)
+    fam = family if family is not None else TestFamily()
 
     config = {
         "exponents": e.to_obj(),
         "coefficient": coeff,
-        "family": (family if family is not None else TestFamily()).describe(),
+        "family": fam.describe(),
     }
 
     degenerate = float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0
 
-    def _estimate(op: str, side: str, weak: bool) -> NormEstimate:
-        if degenerate:
-            return NormEstimate(op, *_space_labels(e, side, weak), 0.0, None, 0)
-        return estimate_norm(op, pair, e, family, side=side, weak=weak, min_level=min_level, max_level=max_level)
-
-    ests = {key: _estimate(*spec) for key, spec in _EQUIVALENCE_ESTIMATES.items()}
+    if degenerate:
+        ests = {key: NormEstimate(op, *_space_labels(e, side, weak), 0.0, None, 0)
+                for key, (op, side, weak) in _EQUIVALENCE_ESTIMATES.items()}
+    else:
+        # one evaluation per side: the forward targets share the indicator
+        # and step chunks, and both Riesz norms come from one image per chunk
+        tallies = {}
+        for side in ("forward", "dual"):
+            keys = [key for key, spec in _EQUIVALENCE_ESTIMATES.items() if spec[1] == side]
+            targets = [(_EQUIVALENCE_ESTIMATES[key][0], _EQUIVALENCE_ESTIMATES[key][2]) for key in keys]
+            tallies.update(zip(keys, _evaluate(targets, pair, e, fam, side, float(e.alpha), None, min_level, max_level)))
+        # the first failed estimate in _EQUIVALENCE_ESTIMATES order raises
+        ests = {key: _estimate(tallies[key], e, spec[1]) for key, spec in _EQUIVALENCE_ESTIMATES.items()}
 
     # zero estimates give zero denominators, so a degenerate pair's ratios are null
     ratios = {

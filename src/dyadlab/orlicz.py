@@ -143,9 +143,15 @@ class PowerScaled(YoungFunction):
 class NumericConjugate(YoungFunction):
     """sup_{s >= 0} (s t - Phi(s)) via vectorized bracketed golden search.
 
-    The search slightly underestimates the true supremum; for the smooth
-    families used here the defect is far below 1e-8 in relative terms.
-    It runs at most 90 golden-section steps and stops early once a step
+    The value is s t - Phi(s) at the bracket's midpoint s, clamped at 0,
+    so it never exceeds the supremum beyond the roundoff of that one
+    evaluation: it is a lower bound.  It is an accurate one only while
+    the bracket resolves the maximiser.  The bracket starts at [0, 2] or
+    wider and 90 steps narrow it to about 3e-19, so a maximiser below
+    that is lost: for power(2.0), against t^2/4, the relative defect
+    stays below 1e-8 from t = 2e-15 up, first exceeds it near t = 1.6e-15,
+    the ratio is 0.99971 at t = 1e-17, and the value is 0 from t = 1e-19
+    down.  It runs at most 90 golden-section steps and stops early once a step
     leaves every bracket unchanged: a step depends on the bracket alone,
     so every later step would leave it unchanged too.  `eval` is 0 at
     t <= 0, nan at nan, and inf where s t overflows; `log_eval` refuses

@@ -196,6 +196,29 @@ MUTANTS = [
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "a saturating function lives on its own cube, not wherever its seed is positive",
     ),
+    # --- the chunked evaluation of the test families ------------------------------
+    Mutant(
+        "duality_chunk_names_shifted", "normest.py",
+        "for (label, _, _, _), k in zip(cubes[part], keep)",
+        "for (label, _, _, _), k in zip(cubes[part][1:] + cubes[part][:1], keep)",
+        (f"{NORM}::TestChunkedEvaluation::test_equivalence_estimates_match_oracle[classical_smooth]",
+         f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle"),
+        "row b of a duality chunk is the function of the chunk's cube b, so it is reported under that cube's label",
+    ),
+    Mutant(
+        "strong_riesz_read_weak", "normest.py",
+        "(weak_lq_norms if t.weak else lp_norms)",
+        '(weak_lq_norms if t.weak or t.op == "dyadic_riesz" else lp_norms)',
+        (f"{NORM}::TestChunkedEvaluation::test_equivalence_estimates_match_oracle[random]",),
+        "the weak and strong Riesz targets share one image, not one target norm",
+    ),
+    Mutant(
+        "zero_source_rows_counted", "normest.py",
+        "t.count += len(rows)",
+        "t.count += len(names)",
+        (f"{NORM}::TestChunkedEvaluation::test_equivalence_estimates_match_oracle[vanishing_blocks]",),
+        "a test function of zero source norm gives no ratio, so it is not in the family size",
+    ),
     # --- the operator registry on arrays, and the norms of estimate_norm -------
     Mutant(
         "registry_prefix_reused_for_same_shape", "operators.py",
@@ -214,10 +237,10 @@ MUTANTS = [
     ),
     Mutant(
         "norm_estimate_nonfinite_unguarded", "normest.py",
-        "    if not np.all(np.isfinite(value)):\n        raise NormError(",
-        "    if False:\n        raise NormError(",
+        "bad = ~np.isfinite(den)",
+        "bad = np.zeros(len(den), dtype=bool)",
         (f"{NORM}::TestEstimateNorm::test_overflow_refused_not_reported",),
-        "an overflowing norm or image gives an infinite or NaN ratio, which is no lower bound",
+        "an overflowing source norm stops the estimate at its test function, before the image of any later row",
     ),
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
@@ -344,6 +367,13 @@ MUTANTS = [
         "",
         (f"{ORLICZ}::TestConjugate::test_nan_argument_gives_nan",),
         "a nan argument has no conjugate value; 0 would read as a finite one",
+    ),
+    Mutant(
+        "conjugate_unclamped", "orlicz.py",
+        "return np.maximum(g((lo + hi) / 2.0), 0.0)",
+        "return g((lo + hi) / 2.0)",
+        (f"{ORLICZ}::TestConjugate::test_small_t_stays_a_lower_bound",),
+        "where the bracket misses a tiny maximiser, s t - Phi(s) at its midpoint is negative; a conjugate is never below 0",
     ),
     # --- input checks -----------------------------------------------------------
     Mutant(

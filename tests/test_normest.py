@@ -28,6 +28,7 @@ from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, PowerScaled, borderl
 from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 
+import norm_oracle
 from fraction_oracle import ancestor_chain, fraction_calls, refuse_fraction_geometry
 from operator_oracle import PUBLIC_OPERATORS
 
@@ -575,14 +576,14 @@ class TestBatchedTestingChain:
 
 def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, phi):
     """normest._iter_family with each indicator and each duality cut built
-    from the rational box of its cube, and one call of the public operator
-    per cube for the duality seeds."""
+    from the rational box of its cube, one call of the public operator per
+    cube for the duality seeds, and every function in a one-row chunk."""
     mesh = pair.u
     source = pair.sigma if side == "forward" else pair.u
     if family.indicators:
         for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
             box = realize(scan.cube_at(pos))
-            yield f"chi[{label}]", SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells).values
+            yield [f"chi[{label}]"], SampledFunction.indicator(box, mesh.dim, mesh.lower, mesh.side, mesh.ncells).values[None]
     if family.random_steps > 0:
         rng = np.random.default_rng(family.seed)
         blocks = normest._blocks_for(mesh.ncells)
@@ -591,7 +592,7 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
             vals = rng.exponential(1.0, size=(blocks,) * mesh.dim)
             for ax in range(mesh.dim):
                 vals = np.repeat(vals, reps, axis=ax)
-            yield f"step[{k}]", vals
+            yield [f"step[{k}]"], vals[None]
     if family.duality:
         other = pair.u if side == "forward" else pair.sigma
         expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
@@ -609,7 +610,7 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
                 arr[live] = seed.values[live] ** expo
             if not np.all(np.isfinite(arr)):
                 continue
-            yield f"dual[chi[{label}]]", arr
+            yield [f"dual[chi[{label}]]"], arr[None]
 
 
 def seed_pair(dim, lower, side, ncells):
@@ -664,7 +665,9 @@ SEED_IDS = [f"{mesh[0]}d_{mesh[3]}_{mesh[2]}-{op}" for mesh, op in SEED_CASES]
 
 
 def family(iterate, op, pair, e, side, fam=DUAL_ONLY):
-    return list(iterate(op, pair, e, fam, side, float(e.alpha), None, None, power(3)))
+    """(name, values) of each function of the family, out of its chunks."""
+    chunks = iterate(op, pair, e, fam, side, float(e.alpha), None, None, power(3))
+    return [(name, f) for names, batch in chunks for name, f in zip(names, batch, strict=True)]
 
 
 def assert_same_family(got, want):
@@ -691,7 +694,8 @@ class TestBatchedDualitySeeds:
     @pytest.mark.parametrize("rows", [1, 5, 1000])
     def test_one_core_call_per_chunk(self, monkeypatch, rows):
         # no operator call per cube: the seeds come from the registry
-        # operator, once per chunk of rows cubes
+        # operator, once per chunk of rows cubes, and the functions leave in
+        # those chunks, not row by row
         pair, e = seed_pair(*SEED_MESHES[0])
         cubes = len(family(normest._iter_family, "frac_maximal", pair, e, "forward"))
         calls = []
@@ -703,8 +707,11 @@ class TestBatchedDualitySeeds:
 
         monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
         monkeypatch.setattr(normest, "OPERATORS", {"frac_maximal": counted})
-        assert len(family(normest._iter_family, "frac_maximal", pair, e, "forward")) == cubes
+        chunks = list(normest._iter_family("frac_maximal", pair, e, DUAL_ONLY, "forward", float(e.alpha),
+                                           None, None, None))
         assert calls == [min(rows, cubes - k) for k in range(0, cubes, rows)]
+        assert [len(names) for names, _ in chunks] == calls
+        assert [len(batch) for _, batch in chunks] == calls
 
     @pytest.mark.parametrize("op", ["identity", "frac_maximal", "dyadic_riesz"])
     def test_overflowing_seeds_skipped_as_one_cube_ones(self, op):
@@ -718,3 +725,86 @@ class TestBatchedDualitySeeds:
         assert 0 < len(want) < len(list(_inside_cubes(pair.u, pair.u, [(0,)], None, None)))
         assert_same_family(family(normest._iter_family, op, pair, e, "forward"), want)
 
+
+
+# --- the chunked evaluation, against the one-function-at-a-time oracle -------
+
+
+def smooth_pair():
+    """The default run's classical-smooth pair: u = w^q and sigma = w^{-p'}
+    for a slowly varying w on 48 cells of [0, 1)."""
+    x = (np.arange(48) + 0.5) / 48
+    return classical_pair(SampledFunction(1, (0,), 1, 1.0 + 0.75 * x * (1.0 - x) + 0.25 * x), E_SOB)
+
+
+# (pair, exponents, family): the default run's two pairs, the pair of
+# test_2d_pipeline, and a pair whose weights vanish on blocks, so some
+# duality functions have zero source norm
+ORACLE_CASES = {
+    "classical_smooth": lambda: (smooth_pair(), E_SOB, TestFamily()),
+    "random": lambda: (rand_pair(11), E_SOB, TestFamily()),
+    "2d": lambda: (rand_pair(13, dim=2, lower=(0, 0), ncells=24), E_SOB2, LIGHT),
+    "vanishing_blocks": lambda: (*seed_pair(*SEED_MESHES[1]), LIGHT),
+}
+
+
+def split_duality_chunks(monkeypatch, pair):
+    """Patch CHAIN_BATCH_FLOATS so that the duality functions of either
+    side come in at least three chunks, and return that least count."""
+    zero = [(0,) * pair.u.dim]
+    cubes = min(len(list(_inside_cubes(pair.u, w, zero, None, None))) for w in (pair.u, pair.sigma))
+    monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", max(1, cubes // 3) * pair.u.values.size)
+    return -(-cubes // max(1, cubes // 3))
+
+
+def assert_same_estimate(got: NormEstimate, want: NormEstimate):
+    assert got == want
+    assert got.value.hex() == want.value.hex()
+
+
+class TestChunkedEvaluation:
+    # each case runs in the default chunks, and again with the duality
+    # functions split into at least three chunks
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equivalence_estimates_match_oracle(self, monkeypatch, case):
+        # the five estimates of one forward and one dual evaluation equal
+        # five one-function-at-a-time estimates, in value bits, argmax
+        # label and family size
+        pair, e, fam = ORACLE_CASES[case]()
+        want = norm_oracle.equivalence_estimates(pair, e, fam)
+        for split in (False, True):
+            if split:
+                assert split_duality_chunks(monkeypatch, pair) >= 3
+            got = equivalence_report(pair, e, family=fam)["estimates"]
+            assert list(got) == list(want)
+            for key, est in want.items():
+                assert_same_estimate(NormEstimate(**got[key]), est)
+
+    @pytest.mark.parametrize("case,op", [(case, op) for case in ORACLE_CASES for op in normest.OPERATOR_IDS
+                                         if not (op == "riesz_1d" and case == "2d")])
+    def test_estimate_norm_matches_oracle(self, monkeypatch, case, op):
+        # each side, strong and weak, in value bits, argmax label and family size
+        pair, e, fam = ORACLE_CASES[case]()
+        calls = [dict(side=side, weak=weak) for side in ("forward", "dual") for weak in (False, True)]
+        want = [norm_oracle.estimate_norm(op, pair, e, fam, phi=power(3), **kw) for kw in calls]
+        for split in (False, True):
+            if split:
+                split_duality_chunks(monkeypatch, pair)
+            for kw, est in zip(calls, want):
+                assert_same_estimate(estimate_norm(op, pair, e, fam, phi=power(3), **kw), est)
+
+    @pytest.mark.parametrize("weights", ["sigma_1e200", "u_1e100"])
+    def test_overflow_raises_the_oracle_error(self, weights):
+        # as in TestEstimateNorm.test_overflow_refused_not_reported: the
+        # report raises the error of its first estimate that fails
+        one = ones(ncells=24)
+        big = one.with_values(np.full(24, 1e200 if weights == "sigma_1e200" else 1e100))
+        pair = WeightPair(one, big) if weights == "sigma_1e200" else WeightPair(big, one)
+        with pytest.raises(NormError) as want:
+            norm_oracle.equivalence_estimates(pair, E_SOB)
+        with pytest.raises(NormError) as got:
+            equivalence_report(pair, E_SOB)
+        assert str(got.value) == str(want.value)
+        if weights == "sigma_1e200":
+            assert str(got.value) == "the target norm of the test function chi[s=(0,),l=0,pos=(0,)] is not finite"

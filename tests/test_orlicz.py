@@ -81,6 +81,20 @@ class TestConjugate:
         conj = NumericConjugate(power(2.0))
         assert conj.eval(0.0) == 0.0
 
+    def test_small_t_stays_a_lower_bound(self):
+        # below t of about 2e-15 the golden steps no longer resolve the
+        # maximiser t/2 of s t - s^2, and the value falls short of t^2/4 (it
+        # is 0 from t = 1e-19 down), but it never exceeds t^2/4 beyond the
+        # roundoff of one evaluation (the worst ratio is 1 + 2.2e-16)
+        t = np.geomspace(1e-25, 1e4, 2000)
+        got = NumericConjugate(power(2.0)).eval(t)
+        exact = t ** 2 / 4.0
+        assert np.all(got >= 0.0)
+        assert np.all(got <= exact * (1.0 + 1e-15))
+        resolved = t >= 2e-15
+        assert np.all(exact[resolved] - got[resolved] <= 1e-8 * exact[resolved])
+        assert np.any(got[~resolved] < exact[~resolved] * (1.0 - 1e-8))
+
     def test_power_associate_short_circuit(self):
         ph = power(3.0)
         assoc = ph.associate()
