@@ -510,9 +510,16 @@ def _suite_orlicz(cfg: dict) -> dict:
     return _result(checks, orlicz_tail_classification=(["phi", "p", "verdict", "rho"], rows))
 
 
+def _constant_table(reps) -> tuple:
+    """(header, rows) of named constant reports: name, value, argmax cube as JSON."""
+    return ["name", "value", "argmax"], [
+        [name, rep.value, "" if rep.argmax is None else json.dumps(cube_to_obj(rep.argmax), sort_keys=True)]
+        for name, rep in reps]
+
+
 def _suite_constants(cfg: dict) -> dict:
     e = _config_exponents(cfg)
-    checks, rows = [], []
+    checks = []
 
     w = _smooth_weight(cfg, e.n)
     if e.is_sobolev:
@@ -545,11 +552,7 @@ def _suite_constants(cfg: dict) -> dict:
         ("ainfty_m_u", ainfty_m(pair.u)),
         ("mixed_ap_m_sigma", mixed_one_sup(pair, e, flavor="ap_m")),
     ]
-    for name, rep in entries:
-        arg = rep.argmax
-        rows.append([name, rep.value, "" if arg is None else json.dumps(cube_to_obj(arg), sort_keys=True)])
-
-    return _result(checks, constants_values=(["name", "value", "argmax"], rows))
+    return _result(checks, constants_values=_constant_table(entries))
 
 
 def _suite_equivalence(cfg: dict) -> dict:
@@ -585,6 +588,15 @@ def _suite_equivalence(cfg: dict) -> dict:
     return _result(checks, equivalence_estimates=(["pair", "estimate", "value", "source", "target"], rows))
 
 
+_CASE_COLUMNS = {"case1": ["X", "integral", "log_X", "ratio"], "case2": ["X", "S", "H", "ratio"]}
+
+
+def _case_table(case: str, rep: dict) -> tuple:
+    """(header, rows) of the table of a case1_pair or case2_divergence report."""
+    columns = _CASE_COLUMNS[case]
+    return columns, [[r[c] for c in columns] for r in rep["rows"]]
+
+
 def _suite_counterexample(cfg: dict) -> dict:
     checks = []
     g = parse_rational(cfg["counterexample"]["gamma"])
@@ -593,12 +605,9 @@ def _suite_counterexample(cfg: dict) -> dict:
 
     e1 = ExponentTuple(1, Fraction(1, 4), Fraction(5, 4), 2)
     apqs = []
-    rows1 = []
     for wexp in (5, 6):
         _, _, rep1 = case1_pair(e1, window_exp=wexp)
         apqs.append(rep1["apq"]["value"])
-        if wexp == 6:
-            rows1 = [[r["X"], r["integral"], r["log_X"], r["ratio"]] for r in rep1["rows"]]
     drift = abs(apqs[1] - apqs[0]) / apqs[0] if apqs[0] > 0 else None
     checks += [
         _check("case1_constant_window_independent", drift, 1e-9, len(apqs)),
@@ -607,18 +616,17 @@ def _suite_counterexample(cfg: dict) -> dict:
 
     e2 = ExponentTuple(1, g, 2, 2)  # with p = q the factored order equals alpha
     rep2 = case2_divergence(e2, max_exp=max_exp)
-    rows2 = [[r["X"], r["S"], r["H"], r["ratio"]] for r in rep2["rows"]]
     minorant = rep2["minorant"]
     checks += [
         _check("case2_exponent_identity", int(not rep2["identity"]["holds"]), 0, 1),
         _check("case2_termwise_minorant",
                2 - minorant["integral_ge_pointwise"] - minorant["pointwise_ge_harmonic"], 0, minorant["terms"]),
-        _check("case2_dominates_harmonic", int(not rep2["dominates"]), 0, len(rows2)),
+        _check("case2_dominates_harmonic", int(not rep2["dominates"]), 0, len(rep2["rows"])),
         _check("case2_mesh_check_one_sided", int(not rep2["mesh_check"]["one_sided"]), 0, 1),
     ]
     if g == Fraction(1, 2) and window >= 2**16:
         # S must exceed 5 strictly
-        checks.append(_check("case2_partial_integral_clears_five", rows2[-1][1],
+        checks.append(_check("case2_partial_integral_clears_five", rep2["rows"][-1]["S"],
                              math.nextafter(5.0, math.inf), 1, ">="))
 
     ver = verify_E_maximal(g, 64)
@@ -632,8 +640,8 @@ def _suite_counterexample(cfg: dict) -> dict:
     fap = apq_alpha_constant(fpair, e2)
     checks.append(_check("factored_constant_at_most_one", fap.value, 1.0 + 1e-12, fap.n_scored))
 
-    return _result(checks, counterexample_case1=(["X", "integral", "log_X", "ratio"], rows1),
-                   counterexample_case2=(["X", "S", "H", "ratio"], rows2))
+    return _result(checks, counterexample_case1=_case_table("case1", rep1),
+                   counterexample_case2=_case_table("case2", rep2))
 
 
 _SUITE_FN = {
@@ -730,11 +738,11 @@ def _cmd_run(args) -> int:
         cfg["suites"] = args.suite
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.gamma or args.window:
+    if args.gamma is not None or args.window is not None:
         cx = dict(_merge_config(DEFAULT_CONFIG, cfg).get("counterexample", {}))
-        if args.gamma:
+        if args.gamma is not None:
             cx["gamma"] = args.gamma
-        if args.window:
+        if args.window is not None:
             cx["window"] = args.window
         cfg["counterexample"] = cx
     return run_suite(cfg, Path(args.out), workers=args.workers)
@@ -828,9 +836,7 @@ def _cmd_constants(args) -> int:
     # a report that scored no cube measured nothing, so it exits 1
     if args.which == "all":
         reps = [(name, reg[name]()) for name in sorted(reg)]
-        rows = [[name, rep.value, "" if rep.argmax is None else json.dumps(cube_to_obj(rep.argmax), sort_keys=True)]
-                for name, rep in reps]
-        _write_csv(Path(args.out) if args.out else None, ["name", "value", "argmax"], rows)
+        _write_csv(Path(args.out) if args.out else None, *_constant_table(reps))
         return 1 if any(rep.n_scored == 0 for _, rep in reps) else 0
     if args.which not in reg:
         raise CLIError(f"unknown constant {args.which!r}; choose from {sorted(reg)} or 'all'")
@@ -861,21 +867,19 @@ def _cmd_examples(args) -> int:
         pair, f, rep = case1_pair(e, window_exp=args.window_exp, cells_per_unit=args.cells_per_unit)
         _emit({"pair": pair.to_obj(), "f": f.to_obj(), "report": rep}, args.out)
         if args.csv:
-            _write_csv(Path(args.csv), ["X", "integral", "log_X", "ratio"],
-                       [[r["X"], r["integral"], r["log_X"], r["ratio"]] for r in rep["rows"]])
+            _write_csv(Path(args.csv), *_case_table("case1", rep))
         return 0
     if args.action == "case2":
         e = _parse_exponents(args.exponents or "1,1/2,2,2")
         rep = case2_divergence(e, gamma=args.gamma, max_exp=args.max_exp)
         _emit(rep, args.out)
         if args.csv:
-            _write_csv(Path(args.csv), ["X", "S", "H", "ratio"],
-                       [[r["X"], r["S"], r["H"], r["ratio"]] for r in rep["rows"]])
+            _write_csv(Path(args.csv), *_case_table("case2", rep))
         return 0
     if args.action == "factored":
         e = _parse_exponents(args.exponents or "1,3/4,4/3,4")
         if args.train:
-            X = args.window or 64
+            X = 64 if args.window is None else args.window
             w1 = build_E(e.gamma, X)
             w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), X, w1.ncells)
         elif args.w1 and args.w2:

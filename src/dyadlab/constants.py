@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .grid import DyadicCube, cube_to_obj, realize
-from .operators import cut_frac_maximal, _grids, _luxemburg_averages, _shell_constant, _shell_scans
+from .operators import cut_frac_maximal, _grids, _orlicz_averages, _shell_constant, _shell_scans
 from .orlicz import YoungFunction
 from .sampled import (
     ExponentTuple,
@@ -58,13 +58,6 @@ class WeightPair:
         self.u = u
         self.sigma = sigma
         self.provenance = str(provenance)
-
-    @classmethod
-    def classical(cls, w: SampledFunction, e: ExponentTuple) -> "WeightPair":
-        """u = w^q, sigma = w^{-p'} from a single strictly positive weight."""
-        if float(np.min(w.values)) <= 0.0:
-            raise ConstantError("classical pairs need a strictly positive weight")
-        return cls(w.power(float(e.q)), w.power(-float(e.pprime)), provenance="classical")
 
     def swapped(self) -> "WeightPair":
         return WeightPair(self.sigma, self.u, provenance=self.provenance)
@@ -449,20 +442,9 @@ def apq_bump(
         raise ConstantError(f"unknown bump side {side!r}")
     if side == "both" and psi is None:
         raise ConstantError("side='both' needs a Young function for the u side")
-    cellvol = pair.u.geometry.cellvol
-
-    def lux_column(f: SampledFunction, root: float, fn_phi: YoungFunction):
-        """Per-scan Luxemburg averages || f^{1/root} ||_{fn_phi, Q}."""
-        # power-family fast path: || f^{1/root} ||_{t^r, Q} is an L^r mean
-        if getattr(fn_phi, "is_power", False):
-            r = float(fn_phi.r)
-            g = f if r == root else f.power(r / root)
-            return lambda scan, inside: (cube_integrals(scan, g) / scan.cube_volume()) ** (1.0 / r)
-        fpow = f.power(1.0 / root).values
-        return lambda scan, inside: _luxemburg_averages(scan, fpow, cellvol, fn_phi, inside)
-
-    lux_s = lux_column(pair.sigma, float(e.pprime), phi)
-    lux_u = None if side == "second" else lux_column(pair.u, float(e.q), psi)
+    n, cellvol = e.n, pair.u.geometry.cellvol
+    lux_s = _orlicz_averages(pair.sigma.values, n, cellvol, phi, float(e.pprime))
+    lux_u = None if side == "second" else _orlicz_averages(pair.u.values, n, cellvol, psi, float(e.q))
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         vol = scan.cube_volume()

@@ -124,6 +124,13 @@ def _inside_cubes(mesh: SampledFunction, dens: SampledFunction, shifts, min_leve
             yield f"s={scan.grid.shift},l={scan.level},pos={pos}", scan, pos, float(masses[pos])
 
 
+def _batches(count: int, cells: int) -> list:
+    """Consecutive slices of range(count) for (count, *mesh) arrays of
+    mesh size cells: at most CHAIN_BATCH_FLOATS floats, one row at least."""
+    batch = max(1, CHAIN_BATCH_FLOATS // cells)
+    return [slice(start, start + batch) for start in range(0, count, batch)]
+
+
 def _cube_index(cubes, top: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """(lev, pos) of cubes from _inside_cubes, as scan.cube_cells reads
     them: each cube's level counted from level top, and its position."""
@@ -184,10 +191,8 @@ def _iter_family(
         scans = iter_scans(mesh, grid)
         cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
         lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
-        batch = max(1, CHAIN_BATCH_FLOATS // mesh.values.size)
         spatial = tuple(range(1, mesh.dim + 1))
-        for start in range(0, len(cubes), batch):
-            part = slice(start, start + batch)
+        for part in _batches(len(cubes), mesh.values.size):
             chi = cube_cells(scans, lev[part], pos[part])
             seeds = OPERATORS[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
             live = chi & (seeds > 0)
@@ -555,9 +560,7 @@ def potential_testing_chain(
     masses = np.array([mass for _, _, _, mass in cubes])
     grids = _grids(sigma, None, min_level, max_level)
     lhs, rhs = [], []
-    batch = max(1, CHAIN_BATCH_FLOATS // sigma.values.size)
-    for start in range(0, len(cubes), batch):
-        part = slice(start, start + batch)
+    for part in _batches(len(cubes), sigma.values.size):
         cuts = np.where(cube_cells(scans, lev[part], pos[part]), sigma.values, 0.0)
         shells = _shells(sigma, scans, lev[part], pos[part], masses[part], coeff, a)
         lhs += lp_norms(sigma, shells, qf, weight=pair.u)

@@ -31,7 +31,6 @@ from .scan import (
     LevelScan,
     cell_block,
     cube_cell_sums,
-    cube_cells,
     cube_integrals,
     inside_window_mask,
     iter_scans,
@@ -76,10 +75,7 @@ def _grids(f: SampledFunction, shifts, min_level, max_level) -> list:
 
 def _grid(f: SampledFunction, shift, min_level, max_level) -> GridFamily:
     """The single grid of a one-shift operator; the classic grid by default."""
-    lo, hi = default_levels(f, min_level, max_level)
-    geom = f.geometry
-    sh = (0,) * geom.dim if shift is None else tuple(shift)
-    return GridFamily(geom.dim, sh, lo, hi, geom.window)
+    return _grids(f, [(0,) * f.dim if shift is None else shift], min_level, max_level)[0]
 
 
 def _order(order, n: int, error=OperatorError, name: str = "alpha", open_below: bool = False) -> float:
@@ -117,18 +113,32 @@ def _maximal_values(f: SampledFunction, pre: np.ndarray, a: float, grids) -> np.
     return out
 
 
-def _luxemburg_averages(scan: LevelScan, values: np.ndarray, cellvol: float, phi: YoungFunction,
-                        live: Optional[np.ndarray] = None) -> np.ndarray:
-    """The Luxemburg average ||values||_{phi,Q} cube by cube over a scan
-    (where live is set when it is given; 0 elsewhere), for each row of
-    values; leading axes of values are a batch."""
-    vol = scan.cube_volume()
-    lead = values.shape[:values.ndim - scan.dim]
-    out = np.zeros(lead + scan.shape)
-    for row in np.ndindex(lead):
-        for pos in np.ndindex(scan.shape) if live is None else map(tuple, np.argwhere(live)):
-            out[row + pos] = luxemburg(cell_block(scan, values[row], pos), cellvol, vol, phi)
-    return out
+def _orlicz_averages(values: np.ndarray, n: int, cellvol: float, phi: YoungFunction, root: float):
+    """Level function of the Luxemburg average ||values^{1/root}||_{phi,Q}
+    on each row of values (leading axes a batch), where live is set when
+    it is given (0 elsewhere).  A plain power t^r reads every cube from
+    one prefix table of values^{r/root}; any other phi solves the
+    Luxemburg equation cube by cube."""
+    is_power = getattr(phi, "is_power", False)
+    if is_power:
+        r = phi.r
+        pre = prefix_sum(values if r == root else values ** (r / root), n)
+    else:
+        base = values ** (1.0 / root)
+
+    def level(scan: LevelScan, live: Optional[np.ndarray] = None) -> np.ndarray:
+        vol = scan.cube_volume()
+        if is_power:
+            # clamped at 0: a 2-D prefix-sum difference over zero cells can be -roundoff
+            return (np.maximum(cube_cell_sums(scan, pre), 0.0) * (cellvol / vol)) ** (1.0 / r)
+        lead = base.shape[:base.ndim - n]
+        out = np.zeros(lead + scan.shape)
+        for row in np.ndindex(lead):
+            for pos in np.ndindex(scan.shape) if live is None else map(tuple, np.argwhere(live)):
+                out[row + pos] = luxemburg(cell_block(scan, base[row], pos), cellvol, vol, phi)
+        return out
+
+    return level
 
 
 # === fractional maximal operators =============================================
@@ -271,22 +281,8 @@ def _orlicz_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np
     n = f.dim
     b = _order(beta, n, name="beta")
     grid = _grid(f, shift, min_level, max_level)
-    values = _dmu(f, values, mu)
-    cellvol = f.geometry.cellvol
-    is_power = getattr(phi, "is_power", False)
-    if is_power:
-        pre_pow = prefix_sum(values ** phi.r, n)
-
-    def level_values(scan):
-        vol_q = scan.cube_volume()
-        side_weight = vol_q ** (b / n)
-        if is_power:
-            # clamped at 0: a 2-D prefix-sum difference over zero cells can be -roundoff
-            mean_pow = np.maximum(cube_cell_sums(scan, pre_pow), 0.0) * (cellvol / vol_q)
-            return mean_pow ** (1.0 / phi.r) * side_weight
-        return side_weight * _luxemburg_averages(scan, values, cellvol, phi)
-
-    return sweep(f, grid, level_values, np.maximum)
+    averages = _orlicz_averages(_dmu(f, values, mu), n, f.geometry.cellvol, phi, 1.0)
+    return sweep(f, grid, lambda scan: scan.cube_volume() ** (b / n) * averages(scan), np.maximum)
 
 
 # === potential operators ======================================================
@@ -364,28 +360,27 @@ def _shells(f: SampledFunction, scans, lev: np.ndarray, pos: np.ndarray, masses:
     """Shell potentials of B cubes of one grid at once, as (B, *mesh).
 
     Cube b sits at position pos[b] (a (B, dim) array) of scans[lev[b]] and
-    carries the mass masses[b]; the scans come from _shell_scans.  Each of
-    its ancestors A, found through the parent offsets, writes
-    coeff * |A|^{a/n - 1} * mass onto its cells, coarse to fine.  The
-    ancestors past the end of the cube's ancestor chain (_chains_end) cover
-    the same cells of the window as its last one, so their values are
-    overwritten.
+    carries the mass masses[b]; the scans come from _shell_scans.  Its
+    ancestor A at each level, the cube whose raw cell range holds its raw
+    start, holds coeff * |A|^{a/n - 1} * mass, which grows as A shrinks:
+    a sweep with np.maximum keeps on every cell the shell of its smallest
+    ancestor.  Ancestors past the end of the cube's ancestor chain
+    (_chains_end) cover the same cells of the window as its last one.
     """
     n, B = f.dim, len(lev)
-    anc = [None] * len(scans)
-    cur = np.zeros_like(pos)
-    for i in range(len(scans) - 1, -1, -1):
-        anc[i] = cur = np.where((lev == i)[:, None], pos, cur)
-        if scans[i].parent_start is not None:
-            cur = (cur + np.array(scans[i].parent_start)) // 2
-    out = np.zeros((B,) + f.values.shape)
-    rows = (B,) + (1,) * n
-    # coarse to fine, so each cell keeps the shell of its smallest ancestor
-    for i in range(len(scans)):
-        value = coeff * scans[i].cube_volume() ** (a / n - 1.0) * masses
-        hit = cube_cells(scans, np.full(B, i), anc[i]) & (lev >= i).reshape(rows)
-        np.copyto(out, value.reshape(rows), where=hit)
-    return out
+    plans = np.array([scan.plans for scan in scans])  # (levels, dim, (m_lo, count, raw0, step))
+    start = plans[lev, :, 2] + plans[lev, :, 3] * pos
+    top = scans[0].level
+
+    def level_values(scan: LevelScan) -> np.ndarray:
+        i = scan.level - top
+        rows = np.flatnonzero(lev >= i)
+        anc = (start[rows] - plans[i, :, 2]) // plans[i, :, 3]
+        out = np.zeros((B,) + scan.shape)
+        out[(rows, *anc.T)] = (coeff * scan.cube_volume() ** (a / n - 1.0) * masses)[rows]
+        return out
+
+    return sweep(f, scans[0].grid, level_values, np.maximum)
 
 
 def outer_riesz(

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .constants import WeightPair, apq_alpha_constant
+from .constants import ConstantError, WeightPair, apq_alpha_constant
 from .grid import Box, _json_int, parse_field
 from .operators import frac_maximal
 from .sampled import ExponentTuple, SampledFunction, is_cell_count, is_power_of_two, parse_rational
@@ -63,13 +63,6 @@ def _tree_sum(terms) -> float:
             folded = np.concatenate([folded, arr[-1:]])
         arr = folded
     return float(arr[0]) if arr.size else 0.0
-
-
-def _check_cpu(cells_per_unit: int) -> int:
-    c = parse_field(cells_per_unit, _json_int, "cells_per_unit", ExampleError)
-    if not is_cell_count(c):
-        raise ExampleError(f"cells per unit length must be 3 * 2^j to align with the mesh, got {c}")
-    return c
 
 
 # === disjoint supports: bounded constant, unbounded operator ================
@@ -106,7 +99,9 @@ def case1_pair(
     window_exp = parse_field(window_exp, _json_int, "window_exp", ExampleError)
     if window_exp < 3:
         raise ExampleError("window_exp must be at least 3 so the window clears x = 2")
-    cpu = _check_cpu(cells_per_unit)
+    cpu = parse_field(cells_per_unit, _json_int, "cells_per_unit", ExampleError)
+    if not is_cell_count(cpu):
+        raise ExampleError(f"cells per unit length must be 3 * 2^j to align with the mesh, got {cpu}")
     side = Fraction(2) ** window_exp
     X = side // 2
     ncells = int(side) * cpu
@@ -165,15 +160,15 @@ def _auto_cpu(g: float, side: Fraction) -> int:
     return c
 
 
-def build_E(gamma, side, cells_per_unit: Optional[int] = None) -> SampledFunction:
+def build_E(gamma, side) -> SampledFunction:
     """Indicator of E = union_j [j, j + (j+1)^{-gamma}) on the window [0, X).
 
     Interval right endpoints are rounded DOWN to cell boundaries, so the
     sampled set is contained in the continuum set and lower bounds proved
     for the sample transfer to it.  Each interval meeting the window must
     span at least eight cells after rounding (relative rounding error at
-    most 1/8 per interval); pass a finer cells_per_unit or rely on the
-    automatic choice.  The j = 0 interval is [0, 1) exactly.
+    most 1/8 per interval), at the coarsest mesh that allows it.  The
+    j = 0 interval is [0, 1) exactly.
     """
     g = parse_rational(gamma)
     if not 0 < g < 1:
@@ -183,7 +178,7 @@ def build_E(gamma, side, cells_per_unit: Optional[int] = None) -> SampledFunctio
     if not is_power_of_two(side) or side < 2:
         raise ExampleError(f"window side must be a power of two, at least 2, got {side}")
     X = int(side)
-    cpu = _auto_cpu(gf, side) if cells_per_unit is None else _check_cpu(cells_per_unit)
+    cpu = _auto_cpu(gf, side)
 
     arr = np.zeros(X * cpu, dtype=np.float64)
     lengths = (np.arange(1, X + 1, dtype=np.float64)) ** (-gf)
@@ -407,4 +402,6 @@ def classical_pair(w: SampledFunction, e: ExponentTuple) -> WeightPair:
         raise ExampleError(
             "classical pairs need the Sobolev relation 1/p - 1/q = alpha/n"
         )
-    return WeightPair.classical(w, e)
+    if float(np.min(w.values)) <= 0.0:
+        raise ConstantError("classical pairs need a strictly positive weight")
+    return WeightPair(w.power(float(e.q)), w.power(-float(e.pprime)), provenance="classical")

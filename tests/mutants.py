@@ -126,12 +126,20 @@ MUTANTS = [
     ),
     Mutant(
         "outer_shells_fine_to_coarse", "operators.py",
-        "    for i in range(len(scans)):\n",
-        "    for i in reversed(range(len(scans))):\n",
+        "return sweep(f, scans[0].grid, level_values, np.maximum)",
+        "return sweep(f, scans[0].grid, level_values, lambda up, v: np.where(up > 0, up, v))",
         (f"{OPS}::TestOuterRiesz::test_matches_truncated_lattice_sum",
          f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube",
          f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
-        "each cell takes the shell of its smallest ancestor, so the finest shell is written last",
+        "each cell takes the shell of its smallest ancestor, not of its largest one",
+    ),
+    Mutant(
+        "shells_skip_own_level", "operators.py",
+        "rows = np.flatnonzero(lev >= i)",
+        "rows = np.flatnonzero(lev > i)",
+        (f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube",
+         f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle"),
+        "a cube is its own smallest ancestor: its cells take its own shell, not its parent's",
     ),
     # --- the batched testing chain --------------------------------------------
     Mutant(
@@ -139,8 +147,8 @@ MUTANTS = [
         "(cells < start + step[:, None])",
         "(cells < start + step[:, None] - 1)",
         (f"{NORM}::TestBatchedTestingChain::test_matches_per_cube_oracle",
-         f"{OPS}::TestOuterRiesz::test_constant_on_seed_cube"),
-        "the cut sigma chi_Q and each shell cover every cell of their cube, the last one included",
+         f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle"),
+        "the cut sigma chi_Q and each duality seed cover every cell of their cube, the last one included",
     ),
     Mutant(
         "at_parents_repeats_batch_axis", "scan.py",
@@ -183,10 +191,11 @@ MUTANTS = [
     ),
     Mutant(
         "duality_seed_chunk_drops_last_row", "normest.py",
-        "part = slice(start, start + batch)\n            chi = ",
-        "part = slice(start, start + batch - 1)\n            chi = ",
+        "return [slice(start, start + batch) for start",
+        "return [slice(start, start + batch - 1) for start",
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",
-         f"{NORM}::TestBatchedDualitySeeds::test_one_core_call_per_chunk"),
+         f"{NORM}::TestBatchedDualitySeeds::test_one_core_call_per_chunk",
+         f"{NORM}::TestBatchedTestingChain::test_batches_give_the_same_dict"),
         "consecutive chunks cover every cube, the last row of each included",
     ),
     Mutant(
@@ -394,9 +403,10 @@ MUTANTS = [
     ),
     Mutant(
         "orlicz_power_mean_unclamped", "operators.py",
-        "mean_pow = np.maximum(cube_cell_sums(scan, pre_pow), 0.0) * (cellvol / vol_q)",
-        "mean_pow = cube_cell_sums(scan, pre_pow) * (cellvol / vol_q)",
-        (f"{OPS}::TestOrliczMaximal::test_power_path_over_zero_block_2d",),
+        "(np.maximum(cube_cell_sums(scan, pre), 0.0) * (cellvol / vol))",
+        "(cube_cell_sums(scan, pre) * (cellvol / vol))",
+        (f"{OPS}::TestOrliczMaximal::test_power_path_over_zero_block_2d",
+         f"{CONST}::TestBump::test_power_path_over_zero_block_2d"),
         "a negative roundoff power mean takes a NaN root, which the result refuses",
     ),
     Mutant(
@@ -497,6 +507,20 @@ MUTANTS = [
         "if not is_power_of_two(w) or w < 8:",
         (f"{CLI}::TestRunCommand::test_counterexample_window_past_the_divergence_cutoffs_refused",),
         "a window past 2^26 would pass the config check and fail mid-run in case2_divergence",
+    ),
+    Mutant(
+        "run_zero_flag_replaced", "cli.py",
+        "if args.gamma is not None or args.window is not None:",
+        "if args.gamma or args.window:",
+        (f"{CLI}::TestRunCommand::test_empty_counterexample_flag_refused_not_replaced",),
+        "--window 0 or --gamma '' would run and record the default window or gamma",
+    ),
+    Mutant(
+        "examples_zero_window_replaced", "cli.py",
+        "X = 64 if args.window is None else args.window",
+        "X = args.window or 64",
+        (f"{CLI}::TestExamplesCommand::test_factored_zero_window_refused",),
+        "--window 0 would build the side-64 train instead of being refused",
     ),
     Mutant(
         "young_conjugate_unchecked", "cli.py",

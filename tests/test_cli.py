@@ -32,6 +32,7 @@ from dyadlab.operators import (
     weighted_dyadic_maximal,
 )
 from dyadlab.orlicz import log_bump
+from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction
 
 from operator_oracle import riesz_1d_row
@@ -337,6 +338,15 @@ class TestRunCommand:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "counterexample.window must be a power of two from 2^3 to 2^26" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", [["--window", "0"], ["--gamma", ""]], ids=["window", "gamma"])
+    def test_empty_counterexample_flag_refused_not_replaced(self, tmp_path, capsys, flag):
+        # a window of 0 or an empty gamma is the value given, and is refused
+        # like --window 3, not replaced by the default
+        rc = main(["run", "--suite", "counterexample", *flag, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag_refused_before_output(self, tmp_path, capsys):
@@ -692,6 +702,36 @@ class TestExamplesCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["constant"]["value"] <= 1.0 + 1e-12
         assert obj["gamma"] == "1/2"
+
+    def test_factored_zero_window_refused(self, capsys):
+        # --window 0 is refused like --window 3, not replaced by the side-64 default
+        assert main(["examples", "factored", "--train", "--window", "0"]) == 2
+        assert "power of two" in capsys.readouterr().err
+
+    def test_output_members_feed_back_in(self, tmp_path):
+        # the pair member of examples output loads with --pair, and the
+        # function member of ops output loads with -i
+        w_path = tmp_path / "w.json"
+        w = write_function(w_path, lo=0.5)
+        assert main(["examples", "classical", "--weight", str(w_path), "-o", str(tmp_path / "c.json")]) == 0
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps(json.loads((tmp_path / "c.json").read_text())["pair"]))
+        e = "1,1/2,4/3,4"
+        assert main(["constants", "compute", "--which", "apq_alpha", "--pair", str(pair_path),
+                     "--exponents", e, "-o", str(tmp_path / "apq.json")]) == 0
+        want = apq_alpha_constant(classical_pair(w, cli._parse_exponents(e)), cli._parse_exponents(e))
+        assert json.loads((tmp_path / "apq.json").read_text())["value"] == want.value
+        assert main(["norms", "equiv", "--pair", str(pair_path), "--exponents", e,
+                     "--family-steps", "1", "-o", str(tmp_path / "equiv.json")]) == 0
+
+        f_path = tmp_path / "f.json"
+        f = write_function(f_path)
+        assert main(["ops", "frac_maximal", "-i", str(f_path), "--alpha", "1/2", "-o", str(tmp_path / "m.json")]) == 0
+        m_path = tmp_path / "m_function.json"
+        m_path.write_text(json.dumps(json.loads((tmp_path / "m.json").read_text())["function"]))
+        assert main(["ops", "dyadic_frac_maximal", "-i", str(m_path), "-o", str(tmp_path / "mm.json")]) == 0
+        got = SampledFunction.from_obj(json.loads((tmp_path / "mm.json").read_text())["function"])
+        assert np.array_equal(got.values, dyadic_frac_maximal(frac_maximal(f, 0.5)).values)
 
     def test_factored_needs_inputs(self, tmp_path):
         rc = main(["examples", "factored", "--exponents", "1,1/2,2,2"])

@@ -27,10 +27,12 @@ from dyadlab.constants import (
 )
 from dyadlab.grid import DyadicCube, realize, shifted_grids
 from dyadlab.operators import _grids, _shell_scans, dyadic_frac_maximal, frac_maximal
-from dyadlab.orlicz import power, power_log
+from dyadlab.orlicz import log_bump, power, power_log
+from dyadlab.pairs import classical_pair
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 from dyadlab.scan import positive_cubes
 
+import orlicz_average_oracle
 from fraction_oracle import ancestor_chain, refuse_fraction_geometry
 
 
@@ -84,11 +86,11 @@ class TestWeightPair:
         v = np.ones(48)
         v[3] = 0.0
         with pytest.raises(ConstantError):
-            WeightPair.classical(SampledFunction(1, (0,), 1, v), E_SOB)
+            classical_pair(SampledFunction(1, (0,), 1, v), E_SOB)
 
     def test_classical_powers(self):
         w = rand_weight(1, (0,), 1, 48, seed=2, lo=0.5, hi=2.0)
-        pair = WeightPair.classical(w, E_SOB)
+        pair = classical_pair(w, E_SOB)
         assert pair.u.values == approx(w.values ** float(E_SOB.q))
         assert pair.sigma.values == approx(w.values ** -float(E_SOB.pprime))
         assert pair.provenance == "classical"
@@ -231,7 +233,7 @@ class TestApConstant:
         # u = w^q, sigma = w^{-p'}: the pair constant equals the one-weight
         # Muckenhoupt constant of w^q at the linked exponent, to the bit
         w = rand_weight(1, (0,), 1, 48, 20, lo=0.5, hi=2.0)
-        pair = WeightPair.classical(w, E_SOB)
+        pair = classical_pair(w, E_SOB)
         a_pair = apq_alpha_constant(pair, E_SOB)
         a_one = ap_constant(w.power(float(E_SOB.q)), E_SOB.s_p)
         assert a_pair.value == approx(a_one.value ** float(1 / E_SOB.q), rel=1e-13)
@@ -310,6 +312,34 @@ class TestBump:
         double = apq_bump(pair, E_SOB, phi, psi=psi, side="both",
                           min_level=0, max_level=3).value
         assert double >= single - 1e-12
+
+    @pytest.mark.parametrize("side", ["second", "both"])
+    @pytest.mark.parametrize("bump", ["power_root", "power_3", "log_bump"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_parent_paths(self, dim, bump, side):
+        # the power path at r equal to the root and away from it, and the
+        # Luxemburg solve, against the code each side had of its own
+        e = E_SOB if dim == 1 else E_SOB2
+        ncells = 48 if dim == 1 else 12
+        pair = WeightPair(rand_weight(dim, (0,) * dim, 1, ncells, 27), rand_weight(dim, (0,) * dim, 1, ncells, 28))
+        young = {"power_root": power, "power_3": lambda root: power(3.0),
+                 "log_bump": lambda root: log_bump(root, 0.5)}[bump]
+        phi = young(float(e.pprime))
+        psi = None if side == "second" else young(float(e.q))
+        levels = {} if bump != "log_bump" else {"min_level": 0, "max_level": 2}
+        got = apq_bump(pair, e, phi, side=side, psi=psi, **levels)
+        assert got.n_scored > 0
+        assert got == orlicz_average_oracle.apq_bump(pair, e, phi, side=side, psi=psi, **levels)
+
+    def test_power_path_over_zero_block_2d(self):
+        # a 2-D prefix-sum difference over a block of zero cells can be
+        # -roundoff (on a few of these draws): clamped at 0, as in
+        # orlicz_maximal, its cube is scored rather than skipped on a NaN root
+        for seed in range(40):
+            v = np.random.default_rng(seed).exponential(1.0, (12, 12))
+            v[:6, 4:] = 0.0
+            pair = WeightPair(rand_weight(2, (-1, 0), 2, 12, seed + 100), SampledFunction(2, (-1, 0), 2, v))
+            assert apq_bump(pair, E_SOB2, power(3.0)).n_skipped == 0
 
     def test_validation(self):
         pair = WeightPair(ones(), ones())
@@ -490,7 +520,7 @@ class TestReportSerialization:
 
     def test_no_scored_cube_is_vacuous(self):
         # levels -4..-1 hold no cube inside the unit window
-        pair = WeightPair.classical(rand_weight(1, (0,), 1, 48, 5), E_SOB)
+        pair = classical_pair(rand_weight(1, (0,), 1, 48, 5), E_SOB)
         obj = apq_alpha_constant(pair, E_SOB, min_level=-4, max_level=-1).to_obj()
         assert obj["value"] == 0.0 and obj["n_scored"] == 0 and obj["n_skipped"] == 0
         assert obj["vacuous"] is True

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from dyadlab import normest
+from dyadlab import normest, operators
 from dyadlab.constants import WeightPair, _require_dim, sawyer_maximal_testing
 from dyadlab.grid import DyadicCube, GridFamily, all_shifts, realize
 from dyadlab.operators import frac_maximal, outer_riesz, _shell_constant
@@ -31,6 +31,7 @@ from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
 import norm_oracle
 from fraction_oracle import ancestor_chain, fraction_calls, refuse_fraction_geometry
 from operator_oracle import PUBLIC_OPERATORS
+from shell_loop_oracle import shells_by_level
 
 
 def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
@@ -558,6 +559,25 @@ class TestBatchedTestingChain:
         want = potential_testing_chain_oracle(pair, e)
         refuse_fraction_geometry(monkeypatch)
         assert potential_testing_chain(pair, e) == want
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one_batch", "split"])
+    @pytest.mark.parametrize("mesh", [(1, (-1,), 2, 48), (2, (-1, 0), 2, 12)], ids=["1d", "2d"])
+    def test_shells_match_parent_loop(self, monkeypatch, mesh, split):
+        # every batch of shells the chain builds, against the per-level loop
+        pair, e = chain_pair("zero_block", *mesh)
+        calls = []
+
+        def recording(*args):
+            calls.append((args, operators._shells(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(normest, "_shells", recording)
+        if split:
+            monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", 4 * pair.u.values.size)
+        cubes = potential_testing_chain(pair, e)["cubes"]
+        assert cubes > 4 and len(calls) == (-(-cubes // 4) if split else 1)
+        for args, got in calls:
+            assert np.array_equal(got, shells_by_level(*args))
 
     @pytest.mark.parametrize("dim,lower,side,ncells", [(1, (-1,), 2, 24), (2, (-1, 0), 2, 12), (2, (0, 0), 1, 12)])
     def test_outer_riesz_matches_shell_oracle(self, dim, lower, side, ncells):

@@ -26,6 +26,7 @@ from dyadlab.scan import cell_block, iter_scans
 
 from fraction_oracle import ancestor_chain, fraction_calls
 from operator_oracle import PUBLIC_OPERATORS, riesz_1d_row
+from orlicz_average_oracle import orlicz_maximal_values
 
 
 def rand_f(dim, lower, side, ncells, seed=0, zeros_at=()):
@@ -241,6 +242,19 @@ class TestOrliczMaximal:
             got = orlicz_maximal(f, power(3), beta=0.5)
             want = dyadic_frac_maximal(f.with_values(v ** 3), 1.5).values ** (1.0 / 3.0)
             np.testing.assert_allclose(got.values, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("phi", [power(3), power(1), log_bump(2.0, 0.5)], ids=["power3", "power1", "log_bump"])
+    @pytest.mark.parametrize("dim,lower,side,ncells", [(1, (-1,), 2, 24), (2, (-1, 0), 2, 12)])
+    def test_matches_parent_paths(self, dim, lower, side, ncells, phi):
+        # two rows, one with a block of zero cells, through a measure: the
+        # registry against the code the operator had of its own
+        f = rand_f(dim, lower, side, ncells, seed=23)
+        rows = np.stack([f.values, rand_f(dim, lower, side, ncells, seed=24).values])
+        rows[1][(slice(0, ncells // 2),) * dim] = 0.0
+        mu = rand_f(dim, lower, side, ncells, seed=25)
+        args = (rows, mu, 0.5, phi, None, None, None)
+        got = OPERATORS["orlicz_maximal"](f, *args)
+        assert np.array_equal(got, orlicz_maximal_values(f, *args))
 
 
 class TestDyadicRiesz:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from dyadlab import pairs
 from dyadlab.constants import apq_alpha_constant
 from dyadlab.grid import Box
 from dyadlab.pairs import (
@@ -133,20 +134,16 @@ class TestBuildE:
         # the interval starting at j is the only one in [j, j + 1)
         assert chi.values.reshape(16, cpu).sum(axis=1).min() >= 8  # every interval spans eight cells
 
-    def test_mesh_too_coarse(self):
+    def test_mesh_too_coarse(self, monkeypatch):
+        # the automatic mesh meets the eight-cell rule; build_E refuses one that does not
+        monkeypatch.setattr(pairs, "_auto_cpu", lambda g, side: 3)
         with pytest.raises(ExampleError, match="coarse"):
-            build_E(F(1, 2), 16, cells_per_unit=3)
+            build_E(F(1, 2), 16)
 
     def test_bad_gamma(self):
         for g in (0, 1, F(3, 2), -1):
             with pytest.raises(ExampleError):
                 build_E(g, 8)
-
-    def test_bad_cpu_shape(self):
-        with pytest.raises(ExampleError):
-            build_E(F(1, 2), 8, cells_per_unit=100)  # not 3 * 2^j
-        with pytest.raises(ExampleError):
-            build_E(F(1, 2), 8, cells_per_unit=48.0)
 
     @pytest.mark.parametrize("side", [1, 6, F(5, 2), F(1, 2)])
     def test_side_must_be_a_power_of_two_of_at_least_two(self, side):
@@ -246,13 +243,13 @@ class TestFactoredPair:
         assert np.all(pair.sigma.values[cpu:] == 0.0)
         assert pair.sigma.values[:cpu].min() > 0.0
 
-    def test_excess_shrinks_under_refinement(self):
+    def test_excess_shrinks_under_refinement(self, monkeypatch):
         X = 32
+        cpu = build_E(E_FACT.gamma, X).ncells // X
         excesses = []
         for scale in (1, 2):
+            monkeypatch.setattr(pairs, "_auto_cpu", lambda g, side: cpu * scale)
             chi = build_E(E_FACT.gamma, X)
-            cpu = chi.ncells // X
-            chi = build_E(E_FACT.gamma, X, cells_per_unit=cpu * scale)
             w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), X, chi.ncells)
             pair = factored_pair(chi, w2, E_FACT)
             excesses.append(max(0.0, apq_alpha_constant(pair, E_FACT).value - 1.0))

@@ -35,7 +35,6 @@ PROTOCOL = "YoungFunction protocol: the abstract methods, and the methods of a Y
 ALLOWED = {
     **dict.fromkeys([
         "constants.apq_bump",
-        "constants.apq_bump.<locals>.lux_column",
         "constants.apq_bump.<locals>.fn",
         "constants.outer_testing_constant",
         "constants.outer_testing_constant.<locals>.tree_sums",
