@@ -18,7 +18,6 @@ from .constants import (
     ainfty_exp,
     ainfty_m,
     ap_constant,
-    apq_alpha,
     apq_alpha_constant,
     apq_bump,
     md_sp_testing,
@@ -37,7 +36,6 @@ from .grid import (
     cube_to_obj,
     parent,
     realize,
-    shifted_grids,
 )
 from .normest import (
     NormEstimate,
@@ -86,7 +84,6 @@ from .pairs import (
 from .sampled import (
     ExponentTuple,
     SampledFunction,
-    average,
     integrate,
     lp_norm,
     make_exponents,

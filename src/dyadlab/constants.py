@@ -20,13 +20,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .grid import DyadicCube, cube_to_obj, realize
+from .grid import DyadicCube, cube_to_obj
 from .operators import cut_frac_maximal, _grids, _orlicz_averages, _shell_constant, _shell_scans
 from .orlicz import YoungFunction
 from .sampled import (
     ExponentTuple,
     SampledFunction,
-    average,
     log_prefix,
     obj_field,
     parse_rational,
@@ -183,28 +182,14 @@ def _apq_exponents(e: ExponentTuple) -> Tuple[float, float, float]:
     return au, asig, ex
 
 
-def apq_alpha(pair: WeightPair, e: ExponentTuple, cube: DyadicCube) -> float:
-    """Per-cube two-weight fractional constant
-
-        |Q|^{alpha/n + 1/q - 1/p} (avg_Q u)^{1/q} (avg_Q sigma)^{1/p'}.
-
-    Symmetric under (u, sigma, p, q) -> (sigma, u, q', p') exactly, down
-    to the last bit: the dual call multiplies the same two floats.
-    """
-    if cube.dim != pair.u.dim:
-        raise ConstantError("cube dimension does not match the weights")
-    _require_dim(pair, e)
-    au, asig, ex = _apq_exponents(e)
-    box = realize(cube)
-    mu = average(pair.u, box)
-    ms = average(pair.sigma, box)
-    return float(box.volume()) ** ex * ((mu ** au) * (ms ** asig))
-
-
 def _apq_values(scan: LevelScan, exps: Tuple[float, float, float], u_gate, sigma_gate) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, live) of apq_alpha on the cubes of a scan that both gates
-    pass; exps from _apq_exponents and each gate the (masses, live) of
-    scan.positive_cubes for u and sigma."""
+    """(values, live) of the per-cube joint constant
+
+        |Q|^{alpha/n + 1/q - 1/p} (avg_Q u)^{1/q} (avg_Q sigma)^{1/p'}
+
+    on the cubes of a scan that both gates pass; exps from _apq_exponents
+    and each gate the (masses, live) of scan.positive_cubes for u and
+    sigma."""
     au, asig, ex = exps
     (mass_u, live_u), (mass_s, live_s) = u_gate, sigma_gate
     live = live_u & live_s
@@ -219,8 +204,8 @@ def apq_alpha_constant(
     min_level: Optional[int] = None,
     max_level: Optional[int] = None,
 ) -> ConstantReport:
-    """sup_Q apq_alpha(pair, e, Q); cubes where u or sigma fails
-    scan.positive_cubes are skipped."""
+    """sup_Q of the per-cube joint constant of _apq_values; cubes where u
+    or sigma fails scan.positive_cubes are skipped."""
     _require_dim(pair, e)
     exps = _apq_exponents(e)
 

@@ -7,7 +7,7 @@ A grid with shift flags t in {0, 1/3}^n consists of the half-open cubes
 The (-1)^k factor alternates the shift direction between consecutive levels,
 which is what makes cubes of one grid nest properly across levels.  All
 coordinates are Fractions with denominator dividing 3*2^k, so geometry
-predicates (containment, intersection) are exact.
+predicates (containment) are exact.
 """
 from __future__ import annotations
 
@@ -65,19 +65,11 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def upper(self) -> tuple[Fraction, ...]:
-        return tuple(a + self.side for a in self.lower)
-
     def volume(self) -> Fraction:
         return self.side ** self.dim
 
     def is_empty(self) -> bool:
         return self.side == 0
-
-    def contains_point(self, pt) -> bool:
-        pt = tuple(_as_fraction(x) for x in pt)
-        return all(a <= x < a + self.side for a, x in zip(self.lower, pt))
 
     def contains_box(self, other: "Box") -> bool:
         if other.is_empty():
@@ -86,24 +78,6 @@ class Box:
             a <= b and b + other.side <= a + self.side
             for a, b in zip(self.lower, other.lower)
         )
-
-    def intersects(self, other: "Box") -> bool:
-        if self.is_empty() or other.is_empty():
-            return False
-        return all(
-            max(a, b) < min(a + self.side, b + other.side)
-            for a, b in zip(self.lower, other.lower)
-        )
-
-    def intersection_volume(self, other: "Box") -> Fraction:
-        v = Fraction(1)
-        for a, b in zip(self.lower, other.lower):
-            lo = max(a, b)
-            hi = min(a + self.side, b + other.side)
-            if hi <= lo:
-                return Fraction(0)
-            v *= hi - lo
-        return v
 
 
 @dataclass(frozen=True)
@@ -209,28 +183,10 @@ class GridFamily:
         for level in self.levels:
             yield from self.cubes_at_level(level)
 
-    def owner_index(self, level: int, pt) -> tuple[int, ...]:
-        """Index of the unique cube at `level` containing the point."""
-        pt = tuple(_as_fraction(x) for x in pt)
-        e = -1 if level % 2 else 1
-        scale = pow2(level)
-        return tuple(
-            math.floor(scale * x - Fraction(e * t, 3))
-            for x, t in zip(pt, self.shift)
-        )
-
 
 def all_shifts(dim: int) -> list[tuple[int, ...]]:
     """The 2^dim shift-flag tuples, classic grid (all zeros) first."""
     return [tuple(bits) for bits in product((0, 1), repeat=dim)]
-
-
-def shifted_grids(dim: int, window: Box, min_level: int, max_level: int) -> list[GridFamily]:
-    """One GridFamily per shift in {0,1/3}^dim over a common window."""
-    return [
-        GridFamily(dim, s, min_level, max_level, window)
-        for s in all_shifts(dim)
-    ]
 
 
 # === serialization ===========================================================

@@ -10,8 +10,8 @@ cancel when a cube's mass is small next to the prefix totals.
 The geometry of a mesh (its corner, side, cell count, cell width and
 volume, window box, level_L and max_aligned_level) is one immutable
 MeshGeometry record, derived once in exact rationals by mesh_geometry and
-shared by every function on the mesh: with_values, power, restrict_to,
-* and + hand their source's record on, and the record of a new function
+shared by every function on the mesh: with_values, power, restrict_to
+and * hand their source's record on, and the record of a new function
 comes from a memo on the mesh's plain-integer key.  The record also holds
 the cell volume as a float, so the array paths (operators, scans, norms)
 read integers and floats and never touch a Fraction.  The public
@@ -192,11 +192,11 @@ class SampledFunction:
         return cls.constant(1.0, dim, lower, side, ncells).restrict_to(box)
 
     def with_values(self, values) -> "SampledFunction":
-        """values on this mesh, sharing its geometry record; values with
-        another cell count make a function on another mesh."""
+        """values on this mesh, sharing its geometry record; values of
+        another cell count raise MeshMismatchError."""
         arr = _cell_values(values, self.dim)
         if arr.shape != self.values.shape:
-            return SampledFunction(self.dim, self.lower, self.side, arr)
+            raise MeshMismatchError(f"values of shape {arr.shape} on a mesh of shape {self.values.shape}")
         return object.__new__(SampledFunction)._fill(self.geometry, arr)
 
     # --- geometry: read straight off the shared record -----------------------
@@ -220,15 +220,11 @@ class SampledFunction:
         if not self.same_mesh(other):
             raise MeshMismatchError("operands live on different meshes")
 
-    def cell_centers(self, axis: int = 0) -> np.ndarray:
-        a = float(self.lower[axis])
-        h = float(self.h)
-        return a + h * (np.arange(self.ncells) + 0.5)
-
-    def cell_slices(self, box: Box, require_aligned: bool = False):
-        """Per-axis slice of the cells that box∩window meets, empty where
-        that intersection is.  With require_aligned box∩window must sit
-        exactly on cell boundaries, or MeshError."""
+    def cell_slices(self, box: Box, require_aligned: bool = True):
+        """Per-axis slice of the cells of box∩window, empty where that
+        intersection is.  box∩window must sit exactly on cell boundaries,
+        or MeshError: a box is never rounded to whole cells, whatever
+        require_aligned says (the keyword is kept for its callers)."""
         if box.dim != self.dim:
             raise MeshMismatchError("box dimension mismatch")
         sl = []
@@ -238,9 +234,9 @@ class SampledFunction:
                 sl.append(slice(0, 0))
                 continue
             c0, c1 = (lo - a) / self.h, (hi - a) / self.h
-            if require_aligned and (c0.denominator != 1 or c1.denominator != 1):
+            if c0.denominator != 1 or c1.denominator != 1:
                 raise MeshError(f"box edge not on cell boundary: {box}")
-            sl.append(slice(math.floor(c0), math.ceil(c1)))
+            sl.append(slice(int(c0), int(c1)))
         return tuple(sl)
 
     # --- prefix sums and integration ----------------------------------------
@@ -275,19 +271,10 @@ class SampledFunction:
 
     # --- pointwise algebra ----------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, SampledFunction):
-            self.require_same_mesh(other)
-            return self.with_values(self.values * other.values)
-        return self.with_values(self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, SampledFunction):
-            self.require_same_mesh(other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + float(other))
+    def __mul__(self, other: "SampledFunction") -> "SampledFunction":
+        """The pointwise product of two functions on one mesh."""
+        self.require_same_mesh(other)
+        return self.with_values(self.values * other.values)
 
     def power(self, expo: float) -> "SampledFunction":
         """Pointwise power; for negative exponents zero cells map to zero
@@ -344,30 +331,14 @@ obj_field = partial(_obj_field, error=MeshError)
 
 # === integration / averages / norms ==========================================
 
-def integrate(f: SampledFunction, region: Union[Box, DyadicCube, None] = None) -> float:
-    """Integral of f over region∩window (whole window when region is None);
-    MeshError unless region∩window lies on the cell grid."""
-    if region is None:
-        return float(f.values.sum()) * f.geometry.cellvol
-    box = realize(region) if isinstance(region, DyadicCube) else region
-    return f.integrate_box(box)
-
-
-def average(f: SampledFunction, region: Union[Box, DyadicCube]) -> float:
-    """Mean of f over the full region volume; zero extension outside the
-    window, so partially covered regions are diluted.  MeshError unless
-    region∩window lies on the cell grid."""
-    box = realize(region) if isinstance(region, DyadicCube) else region
-    vol = float(box.volume())
-    if vol == 0:
-        raise MeshError("average over a degenerate region")
-    return f.integrate_box(box) / vol
+def integrate(f: SampledFunction) -> float:
+    """Integral of f over its window; f.integrate_box integrates over a box."""
+    return float(f.values.sum()) * f.geometry.cellvol
 
 
 def lp_norm(f: SampledFunction, p, weight: Optional[SampledFunction] = None) -> float:
-    """||f||_{L^p(w dx)} over the window; Lebesgue measure when weight None.
-    At p = inf this is the max of f over the cells of positive weight (0
-    when there is none)."""
+    """||f||_{L^p(w dx)} over the window, 0 < p < inf; Lebesgue measure
+    when weight None."""
     return lp_norms(f, f.values, p, weight)[0]
 
 
@@ -377,34 +348,27 @@ def lp_norms(f: SampledFunction, values: np.ndarray, p, weight: Optional[Sampled
     summed on its own and its root taken by Python's float power, as a
     single norm is."""
     pf = float(p)
-    if pf <= 0:
-        raise MeshError("p must be positive")
+    if not 0 < pf < math.inf:
+        raise MeshError(f"p must be positive and finite, got {p}")
     if weight is not None:
         f.require_same_mesh(weight)
         mass = (weight.values * f.geometry.cellvol).ravel()
     else:
         mass = f.geometry.cellvol
     rows = values.reshape(-1, f.values.size)
-    if math.isinf(pf):
-        # the essential sup over the measure w dx: cells of zero weight do not count
-        live = rows if weight is None else rows[:, weight.values.ravel() > 0]
-        return live.max(axis=-1, initial=0.0).tolist()
     return [total ** (1.0 / pf) for total in np.sum(rows ** pf * mass, axis=-1).tolist()]
 
 
-def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: Optional[SampledFunction] = None) -> list:
-    """sup_t t * w({g > t})^{1/q} (w = 1 when weight is None) of every row
-    g of values on the mesh of f, ordered as lp_norms orders them.  The sup
+def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: SampledFunction) -> list:
+    """sup_t t * w({g > t})^{1/q}, w the weight, of every row g of values
+    on the mesh of f, ordered as lp_norms orders them.  The sup
     is attained approaching each value of g from below, so it is evaluated
     there; each row is sorted on its own, as a batch of that row alone is."""
     qf = float(q)
     if qf <= 0:
         raise MeshError("q must be positive")
-    if weight is not None:
-        f.require_same_mesh(weight)
-        mass = (weight.values * f.geometry.cellvol).ravel()
-    else:
-        mass = np.full(f.values.size, f.geometry.cellvol)
+    f.require_same_mesh(weight)
+    mass = (weight.values * f.geometry.cellvol).ravel()
     flat = values.reshape(-1, f.values.size)
     order = np.argsort(flat, axis=-1)[:, ::-1]
     vs = np.take_along_axis(flat, order, axis=-1)

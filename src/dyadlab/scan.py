@@ -12,7 +12,7 @@ the alignment checked once, in an lru_cache keyed on plain integers: the
 mesh's key from its shared sampled.MeshGeometry record, the shift and the
 level range.  A lookup hashes and compares no Fraction, and cache_info()
 counts the scans built against those reused.  The memo holds no array:
-edge and owner arrays are built on demand and handed out read-only.
+edge arrays are built on demand and handed out read-only.
 Caching them would not pay.  A trial that kept LevelScan.edges in the memo
 raised perfbench's mesh_sweep peak_rss_mb from 192.0 to 267.4 MB, since
 the benchmark keeps every round's import, and with it every memo, alive.
@@ -100,11 +100,6 @@ class LevelScan:
         """Per axis, the cell edges clipped to [0, N]; the plan checks put
         every inner edge in (0, N), so only the two outer ones move."""
         return tuple(_frozen(np.clip(raw, 0, self.ncells)) for raw in self.raw_edges)
-
-    @property
-    def owners(self) -> Tuple[np.ndarray, ...]:
-        """Per axis, the 0-based position of the cube owning each cell."""
-        return tuple(_frozen(np.repeat(np.arange(p[1]), _widths(p, self.ncells))) for p in self.plans)
 
     def cube_at(self, pos: Tuple[int, ...]) -> DyadicCube:
         idx = tuple(plan[0] + int(j) for plan, j in zip(self.plans, pos))

@@ -10,17 +10,22 @@ breaks.  From the repository root,
 
 applies each entry to a fresh temporary copy of src/ (next to a copy of
 tests/, so a test that reads the sources reads the mutated ones) and runs
-its named tests against that copy in one pytest process: on the ci
-profile's examples without shrinking (HYPOTHESIS_PROFILE=mutants), with
-RuntimeWarnings turned into errors as in the tier-1 run, and with plain
-asserts, which pass and fail as the rewritten ones do.  Every named node
-runs to its end (no -x), and its outcome is read from the process's JUnit
-XML report: a node fails when one of the cases it selects fails or
-errors.  The mutant is killed when every named node fails.  The entries
-run on os.cpu_count() workers, and their results are printed in
-catalogue order.  The run exits 1 when a mutant survives, when an entry's
-old text is not found exactly once, or when a node id does not name a
-test.
+its named tests against that copy with pytest.main, in a child forked from
+the runner: on the ci profile's examples without shrinking
+(HYPOTHESIS_PROFILE=mutants), with RuntimeWarnings turned into errors as in
+the tier-1 run, and with plain asserts, which pass and fail as the
+rewritten ones do.  The runner imports numpy (pinned to one BLAS thread),
+hypothesis and pytest once, before the first fork, so that no child pays
+for them again; it never imports dyadlab, and checks that before each
+fork, so that each child imports the mutated copy.  A named node runs
+until it has a failing case: a case that only failed nodes select is
+skipped, since one failure already decides a node.  The outcomes are read
+from the child's JUnit XML report: a node fails when one of the cases it
+selects fails or errors.  The mutant is killed when every named node
+fails.  os.cpu_count() children run at a time, and their results are
+printed in catalogue order, each with its time from copy to verdict.  The
+run exits 1 when a mutant survives, when an entry's old text is not found
+exactly once, or when a node id does not name a test.
 
 Plain Python on purpose: no mutation-testing package.  When a later change
 claims that a test catches a fault, the fault belongs here.
@@ -28,17 +33,20 @@ claims that a test catches a fault, the fault belongs here.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
+import threading
 import time
+import traceback
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +69,22 @@ class Mutant:
 
 
 MUTANTS = [
+    # --- the line gate: the slowest entries (each traces every command) come
+    # first, so that the rest run beside them ---------------------------------
+    Mutant(
+        "unreached_def_planted", "sparse.py",
+        "def subtree_sums(seq: CarlesonSequence)",
+        "def _planted():\n    return None\n\n\ndef subtree_sums(seq: CarlesonSequence)",
+        ("tests/test_reachability.py::test_every_statement_reached_or_allowed",),
+        "a function that no command reaches and ALLOWED does not keep is dead code",
+    ),
+    Mutant(
+        "test_only_branch_planted", "sampled.py",
+        "            raise MeshMismatchError(f\"values of shape {arr.shape} on a mesh of shape {self.values.shape}\")",
+        "            return SampledFunction(self.dim, self.lower, self.side, arr)",
+        ("tests/test_reachability.py::test_every_statement_reached_or_allowed",),
+        "a branch that only tests reach, in a function the commands run, is dead code to the line gate",
+    ),
     # --- the testing-constant sweeps -----------------------------------------
     Mutant(
         "outer_shell_factor_one", "constants.py",
@@ -410,13 +434,6 @@ MUTANTS = [
         "a negative roundoff power mean takes a NaN root, which the result refuses",
     ),
     Mutant(
-        "sup_norm_counts_zero_weight", "sampled.py",
-        "live = rows if weight is None else rows[:, weight.values.ravel() > 0]",
-        "live = rows",
-        ("tests/test_sampled.py::TestNorms::test_weighted_sup_norm_ignores_zero_weight",),
-        "L^inf(w dx) does not see the cells of zero weight",
-    ),
-    Mutant(
         "cube_level_truncated", "grid.py",
         'level=obj_field(obj, "level", _json_int)',
         'level=obj_field(obj, "level", int)',
@@ -559,7 +576,7 @@ MUTANTS = [
         ("tests/test_sampled.py::TestMeshGeometry::test_same_mesh_compares_every_part_of_the_key",),
         "windows of sides 2 and 4 with one corner and one cell count are different meshes",
     ),
-    # --- sparse families, imports and reachability -----------------------------
+    # --- sparse families and imports ------------------------------------------
     Mutant(
         "sparse_chain_sum_dropped", "sparse.py",
         'value[ids] = value[parents[ids]] + u if form == "chi" else u',
@@ -568,9 +585,11 @@ MUTANTS = [
         "the chi form sums over every stopping cube containing a cell, not the deepest one alone",
     ),
     Mutant(
-        "off_grid_box_integrated", "sampled.py",
-        "for s in self.cell_slices(box, require_aligned=True))",
-        "for s in self.cell_slices(box))",
+        "off_grid_box_rounded_out", "sampled.py",
+        "            if c0.denominator != 1 or c1.denominator != 1:\n"
+        "                raise MeshError(f\"box edge not on cell boundary: {box}\")\n"
+        "            sl.append(slice(int(c0), int(c1)))",
+        "            sl.append(slice(math.floor(c0), math.ceil(c1)))",
         ("tests/test_sampled.py::TestIntegration::test_off_grid_box_refused",),
         "a box edge inside a cell would be rounded out to whole cells, not refused",
     ),
@@ -587,13 +606,6 @@ MUTANTS = [
         "import numpy as np\nimport os\n",
         ("tests/test_imports.py::test_no_unused_imports[scan.py]",),
         "every import in a library module is used",
-    ),
-    Mutant(
-        "unreached_def_planted", "sparse.py",
-        "def subtree_sums(seq: CarlesonSequence)",
-        "def _planted():\n    return None\n\n\ndef subtree_sums(seq: CarlesonSequence)",
-        ("tests/test_reachability.py::test_every_function_reached_or_allowed",),
-        "a function that no command reaches and ALLOWED does not keep is dead code",
     ),
 ]
 
@@ -622,50 +634,98 @@ def node_failed(node: str, cases) -> bool:
     return any(mine)
 
 
-def run(mutant: Mutant) -> list:
-    """The node ids that passed with the mutant in place (empty: killed).
-
-    A pytest run that neither passes nor fails (a collection or usage
-    error), or a node id that selects no test, raises RuntimeError."""
-    with tempfile.TemporaryDirectory(prefix="dyadlab-mutant-") as tmp:
-        copy = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for tree in ("src", "tests"):
-            shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        src = copy / "src"
-        apply(mutant, src)
-        env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutants", PYTHONDONTWRITEBYTECODE="1")
-        report = copy / "junit.xml"
-        # plain asserts: with bytecode writing off, rewriting the asserts of
-        # hypothesis and the test modules would cost each process about 1 s
-        args = ["-q", "-p", "no:cacheprovider", "--assert=plain", "-W", "error::RuntimeWarning",
-                f"--junitxml={report}", *mutant.tests]
-        # one process: print where dyadlab comes from, then run the named tests
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dyadlab, pytest; print(dyadlab.__file__, flush=True); "
-             f"sys.exit(pytest.main({args!r}))"],
-            cwd=copy, env=env, capture_output=True, text=True)
-        where = proc.stdout.split("\n", 1)[0].strip()
-        if not where or src.resolve() not in Path(where).resolve().parents:
-            raise RuntimeError(f"dyadlab imported from {where!r}, not the mutated copy")
-        if proc.returncode not in (0, 1) or not report.is_file():
-            tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
-            raise RuntimeError(f"pytest exit {proc.returncode}\n{tail}")
-        cases = [(case.get("classname"), case.get("name"),
-                  case.find("failure") is not None or case.find("error") is not None)
-                 for case in ET.parse(report).iter("testcase")]
-        return [node for node in mutant.tests if not node_failed(node, cases)]
+# imported once, before the first fork, so that no child imports them again
+PRELOAD = ("numpy", "hypothesis", "hypothesis.strategies", "pytest", "_hypothesis_pytestplugin", "_pytest.junitxml")
 
 
-def _timed(mutant: Mutant):
-    """(survivors or the error, seconds) of one entry."""
-    t0 = time.perf_counter()
+def preload() -> None:
+    """Import PRELOAD into this process, numpy with one BLAS thread: the
+    children are forked from it, and a fork keeps no other thread."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    for name in PRELOAD:
+        importlib.import_module(name)
+
+
+def selects(node: str, nodeid: str) -> bool:
+    """Whether a named node id selects the test case of a pytest nodeid."""
+    return nodeid == node or "[" not in node and nodeid.startswith(node + "[")
+
+
+class FirstFailure:
+    """pytest plugin: a case is skipped, before its fixtures are set up,
+    once every named node that selects it has a failing case, since one
+    failure already decides each of them."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.failed = set()
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_setup(self, item):
+        mine = {node for node in self.nodes if selects(node, item.nodeid)}
+        if mine and mine <= self.failed:
+            pytest.skip("its named nodes have failed")
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed.update(node for node in self.nodes if selects(node, report.nodeid))
+
+
+def prepare(mutant: Mutant, copy: Path) -> None:
+    """Copy src/, tests/ and pyproject.toml to copy and apply the mutant there."""
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for tree in ("src", "tests"):
+        shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", copy)
+    apply(mutant, copy / "src")
+
+
+def child(mutant: Mutant, copy: Path) -> None:
+    """In a forked child: import dyadlab from the copy, record where from,
+    run the named tests there with pytest.main, and exit with its status.
+    Its output goes to copy/pytest.log."""
+    status = 3
     try:
-        out = run(mutant)
-    except (LookupError, RuntimeError) as exc:
-        out = exc
-    return out, time.perf_counter() - t0
+        log = os.open(copy / "pytest.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.chdir(copy)
+        src = copy / "src"
+        os.environ.update(PYTHONPATH=str(src), HYPOTHESIS_PROFILE="mutants", PYTHONDONTWRITEBYTECODE="1")
+        sys.dont_write_bytecode = True
+        sys.path[:0] = [str(src), str(copy / "tests")]
+        (copy / "where.txt").write_text(importlib.import_module("dyadlab").__file__)
+        # plain asserts: with bytecode writing off, rewriting the asserts of
+        # hypothesis and the test modules would cost each child about 1 s
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--assert=plain", "-W", "error::RuntimeWarning",
+                              f"--junitxml={copy / 'junit.xml'}", *mutant.tests], plugins=[FirstFailure(mutant.tests)])
+    except BaseException:  # anything, exit included: the finally below ends the child, never the runner's loop
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(int(status))
+
+
+def verdict(mutant: Mutant, copy: Path, status: int) -> list:
+    """The node ids that passed in a child's run (empty: killed).
+
+    A run that neither passed nor failed (a collection or usage error), one
+    that imported dyadlab from elsewhere than the copy, or a node id that
+    selects no test, raises RuntimeError."""
+    where = copy / "where.txt"
+    if where.is_file() and (copy / "src").resolve() not in Path(where.read_text()).resolve().parents:
+        raise RuntimeError(f"dyadlab imported from {where.read_text()!r}, not the mutated copy")
+    report = copy / "junit.xml"
+    if status not in (0, 1) or not report.is_file():
+        log = copy / "pytest.log"
+        tail = "\n".join(log.read_text().splitlines()[-10:]) if log.is_file() else ""
+        raise RuntimeError(f"pytest exit {status}\n{tail}")
+    cases = [(case.get("classname"), case.get("name"),
+              case.find("failure") is not None or case.find("error") is not None)
+             for case in ET.parse(report).iter("testcase")]
+    return [node for node in mutant.tests if not node_failed(node, cases)]
 
 
 def main(argv=None) -> int:
@@ -678,10 +738,42 @@ def main(argv=None) -> int:
         print(f"error: unknown mutants {unknown}", file=sys.stderr)
         return 1
     chosen = [by_name[n] for n in args.names] or MUTANTS
-    bad = 0
+    preload()
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        for m, (out, seconds) in zip(chosen, pool.map(_timed, chosen)):
+    todo = list(enumerate(chosen))
+    running = {}  # pid -> (catalogue index, copy, start time)
+    done = {}  # catalogue index -> (survivors or the error, seconds)
+    shown = bad = 0
+    while todo or running:
+        while todo and len(running) < (os.cpu_count() or 1):
+            i, m = todo.pop(0)
+            t0 = time.perf_counter()
+            copy = Path(tempfile.mkdtemp(prefix="dyadlab-mutant-"))
+            try:
+                prepare(m, copy)
+            except LookupError as exc:
+                shutil.rmtree(copy)
+                done[i] = exc, time.perf_counter() - t0
+                continue
+            loaded = sorted(n for n in sys.modules if n == "dyadlab" or n.startswith("dyadlab."))
+            if loaded or threading.active_count() > 1:
+                raise RuntimeError(f"the runner imported {loaded} or started a thread; a fork would hand it on")
+            pid = os.fork()
+            if pid == 0:
+                child(m, copy)
+            running[pid] = i, copy, t0
+        if running:
+            pid, status = os.wait()
+            i, copy, t0 = running.pop(pid)
+            try:
+                out = verdict(chosen[i], copy, os.waitstatus_to_exitcode(status))
+            except RuntimeError as exc:
+                out = exc
+            shutil.rmtree(copy, ignore_errors=True)
+            done[i] = out, time.perf_counter() - t0
+        while shown in done:
+            m, (out, seconds) = chosen[shown], done.pop(shown)
+            shown += 1
             if isinstance(out, Exception):
                 print(f"ERROR     {m.name}: {out}", flush=True)
                 bad += 1

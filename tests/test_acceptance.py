@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from dyadlab.constants import WeightPair, ap_constant, apq_alpha_constant
-from dyadlab.grid import Box, GridFamily, parent, realize, shifted_grids
+from dyadlab.grid import Box, GridFamily, parent, realize
 from dyadlab.normest import TestFamily, equivalence_report, estimate_norm, orlicz_norm_quadrature
 from dyadlab.operators import (
     dyadic_frac_maximal,
@@ -39,8 +39,10 @@ from dyadlab.pairs import (
     factored_pair,
     verify_E_maximal,
 )
-from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
+from dyadlab.sampled import ExponentTuple, SampledFunction, lp_norm
 from dyadlab.sparse import build_sparse, sparse_operator
+
+from cube_oracle import integral, shifted_grids
 
 
 def rand_f(dim, ncells, seed, lo=0.0, hi=3.0, zero_block=False):
@@ -114,7 +116,7 @@ def test_criterion_01_shell_potential_exact_constant():
                         a,
                         q0,
                     )
-                    mass = integrate(sigma, q0)
+                    mass = integral(sigma, q0)
                     vol0 = float(realize(q0).volume())
                     want = coeff * vol0 ** (a / dim - 1.0) * mass
                     got = pot.values[sigma.cell_slices(realize(q0))]
@@ -407,8 +409,8 @@ def test_criterion_09_symmetry_and_classical_link():
         for cube in inside_cubes(pair.u, shifts=True):
             box = realize(cube)
             vol = float(box.volume())
-            avg_u = integrate(pair.u, box) / vol
-            avg_s = integrate(pair.sigma, box) / vol
+            avg_u = integral(pair.u, box) / vol
+            avg_s = integral(pair.sigma, box) / vol
             out[(cube.shift, cube.level, cube.index)] = vol**ex * avg_u**au * avg_s**asig
         return out
 

@@ -11,13 +11,11 @@ from pytest import approx
 
 from dyadlab.constants import (
     ConstantError,
-    ConstantReport,
     WeightPair,
     _sup_scan,
     ainfty_exp,
     ainfty_m,
     ap_constant,
-    apq_alpha,
     apq_alpha_constant,
     apq_bump,
     md_sp_testing,
@@ -25,14 +23,15 @@ from dyadlab.constants import (
     outer_testing_constant,
     sawyer_maximal_testing,
 )
-from dyadlab.grid import DyadicCube, realize, shifted_grids
+from dyadlab.grid import DyadicCube, realize
 from dyadlab.operators import _grids, _shell_scans, dyadic_frac_maximal, frac_maximal
 from dyadlab.orlicz import log_bump, power, power_log
 from dyadlab.pairs import classical_pair
-from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
+from dyadlab.sampled import ExponentTuple, SampledFunction, lp_norm
 from dyadlab.scan import positive_cubes
 
 import orlicz_average_oracle
+from cube_oracle import apq_alpha, integral, shifted_grids
 from fraction_oracle import ancestor_chain, refuse_fraction_geometry
 
 
@@ -42,8 +41,8 @@ def rand_weight(dim, lower, side, ncells, seed, lo=0.2, hi=3.0):
     return SampledFunction(dim, lower, side, rng.uniform(lo, hi, shape))
 
 
-def ones(dim=1, lower=(0,), side=1, ncells=48):
-    return SampledFunction.constant(1.0, dim, lower, side, ncells)
+def ones(dim=1, lower=(0,), side=1, ncells=48, c=1.0):
+    return SampledFunction.constant(c, dim, lower, side, ncells)
 
 
 E_SOB = ExponentTuple(1, F(1, 2), F(4, 3), F(4))        # Sobolev scaling
@@ -111,7 +110,7 @@ class TestApq:
 
     def test_constant_pair_closed_form(self):
         cu, cs = 2.0, 5.0
-        pair = WeightPair(ones() * cu, ones() * cs)
+        pair = WeightPair(ones(c=cu), ones(c=cs))
         cube = DyadicCube(1, 2, (1,), (F(0),))
         ex = float(E_FRAC.alpha / 1 + 1 / E_FRAC.q - 1 / E_FRAC.p)
         expect = 0.25 ** ex * cu ** 0.25 * cs ** 0.25
@@ -164,7 +163,7 @@ class TestApq:
 
 class TestAinftyExp:
     def test_constant_weight(self):
-        rep = ainfty_exp(ones() * 2.5)
+        rep = ainfty_exp(ones(c=2.5))
         assert rep.value == approx(1.0, rel=1e-12)
 
     def test_jensen_floor(self):
@@ -197,7 +196,7 @@ class TestAinftyExp:
 
 class TestAinftyM:
     def test_constant_weight_is_one(self):
-        rep = ainfty_m(ones(ncells=24) * 3.0, min_level=0)
+        rep = ainfty_m(ones(ncells=24, c=3.0), min_level=0)
         assert rep.value == approx(1.0, rel=1e-12)
 
     def test_floor_and_exp_comparison(self):
@@ -221,7 +220,7 @@ class TestAinftyM:
 
 class TestApConstant:
     def test_constant_weight(self):
-        rep = ap_constant(ones() * 4.0, F(3, 2))
+        rep = ap_constant(ones(c=4.0), F(3, 2))
         assert rep.value == approx(1.0, rel=1e-12)
 
     def test_jensen_floor(self):
@@ -362,7 +361,7 @@ def brute_outer_testing(pair, e, min_level, max_level):
                 if not inside[pos]:
                     continue
                 cube = scan.cube_at(pos)
-                mass = integrate(pair.sigma, realize(cube))
+                mass = integral(pair.sigma, realize(cube))
                 if mass <= 0:
                     continue
                 g = outer_riesz(pair.sigma, cube, float(e.alpha))
@@ -419,7 +418,7 @@ class TestOuterTesting:
                     if not inside[pos]:
                         continue
                     box = realize(scan.cube_at(pos))
-                    mass = integrate(pair.sigma, box)
+                    mass = integral(pair.sigma, box)
                     if mass <= 0:
                         continue
                     m = frac_maximal(pair.sigma.restrict_to(box), float(e.alpha),
@@ -465,8 +464,8 @@ class TestSawyer:
             box = realize(DyadicCube(1, 1, (m,), (F(0),)))
             cut = pair.u.restrict_to(box)
             mfun = frac_maximal(cut, float(e.alpha), min_level=1, max_level=1)
-            num = integrate(mfun.power(float(e.pprime)) * pair.sigma, box)
-            val = num ** float(1 / e.pprime) * integrate(pair.u, box) ** -float(1 / e.qprime)
+            num = integral(mfun.power(float(e.pprime)) * pair.sigma, box)
+            val = num ** float(1 / e.pprime) * integral(pair.u, box) ** -float(1 / e.qprime)
             best = max(best, val)
         assert rep.value == approx(best, rel=1e-12)
 
@@ -644,7 +643,7 @@ def _cube_loop(dens, score):
 def fujii_oracle(w, box, mass, min_level, max_level):
     """w(Q)^{-1} int_Q M(w chi_Q): one full-mesh frac_maximal per cube."""
     m = frac_maximal(w.restrict_to(box), 0.0, min_level=min_level, max_level=max_level)
-    return integrate(m, box) / mass
+    return integral(m, box) / mass
 
 
 def ainfty_m_oracle(w, shifts=None, min_level=None, max_level=None):
@@ -662,7 +661,7 @@ def mixed_ap_m_oracle(pair, e, shifts=None, min_level=None, max_level=None):
 
     def score(cube, box, mass):
         vol = float(box.volume())
-        ms = integrate(dual_pow, box) / vol
+        ms = integral(dual_pow, box) / vol
         fujii = fujii_oracle(w, box, mass, min_level, max_level)
         return (mass / vol * ms ** rm1) ** beta * fujii ** gamma
 
@@ -731,7 +730,7 @@ def sawyer_oracle(pair, e, shifts=None, min_level=None, max_level=None, which="f
         m = frac_maximal(inner.restrict_to(box), alpha, shifts=inner_shifts,
                          min_level=min_level, max_level=max_level)
         # the integrand is nonnegative: clamp prefix-sum roundoff at 0
-        num = max(integrate(m.power(p_in) * outer, box), 0.0)
+        num = max(integral(m.power(p_in) * outer, box), 0.0)
         return num ** (1.0 / p_in) * mass ** (-p_norm)
 
     return _sup_scan(f"sawyer_{which}", pair.u, shifts, min_level, max_level, _cube_loop(inner, score))
@@ -789,7 +788,7 @@ def md_sp_oracle(pair, e, shifts=None, min_level=None, max_level=None):
         m = dyadic_frac_maximal(pair.sigma.restrict_to(box), 0.0, shift=cube.shift,
                                 min_level=min_level, max_level=max_level)
         # the integrand is nonnegative: clamp prefix-sum roundoff at 0
-        num = max(integrate(m.power(s) * pair.u, box), 0.0)
+        num = max(integral(m.power(s) * pair.u, box), 0.0)
         return num ** inv_q * mass ** (-inv_q)
 
     return _sup_scan("md_sp_testing", pair.u, shifts, min_level, max_level, _cube_loop(pair.sigma, score))
@@ -806,7 +805,7 @@ def outer_testing_oracle(pair, e, shifts=None, min_level=None, max_level=None):
         total = prev = 0.0
         for anc in ancestor_chain(cube, pair.u.window):
             b = realize(anc)
-            here = integrate(pair.u, b)
+            here = integral(pair.u, b)
             total += float(b.volume()) ** shell_pow * (here - prev)
             prev = here
         # the chain sum is nonnegative: clamp roundoff at 0
@@ -899,7 +898,6 @@ class TestExponentDimension:
     PAIR = WeightPair(rand_weight(2, (0, 0), 1, 12, 61), rand_weight(2, (0, 0), 1, 12, 62))
 
     @pytest.mark.parametrize("call", [
-        lambda pair, e: apq_alpha(pair, e, DyadicCube(2, 0, (0, 0), (F(0), F(0)))),
         apq_alpha_constant,
         lambda pair, e: apq_bump(pair, e, power(4)),
         lambda pair, e: mixed_one_sup(pair, e, flavor="apq_exp"),
@@ -908,7 +906,7 @@ class TestExponentDimension:
         lambda pair, e: sawyer_maximal_testing(pair, e, which="dual"),
         md_sp_testing,
         outer_testing_constant,
-    ], ids=["apq_alpha", "apq_alpha_constant", "apq_bump", "mixed_apq_exp", "mixed_ap_m",
+    ], ids=["apq_alpha_constant", "apq_bump", "mixed_apq_exp", "mixed_ap_m",
             "sawyer_forward", "sawyer_dual", "md_sp_testing", "outer_testing_constant"])
     def test_wrong_dimension_refused(self, call):
         with pytest.raises(ConstantError, match="exponent dimension does not match the weights"):

@@ -1,6 +1,7 @@
-"""Every import in a library module is used (the package __init__ is a
-re-export list and is left out).  The modules checked are those of the
-imported package, wherever it was imported from."""
+"""Every import in a library module or a test module is used (the
+package __init__ is a re-export list and is left out).  The library
+modules checked are those of the imported package, wherever it was
+imported from, and the test modules those beside this file."""
 import ast
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 import dyadlab
 
 SRC = Path(dyadlab.__file__).resolve().parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(Path(__file__).resolve().parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -11,7 +11,7 @@ from pytest import approx
 
 from dyadlab import normest, operators
 from dyadlab.constants import WeightPair, _require_dim, sawyer_maximal_testing
-from dyadlab.grid import DyadicCube, GridFamily, all_shifts, realize
+from dyadlab.grid import GridFamily, all_shifts, realize
 from dyadlab.operators import frac_maximal, outer_riesz, _shell_constant
 from dyadlab.normest import (
     NormError,
@@ -26,9 +26,10 @@ from dyadlab.normest import (
 )
 from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, PowerScaled, borderline, log_bump, power, power_log
 from dyadlab.pairs import classical_pair
-from dyadlab.sampled import ExponentTuple, SampledFunction, integrate, lp_norm
+from dyadlab.sampled import ExponentTuple, SampledFunction, lp_norm
 
 import norm_oracle
+from cube_oracle import integral
 from fraction_oracle import ancestor_chain, fraction_calls, refuse_fraction_geometry
 from operator_oracle import PUBLIC_OPERATORS
 from shell_loop_oracle import shells_by_level
@@ -464,7 +465,7 @@ def shell_oracle(sigma, cube0, alpha):
     n = sigma.dim
     C = _shell_constant(alpha, n)
     a = float(alpha)
-    mass = integrate(sigma, cube0)
+    mass = integral(sigma, cube0)
     out = np.zeros_like(sigma.values)
     for A in reversed(ancestor_chain(cube0, sigma.window)):
         b = realize(A)

@@ -21,9 +21,10 @@ from dyadlab.operators import (
     weighted_dyadic_maximal,
 )
 from dyadlab.orlicz import PowerScaled, log_bump, power
-from dyadlab.sampled import SampledFunction, integrate, lp_norm, prefix_sum
+from dyadlab.sampled import SampledFunction, integrate, prefix_sum
 from dyadlab.scan import cell_block, iter_scans
 
+from cube_oracle import cell_centers, contains_point, integral
 from fraction_oracle import ancestor_chain, fraction_calls
 from operator_oracle import PUBLIC_OPERATORS, riesz_1d_row
 from orlicz_average_oracle import orlicz_maximal_values
@@ -48,12 +49,12 @@ def brute_max(f, alpha, shifts, min_level, max_level, kind="frac", g=None, mu=No
             vol = float(b.volume())
             sl = f.cell_slices(b)
             if kind == "frac":
-                val = vol ** (alpha / f.dim - 1.0) * integrate(f, cube)
+                val = vol ** (alpha / f.dim - 1.0) * integral(f, cube)
             elif kind == "weighted":
-                mu_q = integrate(mu, cube)
+                mu_q = integral(mu, cube)
                 if mu_q == 0:
                     continue
-                val = mu_q ** (beta / f.dim - 1.0) * integrate(f * mu, cube)
+                val = mu_q ** (beta / f.dim - 1.0) * integral(f * mu, cube)
             elif kind == "geometric":
                 if not f.window.contains_box(b):
                     continue
@@ -266,7 +267,7 @@ class TestDyadicRiesz:
         grid = GridFamily(1, (0,), -2, f.max_aligned_level, f.window)
         for cube in grid:
             b = realize(cube)
-            val = float(b.volume()) ** (alpha - 1.0) * integrate(f, cube)
+            val = float(b.volume()) ** (alpha - 1.0) * integral(f, cube)
             sl = f.cell_slices(b)
             out[sl] += val
         np.testing.assert_allclose(got.values, out, rtol=1e-12)
@@ -292,7 +293,7 @@ class TestRieszPotential1D:
         alpha = 0.6
         f = SampledFunction.constant(1.0, 1, (0,), 1, 48)
         got = riesz_1d_row(f, alpha)
-        x = np.array([float(c) for c in (f.cell_centers())])
+        x = cell_centers(f)
         want = (x ** alpha + (1 - x) ** alpha) / alpha
         np.testing.assert_allclose(got.values, want, rtol=1e-12)
 
@@ -364,19 +365,19 @@ class TestOuterRiesz:
         cube0 = DyadicCube(1, 2, (1,), (0,))  # [1/4, 1/2)
         alpha = 0.5
         got = outer_riesz(sigma, cube0, alpha)
-        mass = integrate(sigma, cube0)
+        mass = integral(sigma, cube0)
         # deep explicit chain plus the analytic geometric tail
         deep = [cube0]
         for _ in range(60):
             deep.append(parent(deep[-1]))
-        centers = sigma.cell_centers()
+        centers = cell_centers(sigma)
         want = np.zeros(sigma.ncells)
         ratio = 2.0 ** (alpha - 1.0)
         for i, x in enumerate(centers):
             acc = 0.0
             for j, A in enumerate(deep):
                 b = realize(A)
-                if b.contains_point((Fraction(x).limit_denominator(10 ** 12),)):
+                if contains_point(b, (Fraction(x).limit_denominator(10 ** 12),)):
                     vol = float(b.volume())
                     acc += vol ** (alpha - 1.0) * mass
             # tail beyond the deep chain
@@ -402,7 +403,7 @@ class TestOuterRiesz:
         sl = sigma.cell_slices(realize(cube0))
         inside = got.values[sl]
         C = 1.0 / (1.0 - 2.0 ** (alpha - 1.0))
-        expect = C * 0.5 ** (alpha - 1.0) * integrate(sigma, cube0)
+        expect = C * 0.5 ** (alpha - 1.0) * integral(sigma, cube0)
         np.testing.assert_allclose(inside, expect, rtol=1e-13)
 
     def test_dominated_by_frac_maximal(self):
@@ -425,7 +426,7 @@ class TestOuterRiesz:
         # value on the seed cube: C |Q0|^{alpha/2-1} sigma(Q0)
         C = 1.0 / (1.0 - 2.0 ** (alpha - 2.0))
         sl = sigma.cell_slices(realize(cube0))
-        expect = C * (0.25 ** 2) ** (alpha / 2.0 - 1.0) * integrate(sigma, cube0)
+        expect = C * (0.25 ** 2) ** (alpha / 2.0 - 1.0) * integral(sigma, cube0)
         np.testing.assert_allclose(got.values[sl], expect, rtol=1e-12)
         # shells are constant: the sibling region at level 2 inside the
         # common level-1 parent takes the parent's value

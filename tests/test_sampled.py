@@ -14,7 +14,6 @@ from dyadlab.sampled import (
     MeshError,
     MeshMismatchError,
     SampledFunction,
-    average,
     integrate,
     is_cell_count,
     is_power_of_two,
@@ -24,6 +23,14 @@ from dyadlab.sampled import (
     parse_rational,
     weak_lq_norms,
 )
+
+from cube_oracle import average, cell_centers, integral, intersection_volume
+
+
+def unit(f: SampledFunction) -> SampledFunction:
+    """The weight 1 on the mesh of f: the weak norms take Lebesgue measure
+    as this weight."""
+    return f.with_values(np.ones_like(f.values))
 
 
 def brute_integral(f: SampledFunction, box: Box) -> float:
@@ -35,7 +42,7 @@ def brute_integral(f: SampledFunction, box: Box) -> float:
     for idx in it:
         lo = tuple(f.lower[ax] + idx[ax] * h for ax in range(f.dim))
         cell = Box(lo, h)
-        ov = cell.intersection_volume(box)
+        ov = intersection_volume(cell, box)
         if ov > 0:
             total += float(f.values[idx]) * float(ov)
     return total
@@ -131,7 +138,7 @@ class TestGeometry:
     def test_cell_centers(self):
         f = SampledFunction.constant(1.0, 1, (-1,), 2, 6)
         np.testing.assert_allclose(
-            f.cell_centers(), [-5 / 6, -3 / 6, -1 / 6, 1 / 6, 3 / 6, 5 / 6]
+            cell_centers(f), [-5 / 6, -3 / 6, -1 / 6, 1 / 6, 3 / 6, 5 / 6]
         )
 
 
@@ -157,7 +164,7 @@ class TestMeshGeometry:
         f = SampledFunction(1, (0,), 2, rng.uniform(0.5, 2.0, 48))
         g = f.with_values(rng.uniform(0.5, 2.0, 48))
         derived = [g, f.power(2.0), f.power(-0.5), f.restrict_to(DyadicCube(1, 0, (0,), (0,))),
-                   f * g, f * 2.0, 2.0 * f, f + g, f + 1.0,
+                   f * g,
                    op.frac_maximal(f, 0.5), op.dyadic_frac_maximal(f), op.dyadic_riesz(f, 0.5),
                    op.geometric_maximal(f), op.weighted_dyadic_maximal(f, g),
                    op.outer_riesz(f, DyadicCube(1, 1, (1,), (0,)), 0.5)]
@@ -168,11 +175,11 @@ class TestMeshGeometry:
         g = SampledFunction(1, (Fraction(0),), Fraction(1), np.zeros(24))
         assert g.geometry is f.geometry
 
-    def test_other_cell_count_is_another_mesh(self):
+    def test_other_cell_count_refused(self):
+        # with_values keeps the mesh: values of another cell count have none
         f = SampledFunction(1, (0,), 1, np.ones(24))
-        g = f.with_values(np.ones(48))
-        assert g.ncells == 48 and g.geometry.key == (48, 1, 0)
-        assert not f.same_mesh(g)
+        with pytest.raises(MeshMismatchError, match=r"shape \(48,\) on a mesh of shape \(24,\)"):
+            f.with_values(np.ones(48))
 
     def test_same_mesh_compares_every_part_of_the_key(self):
         f = SampledFunction(1, (0,), 2, np.ones(24))
@@ -208,7 +215,7 @@ class TestIntegration:
         f = SampledFunction(1, (0,), 1, rng.uniform(0, 2, 12))
         cube = DyadicCube(1, 1, (1,), (0,))  # [1/2, 1)
         expect = float(f.values[6:].sum()) / 12
-        assert integrate(f, cube) == pytest.approx(expect, rel=1e-14)
+        assert integral(f, cube) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("box", [Box((Fraction(1, 5),), Fraction(2, 5)),
                                      Box((Fraction(1, 7), Fraction(2, 5)), Fraction(1, 3))], ids=["1d", "2d"])
@@ -216,8 +223,9 @@ class TestIntegration:
         # box integrals live on the cell grid: a box edge inside a cell is
         # refused, never prorated
         f = SampledFunction.constant(1.0, box.dim, (0,) * box.dim, 1, 6)
-        calls = [lambda: integrate(f, box), lambda: average(f, box), lambda: f.restrict_to(box),
-                 lambda: SampledFunction.indicator(box, box.dim, (0,) * box.dim, 1, 6)]
+        calls = [lambda: f.integrate_box(box), lambda: f.restrict_to(box),
+                 lambda: SampledFunction.indicator(box, box.dim, (0,) * box.dim, 1, 6),
+                 lambda: f.cell_slices(box), lambda: f.cell_slices(box, require_aligned=False)]
         for call in calls:
             with pytest.raises(MeshError, match="not on cell boundary"):
                 call()
@@ -225,18 +233,18 @@ class TestIntegration:
     def test_straddling_box_zero_extension(self):
         f = SampledFunction.constant(2.0, 1, (0,), 1, 3)
         box = Box((Fraction(-1),), Fraction(3))  # covers window plus outside
-        assert integrate(f, box) == pytest.approx(2.0, rel=1e-15)
+        assert integral(f, box) == pytest.approx(2.0, rel=1e-15)
 
     def test_disjoint_box(self):
         f = SampledFunction.constant(2.0, 1, (0,), 1, 3)
-        assert integrate(f, Box((Fraction(5),), Fraction(1))) == 0.0
+        assert integral(f, Box((Fraction(5),), Fraction(1))) == 0.0
 
     def test_2d_prefix_against_brute(self):
         rng = np.random.default_rng(5)
         f = SampledFunction(2, (0, 0), 1, rng.uniform(0, 1, (12, 12)))
         cube = DyadicCube(2, 2, (1, 2), (0, 0))
         box = realize(cube)
-        assert integrate(f, cube) == pytest.approx(brute_integral(f, box), rel=1e-13)
+        assert integral(f, cube) == pytest.approx(brute_integral(f, box), rel=1e-13)
 
     @given(
         lo_num=st.integers(-12, 12),
@@ -253,18 +261,16 @@ class TestIntegration:
         whole = Box((lo,), w)
         left = Box((lo,), w / 2)
         right = Box((lo + w / 2,), w / 2)
-        assert integrate(f, whole) == pytest.approx(
-            integrate(f, left) + integrate(f, right), rel=1e-12, abs=1e-15
+        assert integral(f, whole) == pytest.approx(
+            integral(f, left) + integral(f, right), rel=1e-12, abs=1e-15
         )
 
 
 class TestAlgebra:
-    def test_mul_and_add(self):
+    def test_mul(self):
         f = SampledFunction(1, (0,), 1, np.array([1.0, 2.0, 3.0]))
         g = SampledFunction(1, (0,), 1, np.array([2.0, 0.5, 1.0]))
         np.testing.assert_allclose((f * g).values, [2.0, 1.0, 3.0])
-        np.testing.assert_allclose((f + g).values, [3.0, 2.5, 4.0])
-        np.testing.assert_allclose((2.0 * f).values, [2.0, 4.0, 6.0])
 
     def test_power_negative_zero_convention(self):
         f = SampledFunction(1, (0,), 1, np.array([4.0, 0.0, 1.0]))
@@ -283,7 +289,7 @@ class TestAlgebra:
         assert g.ncells == 24
         box = Box((Fraction(1, 3), Fraction(1, 6)), Fraction(1, 2))
         assert integrate(g) == pytest.approx(integrate(f), rel=1e-14)
-        assert integrate(g, box) == pytest.approx(integrate(f, box), rel=1e-13)
+        assert integral(g, box) == pytest.approx(integral(f, box), rel=1e-13)
 
     def test_indicator_matches_box(self):
         box = Box((Fraction(1, 3),), Fraction(1, 3))
@@ -303,14 +309,13 @@ class TestNorms:
         expect = ((1 * 3 + 0 + 27 * 1) / 3) ** (1 / 3)
         assert lp_norm(f, 3, weight=w) == pytest.approx(expect, rel=1e-14)
 
-    def test_weighted_sup_norm_ignores_zero_weight(self):
-        # L^inf(w dx) is the max over the cells of positive weight
+    @pytest.mark.parametrize("p", [0, -1, math.inf])
+    def test_exponent_outside_zero_to_inf_refused(self, p):
         f = SampledFunction(1, (0,), 1, np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
-        w = f.with_values(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
-        assert lp_norm(f, math.inf, weight=w) == 1.0
-        assert lp_norm(f, math.inf) == 5.0
-        assert lp_norm(f, math.inf, weight=f.with_values(np.zeros(6))) == 0.0
-        assert lp_norms(f, np.stack([f.values, f.values[::-1]]), math.inf, weight=w) == [1.0, 5.0]
+        with pytest.raises(MeshError, match="p must be positive and finite"):
+            lp_norm(f, p)
+        with pytest.raises(MeshError, match="p must be positive and finite"):
+            lp_norms(f, np.stack([f.values, f.values[::-1]]), p)
 
     def test_weak_norm_two_values(self):
         # g takes values 4 (on one cell) and 1 (on two cells), cells of
@@ -318,12 +323,12 @@ class TestNorms:
         g = SampledFunction(1, (0,), 1, np.array([4.0, 1.0, 1.0]))
         q = 2.0
         expect = max(4 * (1 / 3) ** (1 / q), 1.0)
-        assert weak_lq_norms(g, g.values, q)[0] == pytest.approx(expect, rel=1e-14)
+        assert weak_lq_norms(g, g.values, q, unit(g))[0] == pytest.approx(expect, rel=1e-14)
 
     def test_weak_norm_with_ties(self):
         g = SampledFunction(1, (0,), 1, np.array([2.0, 2.0, 0.0]))
         # {g > t} has measure 2/3 for t < 2
-        assert weak_lq_norms(g, g.values, 1)[0] == pytest.approx(4 / 3, rel=1e-14)
+        assert weak_lq_norms(g, g.values, 1, unit(g))[0] == pytest.approx(4 / 3, rel=1e-14)
 
     def test_weak_norm_weighted(self):
         g = SampledFunction(1, (0,), 1, np.array([5.0, 1.0, 0.0]))
@@ -344,7 +349,7 @@ class TestNorms:
         w = rng.uniform(0.1, 2.0, (n,) * dim)
         w[rng.random((n,) * dim) < 0.3] = 0.0
         g = SampledFunction.constant(0.0, dim, (0,) * dim, 1, n)
-        weight = g.with_values(w) if weighted else None
+        weight = g.with_values(w) if weighted else unit(g)
         got = weak_lq_norms(g, values, 1.5, weight=weight)
         want = [weak_lq_norms(g, values[row], 1.5, weight=weight)[0] for row in np.ndindex(lead)]
         assert len(set(want)) > 2 and want[-1] == 0.0
@@ -352,7 +357,7 @@ class TestNorms:
 
     def test_weak_norm_zero_function(self):
         g = SampledFunction.constant(0.0, 1, (0,), 1, 3)
-        assert weak_lq_norms(g, g.values, 2)[0] == 0.0
+        assert weak_lq_norms(g, g.values, 2, unit(g))[0] == 0.0
 
     @given(seed=st.integers(0, 500), pnum=st.integers(5, 40))
     @settings(max_examples=40, deadline=None)
@@ -361,7 +366,7 @@ class TestNorms:
         rng = np.random.default_rng(seed)
         g = SampledFunction(1, (0,), 1, rng.uniform(0, 5, 12))
         q = pnum / 4
-        assert weak_lq_norms(g, g.values, q)[0] <= lp_norm(g, q) * (1 + 1e-12)
+        assert weak_lq_norms(g, g.values, q, unit(g))[0] <= lp_norm(g, q) * (1 + 1e-12)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)

@@ -1,14 +1,13 @@
 """Sparse-family tests against a recursive brute-force construction."""
 import math
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dyadlab.grid import DyadicCube, GridFamily, parent, realize
+from dyadlab.grid import GridFamily, parent, realize
 from dyadlab.operators import dyadic_frac_maximal
-from dyadlab.sampled import SampledFunction, integrate
+from dyadlab.sampled import SampledFunction
 from dyadlab.scan import cube_cell_sums, level_scan
 from dyadlab.sparse import (
     CarlesonSequence,
@@ -18,6 +17,8 @@ from dyadlab.sparse import (
     sparse_operator,
     subtree_sums,
 )
+
+from cube_oracle import integral
 
 
 def rand_f(dim, lower, side, ncells, seed=0, spikes=()):
@@ -37,7 +38,7 @@ def brute_stopping_cubes(f, alpha, ratio, grid):
     for cube in grid:
         levels.setdefault(cube.level, []).append(cube)
         vol = float(realize(cube).volume())
-        u[cube] = vol ** (alpha / f.dim - 1.0) * integrate(f, cube)
+        u[cube] = vol ** (alpha / f.dim - 1.0) * integral(f, cube)
 
     def kids(cube):
         return [c for c in levels.get(cube.level + 1, []) if parent(c) == cube]
