@@ -10,20 +10,30 @@ dimensional constant, and is not a certified bound of either kind.  The
 equivalence report asserts nothing beyond the inequalities that hold
 exactly at the discrete level.
 
-Test families combine three sources:
+Each estimate folds the test functions of two chunk sources, in this
+order.  A chunk is (names, values), values a (B, *mesh) array whose row
+b is the function names[b].
 
-  * indicators of every grid cube inside the window that carries
-    positive source mass;
-  * seeded random step functions on a fixed coarse partition, so the
-    family is reproducible and mesh-independent;
-  * duality-optimal functions T(w chi_Q)^{e-1} chi_Q built from the
-    operator itself, the choice that saturates the weak-type pairing.
+  * The plain chunks, which no operator shapes, one row each: the
+    indicator of every grid cube inside the window that carries
+    positive source mass, then seeded random step functions on a fixed
+    coarse partition, so the family is reproducible and
+    mesh-independent.
+  * The duality chunks of an operator T: the duality-optimal functions
+    T(w chi_Q)^{e-1} chi_Q, the choice that saturates the weak-type
+    pairing, in the batches of at most CHAIN_BATCH_FLOATS floats their
+    seeds are built in.
+
+The stop rule: a source norm, image or target norm that is not finite
+stops that estimate at that test function (in family order, and in
+that order within a row), since an overflow is no lower bound; a call
+raises the NormError of its first stopped estimate in report order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -35,11 +45,9 @@ from .sampled import (
     lp_norms,
     weak_lq_norms,
     parse_rational,
-    prefix_sum,
 )
 from .scan import cell_block, cube_cells, inside_scans, iter_scans, positive_cubes
-from .operators import (OPERATORS, MissingInputError, default_levels, _grids, _maximal_values,
-                        _shell_constant, _shell_scans, _shells)
+from .operators import OPERATORS, MissingInputError, default_levels, _grids, _shell_constant, _shell_scans, _shells
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
     WeightPair,
@@ -139,83 +147,87 @@ def _cube_index(cubes, top: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return lev, pos
 
 
-def _iter_family(
-    op: str,
-    pair: WeightPair,
-    e: ExponentTuple,
-    family: TestFamily,
-    side: str,
-    alpha,
-    min_level,
-    max_level,
-    phi,
-) -> Iterator[Tuple[list, np.ndarray]]:
-    """(names, values) of each chunk of the family's test functions, in
-    family order: values is (B, *mesh) on the mesh of the pair and row b is
-    the function names[b].  Each indicator and each random step is a
-    one-row chunk, with its cells read from the scans' integer plans; the
-    duality functions come in the chunks of at most CHAIN_BATCH_FLOATS
-    floats their seeds are built in.  Only the duality functions read op."""
-    mesh = pair.u
-    source = pair.sigma if side == "forward" else pair.u
+@dataclass(frozen=True)
+class _Side:
+    """What the side of a norm estimate decides: the source density dens
+    (the measure the operator integrates against, and the weight of the
+    source norm and of the indicators' mass gate) with its exponent, the
+    target weight (also the weight of the duality cuts) with its exponent,
+    the power of the duality seeds, and the two space labels."""
 
+    dens: SampledFunction
+    src_p: float
+    tgt_w: SampledFunction
+    tgt_q: float
+    cut_e: float
+    source: str
+    target: str
+
+    def labels(self, weak: bool) -> Tuple[str, str]:
+        return self.source, "weak-" + self.target if weak else self.target
+
+
+def _side(pair: WeightPair, e: ExponentTuple, side: str) -> _Side:
+    """The record of side "forward", f -> T(f sigma) from L^p(sigma) to
+    L^q(u), or "dual", f -> T(f u) from L^{q'}(u) to L^{p'}(sigma)."""
+    if side == "forward":
+        return _Side(pair.sigma, float(e.p), pair.u, float(e.q), float(e.pprime - 1),
+                     f"L^{e.p}(sigma)", f"L^{e.q}(u)")
+    if side == "dual":
+        return _Side(pair.u, float(e.qprime), pair.sigma, float(e.pprime), float(e.q - 1),
+                     f"L^{e.qprime}(u)", f"L^{e.pprime}(sigma)")
+    raise NormError(f"unknown side {side!r}")
+
+
+def _plain_chunks(mesh: SampledFunction, s: _Side, family: TestFamily, min_level,
+                  max_level) -> Iterator[Tuple[list, np.ndarray]]:
+    """The indicators, then the random steps, of the family, each a
+    one-row chunk; the indicators' cells are read from the scans' integer
+    plans."""
     if family.indicators:
-        for label, scan, pos, _mass in _inside_cubes(mesh, source, None, min_level, max_level):
+        for label, scan, pos, _mass in _inside_cubes(mesh, s.dens, None, min_level, max_level):
             arr = np.zeros((1, *mesh.values.shape))
             cell_block(scan, arr[0], pos)[...] = 1.0
             yield [f"chi[{label}]"], arr
+    rng = np.random.default_rng(family.seed)
+    blocks = _blocks_for(mesh.ncells)
+    reps = mesh.ncells // blocks
+    for k in range(family.random_steps):
+        vals = rng.exponential(1.0, size=(blocks,) * mesh.dim)
+        for ax in range(mesh.dim):
+            vals = np.repeat(vals, reps, axis=ax)
+        yield [f"step[{k}]"], vals[None]
 
-    if family.random_steps > 0:
-        rng = np.random.default_rng(family.seed)
-        blocks = _blocks_for(mesh.ncells)
-        reps = mesh.ncells // blocks
-        for k in range(family.random_steps):
-            coarse = rng.exponential(1.0, size=(blocks,) * mesh.dim)
-            vals = coarse
-            for ax in range(mesh.dim):
-                vals = np.repeat(vals, reps, axis=ax)
-            yield [f"step[{k}]"], vals[None]
 
-    if family.duality:
-        # Saturating functions for the weak-type pairing: cut the other
-        # weight to a cube, push it through the operator, and raise to
-        # the conjugate-exponent power on the cube itself.  The cubes'
-        # indicators go through the registry operator in batches of at
-        # most CHAIN_BATCH_FLOATS floats, each row with the bits of its
-        # one-cube call.  A cube whose function vanishes or overflows
-        # leaves its chunk.
-        other = pair.u if side == "forward" else pair.sigma
-        expo = float(e.pprime - 1) if side == "forward" else float(e.q - 1)
-        zero_shift = [(0,) * mesh.dim]
-        grid, = _grids(mesh, zero_shift, min_level, max_level)
-        scans = iter_scans(mesh, grid)
-        cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
-        lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
-        spatial = tuple(range(1, mesh.dim + 1))
-        for part in _batches(len(cubes), mesh.values.size):
-            chi = cube_cells(scans, lev[part], pos[part])
-            seeds = OPERATORS[op](mesh, chi.astype(np.float64), other, alpha, phi, None, min_level, max_level)
-            live = chi & (seeds > 0)
-            arr = np.zeros_like(seeds)
-            with np.errstate(over="ignore"):
-                arr[live] = seeds[live] ** expo
-            keep = np.any(live, axis=spatial) & np.all(np.isfinite(arr), axis=spatial)
-            if np.any(keep):
-                yield [f"dual[chi[{label}]]" for (label, _, _, _), k in zip(cubes[part], keep) if k], arr[keep]
+def _duality_chunks(op: str, mesh: SampledFunction, s: _Side, alpha, phi, min_level,
+                    max_level) -> Iterator[Tuple[list, np.ndarray]]:
+    """The duality functions of op, in the chunks their seeds are built in.
+
+    Saturating functions for the weak-type pairing: cut the target weight
+    to a zero-shift cube, push it through the operator, and raise it to
+    the side's cut exponent on the cube itself.  The cubes' indicators go
+    through the registry operator in batches of at most
+    CHAIN_BATCH_FLOATS floats, each row with the bits of its one-cube
+    call.  A cube whose function vanishes or overflows leaves its chunk."""
+    zero_shift = [(0,) * mesh.dim]
+    grid, = _grids(mesh, zero_shift, min_level, max_level)
+    scans = iter_scans(mesh, grid)
+    cubes = list(_inside_cubes(mesh, s.tgt_w, zero_shift, min_level, max_level))
+    lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
+    spatial = tuple(range(1, mesh.dim + 1))
+    for part in _batches(len(cubes), mesh.values.size):
+        chi = cube_cells(scans, lev[part], pos[part])
+        seeds = OPERATORS[op](mesh, chi.astype(np.float64), s.tgt_w, alpha, phi, None, min_level, max_level)
+        live = chi & (seeds > 0)
+        arr = np.zeros_like(seeds)
+        with np.errstate(over="ignore"):
+            arr[live] = seeds[live] ** s.cut_e
+        keep = np.any(live, axis=spatial) & np.all(np.isfinite(arr), axis=spatial)
+        if np.any(keep):
+            yield [f"dual[chi[{label}]]" for (label, _, _, _), k in zip(cubes[part], keep) if k], arr[keep]
 
 
 # --- norm estimation --------------------------------------------------------
-
-
-def _space_labels(e: ExponentTuple, side: str, weak: bool) -> Tuple[str, str]:
-    """Source and target space labels of a norm estimate."""
-    if side == "forward":
-        source, target = f"L^{e.p}(sigma)", f"L^{e.q}(u)"
-    elif side == "dual":
-        source, target = f"L^{e.qprime}(u)", f"L^{e.pprime}(sigma)"
-    else:
-        raise NormError(f"unknown side {side!r}")
-    return source, "weak-" + target if weak else target
 
 
 def _ratio(num: float, den: float) -> Optional[float]:
@@ -239,56 +251,39 @@ class _Tally:
 
 def _evaluate(
     targets,
-    pair: WeightPair,
-    e: ExponentTuple,
+    mesh: SampledFunction,
+    s: _Side,
     family: TestFamily,
-    side: str,
     alpha: float,
     phi: Optional[YoungFunction],
     min_level: Optional[int],
     max_level: Optional[int],
 ) -> list:
-    """One _Tally per (op, weak) target of one side, each over the family
-    of its operator.
-
-    The indicator and step chunks, which no operator shapes, are built
-    once for every target, with one source norm per row; the duality
-    chunks are built per operator and feed that operator's targets.  Per
-    chunk, each operator runs once on the rows of positive source norm,
-    and each target takes its norms row-wise from that image, so a weak
-    and a strong target of one operator share their images.  Every row
-    has the bits of its one-row call, and the first maximum in family
-    order wins a tie.  A target stops at its first non-finite source
-    norm, image or target norm, in family order and in that order within
-    a row; once one has stopped, the targets after it are dropped, since
-    only the first stopped target can be reported."""
-    if side == "forward":
-        dens, src_p, tgt_w, tgt_q = pair.sigma, float(e.p), pair.u, float(e.q)
-    else:
-        dens, src_p, tgt_w, tgt_q = pair.u, float(e.qprime), pair.sigma, float(e.pprime)
-    mesh = pair.u
+    """One _Tally per (op, weak) target of side s, each over the family
+    of its operator, folded over the two chunk sources of the module
+    docstring: the plain chunks feed every target, and op's duality
+    chunks feed op's targets.  Each chunk goes to the targets of its
+    source that have not stopped.  Per chunk, each operator runs once on
+    the rows of positive source norm, and each target takes its norms
+    row-wise from that image, so a weak and a strong target of one
+    operator share their images.  Every row has the bits of its one-row
+    call, and the first maximum in family order wins a tie."""
     tallies = [_Tally(op, weak) for op, weak in targets]
 
-    def fed(op: Optional[str]) -> list:
-        """The targets op's chunks feed (every target, for op None), among
-        those before the first target that stopped."""
-        cut = next((i for i, t in enumerate(tallies) if t.error), len(tallies))
-        return [t for t in tallies[:cut] if op in (None, t.op)]
-
-    def feed(mine: list, names: list, batch: np.ndarray):
-        den = np.array(lp_norms(mesh, batch, src_p, weight=dens))
+    def feed(live: list, names: list, batch: np.ndarray):
+        den = np.array(lp_norms(mesh, batch, s.src_p, weight=s.dens))
         # rows from the first non-finite source norm on are not imaged
         bad = ~np.isfinite(den)
         stop = int(np.argmax(bad)) if np.any(bad) else len(names)
         rows = np.flatnonzero(den[:stop] > 0)
         images = {}
-        for t in mine:
+        for t in live:
             if len(rows):
                 if t.op not in images:
-                    images[t.op] = OPERATORS[t.op](mesh, batch[rows], dens, alpha, phi, None, min_level, max_level)
+                    images[t.op] = OPERATORS[t.op](mesh, batch[rows], s.dens, alpha, phi, None, min_level, max_level)
                 g = images[t.op]
                 image_ok = np.all(np.isfinite(g.reshape(len(rows), -1)), axis=1)
-                num = np.array((weak_lq_norms if t.weak else lp_norms)(mesh, g, tgt_q, weight=tgt_w))
+                num = np.array((weak_lq_norms if t.weak else lp_norms)(mesh, g, s.tgt_q, weight=s.tgt_w))
                 ok = image_ok & np.isfinite(num)
                 if not np.all(ok):
                     k = int(np.argmin(ok))
@@ -304,26 +299,23 @@ def _evaluate(
             if stop < len(names):
                 t.error = f"the source norm of the test function {names[stop]} is not finite"
 
-    # the indicators and steps read no operator, and feed every target
-    groups = [(None, replace(family, duality=False))]
-    groups += [(op, replace(family, indicators=False, random_steps=0)) for op in dict.fromkeys(op for op, _ in targets)]
+    sources = [(tallies, _plain_chunks(mesh, s, family, min_level, max_level))]
+    if family.duality:
+        sources += [([t for t in tallies if t.op == op],
+                     _duality_chunks(op, mesh, s, alpha, phi, min_level, max_level))
+                    for op in dict.fromkeys(op for op, _ in targets)]
     try:
         # overflow and its NaNs stop a target in feed, they are not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for op, recipe in groups:
-                if not fed(op):
-                    continue
-                for names, batch in _iter_family(op or targets[0][0], pair, e, recipe, side, alpha,
-                                                 min_level, max_level, phi):
-                    feed(fed(op), names, batch)
-                    if not fed(op):
-                        break
+            for mine, chunks in sources:
+                while (live := [t for t in mine if not t.error]) and (chunk := next(chunks, None)):
+                    feed(live, *chunk)
     except MissingInputError as exc:
         raise NormError(str(exc)) from None
     return tallies
 
 
-def _estimate(t: _Tally, e: ExponentTuple, side: str) -> NormEstimate:
+def _estimate(t: _Tally, s: _Side) -> NormEstimate:
     """The estimate of a tally, or the NormError of its first failure."""
     if t.error:
         raise NormError(t.error)
@@ -331,7 +323,7 @@ def _estimate(t: _Tally, e: ExponentTuple, side: str) -> NormEstimate:
         raise NormError("the test family is empty")
     if t.count == 0:
         raise NormError("every test function had zero source norm")
-    return NormEstimate(t.op, *_space_labels(e, side, t.weak), t.best, t.arg, t.count)
+    return NormEstimate(t.op, *s.labels(t.weak), t.best, t.arg, t.count)
 
 
 def estimate_norm(
@@ -352,27 +344,18 @@ def estimate_norm(
     to L^q(u); side="dual" estimates f -> T(f u) from L^{q'}(u) to
     L^{p'}(sigma).  With weak=True the target norm is the weak
     (Lorentz) quasinorm instead.  The value is a lower bound for the
-    operator norm and never decreases as the family grows.  A source
-    norm, operator output or target norm that is not finite raises
-    NormError naming its first such test function: an overflow is no
-    lower bound.
-
-    The family is evaluated chunk by chunk, in the chunks it is built in:
-    one row per indicator and per random step, and the duality functions
-    in batches of at most CHAIN_BATCH_FLOATS floats.  Each chunk takes one
-    row-wise lp_norms call for its source norms, one registry call on its
-    rows of positive source norm, and one row-wise lp_norms or
-    weak_lq_norms call for its target norms; every row has the bits of
-    its one-row call.
+    operator norm and never decreases as the family grows.  A quantity
+    that is not finite raises NormError by the stop rule of the module
+    docstring: an overflow is no lower bound.
     """
     if op not in OPERATOR_IDS:
         raise NormError(f"unknown operator id {op!r}")
     _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()
-    _space_labels(e, side, weak)  # an unknown side is refused before any work
+    s = _side(pair, e, side)  # an unknown side is refused before any work
     a = float(e.alpha) if alpha is None else float(parse_rational(alpha))
-    tally, = _evaluate([(op, weak)], pair, e, fam, side, a, phi, min_level, max_level)
-    return _estimate(tally, e, side)
+    tally, = _evaluate([(op, weak)], pair.u, s, fam, a, phi, min_level, max_level)
+    return _estimate(tally, s)
 
 
 # --- tail quadrature of the Orlicz maximal norm -----------------------------
@@ -452,8 +435,7 @@ def equivalence_report(
     cubes it compared under "cubes".
 
     The estimates are those of estimate_norm, bit for bit, from one
-    evaluation per side; an estimate that meets a non-finite quantity
-    raises its NormError, the first such estimate in report order.
+    evaluation per side, under the stop rule of the module docstring.
     """
     if not e.p < e.q:
         raise NormError("the weak-strong equivalence needs p < q; it fails at p = q")
@@ -468,59 +450,58 @@ def equivalence_report(
     }
 
     degenerate = float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0
+    sides = {side: _side(pair, e, side) for _, side, _ in _EQUIVALENCE_ESTIMATES.values()}
 
-    if degenerate:
-        ests = {key: NormEstimate(op, *_space_labels(e, side, weak), 0.0, None, 0)
-                for key, (op, side, weak) in _EQUIVALENCE_ESTIMATES.items()}
-    else:
-        # one evaluation per side: the forward targets share the indicator
-        # and step chunks, and both Riesz norms come from one image per chunk
-        tallies = {}
-        for side in ("forward", "dual"):
-            keys = [key for key, spec in _EQUIVALENCE_ESTIMATES.items() if spec[1] == side]
-            targets = [(_EQUIVALENCE_ESTIMATES[key][0], _EQUIVALENCE_ESTIMATES[key][2]) for key in keys]
-            tallies.update(zip(keys, _evaluate(targets, pair, e, fam, side, float(e.alpha), None, min_level, max_level)))
-        # the first failed estimate in _EQUIVALENCE_ESTIMATES order raises
-        ests = {key: _estimate(tallies[key], e, spec[1]) for key, spec in _EQUIVALENCE_ESTIMATES.items()}
-
-    # zero estimates give zero denominators, so a degenerate pair's ratios are null
-    ratios = {
-        "weak_vs_dual_maximal": _ratio(ests["weak_riesz"].value, coeff * ests["maximal_dual"].value),
-        "maximal_forward_vs_strong": _ratio(ests["maximal_forward"].value, ests["strong_riesz"].value),
-        "maximal_dual_vs_strong": _ratio(ests["maximal_dual"].value, ests["strong_riesz"].value),
-        "dyadic_maximal_vs_strong": _ratio(ests["dyadic_maximal_forward"].value, ests["strong_riesz"].value),
-    }
-
-    if degenerate:
-        testing = {"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0}
-        duality = {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False, "cubes": 0}
-    else:
-        testing = potential_testing_chain(pair, e, min_level=min_level, max_level=max_level)
-        # Duality chain: forward maximal testing on the zero-shift grid is
-        # controlled by q' times the weak Riesz estimate, provided the
-        # family contains the saturating functions (it does by default).
-        zero_shift = [(0,) * n]
-        sawyer = sawyer_maximal_testing(
-            pair, e, shifts=zero_shift, min_level=min_level, max_level=max_level,
-            which="forward", inner_shifts=zero_shift,
-        )
-        bound = float(e.qprime) * ests["weak_riesz"].value
-        duality = {
-            "testing": sawyer.value,
-            "bound": bound,
-            "ratio": _ratio(sawyer.value, bound),
-            "holds": sawyer.n_scored > 0 and sawyer.value <= bound * (1.0 + 1e-9),
-            "cubes": sawyer.n_scored,
+    def report(ests: dict, testing: dict, duality: dict) -> dict:
+        # zero estimates give zero denominators, so a degenerate pair's ratios are null
+        ratios = {
+            "weak_vs_dual_maximal": _ratio(ests["weak_riesz"].value, coeff * ests["maximal_dual"].value),
+            "maximal_forward_vs_strong": _ratio(ests["maximal_forward"].value, ests["strong_riesz"].value),
+            "maximal_dual_vs_strong": _ratio(ests["maximal_dual"].value, ests["strong_riesz"].value),
+            "dyadic_maximal_vs_strong": _ratio(ests["dyadic_maximal_forward"].value, ests["strong_riesz"].value),
+        }
+        return {
+            "degenerate": degenerate,
+            "estimates": {k: v.to_obj() for k, v in ests.items()},
+            "ratios": ratios,
+            "testing_chain": testing,
+            "duality_chain": duality,
+            "config": config,
         }
 
-    return {
-        "degenerate": degenerate,
-        "estimates": {k: v.to_obj() for k, v in ests.items()},
-        "ratios": ratios,
-        "testing_chain": testing,
-        "duality_chain": duality,
-        "config": config,
-    }
+    if degenerate:
+        zero = {key: NormEstimate(op, *sides[side].labels(weak), 0.0, None, 0)
+                for key, (op, side, weak) in _EQUIVALENCE_ESTIMATES.items()}
+        return report(zero, {"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0},
+                      {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False, "cubes": 0})
+
+    # one evaluation per side: the forward targets share the plain chunks,
+    # and both Riesz norms come from one image per chunk
+    tallies = {}
+    for side, s in sides.items():
+        mine = {key: (op, weak) for key, (op, sd, weak) in _EQUIVALENCE_ESTIMATES.items() if sd == side}
+        tallies.update(zip(mine, _evaluate(list(mine.values()), pair.u, s, fam, float(e.alpha), None,
+                                           min_level, max_level)))
+    # the first failed estimate in _EQUIVALENCE_ESTIMATES order raises
+    ests = {key: _estimate(tallies[key], sides[side]) for key, (_, side, _) in _EQUIVALENCE_ESTIMATES.items()}
+
+    testing = potential_testing_chain(pair, e, min_level=min_level, max_level=max_level)
+    # Duality chain: forward maximal testing on the zero-shift grid is
+    # controlled by q' times the weak Riesz estimate, provided the
+    # family contains the saturating functions (it does by default).
+    zero_shift = [(0,) * n]
+    sawyer = sawyer_maximal_testing(
+        pair, e, shifts=zero_shift, min_level=min_level, max_level=max_level,
+        which="forward", inner_shifts=zero_shift,
+    )
+    bound = float(e.qprime) * ests["weak_riesz"].value
+    return report(ests, testing, {
+        "testing": sawyer.value,
+        "bound": bound,
+        "ratio": _ratio(sawyer.value, bound),
+        "holds": sawyer.n_scored > 0 and sawyer.value <= bound * (1.0 + 1e-9),
+        "cubes": sawyer.n_scored,
+    })
 
 
 def potential_testing_chain(
@@ -541,10 +522,11 @@ def potential_testing_chain(
     nothing was compared: max_ratio is null and the chain does not hold.
 
     Every cube is scored in one batched pass, in batches of at most
-    CHAIN_BATCH_FLOATS floats per (cubes, *mesh) array: the cuts sigma
-    chi_Q0 and their maximal functions over every shift, and the shells
-    (operators.outer_riesz for one cube), each with the bits of its
-    per-cube computation."""
+    CHAIN_BATCH_FLOATS floats per (cubes, *mesh) array: the maximal
+    functions over every shift of the cuts sigma chi_Q0, one registry
+    call of frac_maximal on the cubes' indicators with mu = sigma, and
+    the shells (operators.outer_riesz for one cube), each with the bits
+    of its per-cube computation."""
     _require_dim(pair, e, NormError)
     n = e.n
     coeff = _shell_constant(e.alpha, n, NormError)
@@ -558,13 +540,13 @@ def potential_testing_chain(
     # _inside_cubes and _shell_scans share the plans of every level they both scan
     lev, pos = _cube_index(cubes, scans[0].level, n)
     masses = np.array([mass for _, _, _, mass in cubes])
-    grids = _grids(sigma, None, min_level, max_level)
     lhs, rhs = [], []
     for part in _batches(len(cubes), sigma.values.size):
-        cuts = np.where(cube_cells(scans, lev[part], pos[part]), sigma.values, 0.0)
+        chi = cube_cells(scans, lev[part], pos[part])
         shells = _shells(sigma, scans, lev[part], pos[part], masses[part], coeff, a)
         lhs += lp_norms(sigma, shells, qf, weight=pair.u)
-        maximal = _maximal_values(sigma, prefix_sum(cuts, n), a, grids)
+        # the cuts sigma chi_Q0 are chi_Q0 dsigma: 1.0 * sigma = sigma and 0.0 * sigma = 0.0
+        maximal = OPERATORS["frac_maximal"](sigma, chi.astype(np.float64), sigma, a, None, None, min_level, max_level)
         rhs += [coeff * norm for norm in lp_norms(sigma, maximal, qf, weight=pair.u)]
 
     worst = -math.inf

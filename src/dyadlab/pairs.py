@@ -297,6 +297,15 @@ MINORANT_TERMS = 10**4  # terms of case2_divergence's termwise minorant check
 MAX_EXPS = range(3, 27)  # the cutoff exponents case2_divergence takes: X = 2^3 .. 2^26
 
 
+def _interval_integrals(gf: float, xmax: int):
+    """For the indices 2 <= j < xmax: j, the interval length
+    (j+1)^{-gamma} at j, and the closed form int_j of x^{gamma-1} over
+    that interval."""
+    js = np.arange(2, xmax, dtype=np.float64)
+    lens = (js + 1.0) ** (-gf)
+    return js, lens, ((js + lens) ** gf - js**gf) / gf
+
+
 def case2_divergence(
     e: ExponentTuple,
     gamma=None,
@@ -339,10 +348,7 @@ def case2_divergence(
     rhs = g - 1
     identity = {"lhs": str(lhs), "rhs": str(rhs), "holds": bool(lhs == rhs)}
 
-    xmax = 2**max_exp
-    js = np.arange(2, xmax, dtype=np.float64)
-    lens = (js + 1.0) ** (-gf)
-    terms_s = ((js + lens) ** gf - js**gf) / gf
+    js, lens, terms_s = _interval_integrals(gf, 2**max_exp)
     terms_h = 1.0 / (js + 1.0)
 
     rows = []
@@ -367,8 +373,8 @@ def case2_divergence(
     edges = np.arange(chi.ncells + 1, dtype=np.float64) / cpu
     cell_int = (edges[1:] ** gf - edges[:-1] ** gf) / gf
     mesh_val = _tree_sum((chi.values * cell_int)[2 * cpu :])
-    stop = xc - 2
-    exact_val = _tree_sum(terms_s[:stop])
+    # its own terms over [2, xc): the cutoff 2^max_exp may lie below xc
+    exact_val = _tree_sum(_interval_integrals(gf, xc)[2])
     mesh_check = {
         "X": float(xc),
         "mesh": mesh_val,

@@ -201,15 +201,15 @@ MUTANTS = [
     # --- the batched duality seeds of the test families -------------------------
     Mutant(
         "duality_seed_cut_from_u", "normest.py",
-        "chi.astype(np.float64), other, alpha",
-        "chi.astype(np.float64), pair.u, alpha",
+        "chi.astype(np.float64), s.tgt_w, alpha",
+        "chi.astype(np.float64), mesh, alpha",
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "each side cuts its seeds from its other weight: u on the forward side, sigma on the dual one",
     ),
     Mutant(
         "duality_seed_rows_shifted", "normest.py",
-        "chi = cube_cells(scans, lev[part], pos[part])",
-        "chi = cube_cells(scans, np.roll(lev, 1)[part], np.roll(pos, 1, axis=0)[part])",
+        "chi = cube_cells(scans, lev[part], pos[part])\n        seeds",
+        "chi = cube_cells(scans, np.roll(lev, 1)[part], np.roll(pos, 1, axis=0)[part])\n        seeds",
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "row b of a batch is the cube of label b, so each seed goes out under its own cube's label",
     ),
@@ -251,6 +251,20 @@ MUTANTS = [
         "t.count += len(names)",
         (f"{NORM}::TestChunkedEvaluation::test_equivalence_estimates_match_oracle[vanishing_blocks]",),
         "a test function of zero source norm gives no ratio, so it is not in the family size",
+    ),
+    Mutant(
+        "stopped_estimate_error_overwritten", "normest.py",
+        "live := [t for t in mine if not t.error]",
+        "live := list(mine)",
+        (f"{NORM}::TestChunkedEvaluation::test_overflow_raises_the_oracle_error[u_1e100_sigma_1e60]",),
+        "a stopped estimate takes no further chunk, so the error it reports is that of its first stop",
+    ),
+    Mutant(
+        "one_stop_drops_every_estimate", "normest.py",
+        "live := [t for t in mine if not t.error]",
+        "live := [t for t in mine if not any(x.error for x in tallies)]",
+        (f"{NORM}::TestChunkedEvaluation::test_overflow_raises_the_oracle_error[u_1e100_sigma_1e60]",),
+        "an estimate runs on until it stops itself: one later in report order that stops first does not end it",
     ),
     # --- the operator registry on arrays, and the norms of estimate_norm -------
     Mutant(
@@ -524,6 +538,14 @@ MUTANTS = [
         "if not is_power_of_two(w) or w < 8:",
         (f"{CLI}::TestRunCommand::test_counterexample_window_past_the_divergence_cutoffs_refused",),
         "a window past 2^26 would pass the config check and fail mid-run in case2_divergence",
+    ),
+    Mutant(
+        "case2_cross_check_truncated", "pairs.py",
+        "exact_val = _tree_sum(_interval_integrals(gf, xc)[2])",
+        "exact_val = _tree_sum(terms_s[:xc - 2])",
+        ("tests/test_pairs.py::TestCase2Divergence::test_mesh_cross_check_whole_below_its_window",
+         f"{CLI}::TestRunCommand::test_counterexample_suite_passes_at_the_smallest_window"),
+        "below 2^7 the cutoff's terms stop short of [2, 128), so the closed form fell under the mesh value",
     ),
     Mutant(
         "run_zero_flag_replaced", "cli.py",

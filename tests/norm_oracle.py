@@ -16,7 +16,7 @@ import numpy as np
 from dyadlab import normest
 from dyadlab.constants import _require_dim
 from dyadlab.normest import (NormError, NormEstimate, TestFamily, OPERATOR_IDS, _blocks_for, _cube_index,
-                             _inside_cubes, _space_labels)
+                             _inside_cubes, _side)
 from dyadlab.operators import OPERATORS, MissingInputError, _grids
 from dyadlab.sampled import lp_norms, parse_rational, weak_lq_norms
 from dyadlab.scan import cell_block, cube_cells, iter_scans
@@ -85,7 +85,7 @@ def estimate_norm(op, pair, e, family=None, side="forward", weak=False, alpha=No
     _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()
 
-    source, target = _space_labels(e, side, weak)
+    source, target = _side(pair, e, side).labels(weak)
     if side == "forward":
         dens, src_w, src_p = pair.sigma, pair.sigma, float(e.p)
         tgt_w, tgt_q = pair.u, float(e.q)

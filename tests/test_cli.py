@@ -268,6 +268,11 @@ class TestRunCommand:
         assert all(s >= h for s, h in zip(s_vals, h_vals))
         assert s_vals == sorted(s_vals)
 
+    def test_counterexample_suite_passes_at_the_smallest_window(self, tmp_path):
+        # 2^3 lies below the mesh cross-check's window [0, 128)
+        rc = main(["run", "--suite", "counterexample", "--window", "8", "--out", str(tmp_path / "cx")])
+        assert rc == 0
+
     def test_config_file_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suites": ["geometry"], "seed": 3}))

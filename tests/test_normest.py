@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -596,7 +597,7 @@ class TestBatchedTestingChain:
 
 
 def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, phi):
-    """normest._iter_family with each indicator and each duality cut built
+    """normest_family with each indicator and each duality cut built
     from the rational box of its cube, one call of the public operator per
     cube for the duality seeds, and every function in a one-row chunk."""
     mesh = pair.u
@@ -634,6 +635,26 @@ def _iter_family_oracle(op, pair, e, family, side, alpha, min_level, max_level, 
             yield [f"dual[chi[{label}]]"], arr[None]
 
 
+def normest_family(op, pair, e, family, side, alpha, min_level, max_level, phi):
+    """The chunks of normest's two sources for one side and op, in the
+    order an estimate folds them."""
+    s = normest._side(pair, e, side)
+    yield from normest._plain_chunks(pair.u, s, family, min_level, max_level)
+    if family.duality:
+        yield from normest._duality_chunks(op, pair.u, s, alpha, phi, min_level, max_level)
+
+
+def oracle_sources(monkeypatch, pair, e):
+    """Patch normest's two chunk sources with the parts of _iter_family_oracle."""
+    def side_of(s):
+        return "forward" if s.dens is pair.sigma else "dual"
+
+    monkeypatch.setattr(normest, "_plain_chunks", lambda mesh, s, family, lo, hi: _iter_family_oracle(
+        None, pair, e, replace(family, duality=False), side_of(s), None, lo, hi, None))
+    monkeypatch.setattr(normest, "_duality_chunks", lambda op, mesh, s, alpha, phi, lo, hi: _iter_family_oracle(
+        op, pair, e, DUAL_ONLY, side_of(s), alpha, lo, hi, phi))
+
+
 def seed_pair(dim, lower, side, ncells):
     """A random pair whose u and sigma each vanish on a block of cells.
     Each block holds some of the finest zero-shift cubes whole, which the
@@ -667,7 +688,7 @@ class TestFamilyOnScans:
             return [estimate_norm(op, pair, e, LIGHT, phi=power(3), **kw) for kw in calls]
 
         with monkeypatch.context() as m:
-            m.setattr(normest, "_iter_family", _iter_family_oracle)
+            oracle_sources(m, pair, e)
             want = estimates()
         refuse_fraction_geometry(monkeypatch)
         assert estimates() == want
@@ -710,7 +731,7 @@ class TestBatchedDualitySeeds:
             monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
         for side, functions in want.items():
             assert functions
-            assert_same_family(family(normest._iter_family, op, pair, e, side), functions)
+            assert_same_family(family(normest_family, op, pair, e, side), functions)
 
     @pytest.mark.parametrize("rows", [1, 5, 1000])
     def test_one_core_call_per_chunk(self, monkeypatch, rows):
@@ -718,7 +739,7 @@ class TestBatchedDualitySeeds:
         # operator, once per chunk of rows cubes, and the functions leave in
         # those chunks, not row by row
         pair, e = seed_pair(*SEED_MESHES[0])
-        cubes = len(family(normest._iter_family, "frac_maximal", pair, e, "forward"))
+        cubes = len(family(normest_family, "frac_maximal", pair, e, "forward"))
         calls = []
         core = normest.OPERATORS["frac_maximal"]
 
@@ -728,8 +749,8 @@ class TestBatchedDualitySeeds:
 
         monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
         monkeypatch.setattr(normest, "OPERATORS", {"frac_maximal": counted})
-        chunks = list(normest._iter_family("frac_maximal", pair, e, DUAL_ONLY, "forward", float(e.alpha),
-                                           None, None, None))
+        chunks = list(normest._duality_chunks("frac_maximal", pair.u, normest._side(pair, e, "forward"),
+                                              float(e.alpha), None, None, None))
         assert calls == [min(rows, cubes - k) for k in range(0, cubes, rows)]
         assert [len(names) for names, _ in chunks] == calls
         assert [len(batch) for _, batch in chunks] == calls
@@ -744,7 +765,7 @@ class TestBatchedDualitySeeds:
         pair = WeightPair(pair.u.with_values(u), pair.sigma)
         want = family(_iter_family_oracle, op, pair, e, "forward")
         assert 0 < len(want) < len(list(_inside_cubes(pair.u, pair.u, [(0,)], None, None)))
-        assert_same_family(family(normest._iter_family, op, pair, e, "forward"), want)
+        assert_same_family(family(normest_family, op, pair, e, "forward"), want)
 
 
 
@@ -815,17 +836,29 @@ class TestChunkedEvaluation:
             for kw, est in zip(calls, want):
                 assert_same_estimate(estimate_norm(op, pair, e, fam, phi=power(3), **kw), est)
 
-    @pytest.mark.parametrize("weights", ["sigma_1e200", "u_1e100"])
-    def test_overflow_raises_the_oracle_error(self, weights):
+    # (u, sigma) values on 24 cells
+    OVERFLOWS = {"sigma_1e200": (1.0, 1e200), "u_1e100": (1e100, 1.0), "u_1e100_sigma_1e60": (1e100, 1e60)}
+
+    @pytest.mark.parametrize("weights", OVERFLOWS)
+    def test_overflow_raises_the_oracle_error(self, monkeypatch, weights):
         # as in TestEstimateNorm.test_overflow_refused_not_reported: the
         # report raises the error of its first estimate that fails
         one = ones(ncells=24)
-        big = one.with_values(np.full(24, 1e200 if weights == "sigma_1e200" else 1e100))
-        pair = WeightPair(one, big) if weights == "sigma_1e200" else WeightPair(big, one)
+        pair = WeightPair(*(one.with_values(np.full(24, v)) for v in self.OVERFLOWS[weights]))
         with pytest.raises(NormError) as want:
             norm_oracle.equivalence_estimates(pair, E_SOB)
-        with pytest.raises(NormError) as got:
-            equivalence_report(pair, E_SOB)
-        assert str(got.value) == str(want.value)
+        for split in (False, True):
+            if split:
+                assert split_duality_chunks(monkeypatch, pair) >= 3
+            with pytest.raises(NormError) as got:
+                equivalence_report(pair, E_SOB)
+            assert str(got.value) == str(want.value)
         if weights == "sigma_1e200":
             assert str(got.value) == "the target norm of the test function chi[s=(0,),l=0,pos=(0,)] is not finite"
+        if weights == "u_1e100_sigma_1e60":
+            # two forward estimates stop: weak_riesz, first in report order,
+            # at a duality function, and strong_riesz after it at the first
+            # indicator, an earlier test function
+            assert str(want.value).startswith("the source norm of the test function dual[chi[")
+            with pytest.raises(NormError, match=r"^the target norm of the test function chi\["):
+                norm_oracle.estimate_norm("dyadic_riesz", pair, E_SOB)

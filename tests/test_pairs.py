@@ -317,6 +317,14 @@ class TestCase2Divergence:
         assert mc["one_sided"]
         assert 0 <= mc["rel_gap"] < 0.13
 
+    @pytest.mark.parametrize("max_exp", range(3, 8))
+    def test_mesh_cross_check_whole_below_its_window(self, max_exp):
+        # the cross-check sums its own closed-form terms over [2, 128), so a
+        # cutoff 2^max_exp at or below 128 neither cuts nor moves them
+        mc = case2_divergence(E_IDENT, max_exp=max_exp)["mesh_check"]
+        assert mc["one_sided"]
+        assert mc["exact"].hex() == case2_divergence(E_IDENT, max_exp=16)["mesh_check"]["exact"].hex()
+
     @pytest.mark.parametrize("kwargs", [{"max_exp": 10.5}, {"max_exp": 2}], ids=repr)
     def test_sizes_must_be_integers(self, kwargs):
         with pytest.raises(ExampleError):

@@ -90,10 +90,8 @@ ALLOWED = {
         "sampled.SampledFunction.cell_slices",
     ], "the empty window: it meets no cube, a box off the window meets no cell, and every box contains "
        "an empty box"),
-    **dict.fromkeys([
-        "normest._evaluate",
-        "normest._evaluate.<locals>.feed",
-    ], "the non-finite stop: a test function whose image or norm overflows ends its estimate with an error"),
+    "normest._evaluate.<locals>.feed": "the non-finite stop: a test function whose image or norm overflows ends "
+                                       "its estimate with an error",
     **dict.fromkeys([
         "orlicz.luxemburg",
         "orlicz.luxemburg.<locals>.log_mean",
