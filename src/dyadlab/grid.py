@@ -50,7 +50,7 @@ def _as_fraction(x, error=GridError) -> Fraction:
 @dataclass(frozen=True)
 class Box:
     """Half-open axis-aligned box prod_i [lower_i, lower_i + side) with one
-    common side length.  Rational corners, exact predicates."""
+    common positive side length.  Rational corners, exact predicates."""
 
     lower: tuple[Fraction, ...]
     side: Fraction
@@ -58,8 +58,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(_as_fraction(x) for x in self.lower))
         object.__setattr__(self, "side", _as_fraction(self.side))
-        if self.side < 0:
-            raise GridError("box side must be nonnegative")
+        if self.side <= 0:
+            raise GridError(f"box side must be positive, got {self.side}")
 
     @property
     def dim(self) -> int:
@@ -68,12 +68,7 @@ class Box:
     def volume(self) -> Fraction:
         return self.side ** self.dim
 
-    def is_empty(self) -> bool:
-        return self.side == 0
-
     def contains_box(self, other: "Box") -> bool:
-        if other.is_empty():
-            return True
         return all(
             a <= b and b + other.side <= a + self.side
             for a, b in zip(self.lower, other.lower)
@@ -157,9 +152,7 @@ class GridFamily:
 
     def axis_index_range(self, level: int, axis: int) -> tuple[int, int]:
         """Inclusive index range [m_lo, m_hi] of cubes at `level` whose axis
-        interval meets the window; m_hi < m_lo when the window is empty."""
-        if self.window.is_empty():
-            return (0, -1)
+        interval meets the window; a box's side is positive, so m_lo <= m_hi."""
         t = self.shift[axis]
         e = -1 if level % 2 else 1
         lo = self.window.lower[axis]
@@ -173,8 +166,6 @@ class GridFamily:
 
     def cubes_at_level(self, level: int) -> Iterator[DyadicCube]:
         ranges = [self.axis_index_range(level, ax) for ax in range(self.dim)]
-        if any(hi < lo for lo, hi in ranges):
-            return
         for idx in product(*(range(lo, hi + 1) for lo, hi in ranges)):
             yield DyadicCube(self.dim, level, idx, self.shift)
 

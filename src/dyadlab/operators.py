@@ -216,11 +216,10 @@ def _weighted_dyadic_maximal(f, values, mu, beta, phi, shift, min_level, max_lev
     expo = _order(beta, n, name="beta") / n - 1.0
     grid = _grid(f, shift, min_level, max_level)
     pre_fmu = _prefix(f, values, mu)
-    pre_mu = mu.prefix
     cellvol = f.geometry.cellvol
 
     def level_values(scan):
-        mu_q = cube_cell_sums(scan, pre_mu) * cellvol
+        mu_q = cube_integrals(scan, mu)
         fmu_q = cube_cell_sums(scan, pre_fmu) * cellvol
         vals = np.zeros_like(fmu_q)
         # the mask spans every axis of the batch, which keeps numpy's plain boolean path

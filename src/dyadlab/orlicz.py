@@ -154,9 +154,7 @@ class NumericConjugate(YoungFunction):
     down.  It runs at most 90 golden-section steps and stops early once a step
     leaves every bracket unchanged: a step depends on the bracket alone,
     so every later step would leave it unchanged too.  `eval` is 0 at
-    t <= 0, nan at nan, and inf where s t overflows; `log_eval` refuses
-    x above 500 (t above exp(500)): use comparable_associate for stable
-    wide-range quadrature instead.
+    t <= 0, nan at nan, and inf where s t overflows.
     """
 
     def __init__(self, base: YoungFunction):
@@ -212,16 +210,6 @@ class NumericConjugate(YoungFunction):
                 d = lo + _INVPHI * (hi - lo)
                 gc, gd = g(c), g(d)
             return np.maximum(g((lo + hi) / 2.0), 0.0)
-
-    def log_eval(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x > 500.0):
-            raise OrliczError(
-                "numeric conjugate overflows past exp(500); use a "
-                "comparable closed-form associate for wide quadrature"
-            )
-        with np.errstate(divide="ignore"):
-            return np.log(self.eval(np.exp(x)))
 
 
 # === Luxemburg norms ==========================================================

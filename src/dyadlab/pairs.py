@@ -295,15 +295,33 @@ def factored_pair(
 
 MINORANT_TERMS = 10**4  # terms of case2_divergence's termwise minorant check
 MAX_EXPS = range(3, 27)  # the cutoff exponents case2_divergence takes: X = 2^3 .. 2^26
+CHUNK_TERMS = 2**16  # case2_divergence holds this many terms at a time
 
 
-def _interval_integrals(gf: float, xmax: int):
-    """For the indices 2 <= j < xmax: j, the interval length
-    (j+1)^{-gamma} at j, and the closed form int_j of x^{gamma-1} over
-    that interval."""
-    js = np.arange(2, xmax, dtype=np.float64)
+def _interval_integrals(gf: float, lo: int, hi: int):
+    """For the indices lo <= j < hi: j, the interval length (j+1)^{-gamma}
+    at j, and the closed form int_j of x^{gamma-1} over that interval."""
+    js = np.arange(lo, hi, dtype=np.float64)
     lens = (js + 1.0) ** (-gf)
     return js, lens, ((js + lens) ** gf - js**gf) / gf
+
+
+def _prefix_tree_sums(chunks, stops) -> list:
+    """[_tree_sum(terms[:m]) for m in stops], stops ascending and positive,
+    for the terms that chunks yields in arrays of one power-of-two size,
+    the last possibly shorter: one chunk and one sum per chunk held at a
+    time.  For its first log2(size) levels the tree of a prefix pairs
+    within each aligned chunk (the odd last term it carries is the
+    prefix's last), so it is the tree of the sums of the whole chunks
+    followed by the tree sum of the terms past them."""
+    sums, out, start = [], [], 0
+    for chunk in chunks:
+        end = start + chunk.size
+        while len(out) < len(stops) and stops[len(out)] <= end:
+            out.append(_tree_sum(np.append(sums, _tree_sum(chunk[: stops[len(out)] - start]))))
+        sums.append(_tree_sum(chunk))
+        start = end
+    return out
 
 
 def case2_divergence(
@@ -348,22 +366,23 @@ def case2_divergence(
     rhs = g - 1
     identity = {"lhs": str(lhs), "rhs": str(rhs), "holds": bool(lhs == rhs)}
 
-    js, lens, terms_s = _interval_integrals(gf, 2**max_exp)
-    terms_h = 1.0 / (js + 1.0)
+    # the terms of the indices 2 <= j < 2^max_exp, chunk by chunk; the row
+    # of X = 2^j sums the first 2^j - 2 of them
+    xmax = 2**max_exp
+    blocks = [(a, min(a + CHUNK_TERMS, xmax)) for a in range(2, xmax, CHUNK_TERMS)]
+    stops = [2**j - 2 for j in range(2, max_exp + 1)]
+    s_vals = _prefix_tree_sums((_interval_integrals(gf, a, b)[2] for a, b in blocks), stops)
+    h_vals = _prefix_tree_sums((1.0 / (np.arange(a, b, dtype=np.float64) + 1.0) for a, b in blocks), stops)
+    rows = [{"X": float(2**j), "S": s_val, "H": h_val, "ratio": s_val / h_val}
+            for j, s_val, h_val in zip(range(2, max_exp + 1), s_vals, h_vals)]
 
-    rows = []
-    for j in range(2, max_exp + 1):
-        stop = 2**j - 2  # number of terms with index < 2^j
-        s_val = _tree_sum(terms_s[:stop])
-        h_val = _tree_sum(terms_h[:stop])
-        rows.append({"X": float(2**j), "S": s_val, "H": h_val, "ratio": s_val / h_val})
-
-    nt = min(MINORANT_TERMS, terms_s.size)
-    pointwise = (js[:nt] + lens[:nt]) ** (gf - 1.0) * lens[:nt]
+    nt = min(MINORANT_TERMS, xmax - 2)
+    js, lens, terms_s = _interval_integrals(gf, 2, nt + 2)
+    pointwise = (js + lens) ** (gf - 1.0) * lens
     minorant = {
         "terms": nt,
-        "integral_ge_pointwise": bool(np.all(terms_s[:nt] >= pointwise[:nt] * (1 - 1e-12))),
-        "pointwise_ge_harmonic": bool(np.all(pointwise[:nt] >= terms_h[:nt] * (1 - 1e-12))),
+        "integral_ge_pointwise": bool(np.all(terms_s >= pointwise * (1 - 1e-12))),
+        "pointwise_ge_harmonic": bool(np.all(pointwise >= 1.0 / (js + 1.0) * (1 - 1e-12))),
     }
     dominates = all(r["S"] >= r["H"] * (1 - 1e-12) for r in rows)
 
@@ -374,7 +393,7 @@ def case2_divergence(
     cell_int = (edges[1:] ** gf - edges[:-1] ** gf) / gf
     mesh_val = _tree_sum((chi.values * cell_int)[2 * cpu :])
     # its own terms over [2, xc): the cutoff 2^max_exp may lie below xc
-    exact_val = _tree_sum(_interval_integrals(gf, xc)[2])
+    exact_val = _tree_sum(_interval_integrals(gf, 2, xc)[2])
     mesh_check = {
         "X": float(xc),
         "mesh": mesh_val,

@@ -90,16 +90,12 @@ class LevelScan:
         return tuple(p[1] for p in self.plans)
 
     @property
-    def raw_edges(self) -> Tuple[np.ndarray, ...]:
-        """Per axis, the unclipped cell edges (len count+1)."""
-        return tuple(_frozen(raw0 + step * np.arange(count + 1, dtype=np.int64))
-                     for _, count, raw0, step in self.plans)
-
-    @property
     def edges(self) -> Tuple[np.ndarray, ...]:
-        """Per axis, the cell edges clipped to [0, N]; the plan checks put
-        every inner edge in (0, N), so only the two outer ones move."""
-        return tuple(_frozen(np.clip(raw, 0, self.ncells)) for raw in self.raw_edges)
+        """Per axis, the count+1 cell edges raw0 + j*step clipped to [0, N];
+        the plan checks put every inner edge in (0, N), so only the two
+        outer ones move."""
+        return tuple(_frozen(np.clip(raw0 + step * np.arange(count + 1, dtype=np.int64), 0, self.ncells))
+                     for _, count, raw0, step in self.plans)
 
     def cube_at(self, pos: Tuple[int, ...]) -> DyadicCube:
         idx = tuple(plan[0] + int(j) for plan, j in zip(self.plans, pos))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFamily, cube_to_obj
 from .sampled import SampledFunction
-from .scan import at_parents, cube_cell_sums, iter_scans, map_to_cells, parent_positions
+from .scan import at_parents, cube_integrals, iter_scans, map_to_cells, parent_positions
 from .operators import _frac_averages, _grid, _order
 
 
@@ -257,7 +257,7 @@ def certify_carleson(seq: CarlesonSequence, mu: SampledFunction) -> dict:
     best_cube = None
     infinite = False
     for scan in iter_scans(seq.mesh, seq.grid):
-        mu_q = cube_cell_sums(scan, mu.prefix) * mu.geometry.cellvol
+        mu_q = cube_integrals(scan, mu)
         tot = totals[scan.level]
         pos = mu_q > 0
         with np.errstate(divide="ignore", invalid="ignore"):

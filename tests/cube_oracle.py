@@ -26,8 +26,6 @@ def contains_point(box: Box, pt) -> bool:
 
 
 def intersects(a: Box, b: Box) -> bool:
-    if a.is_empty() or b.is_empty():
-        return False
     return all(max(x, y) < min(x + a.side, y + b.side) for x, y in zip(a.lower, b.lower))
 
 

@@ -541,11 +541,41 @@ MUTANTS = [
     ),
     Mutant(
         "case2_cross_check_truncated", "pairs.py",
-        "exact_val = _tree_sum(_interval_integrals(gf, xc)[2])",
-        "exact_val = _tree_sum(terms_s[:xc - 2])",
+        "exact_val = _tree_sum(_interval_integrals(gf, 2, xc)[2])",
+        "exact_val = _tree_sum(_interval_integrals(gf, 2, min(xc, 2**max_exp))[2])",
         ("tests/test_pairs.py::TestCase2Divergence::test_mesh_cross_check_whole_below_its_window",
          f"{CLI}::TestRunCommand::test_counterexample_suite_passes_at_the_smallest_window"),
         "below 2^7 the cutoff's terms stop short of [2, 128), so the closed form fell under the mesh value",
+    ),
+    Mutant(
+        "case2_chunk_tail_outside_tree", "pairs.py",
+        "out.append(_tree_sum(np.append(sums, _tree_sum(chunk[: stops[len(out)] - start]))))",
+        "out.append(_tree_sum(sums) + _tree_sum(chunk[: stops[len(out)] - start]))",
+        ("tests/test_pairs.py::TestTreeSum::test_prefix_sums_from_chunks_match_whole_prefixes",
+         "tests/test_pairs.py::TestCase2Divergence::test_rows_match_whole_array_oracle"),
+        "the tree sum of the terms past the whole chunks, added outside the tree of the chunk sums, moves the "
+        "bits of a row that spans more than one chunk",
+    ),
+    Mutant(
+        "case2_chunk_size_not_a_power_of_two", "pairs.py",
+        "CHUNK_TERMS = 2**16",
+        "CHUNK_TERMS = 3 * 2**14",
+        ("tests/test_pairs.py::TestTreeSum::test_prefix_sums_from_chunks_match_whole_prefixes",),
+        "the tree of a prefix pairs within aligned power-of-two blocks only, so other chunks split its pairs",
+    ),
+    Mutant(
+        "box_empty_side_allowed", "grid.py",
+        "if self.side <= 0:",
+        "if self.side < 0:",
+        ("tests/test_grid.py::TestSerialization::test_box_refuses_nonpositive_side",),
+        "an empty box would pass, and the window enumeration, containment and index ranges no longer handle one",
+    ),
+    Mutant(
+        "degenerate_u_not_flagged", "normest.py",
+        "degenerate = float(np.max(pair.sigma.values)) == 0.0 or float(np.max(pair.u.values)) == 0.0",
+        "degenerate = float(np.max(pair.sigma.values)) == 0.0",
+        ("tests/test_normest.py::TestEquivalenceReport::test_degenerate_pair_flagged[u]",),
+        "a u that is zero everywhere would be estimated as if it measured something",
     ),
     Mutant(
         "run_zero_flag_replaced", "cli.py",

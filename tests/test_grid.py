@@ -148,10 +148,6 @@ class TestEnumerate:
         g = GridFamily(1, (0,), 0, 0, Box((Fraction(0),), Fraction(1)))
         assert [c.index for c in g] == [(0,)]
 
-    def test_empty_window(self):
-        g = GridFamily(1, (0,), 0, 3, Box((Fraction(0),), Fraction(0)))
-        assert list(g) == []
-
     def test_enumeration_matches_intersection_predicate(self):
         w = Box((Fraction(-1, 2),), Fraction(2))
         g = GridFamily(1, (1,), -1, 3, w)
@@ -258,6 +254,12 @@ class TestSerialization:
     def test_box_refuses_what_is_no_rational(self, bad):
         with pytest.raises(GridError):
             Box((bad,), 1)
+
+    @pytest.mark.parametrize("side", [0, -1, Fraction(-1, 3)])
+    def test_box_refuses_nonpositive_side(self, side):
+        # no box of the library is empty: a window, a realized cube, a test box
+        with pytest.raises(GridError, match="side must be positive"):
+            Box((Fraction(0),), side)
 
     def test_box_roundtrip(self):
         b = Box((Fraction(-1, 6), Fraction(2, 3)), Fraction(1, 2))

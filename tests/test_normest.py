@@ -392,8 +392,10 @@ class TestEquivalenceReport:
         degenerate = WeightPair(ones(), SampledFunction.constant(0.0, 1, (0,), 1, 48))
         assert equivalence_report(degenerate, E_SOB)["duality_chain"]["cubes"] == 0
 
-    def test_degenerate_sigma_flagged(self):
-        pair = WeightPair(ones(), SampledFunction.constant(0.0, 1, (0,), 1, 48))
+    @pytest.mark.parametrize("zero", ["sigma", "u"])
+    def test_degenerate_pair_flagged(self, zero):
+        nothing = SampledFunction.constant(0.0, 1, (0,), 1, 48)
+        pair = WeightPair(ones(), nothing) if zero == "sigma" else WeightPair(nothing, ones())
         rep = equivalence_report(pair, E_SOB)
         assert rep["degenerate"]
         assert all(est["value"] == 0.0 for est in rep["estimates"].values())

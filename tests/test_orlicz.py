@@ -146,11 +146,6 @@ class TestConjugate:
         assert cmp_assoc.r == pytest.approx(2.0)
         assert cmp_assoc.a == pytest.approx(-1.5)
 
-    def test_numeric_conjugate_log_eval_guard(self):
-        conj = NumericConjugate(power_log(2.0, 1.0))
-        with pytest.raises(OrliczError):
-            conj.log_eval(np.array([600.0]))
-
     @pytest.mark.parametrize("depth,phi", [
         (1, power_log(1.5, 0.6)),
         (1, log_bump(2.0, 0.5)),

@@ -1,7 +1,11 @@
 """Constructive pairs: disjoint supports, the interval train, factored weights."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from dyadlab.constants import apq_alpha_constant
 from dyadlab.grid import Box
 from dyadlab.pairs import (
     ExampleError,
+    _prefix_tree_sums,
     _tree_sum,
     build_E,
     case1_pair,
@@ -23,6 +28,8 @@ from dyadlab.pairs import (
     verify_E_maximal,
 )
 from dyadlab.sampled import ExponentTuple, SampledFunction, integrate
+
+from case2_oracle import rows_and_minorant
 
 E_CASE1 = ExponentTuple(1, F(1, 4), F(5, 4), 2)     # 1/p - 1/q = 3/10 > 1/4
 E_SOB = ExponentTuple(1, F(1, 2), F(4, 3), 4)       # Sobolev line, gamma = 0
@@ -45,6 +52,18 @@ class TestTreeSum:
     def test_deterministic(self):
         arr = np.random.default_rng(5).uniform(0, 1, 777)
         assert _tree_sum(arr) == _tree_sum(arr.copy())
+
+    @pytest.mark.parametrize("size", [2**3, 2**6, 2**10, pairs.CHUNK_TERMS])
+    def test_prefix_sums_from_chunks_match_whole_prefixes(self, size):
+        # every 2^j - 2 up to the length, 400 random lengths, and the chunk ends and their neighbours; random
+        # terms, since case2's smooth ones round alike under many a wrong pairing
+        rng = np.random.default_rng(size)
+        arr = rng.uniform(0.0, 1.0, max(2**15, 3 * size) + 5)
+        stops = {2**j - 2 for j in range(2, arr.size.bit_length())} | set(rng.integers(1, arr.size + 1, 400).tolist())
+        stops |= {m + d for m in range(size, arr.size, size) for d in (-1, 0, 1)}
+        stops = sorted(stops)
+        got = _prefix_tree_sums((arr[a:a + size] for a in range(0, arr.size, size)), stops)
+        assert [v.hex() for v in got] == [_tree_sum(arr[:m]).hex() for m in stops]
 
 
 class TestCase1:
@@ -324,6 +343,29 @@ class TestCase2Divergence:
         mc = case2_divergence(E_IDENT, max_exp=max_exp)["mesh_check"]
         assert mc["one_sided"]
         assert mc["exact"].hex() == case2_divergence(E_IDENT, max_exp=16)["mesh_check"]["exact"].hex()
+
+    @pytest.mark.parametrize("max_exp", range(3, 21))
+    def test_rows_match_whole_array_oracle(self, max_exp):
+        # the chunked sums carry the bits of the tree sums over whole arrays
+        for gamma in (F(1, 2), F(2, 3)):
+            rep = case2_divergence(E_IDENT, gamma=gamma, max_exp=max_exp)
+            rows, minorant = rows_and_minorant(float(gamma), max_exp)
+            assert [{k: float(v).hex() for k, v in r.items()} for r in rep["rows"]] == \
+                [{k: float(v).hex() for k, v in r.items()} for r in rows]
+            assert rep["minorant"] == minorant
+
+    def test_memory_bounded_in_the_cutoff(self):
+        # a fresh process (ru_maxrss in kilobytes, as Linux gives it): its peak RSS grows by a few MB
+        # over the import at 2^22 terms, where holding them all at once took about 180 MB
+        code = ("import resource; from fractions import Fraction as F; from dyadlab.pairs import case2_divergence; "
+                "from dyadlab.sampled import ExponentTuple; peak = lambda: resource.getrusage(resource.RUSAGE_SELF)"
+                ".ru_maxrss; before = peak(); case2_divergence(ExponentTuple(1, F(1, 2), 2, 2), max_exp=22); "
+                "print((peak() - before) * 1024)")
+        paths = [str(Path(pairs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        grown = int(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                   check=True).stdout)
+        assert grown < 16 * 2**20
 
     @pytest.mark.parametrize("kwargs", [{"max_exp": 10.5}, {"max_exp": 2}], ids=repr)
     def test_sizes_must_be_integers(self, kwargs):

@@ -10,6 +10,15 @@ choice, which between them pass every documented flag, on 24-cell
 inputs.  The 2-D run leaves out the orlicz suite, which reads neither the
 mesh nor the exponents, so it would only repeat the default run's.
 
+Five more commands give the edge branches the input that produces them,
+each with its exit status: the orlicz suite on a borderline Young
+function of p = 2, q = 4, eps = 1.1 (an inconclusive tail, rho = -0.05;
+exit 0) and on an empty Young list (a vacuous conjugate_involution;
+exit 1); `norms equiv` (exit 0) and `constants compute --which
+ainfty_m_u` (no live cube, a vacuous report; exit 1) on a pair whose u
+is zero everywhere; and `ops outer_riesz` on a cube off the window
+(exit 0).
+
 The statements are found with ast in the modules of the imported package,
 wherever it was imported from: the statements in the body of each def,
 nested blocks included, under the module and qualified name of the def
@@ -76,20 +85,10 @@ ALLOWED = {
     ], ONE_ROW),
     **dict.fromkeys([
         "orlicz.NumericConjugate.eval",
-        "orlicz.NumericConjugate.log_eval",
         "orlicz.PowerScaled.log_eval",
     ], PROTOCOL),
     # defensive branches: data that no command or perfbench input produces
-    "normest.equivalence_report": "the degenerate pair: a weight that is zero everywhere gets zero estimates "
-                                  "and failing testing and duality records",
-    "operators.outer_riesz": "the off-window cube: its shells carry no mass, so the potential is zero",
-    **dict.fromkeys([
-        "grid.GridFamily.axis_index_range",
-        "grid.GridFamily.cubes_at_level",
-        "grid.Box.contains_box",
-        "sampled.SampledFunction.cell_slices",
-    ], "the empty window: it meets no cube, a box off the window meets no cell, and every box contains "
-       "an empty box"),
+    "sampled.SampledFunction.cell_slices": "a box off the window meets no cell: its slice on that axis is empty",
     "normest._evaluate.<locals>.feed": "the non-finite stop: a test function whose image or norm overflows ends "
                                        "its estimate with an error",
     **dict.fromkeys([
@@ -97,13 +96,12 @@ ALLOWED = {
         "orlicz.luxemburg.<locals>.log_mean",
     ], "the norm-0 and fallback steps of the Luxemburg solve: norm 0 when the mean stays at most 1 as "
        "lambda falls, a second upward doubling, the midpoint where a secant step leaves the bracket or the "
-       "mean overflows; and the closed form for a plain power, which the operators take before calling it"),
-    "cli._worst": "a check over no values, such as conjugate_involution under \"young\": [], is vacuous",
+       "mean overflows; and the closed form for a plain power, which the operators take before calling it "
+       "and which stays as the reference that test_generic_path_matches_power holds the Illinois path to"),
     "cli._sparse_domination": "a cell where the maximal function is positive and the sparse sum is not "
                               "fails the check; the stopping construction leaves none",
-    "constants._cut_maximal_integrals": "a scan with no live cube needs no cut maximal",
-    "orlicz.bp_classify": "the inconclusive tail verdict, between the two decay thresholds",
-    "grid._as_fraction": "the one rational parser's numpy-integer input, which no JSON input yields",
+    "grid._as_fraction": "the numpy-integer input, which no JSON input yields; it stays because _as_fraction "
+                         "and _json_int share one integer rule",
 }
 
 
@@ -186,10 +184,15 @@ def commands(tmp: Path) -> list:
     f = SampledFunction(1, (0,), 1, rng.uniform(0.3, 2.0, 24))
     w = SampledFunction(1, (0,), 1, rng.uniform(0.5, 1.5, 24))
     p = {}
-    # the 2-D config is the CI artifact step's; the pool config's exponents are JSON floats, off the Sobolev line
+    # the 2-D config is the CI artifact step's; the pool config's exponents are JSON floats, off the Sobolev line;
+    # the zero pair's u is zero everywhere
     for key, obj in {"f": f.to_obj(), "w": w.to_obj(), "pair": WeightPair(w.power(4.0), w.power(-4.0)).to_obj(),
+                     "zero": WeightPair(w.with_values(np.zeros(24)), w.power(-4.0)).to_obj(),
                      "2d": {"exponents": {"n": 2, "alpha": "1", "p": "4/3", "q": "4"}, "mesh": {"cells_per_axis": 12}},
-                     "typo": {"mesh": {"cels_per_axis": 96}}}.items():
+                     "typo": {"mesh": {"cels_per_axis": 96}},
+                     "borderline": {"suites": ["orlicz"],
+                                    "young": [{"family": "borderline", "params": {"p": 2, "q": 4, "eps": 1.1}}]},
+                     "no-young": {"suites": ["orlicz"], "young": []}}.items():
         p[key] = str(tmp / f"{key}.json")
         Path(p[key]).write_text(json.dumps(obj))
     p["pool"] = str(tmp / "pool.json")
@@ -198,7 +201,7 @@ def commands(tmp: Path) -> list:
         "pairs": [{"kind": "file", "params": {"path": p["pair"]}}]}))
     out = lambda name: ["-o", str(tmp / name)]
     e = ["--exponents", "1,1/2,4/3,4"]
-    cube = json.dumps({"dim": 1, "level": 1, "index": [0], "shift": [0]})
+    cube, off_window = (json.dumps({"dim": 1, "level": 1, "index": [m], "shift": [0]}) for m in (0, 5))
     two_d = [arg for s in ("geometry", "operators", "sparse", "constants", "equivalence", "counterexample")
              for arg in ("--suite", s)]
     runs = [(["run", "--out", str(tmp / "run")], 0),
@@ -206,7 +209,12 @@ def commands(tmp: Path) -> list:
             (["run", "--config", p["pool"], "--suite", "constants", "--suite", "equivalence", "--workers", "2",
               "--seed", "1", "--out", str(tmp / "pool")], 0),
             (["run", "--suite", "counterexample", "--gamma", "1/2", "--window", "65536", "--out", str(tmp / "cx")], 0),
-            (["run", "--config", p["typo"], "--out", str(tmp / "typo")], 2)]
+            (["run", "--config", p["typo"], "--out", str(tmp / "typo")], 2),
+            (["run", "--config", p["borderline"], "--out", str(tmp / "borderline")], 0),
+            (["run", "--config", p["no-young"], "--out", str(tmp / "no-young")], 1)]
+    edges = [(["norms", "equiv", "--pair", p["zero"], *e, "--family-steps", "1"], 0),
+             (["constants", "compute", "--which", "ainfty_m_u", "--pair", p["zero"], *e], 1),
+             (["ops", "outer_riesz", "-i", p["f"], "--alpha", "1/2", "--cube", off_window], 0)]
     ops = [["ops", "frac_maximal", "-i", p["f"], "--alpha", "1/2", "--shift", "1", "--levels", "0..2", *out("mf.json")],
            ["ops", "dyadic_frac_maximal", "-i", p["f"], "--alpha", "1/2"],
            ["ops", "dyadic_riesz", "-i", p["f"], "--alpha", "1/2", "--csv", str(tmp / "riesz.csv")],
@@ -233,7 +241,7 @@ def commands(tmp: Path) -> list:
                  "--csv", str(tmp / "factored.csv")],
                 ["examples", "factored", "--w1", p["w"], "--w2", p["w"]],
                 ["examples", "classical", "--weight", p["w"], *e, *out("classical.json")]]
-    return runs + [(argv, 0) for argv in ops + sparse + constants + norms + examples]
+    return runs + edges + [(argv, 0) for argv in ops + sparse + constants + norms + examples]
 
 
 @pytest.fixture(scope="module")
