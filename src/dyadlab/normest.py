@@ -14,20 +14,22 @@ Each estimate folds the test functions of two chunk sources, in this
 order.  A chunk is (names, values), values a (B, *mesh) array whose row
 b is the function names[b].
 
-  * The plain chunks, which no operator shapes, one row each: the
-    indicator of every grid cube inside the window that carries
-    positive source mass, then seeded random step functions on a fixed
-    coarse partition, so the family is reproducible and
-    mesh-independent.
+  * The plain chunks, which no operator shapes: the indicator of every
+    grid cube inside the window that carries positive source mass, then
+    seeded random step functions on a fixed coarse partition, so the
+    family is reproducible and mesh-independent.
   * The duality chunks of an operator T: the duality-optimal functions
     T(w chi_Q)^{e-1} chi_Q, the choice that saturates the weak-type
-    pairing, in the batches of at most CHAIN_BATCH_FLOATS floats their
-    seeds are built in.
+    pairing, in the batches their seeds are built in.
+
+Both sources cut their rows into batches of at most CHAIN_BATCH_FLOATS
+floats, and each chunk reaches each operator in one registry call.
 
 The stop rule: a source norm, image or target norm that is not finite
-stops that estimate at that test function (in family order, and in
-that order within a row), since an overflow is no lower bound; a call
-raises the NormError of its first stopped estimate in report order.
+stops that estimate at that test function (in family order, also
+within a chunk, and in that order within a row), since an overflow is
+no lower bound; a call raises the NormError of its first stopped
+estimate in report order.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .sampled import (
     weak_lq_norms,
     parse_rational,
 )
-from .scan import cell_block, cube_cells, inside_scans, iter_scans, positive_cubes
+from .scan import cube_cells, inside_scans, iter_scans, positive_cubes, spread
 from .operators import OPERATORS, MissingInputError, default_levels, _grids, _shell_constant, _shell_scans, _shells
 from .orlicz import PowerLog, YoungFunction, BpReport, bp_classify, CONVERGENT
 from .constants import (
@@ -139,10 +141,12 @@ def _batches(count: int, cells: int) -> list:
     return [slice(start, start + batch) for start in range(0, count, batch)]
 
 
-def _cube_index(cubes, top: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+def _cube_index(cubes, scans, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """(lev, pos) of cubes from _inside_cubes, as scan.cube_cells reads
-    them: each cube's level counted from level top, and its position."""
-    lev = np.array([scan.level - top for _, scan, _, _ in cubes], dtype=np.int64)
+    them over scans: the index in scans of the scan of each cube's grid
+    shift and level, and its position."""
+    at = {(scan.grid.shift, scan.level): k for k, scan in enumerate(scans)}
+    lev = np.array([at[scan.grid.shift, scan.level] for _, scan, _, _ in cubes], dtype=np.int64)
     pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), dim)).astype(np.int64)
     return lev, pos
 
@@ -181,22 +185,24 @@ def _side(pair: WeightPair, e: ExponentTuple, side: str) -> _Side:
 
 def _plain_chunks(mesh: SampledFunction, s: _Side, family: TestFamily, min_level,
                   max_level) -> Iterator[Tuple[list, np.ndarray]]:
-    """The indicators, then the random steps, of the family, each a
-    one-row chunk; the indicators' cells are read from the scans' integer
-    plans."""
+    """The indicators, then the random steps, of the family, each in
+    chunks of at most CHAIN_BATCH_FLOATS floats (the six default steps
+    are one chunk).  The indicators' cells come from one scan.cube_cells
+    call per chunk, over the scans of every grid."""
+    cells = mesh.values.size
     if family.indicators:
-        for label, scan, pos, _mass in _inside_cubes(mesh, s.dens, None, min_level, max_level):
-            arr = np.zeros((1, *mesh.values.shape))
-            cell_block(scan, arr[0], pos)[...] = 1.0
-            yield [f"chi[{label}]"], arr
-    rng = np.random.default_rng(family.seed)
+        scans = [scan for g in _grids(mesh, None, min_level, max_level) for scan in iter_scans(mesh, g)]
+        cubes = list(_inside_cubes(mesh, s.dens, None, min_level, max_level))
+        lev, pos = _cube_index(cubes, scans, mesh.dim)
+        for part in _batches(len(cubes), cells):
+            chi = cube_cells(scans, lev[part], pos[part])
+            yield [f"chi[{label}]" for label, _, _, _ in cubes[part]], chi.astype(np.float64)
+    # one draw of every step's blocks: the stream of the draws one step at a time
     blocks = _blocks_for(mesh.ncells)
-    reps = mesh.ncells // blocks
-    for k in range(family.random_steps):
-        vals = rng.exponential(1.0, size=(blocks,) * mesh.dim)
-        for ax in range(mesh.dim):
-            vals = np.repeat(vals, reps, axis=ax)
-        yield [f"step[{k}]"], vals[None]
+    steps = np.random.default_rng(family.seed).exponential(1.0, size=(family.random_steps,) + (blocks,) * mesh.dim)
+    for part in _batches(family.random_steps, cells):
+        names = [f"step[{k}]" for k in range(family.random_steps)[part]]
+        yield names, spread(steps[part], [mesh.ncells // blocks] * mesh.dim)
 
 
 def _duality_chunks(op: str, mesh: SampledFunction, s: _Side, alpha, phi, min_level,
@@ -213,7 +219,7 @@ def _duality_chunks(op: str, mesh: SampledFunction, s: _Side, alpha, phi, min_le
     grid, = _grids(mesh, zero_shift, min_level, max_level)
     scans = iter_scans(mesh, grid)
     cubes = list(_inside_cubes(mesh, s.tgt_w, zero_shift, min_level, max_level))
-    lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
+    lev, pos = _cube_index(cubes, scans, mesh.dim)
     spatial = tuple(range(1, mesh.dim + 1))
     for part in _batches(len(cubes), mesh.values.size):
         chi = cube_cells(scans, lev[part], pos[part])
@@ -266,8 +272,10 @@ def _evaluate(
     source that have not stopped.  Per chunk, each operator runs once on
     the rows of positive source norm, and each target takes its norms
     row-wise from that image, so a weak and a strong target of one
-    operator share their images.  Every row has the bits of its one-row
-    call, and the first maximum in family order wins a tie."""
+    operator share their images; the image is dropped once the last of
+    them has read it.  Every row has the bits of its one-row call, a
+    stop falls at its row whatever chunk holds it, and the first maximum
+    in family order wins a tie, within a chunk and across chunks."""
     tallies = [_Tally(op, weak) for op, weak in targets]
 
     def feed(live: list, names: list, batch: np.ndarray):
@@ -277,13 +285,15 @@ def _evaluate(
         stop = int(np.argmax(bad)) if np.any(bad) else len(names)
         rows = np.flatnonzero(den[:stop] > 0)
         images = {}
+        last = {t.op: t for t in live}
         for t in live:
             if len(rows):
                 if t.op not in images:
                     images[t.op] = OPERATORS[t.op](mesh, batch[rows], s.dens, alpha, phi, None, min_level, max_level)
-                g = images[t.op]
+                g = images.pop(t.op) if last[t.op] is t else images[t.op]
                 image_ok = np.all(np.isfinite(g.reshape(len(rows), -1)), axis=1)
                 num = np.array((weak_lq_norms if t.weak else lp_norms)(mesh, g, s.tgt_q, weight=s.tgt_w))
+                del g
                 ok = image_ok & np.isfinite(num)
                 if not np.all(ok):
                     k = int(np.argmin(ok))
@@ -538,7 +548,7 @@ def potential_testing_chain(
     scans = _shell_scans(sigma, zero, *default_levels(sigma, min_level, max_level))
     cubes = list(_inside_cubes(pair.u, sigma, [zero], min_level, max_level))
     # _inside_cubes and _shell_scans share the plans of every level they both scan
-    lev, pos = _cube_index(cubes, scans[0].level, n)
+    lev, pos = _cube_index(cubes, scans, n)
     masses = np.array([mass for _, _, _, mass in cubes])
     lhs, rhs = [], []
     for part in _batches(len(cubes), sigma.values.size):

@@ -229,6 +229,46 @@ MUTANTS = [
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "a saturating function lives on its own cube, not wherever its seed is positive",
     ),
+    # --- the batched plain chunks: the indicators and the random steps -----------
+    Mutant(
+        "plain_indicator_labels_rotated", "normest.py",
+        'yield [f"chi[{label}]" for label, _, _, _ in cubes[part]]',
+        'yield [f"chi[{label}]" for label, _, _, _ in cubes[part][1:] + cubes[part][:1]]',
+        (f"{NORM}::TestPlainChunks::test_family_matches_oracle",
+         f"{NORM}::TestChunkedEvaluation::test_estimate_norm_matches_oracle"),
+        "row b of an indicator chunk is the indicator of the chunk's cube b, so it goes out under that cube's label",
+    ),
+    Mutant(
+        "plain_indicator_scan_of_level_only", "normest.py",
+        "at = {(scan.grid.shift, scan.level): k for k, scan in enumerate(scans)}\n"
+        "    lev = np.array([at[scan.grid.shift, scan.level]",
+        "at = {scan.level: k for k, scan in enumerate(scans)}\n    lev = np.array([at[scan.level]",
+        (f"{NORM}::TestPlainChunks::test_family_matches_oracle",
+         f"{NORM}::TestFamilyOnScans::test_matches_fraction_family"),
+        "each indicator row reads the scan of its own cube's grid and level, of every grid's scans",
+    ),
+    Mutant(
+        "plain_step_rows_reversed", "normest.py",
+        "yield names, spread(steps[part],",
+        "yield names, spread(steps[part][::-1],",
+        (f"{NORM}::TestPlainChunks::test_family_matches_oracle",),
+        "step k is the k-th draw of the seeded stream, whatever chunk holds it",
+    ),
+    Mutant(
+        "tie_goes_to_a_later_chunk", "normest.py",
+        "if ratios[k] > t.best:",
+        "if ratios[k] >= t.best:",
+        (f"{NORM}::TestChunkedEvaluation::test_a_chunk_boundary_cuts_a_tied_maximum",
+         f"{NORM}::TestChunkedEvaluation::test_estimate_norm_matches_oracle"),
+        "the first maximum in family order keeps the argmax, also when a tie for it lies in a later chunk",
+    ),
+    Mutant(
+        "stop_names_the_first_imaged_row", "normest.py",
+        "{what} of the test function {names[rows[k]]} is not finite",
+        "{what} of the test function {names[rows[0]]} is not finite",
+        (f"{NORM}::TestChunkedEvaluation::test_overflow_raises_the_oracle_error[sigma_1e200_right_half]",),
+        "a stop inside a chunk names the test function of its own row",
+    ),
     # --- the chunked evaluation of the test families ------------------------------
     Mutant(
         "duality_chunk_names_shifted", "normest.py",

@@ -1,13 +1,17 @@
 """The one-function-at-a-time norm estimate, kept as an oracle for
 normest.estimate_norm and the estimates of normest.equivalence_report.
 
-iter_family yields the test functions one by one, each with its label,
-and estimate_norm applies the registry operator to one function at a
-time and takes its norms as one-row cases of lp_norms and weak_lq_norms.
-normest evaluates the same family chunk by chunk, and shares the
-indicator and step rows of the equivalence report's forward estimates,
-so its estimates must equal these in value bits, argmax label and family
-size, and it must raise the NormError this raises.
+iter_family yields the test functions one by one, each with its label:
+every indicator written through its scan's cell block, every random
+step drawn on its own, and the duality functions split out of their
+chunks.  estimate_norm applies the registry operator to one function at
+a time and takes its norms as one-row cases of lp_norms and
+weak_lq_norms.  normest evaluates the same family in multi-row chunks,
+the indicators, the steps and the duality functions alike, and shares
+the plain rows of the equivalence report's forward estimates, so its
+estimates must equal these in value bits, argmax label and family size,
+also when a chunk boundary falls at a tied maximum or a stop lands
+inside a chunk, and it must raise the NormError this raises.
 """
 import math
 
@@ -53,7 +57,7 @@ def iter_family(op, pair, e, family, side, alpha, min_level, max_level, phi):
         grid, = _grids(mesh, zero_shift, min_level, max_level)
         scans = iter_scans(mesh, grid)
         cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
-        lev, pos = _cube_index(cubes, grid.min_level, mesh.dim)
+        lev, pos = _cube_index(cubes, scans, mesh.dim)
         batch = max(1, normest.CHAIN_BATCH_FLOATS // mesh.values.size)
         for start in range(0, len(cubes), batch):
             part = slice(start, start + batch)

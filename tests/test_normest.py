@@ -27,7 +27,7 @@ from dyadlab.normest import (
 )
 from dyadlab.orlicz import CONVERGENT, DIVERGENT, PowerLog, PowerScaled, borderline, log_bump, power, power_log
 from dyadlab.pairs import classical_pair
-from dyadlab.sampled import ExponentTuple, SampledFunction, lp_norm
+from dyadlab.sampled import ExponentTuple, SampledFunction, lp_norm, lp_norms
 
 import norm_oracle
 from cube_oracle import integral
@@ -681,8 +681,9 @@ class TestFamilyOnScans:
     ], ids=lambda v: f"{v[0]}d_{v[1][0]}_{v[3]}" if isinstance(v, tuple) else v)
     def test_matches_fraction_family(self, monkeypatch, mesh, op):
         # every estimate equals the one over the rational-box family with
-        # per-cube duality seeds, bit for bit, also when the seeds come in
-        # several chunks, and is built with no per-cube rational geometry
+        # per-cube duality seeds, bit for bit, also when the indicators and
+        # the seeds come in several chunks, and is built with no per-cube
+        # rational geometry
         pair, e = seed_pair(*mesh)
         calls = [dict(side=side, weak=weak) for side in ("forward", "dual") for weak in (False, True)]
 
@@ -694,7 +695,7 @@ class TestFamilyOnScans:
             want = estimates()
         refuse_fraction_geometry(monkeypatch)
         assert estimates() == want
-        monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", 5 * pair.u.values.size)
+        assert split_chunks(monkeypatch, pair) >= 3
         assert estimates() == want
 
 
@@ -770,6 +771,44 @@ class TestBatchedDualitySeeds:
         assert_same_family(family(normest_family, op, pair, e, "forward"), want)
 
 
+class TestPlainChunks:
+    @pytest.mark.parametrize("split", [False, True], ids=["default", "split"])
+    @pytest.mark.parametrize("side", ["forward", "dual"])
+    @pytest.mark.parametrize("mesh", FAMILY_MESHES, ids=lambda m: f"{m[0]}d_{m[3]}_{m[2]}")
+    def test_family_matches_oracle(self, monkeypatch, mesh, side, split):
+        # the indicators and the steps under their own labels, in family
+        # order, each row equal to the rational-box indicator or to the
+        # step drawn on its own, in one chunk and with the indicators in
+        # at least three
+        pair, e = seed_pair(*mesh)
+        want = family(_iter_family_oracle, None, pair, e, side, TestFamily(duality=False))
+        if split:
+            assert split_chunks(monkeypatch, pair) >= 3
+        chunks = list(normest._plain_chunks(pair.u, normest._side(pair, e, side), TestFamily(), None, None))
+        assert len(chunks) >= (4 if split else 2)
+        assert_same_family([(name, f) for names, batch in chunks for name, f in zip(names, batch, strict=True)],
+                           want)
+
+    @pytest.mark.parametrize("rows", [1, 5, 1000])
+    def test_one_core_call_per_chunk(self, monkeypatch, rows):
+        # the twin of TestBatchedDualitySeeds.test_one_core_call_per_chunk:
+        # the indicators, then the six steps, reach the registry operator
+        # once per chunk of rows functions, not one by one
+        pair, e = rand_pair(61), E_SOB
+        cubes = len(list(_inside_cubes(pair.u, pair.sigma, None, None, None)))
+        calls = []
+        core = normest.OPERATORS["frac_maximal"]
+
+        def counted(f, values, *args):
+            calls.append(len(values))
+            return core(f, values, *args)
+
+        monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
+        monkeypatch.setattr(normest, "OPERATORS", {"frac_maximal": counted})
+        est = estimate_norm("frac_maximal", pair, e, TestFamily(duality=False))
+        assert est.family_size == cubes + 6
+        assert calls == [min(rows, n - k) for n in (cubes, 6) for k in range(0, n, rows)]
+
 
 # --- the chunked evaluation, against the one-function-at-a-time oracle -------
 
@@ -782,23 +821,27 @@ def smooth_pair():
 
 
 # (pair, exponents, family): the default run's two pairs, the pair of
-# test_2d_pipeline, and a pair whose weights vanish on blocks, so some
-# duality functions have zero source norm
+# test_2d_pipeline, a pair whose weights vanish on blocks, so some
+# duality functions have zero source norm, and Lebesgue measure, where
+# many test functions tie for the best ratio
 ORACLE_CASES = {
     "classical_smooth": lambda: (smooth_pair(), E_SOB, TestFamily()),
+    "lebesgue": lambda: (unit_pair(ones(ncells=24)), E_SOB, TestFamily()),
     "random": lambda: (rand_pair(11), E_SOB, TestFamily()),
     "2d": lambda: (rand_pair(13, dim=2, lower=(0, 0), ncells=24), E_SOB2, LIGHT),
     "vanishing_blocks": lambda: (*seed_pair(*SEED_MESHES[1]), LIGHT),
 }
 
 
-def split_duality_chunks(monkeypatch, pair):
-    """Patch CHAIN_BATCH_FLOATS so that the duality functions of either
-    side come in at least three chunks, and return that least count."""
-    zero = [(0,) * pair.u.dim]
-    cubes = min(len(list(_inside_cubes(pair.u, w, zero, None, None))) for w in (pair.u, pair.sigma))
-    monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", max(1, cubes // 3) * pair.u.values.size)
-    return -(-cubes // max(1, cubes // 3))
+def split_chunks(monkeypatch, pair, min_level=None):
+    """Patch CHAIN_BATCH_FLOATS so that the indicators and the duality
+    functions of either side each come in at least three chunks, and
+    return the least chunk count."""
+    counts = [len(list(_inside_cubes(pair.u, w, shifts, min_level, None)))
+              for w in (pair.u, pair.sigma) for shifts in (None, [(0,) * pair.u.dim])]
+    rows = max(1, min(counts) // 3)
+    monkeypatch.setattr(normest, "CHAIN_BATCH_FLOATS", rows * pair.u.values.size)
+    return min(-(-n // rows) for n in counts)
 
 
 def assert_same_estimate(got: NormEstimate, want: NormEstimate):
@@ -807,8 +850,8 @@ def assert_same_estimate(got: NormEstimate, want: NormEstimate):
 
 
 class TestChunkedEvaluation:
-    # each case runs in the default chunks, and again with the duality
-    # functions split into at least three chunks
+    # each case runs in the default chunks, and again with the indicators
+    # and the duality functions each split into at least three chunks
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equivalence_estimates_match_oracle(self, monkeypatch, case):
@@ -819,7 +862,7 @@ class TestChunkedEvaluation:
         want = norm_oracle.equivalence_estimates(pair, e, fam)
         for split in (False, True):
             if split:
-                assert split_duality_chunks(monkeypatch, pair) >= 3
+                assert split_chunks(monkeypatch, pair) >= 3
             got = equivalence_report(pair, e, family=fam)["estimates"]
             assert list(got) == list(want)
             for key, est in want.items():
@@ -834,29 +877,57 @@ class TestChunkedEvaluation:
         want = [norm_oracle.estimate_norm(op, pair, e, fam, phi=power(3), **kw) for kw in calls]
         for split in (False, True):
             if split:
-                split_duality_chunks(monkeypatch, pair)
+                assert split_chunks(monkeypatch, pair) >= 3
             for kw, est in zip(calls, want):
                 assert_same_estimate(estimate_norm(op, pair, e, fam, phi=power(3), **kw), est)
 
-    # (u, sigma) values on 24 cells
-    OVERFLOWS = {"sigma_1e200": (1.0, 1e200), "u_1e100": (1e100, 1.0), "u_1e100_sigma_1e60": (1e100, 1e60)}
+    def test_a_chunk_boundary_cuts_a_tied_maximum(self, monkeypatch):
+        # on Lebesgue measure every finest indicator has the identity's best
+        # ratio |Q|^{1/q - 1/p}, and the split puts some of them in a later
+        # chunk than the first; the first in family order keeps the argmax
+        pair, e, fam = ORACLE_CASES["lebesgue"]()
+        names, functions = zip(*norm_oracle.iter_family("identity", pair, e, fam, "forward", 0.0, None, None, None))
+        # with sigma = 1 the identity's image of f is f
+        batch = np.array(functions)
+        ratios = np.divide(lp_norms(pair.u, batch, float(e.q), weight=pair.u),
+                           lp_norms(pair.u, batch, float(e.p), weight=pair.sigma))
+        want = norm_oracle.estimate_norm("identity", pair, e, fam)
+        first = names.index(want.argmax)
+        assert split_chunks(monkeypatch, pair) >= 3
+        rows = normest.CHAIN_BATCH_FLOATS // pair.u.values.size
+        assert any(r == ratios[first] and k // rows > first // rows for k, r in enumerate(ratios))
+        assert_same_estimate(estimate_norm("identity", pair, e, fam), want)
+
+    # (u, sigma) values on 24 cells, and the min_level of the report
+    OVERFLOWS = {
+        "sigma_1e200": (1.0, 1e200, None),
+        "u_1e100": (1e100, 1.0, None),
+        "u_1e100_sigma_1e60": (1e100, 1e60, None),
+        "sigma_1e200_right_half": (1.0, np.repeat([1.0, 1e200], 12), 1),
+    }
 
     @pytest.mark.parametrize("weights", OVERFLOWS)
     def test_overflow_raises_the_oracle_error(self, monkeypatch, weights):
         # as in TestEstimateNorm.test_overflow_refused_not_reported: the
         # report raises the error of its first estimate that fails
         one = ones(ncells=24)
-        pair = WeightPair(*(one.with_values(np.full(24, v)) for v in self.OVERFLOWS[weights]))
+        *values, min_level = self.OVERFLOWS[weights]
+        pair = WeightPair(*(one.with_values(np.broadcast_to(v, (24,)).copy()) for v in values))
         with pytest.raises(NormError) as want:
-            norm_oracle.equivalence_estimates(pair, E_SOB)
+            norm_oracle.equivalence_estimates(pair, E_SOB, min_level=min_level)
         for split in (False, True):
             if split:
-                assert split_duality_chunks(monkeypatch, pair) >= 3
+                assert split_chunks(monkeypatch, pair, min_level) >= 3
             with pytest.raises(NormError) as got:
-                equivalence_report(pair, E_SOB)
+                equivalence_report(pair, E_SOB, min_level=min_level)
             assert str(got.value) == str(want.value)
         if weights == "sigma_1e200":
             assert str(got.value) == "the target norm of the test function chi[s=(0,),l=0,pos=(0,)] is not finite"
+        if weights == "sigma_1e200_right_half":
+            # strong_riesz stops at the second indicator, inside the first
+            # chunk of the split, and no earlier estimate stops
+            assert str(got.value) == "the target norm of the test function chi[s=(0,),l=1,pos=(1,)] is not finite"
+            assert normest.CHAIN_BATCH_FLOATS // 24 > 2
         if weights == "u_1e100_sigma_1e60":
             # two forward estimates stop: weak_riesz, first in report order,
             # at a duality function, and strong_riesz after it at the first
