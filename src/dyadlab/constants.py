@@ -311,7 +311,9 @@ def ainfty_m(
 
 def _ap_values(w: SampledFunction, p):
     """Level function of (avg_Q w)(avg_Q w^{1-p'})^{p-1} on every cube of a
-    scan, for a rational p > 1."""
+    scan, for a rational p > 1 and a strictly positive weight w."""
+    if float(np.min(w.values)) <= 0.0:
+        raise ConstantError("the Muckenhoupt functional needs a strictly positive weight")
     dual_pow = w.power(float(1 - p / (p - 1)))
     pm1 = float(p - 1)
 
@@ -333,8 +335,6 @@ def ap_constant(
     pf = parse_rational(p)
     if pf <= 1:
         raise ConstantError(f"the exponent must exceed 1, got {p}")
-    if float(np.min(w.values)) <= 0.0:
-        raise ConstantError("the Muckenhoupt functional needs a strictly positive weight")
     ap = _ap_values(w, pf)
 
     def fn(scan: LevelScan, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -382,8 +382,6 @@ def mixed_one_sup(
 
     if flavor == "ap_m":
         w = pair.sigma
-        if float(np.min(w.values)) <= 0.0:
-            raise ConstantError("the ap_m flavor needs a strictly positive second weight")
         ap = _ap_values(w, e.s_dual)
         beta = float(1 / e.pprime)
         gamma = float(1 / e.q)

@@ -119,7 +119,7 @@ def _orlicz_averages(values: np.ndarray, n: int, cellvol: float, phi: YoungFunct
     it is given (0 elsewhere).  A plain power t^r reads every cube from
     one prefix table of values^{r/root}; any other phi solves the
     Luxemburg equation cube by cube."""
-    is_power = getattr(phi, "is_power", False)
+    is_power = phi.is_power
     if is_power:
         r = phi.r
         pre = prefix_sum(values if r == root else values ** (r / root), n)

@@ -163,15 +163,11 @@ class NumericConjugate(YoungFunction):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).astype(float)
         out = np.zeros_like(t)
         out[np.isnan(t)] = np.nan
         pos = t > 0
         if np.any(pos):
             out[pos] = self._conj(t[pos])
-        if scalar:
-            return float(out[0])
         return out
 
     def _conj(self, t: np.ndarray) -> np.ndarray:
@@ -226,13 +222,15 @@ def luxemburg(
     meets; the zero extension contributes nothing since Phi(0) = 0.  The
     normalizer is the measure of the full region.
 
-    Outside the power family, lam is bracketed by doubling or halving from
-    max(values) and then found by a bracketed secant (Illinois) iteration
-    on log(mean) against log(lam), falling back to the geometric midpoint
-    whenever the secant step is not finite or leaves the bracket, and never
-    stepping closer than 5e-12 in log(lam) to either end.  It stops once
-    hi - lo <= 1e-11 hi and returns the feasible end hi.  Non-finite
-    values, masses or normalizer, and negative masses, raise OrliczError.
+    Outside the power family, lam starts at max(values) and is halved while
+    it is feasible, or doubled while it is not, until feasibility flips;
+    out of steps in either direction, it raises OrliczError.  A bracketed
+    secant (Illinois) iteration on log(mean) against log(lam) follows,
+    taking the geometric midpoint where the secant step leaves the bracket
+    or the mean at either end is infinite, and never stepping closer than
+    5e-12 in log(lam) to either end.  It stops once hi - lo <= 1e-11 hi and
+    returns the feasible end hi.  Non-finite values, masses or normalizer,
+    and negative masses, raise OrliczError.
     """
     v = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(v)):
@@ -252,7 +250,7 @@ def luxemburg(
     if not np.any(keep):
         return 0.0
     v, m = v[keep], m[keep]
-    if getattr(phi, "is_power", False):
+    if phi.is_power:
         r = phi.r
         return float((np.sum(v ** r * m) / normalizer) ** (1.0 / r))
 
@@ -266,32 +264,23 @@ def luxemburg(
         mean = tot / normalizer
         return math.log(mean) if mean > 0.0 else -math.inf
 
-    lo = hi = float(v.max())
-    g = log_mean(hi)
-    if g <= 0.0:
-        g_hi = g
-        for _ in range(_LUX_MAX_ITER):
-            lo /= 2.0
-            g_lo = log_mean(lo)
-            if g_lo > 0.0:
-                break
-            hi, g_hi = lo, g_lo
-        else:
-            return 0.0  # mean stays <= 1 for arbitrarily small lam: norm 0
+    lam = float(v.max())
+    g = log_mean(lam)
+    feasible = g <= 0.0
+    factor = 0.5 if feasible else 2.0
+    for _ in range(_LUX_MAX_ITER):
+        prev, g_prev = lam, g
+        lam *= factor
+        g = log_mean(lam)
+        if (g <= 0.0) != feasible:
+            break
     else:
-        g_lo = g
-        for _ in range(_LUX_MAX_ITER):
-            hi *= 2.0
-            g_hi = log_mean(hi)
-            if g_hi <= 0.0:
-                break
-            lo, g_lo = hi, g_hi
-        else:
-            raise OrliczError("Luxemburg bracketing failed to close upward")
+        raise OrliczError("Luxemburg bracketing did not close")
+    (lo, g_lo), (hi, g_hi) = sorted([(prev, g_prev), (lam, g)])
     # Illinois: a secant step in x = log lam through (x_lo, g_lo > 0) and
     # (x_hi, g_hi <= 0); when one end is kept twice in a row its g is halved
     # so that both ends converge.  An infinite g makes the secant nan or an
-    # end point, and the geometric midpoint is taken instead.
+    # end point, so the geometric midpoint is taken instead.
     # Every step keeps half the tolerance from either end, so a secant that
     # lands on the root still closes the bracket from the far side.
     step = 0.5 * _LUX_REL_TOL
@@ -301,7 +290,7 @@ def luxemburg(
         if hi - lo <= _LUX_REL_TOL * hi:
             return hi  # smallest bracketed lam with mean <= 1
         x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
-        if not x_lo <= x <= x_hi:
+        if math.isinf(g_lo) or math.isinf(g_hi) or not x_lo <= x <= x_hi:
             x = 0.5 * (x_lo + x_hi)
         x = min(max(x, x_lo + step), x_hi - step)
         lam = math.exp(x)

@@ -372,8 +372,14 @@ def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: SampledFunc
     flat = values.reshape(-1, f.values.size)
     order = np.argsort(flat, axis=-1)[:, ::-1]
     vs = np.take_along_axis(flat, order, axis=-1)
-    scaled = vs * np.cumsum(mass[order], axis=-1) ** (1.0 / qf)
-    return np.where(vs > 0, scaled, 0.0).max(axis=-1, initial=0.0).tolist()
+    # one buffer, the order freed first: a batched chunk peaks at three arrays of its size
+    out = mass[order]
+    del order
+    np.cumsum(out, axis=-1, out=out)
+    out **= 1.0 / qf
+    out *= vs
+    out[~(vs > 0)] = 0.0
+    return out.max(axis=-1, initial=0.0).tolist()
 
 
 # === exponent tuples =========================================================

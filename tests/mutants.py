@@ -433,6 +433,28 @@ MUTANTS = [
         (f"{ORLICZ}::TestLuxemburg::test_matches_bisection_oracle",),
         "the low end of the bracket has mean > 1, so it is not a feasible Luxemburg norm",
     ),
+    Mutant(
+        "luxemburg_halving_returns_zero", "orlicz.py",
+        '        raise OrliczError("Luxemburg bracketing did not close")\n',
+        '        if feasible:\n            return 0.0\n        raise OrliczError("Luxemburg bracketing did not close")\n',
+        (f"{ORLICZ}::TestLuxemburg::test_halving_that_never_closes_raises",),
+        "positive data whose norm lies below 400 halvings of max(values) have a positive norm, not 0",
+    ),
+    Mutant(
+        "luxemburg_secant_at_an_infinite_end", "orlicz.py",
+        "if math.isinf(g_lo) or math.isinf(g_hi) or not x_lo <= x <= x_hi:",
+        "if not x_lo <= x <= x_hi:",
+        (f"{ORLICZ}::TestLuxemburg::test_overflow_at_the_low_end_converges",),
+        "an overflowing low end puts the secant on the high end, which moves 5e-12 in log lambda a step and stalls",
+    ),
+    Mutant(
+        "luxemburg_bracket_ends_swapped", "orlicz.py",
+        "(lo, g_lo), (hi, g_hi) = sorted(",
+        "(hi, g_hi), (lo, g_lo) = sorted(",
+        (f"{ORLICZ}::TestLuxemburg::test_matches_bisection_oracle",
+         f"{ORLICZ}::TestLuxemburg::test_single_and_zero_cells"),
+        "with the ends swapped the bracket is empty and the solve returns the infeasible end",
+    ),
     # --- the golden-section conjugate: skip only what changes no bit ------------
     Mutant(
         "golden_stop_on_width", "orlicz.py",

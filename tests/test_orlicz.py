@@ -189,6 +189,14 @@ class TestConjugate:
         assert out[2] == 0.0 and out[3] == 0.0
         assert math.isnan(conj.eval(math.nan))
 
+    @pytest.mark.parametrize("t", [1.0, [1.0, 2.0], [[0.5], [3.0]]], ids=["scalar", "row", "column"])
+    def test_eval_keeps_the_shape_of_t(self, t):
+        # a scalar gives a 0-d array, as PowerLog.eval does
+        conj = NumericConjugate(log_bump(2.0, 0.5))
+        out = conj.eval(t)
+        assert out.shape == np.shape(t) == log_bump(2.0, 0.5).eval(t).shape
+        assert np.array_equal(out.ravel(), conj.eval(np.ravel(t)))
+
 
 def bisection_luxemburg(v, m, normalizer, phi):
     """Reference: geometric bisection of lam from the same doubling/halving
@@ -364,6 +372,26 @@ class TestLuxemburg:
     def test_bracket_that_never_closes_raises(self):
         with pytest.raises(OrliczError):
             luxemburg(np.array([1.0, 2.0]), 0.5, 1.0, Step())
+
+    def test_halving_that_never_closes_raises(self):
+        # the norm is about 1e-129, below 400 halvings of max(values) = 3:
+        # the solve raises, it does not return 0 for positive data
+        with pytest.raises(OrliczError, match="bracketing did not close"):
+            luxemburg(np.array([1.0, 2.0, 3.0]), 1e-130, 1.0, power_log(1.0, 0.5))
+
+    @pytest.mark.parametrize("r", [1025.0, 1100.0, 2000.0])
+    def test_overflow_at_the_low_end_converges(self, r):
+        # the mean overflows at lam = 1/2, where the bracket's low end stands,
+        # so the secant lands on the high end and only the midpoint moves
+        phi = power_log(r, 1.0)
+        v = np.ones(3)
+        lam = luxemburg(v, 1.0, 8.0, phi)
+
+        def mean(x):
+            return float(np.sum(phi.eval(v / x))) / 8.0
+
+        assert mean(lam) <= 1.0
+        assert mean(lam * (1.0 - 1e-9)) > 1.0
 
     @pytest.mark.parametrize("values,masses,normalizer", [
         ([1.0, math.nan, 2.0], 0.5, 1.0),

@@ -10,14 +10,19 @@ choice, which between them pass every documented flag, on 24-cell
 inputs.  The 2-D run leaves out the orlicz suite, which reads neither the
 mesh nor the exponents, so it would only repeat the default run's.
 
-Five more commands give the edge branches the input that produces them,
+Eight more commands give the edge branches the input that produces them,
 each with its exit status: the orlicz suite on a borderline Young
 function of p = 2, q = 4, eps = 1.1 (an inconclusive tail, rho = -0.05;
 exit 0) and on an empty Young list (a vacuous conjugate_involution;
 exit 1); `norms equiv` (exit 0) and `constants compute --which
 ainfty_m_u` (no live cube, a vacuous report; exit 1) on a pair whose u
-is zero everywhere; and `ops outer_riesz` on a cube off the window
-(exit 0).
+is zero everywhere; `ops outer_riesz` on a cube off the window (exit 0);
+`ops orlicz_maximal` of a constant function under t^1100 log(e + t),
+whose mean overflows at half the first lambda of each Luxemburg bracket
+(exit 0); and `norms estimate` on a constant pair of u = 1 whose sigma
+overflows the image of the first cube indicator (sigma = 1.7e308) or
+the source norm of the first random step (sigma = 1e250, p = 100,
+q = 11/10), each with exit 2 and the start of its error message.
 
 The statements are found with ast in the modules of the imported package,
 wherever it was imported from: the statements in the body of each def,
@@ -51,7 +56,7 @@ SRC = Path(dyadlab.__file__).resolve().parent
 BENCH = "perfbench calls it, or it is a helper of a function perfbench calls; no verdict reads it yet"
 BENCH_BRANCH = "the branch that perfbench runs and no command does: "
 ONE_ROW = "public one-row form of a registry operator that the commands call"
-PROTOCOL = "YoungFunction protocol: a method of a Young function outside PowerLog, or eval's scalar form"
+PROTOCOL = "YoungFunction protocol: a method of a Young function outside PowerLog"
 
 ALLOWED = {
     **dict.fromkeys([
@@ -83,21 +88,12 @@ ALLOWED = {
         "operators.weighted_dyadic_maximal",
         "operators.orlicz_maximal",
     ], ONE_ROW),
-    **dict.fromkeys([
-        "orlicz.NumericConjugate.eval",
-        "orlicz.PowerScaled.log_eval",
-    ], PROTOCOL),
+    "orlicz.PowerScaled.log_eval": PROTOCOL,
     # defensive branches: data that no command or perfbench input produces
     "sampled.SampledFunction.cell_slices": "a box off the window meets no cell: its slice on that axis is empty",
-    "normest._evaluate.<locals>.feed": "the non-finite stop: a test function whose image or norm overflows ends "
-                                       "its estimate with an error",
-    **dict.fromkeys([
-        "orlicz.luxemburg",
-        "orlicz.luxemburg.<locals>.log_mean",
-    ], "the norm-0 and fallback steps of the Luxemburg solve: norm 0 when the mean stays at most 1 as "
-       "lambda falls, a second upward doubling, the midpoint where a secant step leaves the bracket or the "
-       "mean overflows; and the closed form for a plain power, which the operators take before calling it "
-       "and which stays as the reference that test_generic_path_matches_power holds the Illinois path to"),
+    "orlicz.luxemburg": "the closed form for a plain power, which the operators take before calling it and "
+                        "which stays as the reference that test_generic_path_matches_power holds the Illinois "
+                        "path to",
     "cli._sparse_domination": "a cell where the maximal function is positive and the sparse sum is not "
                               "fails the check; the stopping construction leaves none",
     "grid._as_fraction": "the numpy-integer input, which no JSON input yields; it stays because _as_fraction "
@@ -179,15 +175,20 @@ def function_statements() -> dict:
 
 
 def commands(tmp: Path) -> list:
-    """(argv, exit status) of each command, as the module docstring lists them."""
+    """(argv, exit status, start of stderr) of each command, as the module
+    docstring lists them."""
     rng = np.random.default_rng(5)
     f = SampledFunction(1, (0,), 1, rng.uniform(0.3, 2.0, 24))
     w = SampledFunction(1, (0,), 1, rng.uniform(0.5, 1.5, 24))
     p = {}
     # the 2-D config is the CI artifact step's; the pool config's exponents are JSON floats, off the Sobolev line;
-    # the zero pair's u is zero everywhere
+    # the zero pair's u is zero everywhere; the overflow pairs' u is 1 and their sigma near the float limit
+    one = f.with_values(np.ones(24))
     for key, obj in {"f": f.to_obj(), "w": w.to_obj(), "pair": WeightPair(w.power(4.0), w.power(-4.0)).to_obj(),
                      "zero": WeightPair(w.with_values(np.zeros(24)), w.power(-4.0)).to_obj(),
+                     "one": one.to_obj(),
+                     "image-overflow": WeightPair(one, one.with_values(np.full(24, 1.7e308))).to_obj(),
+                     "source-overflow": WeightPair(one, one.with_values(np.full(24, 1e250))).to_obj(),
                      "2d": {"exponents": {"n": 2, "alpha": "1", "p": "4/3", "q": "4"}, "mesh": {"cells_per_axis": 12}},
                      "typo": {"mesh": {"cels_per_axis": 96}},
                      "borderline": {"suites": ["orlicz"],
@@ -214,7 +215,12 @@ def commands(tmp: Path) -> list:
             (["run", "--config", p["no-young"], "--out", str(tmp / "no-young")], 1)]
     edges = [(["norms", "equiv", "--pair", p["zero"], *e, "--family-steps", "1"], 0),
              (["constants", "compute", "--which", "ainfty_m_u", "--pair", p["zero"], *e], 1),
-             (["ops", "outer_riesz", "-i", p["f"], "--alpha", "1/2", "--cube", off_window], 0)]
+             (["ops", "outer_riesz", "-i", p["f"], "--alpha", "1/2", "--cube", off_window], 0),
+             (["ops", "orlicz_maximal", "-i", p["one"], "--young", "power-log:r=1100,a=1"], 0)]
+    errors = [(["norms", "estimate", "--pair", p["image-overflow"], *e], 2,
+               "error: the image of the test function chi["),
+              (["norms", "estimate", "--pair", p["source-overflow"], "--exponents", "1,1/2,100,11/10"], 2,
+               "error: the source norm of the test function step[0] is not finite")]
     ops = [["ops", "frac_maximal", "-i", p["f"], "--alpha", "1/2", "--shift", "1", "--levels", "0..2", *out("mf.json")],
            ["ops", "dyadic_frac_maximal", "-i", p["f"], "--alpha", "1/2"],
            ["ops", "dyadic_riesz", "-i", p["f"], "--alpha", "1/2", "--csv", str(tmp / "riesz.csv")],
@@ -241,7 +247,8 @@ def commands(tmp: Path) -> list:
                  "--csv", str(tmp / "factored.csv")],
                 ["examples", "factored", "--w1", p["w"], "--w2", p["w"]],
                 ["examples", "classical", "--weight", p["w"], *e, *out("classical.json")]]
-    return runs + edges + [(argv, 0) for argv in ops + sparse + constants + norms + examples]
+    return ([(argv, status, "") for argv, status in runs + edges] + errors
+            + [(argv, 0, "") for argv in ops + sparse + constants + norms + examples])
 
 
 @pytest.fixture(scope="module")
@@ -278,16 +285,17 @@ def reached(tmp_path_factory) -> set:
         return lines if todo else None
 
     outer = sys.gettrace(), threading.gettrace()
-    for argv, status in commands(tmp_path_factory.mktemp("reach")):
+    for argv, status, message in commands(tmp_path_factory.mktemp("reach")):
         sys.settrace(calls)
         threading.settrace(calls)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 rc = main(argv)
         finally:
             sys.settrace(outer[0])
             threading.settrace(outer[1])
         assert rc == status, argv
+        assert err.getvalue().startswith(message), (argv, err.getvalue())
     return {(Path(code.co_filename).name, line) for code, todo in left.items()
             for _, _, line in code.co_lines() if line is not None and line not in todo}
 
