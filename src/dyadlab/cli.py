@@ -26,7 +26,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +55,6 @@ from .grid import (
     realize,
 )
 from .normest import (
-    OPERATOR_IDS,
     TestFamily,
     equivalence_report,
     estimate_norm,
@@ -134,14 +133,6 @@ def _load_obj(path: str, from_obj):
         return from_obj(obj)
     except MeshError as exc:
         raise CLIError(f"{path}: {exc}") from None
-
-
-def _load_function(path: str) -> SampledFunction:
-    return _load_obj(path, SampledFunction.from_obj)
-
-
-def _load_pair(path: str) -> WeightPair:
-    return _load_obj(path, WeightPair.from_obj)
 
 
 def _parse_exponents(text: str) -> ExponentTuple:
@@ -297,8 +288,7 @@ def _smooth_weight(cfg: dict, dim: int) -> SampledFunction:
     lower, side, ncells = _config_mesh(cfg, dim)
     x = (np.arange(ncells) + 0.5) / ncells
     prof = 1.0 + 0.75 * x * (1.0 - x) + 0.25 * x
-    vals = prof if dim == 1 else np.multiply.outer(prof, prof)
-    return SampledFunction(dim, lower, side, vals)
+    return SampledFunction(dim, lower, side, reduce(np.multiply.outer, [prof] * dim))
 
 
 _PAIR_PARAMS = {"classical-smooth": (), "random": ("seed",), "file": ("path",)}
@@ -321,7 +311,7 @@ def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple, where: str = "pair"
         )
     if not isinstance(params.get("path"), str):
         raise CLIError("a file pair needs params.path")
-    return _load_pair(params["path"])
+    return _load_obj(params["path"], WeightPair.from_obj)
 
 
 # === suites ==================================================================
@@ -757,7 +747,7 @@ def _emit(obj, out: Optional[str]):
 
 
 def _cmd_ops(args) -> int:
-    f = _load_function(args.input)
+    f = _load_obj(args.input, SampledFunction.from_obj)
     lo, hi = _parse_levels(args.levels)
     shift = _parse_shifts(args.shift, f.dim)
     alpha = float(parse_rational(args.alpha)) if args.alpha is not None else 0.0
@@ -767,7 +757,7 @@ def _cmd_ops(args) -> int:
             raise CLIError("outer_riesz needs --cube")
         out = outer_riesz(f, cube_from_obj(json.loads(args.cube)), alpha)
     else:
-        mu = _load_function(args.mu) if args.mu else None
+        mu = _load_obj(args.mu, SampledFunction.from_obj) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None
         out = f.with_values(OPERATORS[name](f, f.values, mu, alpha, phi, shift, lo, hi))
     obj = {
@@ -788,7 +778,7 @@ def _cmd_ops(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
-    f = _load_function(args.input)
+    f = _load_obj(args.input, SampledFunction.from_obj)
     lo, hi = _parse_levels(args.levels)
     shift = _parse_shifts(args.shift, f.dim) or (0,) * f.dim
     alpha = parse_rational(args.alpha) if args.alpha is not None else 0
@@ -814,14 +804,14 @@ def _cmd_sparse(args) -> int:
             args.out,
         )
         return 0 if ok else 1
-    g = _load_function(args.apply_to) if args.apply_to else None
+    g = _load_obj(args.apply_to, SampledFunction.from_obj) if args.apply_to else None
     out = sparse_operator(fam, g=g, form=args.form)
     _emit({"function": out.to_obj(), "metadata": {"cubes": len(fam), "form": args.form}}, args.out)
     return 0
 
 
 def _cmd_constants(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load_obj(args.pair, WeightPair.from_obj)
     e = _parse_exponents(args.exponents)
     lo, hi = _parse_levels(args.levels)
     reg = {
@@ -849,7 +839,7 @@ def _cmd_norms(args) -> int:
     e = _parse_exponents(args.exponents)
     lo, hi = _parse_levels(args.levels)
     family = TestFamily(random_steps=args.family_steps, seed=args.seed)
-    pair = _load_pair(args.pair)
+    pair = _load_obj(args.pair, WeightPair.from_obj)
     if args.action == "estimate":
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         phi = young_from_spec(args.young) if args.young else None
@@ -883,7 +873,7 @@ def _cmd_examples(args) -> int:
             w1 = build_E(e.gamma, X)
             w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), X, w1.ncells)
         elif args.w1 and args.w2:
-            w1, w2 = _load_function(args.w1), _load_function(args.w2)
+            w1, w2 = _load_obj(args.w1, SampledFunction.from_obj), _load_obj(args.w2, SampledFunction.from_obj)
         else:
             raise CLIError("factored needs --train or both --w1 and --w2")
         pair = factored_pair(w1, w2, e)
@@ -896,7 +886,7 @@ def _cmd_examples(args) -> int:
     e = _parse_exponents(args.exponents or "1,1/2,4/3,4")
     if not args.weight:
         raise CLIError("classical needs --weight")
-    pair = classical_pair(_load_function(args.weight), e)
+    pair = classical_pair(_load_obj(args.weight, SampledFunction.from_obj), e)
     rep = apq_alpha_constant(pair, e)
     _emit({"pair": pair.to_obj(), "constant": rep.to_obj()}, args.out)
     return 0
@@ -960,7 +950,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["estimate", "equiv"])
     p.add_argument("--pair", required=True, help="WeightPair JSON")
     p.add_argument("--exponents", required=True, help="n,alpha,p,q")
-    p.add_argument("--op", default="frac_maximal", choices=list(OPERATOR_IDS))
+    p.add_argument("--op", default="frac_maximal", choices=list(OPERATORS))
     p.add_argument("--side", default="forward", choices=["forward", "dual"])
     p.add_argument("--weak", action="store_true")
     p.add_argument("--alpha", help="operator order override")

@@ -23,13 +23,6 @@ class GridError(ValueError):
     pass
 
 
-def pow2(k: int) -> Fraction:
-    """2**k as an exact Fraction, k any integer."""
-    if k >= 0:
-        return Fraction(1 << k)
-    return Fraction(1, 1 << (-k))
-
-
 def _as_fraction(x, error=GridError) -> Fraction:
     """The one rational parser: an exact Fraction from a Fraction, an
     integer (a numpy one too), an 'a/b' string or a finite binary float;
@@ -95,7 +88,7 @@ class DyadicCube:
 
     @property
     def side(self) -> Fraction:
-        return pow2(-self.level)
+        return Fraction(2) ** -self.level
 
     @property
     def sign(self) -> int:
@@ -157,7 +150,7 @@ class GridFamily:
         e = -1 if level % 2 else 1
         lo = self.window.lower[axis]
         hi = lo + self.window.side
-        scale = pow2(level)  # 2**level = 1/side
+        scale = Fraction(2) ** level  # 1/side
         a = scale * lo - Fraction(e * t, 3)
         b = scale * hi - Fraction(e * t, 3)
         m_lo = math.floor(a - 1) + 1   # smallest m with m > a - 1

@@ -62,7 +62,6 @@ class NormError(ValueError):
     pass
 
 
-OPERATOR_IDS = tuple(OPERATORS)
 _QUAD_OCTAVES = 14  # doubling windows in the tail quadrature of orlicz_norm_quadrature
 # cubes times cells of one batch of the testing chain and of the duality
 # seeds: each (B, *mesh) array of a batch holds at most this many floats (32 MB)
@@ -358,7 +357,7 @@ def estimate_norm(
     that is not finite raises NormError by the stop rule of the module
     docstring: an overflow is no lower bound.
     """
-    if op not in OPERATOR_IDS:
+    if op not in OPERATORS:
         raise NormError(f"unknown operator id {op!r}")
     _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()
@@ -482,7 +481,7 @@ def equivalence_report(
     if degenerate:
         zero = {key: NormEstimate(op, *sides[side].labels(weak), 0.0, None, 0)
                 for key, (op, side, weak) in _EQUIVALENCE_ESTIMATES.items()}
-        return report(zero, {"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0},
+        return report(zero, _testing_record([], [], [], 0.0, coeff),
                       {"testing": 0.0, "bound": 0.0, "ratio": None, "holds": False, "cubes": 0})
 
     # one evaluation per side: the forward targets share the plain chunks,
@@ -558,7 +557,12 @@ def potential_testing_chain(
         # the cuts sigma chi_Q0 are chi_Q0 dsigma: 1.0 * sigma = sigma and 0.0 * sigma = 0.0
         maximal = OPERATORS["frac_maximal"](sigma, chi.astype(np.float64), sigma, a, None, None, min_level, max_level)
         rhs += [coeff * norm for norm in lp_norms(sigma, maximal, qf, weight=pair.u)]
+    return _testing_record(cubes, lhs, rhs, inv_p, coeff)
 
+
+def _testing_record(cubes: list, lhs: list, rhs: list, inv_p: float, coeff: float) -> dict:
+    """The testing chain's record from each cube's (label, _, _, mass) and
+    its two sides; with no cube, that of a chain that compared nothing."""
     worst = -math.inf
     worst_cube = None
     testing_value = 0.0

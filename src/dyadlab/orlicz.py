@@ -223,8 +223,9 @@ def luxemburg(
     normalizer is the measure of the full region.
 
     Outside the power family, lam starts at max(values) and is halved while
-    it is feasible, or doubled while it is not, until feasibility flips;
-    out of steps in either direction, it raises OrliczError.  A bracketed
+    it is feasible, or doubled while it is not, until feasibility flips.
+    Out of steps, or halved to 0.0 (a norm below the least positive float),
+    it raises OrliczError; doubled to inf, it returns inf.  A bracketed
     secant (Illinois) iteration on log(mean) against log(lam) follows,
     taking the geometric midpoint where the secant step leaves the bracket
     or the mean at either end is infinite, and never stepping closer than
@@ -271,6 +272,8 @@ def luxemburg(
     for _ in range(_LUX_MAX_ITER):
         prev, g_prev = lam, g
         lam *= factor
+        if lam == 0.0:
+            raise OrliczError("Luxemburg norm below the least positive float")
         g = log_mean(lam)
         if (g <= 0.0) != feasible:
             break

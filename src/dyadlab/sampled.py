@@ -62,18 +62,13 @@ def prefix_sum(arr: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     """Cumulative-sum table with a zero border over the last dim axes (all
     of them by default); leading axes are a batch.  Works on signed data."""
     arr = np.asarray(arr, dtype=np.float64)
-    dim = arr.ndim if dim is None else dim
-    if dim not in (1, 2) or arr.ndim < dim:
-        raise MeshError("prefix_sum supports 1-D and 2-D arrays")
-    lead = arr.ndim - dim
+    lead = 0 if dim is None else arr.ndim - dim
     p = np.zeros(arr.shape[:lead] + tuple(n + 1 for n in arr.shape[lead:]))
-    if dim == 1:
-        np.cumsum(arr, axis=-1, out=p[..., 1:])
-    else:
-        # both cumsums in place: no full-size temporaries
-        inner = p[..., 1:, 1:]
-        np.cumsum(arr, axis=-2, out=inner)
-        np.cumsum(inner, axis=-1, out=inner)
+    # one cumsum per table axis, in order, each in place: no full-size
+    # temporaries
+    inner = p[(...,) + (slice(1, None),) * (arr.ndim - lead)]
+    for ax in range(lead, arr.ndim):
+        np.cumsum(arr if ax == lead else inner, axis=ax, out=inner)
     return p
 
 

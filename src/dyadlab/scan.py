@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -225,8 +225,7 @@ def inside_window_mask(scan: LevelScan) -> np.ndarray:
     """Boolean array over cubes: True when the cube lies fully inside the
     window (no zero-extension region intersects it), that is, when the
     window does not clip its width."""
-    per_axis = [_widths(plan, scan.ncells) == plan[3] for plan in scan.plans]
-    return per_axis[0] if scan.dim == 1 else np.logical_and.outer(*per_axis)
+    return reduce(np.logical_and.outer, [_widths(plan, scan.ncells) == plan[3] for plan in scan.plans])
 
 
 def spread(per_block: np.ndarray, widths) -> np.ndarray:

@@ -161,7 +161,7 @@ def build_sparse(
     for cid, pid in enumerate(parents):
         if pid >= 0:
             e_full[pid] -= vol_of[cid]
-    counts = np.bincount(owner.ravel()[owner.ravel() >= 0], minlength=next_id) if next_id else np.zeros(0, int)
+    counts = np.bincount(owner.ravel()[owner.ravel() >= 0], minlength=next_id)
 
     stopping = [
         StoppingCube(
@@ -170,7 +170,7 @@ def build_sparse(
             parent=parents[i],
             generation=gens[i],
             e_volume_full=e_full[i],
-            e_cells=int(counts[i]) if next_id else 0,
+            e_cells=int(counts[i]),
         )
         for i in range(next_id)
     ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dyadlab.grid import Box, DyadicCube, GridFamily, _as_fraction, all_shifts, pow2, realize
+from dyadlab.grid import Box, DyadicCube, GridFamily, _as_fraction, all_shifts, realize
 
 
 def upper(box: Box) -> tuple:
@@ -42,7 +42,7 @@ def intersection_volume(a: Box, b: Box) -> Fraction:
 def owner_index(grid: GridFamily, level: int, pt) -> tuple:
     """Index of the unique cube of the grid at level containing the point."""
     e = -1 if level % 2 else 1
-    scale = pow2(level)
+    scale = Fraction(2) ** level
     return tuple(math.floor(scale * _as_fraction(x) - Fraction(e * t, 3)) for x, t in zip(pt, grid.shift))
 
 

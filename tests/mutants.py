@@ -441,6 +441,13 @@ MUTANTS = [
         "positive data whose norm lies below 400 halvings of max(values) have a positive norm, not 0",
     ),
     Mutant(
+        "luxemburg_halving_to_zero_unguarded", "orlicz.py",
+        '        if lam == 0.0:\n            raise OrliczError("Luxemburg norm below the least positive float")\n',
+        "",
+        (f"{ORLICZ}::TestLuxemburg::test_halving_to_zero_raises",),
+        "a norm below the least positive float halves lambda to 0.0, where the mean divides by zero",
+    ),
+    Mutant(
         "luxemburg_secant_at_an_infinite_end", "orlicz.py",
         "if math.isinf(g_lo) or math.isinf(g_hi) or not x_lo <= x <= x_hi:",
         "if not x_lo <= x <= x_hi:",
@@ -631,6 +638,13 @@ MUTANTS = [
         "if self.side < 0:",
         ("tests/test_grid.py::TestSerialization::test_box_refuses_nonpositive_side",),
         "an empty box would pass, and the window enumeration, containment and index ranges no longer handle one",
+    ),
+    Mutant(
+        "degenerate_testing_chain_hand_written", "normest.py",
+        "_testing_record([], [], [], 0.0, coeff)",
+        '{"cubes": 0, "max_ratio": None, "holds": False, "testing_constant": 0.0}',
+        ("tests/test_normest.py::TestEquivalenceReport::test_degenerate_testing_chain_has_the_measured_keys",),
+        "a degenerate pair's testing chain has the keys of a measured one, with no worst cube and no argmax",
     ),
     Mutant(
         "degenerate_u_not_flagged", "normest.py",

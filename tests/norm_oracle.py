@@ -19,7 +19,7 @@ import numpy as np
 
 from dyadlab import normest
 from dyadlab.constants import _require_dim
-from dyadlab.normest import (NormError, NormEstimate, TestFamily, OPERATOR_IDS, _blocks_for, _cube_index,
+from dyadlab.normest import (NormError, NormEstimate, TestFamily, _blocks_for, _cube_index,
                              _inside_cubes, _side)
 from dyadlab.operators import OPERATORS, MissingInputError, _grids
 from dyadlab.sampled import lp_norms, parse_rational, weak_lq_norms
@@ -84,7 +84,7 @@ def _finite(value, what: str, name: str):
 def estimate_norm(op, pair, e, family=None, side="forward", weak=False, alpha=None, phi=None,
                   min_level=None, max_level=None):
     """normest.estimate_norm, one test function at a time."""
-    if op not in OPERATOR_IDS:
+    if op not in OPERATORS:
         raise NormError(f"unknown operator id {op!r}")
     _require_dim(pair, e, NormError)
     fam = family if family is not None else TestFamily()

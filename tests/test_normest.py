@@ -70,7 +70,7 @@ class TestEstimateNorm:
         assert est.argmax.startswith("chi[")
         assert est.family_size == 94  # 57 indicators + 6 steps + 31 duality
 
-    @pytest.mark.parametrize("op", normest.OPERATOR_IDS)
+    @pytest.mark.parametrize("op", list(normest.OPERATORS))
     def test_overflow_refused_not_reported(self, op):
         # sigma = 1e200: the true forward ratio is about 1e50, but the
         # target norm overflows (the Orlicz power mean, the image first)
@@ -404,6 +404,17 @@ class TestEquivalenceReport:
         assert rep["ratios"] == {"weak_vs_dual_maximal": None, "maximal_forward_vs_strong": None,
                                  "maximal_dual_vs_strong": None, "dyadic_maximal_vs_strong": None}
 
+    @pytest.mark.parametrize("zero", ["sigma", "u"])
+    def test_degenerate_testing_chain_has_the_measured_keys(self, zero):
+        nothing = SampledFunction.constant(0.0, 1, (0,), 1, 48)
+        pair = WeightPair(ones(), nothing) if zero == "sigma" else WeightPair(nothing, ones())
+        rep = equivalence_report(pair, E_SOB)
+        measured = potential_testing_chain(WeightPair(ones(), ones()), E_SOB)
+        assert rep["testing_chain"].keys() == measured.keys()
+        assert rep["testing_chain"] == {"cubes": 0, "max_ratio": None, "worst_cube": None, "holds": False,
+                                        "testing_constant": 0.0, "testing_argmax": None,
+                                        "coefficient": measured["coefficient"]}
+
 
 class TestDualityChain:
     @pytest.mark.parametrize("seed,e", [(11, E_SOB), (11, E_FRAC), (42, E_SOB), (7, E_SOB_B)])
@@ -676,7 +687,7 @@ FAMILY_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 24), (2, (0, 0), 1, 6), (2, (-1
 
 class TestFamilyOnScans:
     @pytest.mark.parametrize("mesh,op", [
-        (mesh, op) for mesh in FAMILY_MESHES for op in normest.OPERATOR_IDS
+        (mesh, op) for mesh in FAMILY_MESHES for op in normest.OPERATORS
         if not (op == "riesz_1d" and mesh[0] == 2)
     ], ids=lambda v: f"{v[0]}d_{v[1][0]}_{v[3]}" if isinstance(v, tuple) else v)
     def test_matches_fraction_family(self, monkeypatch, mesh, op):
@@ -704,7 +715,7 @@ class TestFamilyOnScans:
 
 DUAL_ONLY = TestFamily(indicators=False, random_steps=0)
 SEED_MESHES = [(1, (0,), 1, 24), (1, (-1,), 2, 48), (2, (0, 0), 1, 12), (2, (-1, 0), 2, 12)]
-SEED_CASES = [(mesh, op) for mesh in SEED_MESHES for op in normest.OPERATOR_IDS
+SEED_CASES = [(mesh, op) for mesh in SEED_MESHES for op in normest.OPERATORS
               if not (op == "riesz_1d" and mesh[0] == 2)]
 SEED_IDS = [f"{mesh[0]}d_{mesh[3]}_{mesh[2]}-{op}" for mesh, op in SEED_CASES]
 
@@ -868,7 +879,7 @@ class TestChunkedEvaluation:
             for key, est in want.items():
                 assert_same_estimate(NormEstimate(**got[key]), est)
 
-    @pytest.mark.parametrize("case,op", [(case, op) for case in ORACLE_CASES for op in normest.OPERATOR_IDS
+    @pytest.mark.parametrize("case,op", [(case, op) for case in ORACLE_CASES for op in normest.OPERATORS
                                          if not (op == "riesz_1d" and case == "2d")])
     def test_estimate_norm_matches_oracle(self, monkeypatch, case, op):
         # each side, strong and weak, in value bits, argmax label and family size

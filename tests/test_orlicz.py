@@ -379,6 +379,17 @@ class TestLuxemburg:
         with pytest.raises(OrliczError, match="bracketing did not close"):
             luxemburg(np.array([1.0, 2.0, 3.0]), 1e-130, 1.0, power_log(1.0, 0.5))
 
+    def test_halving_to_zero_raises(self):
+        # the norm is about 5e-330, not a float: halving reaches 0.0, where
+        # the solve raises before it evaluates the mean
+        with pytest.raises(OrliczError, match="least positive float"):
+            luxemburg(np.array([1e-320]), 1e-10, 1.0, power_log(1.0, 0.5))
+        # a subnormal norm that halving reaches is still solved
+        assert luxemburg(np.array([1e-300]), 1e-10, 1.0, power_log(1.0, 0.5)) == 4.63594761674325e-310
+
+    def test_doubling_to_inf_returns_inf(self):
+        assert luxemburg(np.array([1e308]), 1e300, 1e-300, power_log(1.0, 0.5)) == math.inf
+
     @pytest.mark.parametrize("r", [1025.0, 1100.0, 2000.0])
     def test_overflow_at_the_low_end_converges(self, r):
         # the mean overflows at lam = 1/2, where the bracket's low end stands,
