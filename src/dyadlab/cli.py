@@ -13,8 +13,7 @@ examples   case1 | case2 | factored | classical constructive pairs
 
 Determinism contract: reports carry no timestamps or absolute paths, JSON
 is emitted with sorted keys, and every random draw is seeded from the
-configuration, so identical config and seed give byte-identical artifacts
-regardless of worker count.
+configuration, so identical config and seed give byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial, reduce
 from pathlib import Path
@@ -550,8 +548,8 @@ def _suite_equivalence(cfg: dict) -> dict:
     checks, rows = [], []
     family = TestFamily(random_steps=2, seed=cfg["seed"])
 
-    for spec in cfg["pairs"]:
-        pair = _pair_from_spec(cfg, spec, e)
+    pairs = [_pair_from_spec(cfg, spec, e) for spec in cfg["pairs"]]
+    for spec, pair in zip(cfg["pairs"], pairs):
         rep = equivalence_report(pair, e, family=family)
         label = spec.get("kind", "pair")
         chain, duality, ests = rep["testing_chain"], rep["duality_chain"], rep["estimates"]
@@ -567,7 +565,7 @@ def _suite_equivalence(cfg: dict) -> dict:
             rows.append([label, key, est["value"], est["source"], est["target"]])
 
     # indicator-family norm estimates only grow when the mesh refines
-    pair = _pair_from_spec(cfg, cfg["pairs"][0], e)
+    pair = pairs[0]
     ind = TestFamily(indicators=True, random_steps=0, duality=False)
     coarse = estimate_norm("frac_maximal", pair, e, family=ind, alpha=e.alpha)
     fine_pair = WeightPair(pair.u.refine(), pair.sigma.refine(), provenance=pair.provenance)
@@ -677,18 +675,11 @@ _REPORT_DOC = (
 )
 
 
-def run_suite(cfg: dict, out_dir: Path, workers: int = 1) -> int:
-    """Execute the configured suites, then write the artifact directory."""
+def run_suite(cfg: dict, out_dir: Path) -> int:
+    """Execute the configured suites in order, then write the artifact directory."""
     cfg = validate_config(_merge_config(DEFAULT_CONFIG, cfg))
-    if workers < 1:
-        raise CLIError(f"workers must be at least 1, got {workers}")
-
     names = list(cfg["suites"])
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _SUITE_FN[s](cfg), names))
-    else:
-        results = [_SUITE_FN[s](cfg) for s in names]
+    results = [_SUITE_FN[s](cfg) for s in names]
     # suites write no files, so a suite that raises leaves no partial directory
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tables").mkdir(exist_ok=True)
@@ -735,7 +726,7 @@ def _cmd_run(args) -> int:
         if args.window is not None:
             cx["window"] = args.window
         cfg["counterexample"] = cx
-    return run_suite(cfg, Path(args.out), workers=args.workers)
+    return run_suite(cfg, Path(args.out))
 
 
 def _emit(obj, out: Optional[str]):
@@ -906,7 +897,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config; defaults merged underneath")
     p.add_argument("--suite", action="append", choices=SUITES, help="override the suite list")
     p.add_argument("--out", default="dyadlab-run", help="artifact directory")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--gamma", help="counterexample suite: interval-train exponent")
     p.add_argument("--window", type=int, help="counterexample suite: divergence cutoff (power of two)")

@@ -140,14 +140,17 @@ def _batches(count: int, cells: int) -> list:
     return [slice(start, start + batch) for start in range(0, count, batch)]
 
 
-def _cube_index(cubes, scans, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lev, pos) of cubes from _inside_cubes, as scan.cube_cells reads
-    them over scans: the index in scans of the scan of each cube's grid
-    shift and level, and its position."""
+def _cube_batches(mesh: SampledFunction, dens: SampledFunction, shifts, scans, min_level, max_level):
+    """Yield (cubes, lev, pos, chi) per _batches cut of the _inside_cubes
+    of dens: their records, their (lev, pos) as scan.cube_cells reads
+    them (the index in scans of each cube's grid shift and level, and its
+    position), and their cells from one cube_cells call over scans."""
+    cubes = list(_inside_cubes(mesh, dens, shifts, min_level, max_level))
     at = {(scan.grid.shift, scan.level): k for k, scan in enumerate(scans)}
     lev = np.array([at[scan.grid.shift, scan.level] for _, scan, _, _ in cubes], dtype=np.int64)
-    pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), dim)).astype(np.int64)
-    return lev, pos
+    pos = np.reshape([cube_pos for _, _, cube_pos, _ in cubes], (len(cubes), mesh.dim)).astype(np.int64)
+    for part in _batches(len(cubes), mesh.values.size):
+        yield cubes[part], lev[part], pos[part], cube_cells(scans, lev[part], pos[part])
 
 
 @dataclass(frozen=True)
@@ -188,18 +191,14 @@ def _plain_chunks(mesh: SampledFunction, s: _Side, family: TestFamily, min_level
     chunks of at most CHAIN_BATCH_FLOATS floats (the six default steps
     are one chunk).  The indicators' cells come from one scan.cube_cells
     call per chunk, over the scans of every grid."""
-    cells = mesh.values.size
     if family.indicators:
         scans = [scan for g in _grids(mesh, None, min_level, max_level) for scan in iter_scans(mesh, g)]
-        cubes = list(_inside_cubes(mesh, s.dens, None, min_level, max_level))
-        lev, pos = _cube_index(cubes, scans, mesh.dim)
-        for part in _batches(len(cubes), cells):
-            chi = cube_cells(scans, lev[part], pos[part])
-            yield [f"chi[{label}]" for label, _, _, _ in cubes[part]], chi.astype(np.float64)
+        for cubes, _, _, chi in _cube_batches(mesh, s.dens, None, scans, min_level, max_level):
+            yield [f"chi[{label}]" for label, _, _, _ in cubes], chi.astype(np.float64)
     # one draw of every step's blocks: the stream of the draws one step at a time
     blocks = _blocks_for(mesh.ncells)
     steps = np.random.default_rng(family.seed).exponential(1.0, size=(family.random_steps,) + (blocks,) * mesh.dim)
-    for part in _batches(family.random_steps, cells):
+    for part in _batches(family.random_steps, mesh.values.size):
         names = [f"step[{k}]" for k in range(family.random_steps)[part]]
         yield names, spread(steps[part], [mesh.ncells // blocks] * mesh.dim)
 
@@ -217,11 +216,8 @@ def _duality_chunks(op: str, mesh: SampledFunction, s: _Side, alpha, phi, min_le
     zero_shift = [(0,) * mesh.dim]
     grid, = _grids(mesh, zero_shift, min_level, max_level)
     scans = iter_scans(mesh, grid)
-    cubes = list(_inside_cubes(mesh, s.tgt_w, zero_shift, min_level, max_level))
-    lev, pos = _cube_index(cubes, scans, mesh.dim)
     spatial = tuple(range(1, mesh.dim + 1))
-    for part in _batches(len(cubes), mesh.values.size):
-        chi = cube_cells(scans, lev[part], pos[part])
+    for cubes, _, _, chi in _cube_batches(mesh, s.tgt_w, zero_shift, scans, min_level, max_level):
         seeds = OPERATORS[op](mesh, chi.astype(np.float64), s.tgt_w, alpha, phi, None, min_level, max_level)
         live = chi & (seeds > 0)
         arr = np.zeros_like(seeds)
@@ -229,7 +225,7 @@ def _duality_chunks(op: str, mesh: SampledFunction, s: _Side, alpha, phi, min_le
             arr[live] = seeds[live] ** s.cut_e
         keep = np.any(live, axis=spatial) & np.all(np.isfinite(arr), axis=spatial)
         if np.any(keep):
-            yield [f"dual[chi[{label}]]" for (label, _, _, _), k in zip(cubes[part], keep) if k], arr[keep]
+            yield [f"dual[chi[{label}]]" for (label, _, _, _), k in zip(cubes, keep) if k], arr[keep]
 
 
 # --- norm estimation --------------------------------------------------------
@@ -545,14 +541,12 @@ def potential_testing_chain(
     sigma = pair.sigma
     zero = (0,) * n
     scans = _shell_scans(sigma, zero, *default_levels(sigma, min_level, max_level))
-    cubes = list(_inside_cubes(pair.u, sigma, [zero], min_level, max_level))
+    cubes, lhs, rhs = [], [], []
     # _inside_cubes and _shell_scans share the plans of every level they both scan
-    lev, pos = _cube_index(cubes, scans, n)
-    masses = np.array([mass for _, _, _, mass in cubes])
-    lhs, rhs = [], []
-    for part in _batches(len(cubes), sigma.values.size):
-        chi = cube_cells(scans, lev[part], pos[part])
-        shells = _shells(sigma, scans, lev[part], pos[part], masses[part], coeff, a)
+    for batch, lev, pos, chi in _cube_batches(pair.u, sigma, [zero], scans, min_level, max_level):
+        cubes += batch
+        masses = np.array([mass for _, _, _, mass in batch])
+        shells = _shells(sigma, scans, lev, pos, masses, coeff, a)
         lhs += lp_norms(sigma, shells, qf, weight=pair.u)
         # the cuts sigma chi_Q0 are chi_Q0 dsigma: 1.0 * sigma = sigma and 0.0 * sigma = 0.0
         maximal = OPERATORS["frac_maximal"](sigma, chi.astype(np.float64), sigma, a, None, None, min_level, max_level)

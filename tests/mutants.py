@@ -208,8 +208,8 @@ MUTANTS = [
     ),
     Mutant(
         "duality_seed_rows_shifted", "normest.py",
-        "chi = cube_cells(scans, lev[part], pos[part])\n        seeds",
-        "chi = cube_cells(scans, np.roll(lev, 1)[part], np.roll(pos, 1, axis=0)[part])\n        seeds",
+        "cube_cells(scans, lev[part], pos[part])",
+        "cube_cells(scans, np.roll(lev, 1)[part], np.roll(pos, 1, axis=0)[part])",
         (f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle",),
         "row b of a batch is the cube of label b, so each seed goes out under its own cube's label",
     ),
@@ -232,8 +232,8 @@ MUTANTS = [
     # --- the batched plain chunks: the indicators and the random steps -----------
     Mutant(
         "plain_indicator_labels_rotated", "normest.py",
-        'yield [f"chi[{label}]" for label, _, _, _ in cubes[part]]',
-        'yield [f"chi[{label}]" for label, _, _, _ in cubes[part][1:] + cubes[part][:1]]',
+        'yield [f"chi[{label}]" for label, _, _, _ in cubes]',
+        'yield [f"chi[{label}]" for label, _, _, _ in cubes[1:] + cubes[:1]]',
         (f"{NORM}::TestPlainChunks::test_family_matches_oracle",
          f"{NORM}::TestChunkedEvaluation::test_estimate_norm_matches_oracle"),
         "row b of an indicator chunk is the indicator of the chunk's cube b, so it goes out under that cube's label",
@@ -272,8 +272,8 @@ MUTANTS = [
     # --- the chunked evaluation of the test families ------------------------------
     Mutant(
         "duality_chunk_names_shifted", "normest.py",
-        "for (label, _, _, _), k in zip(cubes[part], keep)",
-        "for (label, _, _, _), k in zip(cubes[part][1:] + cubes[part][:1], keep)",
+        "for (label, _, _, _), k in zip(cubes, keep)",
+        "for (label, _, _, _), k in zip(cubes[1:] + cubes[:1], keep)",
         (f"{NORM}::TestChunkedEvaluation::test_equivalence_estimates_match_oracle[classical_smooth]",
          f"{NORM}::TestBatchedDualitySeeds::test_family_matches_per_cube_oracle"),
         "row b of a duality chunk is the function of the chunk's cube b, so it is reported under that cube's label",

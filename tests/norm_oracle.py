@@ -19,8 +19,7 @@ import numpy as np
 
 from dyadlab import normest
 from dyadlab.constants import _require_dim
-from dyadlab.normest import (NormError, NormEstimate, TestFamily, _blocks_for, _cube_index,
-                             _inside_cubes, _side)
+from dyadlab.normest import NormError, NormEstimate, TestFamily, _blocks_for, _inside_cubes, _side
 from dyadlab.operators import OPERATORS, MissingInputError, _grids
 from dyadlab.sampled import lp_norms, parse_rational, weak_lq_norms
 from dyadlab.scan import cell_block, cube_cells, iter_scans
@@ -57,7 +56,8 @@ def iter_family(op, pair, e, family, side, alpha, min_level, max_level, phi):
         grid, = _grids(mesh, zero_shift, min_level, max_level)
         scans = iter_scans(mesh, grid)
         cubes = list(_inside_cubes(mesh, other, zero_shift, min_level, max_level))
-        lev, pos = _cube_index(cubes, scans, mesh.dim)
+        lev = np.array([list(scans).index(scan) for _, scan, _, _ in cubes], dtype=np.int64)
+        pos = np.array([cube_pos for _, _, cube_pos, _ in cubes], dtype=np.int64).reshape(len(cubes), mesh.dim)
         batch = max(1, normest.CHAIN_BATCH_FLOATS // mesh.values.size)
         for start in range(0, len(cubes), batch):
             part = slice(start, start + batch)

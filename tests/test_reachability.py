@@ -3,12 +3,13 @@ is a raise, or it stands in a function that ALLOWED keeps for the reason
 it gives.
 
 The commands are the default `dyadlab run`, the 2-D config of the CI
-artifact step, two suites in run_suite's thread pool under a config that
-reads its pair from a file, the counterexample suite with its two flags,
-one config error (exit 2), and one call of each documented subcommand
-choice, which between them pass every documented flag, on 24-cell
-inputs.  The 2-D run leaves out the orlicz suite, which reads neither the
-mesh nor the exponents, so it would only repeat the default run's.
+artifact step, two suites at seed 1 under a config that reads its pair
+from a file and gives its exponents as JSON floats, the counterexample
+suite with its two flags, one config error (exit 2), and one call of
+each documented subcommand choice, which between them pass every
+documented flag, on 24-cell inputs.  The 2-D run leaves out the orlicz
+suite, which reads neither the mesh nor the exponents, so it would only
+repeat the default run's.
 
 Eight more commands give the edge branches the input that produces them,
 each with its exit status: the orlicz suite on a borderline Young
@@ -30,17 +31,15 @@ nested blocks included, under the module and qualified name of the def
 ("grid.Box.volume", "constants.apq_bump.<locals>.fn").  A nested def is
 one statement of the function around it, and a function of its own.  A
 statement is reached when a line of its header (all of a simple
-statement) gets a line event.  sys.settrace, and threading.settrace for
-the thread pool, hand a line tracer to the frames of package code only,
-and stop tracing a code object once every line it holds has had its
-event.
+statement) gets a line event.  sys.settrace hands a line tracer to the
+frames of package code only, and stops tracing a code object once every
+line it holds has had its event.
 """
 import ast
 import contextlib
 import io
 import json
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +180,7 @@ def commands(tmp: Path) -> list:
     f = SampledFunction(1, (0,), 1, rng.uniform(0.3, 2.0, 24))
     w = SampledFunction(1, (0,), 1, rng.uniform(0.5, 1.5, 24))
     p = {}
-    # the 2-D config is the CI artifact step's; the pool config's exponents are JSON floats, off the Sobolev line;
+    # the 2-D config is the CI artifact step's; the file-pair config's exponents are JSON floats, off the Sobolev line;
     # the zero pair's u is zero everywhere; the overflow pairs' u is 1 and their sigma near the float limit
     one = f.with_values(np.ones(24))
     for key, obj in {"f": f.to_obj(), "w": w.to_obj(), "pair": WeightPair(w.power(4.0), w.power(-4.0)).to_obj(),
@@ -196,8 +195,8 @@ def commands(tmp: Path) -> list:
                      "no-young": {"suites": ["orlicz"], "young": []}}.items():
         p[key] = str(tmp / f"{key}.json")
         Path(p[key]).write_text(json.dumps(obj))
-    p["pool"] = str(tmp / "pool.json")
-    Path(p["pool"]).write_text(json.dumps({
+    p["file-pair"] = str(tmp / "file-pair.json")
+    Path(p["file-pair"]).write_text(json.dumps({
         "exponents": {"n": 1, "alpha": 0.5, "p": 1.5, "q": 4}, "mesh": {"cells_per_axis": 24},
         "pairs": [{"kind": "file", "params": {"path": p["pair"]}}]}))
     out = lambda name: ["-o", str(tmp / name)]
@@ -207,8 +206,8 @@ def commands(tmp: Path) -> list:
              for arg in ("--suite", s)]
     runs = [(["run", "--out", str(tmp / "run")], 0),
             (["run", "--config", p["2d"], *two_d, "--out", str(tmp / "run2d")], 0),
-            (["run", "--config", p["pool"], "--suite", "constants", "--suite", "equivalence", "--workers", "2",
-              "--seed", "1", "--out", str(tmp / "pool")], 0),
+            (["run", "--config", p["file-pair"], "--suite", "constants", "--suite", "equivalence", "--seed", "1",
+              "--out", str(tmp / "file-pair")], 0),
             (["run", "--suite", "counterexample", "--gamma", "1/2", "--window", "65536", "--out", str(tmp / "cx")], 0),
             (["run", "--config", p["typo"], "--out", str(tmp / "typo")], 2),
             (["run", "--config", p["borderline"], "--out", str(tmp / "borderline")], 0),
@@ -284,16 +283,14 @@ def reached(tmp_path_factory) -> set:
             todo = left[code] = {line for _, _, line in code.co_lines() if line is not None} - {code.co_firstlineno}
         return lines if todo else None
 
-    outer = sys.gettrace(), threading.gettrace()
+    outer = sys.gettrace()
     for argv, status, message in commands(tmp_path_factory.mktemp("reach")):
         sys.settrace(calls)
-        threading.settrace(calls)
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 rc = main(argv)
         finally:
-            sys.settrace(outer[0])
-            threading.settrace(outer[1])
+            sys.settrace(outer)
         assert rc == status, argv
         assert err.getvalue().startswith(message), (argv, err.getvalue())
     return {(Path(code.co_filename).name, line) for code, todo in left.items()
