@@ -389,17 +389,30 @@ class TestRunCommand:
         assert "planted suite failure" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_overflowing_weight_power_exits_two_without_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_overflowing_weight_power_exits_two_without_warning(self, tmp_path, capsys, action):
         # at q = 5000 a weight power overflows: the run refuses it as bad
-        # input, with the errstate of main, also where a warning is an error
+        # input, with the errstate of main, whether a warning is an error or
+        # is shown each time it is raised
         cfg = {"suites": ["geometry", "constants"], "exponents": {"n": 1, "alpha": "1/2", "p": "4/3", "q": "5000"}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
             rc = main(["run", "--config", str(_write_config(tmp_path, cfg)), "--out", str(tmp_path / "run")])
         assert rc == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: values must be finite and nonnegative")
         assert "RuntimeWarning" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_workers_flag_refused(self, tmp_path, capsys, workers):
+        # the suites run in order in the calling thread; no flag picks a worker count
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--suite", "geometry", "--workers", workers, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --workers" in err
         assert not (tmp_path / "run").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
