@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from functools import partial, reduce
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -197,13 +197,16 @@ def young_from_spec(spec) -> YoungFunction:
 # === config ==================================================================
 
 
-def _merge_config(base: dict, override: dict) -> dict:
+def _merge_config(base: dict, override: dict, where: str = "config") -> dict:
+    """override laid over base key by key, the same way again where both it
+    and DEFAULT_CONFIG hold an object (base must then hold one or none); a
+    non-object where an object is merged is refused, named by where."""
+    if not isinstance(base, dict) or not isinstance(override, dict):
+        raise CLIError(f"{where} must be an object")
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge_config(out[k], v)
-        else:
-            out[k] = v
+        nested = isinstance(v, dict) and isinstance(DEFAULT_CONFIG.get(k), dict)
+        out[k] = _merge_config(out.get(k, {}), v, k) if nested else v
     return out
 
 
@@ -222,9 +225,19 @@ def _known_fields(obj, fields, where: str = ""):
         raise CLIError(f"unknown config fields: {unknown}")
 
 
-def validate_config(cfg: dict) -> dict:
+class RunConfig(NamedTuple):
+    """A checked config and the inputs it names, built once for every suite."""
+
+    cfg: dict  # as report.json records it
+    e: ExponentTuple
+    mesh: tuple  # (dim, lower corner, window side, cells per axis) of the suites' weights
+    young: list  # the Young function of each cfg["young"] entry
+    pairs: list  # the WeightPair of each cfg["pairs"] entry
+
+
+def validate_config(cfg: dict) -> RunConfig:
     """Reject a malformed config, or one that gives a suite nothing to
-    run, before any suite runs or any output is written."""
+    run, before any suite runs or any output is written; build its inputs."""
     _known_fields(cfg, DEFAULT_CONFIG)
     for key in ("suites", "young", "pairs"):
         if not isinstance(cfg[key], list):
@@ -238,12 +251,15 @@ def validate_config(cfg: dict) -> dict:
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
-    _field(cfg["exponents"], "n", _json_int, "exponents.")
-    e = _config_exponents(cfg)
-    if not is_power_of_two(_field(cfg["mesh"], "window", parse_rational, "mesh.")):
+    ex = cfg["exponents"]
+    e = make_exponents(_field(ex, "n", _json_int, "exponents."), ex["alpha"], ex["p"], ex["q"])
+    side = _field(cfg["mesh"], "window", parse_rational, "mesh.")
+    if not is_power_of_two(side):
         raise CLIError("mesh.window must be a positive power of two")
-    if not is_cell_count(_field(cfg["mesh"], "cells_per_axis", _json_int, "mesh.")):
+    ncells = _field(cfg["mesh"], "cells_per_axis", _json_int, "mesh.")
+    if not is_cell_count(ncells):
         raise CLIError("mesh.cells_per_axis must be 3 * 2^L")
+    mesh = (e.n, (0,) * e.n, side, ncells)
     if "equivalence" in cfg["suites"] and not (e.p < e.q and 0 < e.alpha):
         raise CLIError("the equivalence suite needs exponents with p < q and alpha > 0")
     cx = cfg["counterexample"]
@@ -255,35 +271,26 @@ def validate_config(cfg: dict) -> dict:
         raise CLIError(f"counterexample.window must be a power of two from 2^{MAX_EXPS.start} "
                        f"to 2^{MAX_EXPS[-1]}, got {w}")
     _field(cfg, "seed", _seed)
+    young = []
     for i, y in enumerate(cfg["young"]):
         _known_fields(y, ("family", "params"), f"young[{i}]")
         try:
-            young_from_spec(y).associate()  # the orlicz suite conjugates every entry
+            young.append(young_from_spec(y))
+            young[-1].associate()  # the orlicz suite conjugates every entry
         except OrliczError as exc:
             raise CLIError(f"young[{i}]: {exc}") from None
-    for i, spec in enumerate(cfg["pairs"]):
-        _pair_from_spec(cfg, spec, e, f"pairs[{i}]")  # builds each pair once, so a bad spec fails here
-    return cfg
+    pairs = [_pair_from_spec(spec, e, mesh, f"pairs[{i}]") for i, spec in enumerate(cfg["pairs"])]
+    return RunConfig(cfg, e, mesh, young, pairs)
 
 
-def _config_exponents(cfg: dict) -> ExponentTuple:
-    ex = cfg["exponents"]
-    return make_exponents(ex["n"], ex["alpha"], ex["p"], ex["q"])
+def _rand_weight(mesh: tuple, seed: int, lo=0.2, hi=3.0) -> SampledFunction:
+    dim, lower, side, ncells = mesh
+    return SampledFunction(dim, lower, side, np.random.default_rng(seed).uniform(lo, hi, (ncells,) * dim))
 
 
-def _config_mesh(cfg: dict, dim: int):
-    return (0,) * dim, parse_rational(cfg["mesh"]["window"]), cfg["mesh"]["cells_per_axis"]
-
-
-def _rand_weight(cfg: dict, dim: int, seed: int, lo=0.2, hi=3.0) -> SampledFunction:
-    lower, side, ncells = _config_mesh(cfg, dim)
-    rng = np.random.default_rng(seed)
-    return SampledFunction(dim, lower, side, rng.uniform(lo, hi, (ncells,) * dim))
-
-
-def _smooth_weight(cfg: dict, dim: int) -> SampledFunction:
+def _smooth_weight(mesh: tuple) -> SampledFunction:
     """Slowly varying strictly positive profile (no randomness)."""
-    lower, side, ncells = _config_mesh(cfg, dim)
+    dim, lower, side, ncells = mesh
     x = (np.arange(ncells) + 0.5) / ncells
     prof = 1.0 + 0.75 * x * (1.0 - x) + 0.25 * x
     return SampledFunction(dim, lower, side, reduce(np.multiply.outer, [prof] * dim))
@@ -292,20 +299,20 @@ def _smooth_weight(cfg: dict, dim: int) -> SampledFunction:
 _PAIR_PARAMS = {"classical-smooth": (), "random": ("seed",), "file": ("path",)}
 
 
-def _pair_from_spec(cfg: dict, spec: dict, e: ExponentTuple, where: str = "pair") -> WeightPair:
+def _pair_from_spec(spec: dict, e: ExponentTuple, mesh: tuple, where: str) -> WeightPair:
     _known_fields(spec, ("kind", "params"), where)
     kind, params = spec.get("kind"), spec.get("params", {})
     if kind not in _PAIR_PARAMS:
         raise CLIError(f"unknown pair kind {kind!r}")
     _known_fields(params, _PAIR_PARAMS[kind], f"{where}.params")
     if kind == "classical-smooth":
-        return classical_pair(_smooth_weight(cfg, e.n), e) if e.is_sobolev else WeightPair(
-            _smooth_weight(cfg, e.n), _smooth_weight(cfg, e.n), provenance="smooth"
+        return classical_pair(_smooth_weight(mesh), e) if e.is_sobolev else WeightPair(
+            _smooth_weight(mesh), _smooth_weight(mesh), provenance="smooth"
         )
     if kind == "random":
         seed = _field({"seed": 0, **params}, "seed", _seed, f"{where}.params.")
         return WeightPair(
-            _rand_weight(cfg, e.n, seed), _rand_weight(cfg, e.n, seed + 1000), provenance="random"
+            _rand_weight(mesh, seed), _rand_weight(mesh, seed + 1000), provenance="random"
         )
     if not isinstance(params.get("path"), str):
         raise CLIError("a file pair needs params.path")
@@ -348,8 +355,8 @@ def _rand_cube(rng, dim: int, levels, index) -> DyadicCube:
     )
 
 
-def _suite_geometry(cfg: dict) -> dict:
-    rng = np.random.default_rng(cfg["seed"] + 1)
+def _suite_geometry(run: RunConfig) -> dict:
+    rng = np.random.default_rng(run.cfg["seed"] + 1)
     checks, rows = [], []
 
     failed = 0
@@ -384,12 +391,12 @@ def _suite_geometry(cfg: dict) -> dict:
     return _result(checks, geometry_domination=(["dim", "side", "level", "dominated"], rows))
 
 
-def _suite_operators(cfg: dict) -> dict:
-    e = _config_exponents(cfg)
+def _suite_operators(run: RunConfig) -> dict:
+    e, seed = run.e, run.cfg["seed"]
     checks, rows = [], []
     ratios = {"3/2": [], "2": [], "3": []}
     for i in range(30):
-        f = _rand_weight(cfg, e.n, cfg["seed"] + 100 + i, lo=0.0, hi=4.0)
+        f = _rand_weight(run.mesh, seed + 100 + i, lo=0.0, hi=4.0)
         mf = geometric_maximal(f, shift=(0,) * e.n)
         for plabel, p in (("3/2", Fraction(3, 2)), ("2", 2), ("3", 3)):
             lhs = lp_norm(mf, p)
@@ -404,7 +411,7 @@ def _suite_operators(cfg: dict) -> dict:
     coeff = _shell_constant(e.alpha, e.n)
     shell = []
     for i in range(5):
-        sig = _rand_weight(cfg, e.n, cfg["seed"] + 300 + i)
+        sig = _rand_weight(run.mesh, seed + 300 + i)
         fam = GridFamily(e.n, (0,) * e.n, 1, 1, sig.window)
         for cube in fam.cubes_at_level(1):
             cut = sig.restrict_to(cube)
@@ -417,8 +424,8 @@ def _suite_operators(cfg: dict) -> dict:
     # discrete potential is self-adjoint
     rels = []
     for i in range(5):
-        f = _rand_weight(cfg, e.n, cfg["seed"] + 400 + i)
-        g = _rand_weight(cfg, e.n, cfg["seed"] + 500 + i)
+        f = _rand_weight(run.mesh, seed + 400 + i)
+        g = _rand_weight(run.mesh, seed + 500 + i)
         lhs = integrate(dyadic_riesz(f, float(e.alpha), shift=(0,) * e.n) * g)
         rhs = integrate(dyadic_riesz(g, float(e.alpha), shift=(0,) * e.n) * f)
         rels.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
@@ -441,13 +448,12 @@ def _sparse_domination(fam) -> float:
     return float(np.max(lhs.values[mask] / rhs.values[mask])) if mask.any() else 0.0
 
 
-def _suite_sparse(cfg: dict) -> dict:
-    e = _config_exponents(cfg)
+def _suite_sparse(run: RunConfig) -> dict:
     rows = []
     for i in range(20):
-        f = _rand_weight(cfg, e.n, cfg["seed"] + 600 + i, lo=0.0, hi=3.0)
-        for a in (0, e.alpha):
-            fam = build_sparse(f, a, shift=(0,) * e.n)
+        f = _rand_weight(run.mesh, run.cfg["seed"] + 600 + i, lo=0.0, hi=3.0)
+        for a in (0, run.e.alpha):
+            fam = build_sparse(f, a, shift=(0,) * run.e.n)
             rows.append([i, str(a), len(fam), fam.thickness(), _sparse_domination(fam), fam.ratio])
     thick = [r[3] for r in rows]
     dom = [r[4] for r in rows]
@@ -459,14 +465,13 @@ def _suite_sparse(cfg: dict) -> dict:
     return _result(checks, sparse_families=(["trial", "alpha", "cubes", "thickness", "domination_ratio", "C_a"], rows))
 
 
-def _suite_orlicz(cfg: dict) -> dict:
-    rng = np.random.default_rng(cfg["seed"] + 2)
+def _suite_orlicz(run: RunConfig) -> dict:
+    rng = np.random.default_rng(run.cfg["seed"] + 2)
     checks = []
     probe = np.geomspace(0.05, 40.0, 120)
 
     rels = []
-    for spec in cfg["young"]:
-        phi = young_from_spec(spec)
+    for phi in run.young:
         twice = phi.associate().associate()
         rels.append(float(np.max(np.abs(twice.eval(probe) - phi.eval(probe)) / phi.eval(probe))))
     checks.append(_check("conjugate_involution", _worst(rels), 1e-6, len(rels)))
@@ -488,8 +493,7 @@ def _suite_orlicz(cfg: dict) -> dict:
 
     with np.errstate(over="ignore"):
         reps = [bp_classify(power(m), 2.0) for m in (1.5, 2.5)]
-        for spec in cfg["young"]:
-            phi = young_from_spec(spec)
+        for spec, phi in zip(run.cfg["young"], run.young):
             reps.append(bp_classify(phi, float(spec.get("params", {}).get("p", getattr(phi, "r", 2.0)))))
     failed = (reps[0].verdict != "convergent") + (reps[1].verdict != "divergent")
     checks.append(_check("power_tail_verdicts", failed, 0, 2))
@@ -505,11 +509,11 @@ def _constant_table(reps) -> tuple:
         for name, rep in reps]
 
 
-def _suite_constants(cfg: dict) -> dict:
-    e = _config_exponents(cfg)
+def _suite_constants(run: RunConfig) -> dict:
+    e = run.e
     checks = []
 
-    w = _smooth_weight(cfg, e.n)
+    w = _smooth_weight(run.mesh)
     if e.is_sobolev:
         pair = classical_pair(w, e)
     else:
@@ -543,13 +547,12 @@ def _suite_constants(cfg: dict) -> dict:
     return _result(checks, constants_values=_constant_table(entries))
 
 
-def _suite_equivalence(cfg: dict) -> dict:
-    e = _config_exponents(cfg)
+def _suite_equivalence(run: RunConfig) -> dict:
+    e = run.e
     checks, rows = [], []
-    family = TestFamily(random_steps=2, seed=cfg["seed"])
+    family = TestFamily(random_steps=2, seed=run.cfg["seed"])
 
-    pairs = [_pair_from_spec(cfg, spec, e) for spec in cfg["pairs"]]
-    for spec, pair in zip(cfg["pairs"], pairs):
+    for spec, pair in zip(run.cfg["pairs"], run.pairs):
         rep = equivalence_report(pair, e, family=family)
         label = spec.get("kind", "pair")
         chain, duality, ests = rep["testing_chain"], rep["duality_chain"], rep["estimates"]
@@ -565,7 +568,7 @@ def _suite_equivalence(cfg: dict) -> dict:
             rows.append([label, key, est["value"], est["source"], est["target"]])
 
     # indicator-family norm estimates only grow when the mesh refines
-    pair = pairs[0]
+    pair = run.pairs[0]
     ind = TestFamily(indicators=True, random_steps=0, duality=False)
     coarse = estimate_norm("frac_maximal", pair, e, family=ind, alpha=e.alpha)
     fine_pair = WeightPair(pair.u.refine(), pair.sigma.refine(), provenance=pair.provenance)
@@ -585,10 +588,10 @@ def _case_table(case: str, rep: dict) -> tuple:
     return columns, [[r[c] for c in columns] for r in rep["rows"]]
 
 
-def _suite_counterexample(cfg: dict) -> dict:
+def _suite_counterexample(run: RunConfig) -> dict:
     checks = []
-    g = parse_rational(cfg["counterexample"]["gamma"])
-    window = cfg["counterexample"]["window"]
+    g = parse_rational(run.cfg["counterexample"]["gamma"])
+    window = run.cfg["counterexample"]["window"]
     max_exp = window.bit_length() - 1
 
     e1 = ExponentTuple(1, Fraction(1, 4), Fraction(5, 4), 2)
@@ -677,16 +680,16 @@ _REPORT_DOC = (
 
 def run_suite(cfg: dict, out_dir: Path) -> int:
     """Execute the configured suites in order, then write the artifact directory."""
-    cfg = validate_config(_merge_config(DEFAULT_CONFIG, cfg))
-    names = list(cfg["suites"])
-    results = [_SUITE_FN[s](cfg) for s in names]
+    run = validate_config(_merge_config(DEFAULT_CONFIG, cfg))
+    names = list(run.cfg["suites"])
+    results = [_SUITE_FN[s](run) for s in names]
     # suites write no files, so a suite that raises leaves no partial directory
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tables").mkdir(exist_ok=True)
 
     summary_rows = []
     used_tables = ["summary"]
-    report = {"config": cfg, "suites": {}}
+    report = {"config": run.cfg, "suites": {}}
     all_passed = True
     for name, res in zip(names, results):
         passed = all(c["passed"] for c in res["checks"])
@@ -713,20 +716,15 @@ def run_suite(cfg: dict, out_dir: Path) -> int:
 # === one-shot subcommands ====================================================
 
 
+def _given(**flags) -> dict:
+    """The flags that were given (not None); a group of none is left out."""
+    return {k: v for k, v in flags.items() if v is not None and v != {}}
+
+
 def _cmd_run(args) -> int:
-    cfg = dict(_load_json(args.config)) if args.config else {}
-    if args.suite:
-        cfg["suites"] = args.suite
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.gamma is not None or args.window is not None:
-        cx = dict(_merge_config(DEFAULT_CONFIG, cfg).get("counterexample", {}))
-        if args.gamma is not None:
-            cx["gamma"] = args.gamma
-        if args.window is not None:
-            cx["window"] = args.window
-        cfg["counterexample"] = cx
-    return run_suite(cfg, Path(args.out))
+    # the defaults, then the file, then each given flag over its own key
+    flags = _given(suites=args.suite, seed=args.seed, counterexample=_given(gamma=args.gamma, window=args.window))
+    return run_suite(_merge_config(_load_json(args.config) if args.config else {}, flags), Path(args.out))
 
 
 def _emit(obj, out: Optional[str]):

@@ -553,8 +553,8 @@ MUTANTS = [
     ),
     Mutant(
         "artifact_dir_before_suites", "cli.py",
-        'names = list(cfg["suites"])',
-        'names = list(cfg["suites"]); out_dir.mkdir(parents=True, exist_ok=True)',
+        'names = list(run.cfg["suites"])',
+        'names = list(run.cfg["suites"]); out_dir.mkdir(parents=True, exist_ok=True)',
         (f"{CLI}::TestRunCommand::test_suite_that_raises_leaves_no_directory",),
         "a suite that raises leaves a partial artifact directory without report.json",
     ),
@@ -655,10 +655,24 @@ MUTANTS = [
     ),
     Mutant(
         "run_zero_flag_replaced", "cli.py",
-        "if args.gamma is not None or args.window is not None:",
-        "if args.gamma or args.window:",
+        "if v is not None and v != {}}",
+        "if v}",
         (f"{CLI}::TestRunCommand::test_empty_counterexample_flag_refused_not_replaced",),
         "--window 0 or --gamma '' would run and record the default window or gamma",
+    ),
+    Mutant(
+        "run_file_over_flags", "cli.py",
+        "_merge_config(_load_json(args.config) if args.config else {}, flags)",
+        "_merge_config(flags, _load_json(args.config) if args.config else {})",
+        (f"{CLI}::TestRunCommand::test_flags_override_the_file_key_by_key",),
+        "a flag would replace its key only where the file leaves it unset",
+    ),
+    Mutant(
+        "run_file_nulls_dropped", "cli.py",
+        "_merge_config(_load_json(args.config) if args.config else {}, flags)",
+        "_merge_config(_given(**_load_json(args.config)) if args.config else {}, flags)",
+        (f"{CLI}::TestRunCommand::test_bad_config_exits_two[{{'seed': None}}]",),
+        "a null written in the file would run the default instead of being refused",
     ),
     Mutant(
         "examples_zero_window_replaced", "cli.py",
@@ -669,8 +683,8 @@ MUTANTS = [
     ),
     Mutant(
         "young_conjugate_unchecked", "cli.py",
-        "young_from_spec(y).associate()",
-        "young_from_spec(y)",
+        "young[-1].associate()",
+        "young[-1]",
         (f"{CLI}::TestRunCommand::test_malformed_config_value_named",),
         "t^1 has no finite conjugate: the run would fail in the orlicz suite, or pass when it is not selected",
     ),

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,6 +238,26 @@ class TestRunSuite:
         suite = json.loads((tmp_path / "run" / "geometry.json").read_text())
         assert all("passed" in c and "name" in c for c in suite["checks"])
 
+    def test_each_input_built_once(self, tmp_path, monkeypatch):
+        # validate_config builds each pair and Young function, and the suites take them from it
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_load_obj", "_pair_from_spec", "young_from_spec"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        write_pair(tmp_path / "pair.json")
+        cfg = {"suites": ["orlicz", "equivalence"], "mesh": {"cells_per_axis": 24},
+               "young": [{"family": "power", "params": {"r": 2.0}}],
+               "pairs": [{"kind": "file", "params": {"path": str(tmp_path / "pair.json")}},
+                         {"kind": "random", "params": {"seed": 11}}, {"kind": "classical-smooth"}]}
+        assert run_suite(cfg, tmp_path / "run") == 0
+        assert calls == {"_load_obj": 1, "_pair_from_spec": 3, "young_from_spec": 1}
+
     def test_summary_lists_every_check(self, tmp_path):
         run_suite({"suites": FAST_SUITES}, tmp_path / "run")
         header, rows = read_csv(tmp_path / "run" / "summary.csv")
@@ -276,40 +297,58 @@ class TestRunCommand:
         assert list(report["suites"]) == ["geometry"]
         assert report["config"]["seed"] == 3
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
+    def test_flags_override_the_file_key_by_key(self, tmp_path):
+        # the defaults, then the file, then the flags, each flag over its own key only
+        cfg = {"suites": ["counterexample"], "seed": 3, "counterexample": {"gamma": "1/4", "window": 128}}
+        rc = main(["run", "--config", str(_write_config(tmp_path, cfg)), "--seed", "5", "--window", "256",
+                   "--suite", "geometry", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config"]["seed"] == 5
+        assert report["config"]["counterexample"] == {"gamma": "1/4", "window": 256}
+        assert report["config"]["suites"] == ["geometry"] and list(report["suites"]) == ["geometry"]
+        assert report["config"]["mesh"] == DEFAULT_CONFIG["mesh"]
+
+    @pytest.mark.parametrize("override,flags", [pytest.param(cfg, flags, id=" ".join([repr(cfg), *flags]))
+                                                for cfg, flags in [
+        ({"suites": ["nope"]}, []),
+        ({"seed": None}, []),
+        ({"exponents": None}, []),
+        ({"exponents": {"n": None}}, []),
+        ({"counterexample": {"window": None}}, []),
+        ({"pairs": [{"kind": "file"}]}, []),
+        ({"pairs": [{"kind": "file", "params": {"path": "none.json"}}]}, []),
+        ({"pairs": [{"kind": "bogus"}]}, []),
+        ({"pairs": None}, []),
+        ({"young": [{"family": "power", "params": None}]}, []),
+        ({"young": [{"family": "power", "params": {"r": None}}]}, []),
+        ({"mesh": {"cells_per_axis": 0}}, []),
+        ({"suites": []}, []),
+        ({"suites": ["equivalence"], "pairs": []}, []),
+        ({"young": ["power:r=2"]}, []),
+        # once truncated to 48 cells and seed 3 while report.json recorded the floats
+        ({"mesh": {"cells_per_axis": 48.9}}, []),
+        ({"seed": 3.7}, []),
+        ({"seed": True}, []),
+        ({"seed": -5000}, []),
+        ({"exponents": {"n": 1.0}}, []),
+        ({"suites": ["orlicz"], "young": [{"family": "power", "params": {"r": 1}}]}, []),
+        # a config that is not an object, and a flag laid over a counterexample that is not one
+        (5, []),
+        ([], []),
+        ("x", []),
+        ({"counterexample": 5}, ["--gamma", "1/2"]),
+        ({"counterexample": [1]}, ["--window", "64"]),
+    ]])
+    def test_bad_config_exits_two(self, tmp_path, capsys, monkeypatch, override, flags):
         # each exits 2 with an error line and leaves no output directory,
-        # rejected before any suite runs
-        bad = [
-            {"suites": ["nope"]},
-            {"seed": None},
-            {"exponents": None},
-            {"exponents": {"n": None}},
-            {"counterexample": {"window": None}},
-            {"pairs": [{"kind": "file"}]},
-            {"pairs": [{"kind": "file", "params": {"path": str(tmp_path / "none.json")}}]},
-            {"pairs": [{"kind": "bogus"}]},
-            {"pairs": None},
-            {"young": [{"family": "power", "params": None}]},
-            {"young": [{"family": "power", "params": {"r": None}}]},
-            {"mesh": {"cells_per_axis": 0}},
-            {"suites": []},
-            {"suites": ["equivalence"], "pairs": []},
-            {"young": ["power:r=2"]},
-            # once truncated to 48 cells and seed 3 while report.json recorded the floats
-            {"mesh": {"cells_per_axis": 48.9}},
-            {"seed": 3.7},
-            {"seed": True},
-            {"seed": -5000},
-            {"exponents": {"n": 1.0}},
-            {"suites": ["orlicz"], "young": [{"family": "power", "params": {"r": 1}}]},
-        ]
-        for i, override in enumerate(bad):
-            cfg = tmp_path / f"cfg{i}.json"
-            cfg.write_text(json.dumps(override))
-            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / f"run{i}")])
-            assert rc == 2, override
-            assert capsys.readouterr().err.startswith("error: "), override
-            assert not (tmp_path / f"run{i}").exists(), override
+        # rejected before any suite runs; none.json is missing from tmp_path
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--config", str(_write_config(tmp_path, override)), *flags, "--out", "run"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override,field", [
         ({"mesh": {"cells_per_axis": 48.9}}, "'mesh.cells_per_axis': expected an integer, got 48.9"),
@@ -324,6 +363,7 @@ class TestRunCommand:
         # conjugate, and is refused whichever suites the config selects
         ({"young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate of t^1 is not finite-valued"),
         ({"suites": ["geometry"], "young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate"),
+        ("x", "error: config must be an object"),
     ])
     def test_malformed_config_value_named(self, tmp_path, capsys, override, field):
         rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])

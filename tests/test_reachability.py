@@ -11,7 +11,7 @@ documented flag, on 24-cell inputs.  The 2-D run leaves out the orlicz
 suite, which reads neither the mesh nor the exponents, so it would only
 repeat the default run's.
 
-Eight more commands give the edge branches the input that produces them,
+Ten more commands give the edge branches the input that produces them,
 each with its exit status: the orlicz suite on a borderline Young
 function of p = 2, q = 4, eps = 1.1 (an inconclusive tail, rho = -0.05;
 exit 0) and on an empty Young list (a vacuous conjugate_involution;
@@ -20,10 +20,13 @@ ainfty_m_u` (no live cube, a vacuous report; exit 1) on a pair whose u
 is zero everywhere; `ops outer_riesz` on a cube off the window (exit 0);
 `ops orlicz_maximal` of a constant function under t^1100 log(e + t),
 whose mean overflows at half the first lambda of each Luxemburg bracket
-(exit 0); and `norms estimate` on a constant pair of u = 1 whose sigma
+(exit 0); `norms estimate` on a constant pair of u = 1 whose sigma
 overflows the image of the first cube indicator (sigma = 1.7e308) or
 the source norm of the first random step (sigma = 1e250, p = 100,
-q = 11/10), each with exit 2 and the start of its error message.
+q = 11/10); and `dyadlab run` on a config that is not an object (`[]`)
+and with `--window 64` over a counterexample that is not one
+(`{"counterexample": 5}`): each of these four with exit 2 and the start
+of its error message.
 
 The statements are found with ast in the modules of the imported package,
 wherever it was imported from: the statements in the body of each def,
@@ -190,6 +193,7 @@ def commands(tmp: Path) -> list:
                      "source-overflow": WeightPair(one, one.with_values(np.full(24, 1e250))).to_obj(),
                      "2d": {"exponents": {"n": 2, "alpha": "1", "p": "4/3", "q": "4"}, "mesh": {"cells_per_axis": 12}},
                      "typo": {"mesh": {"cels_per_axis": 96}},
+                     "not-an-object": [], "cx-not-an-object": {"counterexample": 5},
                      "borderline": {"suites": ["orlicz"],
                                     "young": [{"family": "borderline", "params": {"p": 2, "q": 4, "eps": 1.1}}]},
                      "no-young": {"suites": ["orlicz"], "young": []}}.items():
@@ -219,7 +223,11 @@ def commands(tmp: Path) -> list:
     errors = [(["norms", "estimate", "--pair", p["image-overflow"], *e], 2,
                "error: the image of the test function chi["),
               (["norms", "estimate", "--pair", p["source-overflow"], "--exponents", "1,1/2,100,11/10"], 2,
-               "error: the source norm of the test function step[0] is not finite")]
+               "error: the source norm of the test function step[0] is not finite"),
+              (["run", "--config", p["not-an-object"], "--out", str(tmp / "not-an-object")], 2,
+               "error: config must be an object"),
+              (["run", "--config", p["cx-not-an-object"], "--window", "64", "--out", str(tmp / "cx-not-an-object")], 2,
+               "error: counterexample must be an object")]
     ops = [["ops", "frac_maximal", "-i", p["f"], "--alpha", "1/2", "--shift", "1", "--levels", "0..2", *out("mf.json")],
            ["ops", "dyadic_frac_maximal", "-i", p["f"], "--alpha", "1/2"],
            ["ops", "dyadic_riesz", "-i", p["f"], "--alpha", "1/2", "--csv", str(tmp / "riesz.csv")],
