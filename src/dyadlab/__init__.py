@@ -86,7 +86,6 @@ from .sampled import (
     SampledFunction,
     integrate,
     lp_norm,
-    make_exponents,
     parse_rational,
 )
 from .sparse import (

@@ -50,6 +50,7 @@ from .grid import (
     cube_to_obj,
     obj_field,
     parent,
+    parse_field,
     realize,
 )
 from .normest import (
@@ -87,7 +88,7 @@ from .pairs import (
     verify_E_maximal,
 )
 from .sampled import (ExponentTuple, MeshError, SampledFunction, integrate, is_cell_count, is_power_of_two, lp_norm,
-                      make_exponents, parse_rational)
+                      parse_rational)
 from .sparse import build_sparse, sparse_operator
 
 class CLIError(ValueError):
@@ -133,11 +134,25 @@ def _load_obj(path: str, from_obj):
         raise CLIError(f"{path}: {exc}") from None
 
 
+def _flag(text: Optional[str], name: str, parse=parse_rational, default=None):
+    """parse of a one-shot flag's text, a refusal naming the flag; default when it is not given."""
+    return default if text is None else parse_field(text, parse, name, CLIError)
+
+
+# the one rule of each exponent field, for the config's exponents and for --exponents
+_EXPONENT_RULES = {"n": _json_int, "alpha": parse_rational, "p": parse_rational, "q": parse_rational}
+
+
+def _exponent_tuple(obj, where: str) -> ExponentTuple:
+    return ExponentTuple(**{k: _field(obj, k, rule, where) for k, rule in _EXPONENT_RULES.items()})
+
+
 def _parse_exponents(text: str) -> ExponentTuple:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 4:
-        raise CLIError(f"exponents must be 'n,alpha,p,q', got {text!r}")
-    return make_exponents(*parts)
+        raise CLIError(f"--exponents must be 'n,alpha,p,q', got {text!r}")
+    obj = dict(zip(_EXPONENT_RULES, parts))  # n a decimal string here, where the config gives an integer
+    return _exponent_tuple({**obj, "n": _flag(obj["n"], "--exponents.n", int)}, "--exponents.")
 
 
 def _parse_levels(text: Optional[str]):
@@ -145,16 +160,14 @@ def _parse_levels(text: Optional[str]):
         return None, None
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise CLIError(f"levels must be 'lo..hi', got {text!r}")
-    return int(lo), int(hi)
+        raise CLIError(f"--levels must be 'lo..hi', got {text!r}")
+    return _flag(lo, "--levels", int), _flag(hi, "--levels", int)
 
 
 def _parse_shifts(text: Optional[str], dim: int):
-    if text is None:
-        return None
-    flags = tuple(int(t) for t in text.split(","))
-    if len(flags) != dim or any(f not in (0, 1) for f in flags):
-        raise CLIError(f"shift must be {dim} comma-separated 0/1 flags, got {text!r}")
+    flags = _flag(text, "--shift", lambda t: tuple(map(int, t.split(","))))
+    if flags is not None and (len(flags) != dim or any(f not in (0, 1) for f in flags)):
+        raise CLIError(f"--shift must be {dim} comma-separated 0/1 flags, got {text!r}")
     return flags
 
 
@@ -166,32 +179,23 @@ _YOUNG_FAMILIES = {
 }
 
 
-def young_from_spec(spec) -> YoungFunction:
-    """Build a Young function from 'family:key=val,...' or a config dict."""
-    if isinstance(spec, dict):
-        family, params = spec.get("family"), spec.get("params", {})
-        if not isinstance(params, dict):
-            raise CLIError(f"young params must be an object, got {params!r}")
-    else:
-        family, _, rest = str(spec).partition(":")
-        params = {}
-        for item in filter(None, rest.split(",")):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise CLIError(f"malformed young parameter {item!r}")
-            params[k.strip()] = float(v)
+def young_from_spec(spec, where: str = "--young") -> YoungFunction:
+    """Build a Young function from a config entry {"family", "params"}, or from a 'family:key=val,...'
+    string read into that form; a refusal names where (the entry, or the flag) and the parameter."""
+    if isinstance(spec, str):
+        family, _, rest = spec.partition(":")
+        items = (item.partition("=") for item in filter(None, rest.split(",")))
+        spec = {"family": family, "params": {k.strip(): v for k, _, v in items}}
+    family, params = spec.get("family"), spec.get("params", {})
     if family not in _YOUNG_FAMILIES:
-        raise CLIError(
-            f"unknown young family {family!r}; choose from {sorted(_YOUNG_FAMILIES)}"
-        )
+        raise CLIError(f"{where}: unknown young family {family!r}; choose from {sorted(_YOUNG_FAMILIES)}")
     ctor, keys = _YOUNG_FAMILIES[family]
-    if set(params) != set(keys):
-        raise CLIError(f"family {family!r} takes parameters {keys}, got {sorted(params)}")
+    if not isinstance(params, dict) or set(params) != set(keys):
+        raise CLIError(f"{where}: family {family!r} takes parameters {keys}, got {params!r}")
     try:
-        values = [float(params[k]) for k in keys]
-    except TypeError:
-        raise CLIError(f"family {family!r} parameters must be numbers, got {params!r}") from None
-    return ctor(*values)
+        return ctor(*(_field(params, k, float, f"{where}.params.") for k in keys))
+    except OrliczError as exc:
+        raise CLIError(f"{where}: {exc}") from None
 
 
 # === config ==================================================================
@@ -251,8 +255,7 @@ def validate_config(cfg: dict) -> RunConfig:
     for s in cfg["suites"]:
         if s not in SUITES:
             raise CLIError(f"unknown suite {s!r}; choose from {list(SUITES)}")
-    ex = cfg["exponents"]
-    e = make_exponents(_field(ex, "n", _json_int, "exponents."), ex["alpha"], ex["p"], ex["q"])
+    e = _exponent_tuple(cfg["exponents"], "exponents.")
     side = _field(cfg["mesh"], "window", parse_rational, "mesh.")
     if not is_power_of_two(side):
         raise CLIError("mesh.window must be a positive power of two")
@@ -274,8 +277,8 @@ def validate_config(cfg: dict) -> RunConfig:
     young = []
     for i, y in enumerate(cfg["young"]):
         _known_fields(y, ("family", "params"), f"young[{i}]")
+        young.append(young_from_spec(y, f"young[{i}]"))
         try:
-            young.append(young_from_spec(y))
             young[-1].associate()  # the orlicz suite conjugates every entry
         except OrliczError as exc:
             raise CLIError(f"young[{i}]: {exc}") from None
@@ -739,21 +742,21 @@ def _cmd_ops(args) -> int:
     f = _load_obj(args.input, SampledFunction.from_obj)
     lo, hi = _parse_levels(args.levels)
     shift = _parse_shifts(args.shift, f.dim)
-    alpha = float(parse_rational(args.alpha)) if args.alpha is not None else 0.0
+    alpha = _flag(args.alpha, "--alpha", default=0)
     name = args.name
     if name == "outer_riesz":
         if not args.cube:
             raise CLIError("outer_riesz needs --cube")
-        out = outer_riesz(f, cube_from_obj(json.loads(args.cube)), alpha)
+        out = outer_riesz(f, cube_from_obj(json.loads(args.cube)), float(alpha))
     else:
         mu = _load_obj(args.mu, SampledFunction.from_obj) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None
-        out = f.with_values(OPERATORS[name](f, f.values, mu, alpha, phi, shift, lo, hi))
+        out = f.with_values(OPERATORS[name](f, f.values, mu, float(alpha), phi, shift, lo, hi))
     obj = {
         "function": out.to_obj(),
         "metadata": {
             "operator": name,
-            "alpha": str(parse_rational(args.alpha)) if args.alpha is not None else "0",
+            "alpha": str(alpha),
             "shift": list(shift) if shift is not None else None,
             "min_level": lo,
             "max_level": hi,
@@ -770,7 +773,7 @@ def _cmd_sparse(args) -> int:
     f = _load_obj(args.input, SampledFunction.from_obj)
     lo, hi = _parse_levels(args.levels)
     shift = _parse_shifts(args.shift, f.dim) or (0,) * f.dim
-    alpha = parse_rational(args.alpha) if args.alpha is not None else 0
+    alpha = _flag(args.alpha, "--alpha", default=0)
     fam = build_sparse(f, alpha, ratio=args.ratio, shift=shift, min_level=lo, max_level=hi)
     if args.action == "build":
         _emit(fam.to_obj(), args.out)
@@ -830,7 +833,7 @@ def _cmd_norms(args) -> int:
     family = TestFamily(random_steps=args.family_steps, seed=args.seed)
     pair = _load_obj(args.pair, WeightPair.from_obj)
     if args.action == "estimate":
-        alpha = parse_rational(args.alpha) if args.alpha is not None else None
+        alpha = _flag(args.alpha, "--alpha")
         phi = young_from_spec(args.young) if args.young else None
         est = estimate_norm(args.op, pair, e, family=family, side=args.side, weak=args.weak,
                             alpha=alpha, phi=phi, min_level=lo, max_level=hi)
@@ -850,7 +853,7 @@ def _cmd_examples(args) -> int:
         return 0
     if args.action == "case2":
         e = _parse_exponents(args.exponents or "1,1/2,2,2")
-        rep = case2_divergence(e, gamma=args.gamma, max_exp=args.max_exp)
+        rep = case2_divergence(e, gamma=_flag(args.gamma, "--gamma"), max_exp=args.max_exp)
         _emit(rep, args.out)
         if args.csv:
             _write_csv(Path(args.csv), *_case_table("case2", rep))

@@ -115,6 +115,8 @@ def log_bump(r: float, delta: float) -> PowerLog:
 def borderline(p: float, q: float, eps: float) -> PowerLog:
     """Phi(t) = t^p / log(e+t)^{(1+eps) p / q}; tail integral against t^{-p}
     converges or diverges according to (1+eps) p / q versus 1."""
+    if not q > 0:
+        raise OrliczError(f"borderline needs q > 0, got {q}")
     a = -(1.0 + float(eps)) * float(p) / float(q)
     return PowerLog(float(p), a, label=f"borderline({p},{q},{eps})")
 

@@ -443,9 +443,3 @@ class ExponentTuple:
             "p": str(self.p),
             "q": str(self.q),
         }
-
-
-def make_exponents(n, alpha, p, q) -> ExponentTuple:
-    """Validated exponent tuple; n an integer or a decimal string, alpha, p
-    and q ints, Fractions or 'a/b' strings."""
-    return ExponentTuple(int(n) if isinstance(n, str) else n, alpha, p, q)

@@ -501,6 +501,22 @@ MUTANTS = [
         "exponents of another dimension than the weights give a meaningless value",
     ),
     Mutant(
+        "young_param_unnamed", "cli.py",
+        'ctor(*(_field(params, k, float, f"{where}.params.") for k in keys))',
+        "ctor(*(float(params[k]) for k in keys))",
+        (f"{CLI}::TestRunCommand::test_malformed_config_value_named[override11-'young[0].params.r']",),
+        "a Young parameter that is not a number would be refused without the entry and the parameter it came from",
+    ),
+    Mutant(
+        "borderline_q_unchecked", "orlicz.py",
+        "    if not q > 0:\n",
+        "    if False:\n",
+        (f"{ORLICZ}::TestFamily::test_borderline_requires_positive_q",
+         f"{CLI}::TestRunCommand::test_malformed_config_value_named[override13-young[0]: borderline needs q > 0]",
+         f"{CLI}::TestMalformedFlags::test_malformed_flag_named[young-borderline-q]"),
+        "q = 0 divides by zero: the config and the flag would exit 1 with a traceback, not 2 with the entry named",
+    ),
+    Mutant(
         "cell_count_unbounded", "sampled.py",
         'obj_field(obj, "cells_per_axis", lambda v: _json_int(v, least=1))',
         'obj_field(obj, "cells_per_axis", _json_int)',
@@ -529,7 +545,8 @@ MUTANTS = [
         "if isinstance(v, bool) or not isinstance(v, numbers.Integral):",
         "if not isinstance(v, numbers.Real):",
         ("tests/test_sampled.py::TestExponents::test_n_must_be_an_integer",
-         "tests/test_sampled.py::TestExponents::test_make_exponents_refuses_float_n",
+         f"{CLI}::TestRunCommand::test_malformed_config_value_named"
+         "[override5-'exponents.n': expected an integer, got 1.0]",
          "tests/test_grid.py::TestSerialization::test_cube_fields_must_be_integers",
          "tests/test_pairs.py::TestCase1::test_sizes_must_be_integers_of_the_rule"),
         "the one integer rule refuses 48.9 cells, seed 3.7 and n = True, where int() truncated them",

@@ -364,6 +364,11 @@ class TestRunCommand:
         ({"young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate of t^1 is not finite-valued"),
         ({"suites": ["geometry"], "young": [{"family": "power", "params": {"r": 1}}]}, "young[0]: the conjugate"),
         ("x", "error: config must be an object"),
+        # a Young parameter and an exponent field are named by their dotted path, a borderline q of 0 by its entry
+        ({"young": [{"family": "power", "params": {"r": "abc"}}]}, "'young[0].params.r'"),
+        ({"exponents": {"alpha": "x"}}, "'exponents.alpha'"),
+        ({"young": [{"family": "borderline", "params": {"p": 2, "q": 0, "eps": 1}}]},
+         "young[0]: borderline needs q > 0"),
     ])
     def test_malformed_config_value_named(self, tmp_path, capsys, override, field):
         rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
@@ -688,6 +693,10 @@ class TestConstantsCommand:
                    "--exponents", "1,1/2"])
         assert rc == 2
 
+    def test_exponents_flag_reads_a_decimal_n(self):
+        # the config's n is a JSON integer; the flag's is the decimal string of one
+        assert cli._parse_exponents("2, 1/2, 3, 5") == ExponentTuple(2, Fraction(1, 2), 3, 5)
+
 
 class TestNormsCommand:
     def test_estimate_reports_family(self, tmp_path, capsys):
@@ -804,6 +813,35 @@ class TestExamplesCommand:
 
     def test_classical_needs_weight(self):
         assert main(["examples", "classical"]) == 2
+
+
+class TestMalformedFlags:
+    """A one-shot flag whose value does not parse is refused with exit 2 and
+    an error line naming the flag, before any output is written."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["ops", "orlicz_maximal", "-i", "F", "--young", "power:r=abc"], "'--young.params.r'"),
+        # the library refuses q = 0 (borderline divides by q), and the flag names the refusal
+        (["ops", "orlicz_maximal", "-i", "F", "--young", "borderline:p=2,q=0,eps=1"],
+         "--young: borderline needs q > 0"),
+        (["ops", "frac_maximal", "-i", "F", "--levels", "a..2"], "'--levels'"),
+        (["ops", "frac_maximal", "-i", "F", "--shift", "x"], "'--shift'"),
+        (["ops", "frac_maximal", "-i", "F", "--alpha", "zz"], "'--alpha'"),
+        (["constants", "compute", "--which", "apq_alpha", "--pair", "P", "--exponents", "x,1/2,4/3,4"],
+         "'--exponents.n'"),
+        (["constants", "compute", "--which", "apq_alpha", "--pair", "P", "--exponents", "1,y,4/3,4"],
+         "'--exponents.alpha'"),
+        (["examples", "case2", "--gamma", "zz"], "'--gamma'"),
+    ], ids=["young", "young-borderline-q", "levels", "shift", "alpha", "exponents-n", "exponents-alpha", "gamma"])
+    def test_malformed_flag_named(self, tmp_path, capsys, argv, flag):
+        write_function(tmp_path / "f.json")
+        write_pair(tmp_path / "pair.json")
+        files = {"F": str(tmp_path / "f.json"), "P": str(tmp_path / "pair.json")}
+        out = tmp_path / "out.json"
+        assert main([files.get(a, a) for a in argv] + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "Traceback" not in err, err
+        assert not out.exists()
 
 
 class TestMalformedInputFiles:

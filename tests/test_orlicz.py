@@ -54,6 +54,12 @@ class TestFamily:
         assert ph.r == 2.0
         assert ph.a == pytest.approx(-(1.9) * 2.0 / 4.0)
 
+    @pytest.mark.parametrize("q", [0.0, -4.0, math.nan])
+    def test_borderline_requires_positive_q(self, q):
+        # Phi's log exponent divides by q; a NaN q passes a q <= 0 test
+        with pytest.raises(OrliczError, match="borderline needs q > 0"):
+            borderline(2.0, q, 0.9)
+
     def test_log_bump_requires_positive_delta(self):
         with pytest.raises(OrliczError):
             log_bump(2.0, 0.0)
