@@ -144,7 +144,13 @@ _EXPONENT_RULES = {"n": _json_int, "alpha": parse_rational, "p": parse_rational,
 
 
 def _exponent_tuple(obj, where: str) -> ExponentTuple:
-    return ExponentTuple(**{k: _field(obj, k, rule, where) for k, rule in _EXPONENT_RULES.items()})
+    """The exponent tuple of obj's fields; a range refusal of ExponentTuple,
+    which starts with its field's name, is named by where + that field."""
+    fields = {k: _field(obj, k, rule, where) for k, rule in _EXPONENT_RULES.items()}
+    try:
+        return ExponentTuple(**fields)
+    except MeshError as exc:
+        raise CLIError(f"{where}{exc}") from None
 
 
 def _parse_exponents(text: str) -> ExponentTuple:
@@ -179,6 +185,17 @@ _YOUNG_FAMILIES = {
 }
 
 
+def _young_param(v) -> float:
+    """float(v) for a Young parameter, a number or a numeric string; a
+    boolean, and a value that is not finite, are refused."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
 def young_from_spec(spec, where: str = "--young") -> YoungFunction:
     """Build a Young function from a config entry {"family", "params"}, or from a 'family:key=val,...'
     string read into that form; a refusal names where (the entry, or the flag) and the parameter."""
@@ -193,7 +210,7 @@ def young_from_spec(spec, where: str = "--young") -> YoungFunction:
     if not isinstance(params, dict) or set(params) != set(keys):
         raise CLIError(f"{where}: family {family!r} takes parameters {keys}, got {params!r}")
     try:
-        return ctor(*(_field(params, k, float, f"{where}.params.") for k in keys))
+        return ctor(*(_field(params, k, _young_param, f"{where}.params.") for k in keys))
     except OrliczError as exc:
         raise CLIError(f"{where}: {exc}") from None
 
@@ -745,9 +762,10 @@ def _cmd_ops(args) -> int:
     alpha = _flag(args.alpha, "--alpha", default=0)
     name = args.name
     if name == "outer_riesz":
-        if not args.cube:
+        cube = _flag(args.cube, "--cube", lambda text: cube_from_obj(json.loads(text)))
+        if cube is None:
             raise CLIError("outer_riesz needs --cube")
-        out = outer_riesz(f, cube_from_obj(json.loads(args.cube)), float(alpha))
+        out = outer_riesz(f, cube, float(alpha))
     else:
         mu = _load_obj(args.mu, SampledFunction.from_obj) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None

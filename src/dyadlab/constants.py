@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -252,17 +252,23 @@ def ainfty_exp(
     return _sup_scan("ainfty_exp", w, shifts, min_level, max_level, fn)
 
 
-class _InnerScan(NamedTuple):
-    level: int
-    edges: Tuple[np.ndarray, ...]
-
-
 def _inner_scans(w: SampledFunction, shifts, min_level: Optional[int], max_level: Optional[int]) -> list:
-    """Every scan of the inner maximal of a cut-maximal constant: the given
-    shifts (all of them for None) over the same levels as the outer cubes,
-    each as its level and edges, built once for every outer scan to read."""
-    return [_InnerScan(scan.level, scan.edges)
-            for grid in _grids(w, shifts, min_level, max_level) for scan in iter_scans(w, grid)]
+    """The inner maximal of a cut-maximal constant: the given shifts (all
+    of them for None) over the same levels as the outer cubes, built once
+    for every outer scan to read.  One (level, tables) entry per level,
+    coarse to fine: per axis an int64 table with a row of clipped cell
+    edges raw0 + j*step per grid, j running to the most cubes of any grid.
+    Past a grid's last cube the edges clip to N, the cell count, which
+    pads its row with blocks of zero width."""
+    ncells = w.geometry.ncells
+    out = []
+    for scans in zip(*(iter_scans(w, grid) for grid in _grids(w, shifts, min_level, max_level))):
+        tables = []
+        for plans in zip(*(scan.plans for scan in scans)):
+            _, count, raw0, step = np.array(plans).T
+            tables.append(np.clip(raw0[:, None] + step[:, None] * np.arange(count.max() + 1), 0, ncells))
+        out.append((scans[0].level, tuple(tables)))
+    return out
 
 
 def _cut_maximal_integrals(scan: LevelScan, w: SampledFunction, live: np.ndarray, inner, alpha: float = 0.0,

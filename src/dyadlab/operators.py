@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFamily, all_shifts
 from .orlicz import YoungFunction, luxemburg
-from .sampled import SampledFunction, block_sums, log_prefix, prefix_sum
+from .sampled import SampledFunction, block_differences, log_prefix, prefix_sum
 from .scan import (
     LevelScan,
     cell_block,
@@ -34,7 +34,6 @@ from .scan import (
     cube_integrals,
     inside_window_mask,
     iter_scans,
-    merge_edges,
     spread,
     sweep,
     zero_cells,
@@ -160,13 +159,20 @@ def frac_maximal(
 
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
     """M_alpha(f chi_Q)(x) at every cell x, where Q is the cube of the
-    outer scan whose window part holds x, maximised over the inner scans
-    (every level of the inner grids; only their level and edges are read).
+    outer scan whose window part holds x, maximised over the inner scans.
 
     On Q's cells this is frac_maximal(f.restrict_to(Q), alpha) over the
-    inner grids, for every cube Q of the outer scan at once.  An inner
-    cube R meets Q in one block between consecutive merged edges of the
-    two scans, and its sum is a prefix-sum difference of f at those edges.
+    inner grids, for every cube Q of the outer scan at once.  inner holds
+    one (level, tables) entry per inner level, from constants._inner_scans:
+    per axis, one row of clipped cell edges per inner grid, padded with N.
+    An inner cube R meets Q in one block between consecutive edges of Q
+    and R sorted together, and its sum is a prefix-sum difference of f at
+    those edges.  So each inner level takes one row-wise sort per axis,
+    one gather from the prefix table and one block difference for all its
+    grids, and each row is spread and folded in with np.maximum.  A
+    repeated edge (one both scans hold, or the padding) bounds a block of
+    zero width, which spreads over no cell; every other block has the
+    edges, and so the bits, it has in the sorted union of the two scans.
     """
     n = f.dim
     a = _order(alpha, n)
@@ -174,10 +180,19 @@ def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np
     pre = f.prefix
     cellvol = f.geometry.cellvol
     outer_edges = outer.edges
-    for scan in inner:
-        edges = tuple(merge_edges(Q, R) for Q, R in zip(outer_edges, scan.edges))
-        vals = block_sums(pre, edges) * (2.0 ** (scan.level * (n - a)) * cellvol)
-        np.maximum(out, spread(vals, [E[1:] - E[:-1] for E in edges]), out=out)
+    for level, tables in inner:
+        edges = []
+        for Q, R in zip(outer_edges, tables):
+            E = np.empty((len(R), len(Q) + R.shape[1]), dtype=np.int64)
+            E[:, :len(Q)] = Q
+            E[:, len(Q):] = R
+            E.sort(axis=1)
+            edges.append(E)
+        # row g of the gather is the prefix table read at grid g's edges
+        at = edges[0] if n == 1 else (edges[0][:, :, None], edges[1][:, None, :])
+        vals = block_differences(pre[at], n) * (2.0 ** (level * (n - a)) * cellvol)
+        for row, *widths in zip(vals, *(E[:, 1:] - E[:, :-1] for E in edges)):
+            np.maximum(out, spread(row, widths), out=out)
     return out
 
 

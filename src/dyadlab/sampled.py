@@ -82,15 +82,6 @@ def block_differences(S: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     return S[..., 1:, 1:] - S[..., :-1, 1:] - S[..., 1:, :-1] + S[..., :-1, :-1]
 
 
-def block_sums(prefix: np.ndarray, edges: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Raw sums of cell values over the blocks between consecutive cell
-    edges, per axis; `prefix` is a table from prefix_sum."""
-    if len(edges) == 1:
-        return block_differences(prefix[edges[0]])
-    E0, E1 = edges
-    return block_differences(prefix[E0[:, None], E1])
-
-
 def log_prefix(w: SampledFunction) -> np.ndarray:
     """Prefix table of log w, 0 on zero cells."""
     pos = w.values > 0
@@ -261,8 +252,9 @@ class SampledFunction:
         """Integral over box (zero extension), a prefix-sum difference over
         the cells of box∩window; MeshError unless those sit on the cell
         grid, as in restrict_to."""
-        edges = tuple(np.array([s.start, s.stop]) for s in self.cell_slices(box, require_aligned=True))
-        return block_sums(self.prefix, edges).item() * self.geometry.cellvol
+        E = [np.array([s.start, s.stop]) for s in self.cell_slices(box, require_aligned=True)]
+        table = self.prefix[E[0]] if len(E) == 1 else self.prefix[E[0][:, None], E[1]]
+        return block_differences(table).item() * self.geometry.cellvol
 
     # --- pointwise algebra ----------------------------------------------------
 
@@ -381,7 +373,8 @@ def weak_lq_norms(f: SampledFunction, values: np.ndarray, q, weight: SampledFunc
 
 @dataclass(frozen=True)
 class ExponentTuple:
-    """Exponent data (n, alpha, p, q) with exact rational derived quantities."""
+    """Exponent data (n, alpha, p, q) with exact rational derived quantities.
+    Each refusal starts with the name of the field it refuses."""
 
     n: int
     alpha: Fraction
@@ -396,8 +389,9 @@ class ExponentTuple:
             object.__setattr__(self, name, parse_field(getattr(self, name), parse_rational, name, MeshError))
         if not (0 <= self.alpha < self.n):
             raise MeshError(f"alpha must satisfy 0 <= alpha < n, got {self.alpha}")
-        if self.p <= 1 or self.q <= 1:
-            raise MeshError("p and q must lie in (1, infinity)")
+        for name in ("p", "q"):
+            if getattr(self, name) <= 1:
+                raise MeshError(f"{name} must lie in (1, infinity), got {getattr(self, name)}")
 
     @property
     def pprime(self) -> Fraction:

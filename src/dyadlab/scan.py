@@ -25,10 +25,14 @@ the coarsest level); sweep() and the stopping-time construction read
 parent values through at_parents() (repeat twice per axis, slice at the
 offset), and bottom-up sums scatter onto parent_positions(), which reads
 the same offsets, in reverse.  Sums over the intersections of the cubes
-of two scans come from their edge arrays, united per axis by
-merge_edges().  inside_scans() fixes the order in which per-cube
-constants and test families visit the cubes inside the window across
-several grids.  All index arithmetic is exact.
+of two scans come from their edge arrays sorted together per axis, with
+no dedupe: a repeated edge bounds a block of zero width, which spreads
+over no cell, and every other block keeps the edges it has in the sorted
+union.  operators.cut_frac_maximal sorts one outer scan's edges against
+the edge table of every inner grid of a level at once.  inside_scans()
+fixes the order in which per-cube constants and test families visit the
+cubes inside the window across several grids.  All index arithmetic is
+exact.
 
 The array primitives (sampled.prefix_sum and block_differences,
 cube_cell_sums, at_parents, spread and map_to_cells, sweep) take leading
@@ -241,18 +245,6 @@ def spread(per_block: np.ndarray, widths) -> np.ndarray:
 def map_to_cells(scan: LevelScan, per_cube: np.ndarray) -> np.ndarray:
     """Spread a per-cube array over the cells of each cube's window part."""
     return spread(per_cube, [_widths(plan, scan.ncells) for plan in scan.plans])
-
-
-def merge_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two cell-edge arrays, by sort and dedupe.  The
-    blocks between merged edges are the intersections of a block of a
-    with a block of b."""
-    m = np.concatenate((a, b))
-    m.sort()
-    keep = np.empty(len(m), dtype=bool)
-    keep[0] = True
-    np.not_equal(m[1:], m[:-1], out=keep[1:])
-    return m[keep]
 
 
 def parent_positions(scan: LevelScan) -> Tuple[np.ndarray, ...]:

@@ -6,7 +6,8 @@ point or cube at a time, in exact rationals where the geometry is
 concerned: box predicates, the owner of a point, the shifted grids over
 a window, the owner of each cell, cell centres, and a region's integral
 and average and a cube's joint two-weight constant through
-SampledFunction.integrate_box.
+SampledFunction.integrate_box, and the cut maximal with one sorted union
+of edges per pair of scans.
 """
 import math
 from fractions import Fraction
@@ -14,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from dyadlab.grid import Box, DyadicCube, GridFamily, _as_fraction, all_shifts, realize
+from dyadlab.sampled import block_differences
+from dyadlab.scan import spread
 
 
 def upper(box: Box) -> tuple:
@@ -85,3 +88,29 @@ def apq_alpha(pair, e, cube: DyadicCube) -> float:
     ex = float(e.alpha / e.n + 1 / e.q - 1 / e.p)
     box = realize(cube)
     return float(box.volume()) ** ex * ((average(pair.u, box) ** au) * (average(pair.sigma, box) ** asig))
+
+
+def merged_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two cell-edge arrays, by sort and dedupe: the blocks
+    between merged edges are the intersections of a block of a with a
+    block of b."""
+    m = np.concatenate((a, b))
+    m.sort()
+    keep = np.empty(len(m), dtype=bool)
+    keep[0] = True
+    np.not_equal(m[1:], m[:-1], out=keep[1:])
+    return m[keep]
+
+
+def cut_frac_maximal_pairwise(f, outer, inner, alpha) -> np.ndarray:
+    """operators.cut_frac_maximal with inner a list of LevelScans: the
+    edges of every (outer, inner) scan pair merged and summed on their
+    own, and every inner scan's values folded in with np.maximum."""
+    n = f.dim
+    a = float(alpha)
+    out = np.zeros_like(f.values)
+    for scan in inner:
+        edges = tuple(merged_edges(Q, R) for Q, R in zip(outer.edges, scan.edges))
+        vals = block_differences(f.prefix[np.ix_(*edges)]) * (2.0 ** (scan.level * (n - a)) * f.geometry.cellvol)
+        np.maximum(out, spread(vals, [E[1:] - E[:-1] for E in edges]), out=out)
+    return out

@@ -332,19 +332,36 @@ MUTANTS = [
     # --- the cut maximal and its integrals -------------------------------------
     Mutant(
         "cut_maximal_inner_edges_only", "operators.py",
-        "edges = tuple(merge_edges(Q, R) for Q, R in zip(outer_edges, scan.edges))",
-        "edges = tuple(R for Q, R in zip(outer_edges, scan.edges))",
+        "E[:, :len(Q)] = Q",
+        "E[:, :len(Q)] = 0",
         (f"{CONST}::TestFujiiBatched::test_matches_per_cube_oracle",
-         f"{CONST}::TestSawyerBatched::test_matches_per_cube_oracle"),
-        "an inner cube meets Q in a block between the merged edges of both scans",
+         f"{CONST}::TestSawyerBatched::test_matches_per_cube_oracle",
+         f"{OPS}::TestCutFracMaximal::test_bits_of_pairwise_merge"),
+        "an inner cube meets Q in a block between the edges of both scans sorted together",
     ),
     Mutant(
         "inner_finest_level_dropped", "constants.py",
-        "for scan in iter_scans(w, grid)]",
-        "for scan in tuple(iter_scans(w, grid))[:-1]]",
+        "iter_scans(w, grid) for grid in",
+        "iter_scans(w, grid)[:-1] for grid in",
         (f"{CONST}::TestFujiiBatched::test_matches_per_cube_oracle",
          f"{CONST}::TestSawyerBatched::test_matches_per_cube_oracle"),
         "the inner maximal runs over every level of the outer range, the finest included",
+    ),
+    Mutant(
+        "inner_edges_unclipped_below", "constants.py",
+        "np.arange(count.max() + 1), 0, ncells)",
+        "np.arange(count.max() + 1), None, ncells)",
+        (f"{CONST}::TestFujiiBatched::test_matches_per_cube_oracle",
+         f"{OPS}::TestCutFracMaximal::test_bits_of_pairwise_merge"),
+        "an inner grid's first cube starts at cell 0 of the window, not at its unclipped edge",
+    ),
+    Mutant(
+        "inner_edges_unclipped_above", "constants.py",
+        "np.arange(count.max() + 1), 0, ncells)",
+        "np.arange(count.max() + 1), 0, None)",
+        (f"{CONST}::TestFujiiBatched::test_matches_per_cube_oracle",
+         f"{OPS}::TestCutFracMaximal::test_bits_of_pairwise_merge"),
+        "past an inner grid's last cube, its edges and the padding of its row clip to cell N",
     ),
     Mutant(
         "cut_integrals_unclamped", "constants.py",
@@ -502,10 +519,43 @@ MUTANTS = [
     ),
     Mutant(
         "young_param_unnamed", "cli.py",
-        'ctor(*(_field(params, k, float, f"{where}.params.") for k in keys))',
+        'ctor(*(_field(params, k, _young_param, f"{where}.params.") for k in keys))',
         "ctor(*(float(params[k]) for k in keys))",
         (f"{CLI}::TestRunCommand::test_malformed_config_value_named[override11-'young[0].params.r']",),
         "a Young parameter that is not a number would be refused without the entry and the parameter it came from",
+    ),
+    Mutant(
+        "young_param_takes_non_finite", "cli.py",
+        "    if not math.isfinite(x):\n",
+        "    if False:\n",
+        (f"{CLI}::TestRunCommand::test_malformed_config_value_named"
+         "[override14-'young[0].params.r': expected a finite number, got 'inf']",
+         f"{CLI}::TestMalformedFlags::test_malformed_flag_named[young-inf]"),
+        "an infinite Young parameter gives a maximal function of NaN roundoff, or a refusal by the conjugate check",
+    ),
+    Mutant(
+        "young_param_takes_bools", "cli.py",
+        "    if isinstance(v, bool):\n        raise TypeError(f\"expected a number, got {v!r}\")\n",
+        "",
+        (f"{CLI}::TestRunCommand::test_malformed_config_value_named"
+         "[override15-'young[0].params.r': expected a number, got True]",),
+        "a JSON true would be read as the parameter 1.0",
+    ),
+    Mutant(
+        "exponent_range_unnamed", "cli.py",
+        'raise CLIError(f"{where}{exc}") from None',
+        "raise CLIError(str(exc)) from None",
+        (f"{CLI}::TestRunCommand::test_malformed_config_value_named[override16-error: exponents.n must be 1 or 2]",
+         f"{CLI}::TestMalformedFlags::test_malformed_flag_named[exponents-alpha-range]"),
+        "an exponent out of range is refused without the config section or the flag it came from",
+    ),
+    Mutant(
+        "cube_flag_unnamed", "cli.py",
+        '_flag(args.cube, "--cube", lambda text: cube_from_obj(json.loads(text)))',
+        "None if args.cube is None else cube_from_obj(json.loads(args.cube))",
+        (f"{CLI}::TestMalformedFlags::test_malformed_flag_named[cube]",
+         f"{CLI}::TestMalformedFlags::test_malformed_flag_named[cube-no-dim]"),
+        "a malformed --cube is refused without naming the flag",
     ),
     Mutant(
         "borderline_q_unchecked", "orlicz.py",

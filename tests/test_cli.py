@@ -369,6 +369,13 @@ class TestRunCommand:
         ({"exponents": {"alpha": "x"}}, "'exponents.alpha'"),
         ({"young": [{"family": "borderline", "params": {"p": 2, "q": 0, "eps": 1}}]},
          "young[0]: borderline needs q > 0"),
+        # a Young parameter is a finite number: not infinite, not a boolean
+        ({"young": [{"family": "power", "params": {"r": "inf"}}]},
+         "'young[0].params.r': expected a finite number, got 'inf'"),
+        ({"young": [{"family": "power", "params": {"r": True}}]}, "'young[0].params.r': expected a number, got True"),
+        # an exponent out of range is named by its dotted path
+        ({"exponents": {"n": 3}}, "error: exponents.n must be 1 or 2"),
+        ({"exponents": {"p": 1}}, "error: exponents.p must lie in (1, infinity), got 1"),
     ])
     def test_malformed_config_value_named(self, tmp_path, capsys, override, field):
         rc = main(["run", "--config", str(_write_config(tmp_path, override)), "--out", str(tmp_path / "run")])
@@ -832,7 +839,14 @@ class TestMalformedFlags:
         (["constants", "compute", "--which", "apq_alpha", "--pair", "P", "--exponents", "1,y,4/3,4"],
          "'--exponents.alpha'"),
         (["examples", "case2", "--gamma", "zz"], "'--gamma'"),
-    ], ids=["young", "young-borderline-q", "levels", "shift", "alpha", "exponents-n", "exponents-alpha", "gamma"])
+        (["ops", "orlicz_maximal", "-i", "F", "--young", "power:r=inf"],
+         "'--young.params.r': expected a finite number, got 'inf'"),
+        (["constants", "compute", "--which", "apq_alpha", "--pair", "P", "--exponents", "1,3/2,2,2"],
+         "error: --exponents.alpha must satisfy 0 <= alpha < n, got 3/2"),
+        (["ops", "outer_riesz", "-i", "F", "--alpha", "1/2", "--cube", "xx"], "'--cube'"),
+        (["ops", "outer_riesz", "-i", "F", "--alpha", "1/2", "--cube", "{}"], "'--cube': missing field 'dim'"),
+    ], ids=["young", "young-borderline-q", "levels", "shift", "alpha", "exponents-n", "exponents-alpha", "gamma",
+            "young-inf", "exponents-alpha-range", "cube", "cube-no-dim"])
     def test_malformed_flag_named(self, tmp_path, capsys, argv, flag):
         write_function(tmp_path / "f.json")
         write_pair(tmp_path / "pair.json")

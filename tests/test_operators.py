@@ -7,6 +7,7 @@ import pytest
 
 from dyadlab.grid import Box, DyadicCube, GridFamily, all_shifts, parent, realize
 from dyadlab import operators
+from dyadlab.constants import _inner_scans
 from dyadlab.operators import (
     OPERATORS,
     OperatorError,
@@ -24,7 +25,7 @@ from dyadlab.orlicz import PowerScaled, log_bump, power
 from dyadlab.sampled import SampledFunction, integrate, prefix_sum
 from dyadlab.scan import cell_block, iter_scans
 
-from cube_oracle import cell_centers, contains_point, integral
+from cube_oracle import cell_centers, contains_point, cut_frac_maximal_pairwise, integral
 from fraction_oracle import ancestor_chain, fraction_calls
 from operator_oracle import PUBLIC_OPERATORS, riesz_1d_row
 from orlicz_average_oracle import orlicz_maximal_values
@@ -130,7 +131,7 @@ class TestCutFracMaximal:
         f = rand_f(dim, lower, side, ncells, seed=6, zeros_at=zeros_at)
         kw = dict(min_level=-1, max_level=f.max_aligned_level)
         grids = _grids(f, None, **kw)
-        inner = [scan for grid in grids for scan in iter_scans(f, grid)]
+        inner = _inner_scans(f, None, **kw)
         for outer_grid in (grids[0], grids[-1]):
             for scan in iter_scans(f, outer_grid):
                 got = cut_frac_maximal(f, scan, inner, alpha)
@@ -141,11 +142,30 @@ class TestCutFracMaximal:
                     np.testing.assert_allclose(cell_block(scan, got, idx), cell_block(scan, want.values, idx),
                                                rtol=1e-13, atol=1e-15 * float(f.values.max()))
 
+    @pytest.mark.parametrize("dim,lower,side,ncells,alpha,zeros_at", [
+        (1, (-1,), 2, 48, 0.0, ()),
+        (1, (0,), 1, 24, 0.5, (slice(6, 12),)),
+        (2, (-1, 0), 2, 12, 0.0, ((slice(3, 6), slice(3, 6)),)),
+        (2, (-1, 0), 2, 24, 0.5, ((slice(6, 12), slice(0, 24)),)),
+        (2, (0, 0), 1, 12, 1.25, ()),
+    ])
+    @pytest.mark.parametrize("levels", [{}, dict(min_level=0), dict(min_level=-1, max_level=1)])
+    def test_bits_of_pairwise_merge(self, dim, lower, side, ncells, alpha, zeros_at, levels):
+        # the level tables give, bit for bit, one sorted union of edges per
+        # (outer, inner) scan pair, for the outer scans of every grid
+        f = rand_f(dim, lower, side, ncells, seed=7, zeros_at=zeros_at)
+        lo, hi = levels.get("min_level"), levels.get("max_level")
+        scans = [scan for grid in _grids(f, None, lo, hi) for scan in iter_scans(f, grid)]
+        inner = _inner_scans(f, None, lo, hi)
+        for outer in scans:
+            got = cut_frac_maximal(f, outer, inner, alpha)
+            assert got.tobytes() == cut_frac_maximal_pairwise(f, outer, scans, alpha).tobytes()
+
     def test_alpha_range_validated(self):
         f = rand_f(1, (0,), 1, 12)
         scan = iter_scans(f, _grids(f, None, 0, 1)[0])[0]
         with pytest.raises(OperatorError):
-            cut_frac_maximal(f, scan, [scan], 1.0)
+            cut_frac_maximal(f, scan, _inner_scans(f, None, 0, 1), 1.0)
 
 
 class TestWeightedMaximal:
