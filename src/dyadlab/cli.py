@@ -769,6 +769,7 @@ def _cmd_ops(args) -> int:
     else:
         mu = _load_obj(args.mu, SampledFunction.from_obj) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None
+        # a copy: the registry may hand back its input (identity does)
         out = f.with_values(OPERATORS[name](f, f.values, mu, float(alpha), phi, shift, lo, hi))
     obj = {
         "function": out.to_obj(),

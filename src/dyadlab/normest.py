@@ -112,7 +112,7 @@ class NormEstimate:
 
 def unit_pair(like: SampledFunction) -> WeightPair:
     """Lebesgue measure on both slots, on the mesh of the given function."""
-    one = like.with_values(np.ones(like.values.shape))
+    one = like._adopt(np.ones(like.values.shape))
     return WeightPair(one, one, provenance="lebesgue")
 
 

@@ -154,7 +154,7 @@ def frac_maximal(
     By default the supremum runs over every shifted grid; pass a single
     shift tuple (or list of them) to restrict it.
     """
-    return f.with_values(OPERATORS["frac_maximal"](f, f.values, None, alpha, None, shifts, min_level, max_level))
+    return f._adopt(OPERATORS["frac_maximal"](f, f.values, None, alpha, None, shifts, min_level, max_level))
 
 
 def cut_frac_maximal(f: SampledFunction, outer: LevelScan, inner, alpha=0) -> np.ndarray:
@@ -204,7 +204,7 @@ def dyadic_frac_maximal(
     max_level: Optional[int] = None,
 ) -> SampledFunction:
     """Single-grid fractional maximal; the classic unshifted grid by default."""
-    return f.with_values(OPERATORS["dyadic_frac_maximal"](f, f.values, None, alpha, None, shift, min_level, max_level))
+    return f._adopt(OPERATORS["dyadic_frac_maximal"](f, f.values, None, alpha, None, shift, min_level, max_level))
 
 
 def weighted_dyadic_maximal(
@@ -220,7 +220,7 @@ def weighted_dyadic_maximal(
     Cubes with mu(Q) = 0 contribute nothing.  beta = 0 recovers the
     mu-average maximal operator.
     """
-    return f.with_values(OPERATORS["weighted_dyadic_maximal"](f, f.values, mu, beta, None, shift, min_level, max_level))
+    return f._adopt(OPERATORS["weighted_dyadic_maximal"](f, f.values, mu, beta, None, shift, min_level, max_level))
 
 
 def _weighted_dyadic_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np.ndarray:
@@ -270,7 +270,7 @@ def geometric_maximal(
         return vals
 
     out = sweep(f, _grid(f, shift, min_level, max_level), level_values, np.maximum)
-    return f.with_values(out)
+    return f._adopt(out)
 
 
 def orlicz_maximal(
@@ -286,7 +286,7 @@ def orlicz_maximal(
     Plain-power Young functions reduce to power averages and vectorize;
     anything else solves the Luxemburg equation cube by cube.
     """
-    return f.with_values(OPERATORS["orlicz_maximal"](f, f.values, None, beta, phi, shift, min_level, max_level))
+    return f._adopt(OPERATORS["orlicz_maximal"](f, f.values, None, beta, phi, shift, min_level, max_level))
 
 
 def _orlicz_maximal(f, values, mu, beta, phi, shift, min_level, max_level) -> np.ndarray:
@@ -310,7 +310,7 @@ def dyadic_riesz(
 ) -> SampledFunction:
     """Sum over cubes containing x of |Q|^{alpha/n} times the average of f,
     truncated to the level range."""
-    return f.with_values(OPERATORS["dyadic_riesz"](f, f.values, None, alpha, None, shift, min_level, max_level))
+    return f._adopt(OPERATORS["dyadic_riesz"](f, f.values, None, alpha, None, shift, min_level, max_level))
 
 
 def _riesz_1d(f, values, mu, alpha, phi, shift, min_level, max_level) -> np.ndarray:
@@ -424,10 +424,10 @@ def outer_riesz(
     pos = np.array([m - m_lo for m, m_lo in zip(cube0.index, scans[-1].m_lo)])
     if not all(0 <= j < count for j, count in zip(pos, scans[-1].shape)):
         # a cube off the window has no mass, and so neither do its shells
-        return sigma.with_values(np.zeros_like(sigma.values))
+        return sigma._adopt(np.zeros_like(sigma.values))
     mass = cube_integrals(scans[-1], sigma)[tuple(pos)]
     out = _shells(sigma, scans, np.array([len(scans) - 1]), pos[None], np.array([mass]), C, float(alpha))
-    return sigma.with_values(out[0])
+    return sigma._adopt(out[0])
 
 
 # === operator registry ========================================================

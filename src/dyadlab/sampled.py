@@ -58,17 +58,38 @@ def is_cell_count(n: int) -> bool:
 _UNSET = object()  # marks a lazily computed cache not yet filled
 
 
+# fewest cells in a slab (the cells of one index of a table axis) for
+# which prefix_sum runs that axis slab by slab: below it, the per-slab
+# call costs more than the strided walk of one cumsum saves
+_SLAB_CELLS = 256
+
+
 def prefix_sum(arr: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     """Cumulative-sum table with a zero border over the last dim axes (all
-    of them by default); leading axes are a batch.  Works on signed data."""
+    of them by default); leading axes are a batch.  Works on signed data.
+
+    The table axes are summed in order, each in place as the running sum
+    np.cumsum takes along it, so no full-size temporary is made.  The last
+    axis, contiguous, is one cumsum.  An earlier table axis is one cumsum
+    too while its slabs are small; once a slab holds _SLAB_CELLS cells or
+    more, it is one np.add per index, table slab i being table slab i-1
+    plus cell slab i, which reads memory in order where one cumsum would
+    stride down every column.  Both add in the same order, so the bits
+    are the same."""
     arr = np.asarray(arr, dtype=np.float64)
     lead = 0 if dim is None else arr.ndim - dim
     p = np.zeros(arr.shape[:lead] + tuple(n + 1 for n in arr.shape[lead:]))
-    # one cumsum per table axis, in order, each in place: no full-size
-    # temporaries
     inner = p[(...,) + (slice(1, None),) * (arr.ndim - lead)]
+    src = arr
     for ax in range(lead, arr.ndim):
-        np.cumsum(arr if ax == lead else inner, axis=ax, out=inner)
+        if ax < arr.ndim - 1 and arr.size >= _SLAB_CELLS * arr.shape[ax]:
+            cells, acc = np.moveaxis(src, ax, 0), np.moveaxis(inner, ax, 0)
+            acc[:1] = cells[:1]
+            for prev, cur, cell in zip(acc, acc[1:], cells[1:]):
+                np.add(prev, cell, out=cur)
+        else:
+            np.cumsum(src, axis=ax, out=inner)
+        src = inner
     return p
 
 
@@ -83,10 +104,10 @@ def block_differences(S: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
 
 
 def log_prefix(w: SampledFunction) -> np.ndarray:
-    """Prefix table of log w, 0 on zero cells."""
-    pos = w.values > 0
-    logs = np.where(pos, np.log(np.where(pos, w.values, 1.0)), 0.0)
-    return prefix_sum(logs)
+    """Prefix table of log w, 0 on zero cells: one log, masked to the
+    positive cells, into zeros."""
+    v = w.values
+    return prefix_sum(np.log(v, out=np.zeros_like(v), where=v > 0))
 
 
 class MeshGeometry(NamedTuple):
@@ -121,10 +142,11 @@ def mesh_geometry(key: Tuple[int, ...]) -> MeshGeometry:
                         window, L, L - (side.bit_length() - 1), key)
 
 
-def _cell_values(values, dim: int) -> np.ndarray:
-    """A read-only float64 copy of values, checked to be finite,
-    nonnegative and square with 3*2^L cells along each of dim axes."""
-    arr = np.asarray(values, dtype=np.float64)
+def _cell_values(values, dim: int, copy: bool = True) -> np.ndarray:
+    """values as a read-only C-ordered float64 array, checked to be finite,
+    nonnegative and square with 3*2^L cells along each of dim axes: a
+    copy, or with copy False values itself when it is one already."""
+    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim != dim:
         raise MeshError(f"values must be {dim}-dimensional")
     n = arr.shape[0]
@@ -134,7 +156,6 @@ def _cell_values(values, dim: int) -> np.ndarray:
         raise MeshError(f"cells per axis must be 3*2^L, got {n}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise MeshError("values must be finite and nonnegative")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -178,9 +199,17 @@ class SampledFunction:
         return cls.constant(1.0, dim, lower, side, ncells).restrict_to(box)
 
     def with_values(self, values) -> "SampledFunction":
-        """values on this mesh, sharing its geometry record; values of
-        another cell count raise MeshMismatchError."""
-        arr = _cell_values(values, self.dim)
+        """A checked read-only copy of values on this mesh, sharing its
+        geometry record; values of another cell count raise
+        MeshMismatchError."""
+        return self._adopt(values, copy=True)
+
+    def _adopt(self, values, copy: bool = False) -> "SampledFunction":
+        """with_values without the copy: values, checked as with_values
+        checks them, is made read-only and kept.  For an array the library
+        has just made and holds no other reference to, such as an
+        operator's output."""
+        arr = _cell_values(values, self.dim, copy)
         if arr.shape != self.values.shape:
             raise MeshMismatchError(f"values of shape {arr.shape} on a mesh of shape {self.values.shape}")
         return object.__new__(SampledFunction)._fill(self.geometry, arr)
@@ -261,19 +290,14 @@ class SampledFunction:
     def __mul__(self, other: "SampledFunction") -> "SampledFunction":
         """The pointwise product of two functions on one mesh."""
         self.require_same_mesh(other)
-        return self.with_values(self.values * other.values)
+        return self._adopt(self.values * other.values)
 
     def power(self, expo: float) -> "SampledFunction":
-        """Pointwise power; for negative exponents zero cells map to zero
-        (the convention used by factored weight constructions)."""
-        e = float(expo)
+        """Pointwise power, one power masked to the positive cells: zero
+        cells map to zero for every exponent, the convention used by
+        factored weight constructions for negative ones (and 0^0 is 0)."""
         v = self.values
-        if e >= 0:
-            return self.with_values(v ** e)
-        out = np.zeros_like(v)
-        pos = v > 0
-        out[pos] = v[pos] ** e
-        return self.with_values(out)
+        return self._adopt(np.power(v, float(expo), out=np.zeros_like(v), where=v > 0))
 
     def restrict_to(self, region: Union[Box, DyadicCube]) -> "SampledFunction":
         """f * indicator(region), exact for cell-aligned regions."""
@@ -281,7 +305,7 @@ class SampledFunction:
         sl = self.cell_slices(box, require_aligned=True)
         out = np.zeros_like(self.values)
         out[sl] = self.values[sl]
-        return self.with_values(out)
+        return self._adopt(out)
 
     def refine(self) -> "SampledFunction":
         """Same function on a mesh twice as fine per axis."""

@@ -207,7 +207,7 @@ def sparse_operator(
     for level, (positions, ids) in family._level_members.items():
         u = frac_averages(scans[level - family.grid.min_level])[tuple(positions.T)]
         value[ids] = value[parents[ids]] + u if form == "chi" else u
-    return f.with_values(value[family.owner])
+    return f._adopt(value[family.owner])
 
 
 # === Carleson sequences =======================================================

@@ -785,6 +785,36 @@ MUTANTS = [
         ("tests/test_sampled.py::TestMeshGeometry::test_same_mesh_compares_every_part_of_the_key",),
         "windows of sides 2 and 4 with one corner and one cell count are different meshes",
     ),
+    # --- the full-mesh passes: prefix slabs, masked ufuncs, results kept ------
+    Mutant(
+        "prefix_slab_recurrence_one_late", "sampled.py",
+        "for prev, cur, cell in zip(acc, acc[1:], cells[1:]):",
+        "for prev, cur, cell in zip(acc[1:], acc[2:], cells[2:]):",
+        (f"{SCAN}::test_prefix_sum_bytes_match_two_temporary_form",),
+        "slab 1 of a large table axis never gets slab 0 added, so every later slab misses it",
+    ),
+    Mutant(
+        "power_where_dropped", "sampled.py",
+        "np.power(v, float(expo), out=np.zeros_like(v), where=v > 0)",
+        "np.power(v, float(expo), out=np.zeros_like(v))",
+        ("tests/test_sampled.py::TestAlgebra::test_masked_log_and_power_bits_of_two_step_forms",
+         "tests/test_sampled.py::TestAlgebra::test_power_zero_is_the_support"),
+        "unmasked, a zero cell takes 0^e: infinite for e < 0 and 1 for e = 0, not the zero convention",
+    ),
+    Mutant(
+        "log_where_dropped", "sampled.py",
+        "np.log(v, out=np.zeros_like(v), where=v > 0)",
+        "np.log(v, out=np.zeros_like(v))",
+        ("tests/test_sampled.py::TestAlgebra::test_masked_log_and_power_bits_of_two_step_forms",),
+        "unmasked, a zero cell's log is -inf, not 0",
+    ),
+    Mutant(
+        "kept_result_finite_check_skipped", "sampled.py",
+        "if not np.all(np.isfinite(arr)) or np.any(arr < 0):",
+        "if (copy and not np.all(np.isfinite(arr))) or np.any(arr < 0):",
+        ("tests/test_sampled.py::TestResultArrays::test_overflowing_result_refused",),
+        "a library result kept without a copy must still be refused when it overflows to inf",
+    ),
     # --- sparse families and imports ------------------------------------------
     Mutant(
         "sparse_chain_sum_dropped", "sparse.py",

@@ -22,8 +22,10 @@ from dyadlab.sampled import (
     parse_rational,
     weak_lq_norms,
 )
+from dyadlab.sparse import build_sparse, sparse_operator
 
 from cube_oracle import average, cell_centers, integral, intersection_volume
+from mesh_oracle import cumsum_prefix, log_two_step, power_two_step
 
 
 def unit(f: SampledFunction) -> SampledFunction:
@@ -114,6 +116,49 @@ class TestValidation:
         f = SampledFunction.constant(1.0, 1, (0,), 1, 3)
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+
+class TestResultArrays:
+    """An array the library makes is checked and frozen in place; a
+    caller's array is copied."""
+
+    def test_overflowing_result_refused(self):
+        # (1e-2)^-400 = 1e800 overflows to inf, which the finite check refuses
+        w = SampledFunction(1, (0,), 1, np.array([1e-2, 1.0, 0.0]))
+        with np.errstate(over="ignore"), pytest.raises(MeshError, match="finite and nonnegative"):
+            w.power(-400)
+
+    def test_results_are_read_only(self):
+        rng = np.random.default_rng(9)
+        f = SampledFunction(1, (0,), 1, rng.uniform(0.5, 2.0, 48))
+        g = f.with_values(rng.uniform(0.5, 2.0, 48))
+        results = [f * g, f.power(2.0), f.power(-0.5), f.restrict_to(DyadicCube(1, 1, (0,), (0,))),
+                   op.frac_maximal(f, 0.5), op.dyadic_riesz(f, 0.5), op.geometric_maximal(f),
+                   op.outer_riesz(f, DyadicCube(1, 1, (1,), (0,)), 0.5),
+                   sparse_operator(build_sparse(f, 0.5, ratio=4.0, min_level=0))]
+        for h in results:
+            assert not h.values.flags.writeable
+            with pytest.raises(ValueError):
+                h.values[0] = 1.0
+
+    def test_caller_array_copied(self):
+        a = np.ones(24)
+        f = SampledFunction(1, (0,), 1, a)
+        g = f.with_values(a)
+        a[0] = 5.0
+        assert f.values[0] == g.values[0] == 1.0
+        assert a.flags.writeable and not np.shares_memory(g.values, a)
+
+    def test_library_array_kept_and_checked(self):
+        f = SampledFunction(1, (0,), 1, np.ones(24))
+        out = np.full(24, 2.0)
+        assert f._adopt(out).values is out and not out.flags.writeable
+        # a strided array is laid out in C order, as a copy would be
+        assert f._adopt(np.ones(48)[::2]).values.flags.c_contiguous
+        with pytest.raises(MeshMismatchError):
+            f._adopt(np.ones(48))
+        with pytest.raises(MeshError, match="finite and nonnegative"):
+            f._adopt(np.full(24, -1.0))
 
 
 class TestGeometry:
@@ -275,6 +320,30 @@ class TestAlgebra:
         f = SampledFunction(1, (0,), 1, np.array([4.0, 0.0, 1.0]))
         g = f.power(-0.5)
         np.testing.assert_allclose(g.values, [0.5, 0.0, 1.0])
+
+    @pytest.mark.parametrize("dim, n", [(1, 3 * 2 ** 10), (1, 96), (2, 48)])
+    def test_masked_log_and_power_bits_of_two_step_forms(self, dim, n):
+        # zero cells in short runs, so the masks switch on and off often;
+        # in 1-D a zero cell's log is read back exactly from the table
+        rng = np.random.default_rng(n + dim)
+        for trial in range(5):
+            v = np.exp(rng.uniform(-6, 6, (n,) * dim)).ravel()
+            for start in rng.integers(0, v.size, v.size // 6):
+                v[start:start + rng.integers(1, 4)] = 0.0
+            w = SampledFunction(dim, (0,) * dim, 1, v.reshape((n,) * dim))
+            table = sampled.log_prefix(w)
+            assert np.array_equal(table.view(np.int64), cumsum_prefix(log_two_step(w.values)).view(np.int64))
+            if dim == 1:
+                assert np.all(np.diff(table)[w.values == 0] == 0)
+            for e in (4.0, 2.0, 0.5, 1.0, 4 / 3, -1.0, -0.5, -3.0, -1 / 3, -4.0):
+                got = w.power(e).values
+                assert np.array_equal(got.view(np.int64), power_two_step(w.values, e).view(np.int64)), e
+                assert np.all(got[w.values == 0] == 0)
+
+    def test_power_zero_is_the_support(self):
+        # 0^0 is taken as 0, as every power keeps zero cells at zero
+        f = SampledFunction(1, (0,), 1, np.array([4.0, 0.0, 1e-300]))
+        assert f.power(0.0).values.tolist() == [1.0, 0.0, 1.0]
 
     def test_restrict_to_cube(self):
         f = SampledFunction.constant(1.0, 1, (0,), 1, 6)

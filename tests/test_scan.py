@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import operators as op
+from dyadlab import operators as op, sampled
 from dyadlab.grid import DyadicCube, GridError, GridFamily, all_shifts, parent, realize
 from dyadlab.orlicz import power
 from dyadlab.sampled import MeshError, SampledFunction, block_differences, lp_norm, lp_norms, prefix_sum
@@ -30,6 +30,7 @@ from dyadlab.scan import (
 from dyadlab.sparse import build_sparse, sparse_operator
 
 from cube_oracle import integral, owner_index, owners
+from mesh_oracle import cumsum_prefix
 
 
 def make_f(dim, lower, side, ncells, seed=0):
@@ -223,17 +224,28 @@ def test_prefix_sum_signed():
     assert p2[1, 2] == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("shape", [(48,), (12, 12), (7, 5)])
-def test_prefix_sum_bytes_match_two_temporary_form(shape):
+@pytest.mark.parametrize("shape, dim, by_slabs", [
+    ((48,), None, False),
+    ((3 * 2 ** 10,), None, False),
+    ((12, 12), None, False),
+    ((7, 5), None, False),
+    ((192, 192), None, False),
+    ((384, 384), None, True),
+    ((768, 768), None, True),
+    ((21, 12, 12), 2, False),
+    ((59, 12, 12), 2, True),    # normest chunks of the 2-D run on 12^2 cells
+    ((284, 24, 24), 2, True),
+])
+def test_prefix_sum_bytes_match_two_temporary_form(shape, dim, by_slabs):
     # the in-place table is byte for byte the one that cumsum into
-    # temporaries gives, in the same axis order
-    arr = np.random.default_rng(7).normal(size=shape)
-    want = np.zeros(tuple(n + 1 for n in shape))
-    if len(shape) == 1:
-        want[1:] = np.cumsum(arr)
-    else:
-        want[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-    assert prefix_sum(arr).tobytes() == want.tobytes()
+    # temporaries gives, in the same axis order, on both sides of the slab
+    # selection (the leading table axis runs slab by slab exactly when
+    # by_slabs), on signed data with zero cells
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.normal(size=shape) * (rng.uniform(size=shape) > 0.3)
+    lead = 0 if dim is None else len(shape) - dim
+    assert (len(shape) - lead > 1 and arr.size // shape[lead] >= sampled._SLAB_CELLS) == by_slabs
+    assert np.array_equal(prefix_sum(arr, dim).view(np.int64), cumsum_prefix(arr, dim).view(np.int64))
 
 
 def test_alignment_guard():
