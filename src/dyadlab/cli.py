@@ -760,12 +760,9 @@ def _cmd_ops(args) -> int:
     lo, hi = _parse_levels(args.levels)
     shift = _parse_shifts(args.shift, f.dim)
     alpha = _flag(args.alpha, "--alpha", default=0)
-    name = args.name
+    name = args.action
     if name == "outer_riesz":
-        cube = _flag(args.cube, "--cube", lambda text: cube_from_obj(json.loads(text)))
-        if cube is None:
-            raise CLIError("outer_riesz needs --cube")
-        out = outer_riesz(f, cube, float(alpha))
+        out = outer_riesz(f, _flag(args.cube, "--cube", lambda text: cube_from_obj(json.loads(text))), float(alpha))
     else:
         mu = _load_obj(args.mu, SampledFunction.from_obj) if args.mu else None
         phi = young_from_spec(args.young) if args.young else None
@@ -847,6 +844,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_norms(args) -> int:
+    if args.young is not None and args.op != "orlicz_maximal":
+        raise CLIError(f"--young is read only by --op orlicz_maximal, not by --op {args.op}")
     e = _parse_exponents(args.exponents)
     lo, hi = _parse_levels(args.levels)
     family = TestFamily(random_steps=args.family_steps, seed=args.seed)
@@ -863,26 +862,23 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    e = _parse_exponents(args.exponents)
     if args.action == "case1":
-        e = _parse_exponents(args.exponents or "1,1/4,5/4,2")
         pair, f, rep = case1_pair(e, window_exp=args.window_exp, cells_per_unit=args.cells_per_unit)
         _emit({"pair": pair.to_obj(), "f": f.to_obj(), "report": rep}, args.out)
         if args.csv:
             _write_csv(Path(args.csv), *_case_table("case1", rep))
         return 0
     if args.action == "case2":
-        e = _parse_exponents(args.exponents or "1,1/2,2,2")
         rep = case2_divergence(e, gamma=_flag(args.gamma, "--gamma"), max_exp=args.max_exp)
         _emit(rep, args.out)
         if args.csv:
             _write_csv(Path(args.csv), *_case_table("case2", rep))
         return 0
     if args.action == "factored":
-        e = _parse_exponents(args.exponents or "1,3/4,4/3,4")
         if args.train:
-            X = 64 if args.window is None else args.window
-            w1 = build_E(e.gamma, X)
-            w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), X, w1.ncells)
+            w1 = build_E(e.gamma, args.window)
+            w2 = SampledFunction.indicator(Box((0,), 1), 1, (0,), args.window, w1.ncells)
         elif args.w1 and args.w2:
             w1, w2 = _load_obj(args.w1, SampledFunction.from_obj), _load_obj(args.w2, SampledFunction.from_obj)
         else:
@@ -894,9 +890,6 @@ def _cmd_examples(args) -> int:
             _write_csv(Path(args.csv), ["name", "value"],
                        [["apq_alpha", rep.value], ["gamma", float(e.gamma)]])
         return 0
-    e = _parse_exponents(args.exponents or "1,1/2,4/3,4")
-    if not args.weight:
-        raise CLIError("classical needs --weight")
     pair = classical_pair(_load_obj(args.weight, SampledFunction.from_obj), e)
     rep = apq_alpha_constant(pair, e)
     _emit({"pair": pair.to_obj(), "constant": rep.to_obj()}, args.out)
@@ -904,6 +897,64 @@ def _cmd_examples(args) -> int:
 
 
 # === argument parsing ========================================================
+
+# every one-shot flag, once: its option names and its argparse keywords
+_FLAGS = {
+    "input": (("-i", "--input"), dict(required=True, help="SampledFunction JSON")),
+    "out": (("-o", "--out"), dict(help="output path (default stdout)")),
+    "csv": (("--csv",), dict(help="also write the values, or the diagnostic table, as CSV")),
+    "alpha": (("--alpha",), dict(help="order, rational string")),
+    "shift": (("--shift",), dict(help="grid shift flags, e.g. 0,1")),
+    "levels": (("--levels",), dict(help="level range lo..hi")),
+    "young": (("--young",), dict(help="young function family:key=val,... of orlicz_maximal")),
+    "mu": (("--mu",), dict(help="measure JSON: apply the operator to f dmu (weighted_dyadic_maximal needs it)")),
+    "cube": (("--cube",), dict(required=True, help="cube JSON")),
+    "ratio": (("--ratio",), dict(type=float, help="stopping ratio a (default 2^(n+1))")),
+    "apply_to": (("--apply-to",), dict(help="function JSON to apply the family to (default: the source)")),
+    "form": (("--form",), dict(choices=["chi", "disjoint"], default="chi")),
+    "which": (("--which",), dict(required=True, help="constant name, or 'all' for CSV batch")),
+    "pair": (("--pair",), dict(required=True, help="WeightPair JSON")),
+    "exponents": (("--exponents",), dict(required=True, help="n,alpha,p,q")),
+    "op": (("--op",), dict(default="frac_maximal", choices=list(OPERATORS))),
+    "side": (("--side",), dict(default="forward", choices=["forward", "dual"])),
+    "weak": (("--weak",), dict(action="store_true")),
+    "family_steps": (("--family-steps",), dict(type=int, default=4)),
+    "seed": (("--seed",), dict(type=int, default=715)),
+    "gamma": (("--gamma",), dict(help="interval-train exponent override")),
+    "window_exp": (("--window-exp",), dict(type=int, default=5, help="window is [-2^(k-1), 2^(k-1))")),
+    "cells_per_unit": (("--cells-per-unit",), dict(type=int, default=12)),
+    "max_exp": (("--max-exp",), dict(type=int, default=16, help="cutoff 2^k")),
+    "window": (("--window",), dict(type=int, default=64, help="interval-train window X")),
+    "train": (("--train",), dict(action="store_true", help="use the interval train inputs")),
+    "w1": (("--w1",), dict(help="first weight JSON")),
+    "w2": (("--w2",), dict(help="second weight JSON")),
+    "weight": (("--weight",), dict(required=True, help="weight JSON")),
+}
+
+_GRID_OP = "input out csv alpha mu shift levels"
+_SPARSE = "input out alpha ratio shift levels"
+_NORMS = "pair exponents levels family_steps seed out"
+# (command, help, handler, {action or ops operator: the _FLAGS keys that it reads, or those and the defaults
+# that it lays over the table's, which make a required flag optional}); argparse refuses every other flag
+_ONE_SHOT = [
+    ("ops", "apply one operator to a sampled function", _cmd_ops, {
+        "frac_maximal": _GRID_OP, "dyadic_frac_maximal": _GRID_OP, "dyadic_riesz": _GRID_OP,
+        "riesz_1d": "input out csv alpha mu",  # no grid: no shift, no level range
+        "orlicz_maximal": _GRID_OP + " young", "weighted_dyadic_maximal": _GRID_OP,
+        "outer_riesz": "input out csv alpha cube",  # the grid and level of its cube
+    }),
+    ("sparse", "stopping-time sparse families", _cmd_sparse,
+     {"build": _SPARSE, "verify": _SPARSE, "apply": _SPARSE + " apply_to form"}),
+    ("constants", "weight-constant scans", _cmd_constants, {"compute": "which pair exponents levels out"}),
+    ("norms", "norm estimates and composite diagnostics", _cmd_norms,
+     {"estimate": _NORMS + " op side weak alpha young", "equiv": _NORMS}),
+    ("examples", "constructive weight pairs", _cmd_examples, {
+        "case1": ("exponents window_exp cells_per_unit csv out", {"exponents": "1,1/4,5/4,2"}),
+        "case2": ("exponents gamma max_exp csv out", {"exponents": "1,1/2,2,2"}),
+        "factored": ("exponents train window w1 w2 csv out", {"exponents": "1,3/4,4/3,4"}),
+        "classical": ("exponents weight out", {"exponents": "1,1/2,4/3,4"}),
+    }),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -922,71 +973,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, help="counterexample suite: divergence cutoff (power of two)")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("ops", help="apply one operator to a sampled function")
-    p.add_argument("name", choices=[o for o in OPERATORS if o != "identity"] + ["outer_riesz"])
-    p.add_argument("-i", "--input", required=True, help="SampledFunction JSON")
-    p.add_argument("-o", "--out", help="output JSON path (default stdout)")
-    p.add_argument("--csv", help="also write (index, value) rows")
-    p.add_argument("--alpha", help="order, rational string")
-    p.add_argument("--shift", help="grid shift flags, e.g. 0,1")
-    p.add_argument("--levels", help="level range lo..hi")
-    p.add_argument("--young", help="young function family:key=val,...")
-    p.add_argument("--mu", help="measure JSON: apply the operator to f dmu (weighted_dyadic_maximal needs it)")
-    p.add_argument("--cube", help="cube JSON for outer_riesz")
-    p.set_defaults(fn=_cmd_ops)
-
-    p = sub.add_parser("sparse", help="stopping-time sparse families")
-    p.add_argument("action", choices=["build", "verify", "apply"])
-    p.add_argument("-i", "--input", required=True, help="source SampledFunction JSON")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.add_argument("--alpha", help="order, rational string")
-    p.add_argument("--ratio", type=float, help="stopping ratio a (default 2^(n+1))")
-    p.add_argument("--shift", help="grid shift flags")
-    p.add_argument("--levels", help="level range lo..hi")
-    p.add_argument("--apply-to", help="function JSON for apply (default: the source)")
-    p.add_argument("--form", choices=["chi", "disjoint"], default="chi")
-    p.set_defaults(fn=_cmd_sparse)
-
-    p = sub.add_parser("constants", help="weight-constant scans")
-    p.add_argument("action", choices=["compute"])
-    p.add_argument("--which", required=True, help="constant name, or 'all' for CSV batch")
-    p.add_argument("--pair", required=True, help="WeightPair JSON")
-    p.add_argument("--exponents", required=True, help="n,alpha,p,q")
-    p.add_argument("--levels", help="level range lo..hi")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(fn=_cmd_constants)
-
-    p = sub.add_parser("norms", help="norm estimates and composite diagnostics")
-    p.add_argument("action", choices=["estimate", "equiv"])
-    p.add_argument("--pair", required=True, help="WeightPair JSON")
-    p.add_argument("--exponents", required=True, help="n,alpha,p,q")
-    p.add_argument("--op", default="frac_maximal", choices=list(OPERATORS))
-    p.add_argument("--side", default="forward", choices=["forward", "dual"])
-    p.add_argument("--weak", action="store_true")
-    p.add_argument("--alpha", help="operator order override")
-    p.add_argument("--young", help="young function of orlicz_maximal (estimate)")
-    p.add_argument("--levels", help="level range lo..hi")
-    p.add_argument("--family-steps", type=int, default=4)
-    p.add_argument("--seed", type=int, default=715)
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(fn=_cmd_norms)
-
-    p = sub.add_parser("examples", help="constructive weight pairs")
-    p.add_argument("action", choices=["case1", "case2", "factored", "classical"])
-    p.add_argument("--exponents", help="n,alpha,p,q (defaults fit the chosen construction)")
-    p.add_argument("--gamma", help="interval-train exponent override (case2)")
-    p.add_argument("--window-exp", type=int, default=5, help="case1 window is [-2^(k-1), 2^(k-1))")
-    p.add_argument("--cells-per-unit", type=int, default=12)
-    p.add_argument("--max-exp", type=int, default=16, help="case2 cutoff 2^k")
-    p.add_argument("--window", type=int, help="factored: interval-train window X")
-    p.add_argument("--train", action="store_true", help="factored: use the interval train inputs")
-    p.add_argument("--w1", help="factored: first weight JSON")
-    p.add_argument("--w2", help="factored: second weight JSON")
-    p.add_argument("--weight", help="classical: weight JSON")
-    p.add_argument("--csv", help="also write the diagnostic table")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(fn=_cmd_examples)
-
+    for command, text, fn, actions in _ONE_SHOT:
+        leaves = sub.add_parser(command, help=text).add_subparsers(dest="action", required=True)
+        for action, spec in actions.items():
+            keys, defaults = (spec, {}) if isinstance(spec, str) else spec
+            # exact option names only: an unread --window must not pass for --window-exp
+            leaf = leaves.add_parser(action, allow_abbrev=False)
+            for key in keys.split():
+                names, kw = _FLAGS[key]
+                leaf.add_argument(*names, **({**kw, "required": False, "default": defaults[key]}
+                                             if key in defaults else kw))
+            # the handlers find every flag of the table; one that the action does not take is None
+            leaf.set_defaults(fn=fn, **dict.fromkeys(_FLAGS.keys() - keys.split()))
     return ap
 
 

@@ -154,7 +154,8 @@ def _cell_values(values, dim: int, copy: bool = True) -> np.ndarray:
         raise MeshError("values must be square across axes")
     if not is_cell_count(n):
         raise MeshError(f"cells per axis must be 3*2^L, got {n}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    # min and max carry a NaN through, and NaN fails both comparisons
+    if not (arr.min() >= 0 and arr.max() < math.inf):
         raise MeshError("values must be finite and nonnegative")
     arr.setflags(write=False)
     return arr

@@ -743,8 +743,8 @@ MUTANTS = [
     ),
     Mutant(
         "examples_zero_window_replaced", "cli.py",
-        "X = 64 if args.window is None else args.window",
-        "X = args.window or 64",
+        'dict(type=int, default=64, help="interval-train window X")',
+        'dict(type=lambda text: int(text) or 64, default=64, help="interval-train window X")',
         (f"{CLI}::TestExamplesCommand::test_factored_zero_window_refused",),
         "--window 0 would build the side-64 train instead of being refused",
     ),
@@ -757,10 +757,17 @@ MUTANTS = [
     ),
     Mutant(
         "norms_pair_optional", "cli.py",
-        'choices=["estimate", "equiv"])\n    p.add_argument("--pair", required=True,',
-        'choices=["estimate", "equiv"])\n    p.add_argument("--pair",',
+        '"pair": (("--pair",), dict(required=True, ',
+        '"pair": (("--pair",), dict(',
         (f"{CLI}::TestNormsCommand::test_pair_required",),
         "without --pair, norms reads Path(None) and dies with a TypeError traceback, not a usage line",
+    ),
+    Mutant(
+        "unread_flag_accepted", "cli.py",
+        '"riesz_1d": "input out csv alpha mu",',
+        '"riesz_1d": _GRID_OP,',
+        (f"{CLI}::TestUnreadFlags::test_unread_flag_refused",),
+        "riesz_1d has no grid: a --shift or --levels given to it would be accepted and do nothing",
     ),
     # --- the shared mesh geometry ----------------------------------------------
     Mutant(
@@ -810,8 +817,8 @@ MUTANTS = [
     ),
     Mutant(
         "kept_result_finite_check_skipped", "sampled.py",
-        "if not np.all(np.isfinite(arr)) or np.any(arr < 0):",
-        "if (copy and not np.all(np.isfinite(arr))) or np.any(arr < 0):",
+        "if not (arr.min() >= 0 and arr.max() < math.inf):",
+        "if not (arr.min() >= 0 and (not copy or arr.max() < math.inf)):",
         ("tests/test_sampled.py::TestResultArrays::test_overflowing_result_refused",),
         "a library result kept without a copy must still be refused when it overflows to inf",
     ),

@@ -536,7 +536,7 @@ class TestOpsCommand:
         assert err.startswith("error: ") and field in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["frac_maximal", "dyadic_riesz", "riesz_1d"])
+    @pytest.mark.parametrize("name", ["frac_maximal", "dyadic_riesz"])
     def test_shift_metadata_echoes_the_flags(self, tmp_path, name):
         # the operators differ in their default grid, so an omitted
         # --shift is recorded as null rather than as "all"
@@ -818,8 +818,82 @@ class TestExamplesCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["pair"]["provenance"] == "classical"
 
-    def test_classical_needs_weight(self):
-        assert main(["examples", "classical"]) == 2
+    def test_classical_needs_weight(self, capsys):
+        # argparse refuses the call with a usage line, before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["examples", "classical"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--weight" in err and "Traceback" not in err
+
+
+# the flags that each one-shot action or ops operator does not read: the parser refuses each one
+UNREAD = {
+    "ops frac_maximal": "--young --cube",
+    "ops dyadic_frac_maximal": "--young --cube",
+    "ops dyadic_riesz": "--young --cube",
+    "ops riesz_1d": "--shift --levels --young --cube",
+    "ops orlicz_maximal": "--cube",
+    "ops weighted_dyadic_maximal": "--young --cube",
+    "ops outer_riesz": "--shift --levels --young --mu",
+    "sparse build": "--apply-to --form",
+    "sparse verify": "--apply-to --form",
+    "norms equiv": "--op --side --weak --alpha --young",
+    "examples case1": "--gamma --max-exp --window --train --w1 --w2 --weight",
+    "examples case2": "--window-exp --cells-per-unit --window --train --w1 --w2 --weight",
+    "examples factored": "--gamma --window-exp --cells-per-unit --max-exp --weight",
+    "examples classical": "--gamma --window-exp --cells-per-unit --max-exp --window --train --w1 --w2 --csv",
+}
+# what each command needs besides the flag under test; F, P, W and CUBE name a function, a pair, a weight and a cube
+NEEDS = {"ops": ["-i", "F"], "sparse": ["-i", "F"], "norms": ["--pair", "P", "--exponents", "1,1/2,4/3,4"]}
+LEAF_NEEDS = {"ops outer_riesz": ["--cube", "CUBE"], "examples factored": ["--train"],
+              "examples classical": ["--weight", "W"]}
+# a well-formed value of each flag; the two switches take none
+VALUES = {"--young": ["power:r=2"], "--cube": ["CUBE"], "--shift": ["1"], "--levels": ["0..2"], "--mu": ["W"],
+          "--apply-to": ["W"], "--form": ["chi"], "--op": ["dyadic_riesz"], "--side": ["dual"], "--weak": [],
+          "--alpha": ["1/4"], "--gamma": ["1/2"], "--max-exp": ["10"], "--window": ["64"], "--train": [],
+          "--w1": ["W"], "--w2": ["W"], "--weight": ["W"], "--window-exp": ["4"], "--cells-per-unit": ["6"],
+          "--csv": ["CSV"]}
+
+
+class TestUnreadFlags:
+    """A flag that the chosen action or operator does not read is refused by
+    argparse with a usage line naming it and exit 2, before any input is
+    read or any output written."""
+
+    def test_ops_takes_every_registry_operator_and_outer_riesz(self):
+        ops = next(actions for command, _, _, actions in cli._ONE_SHOT if command == "ops")
+        assert set(ops) == set(OPERATORS) - {"identity"} | {"outer_riesz"}
+
+    @pytest.mark.parametrize("leaf,flag", [pytest.param(leaf, flag, id=leaf.replace(" ", "-") + flag)
+                                           for leaf, flags in UNREAD.items() for flag in flags.split()])
+    def test_unread_flag_refused(self, tmp_path, capsys, leaf, flag):
+        write_function(tmp_path / "f.json")
+        write_function(tmp_path / "w.json", lo=0.5)
+        write_pair(tmp_path / "pair.json")
+        cube = json.dumps({"dim": 1, "level": 1, "index": [0], "shift": [0]})
+        names = {"F": str(tmp_path / "f.json"), "W": str(tmp_path / "w.json"), "P": str(tmp_path / "pair.json"),
+                 "CSV": str(tmp_path / "out.csv"), "CUBE": cube}
+        out = tmp_path / "out.json"
+        argv = [*leaf.split(), *NEEDS.get(leaf.split()[0], []), *LEAF_NEEDS.get(leaf, []), flag, *VALUES[flag],
+                "-o", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([names.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"error: unrecognized arguments: {flag}" in err, err
+        assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("young", ["power:r=2", "power:r=abc"], ids=["well-formed", "malformed"])
+    def test_norms_estimate_young_needs_orlicz_maximal(self, tmp_path, capsys, young):
+        # --young is read only by --op orlicz_maximal: beside any other operator it is refused, named with that one
+        write_pair(tmp_path / "pair.json")
+        out = tmp_path / "out.json"
+        assert main(["norms", "estimate", "--pair", str(tmp_path / "pair.json"), "--exponents", "1,1/2,4/3,4",
+                     "--op", "frac_maximal", "--young", young, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--young" in err and "frac_maximal" in err, err
+        assert not out.exists()
 
 
 class TestMalformedFlags:
