@@ -844,8 +844,10 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    if args.young is not None and args.op != "orlicz_maximal":
-        raise CLIError(f"--young is read only by --op orlicz_maximal, not by --op {args.op}")
+    # --op reads the flags of its ops entry (identity has none and reads neither)
+    for key in ("alpha", "young"):
+        if getattr(args, key) is not None and key not in _OPS.get(args.op, "").split():
+            raise CLIError(f"--{key} is not read by --op {args.op}")
     e = _parse_exponents(args.exponents)
     lo, hi = _parse_levels(args.levels)
     family = TestFamily(random_steps=args.family_steps, seed=args.seed)
@@ -934,15 +936,16 @@ _FLAGS = {
 _GRID_OP = "input out csv alpha mu shift levels"
 _SPARSE = "input out alpha ratio shift levels"
 _NORMS = "pair exponents levels family_steps seed out"
+_OPS = {
+    "frac_maximal": _GRID_OP, "dyadic_frac_maximal": _GRID_OP, "dyadic_riesz": _GRID_OP,
+    "riesz_1d": "input out csv alpha mu",  # no grid: no shift, no level range
+    "orlicz_maximal": _GRID_OP + " young", "weighted_dyadic_maximal": _GRID_OP,
+    "outer_riesz": "input out csv alpha cube",  # the grid and level of its cube
+}
 # (command, help, handler, {action or ops operator: the _FLAGS keys that it reads, or those and the defaults
 # that it lays over the table's, which make a required flag optional}); argparse refuses every other flag
 _ONE_SHOT = [
-    ("ops", "apply one operator to a sampled function", _cmd_ops, {
-        "frac_maximal": _GRID_OP, "dyadic_frac_maximal": _GRID_OP, "dyadic_riesz": _GRID_OP,
-        "riesz_1d": "input out csv alpha mu",  # no grid: no shift, no level range
-        "orlicz_maximal": _GRID_OP + " young", "weighted_dyadic_maximal": _GRID_OP,
-        "outer_riesz": "input out csv alpha cube",  # the grid and level of its cube
-    }),
+    ("ops", "apply one operator to a sampled function", _cmd_ops, _OPS),
     ("sparse", "stopping-time sparse families", _cmd_sparse,
      {"build": _SPARSE, "verify": _SPARSE, "apply": _SPARSE + " apply_to form"}),
     ("constants", "weight-constant scans", _cmd_constants, {"compute": "which pair exponents levels out"}),

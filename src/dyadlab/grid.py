@@ -68,6 +68,13 @@ class Box:
         )
 
 
+def _check_dim(value, name: str, error=GridError) -> None:
+    """The one supported-dimension rule, for the field of the given name:
+    1 or 2; any other value raises error naming the field."""
+    if value not in (1, 2):
+        raise error(f"{name} must be 1 or 2, got {value}")
+
+
 @dataclass(frozen=True)
 class DyadicCube:
     """One cube of a shifted grid: level k (side 2^-k), integer index m per
@@ -79,8 +86,7 @@ class DyadicCube:
     shift: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise GridError(f"dim must be 1 or 2, got {self.dim}")
+        _check_dim(self.dim, "dim")
         if len(self.index) != self.dim or len(self.shift) != self.dim:
             raise GridError("index/shift arity must match dim")
         if any(s not in (0, 1) for s in self.shift):

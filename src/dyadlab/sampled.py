@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Box, DyadicCube, _as_fraction, _json_int, obj_field as _obj_field, parse_field, realize
+from .grid import Box, DyadicCube, _as_fraction, _check_dim, _json_int, obj_field as _obj_field, parse_field, realize
 
 
 class MeshError(ValueError):
@@ -167,8 +167,7 @@ class SampledFunction:
     __slots__ = ("geometry", "values", "_prefix", "_zeros")
 
     def __init__(self, dim: int, lower, side, values):
-        if dim not in (1, 2):
-            raise MeshError(f"dim must be 1 or 2, got {dim}")
+        _check_dim(dim, "dim", MeshError)
         lower = tuple(parse_rational(x) for x in (lower if isinstance(lower, (tuple, list)) else (lower,)))
         if len(lower) != dim:
             raise MeshError("window corner arity must match dim")
@@ -408,8 +407,7 @@ class ExponentTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "n", parse_field(self.n, _json_int, "n", MeshError))
-        if self.n not in (1, 2):
-            raise MeshError("n must be 1 or 2")
+        _check_dim(self.n, "n", MeshError)
         for name in ("alpha", "p", "q"):
             object.__setattr__(self, name, parse_field(getattr(self, name), parse_rational, name, MeshError))
         if not (0 <= self.alpha < self.n):

@@ -16,6 +16,13 @@ are certified numerically:
     cube Q containing P satisfies u(P) <= a * u(Q), hence the fractional
     maximal function is bounded by a times the sparse sum at every cell.
 
+A family is one array record with one row per stopping cube: its level,
+its position in that level's scan, u and its parent's id (-1 at roots),
+beside owner, the id of each cell's deepest stopping cube.  Ids number
+parents first, level by level, so each level's rows are one contiguous
+block.  The E-measures, thickness and the StoppingCube view (cubes, built
+on first read) all come from these arrays.
+
 The sparse operator reads |Q|^{alpha/n} times the average of g over each
 stopping cube Q off the scan of Q's level, as the construction reads u,
 with no rational box per cube.  Its chi form sums these values down the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,36 +59,53 @@ class StoppingCube:
 
 
 class SparseFamily:
-    """Stopping cubes of one grid together with ownership geometry."""
+    """Stopping cubes of one grid together with ownership geometry, as the
+    record of the module docstring: row i of level, pos, u and parent is
+    stopping cube i, and owner holds each cell's deepest stopping cube."""
 
-    def __init__(self, source: SampledFunction, grid: GridFamily, alpha: float,
-                 ratio: float, cubes: List[StoppingCube],
-                 owner: np.ndarray, level_members: Dict[int, Tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, source: SampledFunction, grid: GridFamily, alpha: float, ratio: float,
+                 level: np.ndarray, pos: np.ndarray, u: np.ndarray, parent: np.ndarray, owner: np.ndarray):
         self.source = source
         self.grid = grid
         self.alpha = float(alpha)
         self.ratio = float(ratio)
-        self.cubes = cubes
-        self.owner = owner
-        # per level: (flat positions of stopping cubes, their ids)
-        self._level_members = level_members
+        self.level, self.pos, self.u, self.parent, self.owner = level, pos, u, parent, owner
 
     def __len__(self) -> int:
-        return len(self.cubes)
-
-    @property
-    def theta(self) -> float:
-        n = self.source.dim
-        return n / (n - self.alpha)
+        return len(self.level)
 
     @property
     def guaranteed_thickness(self) -> float:
-        return 1.0 - self.ratio ** (-self.theta)
+        """1 - a^{-n/(n-alpha)}, the thickness that the module docstring proves."""
+        n = self.source.dim
+        return 1.0 - self.ratio ** (-n / (n - self.alpha))
+
+    def _volumes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """|Q| = 2^(-level*n) of each stopping cube, and |E_Q| = |Q| minus
+        its direct children's volumes (full measure), subtracted in id order."""
+        vol = np.ldexp(1.0, -self.level * self.source.dim)
+        e_full = vol.copy()
+        kids = self.parent >= 0
+        np.subtract.at(e_full, self.parent[kids], vol[kids])
+        return vol, e_full
 
     def thickness(self) -> float:
         """Worst realized |E_Q| / |Q| over the family (full measure)."""
-        n = self.source.dim
-        return min([1.0] + [sc.e_volume_full / 2.0 ** (-sc.cube.level * n) for sc in self.cubes])
+        vol, e_full = self._volumes()
+        return float(np.min(e_full / vol, initial=1.0))
+
+    @cached_property
+    def cubes(self) -> List[StoppingCube]:
+        """The stopping cubes as records in id order, built on first read."""
+        scans = iter_scans(self.source, self.grid)
+        e_full = self._volumes()[1].tolist()
+        e_cells = np.bincount(self.owner.ravel() + 1, minlength=len(self) + 1)[1:].tolist()
+        out: List[StoppingCube] = []
+        rows = zip(self.level.tolist(), self.pos.tolist(), self.u.tolist(), self.parent.tolist())
+        for i, (level, pos, u, pid) in enumerate(rows):
+            out.append(StoppingCube(scans[level - self.grid.min_level].cube_at(pos), u, pid,
+                                    0 if pid < 0 else out[pid].generation + 1, e_full[i], e_cells[i]))
+        return out
 
     def to_obj(self) -> dict:
         flat = self.owner.ravel()
@@ -89,29 +114,15 @@ class SparseFamily:
         return {
             "alpha": self.alpha,
             "ratio": self.ratio,
-            "cubes": [
-                {
-                    "cube": cube_to_obj(sc.cube),
-                    "u": sc.u_value,
-                    "parent": sc.parent,
-                    "generation": sc.generation,
-                    "e_volume_full": sc.e_volume_full,
-                    "e_cells": sc.e_cells,
-                }
-                for sc in self.cubes
-            ],
+            "cubes": [{"cube": cube_to_obj(sc.cube), "u": sc.u_value, "parent": sc.parent,
+                       "generation": sc.generation, "e_volume_full": sc.e_volume_full, "e_cells": sc.e_cells}
+                      for sc in self.cubes],
             "owner_rle": [[int(v), int(k)] for v, k in zip(flat[starts], lengths)],
         }
 
 
-def build_sparse(
-    f: SampledFunction,
-    alpha=0,
-    ratio: float = None,
-    shift: Optional[Tuple[int, ...]] = None,
-    min_level: Optional[int] = None,
-    max_level: Optional[int] = None,
-) -> SparseFamily:
+def build_sparse(f: SampledFunction, alpha=0, ratio: float = None, shift: Optional[Tuple[int, ...]] = None,
+                 min_level: Optional[int] = None, max_level: Optional[int] = None) -> SparseFamily:
     """Stopping-time sparse family for the fractional-average functional."""
     n = f.dim
     a = _order(alpha, n, SparseError)
@@ -121,11 +132,8 @@ def build_sparse(
     grid = _grid(f, shift, min_level, max_level)
     frac_averages = _frac_averages(f, a)
 
-    cubes: List[DyadicCube] = []
-    gens: List[int] = []
-    parents: List[int] = []
-    u_of: List[float] = []
-    level_members: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # one block of rows per level: (level, pos, u, parent)
+    blocks = []
     # above the coarsest level nothing has stopped, so roots are u > 0
     deep_u, deep_id = 0.0, np.int64(-1)
     next_id = 0
@@ -134,47 +142,17 @@ def build_sparse(
         inherited_u = at_parents(deep_u, scan.parent_start, u.shape)
         inherited_id = at_parents(deep_id, scan.parent_start, u.shape)
         is_stop = u > r * inherited_u
-        ids_here = np.full(u.shape, -1, dtype=np.int64)
         count = int(np.count_nonzero(is_stop))
-        if count:
-            ids_here[is_stop] = np.arange(next_id, next_id + count, dtype=np.int64)
-            stop_positions = np.argwhere(is_stop)
-            stop_parents = inherited_id[is_stop]
-            stop_u = u[is_stop]
-            for row, pid, uval in zip(stop_positions, stop_parents, stop_u):
-                pid = int(pid)
-                parents.append(pid)
-                gens.append(0 if pid < 0 else gens[pid] + 1)
-                u_of.append(float(uval))
-                cubes.append(scan.cube_at(tuple(int(x) for x in row)))
-            level_members[scan.level] = (stop_positions, np.arange(next_id, next_id + count))
-            next_id += count
+        ids_here = np.full(u.shape, -1, dtype=np.int64)
+        ids_here[is_stop] = np.arange(next_id, next_id + count, dtype=np.int64)
+        blocks.append((np.full(count, scan.level, dtype=np.int64), np.argwhere(is_stop), u[is_stop],
+                       inherited_id[is_stop]))
+        next_id += count
         deep_u = np.where(is_stop, u, inherited_u)
         deep_id = np.where(is_stop, ids_here, inherited_id)
 
     owner = map_to_cells(scan, deep_id)
-
-    # E measures: full-volume by direct-children subtraction, cell counts by
-    # ownership
-    vol_of = [2.0 ** (-c.level * n) for c in cubes]
-    e_full = list(vol_of)
-    for cid, pid in enumerate(parents):
-        if pid >= 0:
-            e_full[pid] -= vol_of[cid]
-    counts = np.bincount(owner.ravel()[owner.ravel() >= 0], minlength=next_id)
-
-    stopping = [
-        StoppingCube(
-            cube=cubes[i],
-            u_value=u_of[i],
-            parent=parents[i],
-            generation=gens[i],
-            e_volume_full=e_full[i],
-            e_cells=int(counts[i]),
-        )
-        for i in range(next_id)
-    ]
-    return SparseFamily(f, grid, a, r, stopping, owner, level_members)
+    return SparseFamily(f, grid, a, r, *map(np.concatenate, zip(*blocks)), owner)
 
 
 def sparse_operator(
@@ -201,12 +179,13 @@ def sparse_operator(
         raise SparseError(f"unknown form {form!r}")
     frac_averages = _frac_averages(g, family.alpha)
     scans = iter_scans(f, family.grid)
-    parents = np.array([sc.parent for sc in family.cubes], dtype=np.int64)
     # the slot past the last id stays 0: the value of owner -1 and of a root's parent
-    value = np.zeros(len(family.cubes) + 1)
-    for level, (positions, ids) in family._level_members.items():
-        u = frac_averages(scans[level - family.grid.min_level])[tuple(positions.T)]
-        value[ids] = value[parents[ids]] + u if form == "chi" else u
+    value = np.zeros(len(family) + 1)
+    # each level's ids are one slice, from its first row to the next level's
+    levels, starts = np.unique(family.level, return_index=True)
+    for level, lo, hi in zip(levels.tolist(), starts.tolist(), [*starts[1:].tolist(), len(family)]):
+        u = frac_averages(scans[level - family.grid.min_level])[tuple(family.pos[lo:hi].T)]
+        value[lo:hi] = value[family.parent[lo:hi]] + u if form == "chi" else u
     return f._adopt(value[family.owner])
 
 

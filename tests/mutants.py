@@ -763,6 +763,13 @@ MUTANTS = [
         "without --pair, norms reads Path(None) and dies with a TypeError traceback, not a usage line",
     ),
     Mutant(
+        "norms_op_reads_every_grid_flag", "cli.py",
+        '_OPS.get(args.op, "")',
+        "_OPS.get(args.op, _GRID_OP)",
+        (f"{CLI}::TestUnreadFlags::test_norms_estimate_young_needs_orlicz_maximal[identity-alpha]",),
+        "identity reads no --alpha: norms estimate would take it and ignore it",
+    ),
+    Mutant(
         "unread_flag_accepted", "cli.py",
         '"riesz_1d": "input out csv alpha mu",',
         '"riesz_1d": _GRID_OP,',
@@ -825,10 +832,24 @@ MUTANTS = [
     # --- sparse families and imports ------------------------------------------
     Mutant(
         "sparse_chain_sum_dropped", "sparse.py",
-        'value[ids] = value[parents[ids]] + u if form == "chi" else u',
-        "value[ids] = u",
+        'value[lo:hi] = value[family.parent[lo:hi]] + u if form == "chi" else u',
+        "value[lo:hi] = u",
         (f"{SCAN}::test_sparse_operator_bit_identical_with_level_gaps",),
         "the chi form sums over every stopping cube containing a cell, not the deepest one alone",
+    ),
+    Mutant(
+        "sparse_e_volume_misdirected", "sparse.py",
+        "np.subtract.at(e_full, self.parent[kids], vol[kids])",
+        "np.subtract.at(e_full, np.flatnonzero(kids), vol[self.parent[kids]])",
+        ("tests/test_sparse.py::TestSparsity::test_level_volumes_equal_realized_volumes",),
+        "|E_Q| is |Q| less the volumes of its direct stopping children, not a child less its parent",
+    ),
+    Mutant(
+        "sparse_generation_flat", "sparse.py",
+        "0 if pid < 0 else out[pid].generation + 1",
+        "0 if pid < 0 else 1",
+        ("tests/test_sparse.py::TestBuildSparse::test_matches_brute_force",),
+        "a stopping cube's generation is its parent's plus one, not 1 below every root",
     ),
     Mutant(
         "off_grid_box_rounded_out", "sampled.py",

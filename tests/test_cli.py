@@ -884,15 +884,20 @@ class TestUnreadFlags:
         assert err.startswith("usage: ") and f"error: unrecognized arguments: {flag}" in err, err
         assert not out.exists() and not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("young", ["power:r=2", "power:r=abc"], ids=["well-formed", "malformed"])
-    def test_norms_estimate_young_needs_orlicz_maximal(self, tmp_path, capsys, young):
-        # --young is read only by --op orlicz_maximal: beside any other operator it is refused, named with that one
+    @pytest.mark.parametrize("op,flag,value", [
+        ("frac_maximal", "--young", "power:r=2"),
+        ("frac_maximal", "--young", "power:r=abc"),
+        ("identity", "--alpha", "1/2"),
+    ], ids=["well-formed", "malformed", "identity-alpha"])
+    def test_norms_estimate_young_needs_orlicz_maximal(self, tmp_path, capsys, op, flag, value):
+        # --op reads the flags of its ops entry: --young only orlicz_maximal, --alpha every operator but identity;
+        # beside any other operator the flag is refused, named with that operator
         write_pair(tmp_path / "pair.json")
         out = tmp_path / "out.json"
         assert main(["norms", "estimate", "--pair", str(tmp_path / "pair.json"), "--exponents", "1,1/2,4/3,4",
-                     "--op", "frac_maximal", "--young", young, "-o", str(out)]) == 2
+                     "--op", op, flag, value, "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--young" in err and "frac_maximal" in err, err
+        assert err.startswith("error: ") and flag in err and op in err, err
         assert not out.exists()
 
 

@@ -439,12 +439,13 @@ def test_sparse_operator_bit_identical_with_level_gaps(lower, side, ncells):
     f = SampledFunction(n, lower, side, v)
     g = make_f(n, lower, side, ncells, seed=4)
     fam = build_sparse(f, 0.5 if n == 2 else 0.25)
-    members = fam._level_members
-    assert any(k not in members for k in range(min(members), max(members) + 1))
+    levels = sorted(set(fam.level.tolist()))
+    assert any(k not in levels for k in range(levels[0], levels[-1] + 1))
     cellvol = float(f.cell_volume)
     for src in (f, g):
         expect = np.zeros_like(f.values)
-        for level, (positions, _) in sorted(members.items()):
+        for level in levels:
+            positions = fam.pos[fam.level == level]
             scan = level_scan(f, fam.grid, level)
             u = cube_cell_sums(scan, src.prefix) * (2.0 ** (level * (n - fam.alpha)) * cellvol)
             vals = np.zeros_like(u)

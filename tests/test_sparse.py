@@ -75,9 +75,14 @@ def brute_stopping_cubes(f, alpha, ratio, grid):
 
 class TestBuildSparse:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_brute_force(self, alpha, seed):
-        f = rand_f(1, (0,), 1, 12, seed=seed, spikes=[((0,), 40.0), ((7,), 25.0)])
+    @pytest.mark.parametrize("f", [
+        *(pytest.param(rand_f(1, (0,), 1, 12, seed=seed, spikes=[((0,), 40.0), ((7,), 25.0)]), id=str(seed))
+          for seed in (1, 2, 3)),
+        # a 48^2 spike stops at levels 0, 2 and 4: generations 0 to 2
+        pytest.param(rand_f(2, (0, 0), 1, 48, seed=4, spikes=[((7, 40), 1e4)]), id="2d"),
+        pytest.param(SampledFunction.constant(0.0, 2, (0, 0), 1, 12), id="empty"),
+    ])
+    def test_matches_brute_force(self, alpha, f):
         fam = build_sparse(f, alpha, ratio=4.0, min_level=0)
         brute, u = brute_stopping_cubes(f, alpha, 4.0, fam.grid)
         got = {sc.cube for sc in fam.cubes}
